@@ -324,25 +324,59 @@ func BenchmarkPublicEngineOfferBatch(b *testing.B) {
 	}
 }
 
-// BenchmarkGroupOfferBatch measures the comparison-group fan-out: one
-// 512-tick batch through all five techniques plus the shared input
-// accumulator, per group-lock acquisition. Reported per input tick via
-// b.N batches.
+// BenchmarkGroupOfferBatch measures the comparison-group fan-out per
+// group-lock acquisition; ns/op is per batch.
+//
+//   - bare: one 512-tick batch through all five techniques plus the
+//     shared input accumulator, no estimator.
+//   - aggvar: the serving benchmark's groups-estimator shape — its
+//     five specs, an aggvar input-side estimator and 8192-tick batches
+//     of fGn (H=0.8) traffic, the setup where the group input side
+//     dominates.
 func BenchmarkGroupOfferBatch(b *testing.B) {
-	specs := []sampling.Spec{}
-	for _, tc := range samplerBenchSpecs {
-		specs = append(specs, sampling.MustParse(tc.spec))
+	run := func(b *testing.B, specs []string, batch func(i int) []float64, opts ...sampling.Option) {
+		b.Helper()
+		parsed := make([]sampling.Spec, len(specs))
+		for i, spec := range specs {
+			parsed[i] = sampling.MustParse(spec)
+		}
+		g, err := sampling.NewGroup(parsed, opts...)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			g.OfferBatch(batch(i))
+		}
 	}
-	g, err := sampling.NewGroup(specs)
-	if err != nil {
-		b.Fatal(err)
-	}
-	f := samplerBenchTrace()[:512]
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		g.OfferBatch(f)
-	}
+	b.Run("bare", func(b *testing.B) {
+		specs := make([]string, len(samplerBenchSpecs))
+		for i, tc := range samplerBenchSpecs {
+			specs[i] = tc.spec
+		}
+		f := samplerBenchTrace()[:512]
+		run(b, specs, func(int) []float64 { return f })
+	})
+	b.Run("aggvar", func(b *testing.B) {
+		const batch = 8192
+		gen, err := lrd.NewFGN(0.8, 1<<16, 100, 20)
+		if err != nil {
+			b.Fatal(err)
+		}
+		f := gen.Generate(dist.NewRand(5))
+		specs := []string{
+			"systematic:interval=100,offset=7",
+			"stratified:interval=100,seed=11",
+			"bernoulli:rate=0.01,seed=12",
+			"simple:n=1000,seed=13",
+			"bss:interval=100,L=5,eps=1.0,offset=3",
+		}
+		run(b, specs, func(i int) []float64 {
+			off := i * batch % len(f)
+			return f[off : off+batch]
+		}, sampling.WithEstimator("aggvar"))
+	})
 }
 
 // BenchmarkPublicSnapshot measures one mid-stream observation of a warm

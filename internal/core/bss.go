@@ -140,8 +140,12 @@ type StreamBSS struct {
 	running  stats.Accumulator
 	baseSeen int
 	ath      float64
-	armed    bool  // adaptive threshold active
-	extras   []int // pending extra-probe ticks (ascending)
+	armed    bool // adaptive threshold active
+	// extras[pi:] are the pending extra-probe ticks of the current
+	// interval, ascending, each in [tick, nextBase). The cursor keeps
+	// the slice's capacity, so rescheduling never reallocates.
+	extras []int
+	pi     int
 }
 
 // NewStreamBSS validates cfg and returns a streaming sampler.
@@ -165,29 +169,79 @@ func (s *StreamBSS) Offer(index int, value float64) (Sample, bool) {
 	t := s.tick
 	s.tick++
 	if t == s.nextBase {
-		s.nextBase += s.cfg.Interval
-		s.extras = s.extras[:0]
-		s.running.Add(value)
-		s.baseSeen++
-		if s.cfg.Threshold == 0 {
-			if s.baseSeen >= s.cfg.PreSamples {
-				s.ath = s.cfg.Epsilon * s.running.Mean()
-				s.armed = true
-			}
-		}
-		if s.armed && value > s.ath {
-			s.extras = s.cfg.probeOffsets(t, s.extras)
-		}
+		s.base(t, value)
 		return Sample{Index: index, Value: value}, true
 	}
-	if len(s.extras) > 0 && s.extras[0] == t {
-		s.extras = s.extras[1:]
-		if value > s.ath {
-			s.running.Add(value)
+	if s.pi < len(s.extras) && s.extras[s.pi] == t {
+		s.pi++
+		if s.qualifies(value) {
 			return Sample{Index: index, Value: value, Qualified: true}, true
 		}
 	}
 	return Sample{}, false
+}
+
+// OfferBatch implements BatchStreamer. BSS reads only its base ticks
+// and the probe ticks it scheduled, and both are known in advance: the
+// kernel hops base -> pending probes -> next base and never reads the
+// ticks in between.
+//
+//samplelint:hotpath
+func (s *StreamBSS) OfferBatch(startIndex int, values []float64, dst []Sample) []Sample {
+	t0 := s.tick
+	end := t0 + len(values)
+	for {
+		// Every pending probe precedes the next base tick.
+		if s.pi < len(s.extras) {
+			t := s.extras[s.pi]
+			if t >= end {
+				break
+			}
+			s.pi++
+			if v := values[t-t0]; s.qualifies(v) {
+				dst = append(dst, Sample{Index: startIndex + t - t0, Value: v, Qualified: true})
+			}
+			continue
+		}
+		t := s.nextBase
+		if t >= end {
+			break
+		}
+		v := values[t-t0]
+		s.base(t, v)
+		dst = append(dst, Sample{Index: startIndex + t - t0, Value: v})
+	}
+	s.tick = end
+	return dst
+}
+
+// base takes the base sample at tick t: it schedules the next base,
+// folds the value into the running mean, re-arms the adaptive threshold
+// and, when the value exceeds it, schedules this interval's probes.
+func (s *StreamBSS) base(t int, value float64) {
+	s.nextBase += s.cfg.Interval
+	s.extras, s.pi = s.extras[:0], 0
+	s.running.Add(value)
+	s.baseSeen++
+	if s.cfg.Threshold == 0 {
+		if s.baseSeen >= s.cfg.PreSamples {
+			s.ath = s.cfg.Epsilon * s.running.Mean()
+			s.armed = true
+		}
+	}
+	if s.armed && value > s.ath {
+		s.extras = s.cfg.probeOffsets(t, s.extras)
+	}
+}
+
+// qualifies reports whether a probe value exceeds the threshold and,
+// if so, folds it into the running mean.
+func (s *StreamBSS) qualifies(value float64) bool {
+	if value > s.ath {
+		s.running.Add(value)
+		return true
+	}
+	return false
 }
 
 // Finish implements StreamSampler. Pending extra probes past the end of
@@ -214,5 +268,5 @@ func (s *StreamBSS) Threshold() float64 {
 var (
 	_ Sampler       = BSS{}
 	_ Streamer      = BSS{}
-	_ StreamSampler = (*StreamBSS)(nil)
+	_ BatchStreamer = (*StreamBSS)(nil)
 )

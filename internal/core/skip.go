@@ -21,11 +21,34 @@ import (
 // engine-level batch-vs-tick equality tests pin.
 //
 // dst follows the append convention so callers can reuse one buffer
-// across batches (the sampling.Engine keeps a per-engine scratch slice
-// and passes dst[:0]); implementations never retain it.
+// across batches (the sampling.Engine passes a pooled scratch slice as
+// dst[:0]); implementations never retain it.
 type BatchStreamer interface {
 	StreamSampler
 	OfferBatch(startIndex int, values []float64, dst []Sample) []Sample
+}
+
+// BatchOf returns s's batch kernel: s itself, since every built-in
+// technique has one, or for a sampler registered without OfferBatch a
+// per-tick adapter that offers the batch one tick at a time.
+func BatchOf(s StreamSampler) BatchStreamer {
+	if b, ok := s.(BatchStreamer); ok {
+		return b
+	}
+	return perTick{s}
+}
+
+// perTick is the BatchStreamer form of a kernel that has only Offer.
+type perTick struct{ StreamSampler }
+
+// OfferBatch implements BatchStreamer.
+func (p perTick) OfferBatch(startIndex int, values []float64, dst []Sample) []Sample {
+	for i, v := range values {
+		if s, ok := p.Offer(startIndex+i, v); ok {
+			dst = append(dst, s)
+		}
+	}
+	return dst
 }
 
 // maxSkip caps a drawn skip count so degenerate parameters (an

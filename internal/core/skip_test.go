@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"sort"
+	"strings"
 	"testing"
 )
 
@@ -42,6 +43,17 @@ var batchSpecs = []string{
 	"simple:rate=0.01,seed=13",
 	"bernoulli:rate=0.02,seed=14",
 	"bernoulli:rate=1,seed=2",
+	// BSS: spread and chase placement, adaptive and static threshold,
+	// L=0 (plain systematic), and C < L+1, where spread probes collide
+	// and chase probes run into the next base tick.
+	"bss:interval=37,offset=5,L=5,eps=1.0",
+	"bss:interval=37,L=5,eps=1.0,placement=chase",
+	"bss:interval=29,offset=3,L=4,ath=3",
+	"bss:interval=29,L=6,ath=3,placement=chase",
+	"bss:interval=50,L=0,eps=1.0",
+	"bss:interval=3,L=7,eps=0.8",
+	"bss:interval=3,L=7,eps=0.8,placement=chase",
+	"bss:interval=1,L=3,eps=1.0",
 }
 
 // runTicks drives the per-tick reference form.
@@ -160,6 +172,132 @@ func TestBatchKernelInterleaved(t *testing.T) {
 			if got[i] != want[i] {
 				t.Fatalf("%s: sample %d differs: interleaved %+v vs tick %+v", spec, i, got[i], want[i])
 			}
+		}
+	}
+}
+
+// TestBSSKernelProbes keeps the BSS entries of batchSpecs meaningful:
+// every configuration that can schedule probes does qualify some, so
+// the batch-vs-tick tests above exercise the probe hops and not only
+// the base stride.
+func TestBSSKernelProbes(t *testing.T) {
+	f := streamTestTrace(30000)
+	for _, spec := range batchSpecs {
+		if !strings.HasPrefix(spec, "bss:") || strings.Contains(spec, "L=0") || strings.Contains(spec, "interval=1,") {
+			continue
+		}
+		if _, qualified := CountKinds(runTicks(t, spec, f)); qualified == 0 {
+			t.Errorf("%s: no qualified probes over %d ticks", spec, len(f))
+		}
+	}
+}
+
+// TestBSSCheckpointWithPendingProbes cuts a batch-fed BSS stream where a
+// triggered interval still has probes pending, restores the state into
+// a fresh kernel and finishes the stream there in batches: the output
+// must equal the uninterrupted per-tick run.
+func TestBSSCheckpointWithPendingProbes(t *testing.T) {
+	f := streamTestTrace(20000)
+	for _, spec := range []string{"bss:interval=37,L=5,eps=1.0", "bss:interval=29,L=6,ath=3,placement=chase"} {
+		want := runTicks(t, spec, f)
+		eng, err := LookupStream(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		live := eng.(*StreamBSS)
+		var got []Sample
+		cut := 0
+		for cut < len(f) && (cut < 1000 || live.pi == len(live.extras)) {
+			got = live.OfferBatch(cut, f[cut:cut+7], got)
+			cut += 7
+		}
+		if live.pi == len(live.extras) {
+			t.Fatalf("%s: no batch boundary with probes pending", spec)
+		}
+		blob, err := live.AppendState(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh, err := LookupStream(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		restored := fresh.(*StreamBSS)
+		if err := restored.RestoreState(blob); err != nil {
+			t.Fatal(err)
+		}
+		for off := cut; off < len(f); off += 513 {
+			got = restored.OfferBatch(off, f[off:min(off+513, len(f))], got)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("%s: restored run kept %d, tick run kept %d", spec, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("%s: sample %d differs: %+v vs %+v", spec, i, got[i], want[i])
+			}
+		}
+	}
+}
+
+// TestBSSRestoreRejectsBrokenSchedule: the kernel hops straight to the
+// pending probes and the next base, so a blob whose schedule no Offer
+// sequence could produce is refused rather than run.
+func TestBSSRestoreRejectsBrokenSchedule(t *testing.T) {
+	eng, err := LookupStream("bss:interval=10,L=3,ath=0.5")
+	if err != nil {
+		t.Fatal(err)
+	}
+	live := eng.(*StreamBSS)
+	live.OfferBatch(0, []float64{1, 1, 1}, nil) // tick 3, probes 5 and 7 pending
+	for _, mutate := range []func(s *StreamBSS){
+		func(s *StreamBSS) { s.nextBase = 2 },                   // next base behind the stream
+		func(s *StreamBSS) { s.extras, s.pi = []int{2, 5}, 0 },  // probe already passed
+		func(s *StreamBSS) { s.extras, s.pi = []int{5, 12}, 0 }, // probe past the next base
+		func(s *StreamBSS) { s.extras, s.pi = []int{7, 5}, 0 },  // not ascending
+	} {
+		broken := *live
+		broken.extras = append([]int(nil), live.extras...)
+		mutate(&broken)
+		blob, err := broken.AppendState(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh, _ := LookupStream("bss:interval=10,L=3,ath=0.5")
+		if err := fresh.(*StreamBSS).RestoreState(blob); err == nil {
+			t.Errorf("restored a broken schedule: tick=%d nextBase=%d pending=%v", broken.tick, broken.nextBase, broken.extras[broken.pi:])
+		}
+	}
+}
+
+// TestBatchKernelsDoNotAllocate: once warm (the output buffer and the
+// BSS probe list at capacity), no kernel allocates per batch. Rate-mode
+// simple random is exempt: buffering the stream is its state.
+func TestBatchKernelsDoNotAllocate(t *testing.T) {
+	f := streamTestTrace(1 << 16)
+	for _, spec := range batchSpecs {
+		if strings.HasPrefix(spec, "simple:rate") {
+			continue
+		}
+		eng, err := LookupStream(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bs := eng.(BatchStreamer)
+		dst := make([]Sample, 0, 1024)
+		off := 0
+		batch := func() {
+			if off+512 > len(f) {
+				off = 0
+			}
+			dst = bs.OfferBatch(off, f[off:off+512], dst[:0])
+			off += 512
+		}
+		for i := 0; i < 64; i++ {
+			batch()
+		}
+		if allocs := testing.AllocsPerRun(200, batch); allocs != 0 {
+			t.Errorf("%s: %.2f allocs per 512-tick batch, want 0", spec, allocs)
 		}
 	}
 }

@@ -261,8 +261,9 @@ func (s *StreamBSS) AppendState(dst []byte) ([]byte, error) {
 	dst = binenc.AppendI64(dst, int64(s.baseSeen))
 	dst = binenc.AppendF64(dst, s.ath)
 	dst = binenc.AppendBool(dst, s.armed)
-	dst = binenc.AppendU32(dst, uint32(len(s.extras)))
-	for _, t := range s.extras {
+	pending := s.extras[s.pi:]
+	dst = binenc.AppendU32(dst, uint32(len(pending)))
+	for _, t := range pending {
 		dst = binenc.AppendI64(dst, int64(t))
 	}
 	return dst, nil
@@ -303,7 +304,19 @@ func (s *StreamBSS) RestoreState(data []byte) error {
 	if tick < 0 || baseSeen < 0 || accState.N < 0 {
 		return fmt.Errorf("core: bss state counters negative (tick=%d baseSeen=%d accN=%d)", tick, baseSeen, accState.N)
 	}
-	s.tick, s.nextBase, s.baseSeen, s.ath, s.armed, s.extras = tick, nextBase, baseSeen, ath, armed, extras
+	// The batch kernel relies on the schedule invariant every Offer
+	// sequence keeps: the next base is not behind the stream, and the
+	// pending probes ascend strictly inside [tick, nextBase).
+	if nextBase < tick {
+		return fmt.Errorf("core: bss state next base %d behind tick %d", nextBase, tick)
+	}
+	for i, t := range extras {
+		if t < tick || t >= nextBase || (i > 0 && t <= extras[i-1]) {
+			return fmt.Errorf("core: bss state probe schedule %v outside [%d, %d) or not ascending", extras, tick, nextBase)
+		}
+	}
+	s.tick, s.nextBase, s.baseSeen, s.ath, s.armed = tick, nextBase, baseSeen, ath, armed
+	s.extras, s.pi = extras, 0
 	s.running.SetState(accState)
 	return nil
 }

@@ -10,9 +10,9 @@ import (
 // the traffic process are offered one at a time, in order, and the
 // sampler emits each selected observation as soon as it is decidable.
 // This is the engine every consumer runs on; the batch Sampler.Sample
-// methods are thin adapters over it (see Collect). Techniques that can
-// jump over ticks they will not keep also implement BatchStreamer, the
-// skip-based batch fast path the public sampling.Engine dispatches to.
+// methods are thin adapters over it (see Collect). Every built-in
+// technique also implements BatchStreamer, the skip-based batch kernel
+// the public sampling.Engine runs (BatchOf adapts any other sampler).
 //
 // Implementations are single-goroutine state machines: they must not be
 // offered ticks from multiple goroutines concurrently.
@@ -313,6 +313,12 @@ func (p *streamSimpleRandom) bufferBatch(startIndex int, values []float64) {
 		p.base = startIndex
 	}
 	p.seen += len(values)
+	if len(values) == 1 {
+		// Engine.Offer's one-tick batch: a plain append skips the
+		// memmove call the slice form pays.
+		p.buf = append(p.buf, values[0])
+		return
+	}
 	p.buf = append(p.buf, values...)
 }
 

@@ -1,6 +1,7 @@
 package lrd
 
 import (
+	"bytes"
 	"math"
 	"testing"
 )
@@ -103,5 +104,69 @@ func TestStreamStateRejectsWrongKind(t *testing.T) {
 	}
 	if err := av.RestoreState(blob[:len(blob)-3]); err == nil {
 		t.Fatal("aggvar accepted a truncated blob")
+	}
+}
+
+// batchTicker is the batch-form contract every streaming estimator
+// keeps: TickBatch leaves the state AppendState captures byte for byte
+// where one Tick per value would.
+type batchTicker interface {
+	Tick(v float64)
+	TickBatch(values []float64)
+	AppendState(dst []byte) []byte
+	RestoreState(data []byte) error
+}
+
+// TestTickBatchMatchesTick drives a Tick-fed and a TickBatch-fed twin
+// from the same restored state through batches of awkward sizes and
+// compares their AppendState bytes after every batch. The start states
+// include fresh ladders and ladders with open half-blocks on several
+// levels (n = 45 = 0b101101 and n = 1023), so the batch form must
+// honour pending halves and the stale sums of closed ones.
+func TestTickBatchMatchesTick(t *testing.T) {
+	f := stateTrace(3*8192 + 17)
+	// The arithmetic must match on these too. (Not on a NaN input: when
+	// two NaNs meet, which payload survives depends on the compiled
+	// operand order, and Inf - Inf already makes NaNs of its own.)
+	f[101], f[4097] = math.Inf(1), math.Copysign(0, -1)
+	kinds := []struct {
+		name string
+		make func() batchTicker
+	}{
+		{"aggvar", func() batchTicker { return &StreamAggVar{} }},
+		{"wavelet", func() batchTicker { return &StreamWavelet{} }},
+		{"rs", func() batchTicker { return NewStreamRS(256) }},
+	}
+	sizes := []int{0, 1, 2, 3, 7, 63, 64, 65, 255, 257, 8191, 8192, 8193}
+	for _, k := range kinds {
+		for _, start := range []int{0, 45, 1023} {
+			seed := k.make()
+			for _, v := range f[len(f)-start:] {
+				seed.Tick(v)
+			}
+			blob := seed.AppendState(nil)
+			for _, size := range sizes {
+				ticked, batched := k.make(), k.make()
+				if err := ticked.RestoreState(blob); err != nil {
+					t.Fatal(err)
+				}
+				if err := batched.RestoreState(blob); err != nil {
+					t.Fatal(err)
+				}
+				// Small batches stop sooner: 300 batches still cross
+				// several power-of-two boundaries.
+				total := min(2*8192+5, 300*max(size, 1))
+				for off := 0; off < total; off += max(size, 1) {
+					chunk := f[off : off+size]
+					for _, v := range chunk {
+						ticked.Tick(v)
+					}
+					batched.TickBatch(chunk)
+					if a, b := ticked.AppendState(nil), batched.AppendState(nil); !bytes.Equal(a, b) {
+						t.Fatalf("%s start=%d size=%d: state diverges after %d ticks", k.name, start, size, off+size)
+					}
+				}
+			}
+		}
 	}
 }

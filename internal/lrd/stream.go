@@ -49,8 +49,81 @@ type StreamAggVar struct {
 func (s *StreamAggVar) Tick(v float64) {
 	s.n++
 	s.accs[0].Add(v)
-	sum := v
-	for j := 0; j < maxStreamLevels-1; j++ {
+	h := &s.halves[0]
+	if !h.has {
+		h.sum, h.has = v, true
+		return
+	}
+	h.has = false
+	s.carry(1, v+h.sum)
+}
+
+// TickBatch folds a batch of observations and leaves the ladder bit for
+// bit where one Tick per value would, down to the stale sums of closed
+// half-blocks that AppendState persists. It never allocates.
+//
+//samplelint:hotpath
+func (s *StreamAggVar) TickBatch(values []float64) {
+	if len(values) > 0 && s.halves[0].has {
+		s.Tick(values[0])
+		values = values[1:]
+	}
+	pairs := len(values) &^ 1
+	if pairs > 0 {
+		s.foldPairs(values[:pairs])
+	}
+	if pairs < len(values) {
+		s.Tick(values[pairs])
+	}
+}
+
+// foldPairs folds an even-length run of ticks that starts on a closed
+// level-0 half-block. Level 0's moments stay in locals for the whole
+// run and each pair's sum goes straight to level 1, so the levels'
+// serial Welford division chains overlap in one loop instead of
+// queueing one level after another.
+//
+//samplelint:hotpath
+func (s *StreamAggVar) foldPairs(values []float64) {
+	st := s.accs[0].State()
+	if st.N == 0 {
+		st.Min, st.Max = values[0], values[0]
+	}
+	n, mean, m2, sum, lo, hi := st.N, st.Mean, st.M2, st.Sum, st.Min, st.Max
+	for i := 0; i < len(values); i += 2 {
+		a, b := values[i], values[i+1]
+		lo, hi = stats.Extend(lo, hi, a)
+		lo, hi = stats.Extend(lo, hi, b)
+		sum += a
+		sum += b
+		mean, m2 = stats.Welford(n+1, mean, m2, a)
+		mean, m2 = stats.Welford(n+2, mean, m2, b)
+		n += 2
+		pair := b + a
+		s.accs[1].Add(pair / 2)
+		if h := &s.halves[1]; !h.has {
+			h.sum, h.has = pair, true
+		} else {
+			h.has = false
+			s.carry(2, pair+h.sum)
+		}
+	}
+	s.accs[0].SetState(stats.AccumulatorState{N: n, Mean: mean, M2: m2, Sum: sum, Min: lo, Max: hi})
+	s.n += int64(len(values))
+	s.halves[0].sum = values[len(values)-2]
+}
+
+// carry records a completed block of 2^j ticks summing to sum at level
+// j and percolates it up the ladder: an open half-block waits for its
+// sibling, a closed pair becomes a block of the next level.
+//
+//samplelint:hotpath
+func (s *StreamAggVar) carry(j int, sum float64) {
+	for {
+		s.accs[j].Add(sum / float64(int64(1)<<j))
+		if j == maxStreamLevels-1 {
+			return
+		}
 		h := &s.halves[j]
 		if !h.has {
 			h.sum, h.has = sum, true
@@ -58,13 +131,16 @@ func (s *StreamAggVar) Tick(v float64) {
 		}
 		sum += h.sum
 		h.has = false
-		// sum now covers 2^(j+1) ticks; record the block mean.
-		s.accs[j+1].Add(sum / float64(int64(2)<<j))
+		j++
 	}
 }
 
 // N returns the number of ticks consumed.
 func (s *StreamAggVar) N() int64 { return s.n }
+
+// Moments returns the running moments of every tick consumed: level 0
+// of the ladder, which sees each raw tick exactly once.
+func (s *StreamAggVar) Moments() stats.AccumulatorState { return s.accs[0].State() }
 
 // Estimate fits the aggregated-variance regression over the levels the
 // stream has filled so far: dyadic m >= MinM with at least 16 completed
@@ -163,6 +239,16 @@ func (s *StreamWavelet) Tick(v float64) {
 	}
 }
 
+// TickBatch feeds the cascade a batch of observations, exactly as one
+// Tick per value would. It never allocates.
+//
+//samplelint:hotpath
+func (s *StreamWavelet) TickBatch(values []float64) {
+	for _, v := range values {
+		s.Tick(v)
+	}
+}
+
 // N returns the number of ticks consumed.
 func (s *StreamWavelet) N() int64 { return s.n }
 
@@ -220,6 +306,21 @@ func (s *StreamRS) Tick(v float64) {
 		s.pos = 0
 	}
 	s.n++
+}
+
+// TickBatch records a batch of observations in the ring, exactly as
+// one Tick per value would. It never allocates.
+//
+//samplelint:hotpath
+func (s *StreamRS) TickBatch(values []float64) {
+	s.n += int64(len(values))
+	for len(values) > 0 {
+		k := copy(s.window[s.pos:], values)
+		values = values[k:]
+		if s.pos += k; s.pos == len(s.window) {
+			s.pos = 0
+		}
+	}
 }
 
 // N returns the number of ticks consumed.

@@ -160,6 +160,16 @@ func TestStreamTickDoesNotAllocate(t *testing.T) {
 	probe("StreamAggVar", agg.Tick)
 	probe("StreamWavelet", wav.Tick)
 	probe("StreamRS", rs.Tick)
+	batch := stateTrace(8193)
+	probeBatch := func(name string, tickBatch func([]float64)) {
+		t.Helper()
+		if allocs := testing.AllocsPerRun(20, func() { tickBatch(batch) }); allocs != 0 {
+			t.Errorf("%s.TickBatch allocates %.1f times per call", name, allocs)
+		}
+	}
+	probeBatch("StreamAggVar", agg.TickBatch)
+	probeBatch("StreamWavelet", wav.TickBatch)
+	probeBatch("StreamRS", rs.TickBatch)
 }
 
 func BenchmarkStreamAggVarTick(b *testing.B) {

@@ -135,16 +135,49 @@ func (a *Accumulator) Add(v float64) {
 	}
 	a.n++
 	a.sum += v
-	delta := v - a.mean
-	a.mean += delta / float64(a.n)
-	a.m2 += delta * (v - a.mean)
+	a.mean, a.m2 = Welford(a.n, a.mean, a.m2, v)
 }
 
-// AddAll folds a batch of observations.
-func (a *Accumulator) AddAll(xs []float64) {
-	for _, v := range xs {
-		a.Add(v)
+// Welford is one step of Welford's recurrence: the mean and sum of
+// squared deviations after folding v in as observation n (1-based).
+// Add applies it; a tight loop that hoists an accumulator's state into
+// locals (State, then SetState) applies it to stay on Add's exact
+// arithmetic.
+func Welford(n int, mean, m2, v float64) (float64, float64) {
+	delta := v - mean
+	mean += delta / float64(n)
+	return mean, m2 + delta*(v-mean)
+}
+
+// Extend widens the range [lo, hi] to cover v, the way Add tracks
+// Min and Max once it holds an observation (NaN never widens it).
+func Extend(lo, hi, v float64) (float64, float64) {
+	if v < lo {
+		lo = v
 	}
+	if v > hi {
+		hi = v
+	}
+	return lo, hi
+}
+
+// AddAll folds a batch of observations, bit for bit like one Add per
+// value but with the state held in locals across the batch.
+func (a *Accumulator) AddAll(xs []float64) {
+	if len(xs) == 0 {
+		return
+	}
+	if a.n == 0 {
+		a.min, a.max = xs[0], xs[0]
+	}
+	n, mean, m2, sum, lo, hi := a.n, a.mean, a.m2, a.sum, a.min, a.max
+	for _, v := range xs {
+		lo, hi = Extend(lo, hi, v)
+		sum += v
+		n++
+		mean, m2 = Welford(n, mean, m2, v)
+	}
+	a.n, a.mean, a.m2, a.sum, a.min, a.max = n, mean, m2, sum, lo, hi
 }
 
 // N returns the number of observations seen so far.

@@ -52,14 +52,14 @@
 //
 // Ingest is batch-first: Engine.OfferBatch feeds a slice of ticks
 // under one lock acquisition and returns how many samples the batch
-// finalized. For every technique except BSS it dispatches to a
-// skip-based batch kernel (internal/core's BatchStreamer) that jumps
-// from kept tick to kept tick instead of visiting each element, so
-// batch ingest costs O(samples kept), not O(ticks seen) — with output
-// identical to the per-tick form under the same seed. Offer is the
-// single-tick convenience form — correct, but paying one lock per
-// tick — so hot loops (the hub, the sampled daemon, sampleload) stay
-// on the batch form:
+// finalized. It dispatches to the technique's skip-based batch kernel
+// (internal/core's BatchStreamer) that jumps from kept tick to kept
+// tick instead of visiting each element, so batch ingest costs
+// O(samples kept), not O(ticks seen) — with output identical to the
+// per-tick form under the same seed. Offer is the single-tick
+// convenience form — the same kernel, but paying one lock per tick —
+// so hot loops (the hub, the sampled daemon, sampleload) stay on the
+// batch form:
 //
 //	kept := eng.OfferBatch(ticks) // atomic w.r.t. Snapshot and Finish
 //

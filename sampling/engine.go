@@ -29,8 +29,7 @@ type Engine struct {
 	spec       Spec
 	specString string
 	impl       core.StreamSampler
-	batch      core.BatchStreamer // impl's skip-based batch fast path; nil when it has none
-	bbuf       []Sample           // per-batch scratch reused across OfferBatch calls
+	batch      core.BatchStreamer // impl's batch kernel (core.BatchOf)
 	clock      func() time.Time
 	start      time.Time
 	budget     int
@@ -48,7 +47,18 @@ type Engine struct {
 
 	finished  bool
 	finishErr error
+
+	// Offer's one-tick batch and its output, kept here so the
+	// single-tick form allocates nothing.
+	one    [1]float64
+	oneOut [1]Sample
 }
+
+// scratch pools the per-batch sample buffers of every engine. A batch's
+// samples are recorded before OfferBatch returns, so a buffer is held
+// only under the engine lock and the pool grows with the number of
+// concurrent batches, not with the number of engines.
+var scratch = sync.Pool{New: func() any { return new([]Sample) }}
 
 // New builds an engine from a typed spec. The spec's technique must be
 // registered and every parameter must be accepted: unknown names wrap
@@ -83,10 +93,7 @@ func New(spec Spec, opts ...Option) (*Engine, error) {
 		start:      now,
 		budget:     cfg.budget,
 	}
-	// Techniques with a skip-based batch kernel are dispatched to it by
-	// OfferBatch; the two forms are state-machine equivalent, so the
-	// choice is invisible to callers.
-	e.batch, _ = impl.(core.BatchStreamer)
+	e.batch = core.BatchOf(impl)
 	if cfg.estimator != "" {
 		// Already validated by WithEstimator; the two instances keep the
 		// input and kept-sample streams strictly separate.
@@ -116,11 +123,12 @@ func (e *Engine) Spec() Spec {
 // Offer presents the next tick of the observed process, in stream order,
 // and returns the sample this tick finalized, if any — possibly carrying
 // an earlier index when the technique defers its decision (stratified
-// picks, BSS probes). After Finish, Offer is a no-op returning false.
+// picks). After Finish, Offer is a no-op returning false.
 //
-// Offer is the single-tick convenience form of OfferBatch: it pays one
-// mutex acquisition per tick, so ingest loops that already hold their
-// ticks in a slice should call OfferBatch instead (the hub, the sampled
+// Offer is OfferBatch of one tick — the same kernel call on a
+// one-element batch, minus the scratch buffer — and pays one mutex
+// acquisition per tick, so ingest loops that already hold their ticks
+// in a slice should call OfferBatch instead (the hub, the sampled
 // daemon and sampleload all do).
 func (e *Engine) Offer(value float64) (Sample, bool) {
 	e.mu.Lock()
@@ -128,20 +136,29 @@ func (e *Engine) Offer(value float64) (Sample, bool) {
 	if e.finished {
 		return Sample{}, false
 	}
-	return e.offerOne(value)
+	if e.estIn != nil {
+		e.estIn.Tick(value)
+	}
+	e.one[0] = value
+	out := e.batch.OfferBatch(e.seen, e.one[:], e.oneOut[:0])
+	e.seen++
+	// A kernel emits at most one sample per tick.
+	if len(out) == 0 || (e.budget > 0 && e.kept >= e.budget) {
+		return Sample{}, false
+	}
+	e.record(out[0])
+	return out[0], true
 }
 
 // OfferBatch presents a batch of ticks in stream order and returns how
 // many samples the batch finalized. It is the ingest hot path: the
-// engine mutex is acquired once for the whole batch and, when the
-// technique implements core.BatchStreamer, the whole batch is handed to
-// its skip-based kernel in one call — the kernel jumps from kept tick
-// to kept tick, so the per-tick cost is gone entirely for systematic,
-// stratified, Bernoulli and simple random sampling. Techniques without
-// a batch kernel (BSS) fall back to the per-tick loop under the same
-// single lock acquisition. Both paths are state-machine equivalent:
-// batches of any shape produce exactly the samples the per-tick Offer
-// form would (asserted in TestOfferBatchMatchesOffer).
+// engine mutex is acquired once for the whole batch, the input-side
+// estimator takes the batch in one TickBatch call, and the technique's
+// kernel (core.BatchStreamer) jumps from kept tick to kept tick instead
+// of visiting every one. Batches of any shape produce exactly the
+// samples a per-tick run would (asserted in TestOfferBatchMatchesOffer,
+// and against core.Collect's per-tick reference in
+// TestEngineMatchesCoreBatch).
 //
 // The batch is atomic with respect to Finish and Snapshot — an
 // observer sees either none or all of it. After Finish, OfferBatch is
@@ -154,54 +171,32 @@ func (e *Engine) OfferBatch(values []float64) (kept int) {
 	if e.finished {
 		return 0
 	}
-	if e.batch == nil {
-		for _, v := range values {
-			if _, ok := e.offerOne(v); ok {
-				kept++
-			}
-		}
-		return kept
-	}
-	// Fast path. The input-side estimator still consumes every tick —
-	// it estimates the unsampled process — but its Tick is O(1) and
-	// allocation-free, so the loop stays cheap; the technique itself
-	// sees the batch once.
-	if e.estIn != nil {
-		for _, v := range values {
-			e.estIn.Tick(v)
-		}
-	}
-	e.bbuf = e.batch.OfferBatch(e.seen, values, e.bbuf[:0])
-	e.seen += len(values)
-	for _, s := range e.bbuf {
-		if e.budget > 0 && e.kept >= e.budget {
-			break
-		}
-		e.record(s)
-		kept++
-	}
+	buf := scratch.Get().(*[]Sample)
+	*buf = e.offerBatch(values, (*buf)[:0])
+	kept = len(*buf)
+	scratch.Put(buf)
 	return kept
 }
 
-// offerOne advances the stream by one tick. Callers hold e.mu and have
-// checked e.finished.
+// offerBatch advances the stream by a batch and returns dst extended by
+// the samples it recorded. The input-side estimator sees every tick —
+// it estimates the unsampled process — and the kernel sees the batch
+// once. Callers hold e.mu and have checked e.finished.
 //
 //samplelint:hotpath
-func (e *Engine) offerOne(value float64) (Sample, bool) {
-	idx := e.seen
-	e.seen++
+func (e *Engine) offerBatch(values []float64, dst []Sample) []Sample {
 	if e.estIn != nil {
-		e.estIn.Tick(value)
+		e.estIn.TickBatch(values)
 	}
-	smp, ok := e.impl.Offer(idx, value)
-	if !ok {
-		return Sample{}, false
+	dst = e.batch.OfferBatch(e.seen, values, dst)
+	e.seen += len(values)
+	if e.budget > 0 && e.kept+len(dst) > e.budget {
+		dst = dst[:max(0, e.budget-e.kept)]
 	}
-	if e.budget > 0 && e.kept >= e.budget {
-		return Sample{}, false
+	for _, s := range dst {
+		e.record(s)
 	}
-	e.record(smp)
-	return smp, true
+	return dst
 }
 
 //samplelint:hotpath
@@ -320,12 +315,12 @@ func (e *Engine) Sample(f []float64) ([]Sample, error) {
 	if len(f) == 0 {
 		return nil, fmt.Errorf("sampling: cannot sample an empty series")
 	}
-	out := make([]Sample, 0, 16)
-	for _, v := range f {
-		if s, ok := e.Offer(v); ok {
-			out = append(out, s)
-		}
+	e.mu.Lock()
+	var out []Sample
+	if !e.finished {
+		out = e.offerBatch(f, make([]Sample, 0, 16))
 	}
+	e.mu.Unlock()
 	tail, err := e.Finish()
 	if err != nil {
 		return nil, err

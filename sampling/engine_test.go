@@ -428,3 +428,114 @@ func TestOfferBatchAfterFinish(t *testing.T) {
 		t.Errorf("post-finish OfferBatch advanced seen to %d", sum.Seen)
 	}
 }
+
+// tickOnly hides a kernel's batch form: the shape of a technique
+// registered from outside internal/core with Offer alone.
+type tickOnly struct{ core.StreamSampler }
+
+// tickOnlySystematic is systematic sampling registered without a batch
+// kernel.
+type tickOnlySystematic struct{ core.Systematic }
+
+func (c tickOnlySystematic) Stream() (core.StreamSampler, error) {
+	s, err := c.Systematic.Stream()
+	return tickOnly{s}, err
+}
+
+func init() {
+	err := core.Register("systematic-tick-only", func(p *core.Params) (core.Sampler, error) {
+		interval, err := p.Int("interval", 1)
+		if err != nil {
+			return nil, err
+		}
+		s, err := core.NewSystematic(interval, 0)
+		return tickOnlySystematic{s}, err
+	})
+	if err != nil {
+		panic(err)
+	}
+}
+
+// TestEngineRunsTickOnlyKernel: a registered technique without
+// OfferBatch runs through core.BatchOf's per-tick adapter, and every
+// engine entry point — OfferBatch, Offer, Sample — keeps the samples a
+// built-in kernel with the same schedule keeps.
+func TestEngineRunsTickOnlyKernel(t *testing.T) {
+	f := heavyTrace(5000)
+	want, err := core.Systematic{Interval: 7}.Sample(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := MustParse("systematic-tick-only:interval=7")
+
+	eng, err := New(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := eng.Sample(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("Sample kept %d samples, want %d", len(got), len(want))
+	}
+
+	batched, err := New(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ticked, err := New(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	kept, tickKept := 0, 0
+	for off := 0; off < len(f); off += 129 {
+		kept += batched.OfferBatch(f[off:min(off+129, len(f))])
+	}
+	for _, v := range f {
+		if _, ok := ticked.Offer(v); ok {
+			tickKept++
+		}
+	}
+	if kept != len(want) || tickKept != len(want) {
+		t.Errorf("OfferBatch kept %d, Offer kept %d, want %d", kept, tickKept, len(want))
+	}
+	if a, b := batched.Snapshot(), ticked.Snapshot(); a.Mean != b.Mean || a.Seen != b.Seen {
+		t.Errorf("snapshots diverge: %+v vs %+v", a, b)
+	}
+}
+
+// TestOfferBatchDoesNotAllocate: a warm engine's batch path — estimator
+// TickBatch, kernel and the pooled scratch — allocates nothing. Rate
+// mode simple random is exempt: it buffers the stream by design.
+func TestOfferBatchDoesNotAllocate(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+	f := heavyTrace(1 << 16)
+	for _, spec := range equalitySpecs {
+		if spec == "simple:rate=0.05,seed=22" {
+			spec = "simple:n=100,seed=22"
+		}
+		for _, opts := range [][]Option{nil, {WithEstimator("aggvar")}} {
+			eng, err := New(MustParse(spec), opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			off := 0
+			batch := func() {
+				if off+512 > len(f) {
+					off = 0
+				}
+				eng.OfferBatch(f[off : off+512])
+				off += 512
+			}
+			for i := 0; i < 64; i++ {
+				batch()
+			}
+			if allocs := testing.AllocsPerRun(200, batch); allocs != 0 {
+				t.Errorf("%s (%d options): %.2f allocs per OfferBatch, want 0", spec, len(opts), allocs)
+			}
+		}
+	}
+}

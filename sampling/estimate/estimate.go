@@ -27,6 +27,7 @@ import (
 	"math"
 
 	"repro/internal/lrd"
+	"repro/internal/stats"
 )
 
 // Method names an estimation algorithm.
@@ -57,12 +58,15 @@ type Estimate struct {
 }
 
 // Estimator consumes a stream and produces Hurst estimates on demand.
-// Tick must be allocation-free and O(log n) worst case; Estimate may
-// allocate (it runs a small regression) and belongs on the observation
-// path, not the ingest path.
+// Tick must be allocation-free and O(log n) worst case; TickBatch is
+// its batch form and must leave the estimator bit for bit where one
+// Tick per value would. Estimate may allocate (it runs a small
+// regression) and belongs on the observation path, not the ingest
+// path.
 type Estimator interface {
 	Method() Method
 	Tick(v float64)
+	TickBatch(values []float64)
 	Ticks() int64
 	Estimate() Estimate
 }
@@ -118,7 +122,16 @@ func (a *aggVar) Method() Method { return AggVar }
 
 //samplelint:hotpath
 func (a *aggVar) Tick(v float64) { a.core.Tick(v) }
-func (a *aggVar) Ticks() int64   { return a.core.N() }
+
+//samplelint:hotpath
+func (a *aggVar) TickBatch(values []float64) { a.core.TickBatch(values) }
+func (a *aggVar) Ticks() int64               { return a.core.N() }
+
+// Moments returns the running moments of every tick consumed — level 0
+// of the ladder, so a caller that also needs the raw input's moments
+// reads them here instead of running a second accumulator.
+func (a *aggVar) Moments() stats.AccumulatorState { return a.core.Moments() }
+
 func (a *aggVar) Estimate() Estimate {
 	e, err := a.core.Estimate()
 	return finish(AggVar, a.core.N(), e, err)
@@ -130,7 +143,10 @@ func (w *wavelet) Method() Method { return Wavelet }
 
 //samplelint:hotpath
 func (w *wavelet) Tick(v float64) { w.core.Tick(v) }
-func (w *wavelet) Ticks() int64   { return w.core.N() }
+
+//samplelint:hotpath
+func (w *wavelet) TickBatch(values []float64) { w.core.TickBatch(values) }
+func (w *wavelet) Ticks() int64               { return w.core.N() }
 func (w *wavelet) Estimate() Estimate {
 	e, err := w.core.Estimate()
 	return finish(Wavelet, w.core.N(), e, err)
@@ -142,7 +158,10 @@ func (r *rs) Method() Method { return RS }
 
 //samplelint:hotpath
 func (r *rs) Tick(v float64) { r.core.Tick(v) }
-func (r *rs) Ticks() int64   { return r.core.N() }
+
+//samplelint:hotpath
+func (r *rs) TickBatch(values []float64) { r.core.TickBatch(values) }
+func (r *rs) Ticks() int64               { return r.core.N() }
 func (r *rs) Estimate() Estimate {
 	e, err := r.core.Estimate()
 	return finish(RS, r.core.N(), e, err)

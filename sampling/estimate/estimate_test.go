@@ -1,6 +1,7 @@
 package estimate_test
 
 import (
+	"bytes"
 	"errors"
 	"math"
 	"testing"
@@ -165,12 +166,17 @@ func TestTickPathDoesNotAllocate(t *testing.T) {
 		if allocs := testing.AllocsPerRun(2000, func() { e.Tick(2.5) }); allocs != 0 {
 			t.Errorf("%s: %.1f allocs per Tick, want 0", m, allocs)
 		}
+		batch := fgnSeries(t, 0.8, 8192, 3)
+		if allocs := testing.AllocsPerRun(50, func() { e.TickBatch(batch) }); allocs != 0 {
+			t.Errorf("%s: %.1f allocs per TickBatch, want 0", m, allocs)
+		}
 	}
 }
 
 // FuzzEstimatorTick is the CI fuzz smoke for the tick path: arbitrary
 // (including pathological) tick values must never panic an estimator or
-// make Estimate misbehave structurally.
+// make Estimate misbehave structurally, and a TickBatch-fed twin must
+// end in the byte-identical state.
 func FuzzEstimatorTick(f *testing.F) {
 	f.Add(1.0, 2.0, 3.0, uint8(200))
 	f.Add(0.0, 0.0, 0.0, uint8(255))
@@ -186,12 +192,31 @@ func FuzzEstimatorTick(f *testing.F) {
 			ests = append(ests, e)
 		}
 		vals := [3]float64{a, b, c}
-		for i := 0; i < int(n); i++ {
+		series := make([]float64, n)
+		for i := range series {
+			series[i] = vals[i%3]
 			for _, e := range ests {
-				e.Tick(vals[i%3])
+				e.Tick(series[i])
 			}
 		}
 		for _, e := range ests {
+			twin, err := estimate.New(e.Method())
+			if err != nil {
+				t.Fatal(err)
+			}
+			for off := 0; off < len(series); off += 37 {
+				twin.TickBatch(series[off:min(off+37, len(series))])
+			}
+			// A NaN input can leave NaN payloads that depend on the
+			// compiled operand order, so those runs compare estimates.
+			want := e.(estimate.Stateful).AppendState(nil)
+			if got := twin.(estimate.Stateful).AppendState(nil); !bytes.Equal(got, want) &&
+				!(math.IsNaN(a) || math.IsNaN(b) || math.IsNaN(c)) {
+				t.Fatalf("%s: TickBatch state diverges from Tick", e.Method())
+			}
+			if got, want := twin.Estimate(), e.Estimate(); got.OK != want.OK || got.Levels != want.Levels || got.Ticks != want.Ticks {
+				t.Fatalf("%s: TickBatch estimate %+v, Tick estimate %+v", e.Method(), got, want)
+			}
 			got := e.Estimate()
 			if got.Ticks != int64(n) {
 				t.Fatalf("%s: Ticks = %d, want %d", e.Method(), got.Ticks, n)
@@ -201,6 +226,28 @@ func FuzzEstimatorTick(f *testing.F) {
 			}
 		}
 	})
+}
+
+// BenchmarkEstimatorTickBatch is the batch form of BenchmarkEstimatorTick
+// and also CI-gated: 8192-tick batches, the serving benchmark's group
+// frame; ns/op is per tick.
+func BenchmarkEstimatorTickBatch(b *testing.B) {
+	const batch = 8192
+	x := fgnSeries(b, 0.8, 1<<16, 9)
+	for _, m := range estimate.Methods() {
+		b.Run(string(m), func(b *testing.B) {
+			e, err := estimate.New(m)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i += batch {
+				off := i & (1<<16 - 1)
+				e.TickBatch(x[off : off+min(batch, b.N-i)])
+			}
+		})
+	}
 }
 
 // BenchmarkEstimatorTick is the hot-path benchmark the CI regression

@@ -40,6 +40,11 @@ type Group struct {
 	seen     int               // ticks offered to the group so far
 	inputAcc stats.Accumulator // over every offered tick — the unsampled reference
 	estIn    estimate.Estimator
+	// moments is estIn when its state already holds inputAcc: aggvar's
+	// ladder level 0 starts at zero and adds every input tick in order,
+	// exactly as inputAcc does, so the group reads it instead of
+	// running a second Welford chain. Nil otherwise.
+	moments inputMoments
 
 	finished  bool
 	finishErr error
@@ -77,7 +82,7 @@ func NewGroup(specs []Spec, opts ...Option) (*Group, error) {
 		if err != nil {
 			return nil, err
 		}
-		g.estIn = est
+		g.setEstimator(est)
 	}
 	for i, spec := range specs {
 		// Members rebuild their options from the parsed config rather
@@ -131,17 +136,45 @@ func (g *Group) OfferBatch(values []float64) (kept int) {
 	if g.finished {
 		return 0
 	}
-	g.seen += len(values)
-	for _, v := range values {
-		g.inputAcc.Add(v)
-		if g.estIn != nil {
-			g.estIn.Tick(v)
-		}
-	}
+	g.offerInput(values)
 	for _, eng := range g.members {
 		kept += eng.OfferBatch(values)
 	}
 	return kept
+}
+
+// inputMoments is implemented by estimators whose state includes the
+// exact running moments of every tick they consumed.
+type inputMoments interface {
+	Moments() stats.AccumulatorState
+}
+
+// setEstimator installs the shared input-side estimator.
+func (g *Group) setEstimator(est estimate.Estimator) {
+	g.estIn = est
+	g.moments, _ = est.(inputMoments)
+}
+
+// offerInput feeds a batch to the input-side reference. With aggvar the
+// estimator's batch form computes the input moments too; otherwise the
+// accumulator and the estimator share one loop, so their serial chains
+// overlap.
+//
+//samplelint:hotpath
+func (g *Group) offerInput(values []float64) {
+	g.seen += len(values)
+	switch {
+	case g.moments != nil:
+		g.estIn.TickBatch(values)
+		g.inputAcc.SetState(g.moments.Moments())
+	case g.estIn != nil:
+		for _, v := range values {
+			g.inputAcc.Add(v)
+			g.estIn.Tick(v)
+		}
+	default:
+		g.inputAcc.AddAll(values)
+	}
 }
 
 // Offer is the single-tick convenience form of OfferBatch.
@@ -237,13 +270,7 @@ func (g *Group) Sample(f []float64) ([][]Sample, error) {
 	if g.finished {
 		return nil, fmt.Errorf("sampling: group already finished")
 	}
-	g.seen += len(f)
-	for _, v := range f {
-		g.inputAcc.Add(v)
-		if g.estIn != nil {
-			g.estIn.Tick(v)
-		}
-	}
+	g.offerInput(f)
 	g.finished = true
 	outs := make([][]Sample, len(g.members))
 	var errs []error

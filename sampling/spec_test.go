@@ -33,6 +33,10 @@ var specCases = map[string][]string{
 		"bss:interval=1000,offset=3,L=5,eps=1.2,pre=20",
 		"bss:interval=100,L=5,ath=2.5,placement=chase",
 	},
+	// Registered by engine_test.go: a technique without a batch kernel.
+	"systematic-tick-only": {
+		"systematic-tick-only:interval=7",
+	},
 }
 
 // TestSpecRoundTrip is the round-trip property: for every registered

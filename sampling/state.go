@@ -226,7 +226,7 @@ func restoreEngine(r *binenc.Reader, clock func() time.Time) (*Engine, error) {
 		// opaque error so Summary.Err stays informative after a restart.
 		e.finishErr = errors.New(finishMsg)
 	}
-	e.batch, _ = impl.(core.BatchStreamer)
+	e.batch = core.BatchOf(impl)
 	if e.estIn, err = readEstimator(r); err != nil {
 		return nil, err
 	}
@@ -306,9 +306,11 @@ func RestoreGroup(data []byte, opts ...Option) (*Group, error) {
 	if finishMsg != "" {
 		g.finishErr = errors.New(finishMsg)
 	}
-	if g.estIn, err = readEstimator(r); err != nil {
+	est, err := readEstimator(r)
+	if err != nil {
 		return nil, err
 	}
+	g.setEstimator(est)
 	if method != "" && g.estIn == nil {
 		return nil, fmt.Errorf("sampling: group state method %q carries no input estimator state: %w", method, ErrBadState)
 	}

@@ -8,6 +8,9 @@ import (
 	"math/rand/v2"
 	"testing"
 	"time"
+
+	"repro/internal/stats"
+	"repro/sampling/estimate"
 )
 
 // stateTrace is a deterministic heavy-ish trace: seeded uniform noise
@@ -349,5 +352,47 @@ func TestRestoreFinishedEngine(t *testing.T) {
 	}
 	if kept := restored.OfferBatch([]float64{1, 2, 3}); kept != 0 {
 		t.Errorf("finished restored engine kept %d samples", kept)
+	}
+}
+
+// TestGroupInputMomentsMatchPerTick pins the group's input reference to
+// the per-tick arithmetic for every estimator choice: with aggvar it is
+// read off the ladder's level 0, otherwise it is the group's own
+// accumulator, and either way it must equal, bit for bit, one
+// stats.Accumulator.Add per tick — live, across batch shapes, and after
+// a restore.
+func TestGroupInputMomentsMatchPerTick(t *testing.T) {
+	trace := stateTrace(20000, 33)
+	var want stats.Accumulator
+	for _, v := range trace {
+		want.Add(v)
+	}
+	specs := []Spec{MustParse("systematic:interval=40"), MustParse("bss:interval=40,L=3,eps=1.2")}
+	for _, method := range []estimate.Method{"", estimate.AggVar, estimate.Wavelet, estimate.RS} {
+		var opts []Option
+		if method != "" {
+			opts = append(opts, WithEstimator(method))
+		}
+		g, err := NewGroup(specs, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cut := 9973
+		for off := 0; off < cut; off += 37 {
+			g.OfferBatch(trace[off:min(off+37, cut)])
+		}
+		blob, err := g.MarshalState()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if g, err = RestoreGroup(blob); err != nil {
+			t.Fatal(err)
+		}
+		for off := cut; off < len(trace); off += 8192 {
+			g.OfferBatch(trace[off:min(off+8192, len(trace))])
+		}
+		if got := g.inputAcc.State(); got != want.State() {
+			t.Errorf("estimator %q: input moments %+v, want %+v", method, got, want.State())
+		}
 	}
 }
