@@ -41,7 +41,7 @@ type router struct {
 	proxies  map[string]*httputil.ReverseProxy
 	client   cluster.StateClient
 	logger   *slog.Logger
-	maxTicks int
+	decoders decoderPool
 
 	// ring holds the current placement over the healthy subset; healthy
 	// is the probe loop's latest verdict per backend. Both are read on
@@ -67,7 +67,7 @@ func newRouter(backends []string, maxTicks int, logger *slog.Logger, client *htt
 		proxies:  make(map[string]*httputil.ReverseProxy, len(backends)),
 		client:   cluster.StateClient{Client: client},
 		logger:   logger,
-		maxTicks: maxTicks,
+		decoders: decoderPool{maxTicks: maxTicks},
 	}
 	for _, b := range backends {
 		b = strings.TrimSpace(b)
@@ -226,7 +226,8 @@ func (rt *router) session(w http.ResponseWriter, r *http.Request) {
 			map[string]string{"error": "session bodies are binary tick-batch frames; set Content-Type " + wire.ContentType})
 		return
 	}
-	dec := wire.NewDecoder(r.Body, rt.maxTicks)
+	dec := rt.decoders.get(r.Body)
+	defer rt.decoders.put(dec)
 	upstreams := make(map[string]*upstreamSession)
 	var total sessionResponse
 

@@ -35,13 +35,10 @@ type server struct {
 	// unit-test default) reads as always ready.
 	ready *atomic.Bool
 
-	// The binary wire. maxTicks is the frame-declared batch cap (the
-	// body cap divided by the 8 bytes a tick occupies on the wire), so
-	// a hostile length prefix is refused before any allocation; the
-	// decoders pool keeps frame and tick buffers warm across requests
-	// and sessions.
-	maxTicks int
-	decoders sync.Pool
+	// The binary wire: pooled frame decoders held to a tick cap of the
+	// body cap divided by the 8 bytes a tick occupies on the wire, so a
+	// hostile length prefix is refused before any allocation.
+	decoders decoderPool
 
 	// The observability layer: every /metrics series renders from reg,
 	// rec is the flight recorder behind /debug/events, and the ingest
@@ -124,10 +121,7 @@ func newServer(h *hub.Hub, maxBody int64, hurstEvery time.Duration, opts ...serv
 		o(&cfg)
 	}
 	s := &server{hub: h, maxBody: maxBody, hurstEvery: hurstEvery, logger: cfg.logger, ready: cfg.ready}
-	s.maxTicks = int(maxBody / 8)
-	if s.maxTicks < 1 {
-		s.maxTicks = 1
-	}
+	s.decoders.maxTicks = max(int(maxBody/8), 1)
 	s.reg = obs.NewRegistry()
 	s.rec = obs.NewRecorder(cfg.events)
 	s.registerMetrics()
@@ -505,15 +499,24 @@ func isTickBatch(r *http.Request) bool {
 	return strings.HasPrefix(r.Header.Get("Content-Type"), wire.ContentType)
 }
 
-// decoder takes a pooled frame decoder (warm buffers, shared tick cap)
-// for one request body; return it with s.decoders.Put when done.
-func (s *server) decoder(r io.Reader) *wire.Decoder {
-	if d, ok := s.decoders.Get().(*wire.Decoder); ok {
+// decoderPool hands out frame decoders whose read-ahead windows and
+// tick buffers stay warm across requests and sessions, all held to one
+// frame-declared tick cap.
+type decoderPool struct {
+	maxTicks int
+	pool     sync.Pool
+}
+
+// get takes a decoder for one request body; return it with put.
+func (p *decoderPool) get(r io.Reader) *wire.Decoder {
+	if d, ok := p.pool.Get().(*wire.Decoder); ok {
 		d.Reset(r)
 		return d
 	}
-	return wire.NewDecoder(r, s.maxTicks)
+	return wire.NewDecoder(r, p.maxTicks)
 }
+
+func (p *decoderPool) put(d *wire.Decoder) { p.pool.Put(d) }
 
 // writeWireError reports a binary-ingest failure: a frame whose
 // declared batch blows the tick cap (or a body over the byte cap) is a
@@ -535,8 +538,8 @@ func writeWireError(w http.ResponseWriter, err error) {
 // summary response covers the whole body.
 func (s *server) offerFrames(w http.ResponseWriter, r *http.Request, offer func(string, []float64) (int, error)) {
 	id := r.PathValue("id")
-	dec := s.decoder(http.MaxBytesReader(w, r.Body, s.maxBody))
-	defer s.decoders.Put(dec)
+	dec := s.decoders.get(http.MaxBytesReader(w, r.Body, s.maxBody))
+	defer s.decoders.put(dec)
 	accepted, kept, frames := 0, 0, 0
 	for {
 		start := time.Now()
@@ -602,8 +605,8 @@ func (s *server) session(w http.ResponseWriter, r *http.Request) {
 			map[string]string{"error": "session bodies are binary tick-batch frames; set Content-Type " + wire.ContentType})
 		return
 	}
-	dec := s.decoder(r.Body)
-	defer s.decoders.Put(dec)
+	dec := s.decoders.get(r.Body)
+	defer s.decoders.put(dec)
 	var resp sessionResponse
 	fail := func(status int, msg string) {
 		writeJSON(w, status, map[string]any{

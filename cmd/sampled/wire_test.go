@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -14,6 +15,8 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/dist"
+	"repro/internal/lrd"
 	"repro/sampling/hub"
 	"repro/sampling/wire"
 )
@@ -149,6 +152,41 @@ func TestBinaryErrorMapping(t *testing.T) {
 	}
 }
 
+// TestBinaryBodyCapProgress: a body over -max-body ingests exactly the
+// frames that lie wholly under the cap and then answers 413, whether
+// the cap falls mid-frame or on a frame boundary. The decoder reads
+// ahead of the frame it decodes, so the cap's error must still surface
+// at the first frame that needs bytes past it.
+func TestBinaryBodyCapProgress(t *testing.T) {
+	frame := mustFrame(t, "", []float64{1, 2, 3, 4, 5, 6, 7, 8})
+	body := bytes.Repeat(frame, 5)
+	for _, tc := range []struct {
+		maxBody int
+		whole   int // frames wholly under the cap
+	}{
+		{3*len(frame) + len(frame)/2, 3},
+		{3 * len(frame), 3},
+		{4*len(frame) + 1, 4},
+		{len(frame) - 1, 0},
+	} {
+		srv := httptest.NewServer(newServer(hub.New(), int64(tc.maxBody), 0))
+		client := srv.Client()
+		if code, _ := doJSON(t, client, http.MethodPut, srv.URL+"/v1/streams/s",
+			map[string]any{"spec": "systematic:interval=2"}); code != http.StatusCreated {
+			t.Fatal("create failed")
+		}
+		code, data := postRaw(t, client, srv.URL+"/v1/streams/s/ticks", wire.ContentType, body)
+		if code != http.StatusRequestEntityTooLarge {
+			t.Errorf("cap %d: got %d (%s), want 413", tc.maxBody, code, data)
+		}
+		code, data = doJSON(t, client, http.MethodGet, srv.URL+"/v1/streams/s/snapshot", nil)
+		if want := fmt.Sprintf(`"seen":%d`, 8*tc.whole); code != http.StatusOK || !strings.Contains(string(data), want) {
+			t.Errorf("cap %d: snapshot %d %s, want %s", tc.maxBody, code, data, want)
+		}
+		srv.Close()
+	}
+}
+
 // TestSessionIngest drives the persistent streaming mode: one
 // connection carrying frames for several streams, totals at EOF, and
 // the failure edges (wrong content type, anonymous frame, ghost
@@ -208,6 +246,13 @@ func TestSessionIngest(t *testing.T) {
 	}
 	fail("anonymous frame", mustFrame(t, "", []float64{1}), http.StatusBadRequest)
 	fail("ghost stream", mustFrame(t, "ghost", []float64{1}), http.StatusNotFound)
+	// Corruption arrives in the same reads as the good frames before
+	// it; those still count, and the session stops at the offender.
+	corrupt := mustFrame(t, "a", []float64{1, 2})
+	corrupt[len(corrupt)-1] ^= 0xff
+	fail("corrupt frame", corrupt, http.StatusBadRequest)
+	fail("truncated frame", mustFrame(t, "a", []float64{1, 2})[:20], http.StatusBadRequest)
+	fail("nan tick", mustFrame(t, "a", []float64{1, math.NaN()}), http.StatusBadRequest)
 }
 
 // TestWireEquivalence is the cross-wire contract: the same tick series
@@ -306,7 +351,10 @@ func TestWireEquivalence(t *testing.T) {
 // BenchmarkServeTicks measures end-to-end ingest over loopback HTTP —
 // the daemon-side cost of each wire, request handling included. The
 // session variant amortizes connection and response costs over the
-// whole run, which is exactly its pitch.
+// whole run, which is exactly its pitch. group-aggvar is the serving
+// benchmark's groups-estimator shape behind the same HTTP path: its
+// five specs with an aggvar estimator, fed 8192-tick binary POSTs of
+// fGn (H=0.8) traffic.
 func BenchmarkServeTicks(b *testing.B) {
 	const batch = 512
 	ticks := make([]float64, batch)
@@ -386,6 +434,55 @@ func BenchmarkServeTicks(b *testing.B) {
 			reportTicks(b)
 		})
 	}
+
+	b.Run("group-aggvar", func(b *testing.B) {
+		const groupBatch = 8192
+		gen, err := lrd.NewFGN(0.8, 1<<16, 100, 20)
+		if err != nil {
+			b.Fatal(err)
+		}
+		f := gen.Generate(dist.NewRand(5))
+		bodies := make([][]byte, len(f)/groupBatch)
+		for i := range bodies {
+			bodies[i] = mustFrame(b, "", f[i*groupBatch:(i+1)*groupBatch])
+		}
+		srv := httptest.NewServer(newServer(hub.New(), 0, 0))
+		b.Cleanup(srv.Close)
+		client := srv.Client()
+		create, err := json.Marshal(map[string]any{"estimator": "aggvar", "specs": []string{
+			"systematic:interval=100,offset=7",
+			"stratified:interval=100,seed=11",
+			"bernoulli:rate=0.01,seed=12",
+			"simple:n=1000,seed=13",
+			"bss:interval=100,L=5,eps=1.0,offset=3",
+		}})
+		if err != nil {
+			b.Fatal(err)
+		}
+		req, err := http.NewRequest(http.MethodPut, srv.URL+"/v1/groups/g", bytes.NewReader(create))
+		if err != nil {
+			b.Fatal(err)
+		}
+		req.Header.Set("Content-Type", "application/json")
+		resp, err := client.Do(req)
+		if err != nil {
+			b.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusCreated {
+			b.Fatalf("create group: %d", resp.StatusCode)
+		}
+		url := srv.URL + "/v1/groups/g/ticks"
+		b.SetBytes(int64(len(bodies[0])))
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			post(b, client, url, wire.ContentType, bodies[i%len(bodies)])
+		}
+		if s := b.Elapsed().Seconds(); s > 0 {
+			b.ReportMetric(float64(b.N)*groupBatch/s, "ticks/s")
+		}
+	})
 
 	b.Run("session", func(b *testing.B) {
 		srv, client := newTarget(b)

@@ -6,6 +6,7 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"math/rand/v2"
 	"testing"
 )
 
@@ -89,5 +90,31 @@ func FuzzDecodeFrame(f *testing.F) {
 				}
 			}
 		}
+	})
+}
+
+// FuzzChunkedDecode is FuzzDecodeFrame's twin for the read path: the
+// same input delivered in seeded random chunks must decode to exactly
+// the frames, sizes and final error of one whole-buffer read.
+func FuzzChunkedDecode(f *testing.F) {
+	valid, err := AppendFrame(nil, "link0", []float64{1, 2.5, -3, 1e300})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(valid, uint64(1))
+	f.Add(append(valid, valid...), uint64(2))
+	f.Add(append(valid, valid[:len(valid)-3]...), uint64(3))
+	f.Add(append(valid, fuzzHeader(Magic, Version, 0, 1<<20)...), uint64(4))
+	big, err := AppendFrame(nil, "", make([]float64, 9000))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(append(big, valid...), uint64(5))
+
+	f.Fuzz(func(t *testing.T, data []byte, seed uint64) {
+		want, wantErr := decodeAll(bytes.NewReader(data), 1<<16)
+		chunked := &chunkReader{bytes.NewReader(data), rand.New(rand.NewPCG(seed, seed>>32)), 1 + int(seed%(80<<10))}
+		got, err := decodeAll(chunked, 1<<16)
+		sameDecode(t, "chunked", got, err, want, wantErr)
 	})
 }

@@ -20,10 +20,10 @@
 //	...     4         CRC-32 (IEEE) over everything above
 //
 // The count field is the frame-declared batch size: a decoder checks
-// it against its cap before reading (or allocating for) the payload,
-// so a malformed or hostile length prefix cannot balloon memory. The
-// trailing CRC covers header, id and payload; a flipped bit anywhere
-// is an ErrChecksum, not a corrupted stream.
+// it against its cap before waiting for (or allocating for) the
+// payload, so a malformed or hostile length prefix cannot balloon
+// memory. The trailing CRC covers header, id and payload; a flipped
+// bit anywhere is an ErrChecksum, not a corrupted stream.
 //
 // Frames are self-delimiting, so a connection can carry any number of
 // them back to back — the sampled daemon accepts a body of frames on
@@ -34,9 +34,18 @@
 // # Reuse
 //
 // Encoder and Decoder both own their buffers and reuse them across
-// frames; the ticks slice returned by Decoder.ReadFrame is valid only
-// until the next call. Both are single-goroutine objects — pool them
-// (sync.Pool plus Reset) rather than sharing one across connections.
+// frames. A Decoder reads through one read-ahead window: each Read
+// takes whatever the source has queued, so a body of many frames costs
+// a few reads, not one or two per frame. The window starts at 4 KiB,
+// grows to fit the frame in hand and widens up to 64 KiB only while
+// reads keep coming back full. ReadFrame never waits for more than the
+// frame in hand, so a live session gets each frame as it arrives; it
+// checks the CRC over the frame in place and decodes the payload in
+// one pass into the decoder's tick buffer. The ticks slice it returns
+// is valid only until the next call. Both are single-goroutine objects
+// — pool them (sync.Pool plus Reset) rather than sharing one across
+// connections; Reset discards whatever the previous source left in the
+// window.
 package wire
 
 import (
@@ -140,20 +149,36 @@ func (e *Encoder) Encode(id string, ticks []float64) error {
 	return err
 }
 
-// Decoder reads frames from one source, reusing its frame and tick
-// buffers across calls — after the first few frames the read path
-// allocates nothing. Not safe for concurrent use; pool decoders and
-// Reset them per connection.
+// Decoder reads frames from one source through a read-ahead window: each
+// Read takes as much as the source has queued, and frames are checked
+// and decoded in place from the window. After the first few frames the
+// read path allocates nothing. Not safe for concurrent use; pool
+// decoders and Reset them per connection.
 type Decoder struct {
 	r        io.Reader
 	maxTicks int
-	hdr      [headerSize]byte
-	body     []byte    // id + payload + crc staging
+	buf      []byte    // read-ahead window; buf[off:end] is read but not yet decoded
+	off, end int       // unread bytes of buf
+	win      int       // size the window takes when it next has to move or grow
+	rerr     error     // sticky read error, surfaced only when a frame needs bytes past end
 	ticks    []float64 // decoded payload, reused across frames
 	lastID   string    // interned copy of the previous frame's id
 	lastIDB  []byte
 	frameLen int64
 }
+
+const (
+	// minWindow is a fresh decoder's read-ahead window.
+	minWindow = 4 << 10
+	// maxWindow caps how far the window widens while reads keep coming
+	// back full. A one-frame body leaves the window near the frame's
+	// own size (8 KiB for 512 ticks), so a pool of decoders serving
+	// single-frame POSTs stays small.
+	maxWindow = 64 << 10
+	// expBits is the float64 exponent field: all ones exactly for NaN
+	// and ±Inf.
+	expBits = 0x7ff0000000000000
+)
 
 // NewDecoder builds a decoder over r. maxTicks caps the frame-declared
 // batch size (ticks per frame); zero or negative means DefaultMaxTicks.
@@ -161,19 +186,54 @@ func NewDecoder(r io.Reader, maxTicks int) *Decoder {
 	if maxTicks <= 0 {
 		maxTicks = DefaultMaxTicks
 	}
-	return &Decoder{r: r, maxTicks: maxTicks}
+	return &Decoder{r: r, maxTicks: maxTicks, win: minWindow}
 }
 
 // Reset points the decoder at a new source, keeping its buffers and
-// cap — the pooling hook.
+// cap — the pooling hook. Bytes or an error the previous source left
+// in the window are discarded.
 func (d *Decoder) Reset(r io.Reader) {
 	d.r = r
+	d.off, d.end = 0, 0
+	d.rerr = nil
 	d.frameLen = 0
 }
 
 // FrameBytes reports the encoded size of the last frame ReadFrame
 // returned — what a server adds to its ingest-bytes counter.
 func (d *Decoder) FrameBytes() int64 { return d.frameLen }
+
+// fill makes at least n unread bytes available in buf[off:end]. It
+// returns as soon as they are there, never waiting to fill the window:
+// on a live session the next frame may not have been sent yet. A read
+// error is kept and returned once the bytes before it run out.
+func (d *Decoder) fill(n int) error {
+	if d.end-d.off >= n {
+		return nil
+	}
+	// Move the unread bytes to the front, so the read can take a whole
+	// window, into a wider buffer if the window has grown or the frame
+	// needs one. What moves is less than one frame.
+	buf := d.buf
+	if size := max(d.win, n); size > len(buf) {
+		buf = make([]byte, size)
+	}
+	d.end = copy(buf, d.buf[d.off:d.end])
+	d.off = 0
+	d.buf = buf
+	for d.end < n {
+		if d.rerr != nil {
+			return d.rerr
+		}
+		k, err := d.r.Read(d.buf[d.end:])
+		if k == len(d.buf)-d.end && d.win < maxWindow {
+			d.win *= 2 // the source had at least a window queued
+		}
+		d.end += k
+		d.rerr = err
+	}
+	return nil
+}
 
 // ReadFrame decodes the next frame: the embedded stream id (empty when
 // the frame carries none) and the tick payload. The ticks slice is
@@ -184,57 +244,91 @@ func (d *Decoder) FrameBytes() int64 { return d.frameLen }
 //
 //samplelint:hotpath
 func (d *Decoder) ReadFrame() (id string, ticks []float64, err error) {
-	if _, err := io.ReadFull(d.r, d.hdr[:]); err != nil {
+	if err := d.fill(headerSize); err != nil {
 		if err == io.EOF {
-			return "", nil, io.EOF
+			if d.off == d.end {
+				return "", nil, io.EOF
+			}
+			err = io.ErrUnexpectedEOF
 		}
 		return "", nil, fmt.Errorf("wire: header: %w (%w)", err, ErrTruncated)
 	}
-	if m := binary.LittleEndian.Uint32(d.hdr[0:4]); m != Magic {
+	hdr := d.buf[d.off : d.off+headerSize]
+	if m := binary.LittleEndian.Uint32(hdr[0:4]); m != Magic {
 		return "", nil, fmt.Errorf("wire: magic %#x: %w", m, ErrBadMagic)
 	}
-	if v := d.hdr[4]; v != Version {
+	if v := hdr[4]; v != Version {
 		return "", nil, fmt.Errorf("wire: version %d (want %d): %w", v, Version, ErrBadVersion)
 	}
-	idLen := int(d.hdr[5])
-	count := int(binary.LittleEndian.Uint32(d.hdr[6:10]))
+	idLen := int(hdr[5])
+	count := int(binary.LittleEndian.Uint32(hdr[6:10]))
 	// The declared count gates every allocation below: an adversarial
-	// length prefix is refused before a byte of payload is read.
+	// length prefix is refused before the window grows to hold it.
 	if count > d.maxTicks {
 		return "", nil, fmt.Errorf("wire: frame declares %d ticks (cap %d): %w", count, d.maxTicks, ErrFrameTooLarge)
 	}
-	n := idLen + count*8 + trailerSize
-	if cap(d.body) < n {
-		d.body = make([]byte, n)
-	}
-	body := d.body[:n]
-	if _, err := io.ReadFull(d.r, body); err != nil {
+	body := headerSize + idLen + count*8
+	n := body + trailerSize
+	if err := d.fill(n); err != nil {
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF
+		}
 		return "", nil, fmt.Errorf("wire: body: %w (%w)", err, ErrTruncated)
 	}
-	crc := crc32.ChecksumIEEE(d.hdr[:])
-	crc = crc32.Update(crc, crc32.IEEETable, body[:n-trailerSize])
-	if want := binary.LittleEndian.Uint32(body[n-trailerSize:]); crc != want {
+	frame := d.buf[d.off : d.off+n]
+	d.off += n
+	crc := crc32.ChecksumIEEE(frame[:body])
+	if want := binary.LittleEndian.Uint32(frame[body:]); crc != want {
 		return "", nil, fmt.Errorf("wire: got crc %#x, frame says %#x: %w", crc, want, ErrChecksum)
 	}
 	if cap(d.ticks) < count {
 		d.ticks = make([]float64, count)
 	}
 	ticks = d.ticks[:count]
-	payload := body[idLen : idLen+count*8]
-	for i := range ticks {
-		v := math.Float64frombits(binary.LittleEndian.Uint64(payload[i*8:]))
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return "", nil, fmt.Errorf("wire: tick %d is %v: %w", i, v, ErrNonFinite)
-		}
-		ticks[i] = v
+	if i := decodeTicks(ticks, frame[headerSize+idLen:body]); i < count {
+		v := math.Float64frombits(binary.LittleEndian.Uint64(frame[headerSize+idLen+8*i:]))
+		return "", nil, fmt.Errorf("wire: tick %d is %v: %w", i, v, ErrNonFinite)
 	}
 	// Sessions repeat one hot stream's id frame after frame; interning
 	// against the previous id keeps the steady state allocation-free.
-	idb := body[:idLen]
+	idb := frame[headerSize : headerSize+idLen]
 	if string(d.lastIDB) != string(idb) { // comparison does not allocate
 		d.lastID = string(idb)
 		d.lastIDB = append(d.lastIDB[:0], idb...)
 	}
-	d.frameLen = int64(headerSize + n)
+	d.frameLen = int64(n)
 	return d.lastID, ticks, nil
+}
+
+// decodeTicks decodes len(dst) little-endian float64s from src into dst
+// and returns the index of the first NaN or ±Inf, or len(dst) when all
+// are finite. Four ticks per iteration share one bounds check, and each
+// tick's finiteness test is one mask on its raw bits.
+//
+//samplelint:hotpath
+func decodeTicks(dst []float64, src []byte) int {
+	n := len(dst)
+	src = src[:8*n]
+	for len(dst) >= 4 && len(src) >= 32 {
+		u0 := binary.LittleEndian.Uint64(src[0:8])
+		u1 := binary.LittleEndian.Uint64(src[8:16])
+		u2 := binary.LittleEndian.Uint64(src[16:24])
+		u3 := binary.LittleEndian.Uint64(src[24:32])
+		if u0&expBits == expBits || u1&expBits == expBits || u2&expBits == expBits || u3&expBits == expBits {
+			break // the scalar loop finds which lane
+		}
+		dst[0] = math.Float64frombits(u0)
+		dst[1] = math.Float64frombits(u1)
+		dst[2] = math.Float64frombits(u2)
+		dst[3] = math.Float64frombits(u3)
+		dst, src = dst[4:], src[32:]
+	}
+	for i := range dst {
+		u := binary.LittleEndian.Uint64(src[8*i:])
+		if u&expBits == expBits {
+			return n - len(dst) + i
+		}
+		dst[i] = math.Float64frombits(u)
+	}
+	return n
 }

@@ -166,24 +166,49 @@ func TestDecodeZeroAlloc(t *testing.T) {
 }
 
 // BenchmarkDecodeFrame times the pure decode step — the per-frame cost
-// the binary ingest handler pays on top of OfferBatch.
+// the binary ingest handler pays on top of OfferBatch. frame feeds one
+// 512-tick frame per read, as a single-frame POST arrives; session
+// decodes a body of 128 such frames from one reader, the shape of a
+// streaming session, so reading ahead across frames counts.
 func BenchmarkDecodeFrame(b *testing.B) {
 	ticks := make([]float64, 512)
 	for i := range ticks {
 		ticks[i] = float64(i) * 1.5
 	}
 	payload := frame(b, "hot-stream", ticks)
-	var stream bytes.Buffer
-	dec := NewDecoder(&stream, 0)
-	b.SetBytes(int64(len(payload)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		stream.Write(payload)
-		if _, _, err := dec.ReadFrame(); err != nil {
-			b.Fatal(err)
+
+	b.Run("frame", func(b *testing.B) {
+		var stream bytes.Buffer
+		dec := NewDecoder(&stream, 0)
+		b.SetBytes(int64(len(payload)))
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			stream.Write(payload)
+			if _, _, err := dec.ReadFrame(); err != nil {
+				b.Fatal(err)
+			}
 		}
-	}
+	})
+
+	b.Run("session", func(b *testing.B) {
+		const frames = 128
+		body := bytes.Repeat(payload, frames)
+		r := bytes.NewReader(body)
+		dec := NewDecoder(r, 0)
+		b.SetBytes(int64(len(body)))
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			r.Reset(body)
+			dec.Reset(r)
+			for f := 0; f < frames; f++ {
+				if _, _, err := dec.ReadFrame(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	})
 }
 
 // BenchmarkEncodeFrame is the client-side counterpart.
