@@ -8,7 +8,6 @@ package main
 // evicted.
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"io"
@@ -18,6 +17,9 @@ import (
 	"net/url"
 	"os"
 	"path/filepath"
+	"slices"
+	"strconv"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -51,6 +53,39 @@ func (s *server) readyz(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]string{"status": "ready"})
 }
 
+// maxPooledState is the largest state buffer the pool keeps, and the
+// most a state PUT presizes from its Content-Length: a 1000-sample
+// reservoir with two estimators is ~20 KB, so this covers every bounded
+// stream with room to spare while a lying header cannot make the
+// daemon allocate the whole body cap up front.
+const maxPooledState = 1 << 20
+
+// stateBufs pools the byte buffers stream state moves through: DELETE
+// appends the detached blob into one, PUT reads the body into one.
+// Reuse is safe because no restore keeps a view into its blob — every
+// decoder copies what it keeps (TestRestoreDoesNotAliasBlob).
+var stateBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+func getStateBuf() *[]byte { return stateBufs.Get().(*[]byte) }
+
+func putStateBuf(b *[]byte) {
+	if cap(*b) > maxPooledState {
+		return
+	}
+	*b = (*b)[:0]
+	stateBufs.Put(b)
+}
+
+// writeState writes a state blob as the whole response: one Write
+// behind an explicit Content-Length, so the body is neither chunked nor
+// split.
+func writeState(w http.ResponseWriter, blob []byte) {
+	h := w.Header()
+	h.Set("Content-Type", "application/octet-stream")
+	h.Set("Content-Length", strconv.Itoa(len(blob)))
+	w.Write(blob)
+}
+
 // streamState exports one stream's exact engine state
 // (GET /v1/streams/{id}/state) without disturbing it.
 func (s *server) streamState(w http.ResponseWriter, r *http.Request) {
@@ -59,32 +94,46 @@ func (s *server) streamState(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Write(blob)
+	writeState(w, blob)
 }
 
-// readStateBody buffers a state-blob request body under the body cap,
-// incrementally (no unbounded slurp), reporting the 400/413 itself on
-// failure.
-func (s *server) readStateBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
-	var buf bytes.Buffer
-	if _, err := io.Copy(&buf, http.MaxBytesReader(w, r.Body, s.maxBody)); err != nil {
-		writeBodyError(w, err)
-		return nil, false
+// readStateBody reads a state-blob request body under the body cap into
+// *buf, incrementally (no unbounded slurp), reporting the 400/413
+// itself on failure. A declared Content-Length presizes the buffer, up
+// to maxPooledState.
+func (s *server) readStateBody(w http.ResponseWriter, r *http.Request, buf *[]byte) bool {
+	body := http.MaxBytesReader(w, r.Body, s.maxBody)
+	b := slices.Grow((*buf)[:0], int(min(max(r.ContentLength, 0), maxPooledState)))
+	for {
+		if len(b) == cap(b) {
+			b = slices.Grow(b, 4096)
+		}
+		n, err := body.Read(b[len(b):cap(b)])
+		b = b[:len(b)+n]
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			*buf = b
+			writeBodyError(w, err)
+			return false
+		}
 	}
-	return buf.Bytes(), true
+	*buf = b
+	return true
 }
 
 // putStreamState installs an exported engine-state blob as a new
 // stream (PUT /v1/streams/{id}/state) — the receiving half of a
 // handoff. The id must not be live; a corrupt blob is a 400.
 func (s *server) putStreamState(w http.ResponseWriter, r *http.Request) {
-	blob, ok := s.readStateBody(w, r)
-	if !ok {
+	buf := getStateBuf()
+	defer putStateBuf(buf)
+	if !s.readStateBody(w, r, buf) {
 		return
 	}
 	id := r.PathValue("id")
-	if err := s.hub.RestoreStream(id, blob); err != nil {
+	if err := s.hub.RestoreStream(id, *buf); err != nil {
 		writeError(w, err)
 		return
 	}
@@ -95,13 +144,15 @@ func (s *server) putStreamState(w http.ResponseWriter, r *http.Request) {
 // returns its final engine state (DELETE /v1/streams/{id}/state) —
 // the sending half of a handoff, atomic against concurrent ticks.
 func (s *server) detachStreamState(w http.ResponseWriter, r *http.Request) {
-	blob, err := s.hub.Detach(r.PathValue("id"))
+	buf := getStateBuf()
+	defer putStateBuf(buf)
+	blob, err := s.hub.AppendDetach((*buf)[:0], r.PathValue("id"))
 	if err != nil {
 		writeError(w, err)
 		return
 	}
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Write(blob)
+	*buf = blob
+	writeState(w, blob)
 }
 
 // groupState, putGroupState and detachGroupState mirror the stream
@@ -112,17 +163,17 @@ func (s *server) groupState(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Write(blob)
+	writeState(w, blob)
 }
 
 func (s *server) putGroupState(w http.ResponseWriter, r *http.Request) {
-	blob, ok := s.readStateBody(w, r)
-	if !ok {
+	buf := getStateBuf()
+	defer putStateBuf(buf)
+	if !s.readStateBody(w, r, buf) {
 		return
 	}
 	id := r.PathValue("id")
-	if err := s.hub.RestoreGroupState(id, blob); err != nil {
+	if err := s.hub.RestoreGroupState(id, *buf); err != nil {
 		writeError(w, err)
 		return
 	}
@@ -135,8 +186,7 @@ func (s *server) detachGroupState(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Write(blob)
+	writeState(w, blob)
 }
 
 // checkpointer owns the -checkpoint-dir lifecycle around one hub.

@@ -23,7 +23,7 @@ import (
 
 // postRaw sends one body with an explicit content type and returns the
 // status and response body.
-func postRaw(t *testing.T, client *http.Client, url, ctype string, body []byte) (int, []byte) {
+func postRaw(t testing.TB, client *http.Client, url, ctype string, body []byte) (int, []byte) {
 	t.Helper()
 	resp, err := client.Post(url, ctype, bytes.NewReader(body))
 	if err != nil {

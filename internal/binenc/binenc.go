@@ -59,6 +59,20 @@ func AppendString(dst []byte, s string) []byte {
 	return append(dst, s...)
 }
 
+// ReserveLen appends a zero u32 length prefix and returns the extended
+// slice with the prefix's offset. The caller appends the prefixed bytes
+// in place and then calls PatchLen; the result is byte-identical to
+// AppendBytes over the same bytes, without building them apart first.
+func ReserveLen(dst []byte) ([]byte, int) {
+	return AppendU32(dst, 0), len(dst)
+}
+
+// PatchLen sets the length prefix ReserveLen wrote at offset at to the
+// number of bytes appended after it.
+func PatchLen(b []byte, at int) {
+	binary.LittleEndian.PutUint32(b[at:], uint32(len(b)-at-4))
+}
+
 // AppendF64s appends a u32 count followed by the raw float64 bits of
 // each element.
 func AppendF64s(dst []byte, xs []float64) []byte {
@@ -158,6 +172,11 @@ func (r *Reader) Bytes() []byte {
 	n := int(r.U32())
 	return r.take(n, "length-prefixed bytes")
 }
+
+// Raw reads n bytes with no prefix and returns a view into the
+// underlying buffer, for callers that decode a fixed-size array of
+// records in one bounded pass.
+func (r *Reader) Raw(n int) []byte { return r.take(n, "raw bytes") }
 
 // String reads a u32-length-prefixed string (copying out of the buffer).
 func (r *Reader) String() string { return string(r.Bytes()) }

@@ -112,3 +112,29 @@ func TestBadBoolByte(t *testing.T) {
 		t.Fatalf("bad bool byte accepted")
 	}
 }
+
+// TestReserveLenMatchesAppendBytes: bytes appended in place behind a
+// reserved prefix and patched afterwards equal AppendBytes over the
+// same bytes, with or without a prefix already in the buffer.
+func TestReserveLenMatchesAppendBytes(t *testing.T) {
+	for _, payload := range [][]byte{nil, {9}, []byte("kernel-state")} {
+		head := []byte{0xaa, 0xbb}
+		want := AppendBytes(append([]byte(nil), head...), payload)
+		got, at := ReserveLen(append([]byte(nil), head...))
+		got = append(got, payload...)
+		PatchLen(got, at)
+		if string(got) != string(want) {
+			t.Errorf("payload %q: reserved form % x, AppendBytes % x", payload, got, want)
+		}
+	}
+}
+
+func TestRawIsBounded(t *testing.T) {
+	r := NewReader([]byte{1, 2, 3})
+	if got := r.Raw(2); string(got) != "\x01\x02" {
+		t.Fatalf("Raw(2) = % x", got)
+	}
+	if got := r.Raw(2); got != nil || !errors.Is(r.Err(), ErrTruncated) {
+		t.Fatalf("Raw past the end = % x, Err %v; want nil, ErrTruncated", got, r.Err())
+	}
+}

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"math/rand/v2"
+
+	"repro/internal/binenc"
 )
 
 // Rand couples a *rand.Rand with the *rand.PCG source it draws from, so
@@ -36,16 +38,18 @@ func NewSeededRand(seed uint64) *Rand {
 }
 
 // appendState appends the generator's marshaled PCG position as a
-// length-prefixed blob.
+// length-prefixed blob, in place behind a reserved prefix.
 func (r *Rand) appendState(dst []byte) ([]byte, error) {
 	if r == nil || r.pcg == nil {
 		return nil, fmt.Errorf("core: cannot capture RNG position: %w", ErrStateUnavailable)
 	}
-	b, err := r.pcg.MarshalBinary()
+	b, at := binenc.ReserveLen(dst)
+	b, err := appendPCG(b, r.pcg)
 	if err != nil {
 		return nil, fmt.Errorf("core: marshal PCG state: %w", err)
 	}
-	return appendBlob(dst, b), nil
+	binenc.PatchLen(b, at)
+	return b, nil
 }
 
 // restoreState repositions the generator from a blob written by

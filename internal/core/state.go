@@ -1,7 +1,10 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math"
+	"slices"
 
 	"repro/internal/binenc"
 	"repro/internal/stats"
@@ -41,8 +44,6 @@ const (
 	stateTagBSS          = 0x05
 )
 
-func appendBlob(dst, b []byte) []byte { return binenc.AppendBytes(dst, b) }
-
 func appendAcc(dst []byte, a *stats.Accumulator) []byte {
 	st := a.State()
 	dst = binenc.AppendI64(dst, int64(st.N))
@@ -74,6 +75,54 @@ func appendSample(dst []byte, s Sample) []byte {
 
 func readSample(r *binenc.Reader) Sample {
 	return Sample{Index: int(r.I64()), Value: r.F64(), Qualified: r.Bool()}
+}
+
+// sampleSize is one encoded Sample: index i64, value f64, qualified
+// byte.
+const sampleSize = 8 + 8 + 1
+
+// appendSamples appends a u32 count and then every sample in
+// appendSample's layout, in one pass over a slice grown once.
+func appendSamples(dst []byte, ss []Sample) []byte {
+	dst = binenc.AppendU32(dst, uint32(len(ss)))
+	n := len(dst)
+	dst = slices.Grow(dst, sampleSize*len(ss))[:n+sampleSize*len(ss)]
+	raw := dst[n:]
+	for i, s := range ss {
+		e := raw[sampleSize*i : sampleSize*(i+1)]
+		binary.LittleEndian.PutUint64(e, uint64(s.Index))
+		binary.LittleEndian.PutUint64(e[8:], math.Float64bits(s.Value))
+		e[16] = 0
+		if s.Qualified {
+			e[16] = 1
+		}
+	}
+	return dst
+}
+
+// readSamples reads the form appendSamples writes: one bounded read
+// holds the count against the bytes left before anything is allocated,
+// and the records decode from that raw view. A qualified byte outside
+// {0,1} is an error, as in readSample.
+func readSamples(r *binenc.Reader, what string) ([]Sample, error) {
+	n := int(r.U32())
+	raw := r.Raw(sampleSize * n)
+	if r.Err() != nil || n == 0 {
+		return nil, r.Err()
+	}
+	out := make([]Sample, n)
+	for i := range out {
+		e := raw[sampleSize*i : sampleSize*(i+1)]
+		if e[16] > 1 {
+			return nil, fmt.Errorf("core: %s state sample %d: qualified byte %d outside {0,1}", what, i, e[16])
+		}
+		out[i] = Sample{
+			Index:     int(binary.LittleEndian.Uint64(e)),
+			Value:     math.Float64frombits(binary.LittleEndian.Uint64(e[8:])),
+			Qualified: e[16] == 1,
+		}
+	}
+	return out, nil
 }
 
 // checkTag consumes and verifies the leading technique tag.
@@ -162,10 +211,7 @@ func (p *streamSimpleRandom) AppendState(dst []byte) ([]byte, error) {
 	dst = binenc.AppendI64(dst, int64(p.n))
 	dst = binenc.AppendF64(dst, p.rate)
 	dst = binenc.AppendI64(dst, int64(p.seen))
-	dst = binenc.AppendU32(dst, uint32(len(p.res)))
-	for _, s := range p.res {
-		dst = appendSample(dst, s)
-	}
+	dst = appendSamples(dst, p.res)
 	dst = binenc.AppendF64(dst, p.w)
 	dst = binenc.AppendI64(dst, int64(p.skip))
 	dst = binenc.AppendF64s(dst, p.buf)
@@ -180,16 +226,9 @@ func (p *streamSimpleRandom) RestoreState(data []byte) error {
 		return err
 	}
 	n, rate, seen := int(r.I64()), r.F64(), int(r.I64())
-	nres := int(r.U32())
-	if r.Err() == nil && r.Remaining() < 17*nres { // 17 bytes per encoded sample
-		return fmt.Errorf("core: simple-random state declares %d reservoir entries beyond the blob", nres)
-	}
-	var res []Sample
-	if nres > 0 {
-		res = make([]Sample, nres)
-		for i := range res {
-			res[i] = readSample(r)
-		}
+	res, err := readSamples(r, "simple-random reservoir")
+	if err != nil {
+		return err
 	}
 	w, skip := r.F64(), int(r.I64())
 	buf := r.F64s()

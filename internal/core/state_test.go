@@ -1,0 +1,93 @@
+package core
+
+import (
+	"bytes"
+	"errors"
+	"strings"
+	"testing"
+
+	"repro/internal/binenc"
+)
+
+// reservoirKernel is a simple:n=1000 kernel fed long enough that its
+// reservoir is full and has been replaced into many times.
+func reservoirKernel(t *testing.T) *streamSimpleRandom {
+	t.Helper()
+	eng, err := LookupStream("simple:n=1000,seed=7")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := eng.(*streamSimpleRandom)
+	f := streamTestTrace(20000)
+	for off := 0; off < len(f); off += 512 {
+		p.OfferBatch(off, f[off:min(off+512, len(f))], nil)
+	}
+	if len(p.res) != 1000 {
+		t.Fatalf("reservoir holds %d samples, want 1000", len(p.res))
+	}
+	return p
+}
+
+// TestReservoirStateLayout: the bulk reservoir codec writes exactly the
+// per-field layout (count, then index/value/qualified per sample), and
+// a restored kernel writes the identical blob back.
+func TestReservoirStateLayout(t *testing.T) {
+	p := reservoirKernel(t)
+	p.res[3].Qualified = true // make both byte values of the flag appear
+	blob, err := p.AppendState(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := binenc.AppendU32(nil, uint32(len(p.res)))
+	for _, s := range p.res {
+		want = appendSample(want, s)
+	}
+	const head = 1 + 8 + 8 + 8 // tag, n, rate, seen
+	if got := blob[head : head+len(want)]; !bytes.Equal(got, want) {
+		t.Fatal("bulk reservoir encoding differs from the per-field layout")
+	}
+
+	fresh, _ := LookupStream("simple:n=1000,seed=7")
+	if err := fresh.(*streamSimpleRandom).RestoreState(blob); err != nil {
+		t.Fatal(err)
+	}
+	again, err := fresh.(*streamSimpleRandom).AppendState(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again, blob) {
+		t.Fatal("restored reservoir kernel writes a different blob")
+	}
+}
+
+// TestReservoirRestoreRejectsCorruption: a qualified byte outside
+// {0,1} and a count reaching past the blob are refused, and the kernel
+// is left as it was.
+func TestReservoirRestoreRejectsCorruption(t *testing.T) {
+	p := reservoirKernel(t)
+	blob, err := p.AppendState(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const count = 1 + 8 + 8 + 8 // offset of the reservoir count
+	badFlag := bytes.Clone(blob)
+	badFlag[count+4+sampleSize*500+16] = 2
+	longCount := bytes.Clone(blob)
+	copy(longCount[count:], binenc.AppendU32(nil, 1<<20))
+	for name, tc := range map[string]struct {
+		blob []byte
+		want func(error) bool
+	}{
+		"qualified byte": {badFlag, func(err error) bool { return err != nil && strings.Contains(err.Error(), "qualified byte 2") }},
+		"count":          {longCount, func(err error) bool { return errors.Is(err, binenc.ErrTruncated) }},
+	} {
+		fresh, _ := LookupStream("simple:n=1000,seed=7")
+		k := fresh.(*streamSimpleRandom)
+		if err := k.RestoreState(tc.blob); !tc.want(err) {
+			t.Errorf("%s: RestoreState = %v", name, err)
+		}
+		if k.res != nil || k.seen != 0 {
+			t.Errorf("%s: failed restore changed the kernel (reservoir %d, seen %d)", name, len(k.res), k.seen)
+		}
+	}
+}

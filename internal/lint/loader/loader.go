@@ -214,7 +214,9 @@ func (l *Loader) packageDirs(root string) ([]string, error) {
 	return dirs, err
 }
 
-// sourceFiles lists the non-test Go sources of dir, sorted.
+// sourceFiles lists the non-test Go sources of dir that the running
+// toolchain builds (build constraints and file-name suffixes honored),
+// sorted.
 func sourceFiles(dir string) ([]string, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -225,6 +227,11 @@ func sourceFiles(dir string) ([]string, error) {
 		name := e.Name()
 		if e.IsDir() || !strings.HasSuffix(name, ".go") ||
 			strings.HasSuffix(name, "_test.go") || strings.HasPrefix(name, ".") {
+			continue
+		}
+		if ok, err := build.Default.MatchFile(dir, name); err != nil {
+			return nil, err
+		} else if !ok {
 			continue
 		}
 		files = append(files, filepath.Join(dir, name))

@@ -75,26 +75,43 @@ func (h *Hub) Checkpoint() (*persist.Checkpoint, error) {
 	slices.SortFunc(streams, func(a, b liveStream) int { return strings.Compare(a.id, b.id) })
 	slices.SortFunc(groups, func(a, b liveGroup) int { return strings.Compare(a.id, b.id) })
 
+	// Every blob is appended to one arena; ends[i] is where record i
+	// stops. The records are sliced out only after the last append,
+	// since a growing arena moves.
+	var arena []byte
+	ends := make([]int, 0, len(streams)+len(groups))
+	var err error
 	for _, ls := range streams {
-		blob, err := ls.st.engine.MarshalState()
-		if err != nil {
+		if arena, err = ls.st.engine.AppendState(arena); err != nil {
 			return nil, fmt.Errorf("hub: checkpointing stream %q: %w", ls.id, err)
 		}
+		ends = append(ends, len(arena))
+	}
+	for _, lg := range groups {
+		if arena, err = lg.gs.group.AppendState(arena); err != nil {
+			return nil, fmt.Errorf("hub: checkpointing group %q: %w", lg.id, err)
+		}
+		ends = append(ends, len(arena))
+	}
+	record := func(i int) []byte {
+		start := 0
+		if i > 0 {
+			start = ends[i-1]
+		}
+		return arena[start:ends[i]:ends[i]]
+	}
+	for i, ls := range streams {
 		ck.Streams = append(ck.Streams, persist.StreamRecord{
 			ID:                 ls.id,
 			LastActiveUnixNano: ls.st.lastActive.Load(),
-			State:              blob,
+			State:              record(i),
 		})
 	}
-	for _, lg := range groups {
-		blob, err := lg.gs.group.MarshalState()
-		if err != nil {
-			return nil, fmt.Errorf("hub: checkpointing group %q: %w", lg.id, err)
-		}
+	for i, lg := range groups {
 		ck.Groups = append(ck.Groups, persist.GroupRecord{
 			ID:                 lg.id,
 			LastActiveUnixNano: lg.gs.lastActive.Load(),
-			State:              blob,
+			State:              record(len(streams) + i),
 		})
 	}
 
@@ -280,22 +297,25 @@ func (h *Hub) RestoreGroupState(id string, state []byte) error {
 // reservoir, closing the estimators) would be wrong. The state blob
 // and the removal are atomic under the shard lock, so no tick can
 // slip in between export and removal.
-func (h *Hub) Detach(id string) ([]byte, error) {
+func (h *Hub) Detach(id string) ([]byte, error) { return h.AppendDetach(nil, id) }
+
+// AppendDetach is Detach appending the state blob to dst
+// (Engine.AppendState), so a caller that reuses one buffer detaches
+// without allocating the blob. On error dst is returned as it was.
+func (h *Hub) AppendDetach(dst []byte, id string) ([]byte, error) {
 	sh := h.shardOf(id)
 	sh.mu.Lock()
+	defer sh.mu.Unlock()
 	st := sh.streams[id]
 	if st == nil {
-		sh.mu.Unlock()
-		return nil, fmt.Errorf("hub: stream %q: %w", id, ErrStreamNotFound)
+		return dst, fmt.Errorf("hub: stream %q: %w", id, ErrStreamNotFound)
 	}
-	blob, err := st.engine.MarshalState()
+	b, err := st.engine.AppendState(dst)
 	if err != nil {
-		sh.mu.Unlock()
-		return nil, fmt.Errorf("hub: detaching stream %q: %w", id, err)
+		return dst, fmt.Errorf("hub: detaching stream %q: %w", id, err)
 	}
 	delete(sh.streams, id)
-	sh.mu.Unlock()
-	return blob, nil
+	return b, nil
 }
 
 // DetachGroup is Detach for the group namespace.

@@ -261,3 +261,70 @@ func TestCheckpointTotalsCarry(t *testing.T) {
 		t.Fatalf("restored hub serves %d streams, want 1", s.Streams)
 	}
 }
+
+// TestAppendDetachAndCheckpointRecords: AppendDetach appends exactly
+// the blob StreamState exported behind the caller's bytes (and leaves
+// them alone when the id is unknown), and every checkpoint record is
+// its stream's or group's own blob, capped so that appending to one
+// record cannot overwrite the next one in the shared arena.
+func TestAppendDetachAndCheckpointRecords(t *testing.T) {
+	clk := &fakeClock{now: time.Unix(1000, 0)}
+	h := hub.New(hub.WithClock(clk.Now))
+	specs := []string{"systematic:interval=7", "stratified:interval=9,seed=2", "simple:n=50,seed=3"}
+	for i, spec := range specs {
+		id := string(rune('a' + i))
+		if err := h.Create(id, sampling.MustParse(spec), sampling.WithEstimator("aggvar")); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := h.OfferBatch(id, handoffTrace(3000+i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := h.CreateGroup("g", []sampling.Spec{sampling.MustParse(specs[0]), sampling.MustParse(specs[2])}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := h.OfferGroupBatch("g", handoffTrace(2000)); err != nil {
+		t.Fatal(err)
+	}
+
+	ck, err := h.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, rec := range ck.Streams {
+		want, err := h.StreamState(rec.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(rec.State) != string(want) || cap(rec.State) != len(rec.State) {
+			t.Errorf("stream record %d (%s): %d bytes, cap %d; want its own %d-byte blob, capped",
+				i, rec.ID, len(rec.State), cap(rec.State), len(want))
+		}
+	}
+	want, err := h.GroupState("g")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ck.Groups) != 1 || string(ck.Groups[0].State) != string(want) {
+		t.Fatal("group record is not the group's blob")
+	}
+
+	want, err = h.StreamState("b")
+	if err != nil {
+		t.Fatal(err)
+	}
+	prefix := []byte("head")
+	if got, err := h.AppendDetach(prefix, "missing"); !errors.Is(err, hub.ErrStreamNotFound) || string(got) != "head" {
+		t.Fatalf("AppendDetach of an unknown id = %q, %v", got, err)
+	}
+	got, err := h.AppendDetach(prefix, "b")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != "head"+string(want) {
+		t.Fatal("AppendDetach did not append exactly the exported blob after the prefix")
+	}
+	if _, err := h.StreamState("b"); !errors.Is(err, hub.ErrStreamNotFound) {
+		t.Fatalf("detached stream still resolves: %v", err)
+	}
+}

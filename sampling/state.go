@@ -22,6 +22,13 @@ import (
 // fixed-width, floats raw IEEE-754 bits, strings and nested blobs
 // u32-length-prefixed (internal/binenc).
 //
+// The encoder writes the whole blob into the caller's buffer in one
+// pass (AppendState): each nested blob — kernel, estimator, group
+// member — is appended in place behind a reserved u32 length prefix
+// that is patched once the blob is complete, and the CRC covers only
+// the bytes this blob appended. The layout is the one below either
+// way; MarshalState is AppendState(nil).
+//
 // Engine state blob, version 1:
 //
 //	offset  size  field
@@ -63,9 +70,10 @@ var (
 	ErrStateChecksum = errors.New("sampling: state checksum mismatch")
 )
 
-// sealState appends the CRC-32 trailer over the assembled payload.
-func sealState(payload []byte) []byte {
-	return binenc.AppendU32(payload, crc32.ChecksumIEEE(payload))
+// sealState appends the CRC-32 trailer over the blob that starts at
+// b[base:].
+func sealState(b []byte, base int) []byte {
+	return binenc.AppendU32(b, crc32.ChecksumIEEE(b[base:]))
 }
 
 // openState validates framing (length, magic, version, CRC) and returns
@@ -118,18 +126,22 @@ func restoreConfig(opts []Option) (config, error) {
 // the exact tick boundary the next OfferBatch would continue from.
 // Concurrent OfferBatch calls serialize against it, so a blob always
 // sits on a batch boundary.
-func (e *Engine) MarshalState() ([]byte, error) {
+func (e *Engine) MarshalState() ([]byte, error) { return e.AppendState(nil) }
+
+// AppendState appends the MarshalState blob to dst and returns the
+// extended slice; the appended bytes equal MarshalState's exactly.
+// With enough capacity in dst it allocates nothing, so a caller that
+// reuses one buffer moves state without garbage. On error dst is
+// returned as it was.
+func (e *Engine) AppendState(dst []byte) ([]byte, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	st, ok := e.impl.(core.StatefulSampler)
 	if !ok {
-		return nil, fmt.Errorf("sampling: technique %q does not expose kernel state", e.impl.Name())
+		return dst, fmt.Errorf("sampling: technique %q does not expose kernel state", e.impl.Name())
 	}
-	kernel, err := st.AppendState(nil)
-	if err != nil {
-		return nil, fmt.Errorf("sampling: capture %q kernel state: %w", e.impl.Name(), err)
-	}
-	b := binenc.AppendU32(nil, engineStateMagic)
+	base := len(dst)
+	b := binenc.AppendU32(dst, engineStateMagic)
 	b = binenc.AppendU8(b, stateVersion)
 	b = binenc.AppendString(b, e.specString)
 	b = binenc.AppendI64(b, int64(e.budget))
@@ -146,14 +158,19 @@ func (e *Engine) MarshalState() ([]byte, error) {
 	b = binenc.AppendF64(b, accState.Max)
 	b = binenc.AppendBool(b, e.finished)
 	b = binenc.AppendString(b, errString(e.finishErr))
-	b = binenc.AppendBytes(b, kernel)
+	b, at := binenc.ReserveLen(b)
+	b, err := st.AppendState(b)
+	if err != nil {
+		return dst, fmt.Errorf("sampling: capture %q kernel state: %w", e.impl.Name(), err)
+	}
+	binenc.PatchLen(b, at)
 	if b, err = appendEstimator(b, e.estIn); err != nil {
-		return nil, err
+		return dst, err
 	}
 	if b, err = appendEstimator(b, e.estKept); err != nil {
-		return nil, err
+		return dst, err
 	}
-	return sealState(b), nil
+	return sealState(b, base), nil
 }
 
 // RestoreEngine rebuilds an engine from a MarshalState blob. The only
@@ -242,10 +259,15 @@ func restoreEngine(r *binenc.Reader, clock func() time.Time) (*Engine, error) {
 // MarshalState captures the group's complete state: the shared
 // input-side reference (accumulator and estimator) plus every member
 // engine's full state blob, framed and CRC-checked as a whole.
-func (g *Group) MarshalState() ([]byte, error) {
+func (g *Group) MarshalState() ([]byte, error) { return g.AppendState(nil) }
+
+// AppendState appends the MarshalState blob to dst, as
+// Engine.AppendState does; member blobs are appended in place.
+func (g *Group) AppendState(dst []byte) ([]byte, error) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	b := binenc.AppendU32(nil, groupStateMagic)
+	base := len(dst)
+	b := binenc.AppendU32(dst, groupStateMagic)
 	b = binenc.AppendU8(b, stateVersion)
 	b = binenc.AppendString(b, string(g.method))
 	b = binenc.AppendI64(b, int64(g.seen))
@@ -259,19 +281,20 @@ func (g *Group) MarshalState() ([]byte, error) {
 	b = binenc.AppendF64(b, accState.Max)
 	b = binenc.AppendBool(b, g.finished)
 	b = binenc.AppendString(b, errString(g.finishErr))
-	var err error
-	if b, err = appendEstimator(b, g.estIn); err != nil {
-		return nil, err
+	b, err := appendEstimator(b, g.estIn)
+	if err != nil {
+		return dst, err
 	}
 	b = binenc.AppendU32(b, uint32(len(g.members)))
 	for i, eng := range g.members {
-		blob, err := eng.MarshalState()
-		if err != nil {
-			return nil, fmt.Errorf("sampling: group member %d (%s): %w", i, eng.specString, err)
+		var at int
+		b, at = binenc.ReserveLen(b)
+		if b, err = eng.AppendState(b); err != nil {
+			return dst, fmt.Errorf("sampling: group member %d (%s): %w", i, eng.specString, err)
 		}
-		b = binenc.AppendBytes(b, blob)
+		binenc.PatchLen(b, at)
 	}
-	return sealState(b), nil
+	return sealState(b, base), nil
 }
 
 // RestoreGroup rebuilds a comparison group from a MarshalState blob.
@@ -347,7 +370,9 @@ func appendEstimator(dst []byte, est estimate.Estimator) ([]byte, error) {
 	}
 	dst = binenc.AppendBool(dst, true)
 	dst = binenc.AppendString(dst, string(est.Method()))
-	dst = binenc.AppendBytes(dst, st.AppendState(nil))
+	dst, at := binenc.ReserveLen(dst)
+	dst = st.AppendState(dst)
+	binenc.PatchLen(dst, at)
 	return dst, nil
 }
 

@@ -2,6 +2,8 @@ package sampling
 
 import (
 	"bytes"
+	"cmp"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
@@ -395,4 +397,183 @@ func TestGroupInputMomentsMatchPerTick(t *testing.T) {
 			t.Errorf("estimator %q: input moments %+v, want %+v", method, got, want.State())
 		}
 	}
+}
+
+// appendStateEstimators is every estimator an engine may carry, none
+// included.
+var appendStateEstimators = []estimate.Method{"", estimate.AggVar, estimate.Wavelet, estimate.RS}
+
+// stateEngine builds one restoreSpecs engine with the given estimator
+// ("" for none) on a fixed clock.
+func stateEngine(t *testing.T, spec string, budget int, method estimate.Method) *Engine {
+	t.Helper()
+	opts := []Option{WithClock(func() time.Time { return time.Unix(1700000000, 0) })}
+	if budget > 0 {
+		opts = append(opts, WithBudget(budget))
+	}
+	if method != "" {
+		opts = append(opts, WithEstimator(method))
+	}
+	eng, err := New(MustParse(spec), opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return eng
+}
+
+// fiveMemberGroup is a comparison group over all five techniques with
+// an aggvar estimator, fed n ticks.
+func fiveMemberGroup(t *testing.T, n int) *Group {
+	t.Helper()
+	g, err := NewGroup([]Spec{
+		MustParse("systematic:interval=40"),
+		MustParse("stratified:interval=40,seed=4"),
+		MustParse("simple:n=64,seed=5"),
+		MustParse("bernoulli:rate=0.025,seed=6"),
+		MustParse("bss:interval=40,L=3,eps=1.2"),
+	}, WithEstimator(estimate.AggVar))
+	if err != nil {
+		t.Fatal(err)
+	}
+	g.OfferBatch(stateTrace(n, 17))
+	return g
+}
+
+// checkAppendState pins AppendState against MarshalState: appended
+// behind a non-empty prefix it must yield the prefix followed by
+// exactly MarshalState's bytes (a CRC taken over the whole buffer, not
+// just the blob, breaks this), and a warm append into a buffer with
+// room must make no more than warmAppendAllocs allocations.
+func checkAppendState(t *testing.T, marshal func() ([]byte, error), appendState func([]byte) ([]byte, error)) {
+	t.Helper()
+	want, err := marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	prefix := []byte("prefix:")
+	got, err := appendState(append([]byte(nil), prefix...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.HasPrefix(got, prefix) || !bytes.Equal(got[len(prefix):], want) {
+		t.Fatalf("AppendState(prefix) is not the %d-byte prefix followed by MarshalState's %d bytes", len(prefix), len(want))
+	}
+	buf := make([]byte, len(prefix), len(prefix)+len(want))
+	if allocs := testing.AllocsPerRun(20, func() { buf, _ = appendState(buf[:len(prefix)]) }); allocs > warmAppendAllocs {
+		t.Errorf("warm AppendState made %.1f allocations, want at most %d", allocs, warmAppendAllocs)
+	}
+}
+
+// TestAppendStateMatchesMarshalState covers every technique regime
+// under every estimator, and a five-member group.
+func TestAppendStateMatchesMarshalState(t *testing.T) {
+	trace := stateTrace(20000, 42)
+	for _, tc := range restoreSpecs {
+		for _, method := range appendStateEstimators {
+			t.Run(fmt.Sprintf("%s/%s", tc.name, cmp.Or(string(method), "none")), func(t *testing.T) {
+				eng := stateEngine(t, tc.spec, tc.budget, method)
+				offerChunks(eng, trace)
+				checkAppendState(t, eng.MarshalState, eng.AppendState)
+			})
+		}
+	}
+	t.Run("group", func(t *testing.T) {
+		g := fiveMemberGroup(t, 20000)
+		checkAppendState(t, g.MarshalState, g.AppendState)
+	})
+}
+
+// TestRestoreDoesNotAliasBlob: a restored engine or group owns all of
+// its state. Overwriting the blob after the restore must change
+// nothing, which is what lets the daemon read state bodies into pooled
+// buffers and reuse them once the restore returns.
+func TestRestoreDoesNotAliasBlob(t *testing.T) {
+	trace := stateTrace(30000, 5)
+	cut := 20000
+	clock := func() time.Time { return time.Unix(1700000000, 0) }
+	clobber := func(b []byte) {
+		for i := range b {
+			b[i] = 0xff
+		}
+	}
+	asJSON := func(v any) string {
+		out, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(out)
+	}
+	for _, tc := range restoreSpecs {
+		for _, method := range appendStateEstimators {
+			t.Run(fmt.Sprintf("%s/%s", tc.name, cmp.Or(string(method), "none")), func(t *testing.T) {
+				live := stateEngine(t, tc.spec, tc.budget, method)
+				offerChunks(live, trace[:cut])
+				blob, err := live.MarshalState()
+				if err != nil {
+					t.Fatal(err)
+				}
+				twin, err := RestoreEngine(bytes.Clone(blob), WithClock(clock))
+				if err != nil {
+					t.Fatal(err)
+				}
+				moved, err := RestoreEngine(blob, WithClock(clock))
+				if err != nil {
+					t.Fatal(err)
+				}
+				clobber(blob)
+
+				var keptMoved, keptTwin []Sample
+				for from := cut; from < len(trace); from += 512 {
+					batch := trace[from:min(from+512, len(trace))]
+					keptMoved = moved.offerBatch(batch, keptMoved)
+					keptTwin = twin.offerBatch(batch, keptTwin)
+				}
+				if got, want := asJSON(moved.Snapshot()), asJSON(twin.Snapshot()); got != want {
+					t.Fatalf("snapshots diverge after the blob was overwritten:\nmoved %s\ntwin  %s", got, want)
+				}
+				tailMoved, _ := moved.Finish()
+				tailTwin, _ := twin.Finish()
+				keptMoved, keptTwin = append(keptMoved, tailMoved...), append(keptTwin, tailTwin...)
+				if got, want := fmt.Sprint(keptMoved), fmt.Sprint(keptTwin); got != want {
+					t.Fatalf("kept samples diverge after the blob was overwritten (%d vs %d)", len(keptMoved), len(keptTwin))
+				}
+				if got, want := asJSON(moved.Snapshot()), asJSON(twin.Snapshot()); got != want {
+					t.Fatalf("final snapshots diverge:\nmoved %s\ntwin  %s", got, want)
+				}
+			})
+		}
+	}
+	t.Run("group", func(t *testing.T) {
+		live := fiveMemberGroup(t, cut)
+		blob, err := live.MarshalState()
+		if err != nil {
+			t.Fatal(err)
+		}
+		twin, err := RestoreGroup(bytes.Clone(blob), WithClock(clock))
+		if err != nil {
+			t.Fatal(err)
+		}
+		moved, err := RestoreGroup(blob, WithClock(clock))
+		if err != nil {
+			t.Fatal(err)
+		}
+		clobber(blob)
+		for from := cut; from < len(trace); from += 512 {
+			batch := trace[from:min(from+512, len(trace))]
+			if a, b := moved.OfferBatch(batch), twin.OfferBatch(batch); a != b {
+				t.Fatalf("batch at %d: moved group kept %d, twin %d", from, a, b)
+			}
+		}
+		if got, want := asJSON(moved.Snapshot()), asJSON(twin.Snapshot()); got != want {
+			t.Fatalf("group snapshots diverge:\nmoved %s\ntwin  %s", got, want)
+		}
+		tailMoved, _ := moved.Finish()
+		tailTwin, _ := twin.Finish()
+		if got, want := fmt.Sprint(tailMoved), fmt.Sprint(tailTwin); got != want {
+			t.Fatal("group finish tails diverge after the blob was overwritten")
+		}
+		if got, want := asJSON(moved.Snapshot()), asJSON(twin.Snapshot()); got != want {
+			t.Fatalf("final group snapshots diverge:\nmoved %s\ntwin  %s", got, want)
+		}
+	})
 }
