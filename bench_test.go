@@ -125,7 +125,7 @@ func BenchmarkBSSDesignLTuned(b *testing.B) {
 	cfg := core.BSS{Interval: 1000, L: int(l), Epsilon: 1.0}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		samples, err := cfg.Sample(f)
+		samples, err := collectBSS(cfg, f)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -146,7 +146,7 @@ func BenchmarkBSSDesignEpsTuned(b *testing.B) {
 	cfg := core.BSS{Interval: 1000, L: 10, Epsilon: eps}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		samples, err := cfg.Sample(f)
+		samples, err := collectBSS(cfg, f)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -176,13 +176,12 @@ func BenchmarkAvgVarianceInstances(b *testing.B) {
 	}
 }
 
-// --- Streaming engine vs batch adapter, per technique -------------------
+// --- Per-tick kernel reference, per technique -------------------------
 //
-// The batch path is Sample(f) — one call that internally drives the
-// streaming engine over the whole series. The stream path offers ticks
-// one by one the way a pipeline probe does, measuring the per-tick
-// overhead of the StreamSampler interface. These are the perf baseline
-// for the hot sampling path.
+// BenchmarkSamplerStream runs core.Collect, the per-tick Offer form
+// the batch kernels are tested against, over a fresh kernel each
+// iteration: the raw cost of the core Kernel interface without the
+// public engine's lock.
 
 // samplerBenchSpecs names one spec per technique at a 1e-3-ish rate.
 var samplerBenchSpecs = []struct{ name, spec string }{
@@ -203,22 +202,13 @@ func samplerBenchTrace() []float64 {
 	return f
 }
 
-func BenchmarkSamplerBatch(b *testing.B) {
-	f := samplerBenchTrace()
-	for _, tc := range samplerBenchSpecs {
-		b.Run(tc.name, func(b *testing.B) {
-			s, err := core.Lookup(tc.spec)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := s.Sample(f); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+// collectBSS runs a fresh kernel for cfg over f.
+func collectBSS(cfg core.BSS, f []float64) ([]core.Sample, error) {
+	k, err := cfg.Kernel()
+	if err != nil {
+		return nil, err
 	}
+	return core.Collect(k, f)
 }
 
 func BenchmarkSamplerStream(b *testing.B) {
@@ -227,22 +217,15 @@ func BenchmarkSamplerStream(b *testing.B) {
 		b.Run(tc.name, func(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				eng, err := core.LookupStream(tc.spec)
+				k, err := core.Lookup(tc.spec)
 				if err != nil {
 					b.Fatal(err)
 				}
-				kept := 0
-				for j, v := range f {
-					if _, ok := eng.Offer(j, v); ok {
-						kept++
-					}
-				}
-				if tail, err := eng.Finish(); err != nil {
+				samples, err := core.Collect(k, f)
+				if err != nil {
 					b.Fatal(err)
-				} else {
-					kept += len(tail)
 				}
-				if kept == 0 {
+				if len(samples) == 0 {
 					b.Fatal("kept no samples")
 				}
 			}
@@ -263,11 +246,12 @@ func BenchmarkRegistryLookup(b *testing.B) {
 // --- Public sampling API ------------------------------------------------
 //
 // The public engine adds per-tick locking (for concurrent Snapshot) on
-// top of the raw core StreamSampler; these benchmarks track that tax and
-// the cost of live observation itself.
+// top of the raw core Kernel; these benchmarks track that tax and the
+// cost of live observation itself.
 
 // BenchmarkPublicEngineStream is the public-API counterpart of
-// BenchmarkSamplerStream: the per-tick cost a pipeline probe pays.
+// BenchmarkSamplerStream: the per-tick cost an Engine.Offer caller
+// pays.
 func BenchmarkPublicEngineStream(b *testing.B) {
 	f := samplerBenchTrace()
 	for _, tc := range samplerBenchSpecs {

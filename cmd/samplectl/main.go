@@ -5,7 +5,8 @@
 //
 // The sampler is built through the public sampling API: either from the
 // -technique/-rate/... flags (which are assembled into a spec string) or
-// directly from a -spec string, the same syntax the pipeline probes use.
+// directly from a -spec string, the same syntax the sampled daemon
+// accepts.
 // With -snapshots N, a live summary (kept/seen, running mean, 95% CI) is
 // printed to stderr every N ticks while the run is in flight —
 // the engine's non-destructive Snapshot in action.

@@ -55,14 +55,14 @@
 // (the three classic sampling techniques, Biased Systematic Sampling,
 // the SNC of Theorem 1, the average-variance theory of Theorem 2 and the
 // full BSS parameter design) is in internal/core, where every technique
-// is a streaming StreamSampler state machine behind a spec-string
-// registry and the batch Sampler interface is a thin adapter over it;
-// the substrates it stands on — FFT/wavelets (internal/dsp), statistics
-// (internal/stats), heavy-tailed distributions (internal/dist),
-// long-range dependence and Hurst estimation (internal/lrd), traffic
-// models and packet-trace synthesis (internal/traffic), trace I/O
-// (internal/trace) and a concurrent router-monitor pipeline with live
-// snapshotting probes (internal/pipeline) — are each their own package.
+// is one Kernel — a state machine fed tick by tick or batch by batch,
+// whose exact state can be saved and restored — built from a
+// spec-string registry; the substrates it stands on — FFT/wavelets
+// (internal/dsp), statistics (internal/stats), heavy-tailed
+// distributions (internal/dist), long-range dependence and Hurst
+// estimation (internal/lrd), traffic models and packet-trace synthesis
+// (internal/traffic) and trace I/O (internal/trace) — are each their
+// own package.
 // internal/experiments reproduces every figure of the paper's
 // evaluation; cmd/figures regenerates them and bench_test.go benchmarks
 // each one.

@@ -13,7 +13,6 @@ import (
 
 	"repro/internal/dist"
 	"repro/internal/lrd"
-	"repro/internal/queue"
 	"repro/internal/stats"
 	"repro/internal/traffic"
 	"repro/sampling"
@@ -44,7 +43,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	full, err := queue.FitModel(f, clampH(hFull.H))
+	full, err := FitModel(f, clampH(hFull.H))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -70,7 +69,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	sampled, err := queue.FitModel(g, clampH(hSampled.H))
+	sampled, err := FitModel(g, clampH(hSampled.H))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -97,7 +96,7 @@ func main() {
 		name string
 		b    float64
 	}{{"Norros/full", bFull}, {"Norros/sampled", bSampled}, {"short-range", bWrong}} {
-		res, err := queue.Simulate(f, c, tc.b)
+		res, err := Simulate(f, c, tc.b)
 		if err != nil {
 			log.Fatal(err)
 		}

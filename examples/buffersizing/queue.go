@@ -1,14 +1,15 @@
-// Package queue provides the queueing-analysis substrate that motivates
-// the paper's insistence on preserving the Hurst parameter: buffer
-// dimensioning for LRD input is governed by H (Norros' formula for
-// fractional-Brownian input gives Weibull-tailed queue occupancy,
-// P(Q > b) ~ exp(-gamma * b^(2-2H)), versus exponential for short-range
-// input). The package offers a discrete-time fluid queue simulator fed by
-// any rate series, occupancy/loss statistics, and the Norros effective-
-// bandwidth bound — so a monitoring pipeline can turn a *sampled* trace's
-// estimated (mean, variance, H) into a buffer size and be checked against
-// simulation on the full trace.
-package queue
+package main
+
+// The queueing analysis that motivates the paper's insistence on
+// preserving the Hurst parameter: buffer dimensioning for LRD input is
+// governed by H (Norros' formula for fractional-Brownian input gives
+// Weibull-tailed queue occupancy, P(Q > b) ~ exp(-gamma * b^(2-2H)),
+// versus exponential for short-range input). This file offers a
+// discrete-time fluid queue simulator fed by any rate series,
+// occupancy/loss statistics, and the Norros effective-bandwidth bound —
+// so a monitor can turn a *sampled* trace's estimated (mean, variance,
+// H) into a buffer size and be checked against simulation on the full
+// trace.
 
 import (
 	"fmt"

@@ -15,7 +15,7 @@ func TestPlacementString(t *testing.T) {
 
 func TestPlacementValidation(t *testing.T) {
 	b := BSS{Interval: 10, L: 2, Epsilon: 1, Placement: Placement(9)}
-	if _, err := b.Sample(seq(100)); err == nil {
+	if _, err := collect(b, seq(100)); err == nil {
 		t.Error("expected error for unknown placement")
 	}
 }
@@ -44,11 +44,8 @@ func TestProbesTruncatedAtSeriesEnd(t *testing.T) {
 	for i := 100; i < 105; i++ {
 		f[i] = 100 // trigger at base sample 100; burst through the tail
 	}
-	b, err := NewBSSStatic(10, 4, 50)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := b.Sample(f)
+	b := BSS{Interval: 10, L: 4, Threshold: 50}
+	got, err := collect(b, f)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,11 +105,11 @@ func TestPlacementAblationChaseQualifiesMore(t *testing.T) {
 	spread := BSS{Interval: 200, L: 8, Epsilon: 1.0}
 	chase := spread
 	chase.Placement = PlacementChase
-	sSamples, err := spread.Sample(f)
+	sSamples, err := collect(spread, f)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cSamples, err := chase.Sample(f)
+	cSamples, err := collect(chase, f)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +120,7 @@ func TestPlacementAblationChaseQualifiesMore(t *testing.T) {
 	}
 	// Both estimates sit above the plain systematic one (qualified samples
 	// only add mass above the threshold).
-	sys, err := (Systematic{Interval: 200}).Sample(f)
+	sys, err := collect(Systematic{Interval: 200}, f)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -55,24 +55,6 @@ func (p Placement) String() string {
 	return "spread"
 }
 
-// NewBSS validates the configuration.
-func NewBSS(interval, l int, epsilon float64) (BSS, error) {
-	b := BSS{Interval: interval, L: l, Epsilon: epsilon}
-	if err := b.validate(); err != nil {
-		return BSS{}, err
-	}
-	return b, nil
-}
-
-// NewBSSStatic builds a BSS with a fixed threshold a_th.
-func NewBSSStatic(interval, l int, threshold float64) (BSS, error) {
-	b := BSS{Interval: interval, L: l, Threshold: threshold}
-	if err := b.validate(); err != nil {
-		return BSS{}, err
-	}
-	return b, nil
-}
-
 func (b BSS) validate() error {
 	switch {
 	case b.Interval < 1:
@@ -117,20 +99,19 @@ func (b BSS) probeOffsets(i int, dst []int) []int {
 	return dst
 }
 
-// Name implements Sampler.
-func (b BSS) Name() string { return "bss" }
+// Kernel validates the configuration and builds a fresh kernel. Its
+// output holds base samples (Qualified=false) and kept extra samples
+// (Qualified=true) in index order.
+func (b BSS) Kernel() (Kernel, error) {
+	s, err := NewStreamBSS(b)
+	if err != nil {
+		return nil, err
+	}
+	return s, nil
+}
 
-// Stream implements Streamer.
-func (b BSS) Stream() (StreamSampler, error) { return NewStreamBSS(b) }
-
-// Sample implements Sampler. The returned slice holds base samples
-// (Qualified=false) and kept extra samples (Qualified=true) in index
-// order.
-func (b BSS) Sample(f []float64) ([]Sample, error) { return sampleViaStream(b, f) }
-
-// StreamBSS is the online form of BSS for router-style deployment: the
-// BSS streaming state machine behind both the batch Sample adapter and
-// the pipeline probes. It implements StreamSampler.
+// StreamBSS is the BSS kernel. Beyond the Kernel interface it exposes
+// the running mean and threshold its adaptive rule is built on.
 //
 // The zero value is not usable; construct with NewStreamBSS.
 type StreamBSS struct {
@@ -148,7 +129,7 @@ type StreamBSS struct {
 	pi     int
 }
 
-// NewStreamBSS validates cfg and returns a streaming sampler.
+// NewStreamBSS validates cfg and returns its kernel.
 func NewStreamBSS(cfg BSS) (*StreamBSS, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -159,10 +140,10 @@ func NewStreamBSS(cfg BSS) (*StreamBSS, error) {
 	return &StreamBSS{cfg: cfg, nextBase: cfg.Offset, ath: cfg.Threshold, armed: cfg.Threshold > 0}, nil
 }
 
-// Name implements StreamSampler.
+// Name implements Kernel.
 func (s *StreamBSS) Name() string { return "bss" }
 
-// Offer implements StreamSampler. Base samples are emitted
+// Offer implements Kernel. Base samples are emitted
 // unconditionally; extra probes are emitted only when they qualify
 // (exceed the threshold frozen at the triggering base sample).
 func (s *StreamBSS) Offer(index int, value float64) (Sample, bool) {
@@ -181,7 +162,7 @@ func (s *StreamBSS) Offer(index int, value float64) (Sample, bool) {
 	return Sample{}, false
 }
 
-// OfferBatch implements BatchStreamer. BSS reads only its base ticks
+// OfferBatch implements Kernel. BSS reads only its base ticks
 // and the probe ticks it scheduled, and both are known in advance: the
 // kernel hops base -> pending probes -> next base and never reads the
 // ticks in between.
@@ -244,7 +225,7 @@ func (s *StreamBSS) qualifies(value float64) bool {
 	return false
 }
 
-// Finish implements StreamSampler. Pending extra probes past the end of
+// Finish implements Kernel. Pending extra probes past the end of
 // the stream are dropped, matching the batch rule that probes never land
 // outside the series.
 func (s *StreamBSS) Finish() ([]Sample, error) { return nil, nil }
@@ -264,9 +245,3 @@ func (s *StreamBSS) Threshold() float64 {
 	}
 	return s.ath
 }
-
-var (
-	_ Sampler       = BSS{}
-	_ Streamer      = BSS{}
-	_ BatchStreamer = (*StreamBSS)(nil)
-)

@@ -9,35 +9,32 @@ import (
 )
 
 func TestBSSValidation(t *testing.T) {
-	if _, err := NewBSS(0, 5, 1); err == nil {
+	if _, err := (BSS{Interval: 0, L: 5, Epsilon: 1}).Kernel(); err == nil {
 		t.Error("expected error for interval 0")
 	}
-	if _, err := NewBSS(10, -1, 1); err == nil {
+	if _, err := (BSS{Interval: 10, L: -1, Epsilon: 1}).Kernel(); err == nil {
 		t.Error("expected error for negative L")
 	}
-	if _, err := NewBSS(10, 0, 1); err != nil {
+	if _, err := (BSS{Interval: 10, L: 0, Epsilon: 1}).Kernel(); err != nil {
 		t.Errorf("L = 0 (degenerate to systematic) should be valid: %v", err)
 	}
-	if _, err := NewBSS(10, 5, 0); err == nil {
+	if _, err := (BSS{Interval: 10, L: 5, Epsilon: 0}).Kernel(); err == nil {
 		t.Error("expected error for adaptive without epsilon")
 	}
-	if _, err := NewBSSStatic(10, 5, -1); err == nil {
+	if _, err := (BSS{Interval: 10, L: 5, Threshold: -1}).Kernel(); err == nil {
 		t.Error("expected error for negative threshold")
 	}
-	if _, err := (BSS{Interval: 10, L: 2, Epsilon: 1, Offset: 11}).Sample(seq(100)); err == nil {
+	if _, err := collect(BSS{Interval: 10, L: 2, Epsilon: 1, Offset: 11}, seq(100)); err == nil {
 		t.Error("expected error for offset >= interval")
 	}
-	if _, err := (BSS{Interval: 10, L: 2, Epsilon: 1, PreSamples: -1}).Sample(seq(100)); err == nil {
+	if _, err := collect(BSS{Interval: 10, L: 2, Epsilon: 1, PreSamples: -1}, seq(100)); err == nil {
 		t.Error("expected error for negative pre-samples")
 	}
-	b, err := NewBSS(10, 5, 1.0)
-	if err != nil {
-		t.Fatal(err)
+	b := BSS{Interval: 10, L: 5, Epsilon: 1.0}
+	if name := mustKernel(t, b).Name(); name != "bss" {
+		t.Errorf("name = %q", name)
 	}
-	if b.Name() != "bss" {
-		t.Errorf("name = %q", b.Name())
-	}
-	if _, err := b.Sample(nil); err == nil {
+	if _, err := collect(b, nil); err == nil {
 		t.Error("expected error for empty series")
 	}
 }
@@ -53,11 +50,8 @@ func TestBSSStaticThresholdBehaviour(t *testing.T) {
 	for i := 10; i <= 15; i++ {
 		f[i] = 100
 	}
-	b, err := NewBSSStatic(10, 4, 50)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := b.Sample(f)
+	b := BSS{Interval: 10, L: 4, Threshold: 50}
+	got, err := collect(b, f)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,11 +81,8 @@ func TestBSSIndicesSortedAndUnique(t *testing.T) {
 	for i := range f {
 		f[i] = p.Sample(rng)
 	}
-	b, err := NewBSS(50, 10, 1.0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := b.Sample(f)
+	b := BSS{Interval: 50, L: 10, Epsilon: 1.0}
+	got, err := collect(b, f)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +104,7 @@ func TestBSSImprovesHeavyTailedMeanEstimate(t *testing.T) {
 	for i := range f {
 		f[i] = p.Sample(rng)
 	}
-	real := MeanOf(mustSampleB(t, Systematic{Interval: 1}, f))
+	real := MeanOf(mustSample(t, Systematic{Interval: 1}, f))
 	const c = 1000
 	const instances = 25
 	// First measure the typical systematic bias, then design L for it
@@ -122,7 +113,7 @@ func TestBSSImprovesHeavyTailedMeanEstimate(t *testing.T) {
 	var sysErr float64
 	for off := 0; off < instances; off++ {
 		sys := Systematic{Interval: c, Offset: off * c / instances}
-		e := Eta(MeanOf(mustSampleB(t, sys, f)), real)
+		e := Eta(MeanOf(mustSample(t, sys, f)), real)
 		etas = append(etas, e)
 		sysErr += math.Abs(e)
 	}
@@ -148,7 +139,7 @@ func TestBSSImprovesHeavyTailedMeanEstimate(t *testing.T) {
 	var bssErr float64
 	for off := 0; off < instances; off++ {
 		b := BSS{Interval: c, Offset: off * c / instances, L: l, Epsilon: 1.0}
-		bssErr += math.Abs(Eta(MeanOf(mustSampleB(t, b, f)), real))
+		bssErr += math.Abs(Eta(MeanOf(mustSample(t, b, f)), real))
 	}
 	if bssErr >= sysErr {
 		t.Errorf("BSS total |eta| %g not better than systematic %g (L=%d)", bssErr, sysErr, l)
@@ -167,11 +158,8 @@ func TestBSSQualifiedFractionMatchesTheory(t *testing.T) {
 	}
 	eps := 1.2
 	mean := p.Mean()
-	b, err := NewBSSStatic(100, 10, eps*mean)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := b.Sample(f)
+	b := BSS{Interval: 100, L: 10, Threshold: eps * mean}
+	got, err := collect(b, f)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +182,7 @@ func TestBSSAdaptiveWarmup(t *testing.T) {
 	}
 	f[0] = 1e9 // base sample 0, during warm-up
 	b := BSS{Interval: 10, L: 5, Epsilon: 1, PreSamples: 5}
-	got, err := b.Sample(f)
+	got, err := collect(b, f)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,27 +203,13 @@ func TestStreamBSSMatchesBatch(t *testing.T) {
 		{Interval: 25, L: 4, Threshold: 5},
 		{Interval: 100, L: 12, Epsilon: 1.3, PreSamples: 20},
 	} {
-		batch, err := cfg.Sample(f)
-		if err != nil {
-			t.Fatal(err)
-		}
 		stream, err := NewStreamBSS(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var online []Sample
-		for i, v := range f {
-			if smp, kept := stream.Offer(i, v); kept {
-				online = append(online, smp)
-			}
-		}
-		if len(online) != len(batch) {
-			t.Fatalf("cfg %+v: stream kept %d, batch kept %d", cfg, len(online), len(batch))
-		}
-		for i := range batch {
-			if online[i] != batch[i] {
-				t.Fatalf("cfg %+v: sample %d differs: %+v vs %+v", cfg, i, online[i], batch[i])
-			}
+		batch, err := Collect(stream, f)
+		if err != nil {
+			t.Fatal(err)
 		}
 		if stream.Kept() != len(batch) {
 			t.Errorf("Kept() = %d, want %d", stream.Kept(), len(batch))
@@ -259,15 +233,6 @@ func TestStreamBSSValidation(t *testing.T) {
 	}
 }
 
-func mustSampleB(t *testing.T, s Sampler, f []float64) []Sample {
-	t.Helper()
-	got, err := s.Sample(f)
-	if err != nil {
-		t.Fatalf("%s: %v", s.Name(), err)
-	}
-	return got
-}
-
 func BenchmarkBSSSample1M(b *testing.B) {
 	rng := dist.NewRand(1)
 	p := dist.Pareto{Alpha: 1.3, Xm: 1}
@@ -278,7 +243,7 @@ func BenchmarkBSSSample1M(b *testing.B) {
 	cfg := BSS{Interval: 1000, L: 10, Epsilon: 1}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := cfg.Sample(f); err != nil {
+		if _, err := collect(cfg, f); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -289,7 +254,7 @@ func BenchmarkSystematicSample1M(b *testing.B) {
 	s := Systematic{Interval: 1000}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := s.Sample(f); err != nil {
+		if _, err := collect(s, f); err != nil {
 			b.Fatal(err)
 		}
 	}

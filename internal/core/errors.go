@@ -7,8 +7,8 @@ import (
 )
 
 // ErrUnknownTechnique reports a spec that names no registered sampling
-// technique. Errors returned by Lookup and LookupStream wrap it, so
-// callers can branch with errors.Is.
+// technique. Errors returned by Lookup and Build wrap it, so callers
+// can branch with errors.Is.
 var ErrUnknownTechnique = errors.New("unknown sampling technique")
 
 // ErrBadSpec reports a spec string that does not follow the

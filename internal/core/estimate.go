@@ -75,11 +75,11 @@ type InstanceStats struct {
 	AvgOverhead float64   // average qualified/base ratio (NaN if no base)
 }
 
-// RunInstances executes n independent sampling instances produced by
-// factory and reduces them against the known real mean. The factory
-// receives the instance number (0..n-1) and typically varies the
-// systematic offset or the random seed.
-func RunInstances(f []float64, realMean float64, n int, factory func(instance int) (Sampler, error)) (InstanceStats, error) {
+// RunInstances executes n independent sampling instances, one fresh
+// kernel from factory each, and reduces them against the known real
+// mean. The factory receives the instance number (0..n-1) and typically
+// varies the systematic offset or the random seed.
+func RunInstances(f []float64, realMean float64, n int, factory func(instance int) (Kernel, error)) (InstanceStats, error) {
 	if n < 1 {
 		return InstanceStats{}, fmt.Errorf("core: need at least one instance, got %d", n)
 	}
@@ -90,11 +90,11 @@ func RunInstances(f []float64, realMean float64, n int, factory func(instance in
 	var sqErr, samples, overheadSum float64
 	overheadN := 0
 	for i := 0; i < n; i++ {
-		s, err := factory(i)
+		k, err := factory(i)
 		if err != nil {
 			return InstanceStats{}, fmt.Errorf("core: building instance %d: %w", i, err)
 		}
-		got, err := s.Sample(f)
+		got, err := Collect(k, f)
 		if err != nil {
 			return InstanceStats{}, fmt.Errorf("core: sampling instance %d: %w", i, err)
 		}
@@ -120,16 +120,16 @@ func RunInstances(f []float64, realMean float64, n int, factory func(instance in
 	return st, nil
 }
 
-// SystematicInstances returns a factory producing systematic samplers
+// SystematicInstances returns a factory producing systematic kernels
 // whose offsets are spread evenly across the sampling interval — the
 // paper's notion of distinct systematic instances ("different starting
 // sampling points"). Spreading (rather than using adjacent offsets)
 // keeps instances decorrelated on bursty traffic, where a burst spanning
 // a few ticks would otherwise be caught by several near-identical
 // instances at once.
-func SystematicInstances(interval int) func(int) (Sampler, error) {
-	return func(i int) (Sampler, error) {
-		return NewSystematic(interval, SpreadOffset(i, interval))
+func SystematicInstances(interval int) func(int) (Kernel, error) {
+	return func(i int) (Kernel, error) {
+		return Systematic{Interval: interval, Offset: SpreadOffset(i, interval)}.Kernel()
 	}
 }
 
@@ -145,32 +145,29 @@ func SpreadOffset(i, interval int) int {
 	return off
 }
 
-// StratifiedInstances returns a factory seeding one stratified sampler per
+// StratifiedInstances returns a factory seeding one stratified kernel per
 // instance.
-func StratifiedInstances(interval int, baseSeed uint64) func(int) (Sampler, error) {
-	return func(i int) (Sampler, error) {
-		return NewStratified(interval, newRand(baseSeed+uint64(i)*0x9e3779b9))
+func StratifiedInstances(interval int, baseSeed uint64) func(int) (Kernel, error) {
+	return func(i int) (Kernel, error) {
+		return Stratified{Interval: interval, Rng: newRand(baseSeed + uint64(i)*0x9e3779b9)}.Kernel()
 	}
 }
 
 // SimpleRandomInstances returns a factory drawing n-sample simple random
 // instances.
-func SimpleRandomInstances(n int, baseSeed uint64) func(int) (Sampler, error) {
-	return func(i int) (Sampler, error) {
-		return NewSimpleRandom(n, newRand(baseSeed+uint64(i)*0x9e3779b9))
+func SimpleRandomInstances(n int, baseSeed uint64) func(int) (Kernel, error) {
+	return func(i int) (Kernel, error) {
+		return SimpleRandom{N: n, Rng: newRand(baseSeed + uint64(i)*0x9e3779b9)}.Kernel()
 	}
 }
 
 // BSSInstances returns a factory spreading BSS offsets across the
 // interval, holding the rest of the configuration fixed.
-func BSSInstances(cfg BSS) func(int) (Sampler, error) {
-	return func(i int) (Sampler, error) {
+func BSSInstances(cfg BSS) func(int) (Kernel, error) {
+	return func(i int) (Kernel, error) {
 		c := cfg
 		c.Offset = SpreadOffset(i, cfg.Interval)
-		if err := c.validate(); err != nil {
-			return nil, err
-		}
-		return c, nil
+		return c.Kernel()
 	}
 }
 

@@ -117,11 +117,11 @@ func TestRunInstancesErrors(t *testing.T) {
 	if _, err := RunInstances(nil, 0, 2, SystematicInstances(10)); err == nil {
 		t.Error("expected error for empty series")
 	}
-	factoryErr := func(int) (Sampler, error) { return nil, fmt.Errorf("boom") }
+	factoryErr := func(int) (Kernel, error) { return nil, fmt.Errorf("boom") }
 	if _, err := RunInstances(f, 0, 2, factoryErr); err == nil {
 		t.Error("expected factory error to propagate")
 	}
-	sampleErr := func(int) (Sampler, error) { return Systematic{Interval: 0}, nil }
+	sampleErr := func(int) (Kernel, error) { return SimpleRandom{N: 1000, Rng: newRand(1)}.Kernel() }
 	if _, err := RunInstances(f, 0, 2, sampleErr); err == nil {
 		t.Error("expected sampling error to propagate")
 	}
@@ -177,8 +177,9 @@ func TestBSSInstancesFactory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s0.(BSS).Offset != SpreadOffset(0, 10) || s1.(BSS).Offset != SpreadOffset(1, 10) {
-		t.Errorf("offsets = %d, %d; want spread schedule", s0.(BSS).Offset, s1.(BSS).Offset)
+	o0, o1 := s0.(*StreamBSS).cfg.Offset, s1.(*StreamBSS).cfg.Offset
+	if o0 != SpreadOffset(0, 10) || o1 != SpreadOffset(1, 10) {
+		t.Errorf("offsets = %d, %d; want spread schedule", o0, o1)
 	}
 	bad := BSSInstances(BSS{Interval: 10, L: -2, Epsilon: 1})
 	if _, err := bad(0); err == nil {

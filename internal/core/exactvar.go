@@ -98,7 +98,11 @@ func ExactBSSVariance(f []float64, cfg BSS, mean float64) (float64, error) {
 	for o := 0; o < cfg.Interval; o++ {
 		c := cfg
 		c.Offset = o
-		samples, err := c.Sample(f)
+		k, err := NewStreamBSS(c)
+		if err != nil {
+			return 0, fmt.Errorf("core: BSS offset %d: %w", o, err)
+		}
+		samples, err := Collect(k, f)
 		if err != nil {
 			return 0, fmt.Errorf("core: BSS offset %d: %w", o, err)
 		}

@@ -44,7 +44,7 @@ func TestExactSystematicMatchesAllOffsetInstances(t *testing.T) {
 	// Brute force over every offset.
 	var brute float64
 	for o := 0; o < c; o++ {
-		smp, err := (Systematic{Interval: c, Offset: o}).Sample(f)
+		smp, err := collect(Systematic{Interval: c, Offset: o}, f)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -71,11 +71,8 @@ func TestExactStratifiedVarianceMatchesMonteCarlo(t *testing.T) {
 	var mc float64
 	const trials = 4000
 	for i := 0; i < trials; i++ {
-		s, err := NewStratified(c, newRand(uint64(100+i)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		smp, err := s.Sample(f)
+		s := Stratified{Interval: c, Rng: newRand(uint64(100 + i))}
+		smp, err := collect(s, f)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -108,11 +105,8 @@ func TestExactSimpleRandomVarianceMatchesMonteCarlo(t *testing.T) {
 	var mc float64
 	const trials = 4000
 	for i := 0; i < trials; i++ {
-		s, err := NewSimpleRandom(n, newRand(uint64(500+i)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		smp, err := s.Sample(f)
+		s := SimpleRandom{N: n, Rng: newRand(uint64(500 + i))}
+		smp, err := collect(s, f)
 		if err != nil {
 			t.Fatal(err)
 		}

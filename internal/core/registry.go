@@ -17,7 +17,7 @@ import (
 //	simple:rate=1e-2,seed=7
 //
 // Lookup parses the spec, finds the registered factory for name, builds
-// the sampler and rejects any parameter the factory did not consume, so
+// the kernel and rejects any parameter the factory did not consume, so
 // typos fail loudly instead of silently using defaults.
 
 // Params carries the parsed key=value parameters of a spec to a Factory.
@@ -130,10 +130,8 @@ func ParseSpec(spec string) (string, *Params, error) {
 	return name, p, nil
 }
 
-// Factory builds a sampler from parsed spec parameters. The returned
-// Sampler should also implement Streamer so LookupStream can hand it to
-// streaming consumers; every built-in factory does.
-type Factory func(p *Params) (Sampler, error)
+// Factory builds a fresh kernel from parsed spec parameters.
+type Factory func(p *Params) (Kernel, error)
 
 // registry is the process-wide sampler registry. Reads vastly outnumber
 // writes (registration happens at init time), hence the RWMutex.
@@ -171,12 +169,12 @@ func mustRegister(name string, f Factory) {
 	}
 }
 
-// Lookup builds a sampler from a spec string like
+// Lookup builds a fresh kernel from a spec string like
 // "bss:rate=1e-3,L=10,eps=1.0". Every registered technique name is valid;
 // see Names. Failures are typed: syntax errors wrap ErrBadSpec,
 // unregistered names wrap ErrUnknownTechnique, and rejected parameters
 // surface as a *ParamError in the chain.
-func Lookup(spec string) (Sampler, error) {
+func Lookup(spec string) (Kernel, error) {
 	name, p, err := ParseSpec(spec)
 	if err != nil {
 		return nil, err
@@ -184,11 +182,11 @@ func Lookup(spec string) (Sampler, error) {
 	return build(name, p)
 }
 
-// Build builds a sampler from a technique name and raw key=value
+// Build builds a fresh kernel from a technique name and raw key=value
 // parameters — the typed counterpart of Lookup, for callers that already
 // hold structured parameters and should not round-trip them through the
 // string syntax. Failure modes match Lookup's.
-func Build(name string, kv map[string]string) (Sampler, error) {
+func Build(name string, kv map[string]string) (Kernel, error) {
 	if strings.TrimSpace(name) == "" {
 		return nil, fmt.Errorf("core: empty sampler technique name: %w", ErrBadSpec)
 	}
@@ -207,7 +205,7 @@ func NewParams(kv map[string]string) *Params {
 
 // build resolves the factory and runs it, enforcing full parameter
 // consumption — the shared tail of Lookup and Build.
-func build(name string, p *Params) (Sampler, error) {
+func build(name string, p *Params) (Kernel, error) {
 	registry.RLock()
 	f := registry.m[name]
 	registry.RUnlock()
@@ -215,7 +213,7 @@ func build(name string, p *Params) (Sampler, error) {
 		return nil, fmt.Errorf("core: unknown sampler %q (registered: %s): %w",
 			name, strings.Join(Names(), ", "), ErrUnknownTechnique)
 	}
-	s, err := f(p)
+	k, err := f(p)
 	if err != nil {
 		var pe *ParamError
 		if errors.As(err, &pe) && pe.Technique == "" {
@@ -226,34 +224,7 @@ func build(name string, p *Params) (Sampler, error) {
 	if u := p.unused(); len(u) > 0 {
 		return nil, &ParamError{Technique: name, Param: strings.Join(u, ", "), Reason: "not accepted by this technique"}
 	}
-	return s, nil
-}
-
-// LookupStream builds the streaming engine for a spec string.
-func LookupStream(spec string) (StreamSampler, error) {
-	s, err := Lookup(spec)
-	if err != nil {
-		return nil, err
-	}
-	return streamerOf(s)
-}
-
-// BuildStream builds the streaming engine from a technique name and raw
-// parameters, the typed counterpart of LookupStream.
-func BuildStream(name string, kv map[string]string) (StreamSampler, error) {
-	s, err := Build(name, kv)
-	if err != nil {
-		return nil, err
-	}
-	return streamerOf(s)
-}
-
-func streamerOf(s Sampler) (StreamSampler, error) {
-	c, ok := s.(Streamer)
-	if !ok {
-		return nil, fmt.Errorf("core: sampler %q has no streaming form", s.Name())
-	}
-	return c.Stream()
+	return k, nil
 }
 
 // Names returns the sorted names of every registered technique.
@@ -294,7 +265,7 @@ func specInterval(p *Params) (int, error) {
 }
 
 func init() {
-	mustRegister("systematic", func(p *Params) (Sampler, error) {
+	mustRegister("systematic", func(p *Params) (Kernel, error) {
 		interval, err := specInterval(p)
 		if err != nil {
 			return nil, err
@@ -303,9 +274,9 @@ func init() {
 		if err != nil {
 			return nil, err
 		}
-		return NewSystematic(interval, offset)
+		return Systematic{Interval: interval, Offset: offset}.Kernel()
 	})
-	mustRegister("stratified", func(p *Params) (Sampler, error) {
+	mustRegister("stratified", func(p *Params) (Kernel, error) {
 		interval, err := specInterval(p)
 		if err != nil {
 			return nil, err
@@ -314,9 +285,9 @@ func init() {
 		if err != nil {
 			return nil, err
 		}
-		return NewStratified(interval, newRand(seed))
+		return Stratified{Interval: interval, Rng: newRand(seed)}.Kernel()
 	})
-	simple := func(p *Params) (Sampler, error) {
+	simple := func(p *Params) (Kernel, error) {
 		n, err := p.Int("n", 0)
 		if err != nil {
 			return nil, err
@@ -326,17 +297,17 @@ func init() {
 			return nil, err
 		}
 		if n > 0 {
-			return NewSimpleRandom(n, newRand(seed))
+			return SimpleRandom{N: n, Rng: newRand(seed)}.Kernel()
 		}
 		rate, err := p.Float("rate", 0)
 		if err != nil {
 			return nil, err
 		}
-		return NewSimpleRandomRate(rate, newRand(seed))
+		return SimpleRandom{Rate: rate, Rng: newRand(seed)}.Kernel()
 	}
 	mustRegister("simple", simple)
 	mustRegister("simple-random", simple)
-	mustRegister("bernoulli", func(p *Params) (Sampler, error) {
+	mustRegister("bernoulli", func(p *Params) (Kernel, error) {
 		rate, err := p.Float("rate", 0)
 		if err != nil {
 			return nil, err
@@ -345,9 +316,9 @@ func init() {
 		if err != nil {
 			return nil, err
 		}
-		return NewBernoulli(rate, newRand(seed))
+		return Bernoulli{Rate: rate, Rng: newRand(seed)}.Kernel()
 	})
-	mustRegister("bss", func(p *Params) (Sampler, error) {
+	mustRegister("bss", func(p *Params) (Kernel, error) {
 		interval, err := specInterval(p)
 		if err != nil {
 			return nil, err
@@ -381,9 +352,6 @@ func init() {
 		default:
 			return nil, fmt.Errorf("core: unknown BSS placement %q (spread or chase)", placement)
 		}
-		if err := cfg.validate(); err != nil {
-			return nil, err
-		}
-		return cfg, nil
+		return cfg.Kernel()
 	})
 }

@@ -54,19 +54,12 @@ func TestLookupBuildsEveryTechnique(t *testing.T) {
 		if s.Name() != tc.name {
 			t.Errorf("Lookup(%q).Name() = %q, want %q", tc.spec, s.Name(), tc.name)
 		}
-		got, err := s.Sample(f)
+		got, err := Collect(s, f)
 		if err != nil {
-			t.Fatalf("Lookup(%q).Sample: %v", tc.spec, err)
+			t.Fatalf("Collect(Lookup(%q)): %v", tc.spec, err)
 		}
 		if len(got) == 0 {
 			t.Errorf("Lookup(%q) kept no samples", tc.spec)
-		}
-		eng, err := LookupStream(tc.spec)
-		if err != nil {
-			t.Fatalf("LookupStream(%q): %v", tc.spec, err)
-		}
-		if eng.Name() == "" {
-			t.Errorf("LookupStream(%q): empty name", tc.spec)
 		}
 	}
 }
@@ -95,16 +88,16 @@ func TestLookupErrors(t *testing.T) {
 }
 
 func TestRegisterValidation(t *testing.T) {
-	if err := Register("", func(*Params) (Sampler, error) { return nil, nil }); err == nil {
+	if err := Register("", func(*Params) (Kernel, error) { return nil, nil }); err == nil {
 		t.Error("expected error for empty name")
 	}
-	if err := Register("has space", func(*Params) (Sampler, error) { return nil, nil }); err == nil {
+	if err := Register("has space", func(*Params) (Kernel, error) { return nil, nil }); err == nil {
 		t.Error("expected error for name with spec syntax characters")
 	}
 	if err := Register("nilfactory", nil); err == nil {
 		t.Error("expected error for nil factory")
 	}
-	if err := Register("systematic", func(*Params) (Sampler, error) { return nil, nil }); err == nil {
+	if err := Register("systematic", func(*Params) (Kernel, error) { return nil, nil }); err == nil {
 		t.Error("expected error for duplicate registration")
 	}
 }
@@ -136,12 +129,12 @@ func TestRegistryConcurrent(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			name := fmt.Sprintf("race-probe-%d", w)
-			if err := Register(name, func(p *Params) (Sampler, error) {
+			if err := Register(name, func(p *Params) (Kernel, error) {
 				interval, err := specInterval(p)
 				if err != nil {
 					return nil, err
 				}
-				return NewSystematic(interval, 0)
+				return Systematic{Interval: interval}.Kernel()
 			}); err != nil {
 				t.Errorf("Register(%s): %v", name, err)
 				return

@@ -109,16 +109,16 @@ func BernoulliPMF(r, tol float64) (IntervalPMF, error) {
 	return IntervalPMF{P: p}, nil
 }
 
-// GapPMF estimates the empirical gap law of an arbitrary sampler by
-// running it on a dummy series and histogramming the index gaps — the
-// bridge that lets Theorem 1 be applied to techniques with no closed-form
+// GapPMF estimates the empirical gap law of a fresh kernel by running
+// it on a dummy series and histogramming the index gaps — the bridge
+// that lets Theorem 1 be applied to techniques with no closed-form
 // H(x).
-func GapPMF(s Sampler, seriesLen int) (IntervalPMF, error) {
+func GapPMF(k Kernel, seriesLen int) (IntervalPMF, error) {
 	if seriesLen < 2 {
 		return IntervalPMF{}, fmt.Errorf("core: series length %d too short to estimate gaps", seriesLen)
 	}
 	f := make([]float64, seriesLen) // values are irrelevant for gap structure
-	samples, err := s.Sample(f)
+	samples, err := Collect(k, f)
 	if err != nil {
 		return IntervalPMF{}, fmt.Errorf("core: estimating gap pmf: %w", err)
 	}

@@ -105,7 +105,7 @@ func TestIntervalPMFValidate(t *testing.T) {
 
 func TestGapPMF(t *testing.T) {
 	// Systematic sampler's empirical gap law is the degenerate pmf.
-	p, err := GapPMF(Systematic{Interval: 7}, 10000)
+	p, err := GapPMF(mustKernel(t, Systematic{Interval: 7}), 10000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,8 +113,8 @@ func TestGapPMF(t *testing.T) {
 		t.Errorf("P[7] = %g, want 1", p.P[7])
 	}
 	// Stratified sampler's empirical gap law matches the triangle.
-	s, _ := NewStratified(8, newRand(5))
-	p, err = GapPMF(s, 400000)
+	s := Stratified{Interval: 8, Rng: newRand(5)}
+	p, err = GapPMF(mustKernel(t, s), 400000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,10 +132,10 @@ func TestGapPMF(t *testing.T) {
 			t.Errorf("gap %d: empirical %g vs theoretical %g", k, g, w)
 		}
 	}
-	if _, err := GapPMF(Systematic{Interval: 7}, 1); err == nil {
+	if _, err := GapPMF(mustKernel(t, Systematic{Interval: 7}), 1); err == nil {
 		t.Error("expected error for tiny series")
 	}
-	if _, err := GapPMF(Systematic{Interval: 7, Offset: 0}, 7); err == nil {
+	if _, err := GapPMF(mustKernel(t, Systematic{Interval: 7, Offset: 0}), 7); err == nil {
 		t.Error("expected error when fewer than 2 samples result")
 	}
 }

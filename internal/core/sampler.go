@@ -8,11 +8,14 @@
 // xi, extra-sample count L, threshold ratio epsilon, overhead, and the
 // eta(r) convergence law).
 //
-// Every technique is implemented once, as an incremental StreamSampler
-// state machine consuming the traffic process f(t) tick by tick; the
-// batch Sampler interface below is a thin adapter over it (Collect). A
-// spec-string registry (Register/Lookup/Names) builds either form from
-// descriptions like "bss:rate=1e-3,L=10,eps=1.0".
+// Every technique is implemented once, as a Kernel: a state machine
+// consuming the traffic process f(t) in stream order, one tick (Offer)
+// or one batch (OfferBatch) at a time, whose exact state can be saved
+// and restored. The configuration types below (Systematic, Stratified,
+// SimpleRandom, Bernoulli, BSS) validate parameters and build a fresh
+// kernel; Collect runs one over a whole series. A spec-string registry
+// (Register/Lookup/Names) builds kernels from descriptions like
+// "bss:rate=1e-3,L=10,eps=1.0".
 package core
 
 import (
@@ -26,14 +29,6 @@ type Sample struct {
 	Qualified bool    // true when taken as a BSS extra ("qualified") sample
 }
 
-// Sampler selects observations from a traffic series.
-type Sampler interface {
-	// Name identifies the technique (for reports and experiment tables).
-	Name() string
-	// Sample returns the selected observations in increasing index order.
-	Sample(f []float64) ([]Sample, error)
-}
-
 // Systematic is static systematic sampling: every Interval-th element is
 // selected deterministically, starting at Offset. Different Offsets give
 // the different "instances" whose spread Theorem 2 bounds.
@@ -42,37 +37,15 @@ type Systematic struct {
 	Offset   int // in [0, Interval)
 }
 
-// NewSystematic validates the parameters.
-func NewSystematic(interval, offset int) (Systematic, error) {
-	s := Systematic{Interval: interval, Offset: offset}
-	if err := s.validate(); err != nil {
-		return Systematic{}, err
-	}
-	return s, nil
-}
-
-// Name implements Sampler.
-func (s Systematic) Name() string { return "systematic" }
-
-// Stream implements Streamer.
-func (s Systematic) Stream() (StreamSampler, error) {
-	if err := s.validate(); err != nil {
-		return nil, err
-	}
-	return &streamSystematic{interval: s.Interval, next: s.Offset}, nil
-}
-
-// Sample implements Sampler.
-func (s Systematic) Sample(f []float64) ([]Sample, error) { return sampleViaStream(s, f) }
-
-func (s Systematic) validate() error {
+// Kernel validates the configuration and builds a fresh kernel.
+func (s Systematic) Kernel() (Kernel, error) {
 	if s.Interval < 1 {
-		return fmt.Errorf("core: systematic interval %d must be >= 1", s.Interval)
+		return nil, fmt.Errorf("core: systematic interval %d must be >= 1", s.Interval)
 	}
 	if s.Offset < 0 || s.Offset >= s.Interval {
-		return fmt.Errorf("core: systematic offset %d outside [0, %d)", s.Offset, s.Interval)
+		return nil, fmt.Errorf("core: systematic offset %d outside [0, %d)", s.Offset, s.Interval)
 	}
-	return nil
+	return &streamSystematic{interval: s.Interval, next: s.Offset}, nil
 }
 
 // Stratified is stratified random sampling: the time axis is divided into
@@ -83,37 +56,15 @@ type Stratified struct {
 	Rng      *Rand
 }
 
-// NewStratified validates the parameters.
-func NewStratified(interval int, rng *Rand) (Stratified, error) {
-	s := Stratified{Interval: interval, Rng: rng}
-	if err := s.validate(); err != nil {
-		return Stratified{}, err
-	}
-	return s, nil
-}
-
-// Name implements Sampler.
-func (s Stratified) Name() string { return "stratified" }
-
-// Stream implements Streamer.
-func (s Stratified) Stream() (StreamSampler, error) {
-	if err := s.validate(); err != nil {
-		return nil, err
-	}
-	return &streamStratified{interval: s.Interval, rng: s.Rng}, nil
-}
-
-// Sample implements Sampler.
-func (s Stratified) Sample(f []float64) ([]Sample, error) { return sampleViaStream(s, f) }
-
-func (s Stratified) validate() error {
+// Kernel validates the configuration and builds a fresh kernel.
+func (s Stratified) Kernel() (Kernel, error) {
 	if s.Interval < 1 {
-		return fmt.Errorf("core: stratified interval %d must be >= 1", s.Interval)
+		return nil, fmt.Errorf("core: stratified interval %d must be >= 1", s.Interval)
 	}
 	if s.Rng == nil {
-		return fmt.Errorf("core: stratified sampling needs a random source")
+		return nil, fmt.Errorf("core: stratified sampling needs a random source")
 	}
-	return nil
+	return &streamStratified{interval: s.Interval, rng: s.Rng}, nil
 }
 
 // SimpleRandom is simple random sampling: positions drawn uniformly
@@ -126,55 +77,25 @@ type SimpleRandom struct {
 	Rng  *Rand
 }
 
-// NewSimpleRandom validates a fixed-size configuration.
-func NewSimpleRandom(n int, rng *Rand) (SimpleRandom, error) {
-	s := SimpleRandom{N: n, Rng: rng}
-	if err := s.validate(); err != nil {
-		return SimpleRandom{}, err
-	}
-	return s, nil
-}
-
-// NewSimpleRandomRate validates a population-relative configuration.
-func NewSimpleRandomRate(rate float64, rng *Rand) (SimpleRandom, error) {
-	s := SimpleRandom{Rate: rate, Rng: rng}
-	if err := s.validate(); err != nil {
-		return SimpleRandom{}, err
-	}
-	return s, nil
-}
-
-// Name implements Sampler.
-func (s SimpleRandom) Name() string { return "simple-random" }
-
-// Stream implements Streamer. The fixed-size form (N > 0) runs a
-// skip-based reservoir in O(N) memory; the population-relative form
-// buffers the raw values and draws at Finish — a rate-sized draw
-// without replacement needs the whole population.
-func (s SimpleRandom) Stream() (StreamSampler, error) {
-	if err := s.validate(); err != nil {
-		return nil, err
-	}
-	return &streamSimpleRandom{n: s.N, rate: s.Rate, rng: s.Rng}, nil
-}
-
-// Sample implements Sampler.
-func (s SimpleRandom) Sample(f []float64) ([]Sample, error) { return sampleViaStream(s, f) }
-
-func (s SimpleRandom) validate() error {
+// Kernel validates the configuration and builds a fresh kernel. The
+// fixed-size form (N > 0) runs a skip-based reservoir in O(N) memory;
+// the population-relative form buffers the raw values and draws at
+// Finish — a rate-sized draw without replacement needs the whole
+// population.
+func (s SimpleRandom) Kernel() (Kernel, error) {
 	if s.N < 1 && s.Rate == 0 {
-		return fmt.Errorf("core: simple random sample size %d must be >= 1", s.N)
+		return nil, fmt.Errorf("core: simple random sample size %d must be >= 1", s.N)
 	}
 	if s.N < 0 {
-		return fmt.Errorf("core: simple random sample size %d must be >= 0", s.N)
+		return nil, fmt.Errorf("core: simple random sample size %d must be >= 0", s.N)
 	}
 	if s.N == 0 && (!(s.Rate > 0) || s.Rate > 1) {
-		return fmt.Errorf("core: simple random rate %g outside (0,1]", s.Rate)
+		return nil, fmt.Errorf("core: simple random rate %g outside (0,1]", s.Rate)
 	}
 	if s.Rng == nil {
-		return fmt.Errorf("core: simple random sampling needs a random source")
+		return nil, fmt.Errorf("core: simple random sampling needs a random source")
 	}
-	return nil
+	return &streamSimpleRandom{n: s.N, rate: s.Rate, rng: s.Rng}, nil
 }
 
 // Bernoulli is probabilistic 1-in-1/Rate sampling: each element is selected
@@ -186,47 +107,13 @@ type Bernoulli struct {
 	Rng  *Rand
 }
 
-// NewBernoulli validates the parameters.
-func NewBernoulli(rate float64, rng *Rand) (Bernoulli, error) {
-	b := Bernoulli{Rate: rate, Rng: rng}
-	if err := b.validate(); err != nil {
-		return Bernoulli{}, err
+// Kernel validates the configuration and builds a fresh kernel.
+func (s Bernoulli) Kernel() (Kernel, error) {
+	if !(s.Rate > 0) || s.Rate > 1 {
+		return nil, fmt.Errorf("core: Bernoulli rate %g outside (0,1]", s.Rate)
 	}
-	return b, nil
-}
-
-// Name implements Sampler.
-func (s Bernoulli) Name() string { return "bernoulli" }
-
-// Stream implements Streamer.
-func (s Bernoulli) Stream() (StreamSampler, error) {
-	if err := s.validate(); err != nil {
-		return nil, err
+	if s.Rng == nil {
+		return nil, fmt.Errorf("core: Bernoulli sampling needs a random source")
 	}
 	return newStreamBernoulli(s.Rate, s.Rng), nil
 }
-
-// Sample implements Sampler.
-func (s Bernoulli) Sample(f []float64) ([]Sample, error) { return sampleViaStream(s, f) }
-
-func (s Bernoulli) validate() error {
-	if !(s.Rate > 0) || s.Rate > 1 {
-		return fmt.Errorf("core: Bernoulli rate %g outside (0,1]", s.Rate)
-	}
-	if s.Rng == nil {
-		return fmt.Errorf("core: Bernoulli sampling needs a random source")
-	}
-	return nil
-}
-
-// Interface compliance checks.
-var (
-	_ Sampler  = Systematic{}
-	_ Sampler  = Stratified{}
-	_ Sampler  = SimpleRandom{}
-	_ Sampler  = Bernoulli{}
-	_ Streamer = Systematic{}
-	_ Streamer = Stratified{}
-	_ Streamer = SimpleRandom{}
-	_ Streamer = Bernoulli{}
-)

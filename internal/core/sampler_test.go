@@ -6,6 +6,25 @@ import (
 	"testing/quick"
 )
 
+// collect builds cfg's kernel and runs it over f.
+func collect(cfg interface{ Kernel() (Kernel, error) }, f []float64) ([]Sample, error) {
+	k, err := cfg.Kernel()
+	if err != nil {
+		return nil, err
+	}
+	return Collect(k, f)
+}
+
+// mustKernel builds cfg's kernel, failing the test on an invalid cfg.
+func mustKernel(t *testing.T, cfg interface{ Kernel() (Kernel, error) }) Kernel {
+	t.Helper()
+	k, err := cfg.Kernel()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return k
+}
+
 func seq(n int) []float64 {
 	f := make([]float64, n)
 	for i := range f {
@@ -15,33 +34,27 @@ func seq(n int) []float64 {
 }
 
 func TestSystematicValidation(t *testing.T) {
-	if _, err := NewSystematic(0, 0); err == nil {
+	if _, err := (Systematic{Interval: 0}).Kernel(); err == nil {
 		t.Error("expected error for interval 0")
 	}
-	if _, err := NewSystematic(4, 4); err == nil {
+	if _, err := (Systematic{Interval: 4, Offset: 4}).Kernel(); err == nil {
 		t.Error("expected error for offset == interval")
 	}
-	if _, err := NewSystematic(4, -1); err == nil {
+	if _, err := (Systematic{Interval: 4, Offset: -1}).Kernel(); err == nil {
 		t.Error("expected error for negative offset")
 	}
-	s, err := NewSystematic(4, 2)
-	if err != nil {
-		t.Fatal(err)
+	s := Systematic{Interval: 4, Offset: 2}
+	if name := mustKernel(t, s).Name(); name != "systematic" {
+		t.Errorf("name = %q", name)
 	}
-	if s.Name() != "systematic" {
-		t.Errorf("name = %q", s.Name())
-	}
-	if _, err := (Systematic{Interval: 0}).Sample(seq(8)); err == nil {
-		t.Error("Sample should re-validate")
-	}
-	if _, err := s.Sample(nil); err == nil {
+	if _, err := collect(s, nil); err == nil {
 		t.Error("expected error for empty series")
 	}
 }
 
 func TestSystematicIndices(t *testing.T) {
 	s := Systematic{Interval: 3, Offset: 1}
-	got, err := s.Sample(seq(10))
+	got, err := collect(s, seq(10))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,8 +72,8 @@ func TestSystematicIndices(t *testing.T) {
 func TestSystematicDeterministic(t *testing.T) {
 	f := seq(100)
 	s := Systematic{Interval: 7}
-	a, _ := s.Sample(f)
-	b, _ := s.Sample(f)
+	a, _ := collect(s, f)
+	b, _ := collect(s, f)
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatal("systematic sampling must be deterministic")
@@ -71,12 +84,9 @@ func TestSystematicDeterministic(t *testing.T) {
 func TestStratifiedOnePerStratum(t *testing.T) {
 	prop := func(seed uint64, cRaw uint8) bool {
 		c := int(cRaw%16) + 1
-		s, err := NewStratified(c, newRand(seed))
-		if err != nil {
-			return false
-		}
+		s := Stratified{Interval: c, Rng: newRand(seed)}
 		f := seq(16 * c)
-		got, err := s.Sample(f)
+		got, err := collect(s, f)
 		if err != nil {
 			return false
 		}
@@ -99,33 +109,27 @@ func TestStratifiedOnePerStratum(t *testing.T) {
 }
 
 func TestStratifiedValidation(t *testing.T) {
-	if _, err := NewStratified(0, newRand(1)); err == nil {
+	if _, err := (Stratified{Interval: 0, Rng: newRand(1)}).Kernel(); err == nil {
 		t.Error("expected error for interval 0")
 	}
-	if _, err := NewStratified(4, nil); err == nil {
+	if _, err := (Stratified{Interval: 4}).Kernel(); err == nil {
 		t.Error("expected error for nil rng")
 	}
-	s, _ := NewStratified(4, newRand(1))
-	if s.Name() != "stratified" {
-		t.Errorf("name = %q", s.Name())
+	s := Stratified{Interval: 4, Rng: newRand(1)}
+	if name := mustKernel(t, s).Name(); name != "stratified" {
+		t.Errorf("name = %q", name)
 	}
-	if _, err := s.Sample(nil); err == nil {
+	if _, err := collect(s, nil); err == nil {
 		t.Error("expected error for empty series")
-	}
-	if _, err := (Stratified{Interval: 2}).Sample(seq(8)); err == nil {
-		t.Error("expected error for nil rng at sample time")
 	}
 }
 
 func TestSimpleRandomWithoutReplacement(t *testing.T) {
 	prop := func(seed uint64, nRaw uint8) bool {
 		n := int(nRaw%50) + 1
-		s, err := NewSimpleRandom(n, newRand(seed))
-		if err != nil {
-			return false
-		}
+		s := SimpleRandom{N: n, Rng: newRand(seed)}
 		f := seq(200)
-		got, err := s.Sample(f)
+		got, err := collect(s, f)
 		if err != nil || len(got) != n {
 			return false
 		}
@@ -146,20 +150,20 @@ func TestSimpleRandomWithoutReplacement(t *testing.T) {
 }
 
 func TestSimpleRandomValidation(t *testing.T) {
-	if _, err := NewSimpleRandom(0, newRand(1)); err == nil {
+	if _, err := (SimpleRandom{N: 0, Rng: newRand(1)}).Kernel(); err == nil {
 		t.Error("expected error for n = 0")
 	}
-	if _, err := NewSimpleRandom(5, nil); err == nil {
+	if _, err := (SimpleRandom{N: 5}).Kernel(); err == nil {
 		t.Error("expected error for nil rng")
 	}
-	s, _ := NewSimpleRandom(10, newRand(1))
-	if s.Name() != "simple-random" {
-		t.Errorf("name = %q", s.Name())
+	s := SimpleRandom{N: 10, Rng: newRand(1)}
+	if name := mustKernel(t, s).Name(); name != "simple-random" {
+		t.Errorf("name = %q", name)
 	}
-	if _, err := s.Sample(seq(5)); err == nil {
+	if _, err := collect(s, seq(5)); err == nil {
 		t.Error("expected error for n > population")
 	}
-	if _, err := s.Sample(nil); err == nil {
+	if _, err := collect(s, nil); err == nil {
 		t.Error("expected error for empty series")
 	}
 }
@@ -170,8 +174,8 @@ func TestSimpleRandomUniformCoverage(t *testing.T) {
 	counts := make([]int, popLen)
 	f := seq(popLen)
 	for r := 0; r < reps; r++ {
-		s, _ := NewSimpleRandom(picks, newRand(uint64(r)))
-		got, err := s.Sample(f)
+		s := SimpleRandom{N: picks, Rng: newRand(uint64(r))}
+		got, err := collect(s, f)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -188,39 +192,36 @@ func TestSimpleRandomUniformCoverage(t *testing.T) {
 }
 
 func TestBernoulliSampling(t *testing.T) {
-	if _, err := NewBernoulli(0, newRand(1)); err == nil {
+	if _, err := (Bernoulli{Rate: 0, Rng: newRand(1)}).Kernel(); err == nil {
 		t.Error("expected error for rate 0")
 	}
-	if _, err := NewBernoulli(1.5, newRand(1)); err == nil {
+	if _, err := (Bernoulli{Rate: 1.5, Rng: newRand(1)}).Kernel(); err == nil {
 		t.Error("expected error for rate > 1")
 	}
-	if _, err := NewBernoulli(0.5, nil); err == nil {
+	if _, err := (Bernoulli{Rate: 0.5}).Kernel(); err == nil {
 		t.Error("expected error for nil rng")
 	}
-	b, _ := NewBernoulli(0.25, newRand(3))
-	if b.Name() != "bernoulli" {
-		t.Errorf("name = %q", b.Name())
+	b := Bernoulli{Rate: 0.25, Rng: newRand(3)}
+	if name := mustKernel(t, b).Name(); name != "bernoulli" {
+		t.Errorf("name = %q", name)
 	}
 	f := seq(100000)
-	got, err := b.Sample(f)
+	got, err := collect(b, f)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if n := float64(len(got)); math.Abs(n-25000) > 1000 {
 		t.Errorf("kept %g samples, want ~25000", n)
 	}
-	if _, err := b.Sample(nil); err == nil {
+	if _, err := collect(b, nil); err == nil {
 		t.Error("expected error for empty series")
-	}
-	if _, err := (Bernoulli{Rate: 0.5}).Sample(f); err == nil {
-		t.Error("expected error for nil rng at sample time")
 	}
 }
 
 func TestBernoulliGapsAreGeometric(t *testing.T) {
 	// Eq. (13): gap law Pr(T=k) = (1-r)^(k-1) r; the mean gap is 1/r.
-	b, _ := NewBernoulli(0.2, newRand(9))
-	got, err := b.Sample(seq(200000))
+	b := Bernoulli{Rate: 0.2, Rng: newRand(9)}
+	got, err := collect(b, seq(200000))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,25 +244,24 @@ func TestAllSamplersAreUnbiasedOnIID(t *testing.T) {
 		f[i] = rng.Float64() * 10
 	}
 	trueMean := MeanOf(mustSample(t, Systematic{Interval: 1}, f))
-	samplers := []Sampler{
+	for _, cfg := range []interface{ Kernel() (Kernel, error) }{
 		Systematic{Interval: 100, Offset: 13},
 		Stratified{Interval: 100, Rng: newRand(5)},
 		SimpleRandom{N: 1000, Rng: newRand(6)},
 		Bernoulli{Rate: 0.01, Rng: newRand(7)},
-	}
-	for _, s := range samplers {
-		m := MeanOf(mustSample(t, s, f))
+	} {
+		m := MeanOf(mustSample(t, cfg, f))
 		if math.Abs(m-trueMean) > 0.35 {
-			t.Errorf("%s: mean %g vs true %g", s.Name(), m, trueMean)
+			t.Errorf("%s: mean %g vs true %g", mustKernel(t, cfg).Name(), m, trueMean)
 		}
 	}
 }
 
-func mustSample(t *testing.T, s Sampler, f []float64) []Sample {
+func mustSample(t *testing.T, cfg interface{ Kernel() (Kernel, error) }, f []float64) []Sample {
 	t.Helper()
-	got, err := s.Sample(f)
+	got, err := collect(cfg, f)
 	if err != nil {
-		t.Fatalf("%s: %v", s.Name(), err)
+		t.Fatalf("%+v: %v", cfg, err)
 	}
 	return got
 }

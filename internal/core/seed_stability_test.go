@@ -40,7 +40,7 @@ func TestSeedStability(t *testing.T) {
 	f := streamTestTrace(8192)
 	var buf bytes.Buffer
 	for _, spec := range seedStabilitySpecs {
-		eng, err := LookupStream(spec)
+		eng, err := Lookup(spec)
 		if err != nil {
 			t.Fatalf("%s: %v", spec, err)
 		}

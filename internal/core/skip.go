@@ -4,52 +4,9 @@ import (
 	"math"
 )
 
-// BatchStreamer is the batch-ingest fast path of a StreamSampler: a
-// technique that can consume a whole contiguous batch of ticks in one
-// call, jumping skip-wise to the ticks it keeps instead of visiting
-// every element. The kernels below implement it with one RNG draw per
-// kept sample (or per stratum) where the per-tick form would branch —
-// and the randomized ones would draw — once per tick.
-//
-// The contract mirrors Offer exactly: values[i] is the tick at index
-// startIndex+i, batches must arrive in stream order with contiguous
-// indices, and every sample the batch finalizes is appended to dst in
-// the order the per-tick form would have emitted it. Interleaving
-// Offer and OfferBatch on the same instance is legal and equivalent to
-// the pure per-tick run: both forms advance the same state machine and
-// consume the random source in the same sequence, which is what the
-// engine-level batch-vs-tick equality tests pin.
-//
-// dst follows the append convention so callers can reuse one buffer
-// across batches (the sampling.Engine passes a pooled scratch slice as
-// dst[:0]); implementations never retain it.
-type BatchStreamer interface {
-	StreamSampler
-	OfferBatch(startIndex int, values []float64, dst []Sample) []Sample
-}
-
-// BatchOf returns s's batch kernel: s itself, since every built-in
-// technique has one, or for a sampler registered without OfferBatch a
-// per-tick adapter that offers the batch one tick at a time.
-func BatchOf(s StreamSampler) BatchStreamer {
-	if b, ok := s.(BatchStreamer); ok {
-		return b
-	}
-	return perTick{s}
-}
-
-// perTick is the BatchStreamer form of a kernel that has only Offer.
-type perTick struct{ StreamSampler }
-
-// OfferBatch implements BatchStreamer.
-func (p perTick) OfferBatch(startIndex int, values []float64, dst []Sample) []Sample {
-	for i, v := range values {
-		if s, ok := p.Offer(startIndex+i, v); ok {
-			dst = append(dst, s)
-		}
-	}
-	return dst
-}
+// The skip draws behind the batch kernels (Kernel.OfferBatch): each
+// turns a run of per-tick keep/reject decisions into one draw of how
+// many ticks to pass over.
 
 // maxSkip caps a drawn skip count so degenerate parameters (an
 // underflowed acceptance probability, a log ratio rounding to +Inf)

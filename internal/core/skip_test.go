@@ -32,8 +32,8 @@ func uniformTrace(n int, seed uint64) []float64 {
 	return f
 }
 
-// batchSpecs names every technique with a BatchStreamer kernel, in both
-// parameterizations where the technique has two.
+// batchSpecs names every technique, in both parameterizations where
+// the technique has two.
 var batchSpecs = []string{
 	"systematic:interval=37,offset=5",
 	"systematic:interval=1",
@@ -54,12 +54,17 @@ var batchSpecs = []string{
 	"bss:interval=3,L=7,eps=0.8",
 	"bss:interval=3,L=7,eps=0.8,placement=chase",
 	"bss:interval=1,L=3,eps=1.0",
+	// Longer intervals, larger L and a longer adaptive warm-up.
+	"bss:interval=40,L=6,eps=1.0",
+	"bss:interval=25,L=4,ath=5",
+	"bss:interval=100,L=12,eps=1.3,pre=20",
+	"bss:interval=50,L=5,eps=1.1,placement=chase",
 }
 
 // runTicks drives the per-tick reference form.
 func runTicks(t *testing.T, spec string, f []float64) []Sample {
 	t.Helper()
-	eng, err := LookupStream(spec)
+	eng, err := Lookup(spec)
 	if err != nil {
 		t.Fatalf("%s: %v", spec, err)
 	}
@@ -74,13 +79,9 @@ func runTicks(t *testing.T, spec string, f []float64) []Sample {
 // cycling through them until the series is consumed.
 func runBatches(t *testing.T, spec string, f []float64, sizes []int) []Sample {
 	t.Helper()
-	eng, err := LookupStream(spec)
+	eng, err := Lookup(spec)
 	if err != nil {
 		t.Fatalf("%s: %v", spec, err)
-	}
-	bs, ok := eng.(BatchStreamer)
-	if !ok {
-		t.Fatalf("%s: no BatchStreamer kernel", spec)
 	}
 	var out []Sample
 	for off, c := 0, 0; off < len(f); c++ {
@@ -88,7 +89,7 @@ func runBatches(t *testing.T, spec string, f []float64, sizes []int) []Sample {
 		if end > len(f) {
 			end = len(f)
 		}
-		out = bs.OfferBatch(off, f[off:end], out)
+		out = eng.OfferBatch(off, f[off:end], out)
 		off = end
 	}
 	tail, err := eng.Finish()
@@ -134,11 +135,10 @@ func TestBatchKernelInterleaved(t *testing.T) {
 	f := streamTestTrace(20000)
 	for _, spec := range batchSpecs {
 		want := runTicks(t, spec, f)
-		eng, err := LookupStream(spec)
+		eng, err := Lookup(spec)
 		if err != nil {
 			t.Fatal(err)
 		}
-		bs := eng.(BatchStreamer)
 		var got []Sample
 		for off, turn := 0, 0; off < len(f); turn++ {
 			if turn%2 == 0 { // a run of single-tick Offers
@@ -156,7 +156,7 @@ func TestBatchKernelInterleaved(t *testing.T) {
 				if end > len(f) {
 					end = len(f)
 				}
-				got = bs.OfferBatch(off, f[off:end], got)
+				got = eng.OfferBatch(off, f[off:end], got)
 				off = end
 			}
 		}
@@ -200,7 +200,7 @@ func TestBSSCheckpointWithPendingProbes(t *testing.T) {
 	f := streamTestTrace(20000)
 	for _, spec := range []string{"bss:interval=37,L=5,eps=1.0", "bss:interval=29,L=6,ath=3,placement=chase"} {
 		want := runTicks(t, spec, f)
-		eng, err := LookupStream(spec)
+		eng, err := Lookup(spec)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -218,7 +218,7 @@ func TestBSSCheckpointWithPendingProbes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		fresh, err := LookupStream(spec)
+		fresh, err := Lookup(spec)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -244,7 +244,7 @@ func TestBSSCheckpointWithPendingProbes(t *testing.T) {
 // pending probes and the next base, so a blob whose schedule no Offer
 // sequence could produce is refused rather than run.
 func TestBSSRestoreRejectsBrokenSchedule(t *testing.T) {
-	eng, err := LookupStream("bss:interval=10,L=3,ath=0.5")
+	eng, err := Lookup("bss:interval=10,L=3,ath=0.5")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,7 +263,7 @@ func TestBSSRestoreRejectsBrokenSchedule(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		fresh, _ := LookupStream("bss:interval=10,L=3,ath=0.5")
+		fresh, _ := Lookup("bss:interval=10,L=3,ath=0.5")
 		if err := fresh.(*StreamBSS).RestoreState(blob); err == nil {
 			t.Errorf("restored a broken schedule: tick=%d nextBase=%d pending=%v", broken.tick, broken.nextBase, broken.extras[broken.pi:])
 		}
@@ -279,18 +279,17 @@ func TestBatchKernelsDoNotAllocate(t *testing.T) {
 		if strings.HasPrefix(spec, "simple:rate") {
 			continue
 		}
-		eng, err := LookupStream(spec)
+		eng, err := Lookup(spec)
 		if err != nil {
 			t.Fatal(err)
 		}
-		bs := eng.(BatchStreamer)
 		dst := make([]Sample, 0, 1024)
 		off := 0
 		batch := func() {
 			if off+512 > len(f) {
 				off = 0
 			}
-			dst = bs.OfferBatch(off, f[off:off+512], dst[:0])
+			dst = eng.OfferBatch(off, f[off:off+512], dst[:0])
 			off += 512
 		}
 		for i := 0; i < 64; i++ {
@@ -466,12 +465,11 @@ func TestReservoirInclusionUniform(t *testing.T) {
 	var meanSum float64
 	counts := make([]int, blocks)
 	for trial := 0; trial < trials; trial++ {
-		eng, err := SimpleRandom{N: n, Rng: newRand(uint64(1000 + trial))}.Stream()
+		eng, err := SimpleRandom{N: n, Rng: newRand(uint64(1000 + trial))}.Kernel()
 		if err != nil {
 			t.Fatal(err)
 		}
-		bs := eng.(BatchStreamer)
-		bs.OfferBatch(0, f, nil)
+		eng.OfferBatch(0, f, nil)
 		got, err := eng.Finish()
 		if err != nil {
 			t.Fatal(err)

@@ -10,29 +10,6 @@ import (
 	"repro/internal/stats"
 )
 
-// StatefulSampler is a streaming kernel whose exact dynamic state can
-// be captured and restored: AppendState on a live kernel followed by
-// RestoreState on a fresh kernel built from the same configuration
-// yields a kernel that emits the byte-identical sample sequence the
-// original would have continued with — including the random draw
-// sequence, because the RNG position travels with the state.
-//
-// The blob is kernel-internal: callers treat it as opaque bytes and are
-// expected to frame, version and checksum it themselves (the sampling
-// package's engine codec does). RestoreState validates that the blob's
-// embedded configuration matches the kernel it is applied to, so a
-// state blob cannot silently land on a kernel built from a different
-// spec. All five built-in techniques implement this interface.
-type StatefulSampler interface {
-	StreamSampler
-	// AppendState appends the kernel's state to dst and returns the
-	// extended slice.
-	AppendState(dst []byte) ([]byte, error)
-	// RestoreState overwrites the kernel's dynamic state from a blob
-	// produced by AppendState on a kernel with the same configuration.
-	RestoreState(data []byte) error
-}
-
 // Kernel state tags: the first byte of every kernel blob names the
 // technique that wrote it, so a blob applied to the wrong kernel type
 // fails loudly instead of misparsing.
@@ -139,7 +116,7 @@ func mismatch(name, field string, blob, kernel any) error {
 	return fmt.Errorf("core: %s state %s %v does not match kernel %s %v", name, field, blob, field, kernel)
 }
 
-// AppendState implements StatefulSampler.
+// AppendState implements Kernel.
 func (p *streamSystematic) AppendState(dst []byte) ([]byte, error) {
 	dst = binenc.AppendU8(dst, stateTagSystematic)
 	dst = binenc.AppendI64(dst, int64(p.interval))
@@ -148,7 +125,7 @@ func (p *streamSystematic) AppendState(dst []byte) ([]byte, error) {
 	return dst, nil
 }
 
-// RestoreState implements StatefulSampler.
+// RestoreState implements Kernel.
 func (p *streamSystematic) RestoreState(data []byte) error {
 	r := binenc.NewReader(data)
 	if err := checkTag(r, stateTagSystematic, "systematic"); err != nil {
@@ -168,7 +145,7 @@ func (p *streamSystematic) RestoreState(data []byte) error {
 	return nil
 }
 
-// AppendState implements StatefulSampler.
+// AppendState implements Kernel.
 func (p *streamStratified) AppendState(dst []byte) ([]byte, error) {
 	dst = binenc.AppendU8(dst, stateTagStratified)
 	dst = binenc.AppendI64(dst, int64(p.interval))
@@ -178,7 +155,7 @@ func (p *streamStratified) AppendState(dst []byte) ([]byte, error) {
 	return p.rng.appendState(dst)
 }
 
-// RestoreState implements StatefulSampler.
+// RestoreState implements Kernel.
 func (p *streamStratified) RestoreState(data []byte) error {
 	r := binenc.NewReader(data)
 	if err := checkTag(r, stateTagStratified, "stratified"); err != nil {
@@ -203,7 +180,7 @@ func (p *streamStratified) RestoreState(data []byte) error {
 	return nil
 }
 
-// AppendState implements StatefulSampler. Rate mode's candidate buffer
+// AppendState implements Kernel. Rate mode's candidate buffer
 // is written in full — the regime's documented O(stream length) state —
 // so a restored rate-mode kernel still owns every candidate tick.
 func (p *streamSimpleRandom) AppendState(dst []byte) ([]byte, error) {
@@ -219,7 +196,7 @@ func (p *streamSimpleRandom) AppendState(dst []byte) ([]byte, error) {
 	return p.rng.appendState(dst)
 }
 
-// RestoreState implements StatefulSampler.
+// RestoreState implements Kernel.
 func (p *streamSimpleRandom) RestoreState(data []byte) error {
 	r := binenc.NewReader(data)
 	if err := checkTag(r, stateTagSimpleRandom, "simple-random"); err != nil {
@@ -243,7 +220,15 @@ func (p *streamSimpleRandom) RestoreState(data []byte) error {
 	if rate != p.rate {
 		return mismatch("simple-random", "rate", rate, p.rate)
 	}
-	if seen < 0 || skip < 0 || len(res) > n || (n > 0 && len(buf) > 0) {
+	// Every Offer sequence ties seen to the data Finish draws from:
+	// fixed-n mode fills the reservoir up to n, rate mode buffers every
+	// tick. A blob that breaks the tie is refused here, not left to
+	// panic in Finish.
+	held, want := len(buf), seen
+	if n > 0 {
+		held, want = len(res), min(seen, n)
+	}
+	if seen < 0 || skip < 0 || held != want || len(res) > n || (n > 0 && len(buf) > 0) {
 		return fmt.Errorf("core: simple-random state inconsistent (seen=%d skip=%d reservoir=%d/%d buffered=%d)",
 			seen, skip, len(res), n, len(buf))
 	}
@@ -254,7 +239,7 @@ func (p *streamSimpleRandom) RestoreState(data []byte) error {
 	return nil
 }
 
-// AppendState implements StatefulSampler.
+// AppendState implements Kernel.
 func (p *streamBernoulli) AppendState(dst []byte) ([]byte, error) {
 	dst = binenc.AppendU8(dst, stateTagBernoulli)
 	dst = binenc.AppendF64(dst, p.rate)
@@ -262,7 +247,7 @@ func (p *streamBernoulli) AppendState(dst []byte) ([]byte, error) {
 	return p.rng.appendState(dst)
 }
 
-// RestoreState implements StatefulSampler. logq is a pure function of
+// RestoreState implements Kernel. logq is a pure function of
 // the rate, so only the skip counter and the RNG position travel.
 func (p *streamBernoulli) RestoreState(data []byte) error {
 	r := binenc.NewReader(data)
@@ -287,7 +272,7 @@ func (p *streamBernoulli) RestoreState(data []byte) error {
 	return nil
 }
 
-// AppendState implements StatefulSampler. BSS draws no randomness; its
+// AppendState implements Kernel. BSS draws no randomness; its
 // state is the base-sample schedule, the adaptive-threshold accumulator
 // and the pending extra-probe ticks.
 func (s *StreamBSS) AppendState(dst []byte) ([]byte, error) {
@@ -308,7 +293,7 @@ func (s *StreamBSS) AppendState(dst []byte) ([]byte, error) {
 	return dst, nil
 }
 
-// RestoreState implements StatefulSampler.
+// RestoreState implements Kernel.
 func (s *StreamBSS) RestoreState(data []byte) error {
 	r := binenc.NewReader(data)
 	if err := checkTag(r, stateTagBSS, "bss"); err != nil {
@@ -359,12 +344,3 @@ func (s *StreamBSS) RestoreState(data []byte) error {
 	s.running.SetState(accState)
 	return nil
 }
-
-// Interface compliance checks: every built-in technique exposes state.
-var (
-	_ StatefulSampler = (*streamSystematic)(nil)
-	_ StatefulSampler = (*streamStratified)(nil)
-	_ StatefulSampler = (*streamSimpleRandom)(nil)
-	_ StatefulSampler = (*streamBernoulli)(nil)
-	_ StatefulSampler = (*StreamBSS)(nil)
-)

@@ -13,7 +13,7 @@ import (
 // reservoir is full and has been replaced into many times.
 func reservoirKernel(t *testing.T) *streamSimpleRandom {
 	t.Helper()
-	eng, err := LookupStream("simple:n=1000,seed=7")
+	eng, err := Lookup("simple:n=1000,seed=7")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +47,7 @@ func TestReservoirStateLayout(t *testing.T) {
 		t.Fatal("bulk reservoir encoding differs from the per-field layout")
 	}
 
-	fresh, _ := LookupStream("simple:n=1000,seed=7")
+	fresh, _ := Lookup("simple:n=1000,seed=7")
 	if err := fresh.(*streamSimpleRandom).RestoreState(blob); err != nil {
 		t.Fatal(err)
 	}
@@ -61,33 +61,55 @@ func TestReservoirStateLayout(t *testing.T) {
 }
 
 // TestReservoirRestoreRejectsCorruption: a qualified byte outside
-// {0,1} and a count reaching past the blob are refused, and the kernel
-// is left as it was.
+// {0,1}, a count reaching past the blob, and a seen counter that does
+// not match the buffered data (reservoir or rate-mode buffer) are
+// refused, and the kernel is left as it was.
 func TestReservoirRestoreRejectsCorruption(t *testing.T) {
 	p := reservoirKernel(t)
 	blob, err := p.AppendState(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	const count = 1 + 8 + 8 + 8 // offset of the reservoir count
+	const (
+		seen  = 1 + 8 + 8     // offset of the seen counter
+		count = 1 + 8 + 8 + 8 // offset of the reservoir count
+	)
 	badFlag := bytes.Clone(blob)
 	badFlag[count+4+sampleSize*500+16] = 2
 	longCount := bytes.Clone(blob)
 	copy(longCount[count:], binenc.AppendU32(nil, 1<<20))
+	// A full reservoir of 1000 claiming only 500 ticks seen.
+	shortSeen := bytes.Clone(blob)
+	copy(shortSeen[seen:], binenc.AppendI64(nil, 500))
+	// A rate-mode kernel claiming 5 ticks seen with nothing buffered:
+	// Finish would draw one position from an empty population.
+	rate, err := Lookup("simple:rate=0.01,seed=7")
+	if err != nil {
+		t.Fatal(err)
+	}
+	emptyBuf, err := rate.AppendState(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	copy(emptyBuf[seen:], binenc.AppendI64(nil, 5))
+	inconsistent := func(err error) bool { return err != nil && strings.Contains(err.Error(), "inconsistent") }
 	for name, tc := range map[string]struct {
+		spec string
 		blob []byte
 		want func(error) bool
 	}{
-		"qualified byte": {badFlag, func(err error) bool { return err != nil && strings.Contains(err.Error(), "qualified byte 2") }},
-		"count":          {longCount, func(err error) bool { return errors.Is(err, binenc.ErrTruncated) }},
+		"qualified byte": {"simple:n=1000,seed=7", badFlag, func(err error) bool { return err != nil && strings.Contains(err.Error(), "qualified byte 2") }},
+		"count":          {"simple:n=1000,seed=7", longCount, func(err error) bool { return errors.Is(err, binenc.ErrTruncated) }},
+		"reservoir seen": {"simple:n=1000,seed=7", shortSeen, inconsistent},
+		"rate-mode seen": {"simple:rate=0.01,seed=7", emptyBuf, inconsistent},
 	} {
-		fresh, _ := LookupStream("simple:n=1000,seed=7")
+		fresh, _ := Lookup(tc.spec)
 		k := fresh.(*streamSimpleRandom)
 		if err := k.RestoreState(tc.blob); !tc.want(err) {
 			t.Errorf("%s: RestoreState = %v", name, err)
 		}
-		if k.res != nil || k.seen != 0 {
-			t.Errorf("%s: failed restore changed the kernel (reservoir %d, seen %d)", name, len(k.res), k.seen)
+		if k.res != nil || k.buf != nil || k.seen != 0 {
+			t.Errorf("%s: failed restore changed the kernel (reservoir %d, buffered %d, seen %d)", name, len(k.res), len(k.buf), k.seen)
 		}
 	}
 }

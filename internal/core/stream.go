@@ -6,17 +6,16 @@ import (
 	"sort"
 )
 
-// StreamSampler is the incremental form of a sampling technique: ticks of
-// the traffic process are offered one at a time, in order, and the
-// sampler emits each selected observation as soon as it is decidable.
-// This is the engine every consumer runs on; the batch Sampler.Sample
-// methods are thin adapters over it (see Collect). Every built-in
-// technique also implements BatchStreamer, the skip-based batch kernel
-// the public sampling.Engine runs (BatchOf adapts any other sampler).
+// Kernel is a sampling technique: the rule that decides which ticks of
+// the traffic process f(t) to keep, run as a state machine over the
+// ticks in stream order. Each selected observation is emitted as soon
+// as it is decidable. Every technique in this package is one Kernel,
+// built fresh per stream from its configuration's Kernel method or
+// from a spec string (Lookup, Build).
 //
 // Implementations are single-goroutine state machines: they must not be
 // offered ticks from multiple goroutines concurrently.
-type StreamSampler interface {
+type Kernel interface {
 	// Name identifies the technique (for reports and experiment tables).
 	Name() string
 	// Offer presents the next tick. index is recorded in emitted samples
@@ -24,52 +23,68 @@ type StreamSampler interface {
 	// tick. It returns the sample finalized by this tick, if any — which
 	// may carry an earlier index when the decision was deferred (e.g.
 	// stratified sampling emits a stratum's pick only once the stratum is
-	// complete).
+	// complete). Offer is the per-tick reference form that Collect
+	// drives and the batch form is tested against.
 	Offer(index int, value float64) (Sample, bool)
+	// OfferBatch presents a contiguous batch: values[i] is the tick at
+	// index startIndex+i, and batches arrive in stream order. Every
+	// sample the batch finalizes is appended to dst in the order Offer
+	// would have emitted it, and the extended slice is returned; dst is
+	// never retained, so callers reuse one buffer across batches. The
+	// kernels jump skip-wise to the ticks they keep instead of visiting
+	// every element, with one RNG draw per kept sample (or per stratum),
+	// and consume the random source in the same sequence as Offer: any
+	// mix of Offer and OfferBatch on one kernel equals the pure per-tick
+	// run.
+	OfferBatch(startIndex int, values []float64, dst []Sample) []Sample
 	// Finish declares the end of the stream and returns any samples that
 	// could only be decided with the whole stream seen (e.g. simple random
 	// sampling's draw without replacement), or an error when the stream
 	// was unusable for the configured technique.
 	Finish() ([]Sample, error)
+	// AppendState appends the kernel's exact dynamic state, including
+	// its RNG position, to dst and returns the extended slice. The blob
+	// is kernel-internal: callers treat it as opaque bytes and frame,
+	// version and checksum it themselves (the sampling package's engine
+	// codec does).
+	AppendState(dst []byte) ([]byte, error)
+	// RestoreState overwrites the kernel's dynamic state from a blob
+	// AppendState wrote on a kernel of the same configuration; the
+	// restored kernel then emits the byte-identical sample sequence the
+	// original would have continued with. A blob from another technique
+	// or configuration, or one no Offer sequence can produce, is an
+	// error.
+	RestoreState(data []byte) error
 }
 
-// Streamer is a sampler configuration that can produce a fresh streaming
-// engine. Every batch sampler in this package implements it; Stream
-// validates the configuration.
-type Streamer interface {
-	Name() string
-	Stream() (StreamSampler, error)
-}
+// Interface compliance checks.
+var (
+	_ Kernel = (*streamSystematic)(nil)
+	_ Kernel = (*streamStratified)(nil)
+	_ Kernel = (*streamSimpleRandom)(nil)
+	_ Kernel = (*streamBernoulli)(nil)
+	_ Kernel = (*StreamBSS)(nil)
+)
 
-// Collect runs a streaming sampler over a complete series and gathers its
-// output — the bridge from the streaming engine back to the paper's batch
-// formulation f -> []Sample. It deliberately drives the per-tick Offer
-// form: Collect is the reference run the batch fast paths are tested
-// against.
-func Collect(s StreamSampler, f []float64) ([]Sample, error) {
+// Collect runs a kernel over a complete series and gathers its output —
+// the paper's batch formulation f -> []Sample. It deliberately drives
+// the per-tick Offer form: Collect is the reference run the batch
+// kernels are tested against.
+func Collect(k Kernel, f []float64) ([]Sample, error) {
 	if len(f) == 0 {
 		return nil, fmt.Errorf("core: cannot sample an empty series")
 	}
 	out := make([]Sample, 0, 16)
 	for i, v := range f {
-		if smp, ok := s.Offer(i, v); ok {
+		if smp, ok := k.Offer(i, v); ok {
 			out = append(out, smp)
 		}
 	}
-	tail, err := s.Finish()
+	tail, err := k.Finish()
 	if err != nil {
 		return nil, err
 	}
 	return append(out, tail...), nil
-}
-
-// sampleViaStream derives batch sampling from the streaming engine.
-func sampleViaStream(c Streamer, f []float64) ([]Sample, error) {
-	s, err := c.Stream()
-	if err != nil {
-		return nil, err
-	}
-	return Collect(s, f)
 }
 
 // IntervalForRate maps a sampling rate r in (0,1] to the base interval
@@ -98,10 +113,10 @@ type streamSystematic struct {
 	tick     int
 }
 
-// Name implements StreamSampler.
+// Name implements Kernel.
 func (p *streamSystematic) Name() string { return "systematic" }
 
-// Offer implements StreamSampler.
+// Offer implements Kernel.
 func (p *streamSystematic) Offer(index int, value float64) (Sample, bool) {
 	t := p.tick
 	p.tick++
@@ -112,7 +127,7 @@ func (p *streamSystematic) Offer(index int, value float64) (Sample, bool) {
 	return Sample{Index: index, Value: value}, true
 }
 
-// OfferBatch implements BatchStreamer: the selected positions are known
+// OfferBatch implements Kernel: the selected positions are known
 // in advance, so the batch form steps straight from kept tick to kept
 // tick — interval-length jumps — instead of counting every tick.
 //
@@ -130,7 +145,7 @@ func (p *streamSystematic) OfferBatch(startIndex int, values []float64, dst []Sa
 	return dst
 }
 
-// Finish implements StreamSampler.
+// Finish implements Kernel.
 func (p *streamSystematic) Finish() ([]Sample, error) { return nil, nil }
 
 // streamStratified draws one position per stratum. The position is drawn
@@ -145,10 +160,10 @@ type streamStratified struct {
 	pending  Sample
 }
 
-// Name implements StreamSampler.
+// Name implements Kernel.
 func (p *streamStratified) Name() string { return "stratified" }
 
-// Offer implements StreamSampler.
+// Offer implements Kernel.
 func (p *streamStratified) Offer(index int, value float64) (Sample, bool) {
 	pos := p.tick % p.interval
 	p.tick++
@@ -164,7 +179,7 @@ func (p *streamStratified) Offer(index int, value float64) (Sample, bool) {
 	return Sample{}, false
 }
 
-// OfferBatch implements BatchStreamer: one draw when a stratum opens —
+// OfferBatch implements Kernel: one draw when a stratum opens —
 // exactly the draw sequence of the per-tick form — then a direct index
 // computation for the pick and a jump to the stratum boundary, so the
 // per-stratum work is O(1) regardless of the interval.
@@ -194,7 +209,7 @@ func (p *streamStratified) OfferBatch(startIndex int, values []float64, dst []Sa
 	return dst
 }
 
-// Finish implements StreamSampler.
+// Finish implements Kernel.
 func (p *streamStratified) Finish() ([]Sample, error) { return nil, nil }
 
 // streamSimpleRandom is the uniform draw without replacement, in one of
@@ -228,10 +243,10 @@ type streamSimpleRandom struct {
 	base int
 }
 
-// Name implements StreamSampler.
+// Name implements Kernel.
 func (p *streamSimpleRandom) Name() string { return "simple-random" }
 
-// Offer implements StreamSampler.
+// Offer implements Kernel.
 func (p *streamSimpleRandom) Offer(index int, value float64) (Sample, bool) {
 	if p.n == 0 {
 		if p.seen == 0 {
@@ -272,7 +287,7 @@ func (p *streamSimpleRandom) replace(index int, value float64) {
 	p.skip = reservoirSkip(p.rng, p.w)
 }
 
-// OfferBatch implements BatchStreamer. Fixed-n mode jumps from
+// OfferBatch implements Kernel. Fixed-n mode jumps from
 // replacement to replacement; rate mode reduces to one bulk append of
 // the raw values (the whole batch is candidate state, nothing is
 // decidable before Finish). Neither regime emits mid-stream, so dst is
@@ -322,7 +337,7 @@ func (p *streamSimpleRandom) bufferBatch(startIndex int, values []float64) {
 	p.buf = append(p.buf, values...)
 }
 
-// Finish implements StreamSampler. Fixed-n mode returns the reservoir
+// Finish implements Kernel. Fixed-n mode returns the reservoir
 // in index order; rate mode draws n = max(1, N/IntervalForRate(rate))
 // distinct positions from the N buffered ticks with Floyd's algorithm
 // and returns them in index order.
@@ -394,10 +409,10 @@ func newStreamBernoulli(rate float64, rng *Rand) *streamBernoulli {
 	return p
 }
 
-// Name implements StreamSampler.
+// Name implements Kernel.
 func (p *streamBernoulli) Name() string { return "bernoulli" }
 
-// Offer implements StreamSampler.
+// Offer implements Kernel.
 func (p *streamBernoulli) Offer(index int, value float64) (Sample, bool) {
 	if p.skip > 0 {
 		p.skip--
@@ -407,7 +422,7 @@ func (p *streamBernoulli) Offer(index int, value float64) (Sample, bool) {
 	return Sample{Index: index, Value: value}, true
 }
 
-// OfferBatch implements BatchStreamer: hop from kept tick to kept tick,
+// OfferBatch implements Kernel: hop from kept tick to kept tick,
 // one geometric draw each, carrying the remainder of the final skip
 // into the next batch.
 //
@@ -426,13 +441,5 @@ func (p *streamBernoulli) OfferBatch(startIndex int, values []float64, dst []Sam
 	}
 }
 
-// Finish implements StreamSampler.
+// Finish implements Kernel.
 func (p *streamBernoulli) Finish() ([]Sample, error) { return nil, nil }
-
-// Interface compliance checks.
-var (
-	_ BatchStreamer = (*streamSystematic)(nil)
-	_ BatchStreamer = (*streamStratified)(nil)
-	_ BatchStreamer = (*streamSimpleRandom)(nil)
-	_ BatchStreamer = (*streamBernoulli)(nil)
-)

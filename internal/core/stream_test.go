@@ -7,7 +7,7 @@ import (
 )
 
 // streamTestTrace is a deterministic heavy-tailed trace shared by the
-// stream-vs-batch equality tests.
+// batch-vs-tick equality tests.
 func streamTestTrace(n int) []float64 {
 	rng := dist.NewRand(20050608)
 	p := dist.Pareto{Alpha: 1.4, Xm: 1}
@@ -18,70 +18,11 @@ func streamTestTrace(n int) []float64 {
 	return f
 }
 
-// TestStreamMatchesBatchAllTechniques is the refactor's core invariant:
-// for every registered technique, feeding the streaming engine tick by
-// tick produces exactly the []Sample the batch adapter returns. Batch and
-// stream are built from the same spec (hence identically seeded random
-// sources) but are independent instances.
-func TestStreamMatchesBatchAllTechniques(t *testing.T) {
-	f := streamTestTrace(30000)
-	specs := []string{
-		"systematic:interval=37,offset=5",
-		"stratified:interval=41,seed=11",
-		"simple:n=500,seed=12",
-		"simple:rate=0.01,seed=13",
-		"bernoulli:rate=0.02,seed=14",
-		"bss:interval=40,L=6,eps=1.0",
-		"bss:interval=25,L=4,ath=5",
-		"bss:interval=100,L=12,eps=1.3,pre=20",
-		"bss:interval=50,L=5,eps=1.1,placement=chase",
-	}
-	for _, spec := range specs {
-		batchSampler, err := Lookup(spec)
-		if err != nil {
-			t.Fatalf("%s: %v", spec, err)
-		}
-		batch, err := batchSampler.Sample(f)
-		if err != nil {
-			t.Fatalf("%s: batch: %v", spec, err)
-		}
-		eng, err := LookupStream(spec)
-		if err != nil {
-			t.Fatalf("%s: %v", spec, err)
-		}
-		var online []Sample
-		for i, v := range f {
-			if smp, ok := eng.Offer(i, v); ok {
-				online = append(online, smp)
-			}
-		}
-		tail, err := eng.Finish()
-		if err != nil {
-			t.Fatalf("%s: finish: %v", spec, err)
-		}
-		online = append(online, tail...)
-		if len(online) != len(batch) {
-			t.Fatalf("%s: stream kept %d, batch kept %d", spec, len(online), len(batch))
-		}
-		for i := range batch {
-			if online[i] != batch[i] {
-				t.Fatalf("%s: sample %d differs: stream %+v vs batch %+v", spec, i, online[i], batch[i])
-			}
-		}
-		if len(batch) == 0 {
-			t.Errorf("%s: kept no samples", spec)
-		}
-	}
-}
-
 // TestStreamStratifiedDropsPartialStratum pins the batch rule in the
 // streaming engine: a trailing incomplete stratum contributes no sample.
 func TestStreamStratifiedDropsPartialStratum(t *testing.T) {
-	s, err := NewStratified(10, newRand(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := s.Sample(seq(25)) // strata [0,10) [10,20); [20,25) incomplete
+	s := Stratified{Interval: 10, Rng: newRand(3)}
+	got, err := collect(s, seq(25)) // strata [0,10) [10,20); [20,25) incomplete
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,14 +39,14 @@ func TestStreamStratifiedDropsPartialStratum(t *testing.T) {
 // TestStreamSimpleRandomErrors exercises the deferred error path: the
 // population check can only happen at Finish.
 func TestStreamSimpleRandomErrors(t *testing.T) {
-	eng, err := SimpleRandom{N: 10, Rng: newRand(1)}.Stream()
+	eng, err := SimpleRandom{N: 10, Rng: newRand(1)}.Kernel()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := eng.Finish(); err == nil {
 		t.Error("expected empty-stream error")
 	}
-	eng2, err := SimpleRandom{N: 10, Rng: newRand(1)}.Stream()
+	eng2, err := SimpleRandom{N: 10, Rng: newRand(1)}.Kernel()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,28 +61,25 @@ func TestStreamSimpleRandomErrors(t *testing.T) {
 // TestSimpleRandomRate checks the population-relative size rule
 // n = max(1, len(f)/round(1/rate)).
 func TestSimpleRandomRate(t *testing.T) {
-	s, err := NewSimpleRandomRate(0.01, newRand(9))
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := s.Sample(seq(5000))
+	s := SimpleRandom{Rate: 0.01, Rng: newRand(9)}
+	got, err := collect(s, seq(5000))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(got) != 50 {
 		t.Errorf("kept %d samples, want 50", len(got))
 	}
-	if _, err := NewSimpleRandomRate(0, newRand(9)); err == nil {
+	if _, err := (SimpleRandom{Rate: 0, Rng: newRand(9)}).Kernel(); err == nil {
 		t.Error("expected error for rate 0")
 	}
-	if _, err := NewSimpleRandomRate(1.5, newRand(9)); err == nil {
+	if _, err := (SimpleRandom{Rate: 1.5, Rng: newRand(9)}).Kernel(); err == nil {
 		t.Error("expected error for rate > 1")
 	}
 }
 
 // TestCollectEmptySeries pins the adapter's empty-series error.
 func TestCollectEmptySeries(t *testing.T) {
-	eng, err := Systematic{Interval: 3}.Stream()
+	eng, err := Systematic{Interval: 3}.Kernel()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -44,8 +44,11 @@ func Fig21(s Scale) (*Fig21Result, error) {
 		if err != nil {
 			return nil, fmt.Errorf("experiments: fig21 original estimate: %w", err)
 		}
-		bss := core.BSS{Interval: interval, L: 4, Epsilon: 1.0}
-		samples, err := bss.Sample(f)
+		bss, err := core.BSS{Interval: interval, L: 4, Epsilon: 1.0}.Kernel()
+		if err != nil {
+			return nil, fmt.Errorf("experiments: fig21 sampling: %w", err)
+		}
+		samples, err := core.Collect(bss, f)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: fig21 sampling: %w", err)
 		}

@@ -53,7 +53,7 @@
 // Ingest is batch-first: Engine.OfferBatch feeds a slice of ticks
 // under one lock acquisition and returns how many samples the batch
 // finalized. It dispatches to the technique's skip-based batch kernel
-// (internal/core's BatchStreamer) that jumps from kept tick to kept
+// (internal/core's Kernel.OfferBatch) that jumps from kept tick to kept
 // tick instead of visiting each element, so batch ingest costs
 // O(samples kept), not O(ticks seen) — with output identical to the
 // per-tick form under the same seed. Offer is the single-tick

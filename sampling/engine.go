@@ -28,8 +28,7 @@ type Engine struct {
 	mu         sync.Mutex
 	spec       Spec
 	specString string
-	impl       core.StreamSampler
-	batch      core.BatchStreamer // impl's batch kernel (core.BatchOf)
+	kernel     core.Kernel
 	clock      func() time.Time
 	start      time.Time
 	budget     int
@@ -80,7 +79,7 @@ func New(spec Spec, opts ...Option) (*Engine, error) {
 	// The typed build path: parameters go to the technique's factory as
 	// the map they already are, never round-tripped through the string
 	// syntax (which would re-tokenize values containing ',' or '=').
-	impl, err := core.BuildStream(spec.Technique, spec.Params)
+	kernel, err := core.Build(spec.Technique, spec.Params)
 	if err != nil {
 		return nil, err
 	}
@@ -88,12 +87,11 @@ func New(spec Spec, opts ...Option) (*Engine, error) {
 	e := &Engine{
 		spec:       spec,
 		specString: spec.String(),
-		impl:       impl,
+		kernel:     kernel,
 		clock:      cfg.clock,
 		start:      now,
 		budget:     cfg.budget,
 	}
-	e.batch = core.BatchOf(impl)
 	if cfg.estimator != "" {
 		// Already validated by WithEstimator; the two instances keep the
 		// input and kept-sample streams strictly separate.
@@ -108,7 +106,7 @@ func New(spec Spec, opts ...Option) (*Engine, error) {
 }
 
 // Technique returns the engine's technique name.
-func (e *Engine) Technique() string { return e.impl.Name() }
+func (e *Engine) Technique() string { return e.kernel.Name() }
 
 // Spec returns a copy of the engine's spec, including any parameters
 // injected by options (e.g. WithSeed).
@@ -140,7 +138,7 @@ func (e *Engine) Offer(value float64) (Sample, bool) {
 		e.estIn.Tick(value)
 	}
 	e.one[0] = value
-	out := e.batch.OfferBatch(e.seen, e.one[:], e.oneOut[:0])
+	out := e.kernel.OfferBatch(e.seen, e.one[:], e.oneOut[:0])
 	e.seen++
 	// A kernel emits at most one sample per tick.
 	if len(out) == 0 || (e.budget > 0 && e.kept >= e.budget) {
@@ -154,8 +152,8 @@ func (e *Engine) Offer(value float64) (Sample, bool) {
 // many samples the batch finalized. It is the ingest hot path: the
 // engine mutex is acquired once for the whole batch, the input-side
 // estimator takes the batch in one TickBatch call, and the technique's
-// kernel (core.BatchStreamer) jumps from kept tick to kept tick instead
-// of visiting every one. Batches of any shape produce exactly the
+// kernel (core.Kernel.OfferBatch) jumps from kept tick to kept tick
+// instead of visiting every one. Batches of any shape produce exactly the
 // samples a per-tick run would (asserted in TestOfferBatchMatchesOffer,
 // and against core.Collect's per-tick reference in
 // TestEngineMatchesCoreBatch).
@@ -188,7 +186,7 @@ func (e *Engine) offerBatch(values []float64, dst []Sample) []Sample {
 	if e.estIn != nil {
 		e.estIn.TickBatch(values)
 	}
-	dst = e.batch.OfferBatch(e.seen, values, dst)
+	dst = e.kernel.OfferBatch(e.seen, values, dst)
 	e.seen += len(values)
 	if e.budget > 0 && e.kept+len(dst) > e.budget {
 		dst = dst[:max(0, e.budget-e.kept)]
@@ -224,7 +222,7 @@ func (e *Engine) Finish() ([]Sample, error) {
 		return nil, e.finishErr
 	}
 	e.finished = true
-	tail, err := e.impl.Finish()
+	tail, err := e.kernel.Finish()
 	if err != nil {
 		e.finishErr = err
 		return nil, err
@@ -261,7 +259,7 @@ func (e *Engine) Snapshot() Summary {
 	defer e.mu.Unlock()
 	now := e.clock()
 	s := Summary{
-		Technique: e.impl.Name(),
+		Technique: e.kernel.Name(),
 		Spec:      e.specString,
 		Seen:      e.seen,
 		Kept:      e.kept,

@@ -31,10 +31,10 @@ var equalitySpecs = []string{
 	"bss:interval=16,L=4,eps=1.1",
 }
 
-// TestEngineMatchesCoreBatch is the public half of the stream-vs-batch
-// invariant: Engine.Sample must produce byte-identical output to the
-// pre-redesign batch path (the internal core batch adapter) for every
-// technique.
+// TestEngineMatchesCoreBatch is the public half of the batch-vs-tick
+// invariant: Engine.Sample, which runs the batch kernel, must produce
+// byte-identical output to core.Collect's per-tick reference run for
+// every technique.
 func TestEngineMatchesCoreBatch(t *testing.T) {
 	f := heavyTrace(1 << 13)
 	for _, spec := range equalitySpecs {
@@ -46,11 +46,11 @@ func TestEngineMatchesCoreBatch(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Engine.Sample(%q): %v", spec, err)
 		}
-		batch, err := core.Lookup(spec)
+		kernel, err := core.Lookup(spec)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := batch.Sample(f)
+		want, err := core.Collect(kernel, f)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -426,82 +426,6 @@ func TestOfferBatchAfterFinish(t *testing.T) {
 	}
 	if sum := eng.Snapshot(); sum.Seen != 4 {
 		t.Errorf("post-finish OfferBatch advanced seen to %d", sum.Seen)
-	}
-}
-
-// tickOnly hides a kernel's batch form: the shape of a technique
-// registered from outside internal/core with Offer alone.
-type tickOnly struct{ core.StreamSampler }
-
-// tickOnlySystematic is systematic sampling registered without a batch
-// kernel.
-type tickOnlySystematic struct{ core.Systematic }
-
-func (c tickOnlySystematic) Stream() (core.StreamSampler, error) {
-	s, err := c.Systematic.Stream()
-	return tickOnly{s}, err
-}
-
-func init() {
-	err := core.Register("systematic-tick-only", func(p *core.Params) (core.Sampler, error) {
-		interval, err := p.Int("interval", 1)
-		if err != nil {
-			return nil, err
-		}
-		s, err := core.NewSystematic(interval, 0)
-		return tickOnlySystematic{s}, err
-	})
-	if err != nil {
-		panic(err)
-	}
-}
-
-// TestEngineRunsTickOnlyKernel: a registered technique without
-// OfferBatch runs through core.BatchOf's per-tick adapter, and every
-// engine entry point — OfferBatch, Offer, Sample — keeps the samples a
-// built-in kernel with the same schedule keeps.
-func TestEngineRunsTickOnlyKernel(t *testing.T) {
-	f := heavyTrace(5000)
-	want, err := core.Systematic{Interval: 7}.Sample(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec := MustParse("systematic-tick-only:interval=7")
-
-	eng, err := New(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := eng.Sample(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("Sample kept %d samples, want %d", len(got), len(want))
-	}
-
-	batched, err := New(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ticked, err := New(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	kept, tickKept := 0, 0
-	for off := 0; off < len(f); off += 129 {
-		kept += batched.OfferBatch(f[off:min(off+129, len(f))])
-	}
-	for _, v := range f {
-		if _, ok := ticked.Offer(v); ok {
-			tickKept++
-		}
-	}
-	if kept != len(want) || tickKept != len(want) {
-		t.Errorf("OfferBatch kept %d, Offer kept %d, want %d", kept, tickKept, len(want))
-	}
-	if a, b := batched.Snapshot(), ticked.Snapshot(); a.Mean != b.Mean || a.Seen != b.Seen {
-		t.Errorf("snapshots diverge: %+v vs %+v", a, b)
 	}
 }
 

@@ -17,7 +17,7 @@ type InstanceStats = core.InstanceStats
 // varies the systematic offset or the random seed; see
 // SystematicInstances and friends for the standard variations.
 func RunInstances(f []float64, realMean float64, n int, factory func(instance int) (Spec, error)) (InstanceStats, error) {
-	return core.RunInstances(f, realMean, n, func(i int) (core.Sampler, error) {
+	return core.RunInstances(f, realMean, n, func(i int) (core.Kernel, error) {
 		spec, err := factory(i)
 		if err != nil {
 			return nil, err

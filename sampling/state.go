@@ -136,10 +136,6 @@ func (e *Engine) MarshalState() ([]byte, error) { return e.AppendState(nil) }
 func (e *Engine) AppendState(dst []byte) ([]byte, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	st, ok := e.impl.(core.StatefulSampler)
-	if !ok {
-		return dst, fmt.Errorf("sampling: technique %q does not expose kernel state", e.impl.Name())
-	}
 	base := len(dst)
 	b := binenc.AppendU32(dst, engineStateMagic)
 	b = binenc.AppendU8(b, stateVersion)
@@ -159,9 +155,9 @@ func (e *Engine) AppendState(dst []byte) ([]byte, error) {
 	b = binenc.AppendBool(b, e.finished)
 	b = binenc.AppendString(b, errString(e.finishErr))
 	b, at := binenc.ReserveLen(b)
-	b, err := st.AppendState(b)
+	b, err := e.kernel.AppendState(b)
 	if err != nil {
-		return dst, fmt.Errorf("sampling: capture %q kernel state: %w", e.impl.Name(), err)
+		return dst, fmt.Errorf("sampling: capture %q kernel state: %w", e.kernel.Name(), err)
 	}
 	binenc.PatchLen(b, at)
 	if b, err = appendEstimator(b, e.estIn); err != nil {
@@ -202,7 +198,7 @@ func restoreEngine(r *binenc.Reader, clock func() time.Time) (*Engine, error) {
 	accState := readAccState(r)
 	finished := r.Bool()
 	finishMsg := r.String()
-	kernel := r.Bytes()
+	kernelState := r.Bytes()
 	if err := r.Err(); err != nil {
 		return nil, fmt.Errorf("sampling: engine state payload: %w (%w)", err, ErrBadState)
 	}
@@ -210,16 +206,12 @@ func restoreEngine(r *binenc.Reader, clock func() time.Time) (*Engine, error) {
 	if err != nil {
 		return nil, fmt.Errorf("sampling: engine state spec %q: %w", specString, err)
 	}
-	impl, err := core.BuildStream(spec.Technique, spec.Params)
+	kernel, err := core.Build(spec.Technique, spec.Params)
 	if err != nil {
 		return nil, fmt.Errorf("sampling: rebuild %q from state: %w", specString, err)
 	}
-	st, ok := impl.(core.StatefulSampler)
-	if !ok {
-		return nil, fmt.Errorf("sampling: technique %q does not expose kernel state", impl.Name())
-	}
-	if err := st.RestoreState(kernel); err != nil {
-		return nil, fmt.Errorf("sampling: restore %q kernel state: %w", impl.Name(), err)
+	if err := kernel.RestoreState(kernelState); err != nil {
+		return nil, fmt.Errorf("sampling: restore %q kernel state: %w", kernel.Name(), err)
 	}
 	if seen < 0 || kept < 0 || qualified < 0 || budget < 0 {
 		return nil, fmt.Errorf("sampling: engine state counters negative (seen=%d kept=%d qualified=%d budget=%d): %w",
@@ -228,7 +220,7 @@ func restoreEngine(r *binenc.Reader, clock func() time.Time) (*Engine, error) {
 	e := &Engine{
 		spec:       spec,
 		specString: specString,
-		impl:       impl,
+		kernel:     kernel,
 		clock:      clock,
 		start:      time.Unix(0, startNanos),
 		budget:     budget,
@@ -243,7 +235,6 @@ func restoreEngine(r *binenc.Reader, clock func() time.Time) (*Engine, error) {
 		// opaque error so Summary.Err stays informative after a restart.
 		e.finishErr = errors.New(finishMsg)
 	}
-	e.batch = core.BatchOf(impl)
 	if e.estIn, err = readEstimator(r); err != nil {
 		return nil, err
 	}
