@@ -44,8 +44,9 @@
 // long-range-dependence subsystem (sampling/estimate): incremental
 // Hurst estimators — streaming aggregated variance over a dyadic
 // ladder, a pairwise-Haar Abry-Veitch cascade, a windowed R/S fallback
-// — consuming ticks in O(log n) memory with zero allocations on the
-// tick path, over both the input stream and the kept samples. Snapshot
+// — consuming ticks in O(log n) memory, allocating only when a stream
+// first reaches a new power-of-two length, over both the input stream
+// and the kept samples. Snapshot
 // then reports a Summary.Hurst block (pre-sampling H, post-sampling H
 // and their drift; undetermined values marshal as JSON null), the hub
 // aggregates it across streams, and the daemon serves it per stream on

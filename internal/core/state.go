@@ -58,48 +58,44 @@ func readSample(r *binenc.Reader) Sample {
 // byte.
 const sampleSize = 8 + 8 + 1
 
-// appendSamples appends a u32 count and then every sample in
-// appendSample's layout, in one pass over a slice grown once.
-func appendSamples(dst []byte, ss []Sample) []byte {
-	dst = binenc.AppendU32(dst, uint32(len(ss)))
+// appendReservoir appends a u32 count and then one sample record per
+// reservoir slot in appendSample's layout, its qualified byte always 0,
+// in one pass over a slice grown once.
+func appendReservoir(dst []byte, idx []int, val []float64) []byte {
+	dst = binenc.AppendU32(dst, uint32(len(idx)))
 	n := len(dst)
-	dst = slices.Grow(dst, sampleSize*len(ss))[:n+sampleSize*len(ss)]
+	dst = slices.Grow(dst, sampleSize*len(idx))[:n+sampleSize*len(idx)]
 	raw := dst[n:]
-	for i, s := range ss {
-		e := raw[sampleSize*i : sampleSize*(i+1)]
-		binary.LittleEndian.PutUint64(e, uint64(s.Index))
-		binary.LittleEndian.PutUint64(e[8:], math.Float64bits(s.Value))
+	for k, index := range idx {
+		e := raw[sampleSize*k : sampleSize*(k+1)]
+		binary.LittleEndian.PutUint64(e, uint64(index))
+		binary.LittleEndian.PutUint64(e[8:], math.Float64bits(val[k]))
 		e[16] = 0
-		if s.Qualified {
-			e[16] = 1
-		}
 	}
 	return dst
 }
 
-// readSamples reads the form appendSamples writes: one bounded read
+// readReservoir reads the form appendReservoir writes: one bounded read
 // holds the count against the bytes left before anything is allocated,
-// and the records decode from that raw view. A qualified byte outside
-// {0,1} is an error, as in readSample.
-func readSamples(r *binenc.Reader, what string) ([]Sample, error) {
+// and the records decode from that raw view into the two columns. A
+// nonzero qualified byte is an error: no Offer sequence puts a
+// qualified sample in a reservoir.
+func readReservoir(r *binenc.Reader) (idx []int, val []float64, err error) {
 	n := int(r.U32())
 	raw := r.Raw(sampleSize * n)
 	if r.Err() != nil || n == 0 {
-		return nil, r.Err()
+		return nil, nil, r.Err()
 	}
-	out := make([]Sample, n)
-	for i := range out {
-		e := raw[sampleSize*i : sampleSize*(i+1)]
-		if e[16] > 1 {
-			return nil, fmt.Errorf("core: %s state sample %d: qualified byte %d outside {0,1}", what, i, e[16])
+	idx, val = make([]int, n), make([]float64, n)
+	for k := range idx {
+		e := raw[sampleSize*k : sampleSize*(k+1)]
+		if e[16] != 0 {
+			return nil, nil, fmt.Errorf("core: simple-random reservoir state sample %d: qualified byte %d, want 0", k, e[16])
 		}
-		out[i] = Sample{
-			Index:     int(binary.LittleEndian.Uint64(e)),
-			Value:     math.Float64frombits(binary.LittleEndian.Uint64(e[8:])),
-			Qualified: e[16] == 1,
-		}
+		idx[k] = int(binary.LittleEndian.Uint64(e))
+		val[k] = math.Float64frombits(binary.LittleEndian.Uint64(e[8:]))
 	}
-	return out, nil
+	return idx, val, nil
 }
 
 // checkTag consumes and verifies the leading technique tag.
@@ -188,7 +184,7 @@ func (p *streamSimpleRandom) AppendState(dst []byte) ([]byte, error) {
 	dst = binenc.AppendI64(dst, int64(p.n))
 	dst = binenc.AppendF64(dst, p.rate)
 	dst = binenc.AppendI64(dst, int64(p.seen))
-	dst = appendSamples(dst, p.res)
+	dst = appendReservoir(dst, p.resIdx, p.resVal)
 	dst = binenc.AppendF64(dst, p.w)
 	dst = binenc.AppendI64(dst, int64(p.skip))
 	dst = binenc.AppendF64s(dst, p.buf)
@@ -203,7 +199,7 @@ func (p *streamSimpleRandom) RestoreState(data []byte) error {
 		return err
 	}
 	n, rate, seen := int(r.I64()), r.F64(), int(r.I64())
-	res, err := readSamples(r, "simple-random reservoir")
+	resIdx, resVal, err := readReservoir(r)
 	if err != nil {
 		return err
 	}
@@ -226,16 +222,16 @@ func (p *streamSimpleRandom) RestoreState(data []byte) error {
 	// panic in Finish.
 	held, want := len(buf), seen
 	if n > 0 {
-		held, want = len(res), min(seen, n)
+		held, want = len(resIdx), min(seen, n)
 	}
-	if seen < 0 || skip < 0 || held != want || len(res) > n || (n > 0 && len(buf) > 0) {
+	if seen < 0 || skip < 0 || held != want || len(resIdx) > n || (n > 0 && len(buf) > 0) {
 		return fmt.Errorf("core: simple-random state inconsistent (seen=%d skip=%d reservoir=%d/%d buffered=%d)",
-			seen, skip, len(res), n, len(buf))
+			seen, skip, len(resIdx), n, len(buf))
 	}
 	if err := p.rng.restoreState(rngState); err != nil {
 		return err
 	}
-	p.seen, p.res, p.w, p.skip, p.buf, p.base = seen, res, w, skip, buf, base
+	p.seen, p.resIdx, p.resVal, p.w, p.skip, p.buf, p.base = seen, resIdx, resVal, w, skip, buf, base
 	return nil
 }
 

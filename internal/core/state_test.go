@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"strings"
 	"testing"
@@ -22,29 +23,35 @@ func reservoirKernel(t *testing.T) *streamSimpleRandom {
 	for off := 0; off < len(f); off += 512 {
 		p.OfferBatch(off, f[off:min(off+512, len(f))], nil)
 	}
-	if len(p.res) != 1000 {
-		t.Fatalf("reservoir holds %d samples, want 1000", len(p.res))
+	if len(p.resIdx) != 1000 || len(p.resVal) != 1000 {
+		t.Fatalf("reservoir holds %d/%d samples, want 1000", len(p.resIdx), len(p.resVal))
 	}
 	return p
 }
 
 // TestReservoirStateLayout: the bulk reservoir codec writes exactly the
-// per-field layout (count, then index/value/qualified per sample), and
-// a restored kernel writes the identical blob back.
+// per-field layout (count, then index/value/qualified per sample) with
+// every qualified byte 0, a restored kernel writes the identical blob
+// back, and a blob whose qualified byte is 1 — a sample no Offer
+// sequence puts in a reservoir — is refused.
 func TestReservoirStateLayout(t *testing.T) {
 	p := reservoirKernel(t)
-	p.res[3].Qualified = true // make both byte values of the flag appear
 	blob, err := p.AppendState(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := binenc.AppendU32(nil, uint32(len(p.res)))
-	for _, s := range p.res {
-		want = appendSample(want, s)
+	want := binenc.AppendU32(nil, uint32(len(p.resIdx)))
+	for k, index := range p.resIdx {
+		want = appendSample(want, Sample{Index: index, Value: p.resVal[k]})
 	}
 	const head = 1 + 8 + 8 + 8 // tag, n, rate, seen
 	if got := blob[head : head+len(want)]; !bytes.Equal(got, want) {
 		t.Fatal("bulk reservoir encoding differs from the per-field layout")
+	}
+	for k := range p.resIdx {
+		if flag := blob[head+4+sampleSize*k+16]; flag != 0 {
+			t.Fatalf("sample %d: qualified byte %d, want 0", k, flag)
+		}
 	}
 
 	fresh, _ := Lookup("simple:n=1000,seed=7")
@@ -58,10 +65,42 @@ func TestReservoirStateLayout(t *testing.T) {
 	if !bytes.Equal(again, blob) {
 		t.Fatal("restored reservoir kernel writes a different blob")
 	}
+
+	qualified := bytes.Clone(blob)
+	qualified[head+4+sampleSize*3+16] = 1
+	other, _ := Lookup("simple:n=1000,seed=7")
+	if err := other.RestoreState(qualified); err == nil || !strings.Contains(err.Error(), "qualified byte 1") {
+		t.Fatalf("RestoreState of a qualified reservoir sample = %v, want refusal", err)
+	}
 }
 
-// TestReservoirRestoreRejectsCorruption: a qualified byte outside
-// {0,1}, a count reaching past the blob, and a seen counter that does
+// TestReservoirFinishSortsSlots: Finish returns the reservoir in index
+// order and leaves the slots in that order, so a finished stream's
+// checkpoint records them ascending.
+func TestReservoirFinishSortsSlots(t *testing.T) {
+	p := reservoirKernel(t)
+	out, err := p.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob, err := p.AppendState(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const head = 1 + 8 + 8 + 8 + 4 // tag, n, rate, seen, count
+	for k, s := range out {
+		if k > 0 && s.Index <= out[k-1].Index {
+			t.Fatalf("Finish sample %d: index %d after %d", k, s.Index, out[k-1].Index)
+		}
+		rec := blob[head+sampleSize*k:]
+		if got := int(binary.LittleEndian.Uint64(rec)); got != s.Index {
+			t.Fatalf("checkpoint slot %d holds index %d, Finish returned %d", k, got, s.Index)
+		}
+	}
+}
+
+// TestReservoirRestoreRejectsCorruption: a nonzero qualified byte, a
+// count reaching past the blob, and a seen counter that does
 // not match the buffered data (reservoir or rate-mode buffer) are
 // refused, and the kernel is left as it was.
 func TestReservoirRestoreRejectsCorruption(t *testing.T) {
@@ -108,8 +147,8 @@ func TestReservoirRestoreRejectsCorruption(t *testing.T) {
 		if err := k.RestoreState(tc.blob); !tc.want(err) {
 			t.Errorf("%s: RestoreState = %v", name, err)
 		}
-		if k.res != nil || k.buf != nil || k.seen != 0 {
-			t.Errorf("%s: failed restore changed the kernel (reservoir %d, buffered %d, seen %d)", name, len(k.res), len(k.buf), k.seen)
+		if k.resIdx != nil || k.resVal != nil || k.buf != nil || k.seen != 0 {
+			t.Errorf("%s: failed restore changed the kernel (reservoir %d, buffered %d, seen %d)", name, len(k.resIdx), len(k.buf), k.seen)
 		}
 	}
 }

@@ -218,8 +218,11 @@ func (p *streamStratified) Finish() ([]Sample, error) { return nil, nil }
 // Fixed size (n > 0) runs a Vitter-style reservoir with skip counts
 // (Algorithm L): the first n ticks fill the reservoir, then a single
 // geometric-tailed draw yields how many ticks to pass over before the
-// next replacement, so the per-tick work is a counter decrement and
-// memory is O(n) instead of the previous whole-stream buffer.
+// next replacement, so the per-tick work is a counter decrement. The
+// reservoir is two columns, kept index and kept value (16 bytes a
+// slot: a reservoir never holds a BSS-qualified sample), grown by
+// append as it fills, since n is unbounded user input; Finish builds
+// the []Sample.
 //
 // Population-relative size (rate, when n == 0) cannot fix the sample
 // size until the stream ends, so it buffers the raw values — O(stream
@@ -231,11 +234,13 @@ type streamSimpleRandom struct {
 	rate float64 // population-relative size when n == 0
 	rng  *Rand
 
-	// Fixed-n reservoir state.
-	res  []Sample
-	w    float64 // Algorithm L acceptance threshold
-	skip int     // ticks to pass over before the next replacement
-	seen int
+	// Fixed-n reservoir state: slot k holds tick resIdx[k] of value
+	// resVal[k].
+	resIdx []int
+	resVal []float64
+	w      float64 // Algorithm L acceptance threshold
+	skip   int     // ticks to pass over before the next replacement
+	seen   int
 
 	// Rate-mode buffer state. base records the index of the first
 	// offered tick so Finish can reconstruct sample indices.
@@ -263,9 +268,10 @@ func (p *streamSimpleRandom) Offer(index int, value float64) (Sample, bool) {
 // offerReservoir advances the fixed-n reservoir by one tick.
 func (p *streamSimpleRandom) offerReservoir(index int, value float64) {
 	p.seen++
-	if len(p.res) < p.n {
-		p.res = append(p.res, Sample{Index: index, Value: value})
-		if len(p.res) == p.n {
+	if len(p.resIdx) < p.n {
+		p.resIdx = append(p.resIdx, index)
+		p.resVal = append(p.resVal, value)
+		if len(p.resIdx) == p.n {
 			p.w = math.Exp(math.Log(1-p.rng.Float64()) / float64(p.n))
 			p.skip = reservoirSkip(p.rng, p.w)
 		}
@@ -282,7 +288,8 @@ func (p *streamSimpleRandom) offerReservoir(index int, value float64) {
 // slot and draws the skip to the next replacement, tightening the
 // Algorithm L threshold on the way.
 func (p *streamSimpleRandom) replace(index int, value float64) {
-	p.res[p.rng.IntN(p.n)] = Sample{Index: index, Value: value}
+	k := p.rng.IntN(p.n)
+	p.resIdx[k], p.resVal[k] = index, value
 	p.w *= math.Exp(math.Log(1-p.rng.Float64()) / float64(p.n))
 	p.skip = reservoirSkip(p.rng, p.w)
 }
@@ -301,7 +308,7 @@ func (p *streamSimpleRandom) OfferBatch(startIndex int, values []float64, dst []
 	}
 	i, n := 0, len(values)
 	// Fill phase: at most p.n ticks ever take this path.
-	for i < n && len(p.res) < p.n {
+	for i < n && len(p.resIdx) < p.n {
 		p.offerReservoir(startIndex+i, values[i])
 		i++
 	}
@@ -337,10 +344,12 @@ func (p *streamSimpleRandom) bufferBatch(startIndex int, values []float64) {
 	p.buf = append(p.buf, values...)
 }
 
-// Finish implements Kernel. Fixed-n mode returns the reservoir
-// in index order; rate mode draws n = max(1, N/IntervalForRate(rate))
-// distinct positions from the N buffered ticks with Floyd's algorithm
-// and returns them in index order.
+// Finish implements Kernel. Fixed-n mode returns the reservoir in
+// index order and leaves its slots in that order, which is what a
+// checkpoint of the finished stream records; rate mode draws
+// n = max(1, N/IntervalForRate(rate)) distinct positions from the N
+// buffered ticks with Floyd's algorithm and returns them in index
+// order.
 func (p *streamSimpleRandom) Finish() ([]Sample, error) {
 	if p.seen == 0 {
 		return nil, fmt.Errorf("core: cannot sample an empty series")
@@ -349,8 +358,15 @@ func (p *streamSimpleRandom) Finish() ([]Sample, error) {
 		if p.n > p.seen {
 			return nil, fmt.Errorf("core: sample size %d exceeds population %d", p.n, p.seen)
 		}
-		sort.Slice(p.res, func(i, j int) bool { return p.res[i].Index < p.res[j].Index })
-		return p.res, nil
+		out := make([]Sample, len(p.resIdx))
+		for k, index := range p.resIdx {
+			out[k] = Sample{Index: index, Value: p.resVal[k]}
+		}
+		sort.Slice(out, func(i, j int) bool { return out[i].Index < out[j].Index })
+		for k, s := range out {
+			p.resIdx[k], p.resVal[k] = s.Index, s.Value
+		}
+		return out, nil
 	}
 	interval, err := IntervalForRate(p.rate)
 	if err != nil {

@@ -12,8 +12,9 @@ import (
 // fresh instance, so a Hurst ladder survives a process restart with the
 // identical dyadic state — every half-block sum, every level
 // accumulator — a never-stopped estimator would hold. Only the levels
-// the stream has actually touched are written, so a young estimator's
-// blob is a few dozen bytes, not maxStreamLevels records.
+// the stream has actually reached are written — the levels the ladder
+// holds — so a young estimator's blob is a few dozen bytes, not
+// maxStreamLevels records.
 //
 // Blobs are tagged per estimator kind and validated on restore; callers
 // frame, version and checksum them (the sampling engine codec does).
@@ -53,33 +54,39 @@ func readAcc(r *binenc.Reader) stats.AccumulatorState {
 	}
 }
 
-// activeLevels returns how many leading ladder rungs carry state.
-func (s *StreamAggVar) activeLevels() int {
-	n := 0
-	for j := 0; j < maxStreamLevels; j++ {
-		if s.halves[j].has || s.accs[j].N() > 0 {
-			n = j + 1
-		}
+// checkShape refuses a ladder header no tick sequence produces: a
+// stream of n ticks holds exactly ladderLevels(n) levels.
+func checkShape(name string, levels int, n int64) error {
+	if n < 0 || levels != ladderLevels(n) {
+		return fmt.Errorf("lrd: %s state declares %d levels over %d ticks", name, levels, n)
 	}
-	return n
+	return nil
 }
+
+// openHalf reports whether level j of a ladder fed n ticks holds an
+// open half-block: bit j of n.
+func openHalf(n int64, j int) bool { return n>>j&1 == 1 }
 
 // AppendState appends the ladder's exact state to dst.
 func (s *StreamAggVar) AppendState(dst []byte) []byte {
 	dst = binenc.AppendU8(dst, stateTagAggVar)
 	dst = binenc.AppendI64(dst, int64(s.MinM))
 	dst = binenc.AppendI64(dst, s.n)
-	levels := s.activeLevels()
-	dst = binenc.AppendU8(dst, uint8(levels))
-	for j := 0; j < levels; j++ {
-		dst = binenc.AppendF64(dst, s.halves[j].sum)
-		dst = binenc.AppendBool(dst, s.halves[j].has)
-		dst = appendAcc(dst, &s.accs[j])
+	dst = binenc.AppendU8(dst, uint8(len(s.levels)))
+	for j := range s.levels {
+		l := &s.levels[j]
+		dst = binenc.AppendF64(dst, l.half.sum)
+		dst = binenc.AppendBool(dst, l.half.has)
+		dst = appendAcc(dst, &l.acc)
 	}
 	return dst
 }
 
 // RestoreState overwrites the ladder from a blob written by AppendState.
+// After n ticks level j has completed n>>j blocks and holds an open
+// half-block exactly when bit j of n is set (the top level never opens
+// one: its blocks have no next level to pair into); a blob of any other
+// shape is refused.
 func (s *StreamAggVar) RestoreState(data []byte) error {
 	r := binenc.NewReader(data)
 	if err := checkTag(r, stateTagAggVar, "aggvar"); err != nil {
@@ -88,14 +95,25 @@ func (s *StreamAggVar) RestoreState(data []byte) error {
 	minM := int(r.I64())
 	n := r.I64()
 	levels := int(r.U8())
-	if r.Err() == nil && (levels > maxStreamLevels || n < 0) {
-		return fmt.Errorf("lrd: aggvar state declares %d levels over %d ticks", levels, n)
+	if err := r.Err(); err != nil {
+		return err
 	}
-	next := StreamAggVar{MinM: minM, n: n}
-	for j := 0; j < levels; j++ {
-		next.halves[j].sum = r.F64()
-		next.halves[j].has = r.Bool()
-		next.accs[j].SetState(readAcc(r))
+	if err := checkShape("aggvar", levels, n); err != nil {
+		return err
+	}
+	next := StreamAggVar{MinM: minM, n: n, levels: make([]aggLevel, levels)}
+	for j := range next.levels {
+		l := &next.levels[j]
+		l.half.sum = r.F64()
+		l.half.has = r.Bool()
+		acc := readAcc(r)
+		if r.Err() != nil {
+			break
+		}
+		if l.half.has != (openHalf(n, j) && j < maxStreamLevels-1) || int64(acc.N) != n>>j {
+			return fmt.Errorf("lrd: aggvar state level %d (open=%v, %d blocks) does not match %d ticks", j, l.half.has, acc.N, n)
+		}
+		l.acc.SetState(acc)
 	}
 	if err := r.Err(); err != nil {
 		return err
@@ -104,34 +122,25 @@ func (s *StreamAggVar) RestoreState(data []byte) error {
 	return nil
 }
 
-// activeLevels returns how many leading cascade rungs carry state.
-func (s *StreamWavelet) activeLevels() int {
-	n := 0
-	for j := 0; j < maxStreamLevels; j++ {
-		if s.halves[j].has || s.count[j] > 0 {
-			n = j + 1
-		}
-	}
-	return n
-}
-
 // AppendState appends the cascade's exact state to dst.
 func (s *StreamWavelet) AppendState(dst []byte) []byte {
 	dst = binenc.AppendU8(dst, stateTagWavelet)
 	dst = binenc.AppendI64(dst, int64(s.JMin))
 	dst = binenc.AppendI64(dst, s.n)
-	levels := s.activeLevels()
-	dst = binenc.AppendU8(dst, uint8(levels))
-	for j := 0; j < levels; j++ {
-		dst = binenc.AppendF64(dst, s.halves[j].sum)
-		dst = binenc.AppendBool(dst, s.halves[j].has)
-		dst = binenc.AppendF64(dst, s.energy[j])
-		dst = binenc.AppendI64(dst, s.count[j])
+	dst = binenc.AppendU8(dst, uint8(len(s.levels)))
+	for _, l := range s.levels {
+		dst = binenc.AppendF64(dst, l.half.sum)
+		dst = binenc.AppendBool(dst, l.half.has)
+		dst = binenc.AppendF64(dst, l.energy)
+		dst = binenc.AppendI64(dst, l.count)
 	}
 	return dst
 }
 
-// RestoreState overwrites the cascade from a blob written by AppendState.
+// RestoreState overwrites the cascade from a blob written by
+// AppendState. After n ticks slot j has emitted n>>(j+1) details and
+// holds an open approximation exactly when bit j of n is set; a blob of
+// any other shape is refused.
 func (s *StreamWavelet) RestoreState(data []byte) error {
 	r := binenc.NewReader(data)
 	if err := checkTag(r, stateTagWavelet, "wavelet"); err != nil {
@@ -140,15 +149,25 @@ func (s *StreamWavelet) RestoreState(data []byte) error {
 	jMin := int(r.I64())
 	n := r.I64()
 	levels := int(r.U8())
-	if r.Err() == nil && (levels > maxStreamLevels || n < 0) {
-		return fmt.Errorf("lrd: wavelet state declares %d levels over %d ticks", levels, n)
+	if err := r.Err(); err != nil {
+		return err
 	}
-	next := StreamWavelet{JMin: jMin, n: n}
-	for j := 0; j < levels; j++ {
-		next.halves[j].sum = r.F64()
-		next.halves[j].has = r.Bool()
-		next.energy[j] = r.F64()
-		next.count[j] = r.I64()
+	if err := checkShape("wavelet", levels, n); err != nil {
+		return err
+	}
+	next := StreamWavelet{JMin: jMin, n: n, levels: make([]waveletLevel, levels)}
+	for j := range next.levels {
+		l := &next.levels[j]
+		l.half.sum = r.F64()
+		l.half.has = r.Bool()
+		l.energy = r.F64()
+		l.count = r.I64()
+		if r.Err() != nil {
+			break
+		}
+		if l.half.has != openHalf(n, j) || l.count != n>>(j+1) {
+			return fmt.Errorf("lrd: wavelet state slot %d (open=%v, %d details) does not match %d ticks", j, l.half.has, l.count, n)
+		}
 	}
 	if err := r.Err(); err != nil {
 		return err
@@ -185,7 +204,6 @@ func (s *StreamRS) RestoreState(data []byte) error {
 		return fmt.Errorf("lrd: rs state inconsistent (window=%d n=%d pos=%d)", len(window), n, pos)
 	}
 	s.window = window
-	s.scratch = make([]float64, len(window))
 	s.n, s.pos = n, pos
 	return nil
 }

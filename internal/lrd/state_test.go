@@ -3,7 +3,11 @@ package lrd
 import (
 	"bytes"
 	"math"
+	"math/bits"
 	"testing"
+
+	"repro/internal/binenc"
+	"repro/internal/dist"
 )
 
 // stateTrace is a deterministic mildly bursty series long enough to
@@ -167,6 +171,103 @@ func TestTickBatchMatchesTick(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+}
+
+// TestLadderShapeFollowsTicks: n ticks, in any batch partition, leave
+// a ladder of exactly bits.Len64(n) levels; aggvar level j has
+// completed n>>j blocks, wavelet slot j has emitted n>>(j+1) details,
+// and every open half-block flag is bit j of n. RestoreState refuses
+// any other shape on this invariant, and accepts every shape reached.
+func TestLadderShapeFollowsTicks(t *testing.T) {
+	f := stateTrace(300000)
+	rng := dist.NewRand(17)
+	for trial := 0; trial < 6; trial++ {
+		var agg StreamAggVar
+		var wav StreamWavelet
+		total := 1 + rng.IntN(len(f))
+		for off := 0; off < total; {
+			size := min(rng.IntN(1<<(1+rng.IntN(14))), total-off)
+			agg.TickBatch(f[off : off+size])
+			wav.TickBatch(f[off : off+size])
+			off += size
+			n := int64(off)
+			if len(agg.levels) != bits.Len64(uint64(n)) || len(wav.levels) != bits.Len64(uint64(n)) {
+				t.Fatalf("n=%d: %d aggvar / %d wavelet levels, want %d", n, len(agg.levels), len(wav.levels), bits.Len64(uint64(n)))
+			}
+			for j := range agg.levels {
+				open := n>>j&1 == 1
+				if a := &agg.levels[j]; a.half.has != open || int64(a.acc.N()) != n>>j {
+					t.Fatalf("n=%d aggvar level %d: open=%v blocks=%d", n, j, a.half.has, a.acc.N())
+				}
+				if w := &wav.levels[j]; w.half.has != open || w.count != n>>(j+1) {
+					t.Fatalf("n=%d wavelet slot %d: open=%v details=%d", n, j, w.half.has, w.count)
+				}
+			}
+			if err := new(StreamAggVar).RestoreState(agg.AppendState(nil)); err != nil {
+				t.Fatalf("n=%d: aggvar blob refused: %v", n, err)
+			}
+			if err := new(StreamWavelet).RestoreState(wav.AppendState(nil)); err != nil {
+				t.Fatalf("n=%d: wavelet blob refused: %v", n, err)
+			}
+		}
+	}
+}
+
+// TestLadderRestoreRejectsImpossibleShapes: a ladder blob whose level
+// count, open half-blocks or block counts no tick sequence produces is
+// refused, and the ladder is left as it was.
+func TestLadderRestoreRejectsImpossibleShapes(t *testing.T) {
+	const head = 1 + 8 + 8 + 1 // tag, MinM/JMin, n, level count
+	kinds := []struct {
+		name   string
+		make   func() batchTicker
+		record int // bytes per level
+		count  int // offset of the level's block/detail count in its record
+	}{
+		{"aggvar", func() batchTicker { return &StreamAggVar{} }, 8 + 1 + 6*8, 8 + 1},
+		{"wavelet", func() batchTicker { return &StreamWavelet{} }, 8 + 1 + 8 + 8, 8 + 1 + 8},
+	}
+	for _, k := range kinds {
+		five := k.make()
+		five.TickBatch(stateTrace(5)) // 0b101: three levels, levels 0 and 2 open
+		blob := five.AppendState(nil)
+		if len(blob) != head+3*k.record {
+			t.Fatalf("%s: %d-byte blob, want %d", k.name, len(blob), head+3*k.record)
+		}
+		levels48 := append(bytes.Clone(blob), make([]byte, 45*k.record)...)
+		levels48[head-1] = 48
+		short := bytes.Clone(blob[:head+2*k.record])
+		short[head-1] = 2
+		closed := bytes.Clone(blob)
+		closed[head+2*k.record+8] = 0
+		opened := bytes.Clone(blob)
+		opened[head+k.record+8] = 1
+		counted := bytes.Clone(blob)
+		counted[head+k.count]++
+		negative := bytes.Clone(blob)
+		copy(negative[9:], binenc.AppendI64(nil, -5))
+		for name, bad := range map[string][]byte{
+			"48 levels over 5 ticks": levels48,
+			"2 levels over 5 ticks":  short,
+			"closed top half-block":  closed,
+			"open level-1 half":      opened,
+			"level-0 count":          counted,
+			"negative ticks":         negative,
+		} {
+			l := k.make()
+			l.TickBatch(stateTrace(3))
+			before := l.AppendState(nil)
+			if err := l.RestoreState(bad); err == nil {
+				t.Errorf("%s: %s restored", k.name, name)
+			}
+			if !bytes.Equal(l.AppendState(nil), before) {
+				t.Errorf("%s: refused %s changed the ladder", k.name, name)
+			}
+		}
+		if err := k.make().RestoreState(blob); err != nil {
+			t.Errorf("%s: genuine blob refused: %v", k.name, err)
 		}
 	}
 }

@@ -3,15 +3,39 @@ package lrd
 import (
 	"fmt"
 	"math"
+	"math/bits"
+	"sync"
 
 	"repro/internal/stats"
 )
 
 // maxStreamLevels bounds the dyadic ladders of the streaming estimators.
-// 2^48 ticks is far beyond any stream lifetime, and fixed-size arrays
-// keep the per-tick path free of allocations: a streaming estimator
-// costs O(log n) memory total and amortized O(1) work per tick.
+// 2^48 ticks is far beyond any stream lifetime. A ladder holds one
+// record per level the stream has reached — bits.Len64(n) of them after
+// n ticks, capped here — so it costs O(log n) memory and amortized O(1)
+// work per tick, and allocates only when a stream first reaches a
+// power-of-two length.
 const maxStreamLevels = 48
+
+// ladderLevels is the number of levels a ladder holds after n ticks.
+func ladderLevels(n int64) int {
+	return min(bits.Len64(uint64(n)), maxStreamLevels)
+}
+
+// reach returns levels extended to the ladderLevels(n) levels n ticks
+// fill, each new level zero, as a never-touched level is. It is the
+// ladders' one allocation site: Tick calls it when a stream first
+// reaches a power-of-two length and TickBatch once per batch, so the
+// per-tick loops never grow the slice and a level pointer stays valid
+// across a batch.
+func reach[L any](levels []L, n int64) []L {
+	if want := ladderLevels(n); want > len(levels) {
+		next := make([]L, want)
+		copy(next, levels)
+		return next
+	}
+	return levels
+}
 
 // halfBlock is one rung of a dyadic cascade: the sum over an open
 // half-block of 2^j ticks, waiting for its sibling.
@@ -23,10 +47,11 @@ type halfBlock struct {
 // StreamAggVar is the streaming form of the aggregated-variance
 // estimator: a dyadic ladder of block sums where level j accumulates
 // the running variance of the means of consecutive 2^j-tick blocks.
-// Tick is allocation-free and amortized O(1) (worst case O(log n) on
-// power-of-two boundaries); Estimate regresses log Var(X^(m)) on log m
-// at any moment, exactly the batch HurstAggVar math over the dyadic
-// levels the ladder maintains.
+// Tick is amortized O(1) (worst case O(log n) on power-of-two
+// boundaries) and allocates only when the stream first reaches a new
+// level; Estimate regresses log Var(X^(m)) on log m at any moment,
+// exactly the batch HurstAggVar math over the dyadic levels the ladder
+// maintains.
 //
 // The zero value is ready to use. Not safe for concurrent use; wrap it
 // the way sampling.Engine wraps its sampler.
@@ -35,21 +60,32 @@ type StreamAggVar struct {
 	// (rounded into the dyadic grid); zero means 1.
 	MinM int
 
-	n      int64
-	halves [maxStreamLevels]halfBlock
-	// accs[j] holds the means of completed 2^j-tick blocks; accs[0]
-	// sees every raw tick.
-	accs [maxStreamLevels]stats.Accumulator
+	n int64
+	// levels[j] is the rung of 2^j-tick blocks; level 0 sees every raw
+	// tick. It holds ladderLevels(n) rungs.
+	levels []aggLevel
+}
+
+// aggLevel is one rung of the aggregated-variance ladder: the open
+// half-block waiting for its sibling, and the running moments of the
+// means of completed 2^j-tick blocks.
+type aggLevel struct {
+	half halfBlock
+	acc  stats.Accumulator
 }
 
 // Tick folds the next observation into every aggregation level it
-// completes. It never allocates.
+// completes. It allocates only when the stream reaches a new level.
 //
 //samplelint:hotpath
 func (s *StreamAggVar) Tick(v float64) {
 	s.n++
-	s.accs[0].Add(v)
-	h := &s.halves[0]
+	if s.n&(s.n-1) == 0 {
+		s.levels = reach(s.levels, s.n)
+	}
+	l0 := &s.levels[0]
+	l0.acc.Add(v)
+	h := &l0.half
 	if !h.has {
 		h.sum, h.has = v, true
 		return
@@ -60,11 +96,16 @@ func (s *StreamAggVar) Tick(v float64) {
 
 // TickBatch folds a batch of observations and leaves the ladder bit for
 // bit where one Tick per value would, down to the stale sums of closed
-// half-blocks that AppendState persists. It never allocates.
+// half-blocks that AppendState persists. It reserves every level the
+// batch reaches up front, so it allocates at most once.
 //
 //samplelint:hotpath
 func (s *StreamAggVar) TickBatch(values []float64) {
-	if len(values) > 0 && s.halves[0].has {
+	if len(values) == 0 {
+		return
+	}
+	s.levels = reach(s.levels, s.n+int64(len(values)))
+	if s.levels[0].half.has {
 		s.Tick(values[0])
 		values = values[1:]
 	}
@@ -85,7 +126,8 @@ func (s *StreamAggVar) TickBatch(values []float64) {
 //
 //samplelint:hotpath
 func (s *StreamAggVar) foldPairs(values []float64) {
-	st := s.accs[0].State()
+	l0, l1 := &s.levels[0], &s.levels[1]
+	st := l0.acc.State()
 	if st.N == 0 {
 		st.Min, st.Max = values[0], values[0]
 	}
@@ -100,17 +142,17 @@ func (s *StreamAggVar) foldPairs(values []float64) {
 		mean, m2 = stats.Welford(n+2, mean, m2, b)
 		n += 2
 		pair := b + a
-		s.accs[1].Add(pair / 2)
-		if h := &s.halves[1]; !h.has {
+		l1.acc.Add(pair / 2)
+		if h := &l1.half; !h.has {
 			h.sum, h.has = pair, true
 		} else {
 			h.has = false
 			s.carry(2, pair+h.sum)
 		}
 	}
-	s.accs[0].SetState(stats.AccumulatorState{N: n, Mean: mean, M2: m2, Sum: sum, Min: lo, Max: hi})
+	l0.acc.SetState(stats.AccumulatorState{N: n, Mean: mean, M2: m2, Sum: sum, Min: lo, Max: hi})
 	s.n += int64(len(values))
-	s.halves[0].sum = values[len(values)-2]
+	l0.half.sum = values[len(values)-2]
 }
 
 // carry records a completed block of 2^j ticks summing to sum at level
@@ -119,12 +161,14 @@ func (s *StreamAggVar) foldPairs(values []float64) {
 //
 //samplelint:hotpath
 func (s *StreamAggVar) carry(j int, sum float64) {
+	levels := s.levels
 	for {
-		s.accs[j].Add(sum / float64(int64(1)<<j))
+		l := &levels[j]
+		l.acc.Add(sum / float64(int64(1)<<j))
 		if j == maxStreamLevels-1 {
 			return
 		}
-		h := &s.halves[j]
+		h := &l.half
 		if !h.has {
 			h.sum, h.has = sum, true
 			return
@@ -140,7 +184,12 @@ func (s *StreamAggVar) N() int64 { return s.n }
 
 // Moments returns the running moments of every tick consumed: level 0
 // of the ladder, which sees each raw tick exactly once.
-func (s *StreamAggVar) Moments() stats.AccumulatorState { return s.accs[0].State() }
+func (s *StreamAggVar) Moments() stats.AccumulatorState {
+	if len(s.levels) == 0 {
+		return stats.AccumulatorState{}
+	}
+	return s.levels[0].acc.State()
+}
 
 // Estimate fits the aggregated-variance regression over the levels the
 // stream has filled so far: dyadic m >= MinM with at least 16 completed
@@ -165,15 +214,14 @@ func (s *StreamAggVar) estimateRange(minM, maxM, minBlocks int) (HurstEstimate, 
 		minBlocks = 8
 	}
 	var lm, lv []float64
-	m := int64(1)
-	for j := 0; j < maxStreamLevels; j, m = j+1, m*2 {
+	for j, m := 0, int64(1); j < len(s.levels); j, m = j+1, m*2 {
 		if m < int64(minM) {
 			continue
 		}
 		if maxM > 0 && m > int64(maxM) {
 			break
 		}
-		acc := &s.accs[j]
+		acc := &s.levels[j].acc
 		if acc.N() < minBlocks {
 			break
 		}
@@ -203,7 +251,8 @@ func (s *StreamAggVar) estimateRange(minM, maxM, minBlocks int) (HurstEstimate, 
 // per-octave detail energies feed the same debiased logscale-diagram
 // regression as the batch HurstWavelet; the wavelet is Haar (one
 // vanishing moment), which suffices for stationary fGn-like input.
-// Tick is allocation-free and amortized O(1).
+// Tick is amortized O(1) and allocates only when the stream reaches a
+// new octave.
 //
 // The zero value is ready to use. Not safe for concurrent use.
 type StreamWavelet struct {
@@ -211,41 +260,66 @@ type StreamWavelet struct {
 	// zero means 3, the batch default.
 	JMin int
 
-	n      int64
-	halves [maxStreamLevels]halfBlock
-	// energy[j]/count[j] track the detail coefficients of octave j+1
-	// (slot 0 pairs raw ticks — the finest octave).
-	energy [maxStreamLevels]float64
-	count  [maxStreamLevels]int64
+	n int64
+	// levels[j] is the slot of octave j+1 (slot 0 pairs raw ticks — the
+	// finest octave). It holds ladderLevels(n) slots.
+	levels []waveletLevel
 }
 
-// Tick feeds the cascade one observation. It never allocates.
+// waveletLevel is one slot of the Haar cascade: the approximation
+// waiting for its sibling, and the energy and count of the detail
+// coefficients the slot has emitted.
+type waveletLevel struct {
+	half   halfBlock
+	energy float64
+	count  int64
+}
+
+// Tick feeds the cascade one observation. It allocates only when the
+// stream reaches a new octave.
 //
 //samplelint:hotpath
 func (s *StreamWavelet) Tick(v float64) {
 	s.n++
-	a := v
-	for j := 0; j < maxStreamLevels; j++ {
-		h := &s.halves[j]
-		if !h.has {
-			h.sum, h.has = a, true
-			return
-		}
-		d := (h.sum - a) / math.Sqrt2
-		s.energy[j] += d * d
-		s.count[j]++
-		a = (h.sum + a) / math.Sqrt2
-		h.has = false
+	if s.n&(s.n-1) == 0 {
+		s.levels = reach(s.levels, s.n)
 	}
+	haarPush(s.levels, v)
 }
 
 // TickBatch feeds the cascade a batch of observations, exactly as one
-// Tick per value would. It never allocates.
+// Tick per value would. It reserves every slot the batch reaches up
+// front, so it allocates at most once.
 //
 //samplelint:hotpath
 func (s *StreamWavelet) TickBatch(values []float64) {
+	s.levels = reach(s.levels, s.n+int64(len(values)))
+	levels := s.levels
 	for _, v := range values {
-		s.Tick(v)
+		haarPush(levels, v)
+	}
+	s.n += int64(len(values))
+}
+
+// haarPush percolates one observation up the cascade: an empty slot
+// keeps the approximation, a full one pairs with it into a detail
+// coefficient and passes the next approximation up. Tick n stops at
+// slot bits.TrailingZeros64(n), so slots reserved ahead of the stream
+// stay untouched; past the top slot the approximation is dropped.
+//
+//samplelint:hotpath
+func haarPush(levels []waveletLevel, a float64) {
+	for j := range levels {
+		l := &levels[j]
+		if !l.half.has {
+			l.half.sum, l.half.has = a, true
+			return
+		}
+		d := (l.half.sum - a) / math.Sqrt2
+		l.energy += d * d
+		l.count++
+		a = (l.half.sum + a) / math.Sqrt2
+		l.half.has = false
 	}
 }
 
@@ -262,9 +336,12 @@ func (s *StreamWavelet) Estimate() (HurstEstimate, error) {
 	}
 	var mu []float64
 	var counts []int
-	for j := 0; j < maxStreamLevels && s.count[j] > 0; j++ {
-		mu = append(mu, s.energy[j]/float64(s.count[j]))
-		counts = append(counts, int(s.count[j]))
+	for _, l := range s.levels {
+		if l.count == 0 {
+			break
+		}
+		mu = append(mu, l.energy/float64(l.count))
+		counts = append(counts, int(l.count))
 	}
 	return fitLogscale(mu, counts, jMin, len(mu))
 }
@@ -276,11 +353,14 @@ func (s *StreamWavelet) Estimate() (HurstEstimate, error) {
 // ingest path. Unlike the ladder estimators it forgets history beyond
 // the window — the robust, assumption-light cross-check.
 type StreamRS struct {
-	window  []float64
-	scratch []float64
-	n       int64
-	pos     int
+	window []float64
+	n      int64
+	pos    int
 }
+
+// rsScratch lends Estimate the buffer it unrolls a full ring into, so
+// a stream keeps only its window resident between snapshots.
+var rsScratch sync.Pool // *[]float64
 
 // NewStreamRS builds a windowed R/S estimator over the last window
 // ticks; window is clamped to at least 256 (the batch R/S regression
@@ -293,7 +373,7 @@ func NewStreamRS(window int) *StreamRS {
 	if window < 256 {
 		window = 256
 	}
-	return &StreamRS{window: make([]float64, window), scratch: make([]float64, window)}
+	return &StreamRS{window: make([]float64, window)}
 }
 
 // Tick records the observation in the ring. It never allocates.
@@ -332,7 +412,15 @@ func (s *StreamRS) Estimate() (HurstEstimate, error) {
 	if s.n < int64(len(s.window)) {
 		return HurstRS(s.window[:s.n])
 	}
-	k := copy(s.scratch, s.window[s.pos:])
-	copy(s.scratch[k:], s.window[:s.pos])
-	return HurstRS(s.scratch)
+	buf, _ := rsScratch.Get().(*[]float64)
+	if buf == nil || cap(*buf) < len(s.window) {
+		buf = new([]float64)
+		*buf = make([]float64, len(s.window))
+	}
+	scratch := (*buf)[:len(s.window)]
+	k := copy(scratch, s.window[s.pos:])
+	copy(scratch[k:], s.window[:s.pos])
+	e, err := HurstRS(scratch)
+	rsScratch.Put(buf)
+	return e, err
 }

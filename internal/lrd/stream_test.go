@@ -1,7 +1,10 @@
 package lrd
 
 import (
+	"bytes"
 	"math"
+	"math/bits"
+	"runtime"
 	"testing"
 
 	"repro/internal/dist"
@@ -57,13 +60,13 @@ func TestStreamAggVarLevelCounts(t *testing.T) {
 		t.Fatalf("N = %d, want %d", s.N(), n)
 	}
 	for j, m := 0, 1; m <= n; j, m = j+1, m*2 {
-		if got, want := s.accs[j].N(), n/m; got != want {
+		if got, want := s.levels[j].acc.N(), n/m; got != want {
 			t.Errorf("level %d (m=%d): %d blocks, want %d", j, m, got, want)
 		}
 	}
 	// Means of complete dyadic blocks of 0..n-1: level 3 blocks of 8
 	// have means 3.5, 11.5, ... -> overall mean of the first 125 blocks.
-	if got := s.accs[3].Mean(); math.Abs(got-499.5) > 1e-9 {
+	if got := s.levels[3].acc.Mean(); math.Abs(got-499.5) > 1e-9 {
 		t.Errorf("level-3 block mean = %g, want 499.5", got)
 	}
 }
@@ -145,31 +148,86 @@ func TestNewStreamRSClamps(t *testing.T) {
 	}
 }
 
-// The ladder estimators must not allocate on the tick path — they sit
-// inside Engine.Offer at tens of millions of ticks per second.
+// mallocs returns exactly how many heap allocations f makes.
+// testing.AllocsPerRun divides its count by the number of runs and
+// rounds down, so it reports 0 for an allocation made once every few
+// calls — the growth pattern of a ladder.
+func mallocs(f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs
+}
+
+// feedMixed feeds values through TickBatch in a cycle of batch sizes,
+// with one-tick batches going through Tick.
+func feedMixed(l batchTicker, values []float64) {
+	sizes := [...]int{1, 3, 511, 512, 8192}
+	for i := 0; len(values) > 0; i++ {
+		k := min(sizes[i%len(sizes)], len(values))
+		if k == 1 {
+			l.Tick(values[0])
+		} else {
+			l.TickBatch(values[:k])
+		}
+		values = values[k:]
+	}
+}
+
+// TestStreamTickDoesNotAllocate pins the tick path's allocations
+// exactly — the estimators sit inside Engine.OfferBatch at tens of
+// millions of ticks per second. A warm ladder allocates nothing
+// between power-of-two boundaries; a fresh one allocates at most once
+// per level it reaches, bits.Len64(n) over n ticks, in any mix of Tick
+// and TickBatch; the R/S ring never allocates. A ladder restored just
+// below a boundary and fed across it writes the bytes of a twin that
+// never moved.
 func TestStreamTickDoesNotAllocate(t *testing.T) {
-	var agg StreamAggVar
-	var wav StreamWavelet
-	rs := NewStreamRS(256)
-	probe := func(name string, tick func(float64)) {
-		t.Helper()
-		if allocs := testing.AllocsPerRun(1000, func() { tick(1.5) }); allocs != 0 {
-			t.Errorf("%s.Tick allocates %.1f times per call", name, allocs)
+	const total = 1 << 20
+	f := stateTrace(total)
+	kinds := []struct {
+		name   string
+		make   func() batchTicker
+		growth uint64 // allocation ceiling over total fresh ticks
+	}{
+		{"aggvar", func() batchTicker { return &StreamAggVar{} }, uint64(bits.Len64(total))},
+		{"wavelet", func() batchTicker { return &StreamWavelet{} }, uint64(bits.Len64(total))},
+		{"rs", func() batchTicker { return NewStreamRS(256) }, 0},
+	}
+	for _, k := range kinds {
+		warm := k.make()
+		warm.TickBatch(f[:1<<17+1])
+		if got := mallocs(func() {
+			for _, v := range f[:1000] {
+				warm.Tick(v)
+			}
+			feedMixed(warm, f[:1<<16])
+		}); got != 0 {
+			t.Errorf("%s: %d allocations between 2^17 and 2^18 ticks, want 0", k.name, got)
+		}
+
+		fresh := k.make()
+		if got := mallocs(func() { feedMixed(fresh, f) }); got > k.growth {
+			t.Errorf("%s: %d allocations over a fresh ladder's first %d ticks, want <= %d", k.name, got, total, k.growth)
+		}
+
+		const cut = 1<<12 - 3
+		live := k.make()
+		live.TickBatch(f[:cut])
+		moved := k.make()
+		if err := moved.RestoreState(live.AppendState(nil)); err != nil {
+			t.Fatalf("%s: %v", k.name, err)
+		}
+		for off := cut; off < 1<<13+5; off += 2 {
+			live.TickBatch(f[off : off+2])
+			moved.TickBatch(f[off : off+2])
+			if !bytes.Equal(live.AppendState(nil), moved.AppendState(nil)) {
+				t.Fatalf("%s: restored ladder diverges from its twin at %d ticks", k.name, off+2)
+			}
 		}
 	}
-	probe("StreamAggVar", agg.Tick)
-	probe("StreamWavelet", wav.Tick)
-	probe("StreamRS", rs.Tick)
-	batch := stateTrace(8193)
-	probeBatch := func(name string, tickBatch func([]float64)) {
-		t.Helper()
-		if allocs := testing.AllocsPerRun(20, func() { tickBatch(batch) }); allocs != 0 {
-			t.Errorf("%s.TickBatch allocates %.1f times per call", name, allocs)
-		}
-	}
-	probeBatch("StreamAggVar", agg.TickBatch)
-	probeBatch("StreamWavelet", wav.TickBatch)
-	probeBatch("StreamRS", rs.TickBatch)
 }
 
 func BenchmarkStreamAggVarTick(b *testing.B) {

@@ -122,8 +122,9 @@
 //	    log.Printf("input H %.3f, kept H %.3f, drift %+.3f", hs.Input.H, hs.Kept.H, hs.Drift)
 //	}
 //
-// Estimator ticks are allocation-free and O(log n) worst case, so the
-// option is safe on the ingest hot path; the regression itself runs
+// Estimator ticks are O(log n) worst case and allocate only when a
+// stream first reaches a new power-of-two length, so the option is safe
+// on the ingest hot path; the regression itself runs
 // only when a snapshot is taken. On the wire the block appears under
 // "hurst" with undetermined values as null, e.g.
 //

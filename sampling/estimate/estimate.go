@@ -1,8 +1,8 @@
 // Package estimate is the online long-range-dependence estimation
 // subsystem of the sampling service: incremental Hurst-parameter
-// estimators that consume a stream tick by tick in O(log n) memory with
-// no allocations on the tick path, and produce an estimate on demand at
-// any moment mid-stream.
+// estimators that consume a stream tick by tick in O(log n) memory —
+// the tick path allocates only when a stream first reaches a new dyadic
+// level — and produce an estimate on demand at any moment mid-stream.
 //
 // Three methods are available, mirroring the batch estimators of the
 // reproduction (internal/lrd) and validated against them:
@@ -58,11 +58,12 @@ type Estimate struct {
 }
 
 // Estimator consumes a stream and produces Hurst estimates on demand.
-// Tick must be allocation-free and O(log n) worst case; TickBatch is
-// its batch form and must leave the estimator bit for bit where one
-// Tick per value would. Estimate may allocate (it runs a small
-// regression) and belongs on the observation path, not the ingest
-// path.
+// Tick must be O(log n) worst case and may allocate only when the
+// stream first reaches a new ladder level, never between powers of
+// two; TickBatch is its batch form and must leave the estimator bit for
+// bit where one Tick per value would. Estimate may allocate (it runs a
+// small regression) and belongs on the observation path, not the
+// ingest path.
 type Estimator interface {
 	Method() Method
 	Tick(v float64)
@@ -95,7 +96,7 @@ func NewAggVar(minM int) Estimator {
 // NewWavelet builds a streaming Haar/Abry-Veitch estimator. jMin is the
 // first octave entering the regression; <= 0 means 3.
 func NewWavelet(jMin int) Estimator {
-	return &wavelet{core: lrd.StreamWavelet{JMin: jMin}}
+	return &wavelet{lrd.StreamWavelet{JMin: jMin}}
 }
 
 // NewRS builds a windowed rescaled-range estimator over the last window
@@ -137,19 +138,18 @@ func (a *aggVar) Estimate() Estimate {
 	return finish(AggVar, a.core.N(), e, err)
 }
 
-type wavelet struct{ core lrd.StreamWavelet }
+// wavelet embeds its cascade, so an interface call to Tick jumps
+// straight into lrd's method: Tick calls the cascade's growth helper,
+// so it cannot be inlined into a forwarding method, and a forwarding
+// frame measurably slows its short per-tick loop. TickBatch,
+// AppendState and RestoreState are the cascade's own as well.
+type wavelet struct{ lrd.StreamWavelet }
 
 func (w *wavelet) Method() Method { return Wavelet }
-
-//samplelint:hotpath
-func (w *wavelet) Tick(v float64) { w.core.Tick(v) }
-
-//samplelint:hotpath
-func (w *wavelet) TickBatch(values []float64) { w.core.TickBatch(values) }
-func (w *wavelet) Ticks() int64               { return w.core.N() }
+func (w *wavelet) Ticks() int64   { return w.N() }
 func (w *wavelet) Estimate() Estimate {
-	e, err := w.core.Estimate()
-	return finish(Wavelet, w.core.N(), e, err)
+	e, err := w.StreamWavelet.Estimate()
+	return finish(Wavelet, w.N(), e, err)
 }
 
 type rs struct{ core *lrd.StreamRS }

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"math"
+	"math/bits"
+	"runtime"
 	"testing"
 
 	"repro/internal/dist"
@@ -155,20 +157,81 @@ func TestConstructorOptions(t *testing.T) {
 	}
 }
 
-// The acceptance criterion's allocation bound, asserted directly: the
-// estimator tick path performs zero allocations.
+// mallocs returns exactly how many heap allocations f makes;
+// testing.AllocsPerRun's per-run average rounds an allocation made once
+// every few calls down to 0.
+func mallocs(f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs
+}
+
+// feedMixed feeds x in a cycle of batch sizes, one-tick batches
+// through Tick and the rest through TickBatch.
+func feedMixed(e estimate.Estimator, x []float64) {
+	sizes := [...]int{1, 3, 511, 512, 8192}
+	for i := 0; len(x) > 0; i++ {
+		k := min(sizes[i%len(sizes)], len(x))
+		if k == 1 {
+			e.Tick(x[0])
+		} else {
+			e.TickBatch(x[:k])
+		}
+		x = x[k:]
+	}
+}
+
+// The tick path's allocation bound, counted exactly. A warm estimator
+// allocates nothing between power-of-two boundaries. A fresh one
+// allocates at most once per ladder level it reaches — bits.Len64(n)
+// over n ticks — in any mix of Tick and TickBatch calls, and the R/S
+// ring never does. An estimator restored just below a boundary and fed
+// across it writes the bytes of a twin that never moved.
 func TestTickPathDoesNotAllocate(t *testing.T) {
+	const total = 1 << 20
+	x := fgnSeries(t, 0.8, total, 3)
 	for _, m := range estimate.Methods() {
-		e, err := estimate.New(m)
+		warm, err := estimate.New(m)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if allocs := testing.AllocsPerRun(2000, func() { e.Tick(2.5) }); allocs != 0 {
-			t.Errorf("%s: %.1f allocs per Tick, want 0", m, allocs)
+		warm.TickBatch(x[:1<<17+1])
+		if got := mallocs(func() {
+			for _, v := range x[:1000] {
+				warm.Tick(v)
+			}
+			feedMixed(warm, x[:1<<16])
+		}); got != 0 {
+			t.Errorf("%s: %d allocations between 2^17 and 2^18 ticks, want 0", m, got)
 		}
-		batch := fgnSeries(t, 0.8, 8192, 3)
-		if allocs := testing.AllocsPerRun(50, func() { e.TickBatch(batch) }); allocs != 0 {
-			t.Errorf("%s: %.1f allocs per TickBatch, want 0", m, allocs)
+
+		fresh, _ := estimate.New(m)
+		growth := uint64(bits.Len64(total))
+		if m == estimate.RS {
+			growth = 0
+		}
+		if got := mallocs(func() { feedMixed(fresh, x) }); got > growth {
+			t.Errorf("%s: %d allocations over a fresh estimator's first %d ticks, want <= %d", m, got, total, growth)
+		}
+
+		const cut = 1<<12 - 3
+		live, _ := estimate.New(m)
+		live.TickBatch(x[:cut])
+		moved, _ := estimate.New(m)
+		if err := moved.(estimate.Stateful).RestoreState(live.(estimate.Stateful).AppendState(nil)); err != nil {
+			t.Fatalf("%s: %v", m, err)
+		}
+		for off := cut; off < 1<<13+5; off += 2 {
+			live.TickBatch(x[off : off+2])
+			moved.TickBatch(x[off : off+2])
+			a := live.(estimate.Stateful).AppendState(nil)
+			b := moved.(estimate.Stateful).AppendState(nil)
+			if !bytes.Equal(a, b) {
+				t.Fatalf("%s: restored estimator diverges from its twin at %d ticks", m, off+2)
+			}
 		}
 	}
 }

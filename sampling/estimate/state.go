@@ -24,12 +24,6 @@ func (a *aggVar) AppendState(dst []byte) []byte { return a.core.AppendState(dst)
 func (a *aggVar) RestoreState(data []byte) error { return a.core.RestoreState(data) }
 
 // AppendState implements Stateful.
-func (w *wavelet) AppendState(dst []byte) []byte { return w.core.AppendState(dst) }
-
-// RestoreState implements Stateful.
-func (w *wavelet) RestoreState(data []byte) error { return w.core.RestoreState(data) }
-
-// AppendState implements Stateful.
 func (r *rs) AppendState(dst []byte) []byte { return r.core.AppendState(dst) }
 
 // RestoreState implements Stateful.

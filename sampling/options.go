@@ -47,8 +47,9 @@ func WithBudget(n int) Option {
 // every offered tick (the observed parent process) and a second
 // consumes the kept sample values, so Snapshot reports the H the
 // sampler saw next to the H it preserved — the paper's preservation
-// question, live. The tick path stays allocation-free; unknown method
-// names wrap ErrUnknownEstimator.
+// question, live. The tick path allocates only when a stream first
+// reaches a new power-of-two length; unknown method names wrap
+// ErrUnknownEstimator.
 func WithEstimator(method estimate.Method) Option {
 	return func(c *config) error {
 		// Validate eagerly so a typo fails at New, not first Snapshot.
