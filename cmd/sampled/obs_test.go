@@ -53,6 +53,24 @@ func TestObservabilitySurface(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("text POST: %d", resp.StatusCode)
 	}
+	// The same two wires into a comparison group: group ingest lands in
+	// the same per-wire histograms as stream ingest.
+	if code, body := doJSON(t, client, http.MethodPut, srv.URL+"/v1/groups/g1",
+		map[string]any{"specs": []string{"systematic:interval=2", "bernoulli:rate=0.5,seed=1"}}); code != http.StatusCreated {
+		t.Fatalf("PUT group: %d %s", code, body)
+	}
+	if code, body := doJSON(t, client, http.MethodPost, srv.URL+"/v1/groups/g1/ticks",
+		[]float64{1, 2, 3, 4}); code != http.StatusOK {
+		t.Fatalf("POST group ticks: %d %s", code, body)
+	}
+	resp, err = client.Post(srv.URL+"/v1/groups/g1/ticks", "text/plain", strings.NewReader("5 6"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("text group POST: %d", resp.StatusCode)
+	}
 	// A miss for the route="other" catch-all.
 	if code, _ := getBody(t, client, srv.URL+"/no/such/route"); code != http.StatusNotFound {
 		t.Fatalf("bogus route: %d, want 404", code)
@@ -76,11 +94,14 @@ func TestObservabilitySurface(t *testing.T) {
 		`sampled_http_requests_total{route="POST /v1/streams/{id}/ticks",class="2xx"} 2`,
 		`sampled_http_requests_total{route="other",class="4xx"} 1`,
 		`sampled_http_request_bytes_count{route="POST /v1/streams/{id}/ticks"} 2`,
-		// Per-wire ingest decode histograms.
-		`sampled_ingest_decode_seconds_count{wire="json"} 1`,
-		`sampled_ingest_decode_seconds_count{wire="text"} 1`,
-		`sampled_ingest_batch_ticks_count{wire="json"} 1`,
-		`sampled_ingest_frame_bytes_count{wire="text"} 1`,
+		"sampled_group_ticks_total 6\n",
+		`sampled_http_requests_total{route="POST /v1/groups/{id}/ticks",class="2xx"} 2`,
+		// Per-wire ingest decode histograms: one stream batch and one
+		// group batch per wire.
+		`sampled_ingest_decode_seconds_count{wire="json"} 2`,
+		`sampled_ingest_decode_seconds_count{wire="text"} 2`,
+		`sampled_ingest_batch_ticks_count{wire="json"} 2`,
+		`sampled_ingest_frame_bytes_count{wire="text"} 2`,
 		// Build info and runtime health.
 		`sampled_build_info{version="`,
 		"sampled_goroutines ",

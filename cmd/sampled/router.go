@@ -35,6 +35,10 @@ import (
 	"repro/sampling/wire"
 )
 
+// collections are the two id namespaces, named as their URL segment
+// (/v1/streams, /v1/groups) and their list key.
+var collections = [...]string{"streams", "groups"}
+
 // router is the proxy's handler state.
 type router struct {
 	backends []string // full configured set, normalized base URLs
@@ -141,12 +145,11 @@ func (rt *router) handler() http.Handler {
 	} {
 		mux.HandleFunc(pattern, byID)
 	}
-	mux.HandleFunc("GET /v1/streams", func(w http.ResponseWriter, r *http.Request) {
-		rt.mergeLists(w, r, "streams")
-	})
-	mux.HandleFunc("GET /v1/groups", func(w http.ResponseWriter, r *http.Request) {
-		rt.mergeLists(w, r, "groups")
-	})
+	for _, coll := range collections {
+		mux.HandleFunc("GET /v1/"+coll, func(w http.ResponseWriter, r *http.Request) {
+			rt.mergeLists(w, r, coll)
+		})
+	}
 	mux.HandleFunc("POST /v1/session", rt.session)
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
@@ -186,13 +189,7 @@ func (rt *router) forward(w http.ResponseWriter, r *http.Request, id string) {
 func (rt *router) mergeLists(w http.ResponseWriter, r *http.Request, key string) {
 	var ids []string
 	for _, b := range rt.ring.Load().Members() {
-		var part []string
-		var err error
-		if key == "streams" {
-			part, err = rt.client.ListStreams(r.Context(), b)
-		} else {
-			part, err = rt.client.ListGroups(r.Context(), b)
-		}
+		part, err := rt.client.List(r.Context(), b, key)
 		if err != nil {
 			writeJSON(w, http.StatusBadGateway, map[string]string{"error": "backend " + b + ": " + err.Error()})
 			return
@@ -405,45 +402,30 @@ func (rt *router) checkHealth(ctx context.Context) {
 
 // rebalance walks every healthy backend's live streams and groups and
 // transfers each one its ring owner does not hold. Failures are
-// logged and counted but do not stop the walk — the next membership
-// change (or a converged retry) picks up stragglers.
+// logged and counted but do not stop the walk — a failed listing skips
+// only that collection of that holder, and the next membership change
+// (or a converged retry) picks up stragglers.
 func (rt *router) rebalance(ctx context.Context, ring *cluster.Ring) {
 	for _, holder := range ring.Members() {
-		ids, err := rt.client.ListStreams(ctx, holder)
-		if err != nil {
-			rt.logger.Error("rebalance: listing streams failed", "backend", holder, "err", err)
-			continue
-		}
-		for _, id := range ids {
-			owner := ring.Lookup(id)
-			if owner == holder {
+		for _, coll := range collections {
+			ids, err := rt.client.List(ctx, holder, coll)
+			if err != nil {
+				rt.logger.Error("rebalance: listing failed", "collection", coll, "backend", holder, "err", err)
 				continue
 			}
-			if err := rt.client.TransferStream(ctx, holder, owner, id); err != nil {
-				rt.handoffErrs.Inc()
-				rt.logger.Error("stream handoff failed", "id", id, "from", holder, "to", owner, "err", err)
-				continue
+			for _, id := range ids {
+				owner := ring.Lookup(id)
+				if owner == holder {
+					continue
+				}
+				if err := rt.client.Transfer(ctx, holder, owner, coll, id); err != nil {
+					rt.handoffErrs.Inc()
+					rt.logger.Error("handoff failed", "collection", coll, "id", id, "from", holder, "to", owner, "err", err)
+					continue
+				}
+				rt.handoffs.Inc()
+				rt.logger.Info("handed off", "collection", coll, "id", id, "from", holder, "to", owner)
 			}
-			rt.handoffs.Inc()
-			rt.logger.Info("stream handed off", "id", id, "from", holder, "to", owner)
-		}
-		gids, err := rt.client.ListGroups(ctx, holder)
-		if err != nil {
-			rt.logger.Error("rebalance: listing groups failed", "backend", holder, "err", err)
-			continue
-		}
-		for _, id := range gids {
-			owner := ring.Lookup(id)
-			if owner == holder {
-				continue
-			}
-			if err := rt.client.TransferGroup(ctx, holder, owner, id); err != nil {
-				rt.handoffErrs.Inc()
-				rt.logger.Error("group handoff failed", "id", id, "from", holder, "to", owner, "err", err)
-				continue
-			}
-			rt.handoffs.Inc()
-			rt.logger.Info("group handed off", "id", id, "from", holder, "to", owner)
 		}
 	}
 }

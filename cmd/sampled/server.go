@@ -130,35 +130,7 @@ func newServer(h *hub.Hub, maxBody int64, hurstEvery time.Duration, opts ...serv
 	// histograms carry the static pattern as the route label and the
 	// flight recorder sees the stream id; the "/" catch-all gives
 	// unmatched paths a route of their own instead of vanishing.
-	routes := []struct {
-		pattern string
-		label   string
-		handler http.Handler
-	}{
-		{"PUT /v1/streams/{id}", "", http.HandlerFunc(s.createStream)},
-		{"POST /v1/session", "", http.HandlerFunc(s.session)},
-		{"POST /v1/streams/{id}/ticks", "", http.HandlerFunc(s.offerTicks)},
-		{"GET /v1/streams/{id}/snapshot", "", http.HandlerFunc(s.snapshot)},
-		{"GET /v1/streams/{id}/hurst", "", http.HandlerFunc(s.hurst)},
-		{"GET /v1/streams/{id}/state", "", http.HandlerFunc(s.streamState)},
-		{"PUT /v1/streams/{id}/state", "", http.HandlerFunc(s.putStreamState)},
-		{"DELETE /v1/streams/{id}/state", "", http.HandlerFunc(s.detachStreamState)},
-		{"DELETE /v1/streams/{id}", "", http.HandlerFunc(s.finishStream)},
-		{"GET /v1/streams", "", http.HandlerFunc(s.listStreams)},
-		{"PUT /v1/groups/{id}", "", http.HandlerFunc(s.createGroup)},
-		{"POST /v1/groups/{id}/ticks", "", http.HandlerFunc(s.offerGroupTicks)},
-		{"GET /v1/groups/{id}/state", "", http.HandlerFunc(s.groupState)},
-		{"PUT /v1/groups/{id}/state", "", http.HandlerFunc(s.putGroupState)},
-		{"DELETE /v1/groups/{id}/state", "", http.HandlerFunc(s.detachGroupState)},
-		{"GET /v1/groups/{id}", "", http.HandlerFunc(s.groupSnapshot)},
-		{"DELETE /v1/groups/{id}", "", http.HandlerFunc(s.finishGroup)},
-		{"GET /v1/groups", "", http.HandlerFunc(s.listGroups)},
-		{"GET /healthz", "", http.HandlerFunc(s.healthz)},
-		{"GET /readyz", "", http.HandlerFunc(s.readyz)},
-		{"GET /metrics", "", http.HandlerFunc(s.metrics)},
-		{"GET /debug/events", "", s.rec},
-		{"/", "other", http.HandlerFunc(s.notFound)},
-	}
+	routes := s.routes()
 	labels := make([]string, len(routes))
 	for i, rt := range routes {
 		labels[i] = rt.label
@@ -181,6 +153,45 @@ func newServer(h *hub.Hub, maxBody int64, hurstEvery time.Duration, opts ...serv
 		mux.HandleFunc("GET /debug/pprof/trace", pprof.Trace)
 	}
 	return mux
+}
+
+// route is one entry of the daemon's route table.
+type route struct {
+	pattern string
+	label   string // the metrics route label; "" means the pattern
+	handler http.Handler
+}
+
+// routes is the daemon's route table. Streams and groups share one
+// handler factory per route, each handed the hub method of its
+// namespace.
+func (s *server) routes() []route {
+	h := s.hub
+	return []route{
+		{"PUT /v1/streams/{id}", "", create[createRequest](s, h.Snapshot)},
+		{"POST /v1/session", "", http.HandlerFunc(s.session)},
+		{"POST /v1/streams/{id}/ticks", "", s.offerTicks(h.OfferBatch)},
+		{"GET /v1/streams/{id}/snapshot", "", snapshot(h.Snapshot)},
+		{"GET /v1/streams/{id}/hurst", "", http.HandlerFunc(s.hurst)},
+		{"GET /v1/streams/{id}/state", "", getState(h.StreamState)},
+		{"PUT /v1/streams/{id}/state", "", s.putState(h.RestoreStream)},
+		{"DELETE /v1/streams/{id}/state", "", detachState(h.AppendDetach)},
+		{"DELETE /v1/streams/{id}", "", finish(s.finishStream)},
+		{"GET /v1/streams", "", listIDs("streams", h.List)},
+		{"PUT /v1/groups/{id}", "", create[createGroupRequest](s, h.GroupSnapshot)},
+		{"POST /v1/groups/{id}/ticks", "", s.offerTicks(h.OfferGroupBatch)},
+		{"GET /v1/groups/{id}/state", "", getState(h.GroupState)},
+		{"PUT /v1/groups/{id}/state", "", s.putState(h.RestoreGroupState)},
+		{"DELETE /v1/groups/{id}/state", "", detachState(h.AppendDetachGroup)},
+		{"GET /v1/groups/{id}", "", snapshot(h.GroupSnapshot)},
+		{"DELETE /v1/groups/{id}", "", finish(s.finishGroup)},
+		{"GET /v1/groups", "", listIDs("groups", h.ListGroups)},
+		{"GET /healthz", "", http.HandlerFunc(s.healthz)},
+		{"GET /readyz", "", http.HandlerFunc(s.readyz)},
+		{"GET /metrics", "", http.HandlerFunc(s.metrics)},
+		{"GET /debug/events", "", s.rec},
+		{"/", "other", http.HandlerFunc(s.notFound)},
+	}
 }
 
 // registerMetrics declares every /metrics family. The hub-owned
@@ -320,16 +331,47 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	json.NewEncoder(w).Encode(v)
 }
 
+// engineRequest is the seed/budget/estimator part of a create body,
+// shared by streams and groups; the fields map onto the engine options
+// of the public API ("estimator" names an online Hurst estimation
+// method: aggvar, wavelet or rs).
+type engineRequest struct {
+	Seed      *uint64 `json:"seed,omitempty"`
+	Budget    int     `json:"budget,omitempty"`
+	Estimator string  `json:"estimator,omitempty"`
+}
+
 // createRequest is the body of PUT /v1/streams/{id}. The spec comes in
 // either wire form — the object {"technique": ..., "params": {...}} or
-// the spec string "bss:rate=1e-3,L=10" — and seed/budget/estimator map
-// onto the engine options of the public API ("estimator" names an
-// online Hurst estimation method: aggvar, wavelet or rs).
+// the spec string "bss:rate=1e-3,L=10".
 type createRequest struct {
-	Spec      sampling.Spec `json:"spec"`
-	Seed      *uint64       `json:"seed,omitempty"`
-	Budget    int           `json:"budget,omitempty"`
-	Estimator string        `json:"estimator,omitempty"`
+	Spec sampling.Spec `json:"spec"`
+	engineRequest
+}
+
+// createGroupRequest is the body of PUT /v1/groups/{id}: the member
+// specs (each in either wire form, string or object) plus the same
+// seed/budget/estimator options as a stream create — with "estimator"
+// buying the whole group one shared input-side estimator and one
+// kept-side estimator per member.
+type createGroupRequest struct {
+	Specs []sampling.Spec `json:"specs"`
+	engineRequest
+}
+
+// createBody is a create request: its engine options, and how it adds
+// itself to the hub.
+type createBody interface {
+	options(w http.ResponseWriter) ([]sampling.Option, bool)
+	add(h *hub.Hub, id string, opts []sampling.Option) error
+}
+
+func (req createRequest) add(h *hub.Hub, id string, opts []sampling.Option) error {
+	return h.Create(id, req.Spec, opts...)
+}
+
+func (req createGroupRequest) add(h *hub.Hub, id string, opts []sampling.Option) error {
+	return h.CreateGroup(id, req.Specs, opts...)
 }
 
 // decodeStrict decodes exactly one JSON value from r, rejecting unknown
@@ -348,51 +390,56 @@ func decodeStrict(r io.Reader, v any) error {
 	return nil
 }
 
-// engineOptions maps the shared seed/budget/estimator request fields
-// onto engine options, reporting the 400 itself on a bad budget; the
-// second return is false when a response has already been written.
-func engineOptions(w http.ResponseWriter, seed *uint64, budget int, estimator string) ([]sampling.Option, bool) {
+// options maps the shared seed/budget/estimator request fields onto
+// engine options, reporting the 400 itself on a bad budget; the second
+// return is false when a response has already been written.
+func (req engineRequest) options(w http.ResponseWriter) ([]sampling.Option, bool) {
 	var opts []sampling.Option
-	if seed != nil {
-		opts = append(opts, sampling.WithSeed(*seed))
+	if req.Seed != nil {
+		opts = append(opts, sampling.WithSeed(*req.Seed))
 	}
 	// 0 is the documented "unlimited" default; anything else below 1 is
 	// a client mistake and must not silently create an unbounded stream.
-	if budget < 0 {
+	if req.Budget < 0 {
 		writeJSON(w, http.StatusBadRequest,
-			map[string]string{"error": fmt.Sprintf("budget %d must be >= 0", budget)})
+			map[string]string{"error": fmt.Sprintf("budget %d must be >= 0", req.Budget)})
 		return nil, false
 	}
-	if budget > 0 {
-		opts = append(opts, sampling.WithBudget(budget))
+	if req.Budget > 0 {
+		opts = append(opts, sampling.WithBudget(req.Budget))
 	}
-	if estimator != "" {
-		opts = append(opts, sampling.WithEstimator(estimate.Method(estimator)))
+	if req.Estimator != "" {
+		opts = append(opts, sampling.WithEstimator(estimate.Method(req.Estimator)))
 	}
 	return opts, true
 }
 
-func (s *server) createStream(w http.ResponseWriter, r *http.Request) {
-	var req createRequest
-	if err := decodeStrict(http.MaxBytesReader(w, r.Body, s.maxBody), &req); err != nil {
-		writeBodyError(w, err)
-		return
+// create builds the create handler of a stream or group (PUT
+// /v1/{streams,groups}/{id}): the body decodes strictly into R, which
+// adds itself to the hub, and the new live document is the 201 body.
+func create[R createBody, T any](s *server, doc func(string) (T, error)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		var req R
+		if err := decodeStrict(http.MaxBytesReader(w, r.Body, s.maxBody), &req); err != nil {
+			writeBodyError(w, err)
+			return
+		}
+		opts, ok := req.options(w)
+		if !ok {
+			return
+		}
+		id := r.PathValue("id")
+		if err := req.add(s.hub, id, opts); err != nil {
+			writeError(w, err)
+			return
+		}
+		d, err := doc(id)
+		if err != nil {
+			writeError(w, err)
+			return
+		}
+		writeJSON(w, http.StatusCreated, d)
 	}
-	opts, ok := engineOptions(w, req.Seed, req.Budget, req.Estimator)
-	if !ok {
-		return
-	}
-	id := r.PathValue("id")
-	if err := s.hub.Create(id, req.Spec, opts...); err != nil {
-		writeError(w, err)
-		return
-	}
-	sum, err := s.hub.Snapshot(id)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusCreated, sum)
 }
 
 // offerResponse is the body of a successful tick ingest.
@@ -406,9 +453,9 @@ type offerResponse struct {
 // newline- or whitespace-separated decimal floats (anything else) — the
 // latter is what `tr` and `awk` pipelines produce. On a malformed body
 // readTicks writes the 400/413 itself and returns ok=false.
-func (s *server) readTicks(w http.ResponseWriter, r *http.Request) (values []float64, ok bool) {
+func (s *server) readTicks(w http.ResponseWriter, r *http.Request, isJSON bool) (values []float64, ok bool) {
 	body := http.MaxBytesReader(w, r.Body, s.maxBody)
-	if strings.HasPrefix(r.Header.Get("Content-Type"), "application/json") {
+	if isJSON {
 		// Decode through pointers so a null element — which plain
 		// []float64 silently turns into a phantom 0.0 tick — is
 		// distinguishable and rejected.
@@ -454,43 +501,35 @@ func (s *server) readTicks(w http.ResponseWriter, r *http.Request) (values []flo
 	return values, true
 }
 
-// readTicksObserved is readTicks plus the per-wire decode histograms:
-// parse time, declared body size and batch tick count land under
-// wire="json" or wire="text".
-func (s *server) readTicksObserved(w http.ResponseWriter, r *http.Request) ([]float64, bool) {
-	wireName := "text"
-	if strings.HasPrefix(r.Header.Get("Content-Type"), "application/json") {
-		wireName = "json"
+// offerTicks builds the tick-ingest handler of a stream or group (offer
+// is OfferBatch or OfferGroupBatch). Batches for one id must be posted
+// sequentially. A Content-Type of application/x-tickbatch switches the
+// body to binary frames (offerFrames); JSON and text bodies are timed
+// into the ingest histograms under wire="json" or "text". A group's
+// "kept" counts samples across all members.
+func (s *server) offerTicks(offer func(string, []float64) (int, error)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		if isTickBatch(r) {
+			s.offerFrames(w, r, offer)
+			return
+		}
+		wireName := "text"
+		if strings.HasPrefix(r.Header.Get("Content-Type"), "application/json") {
+			wireName = "json"
+		}
+		start := time.Now()
+		values, ok := s.readTicks(w, r, wireName == "json")
+		if !ok {
+			return
+		}
+		s.observeIngest(wireName, time.Since(start), r.ContentLength, len(values))
+		kept, err := offer(r.PathValue("id"), values)
+		if err != nil {
+			writeError(w, err)
+			return
+		}
+		writeJSON(w, http.StatusOK, offerResponse{Accepted: len(values), Kept: kept})
 	}
-	start := time.Now()
-	values, ok := s.readTicks(w, r)
-	if !ok {
-		return nil, false
-	}
-	s.observeIngest(wireName, time.Since(start), r.ContentLength, len(values))
-	return values, true
-}
-
-// offerTicks ingests one batch into a stream. Ticks within one stream
-// must be posted sequentially; batches for different streams are fully
-// concurrent. A Content-Type of application/x-tickbatch switches the
-// body to binary tick-batch frames (any number, back to back); JSON
-// and whitespace text stay as before.
-func (s *server) offerTicks(w http.ResponseWriter, r *http.Request) {
-	if isTickBatch(r) {
-		s.offerFrames(w, r, s.hub.OfferBatch)
-		return
-	}
-	values, ok := s.readTicksObserved(w, r)
-	if !ok {
-		return
-	}
-	kept, err := s.hub.OfferBatch(r.PathValue("id"), values)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, offerResponse{Accepted: len(values), Kept: kept})
 }
 
 // isTickBatch reports whether the request body is binary tick-batch
@@ -646,13 +685,18 @@ func (s *server) session(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-func (s *server) snapshot(w http.ResponseWriter, r *http.Request) {
-	sum, err := s.hub.Snapshot(r.PathValue("id"))
-	if err != nil {
-		writeError(w, err)
-		return
+// snapshot builds the live-document handler of a stream (its summary)
+// or a group (its comparison: the unsampled input reference plus
+// per-technique summaries and fidelity scores).
+func snapshot[T any](get func(string) (T, error)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		doc, err := get(r.PathValue("id"))
+		if err != nil {
+			writeError(w, err)
+			return
+		}
+		writeJSON(w, http.StatusOK, doc)
 	}
-	writeJSON(w, http.StatusOK, sum)
 }
 
 // hurst serves the stream's live Hurst block alone — the document a
@@ -688,96 +732,47 @@ type finishResponse struct {
 	Tail    []sampleJSON     `json:"tail"`
 }
 
-// finishStream ends a stream. The stream is removed even when the
-// engine's finalization fails (e.g. a fixed-size simple random draw
-// over a shorter stream): the DELETE itself succeeded, and the summary
-// carries the engine error for the client to inspect.
-func (s *server) finishStream(w http.ResponseWriter, r *http.Request) {
-	tail, sum, err := s.hub.Finish(r.PathValue("id"))
-	if err != nil && errors.Is(err, hub.ErrStreamNotFound) {
-		writeError(w, err)
-		return
+// finish builds the finish handler of a stream or group (DELETE
+// /v1/{streams,groups}/{id}); end finalizes the id and renders the
+// response. The id is removed even when finalization fails (e.g. a
+// fixed-size simple random draw over a shorter stream): the DELETE
+// itself succeeded, and the summaries carry the error for the client
+// to inspect. Only a miss is an error response.
+func finish[T any](end func(string) (T, error)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		resp, err := end(r.PathValue("id"))
+		if errors.Is(err, hub.ErrStreamNotFound) {
+			writeError(w, err)
+			return
+		}
+		writeJSON(w, http.StatusOK, resp)
 	}
-	resp := finishResponse{Summary: sum, Tail: make([]sampleJSON, len(tail))}
+}
+
+func (s *server) finishStream(id string) (finishResponse, error) {
+	tail, sum, err := s.hub.Finish(id)
+	return finishResponse{Summary: sum, Tail: samplesJSON(tail)}, err
+}
+
+// samplesJSON converts an end-of-stream tail to its wire form.
+func samplesJSON(tail []sampling.Sample) []sampleJSON {
+	out := make([]sampleJSON, len(tail))
 	for i, smp := range tail {
-		resp.Tail[i] = sampleJSON{Index: smp.Index, Value: smp.Value, Qualified: smp.Qualified}
+		out[i] = sampleJSON{Index: smp.Index, Value: smp.Value, Qualified: smp.Qualified}
 	}
-	writeJSON(w, http.StatusOK, resp)
+	return out
 }
 
-func (s *server) listStreams(w http.ResponseWriter, r *http.Request) {
-	ids := s.hub.List()
-	if ids == nil {
-		ids = []string{}
+// listIDs builds a collection handler (GET /v1/streams, /v1/groups):
+// the sorted live ids under key, plus their count.
+func listIDs(key string, list func() []string) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		ids := list()
+		if ids == nil {
+			ids = []string{}
+		}
+		writeJSON(w, http.StatusOK, map[string]any{key: ids, "count": len(ids)})
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"streams": ids, "count": len(ids)})
-}
-
-// createGroupRequest is the body of PUT /v1/groups/{id}: the member
-// specs (each in either wire form, string or object) plus the same
-// seed/budget/estimator options as a stream create — with "estimator"
-// buying the whole group one shared input-side estimator and one
-// kept-side estimator per member.
-type createGroupRequest struct {
-	Specs     []sampling.Spec `json:"specs"`
-	Seed      *uint64         `json:"seed,omitempty"`
-	Budget    int             `json:"budget,omitempty"`
-	Estimator string          `json:"estimator,omitempty"`
-}
-
-func (s *server) createGroup(w http.ResponseWriter, r *http.Request) {
-	var req createGroupRequest
-	if err := decodeStrict(http.MaxBytesReader(w, r.Body, s.maxBody), &req); err != nil {
-		writeBodyError(w, err)
-		return
-	}
-	opts, ok := engineOptions(w, req.Seed, req.Budget, req.Estimator)
-	if !ok {
-		return
-	}
-	id := r.PathValue("id")
-	if err := s.hub.CreateGroup(id, req.Specs, opts...); err != nil {
-		writeError(w, err)
-		return
-	}
-	cmp, err := s.hub.GroupSnapshot(id)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusCreated, cmp)
-}
-
-// offerGroupTicks ingests one batch into every member of a group; body
-// formats as for stream ticks, including binary tick-batch frames.
-// "kept" counts samples across all members, so it can exceed
-// "accepted".
-func (s *server) offerGroupTicks(w http.ResponseWriter, r *http.Request) {
-	if isTickBatch(r) {
-		s.offerFrames(w, r, s.hub.OfferGroupBatch)
-		return
-	}
-	values, ok := s.readTicks(w, r)
-	if !ok {
-		return
-	}
-	kept, err := s.hub.OfferGroupBatch(r.PathValue("id"), values)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, offerResponse{Accepted: len(values), Kept: kept})
-}
-
-// groupSnapshot serves the live comparison document: the unsampled
-// input reference plus per-technique summaries and fidelity scores.
-func (s *server) groupSnapshot(w http.ResponseWriter, r *http.Request) {
-	cmp, err := s.hub.GroupSnapshot(r.PathValue("id"))
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, cmp)
 }
 
 // finishGroupResponse is the body of DELETE /v1/groups/{id}: the final
@@ -787,31 +782,14 @@ type finishGroupResponse struct {
 	Tails      [][]sampleJSON      `json:"tails"`
 }
 
-// finishGroup ends a group. As with streams, member finalization
-// failures do not block the DELETE: the group is removed and each
-// failing member's summary carries its error.
-func (s *server) finishGroup(w http.ResponseWriter, r *http.Request) {
-	tails, cmp, err := s.hub.FinishGroup(r.PathValue("id"))
-	if err != nil && errors.Is(err, hub.ErrStreamNotFound) {
-		writeError(w, err)
-		return
-	}
+// finishGroup ends a group, with each member's tail in member order.
+func (s *server) finishGroup(id string) (finishGroupResponse, error) {
+	tails, cmp, err := s.hub.FinishGroup(id)
 	resp := finishGroupResponse{Comparison: cmp, Tails: make([][]sampleJSON, len(tails))}
 	for i, tail := range tails {
-		resp.Tails[i] = make([]sampleJSON, len(tail))
-		for j, smp := range tail {
-			resp.Tails[i][j] = sampleJSON{Index: smp.Index, Value: smp.Value, Qualified: smp.Qualified}
-		}
+		resp.Tails[i] = samplesJSON(tail)
 	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-func (s *server) listGroups(w http.ResponseWriter, r *http.Request) {
-	ids := s.hub.ListGroups()
-	if ids == nil {
-		ids = []string{}
-	}
-	writeJSON(w, http.StatusOK, map[string]any{"groups": ids, "count": len(ids)})
+	return resp, err
 }
 
 // hurstAggregate returns the hub's Hurst aggregate, recomputed at most

@@ -60,8 +60,8 @@ func (s *server) readyz(w http.ResponseWriter, r *http.Request) {
 // daemon allocate the whole body cap up front.
 const maxPooledState = 1 << 20
 
-// stateBufs pools the byte buffers stream state moves through: DELETE
-// appends the detached blob into one, PUT reads the body into one.
+// stateBufs pools the byte buffers stream and group state move through:
+// DELETE appends the detached blob into one, PUT reads the body into one.
 // Reuse is safe because no restore keeps a view into its blob — every
 // decoder copies what it keeps (TestRestoreDoesNotAliasBlob).
 var stateBufs = sync.Pool{New: func() any { return new([]byte) }}
@@ -86,15 +86,17 @@ func writeState(w http.ResponseWriter, blob []byte) {
 	w.Write(blob)
 }
 
-// streamState exports one stream's exact engine state
-// (GET /v1/streams/{id}/state) without disturbing it.
-func (s *server) streamState(w http.ResponseWriter, r *http.Request) {
-	blob, err := s.hub.StreamState(r.PathValue("id"))
-	if err != nil {
-		writeError(w, err)
-		return
+// getState builds the state-export handler (GET /v1/{streams,groups}/
+// {id}/state): the exact engine or group state, without disturbing it.
+func getState(export func(string) ([]byte, error)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		blob, err := export(r.PathValue("id"))
+		if err != nil {
+			writeError(w, err)
+			return
+		}
+		writeState(w, blob)
 	}
-	writeState(w, blob)
 }
 
 // readStateBody reads a state-blob request body under the body cap into
@@ -123,70 +125,41 @@ func (s *server) readStateBody(w http.ResponseWriter, r *http.Request, buf *[]by
 	return true
 }
 
-// putStreamState installs an exported engine-state blob as a new
-// stream (PUT /v1/streams/{id}/state) — the receiving half of a
-// handoff. The id must not be live; a corrupt blob is a 400.
-func (s *server) putStreamState(w http.ResponseWriter, r *http.Request) {
-	buf := getStateBuf()
-	defer putStateBuf(buf)
-	if !s.readStateBody(w, r, buf) {
-		return
+// putState builds the state-install handler (PUT /v1/{streams,groups}/
+// {id}/state), the receiving half of a handoff: the blob becomes a new
+// stream or group. A live id is a 409, a corrupt blob a 400.
+func (s *server) putState(install func(string, []byte) error) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		buf := getStateBuf()
+		defer putStateBuf(buf)
+		if !s.readStateBody(w, r, buf) {
+			return
+		}
+		id := r.PathValue("id")
+		if err := install(id, *buf); err != nil {
+			writeError(w, err)
+			return
+		}
+		writeJSON(w, http.StatusCreated, map[string]string{"id": id, "status": "restored"})
 	}
-	id := r.PathValue("id")
-	if err := s.hub.RestoreStream(id, *buf); err != nil {
-		writeError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusCreated, map[string]string{"id": id, "status": "restored"})
 }
 
-// detachStreamState removes a stream without finalizing it and
-// returns its final engine state (DELETE /v1/streams/{id}/state) —
-// the sending half of a handoff, atomic against concurrent ticks.
-func (s *server) detachStreamState(w http.ResponseWriter, r *http.Request) {
-	buf := getStateBuf()
-	defer putStateBuf(buf)
-	blob, err := s.hub.AppendDetach((*buf)[:0], r.PathValue("id"))
-	if err != nil {
-		writeError(w, err)
-		return
+// detachState builds the detach handler (DELETE /v1/{streams,groups}/
+// {id}/state): the stream or group is removed without finalizing and
+// its final state returned — the sending half of a handoff, atomic
+// against concurrent ticks. The blob is appended into a pooled buffer.
+func detachState(appendDetach func([]byte, string) ([]byte, error)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		buf := getStateBuf()
+		defer putStateBuf(buf)
+		blob, err := appendDetach((*buf)[:0], r.PathValue("id"))
+		if err != nil {
+			writeError(w, err)
+			return
+		}
+		*buf = blob
+		writeState(w, blob)
 	}
-	*buf = blob
-	writeState(w, blob)
-}
-
-// groupState, putGroupState and detachGroupState mirror the stream
-// state resource for the group namespace.
-func (s *server) groupState(w http.ResponseWriter, r *http.Request) {
-	blob, err := s.hub.GroupState(r.PathValue("id"))
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	writeState(w, blob)
-}
-
-func (s *server) putGroupState(w http.ResponseWriter, r *http.Request) {
-	buf := getStateBuf()
-	defer putStateBuf(buf)
-	if !s.readStateBody(w, r, buf) {
-		return
-	}
-	id := r.PathValue("id")
-	if err := s.hub.RestoreGroupState(id, *buf); err != nil {
-		writeError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusCreated, map[string]string{"id": id, "status": "restored"})
-}
-
-func (s *server) detachGroupState(w http.ResponseWriter, r *http.Request) {
-	blob, err := s.hub.DetachGroup(r.PathValue("id"))
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	writeState(w, blob)
 }
 
 // checkpointer owns the -checkpoint-dir lifecycle around one hub.

@@ -11,6 +11,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -69,6 +70,31 @@ type snapshotDoc struct {
 	Seen      int64 `json:"seen"`
 	Kept      int64 `json:"kept"`
 	Qualified int64 `json:"qualified"`
+}
+
+// groupDoc is the part of a group's comparison document a handoff must
+// carry over exactly: the input tick count and every member's counters.
+type groupDoc struct {
+	Seen    int64 `json:"seen"`
+	Members []struct {
+		Summary snapshotDoc `json:"summary"`
+	} `json:"members"`
+}
+
+func getGroupDoc(t *testing.T, base, id string) groupDoc {
+	t.Helper()
+	status, body := doJSON(t, http.DefaultClient, http.MethodGet, base+"/v1/groups/"+id, nil)
+	if status != http.StatusOK {
+		t.Fatalf("group %s: status %d: %s", id, status, body)
+	}
+	var doc groupDoc
+	if err := json.Unmarshal(body, &doc); err != nil {
+		t.Fatal(err)
+	}
+	if len(doc.Members) == 0 {
+		t.Fatalf("group %s: comparison carries no members: %s", id, body)
+	}
+	return doc
 }
 
 func getSnapshot(t *testing.T, base, id string) snapshotDoc {
@@ -473,6 +499,22 @@ func TestRouterHandoff(t *testing.T) {
 	for _, id := range ids {
 		before[id] = getSnapshot(t, routerSrv.URL, id)
 	}
+	// Comparison groups ride the same handoff as streams.
+	const groups = 16
+	gids := make([]string, groups)
+	beforeGroups := map[string]groupDoc{}
+	for i := range gids {
+		gids[i] = fmt.Sprintf("hg-%02d", i)
+		if status, body := doJSON(t, client, http.MethodPut, routerSrv.URL+"/v1/groups/"+gids[i],
+			map[string]any{"specs": []string{"systematic:interval=7",
+				fmt.Sprintf("bernoulli:rate=0.05,seed=%d", 100+i), fmt.Sprintf("simple:n=20,seed=%d", 100+i)}}); status != http.StatusCreated {
+			t.Fatalf("create group: %d %s", status, body)
+		}
+		if status, _ := doJSON(t, client, http.MethodPost, routerSrv.URL+"/v1/groups/"+gids[i]+"/ticks", series); status != http.StatusOK {
+			t.Fatal("group ingest failed")
+		}
+		beforeGroups[gids[i]] = getGroupDoc(t, routerSrv.URL, gids[i])
+	}
 
 	// The late backend comes up; the next health round must eject
 	// nothing, admit it, and move its share of streams over.
@@ -489,6 +531,17 @@ func TestRouterHandoff(t *testing.T) {
 	json.Unmarshal(lb, &part)
 	if part.Count == 0 {
 		t.Fatal("no streams moved to the recovered backend — handoff never happened")
+	}
+	_, lb = doJSON(t, client, http.MethodGet, b2+"/v1/groups", nil)
+	part.Count = 0
+	json.Unmarshal(lb, &part)
+	if part.Count == 0 {
+		t.Fatal("no groups moved to the recovered backend — group handoff never happened")
+	}
+	for _, id := range gids {
+		if got := getGroupDoc(t, routerSrv.URL, id); !reflect.DeepEqual(got, beforeGroups[id]) {
+			t.Fatalf("group %s lost state in handoff: %+v, want %+v", id, got, beforeGroups[id])
+		}
 	}
 
 	// Every stream still answers through the router with its counters

@@ -202,8 +202,8 @@ func TestHTTPLoad(t *testing.T) {
 	if want := int64(cfg.streams * cfg.ticks / 50); res.kept != want {
 		t.Errorf("kept %d samples, want %d", res.kept, want)
 	}
-	if h.Len() != 0 {
-		t.Errorf("%d streams left behind on the daemon", h.Len())
+	if n := h.Stats().Streams; n != 0 {
+		t.Errorf("%d streams left behind on the daemon", n)
 	}
 	t.Logf("http mode: %.3g ticks/s aggregate", res.ticksPerSec())
 }
@@ -239,8 +239,8 @@ func TestHTTPLoadWires(t *testing.T) {
 			if want := int64(cfg.streams * cfg.ticks / 50); res.kept != want {
 				t.Errorf("kept %d samples, want %d", res.kept, want)
 			}
-			if h.Len() != 0 {
-				t.Errorf("%d streams left behind on the daemon", h.Len())
+			if n := h.Stats().Streams; n != 0 {
+				t.Errorf("%d streams left behind on the daemon", n)
 			}
 			if !strings.Contains(buf.String(), "("+w+" wire)") {
 				t.Errorf("run output does not name the wire:\n%s", buf.String())

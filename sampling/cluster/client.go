@@ -9,6 +9,7 @@ import (
 	"io"
 	"net/http"
 	"net/url"
+	"strings"
 )
 
 // maxStateBytes caps how much of a state response the client will
@@ -21,12 +22,12 @@ const maxStateBytes = 64 << 20
 // status and the peer's error body; branch with errors.Is.
 var ErrPeer = errors.New("peer error")
 
-// StateClient drives the per-stream state resource
-// (GET/PUT/DELETE {base}/v1/streams/{id}/state and the /v1/groups
-// mirror) on sampled peers — the transport half of a checkpoint-
-// transfer handoff. The zero value uses http.DefaultClient; inject a
-// Client with timeouts for production use. Methods take the peer base
-// URL explicitly, so one StateClient serves a whole cluster.
+// StateClient drives the state resource of both id namespaces
+// (GET/PUT/DELETE {base}/v1/{collection}/{id}/state, where collection
+// is "streams" or "groups") on sampled peers — the transport half of a
+// checkpoint-transfer handoff. The zero value uses http.DefaultClient;
+// inject a Client with timeouts for production use. Methods take the
+// peer base URL explicitly, so one StateClient serves a whole cluster.
 type StateClient struct {
 	Client *http.Client
 }
@@ -38,9 +39,10 @@ func (c *StateClient) client() *http.Client {
 	return http.DefaultClient
 }
 
-// stateURL builds {base}/v1/{kind}/{id}/state with the id path-escaped.
-func stateURL(base, kind, id string) string {
-	return base + "/v1/" + kind + "/" + url.PathEscape(id) + "/state"
+// stateURL builds {base}/v1/{collection}/{id}/state with the id
+// path-escaped.
+func stateURL(base, collection, id string) string {
+	return base + "/v1/" + collection + "/" + url.PathEscape(id) + "/state"
 }
 
 // do runs one request and returns the body on 2xx; any other status
@@ -65,20 +67,10 @@ func (c *StateClient) do(req *http.Request) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// FetchStreamState exports a stream's engine state from a peer without
-// disturbing it.
-func (c *StateClient) FetchStreamState(ctx context.Context, base, id string) ([]byte, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, stateURL(base, "streams", id), nil)
-	if err != nil {
-		return nil, err
-	}
-	return c.do(req)
-}
-
-// PutStreamState installs an exported engine-state blob as a new
-// stream on a peer.
-func (c *StateClient) PutStreamState(ctx context.Context, base, id string, state []byte) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPut, stateURL(base, "streams", id), bytes.NewReader(state))
+// Put installs an exported state blob as a new stream or group on a
+// peer.
+func (c *StateClient) Put(ctx context.Context, base, collection, id string, state []byte) error {
+	req, err := http.NewRequestWithContext(ctx, http.MethodPut, stateURL(base, collection, id), bytes.NewReader(state))
 	if err != nil {
 		return err
 	}
@@ -87,95 +79,43 @@ func (c *StateClient) PutStreamState(ctx context.Context, base, id string, state
 	return err
 }
 
-// DetachStream removes a stream from a peer without finalizing it and
-// returns its final engine state — the atomic source half of a
-// handoff: after it returns, no tick can land on the old owner.
-func (c *StateClient) DetachStream(ctx context.Context, base, id string) ([]byte, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodDelete, stateURL(base, "streams", id), nil)
+// Detach removes a stream or group from a peer without finalizing it
+// and returns its final state — the atomic source half of a handoff:
+// after it returns, no tick can land on the old owner.
+func (c *StateClient) Detach(ctx context.Context, base, collection, id string) ([]byte, error) {
+	req, err := http.NewRequestWithContext(ctx, http.MethodDelete, stateURL(base, collection, id), nil)
 	if err != nil {
 		return nil, err
 	}
 	return c.do(req)
 }
 
-// TransferStream moves a stream between peers: detach from the source
-// (atomically capturing its final state), install on the target. If
-// the install fails, the state is put back on the source so the
-// stream is never lost; a failed restore of the restore is reported
-// joined with the original error and means the blob exists only in
-// this process.
-func (c *StateClient) TransferStream(ctx context.Context, from, to, id string) error {
-	state, err := c.DetachStream(ctx, from, id)
+// Transfer moves a stream or group between peers: detach from the
+// source (atomically capturing its final state), install on the
+// target. If the install fails, the state is put back on the source so
+// nothing is lost; a failed restore of the restore is reported joined
+// with the original error and means the blob exists only in this
+// process.
+func (c *StateClient) Transfer(ctx context.Context, from, to, collection, id string) error {
+	kind := strings.TrimSuffix(collection, "s")
+	state, err := c.Detach(ctx, from, collection, id)
 	if err != nil {
-		return fmt.Errorf("cluster: transferring stream %q: detach: %w", id, err)
+		return fmt.Errorf("cluster: transferring %s %q: detach: %w", kind, id, err)
 	}
-	if err := c.PutStreamState(ctx, to, id, state); err != nil {
-		err = fmt.Errorf("cluster: transferring stream %q to %s: %w", id, to, err)
-		if backErr := c.PutStreamState(ctx, from, id, state); backErr != nil {
-			return errors.Join(err, fmt.Errorf("cluster: returning stream %q to %s: %w", id, from, backErr))
+	if err := c.Put(ctx, to, collection, id, state); err != nil {
+		err = fmt.Errorf("cluster: transferring %s %q to %s: %w", kind, id, to, err)
+		if backErr := c.Put(ctx, from, collection, id, state); backErr != nil {
+			return errors.Join(err, fmt.Errorf("cluster: returning %s %q to %s: %w", kind, id, from, backErr))
 		}
 		return err
 	}
 	return nil
 }
 
-// FetchGroupState is FetchStreamState for the group namespace.
-func (c *StateClient) FetchGroupState(ctx context.Context, base, id string) ([]byte, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, stateURL(base, "groups", id), nil)
-	if err != nil {
-		return nil, err
-	}
-	return c.do(req)
-}
-
-// PutGroupState is PutStreamState for the group namespace.
-func (c *StateClient) PutGroupState(ctx context.Context, base, id string, state []byte) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPut, stateURL(base, "groups", id), bytes.NewReader(state))
-	if err != nil {
-		return err
-	}
-	req.Header.Set("Content-Type", "application/octet-stream")
-	_, err = c.do(req)
-	return err
-}
-
-// DetachGroup is DetachStream for the group namespace.
-func (c *StateClient) DetachGroup(ctx context.Context, base, id string) ([]byte, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodDelete, stateURL(base, "groups", id), nil)
-	if err != nil {
-		return nil, err
-	}
-	return c.do(req)
-}
-
-// TransferGroup is TransferStream for the group namespace.
-func (c *StateClient) TransferGroup(ctx context.Context, from, to, id string) error {
-	state, err := c.DetachGroup(ctx, from, id)
-	if err != nil {
-		return fmt.Errorf("cluster: transferring group %q: detach: %w", id, err)
-	}
-	if err := c.PutGroupState(ctx, to, id, state); err != nil {
-		err = fmt.Errorf("cluster: transferring group %q to %s: %w", id, to, err)
-		if backErr := c.PutGroupState(ctx, from, id, state); backErr != nil {
-			return errors.Join(err, fmt.Errorf("cluster: returning group %q to %s: %w", id, from, backErr))
-		}
-		return err
-	}
-	return nil
-}
-
-// ListStreams returns a peer's live stream ids (GET /v1/streams).
-func (c *StateClient) ListStreams(ctx context.Context, base string) ([]string, error) {
-	return c.list(ctx, base, "/v1/streams", "streams")
-}
-
-// ListGroups returns a peer's live group ids (GET /v1/groups).
-func (c *StateClient) ListGroups(ctx context.Context, base string) ([]string, error) {
-	return c.list(ctx, base, "/v1/groups", "groups")
-}
-
-func (c *StateClient) list(ctx context.Context, base, path, key string) ([]string, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+path, nil)
+// List returns a peer's live ids in a collection (GET
+// {base}/v1/{collection}).
+func (c *StateClient) List(ctx context.Context, base, collection string) ([]string, error) {
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/v1/"+collection, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -185,12 +125,12 @@ func (c *StateClient) list(ctx context.Context, base, path, key string) ([]strin
 	}
 	var doc map[string]json.RawMessage
 	if err := json.Unmarshal(body, &doc); err != nil {
-		return nil, fmt.Errorf("cluster: parsing %s list: %w", key, err)
+		return nil, fmt.Errorf("cluster: parsing %s list: %w", collection, err)
 	}
 	var ids []string
-	if raw, ok := doc[key]; ok {
+	if raw, ok := doc[collection]; ok {
 		if err := json.Unmarshal(raw, &ids); err != nil {
-			return nil, fmt.Errorf("cluster: parsing %s list: %w", key, err)
+			return nil, fmt.Errorf("cluster: parsing %s list: %w", collection, err)
 		}
 	}
 	return ids, nil
@@ -200,17 +140,6 @@ func (c *StateClient) list(ctx context.Context, base, path, key string) ([]strin
 // or non-2xx status reads as unhealthy.
 func (c *StateClient) Healthy(ctx context.Context, base string) bool {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/healthz", nil)
-	if err != nil {
-		return false
-	}
-	_, err = c.do(req)
-	return err == nil
-}
-
-// Ready probes a peer's readiness endpoint (GET /readyz): healthy and
-// past restore, not draining.
-func (c *StateClient) Ready(ctx context.Context, base string) bool {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/readyz", nil)
 	if err != nil {
 		return false
 	}

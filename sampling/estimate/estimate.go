@@ -64,12 +64,25 @@ type Estimate struct {
 // bit where one Tick per value would. Estimate may allocate (it runs a
 // small regression) and belongs on the observation path, not the
 // ingest path.
+//
+// An estimator's exact internal state can be captured and restored:
+// AppendState on a live estimator followed by RestoreState on a fresh
+// estimator of the same method yields one that reports the identical
+// estimates — and continues the identical ladder recursion — the
+// original would have. The sampling engine codec relies on that to
+// carry Hurst ladders through checkpoints.
 type Estimator interface {
 	Method() Method
 	Tick(v float64)
 	TickBatch(values []float64)
 	Ticks() int64
 	Estimate() Estimate
+	// AppendState appends the estimator's state to dst and returns the
+	// extended slice.
+	AppendState(dst []byte) []byte
+	// RestoreState overwrites the estimator's state from a blob
+	// produced by AppendState on an estimator of the same method.
+	RestoreState(data []byte) error
 }
 
 // New builds an estimator for the named method with its defaults:

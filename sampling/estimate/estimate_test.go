@@ -221,14 +221,14 @@ func TestTickPathDoesNotAllocate(t *testing.T) {
 		live, _ := estimate.New(m)
 		live.TickBatch(x[:cut])
 		moved, _ := estimate.New(m)
-		if err := moved.(estimate.Stateful).RestoreState(live.(estimate.Stateful).AppendState(nil)); err != nil {
+		if err := moved.RestoreState(live.AppendState(nil)); err != nil {
 			t.Fatalf("%s: %v", m, err)
 		}
 		for off := cut; off < 1<<13+5; off += 2 {
 			live.TickBatch(x[off : off+2])
 			moved.TickBatch(x[off : off+2])
-			a := live.(estimate.Stateful).AppendState(nil)
-			b := moved.(estimate.Stateful).AppendState(nil)
+			a := live.AppendState(nil)
+			b := moved.AppendState(nil)
 			if !bytes.Equal(a, b) {
 				t.Fatalf("%s: restored estimator diverges from its twin at %d ticks", m, off+2)
 			}
@@ -272,8 +272,8 @@ func FuzzEstimatorTick(f *testing.F) {
 			}
 			// A NaN input can leave NaN payloads that depend on the
 			// compiled operand order, so those runs compare estimates.
-			want := e.(estimate.Stateful).AppendState(nil)
-			if got := twin.(estimate.Stateful).AppendState(nil); !bytes.Equal(got, want) &&
+			want := e.AppendState(nil)
+			if got := twin.AppendState(nil); !bytes.Equal(got, want) &&
 				!(math.IsNaN(a) || math.IsNaN(b) || math.IsNaN(c)) {
 				t.Fatalf("%s: TickBatch state diverges from Tick", e.Method())
 			}

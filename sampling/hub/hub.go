@@ -8,12 +8,13 @@
 // FinishGroup) with the same lifecycle, eviction and typed errors as
 // streams.
 //
-// A Hub is lock-striped: stream ids hash onto a fixed set of shards,
-// each with its own mutex and stream table, so operations on unrelated
-// streams never contend on a shared lock. The engines themselves are
-// concurrent-safe, which keeps the shard locks to map lookups only: the
-// hot path (OfferBatch) holds a shard read lock just long enough to
-// resolve the id.
+// Both namespaces are instances of one generic table (space), so the
+// lifecycle is written once. Each is lock-striped: ids hash onto a
+// fixed set of shards, each with its own mutex and id table, so
+// operations on unrelated streams never contend on a shared lock. The
+// engines themselves are concurrent-safe, which keeps the shard locks
+// to map lookups only: the hot path (OfferBatch) holds a shard read
+// lock just long enough to resolve the id.
 //
 // Ticks within one stream must arrive in order, so each stream should
 // have a single writer, exactly as with a bare Engine; any number of
@@ -23,11 +24,7 @@ package hub
 
 import (
 	"errors"
-	"fmt"
 	"math"
-	"sort"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/sampling"
@@ -47,50 +44,17 @@ var (
 	ErrInvalidID = errors.New("invalid stream id")
 )
 
-// stream is one live engine plus the bookkeeping the hub needs around
-// it. lastActive is atomic so the ingest path can stamp it and Sweep can
-// read it without taking any lock.
-type stream struct {
-	engine     *sampling.Engine
-	lastActive atomic.Int64 // unix nanoseconds of the last Create/OfferBatch
-}
-
-// groupStream is one live comparison group, the group-id namespace's
-// counterpart of stream.
-type groupStream struct {
-	group      *sampling.Group
-	lastActive atomic.Int64 // unix nanoseconds of the last CreateGroup/OfferGroupBatch
-}
-
-// shard is one stripe of the hub: mutex-guarded stream and group tables
-// plus cumulative tick/kept counters. The counters are atomics and
-// survive stream removal, so aggregate Stats stays cheap and monotonic.
-// Stream and group counters are separate — a group tick fans out to N
-// engines, so folding the two together would make neither rate
-// meaningful.
-type shard struct {
-	mu         sync.RWMutex
-	streams    map[string]*stream
-	groups     map[string]*groupStream
-	ticks      atomic.Int64
-	kept       atomic.Int64
-	groupTicks atomic.Int64
-	groupKept  atomic.Int64
-}
-
-// Hub manages a set of named sampling streams across lock-striped
-// shards. The zero value is not usable; build hubs with New.
+// Hub manages a set of named sampling streams and comparison groups,
+// each namespace in its own lock-striped table. The zero value is not
+// usable; build hubs with New.
 type Hub struct {
-	shards        []shard
-	mask          uint64
-	clock         func() time.Time
-	ttl           time.Duration
-	evictHook     func(Eviction)
-	start         time.Time
-	created       atomic.Int64
-	evicted       atomic.Int64
-	groupsCreated atomic.Int64
-	groupsEvicted atomic.Int64
+	streams   space[*sampling.Engine]
+	groups    space[*sampling.Group]
+	stripes   int
+	clock     func() time.Time
+	ttl       time.Duration
+	evictHook func(Eviction)
+	start     time.Time
 }
 
 // Option configures a Hub at construction; see New.
@@ -109,7 +73,7 @@ func WithShards(n int) Option {
 		for p < n {
 			p <<= 1
 		}
-		h.shards = make([]shard, p)
+		h.stripes = p
 	}
 }
 
@@ -135,40 +99,18 @@ func New(opts ...Option) *Hub {
 	for _, opt := range opts {
 		opt(h)
 	}
-	for i := range h.shards {
-		h.shards[i].streams = make(map[string]*stream)
-		h.shards[i].groups = make(map[string]*groupStream)
-	}
-	h.mask = uint64(len(h.shards) - 1)
+	h.streams.init("stream", h.stripes, h.clock, sampling.RestoreEngine)
+	h.groups.init("group", h.stripes, h.clock, sampling.RestoreGroup)
 	h.start = h.clock()
 	return h
 }
 
-// shardOf hashes a stream id onto its stripe (FNV-1a).
-func (h *Hub) shardOf(id string) *shard {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	hash := uint64(offset64)
-	for i := 0; i < len(id); i++ {
-		hash ^= uint64(id[i])
-		hash *= prime64
-	}
-	return &h.shards[hash&h.mask]
-}
-
-// get resolves a live stream (and its shard, so hot paths hash the id
-// exactly once) or fails with ErrStreamNotFound.
-func (h *Hub) get(id string) (*shard, *stream, error) {
-	sh := h.shardOf(id)
-	sh.mu.RLock()
-	st := sh.streams[id]
-	sh.mu.RUnlock()
-	if st == nil {
-		return nil, nil, fmt.Errorf("hub: stream %q: %w", id, ErrStreamNotFound)
-	}
-	return sh, st, nil
+// withClock appends the hub's clock to the caller's engine options, so
+// fake-clock tests see consistent time everywhere. It copies first: the
+// caller's slice may have spare capacity that must not be written into.
+func (h *Hub) withClock(opts []sampling.Option) []sampling.Option {
+	all := make([]sampling.Option, 0, len(opts)+1)
+	return append(append(all, opts...), sampling.WithClock(h.clock))
 }
 
 // Create builds a fresh engine from the spec (plus engine options, e.g.
@@ -177,30 +119,7 @@ func (h *Hub) get(id string) (*shard, *stream, error) {
 // through with their types intact (sampling.ErrUnknownTechnique,
 // *sampling.ParamError), so a service can map them to client errors.
 func (h *Hub) Create(id string, spec sampling.Spec, opts ...sampling.Option) error {
-	if id == "" {
-		return fmt.Errorf("hub: empty stream id: %w", ErrInvalidID)
-	}
-	// The engine's snapshots must tick on the hub's clock so fake-clock
-	// tests see consistent time everywhere. Copy before appending: the
-	// caller's slice may have spare capacity we must not write into.
-	all := make([]sampling.Option, 0, len(opts)+1)
-	all = append(append(all, opts...), sampling.WithClock(h.clock))
-	eng, err := sampling.New(spec, all...)
-	if err != nil {
-		return err
-	}
-	st := &stream{engine: eng}
-	st.lastActive.Store(h.clock().UnixNano())
-	sh := h.shardOf(id)
-	sh.mu.Lock()
-	if _, dup := sh.streams[id]; dup {
-		sh.mu.Unlock()
-		return fmt.Errorf("hub: stream %q: %w", id, ErrStreamExists)
-	}
-	sh.streams[id] = st
-	sh.mu.Unlock()
-	h.created.Add(1)
-	return nil
+	return h.streams.add(id, func() (*sampling.Engine, error) { return sampling.New(spec, h.withClock(opts)...) })
 }
 
 // OfferBatch feeds a batch of ticks to a stream in order and returns
@@ -209,36 +128,19 @@ func (h *Hub) Create(id string, spec sampling.Spec, opts ...sampling.Option) err
 // acquisition of the engine's lock (Engine.OfferBatch), never one per
 // tick. Ticks within one stream must come from a single goroutine
 // (batches from concurrent writers would interleave unpredictably);
-// batches for different streams run fully in parallel.
-//
-//samplelint:hotpath
+// batches for different streams run fully in parallel. A Finish or
+// Sweep racing the batch fails it with ErrStreamNotFound.
 func (h *Hub) OfferBatch(id string, values []float64) (kept int, err error) {
-	sh, st, err := h.get(id)
-	if err != nil {
-		return 0, err
-	}
-	kept = st.engine.OfferBatch(values)
-	// A concurrent Finish (or Sweep eviction) around the batch turns
-	// Engine.OfferBatch into a silent no-op; without this check the
-	// batch would report success and count ticks no engine saw. The
-	// batch itself is atomic under the engine lock, so Finish can no
-	// longer land mid-batch.
-	if st.engine.Finished() {
-		return kept, fmt.Errorf("hub: stream %q: finished while offering: %w", id, ErrStreamNotFound)
-	}
-	st.lastActive.Store(h.clock().UnixNano())
-	sh.ticks.Add(int64(len(values)))
-	sh.kept.Add(int64(kept))
-	return kept, nil
+	return h.streams.offer(id, values)
 }
 
 // Snapshot returns the stream's live summary without disturbing it.
 func (h *Hub) Snapshot(id string) (sampling.Summary, error) {
-	_, st, err := h.get(id)
+	eng, err := h.streams.get(id)
 	if err != nil {
 		return sampling.Summary{}, err
 	}
-	return st.engine.Snapshot(), nil
+	return eng.Snapshot(), nil
 }
 
 // Finish ends a stream: the engine is finalized, the samples only
@@ -247,32 +149,17 @@ func (h *Hub) Snapshot(id string) (sampling.Summary, error) {
 // failed finalization (an engine deferred error) still removes the
 // stream and reports the error in both the return and the summary.
 func (h *Hub) Finish(id string) ([]sampling.Sample, sampling.Summary, error) {
-	sh := h.shardOf(id)
-	sh.mu.Lock()
-	st := sh.streams[id]
-	delete(sh.streams, id)
-	sh.mu.Unlock()
-	if st == nil {
-		return nil, sampling.Summary{}, fmt.Errorf("hub: stream %q: %w", id, ErrStreamNotFound)
+	eng, st, err := h.streams.remove(id)
+	if err != nil {
+		return nil, sampling.Summary{}, err
 	}
-	tail, err := st.engine.Finish()
-	sh.kept.Add(int64(len(tail)))
-	return tail, st.engine.Snapshot(), err
+	tail, err := eng.Finish()
+	st.kept.Add(int64(len(tail)))
+	return tail, eng.Snapshot(), err
 }
 
-// getGroup resolves a live group (and its shard) or fails with
-// ErrStreamNotFound. Groups live in their own id namespace: a group and
-// a stream may share an id without colliding.
-func (h *Hub) getGroup(id string) (*shard, *groupStream, error) {
-	sh := h.shardOf(id)
-	sh.mu.RLock()
-	gs := sh.groups[id]
-	sh.mu.RUnlock()
-	if gs == nil {
-		return nil, nil, fmt.Errorf("hub: group %q: %w", id, ErrStreamNotFound)
-	}
-	return sh, gs, nil
-}
+// List returns the ids of every live stream, sorted.
+func (h *Hub) List() []string { return h.streams.ids() }
 
 // CreateGroup builds a comparison group from the specs (one member
 // engine per spec; options as in sampling.NewGroup, so WithEstimator
@@ -281,27 +168,7 @@ func (h *Hub) getGroup(id string) (*shard, *groupStream, error) {
 // ErrStreamExists for a live group id, and engine construction errors
 // with their types intact.
 func (h *Hub) CreateGroup(id string, specs []sampling.Spec, opts ...sampling.Option) error {
-	if id == "" {
-		return fmt.Errorf("hub: empty group id: %w", ErrInvalidID)
-	}
-	all := make([]sampling.Option, 0, len(opts)+1)
-	all = append(append(all, opts...), sampling.WithClock(h.clock))
-	grp, err := sampling.NewGroup(specs, all...)
-	if err != nil {
-		return err
-	}
-	gs := &groupStream{group: grp}
-	gs.lastActive.Store(h.clock().UnixNano())
-	sh := h.shardOf(id)
-	sh.mu.Lock()
-	if _, dup := sh.groups[id]; dup {
-		sh.mu.Unlock()
-		return fmt.Errorf("hub: group %q: %w", id, ErrStreamExists)
-	}
-	sh.groups[id] = gs
-	sh.mu.Unlock()
-	h.groupsCreated.Add(1)
-	return nil
+	return h.groups.add(id, func() (*sampling.Group, error) { return sampling.NewGroup(specs, h.withClock(opts)...) })
 }
 
 // OfferGroupBatch feeds a batch of ticks to every member of a group in
@@ -310,33 +177,18 @@ func (h *Hub) CreateGroup(id string, specs []sampling.Spec, opts ...sampling.Opt
 // group, any number of concurrent observers, batches for different
 // groups fully parallel. The group's tick counter counts input ticks,
 // not input x members.
-//
-//samplelint:hotpath
 func (h *Hub) OfferGroupBatch(id string, values []float64) (kept int, err error) {
-	sh, gs, err := h.getGroup(id)
-	if err != nil {
-		return 0, err
-	}
-	kept = gs.group.OfferBatch(values)
-	// Same race check as OfferBatch: a concurrent FinishGroup or Sweep
-	// eviction turns the offer into a silent no-op.
-	if gs.group.Finished() {
-		return kept, fmt.Errorf("hub: group %q: finished while offering: %w", id, ErrStreamNotFound)
-	}
-	gs.lastActive.Store(h.clock().UnixNano())
-	sh.groupTicks.Add(int64(len(values)))
-	sh.groupKept.Add(int64(kept))
-	return kept, nil
+	return h.groups.offer(id, values)
 }
 
 // GroupSnapshot returns the group's live comparison without disturbing
 // it.
 func (h *Hub) GroupSnapshot(id string) (sampling.Comparison, error) {
-	_, gs, err := h.getGroup(id)
+	grp, err := h.groups.get(id)
 	if err != nil {
 		return sampling.Comparison{}, err
 	}
-	return gs.group.Snapshot(), nil
+	return grp.Snapshot(), nil
 }
 
 // FinishGroup ends a group: every member is finalized, the per-member
@@ -345,121 +197,45 @@ func (h *Hub) GroupSnapshot(id string) (sampling.Comparison, error) {
 // block removal; they come back joined and stay visible in the member
 // summaries.
 func (h *Hub) FinishGroup(id string) ([][]sampling.Sample, sampling.Comparison, error) {
-	sh := h.shardOf(id)
-	sh.mu.Lock()
-	gs := sh.groups[id]
-	delete(sh.groups, id)
-	sh.mu.Unlock()
-	if gs == nil {
-		return nil, sampling.Comparison{}, fmt.Errorf("hub: group %q: %w", id, ErrStreamNotFound)
+	grp, st, err := h.groups.remove(id)
+	if err != nil {
+		return nil, sampling.Comparison{}, err
 	}
-	tails, err := gs.group.Finish()
+	tails, err := grp.Finish()
 	var n int64
 	for _, tail := range tails {
 		n += int64(len(tail))
 	}
-	sh.groupKept.Add(n)
-	return tails, gs.group.Snapshot(), err
+	st.kept.Add(n)
+	return tails, grp.Snapshot(), err
 }
 
 // ListGroups returns the ids of every live group, sorted.
-func (h *Hub) ListGroups() []string {
-	var out []string
-	for i := range h.shards {
-		sh := &h.shards[i]
-		sh.mu.RLock()
-		for id := range sh.groups {
-			out = append(out, id)
-		}
-		sh.mu.RUnlock()
-	}
-	sort.Strings(out)
-	return out
-}
-
-// List returns the ids of every live stream, sorted.
-func (h *Hub) List() []string {
-	var out []string
-	for i := range h.shards {
-		sh := &h.shards[i]
-		sh.mu.RLock()
-		for id := range sh.streams {
-			out = append(out, id)
-		}
-		sh.mu.RUnlock()
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Len returns the number of live streams.
-func (h *Hub) Len() int {
-	n := 0
-	for i := range h.shards {
-		sh := &h.shards[i]
-		sh.mu.RLock()
-		n += len(sh.streams)
-		sh.mu.RUnlock()
-	}
-	return n
-}
+func (h *Hub) ListGroups() []string { return h.groups.ids() }
 
 // Sweep evicts every stream and group idle for longer than the hub's
 // TTL and returns how many it removed. Evicted engines are finalized
 // (their end-of-stream samples are dropped — nobody is listening). With
 // no TTL configured Sweep is a no-op; a service calls it on a timer.
+// The evict hook runs first, outside the shard locks — it is the last
+// chance to capture the engine's state before Finish closes it.
 func (h *Hub) Sweep() int {
 	if h.ttl <= 0 {
 		return 0
 	}
 	cutoff := h.clock().Add(-h.ttl).UnixNano()
-	type deadStream struct {
-		id string
-		st *stream
-	}
-	type deadGroup struct {
-		id string
-		gs *groupStream
-	}
-	var dead []deadStream
-	var deadGroups []deadGroup
-	for i := range h.shards {
-		sh := &h.shards[i]
-		sh.mu.Lock()
-		for id, st := range sh.streams {
-			if st.lastActive.Load() < cutoff {
-				delete(sh.streams, id)
-				dead = append(dead, deadStream{id, st})
-			}
-		}
-		for id, gs := range sh.groups {
-			if gs.lastActive.Load() < cutoff {
-				delete(sh.groups, id)
-				deadGroups = append(deadGroups, deadGroup{id, gs})
-			}
-		}
-		sh.mu.Unlock()
-	}
-	// The evict hook, then finalization, both outside the shard locks:
-	// Finish can do O(stream) work (simple random sampling drains its
-	// buffer) and must not stall unrelated streams of the same shard.
-	// The hook runs first — it is the last chance to capture the
-	// engine's state before Finish closes it.
-	for _, d := range dead {
+	n := h.streams.sweep(cutoff, func(id string, eng *sampling.Engine) {
 		if h.evictHook != nil {
-			h.evictHook(Eviction{ID: d.id, Engine: d.st.engine})
+			h.evictHook(Eviction{ID: id, Engine: eng})
 		}
-		d.st.engine.Finish()
-	}
-	for _, d := range deadGroups {
+		eng.Finish()
+	})
+	return n + h.groups.sweep(cutoff, func(id string, grp *sampling.Group) {
 		if h.evictHook != nil {
-			h.evictHook(Eviction{ID: d.id, Group: d.gs.group})
+			h.evictHook(Eviction{ID: id, Group: grp})
 		}
-		d.gs.group.Finish()
-	}
-	h.evicted.Add(int64(len(dead)))
-	h.groupsEvicted.Add(int64(len(deadGroups)))
-	return len(dead) + len(deadGroups)
+		grp.Finish()
+	})
 }
 
 // Stats is the hub's aggregate state, shaped for metrics scraping:
@@ -506,33 +282,23 @@ type HurstStats struct {
 func (h *Hub) Hurst() HurstStats {
 	st := HurstStats{MeanInputH: math.NaN(), MeanKeptH: math.NaN(), MeanDrift: math.NaN()}
 	var sumIn, sumKept, sumDrift float64
-	var engines []*sampling.Engine
-	for i := range h.shards {
-		sh := &h.shards[i]
-		sh.mu.RLock()
-		engines = engines[:0]
-		for _, s := range sh.streams {
-			engines = append(engines, s.engine)
+	for _, n := range h.streams.sorted() {
+		hs := n.e.m.Snapshot().Hurst
+		if hs == nil {
+			continue
 		}
-		sh.mu.RUnlock()
-		for _, eng := range engines {
-			hs := eng.Snapshot().Hurst
-			if hs == nil {
-				continue
-			}
-			st.Estimating++
-			if hs.Input.OK {
-				st.InputN++
-				sumIn += hs.Input.H
-			}
-			if hs.Kept.OK {
-				st.KeptN++
-				sumKept += hs.Kept.H
-			}
-			if !math.IsNaN(hs.Drift) {
-				st.DriftN++
-				sumDrift += hs.Drift
-			}
+		st.Estimating++
+		if hs.Input.OK {
+			st.InputN++
+			sumIn += hs.Input.H
+		}
+		if hs.Kept.OK {
+			st.KeptN++
+			sumKept += hs.Kept.H
+		}
+		if !math.IsNaN(hs.Drift) {
+			st.DriftN++
+			sumDrift += hs.Drift
 		}
 	}
 	if st.InputN > 0 {
@@ -550,23 +316,19 @@ func (h *Hub) Hurst() HurstStats {
 // Stats aggregates over the shards. Cost is O(shards), independent of
 // the number of streams, so it is safe to scrape at high frequency.
 func (h *Hub) Stats() Stats {
+	streams, groups := h.streams.totals(), h.groups.totals()
 	s := Stats{
-		Created:       h.created.Load(),
-		Evicted:       h.evicted.Load(),
-		GroupsCreated: h.groupsCreated.Load(),
-		GroupsEvicted: h.groupsEvicted.Load(),
+		Streams:       streams.live,
+		Created:       streams.created,
+		Evicted:       streams.evicted,
+		Ticks:         streams.ticks,
+		Kept:          streams.kept,
 		Uptime:        h.clock().Sub(h.start),
-	}
-	for i := range h.shards {
-		sh := &h.shards[i]
-		s.Ticks += sh.ticks.Load()
-		s.Kept += sh.kept.Load()
-		s.GroupTicks += sh.groupTicks.Load()
-		s.GroupKept += sh.groupKept.Load()
-		sh.mu.RLock()
-		s.Streams += len(sh.streams)
-		s.Groups += len(sh.groups)
-		sh.mu.RUnlock()
+		Groups:        groups.live,
+		GroupsCreated: groups.created,
+		GroupsEvicted: groups.evicted,
+		GroupTicks:    groups.ticks,
+		GroupKept:     groups.kept,
 	}
 	if sec := s.Uptime.Seconds(); sec > 0 {
 		s.TicksPerSec = float64(s.Ticks) / sec

@@ -157,8 +157,8 @@ func TestHubCreateErrors(t *testing.T) {
 	if err := h.Create("c", sampling.MustParse("systematic:interval=10,bogus=1")); !errors.As(err, &pe) {
 		t.Errorf("rejected param: got %v, want *ParamError", err)
 	}
-	if h.Len() != 1 {
-		t.Errorf("failed creates leaked streams: %d live", h.Len())
+	if n := h.Stats().Streams; n != 1 {
+		t.Errorf("failed creates leaked streams: %d live", n)
 	}
 }
 

@@ -138,7 +138,7 @@ func TestDetachRestoreHandoff(t *testing.T) {
 	if _, err := src.OfferGroupBatch("gflow", f[:cut]); err != nil {
 		t.Fatal(err)
 	}
-	gblob, err := src.DetachGroup("gflow")
+	gblob, err := src.AppendDetachGroup(nil, "gflow")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,9 +262,10 @@ func TestCheckpointTotalsCarry(t *testing.T) {
 	}
 }
 
-// TestAppendDetachAndCheckpointRecords: AppendDetach appends exactly
-// the blob StreamState exported behind the caller's bytes (and leaves
-// them alone when the id is unknown), and every checkpoint record is
+// TestAppendDetachAndCheckpointRecords: AppendDetach and
+// AppendDetachGroup append exactly the blob StreamState or GroupState
+// exported behind the caller's bytes (and leave them alone when the id
+// is unknown), and every checkpoint record is
 // its stream's or group's own blob, capped so that appending to one
 // record cannot overwrite the next one in the shared arena.
 func TestAppendDetachAndCheckpointRecords(t *testing.T) {
@@ -326,5 +327,23 @@ func TestAppendDetachAndCheckpointRecords(t *testing.T) {
 	}
 	if _, err := h.StreamState("b"); !errors.Is(err, hub.ErrStreamNotFound) {
 		t.Fatalf("detached stream still resolves: %v", err)
+	}
+
+	// The group namespace detaches through the same path.
+	want, err = h.GroupState("g")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := h.AppendDetachGroup(prefix, "missing"); !errors.Is(err, hub.ErrStreamNotFound) || string(got) != "head" {
+		t.Fatalf("AppendDetachGroup of an unknown id = %q, %v", got, err)
+	}
+	if got, err = h.AppendDetachGroup(prefix, "g"); err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != "head"+string(want) {
+		t.Fatal("AppendDetachGroup did not append exactly the exported blob after the prefix")
+	}
+	if _, err := h.GroupState("g"); !errors.Is(err, hub.ErrStreamNotFound) {
+		t.Fatalf("detached group still resolves: %v", err)
 	}
 }

@@ -79,19 +79,11 @@ type Totals struct {
 	GroupsEvicted int64
 }
 
-// StreamRecord is one checkpointed stream: its hub id, its last
+// Record is one checkpointed stream or group: its hub id, its last
 // activity stamp (informational — a restoring hub re-stamps activity
 // at restore time so downtime does not count as idleness), and the
-// opaque engine-state blob from Engine.MarshalState.
-type StreamRecord struct {
-	ID                 string
-	LastActiveUnixNano int64
-	State              []byte
-}
-
-// GroupRecord is the comparison-group counterpart of StreamRecord;
-// State comes from Group.MarshalState.
-type GroupRecord struct {
+// opaque state blob from Engine.MarshalState or Group.MarshalState.
+type Record struct {
 	ID                 string
 	LastActiveUnixNano int64
 	State              []byte
@@ -104,8 +96,8 @@ type Checkpoint struct {
 	// the caller's clock (the package itself never reads time).
 	TakenAtUnixNano int64
 	Totals          Totals
-	Streams         []StreamRecord
-	Groups          []GroupRecord
+	Streams         []Record
+	Groups          []Record
 }
 
 // Encode serializes the checkpoint into the framed, checksummed v1
@@ -122,19 +114,20 @@ func (c *Checkpoint) Encode() []byte {
 	b = binenc.AppendI64(b, c.Totals.Evicted)
 	b = binenc.AppendI64(b, c.Totals.GroupsCreated)
 	b = binenc.AppendI64(b, c.Totals.GroupsEvicted)
-	b = binenc.AppendU32(b, uint32(len(c.Streams)))
-	for i := range c.Streams {
-		b = binenc.AppendString(b, c.Streams[i].ID)
-		b = binenc.AppendI64(b, c.Streams[i].LastActiveUnixNano)
-		b = binenc.AppendBytes(b, c.Streams[i].State)
-	}
-	b = binenc.AppendU32(b, uint32(len(c.Groups)))
-	for i := range c.Groups {
-		b = binenc.AppendString(b, c.Groups[i].ID)
-		b = binenc.AppendI64(b, c.Groups[i].LastActiveUnixNano)
-		b = binenc.AppendBytes(b, c.Groups[i].State)
-	}
+	b = appendRecords(b, c.Streams)
+	b = appendRecords(b, c.Groups)
 	return binenc.AppendU32(b, crc32.ChecksumIEEE(b))
+}
+
+// appendRecords writes one u32-counted record section.
+func appendRecords(b []byte, recs []Record) []byte {
+	b = binenc.AppendU32(b, uint32(len(recs)))
+	for i := range recs {
+		b = binenc.AppendString(b, recs[i].ID)
+		b = binenc.AppendI64(b, recs[i].LastActiveUnixNano)
+		b = binenc.AppendBytes(b, recs[i].State)
+	}
+	return b
 }
 
 // minRecordSize bounds how small one encoded stream/group record can
@@ -179,12 +172,8 @@ func Decode(data []byte) (*Checkpoint, error) {
 	if ck.Streams, err = readRecords(r, "stream"); err != nil {
 		return nil, err
 	}
-	groups, err := readRecords(r, "group")
-	if err != nil {
+	if ck.Groups, err = readRecords(r, "group"); err != nil {
 		return nil, err
-	}
-	for _, g := range groups {
-		ck.Groups = append(ck.Groups, GroupRecord(g))
 	}
 	if err := r.Err(); err != nil {
 		return nil, fmt.Errorf("persist: %v: %w", err, ErrBadCheckpoint)
@@ -198,7 +187,7 @@ func Decode(data []byte) (*Checkpoint, error) {
 // readRecords reads one u32-counted record section, holding the
 // declared count against the bytes actually present before any
 // allocation.
-func readRecords(r *binenc.Reader, kind string) ([]StreamRecord, error) {
+func readRecords(r *binenc.Reader, kind string) ([]Record, error) {
 	n := int(r.U32())
 	if r.Err() == nil && n*minRecordSize > r.Remaining() {
 		return nil, fmt.Errorf("persist: %s count %d exceeds the %d bytes remaining: %w", kind, n, r.Remaining(), ErrBadCheckpoint)
@@ -206,9 +195,9 @@ func readRecords(r *binenc.Reader, kind string) ([]StreamRecord, error) {
 	if r.Err() != nil || n == 0 {
 		return nil, nil
 	}
-	out := make([]StreamRecord, 0, n)
+	out := make([]Record, 0, n)
 	for i := 0; i < n; i++ {
-		rec := StreamRecord{
+		rec := Record{
 			ID:                 r.String(),
 			LastActiveUnixNano: r.I64(),
 		}

@@ -160,12 +160,8 @@ func (e *Engine) AppendState(dst []byte) ([]byte, error) {
 		return dst, fmt.Errorf("sampling: capture %q kernel state: %w", e.kernel.Name(), err)
 	}
 	binenc.PatchLen(b, at)
-	if b, err = appendEstimator(b, e.estIn); err != nil {
-		return dst, err
-	}
-	if b, err = appendEstimator(b, e.estKept); err != nil {
-		return dst, err
-	}
+	b = appendEstimator(b, e.estIn)
+	b = appendEstimator(b, e.estKept)
 	return sealState(b, base), nil
 }
 
@@ -272,13 +268,11 @@ func (g *Group) AppendState(dst []byte) ([]byte, error) {
 	b = binenc.AppendF64(b, accState.Max)
 	b = binenc.AppendBool(b, g.finished)
 	b = binenc.AppendString(b, errString(g.finishErr))
-	b, err := appendEstimator(b, g.estIn)
-	if err != nil {
-		return dst, err
-	}
+	b = appendEstimator(b, g.estIn)
 	b = binenc.AppendU32(b, uint32(len(g.members)))
 	for i, eng := range g.members {
 		var at int
+		var err error
 		b, at = binenc.ReserveLen(b)
 		if b, err = eng.AppendState(b); err != nil {
 			return dst, fmt.Errorf("sampling: group member %d (%s): %w", i, eng.specString, err)
@@ -351,20 +345,16 @@ func RestoreGroup(data []byte, opts ...Option) (*Group, error) {
 
 // appendEstimator writes an optional estimator: absent as a single
 // false byte, present as true + method + state blob.
-func appendEstimator(dst []byte, est estimate.Estimator) ([]byte, error) {
+func appendEstimator(dst []byte, est estimate.Estimator) []byte {
 	if est == nil {
-		return binenc.AppendBool(dst, false), nil
-	}
-	st, ok := est.(estimate.Stateful)
-	if !ok {
-		return nil, fmt.Errorf("sampling: estimator %q does not expose state", est.Method())
+		return binenc.AppendBool(dst, false)
 	}
 	dst = binenc.AppendBool(dst, true)
 	dst = binenc.AppendString(dst, string(est.Method()))
 	dst, at := binenc.ReserveLen(dst)
-	dst = st.AppendState(dst)
+	dst = est.AppendState(dst)
 	binenc.PatchLen(dst, at)
-	return dst, nil
+	return dst
 }
 
 // readEstimator reads the optional-estimator form written by
@@ -385,11 +375,7 @@ func readEstimator(r *binenc.Reader) (estimate.Estimator, error) {
 	if err != nil {
 		return nil, fmt.Errorf("sampling: estimator state: %w", err)
 	}
-	st, ok := est.(estimate.Stateful)
-	if !ok {
-		return nil, fmt.Errorf("sampling: estimator %q does not expose state", method)
-	}
-	if err := st.RestoreState(blob); err != nil {
+	if err := est.RestoreState(blob); err != nil {
 		return nil, fmt.Errorf("sampling: restore %q estimator state: %w", method, err)
 	}
 	return est, nil

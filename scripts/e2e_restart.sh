@@ -13,7 +13,8 @@
 # backends; one backend is killed and restarted from its checkpoint,
 # and the router's health loop must eject it, readmit it, and hand its
 # share of streams back by checkpoint transfer — with every stream's
-# counters intact end to end.
+# counters intact end to end. A five-technique comparison group rides
+# the same outage and must come back with its input count intact.
 #
 #   ./scripts/e2e_restart.sh [streams] [ticks]
 set -euo pipefail
@@ -61,6 +62,12 @@ wait_ready() {
 snapshot_line() {
     curl -sf "$1/v1/streams/$2/snapshot" |
         sed -E 's/.*"seen":([0-9]+).*"kept":([0-9]+).*/seen=\1 kept=\2/'
+}
+
+# group_seen extracts a comparison group's input tick count (the
+# document's leading top-level "seen"; member summaries follow it).
+group_seen() {
+    curl -sf "$1/v1/groups/$2" | sed -E 's/^\{"seen":([0-9]+),.*/\1/'
 }
 
 # make_fleet creates $STREAMS persistent streams named "$1-NN" against
@@ -170,6 +177,19 @@ wait_ready "$BASE" "$router_pid"
 "$workdir/sampleload" -addr "127.0.0.1:${PORT}" \
     -streams "$STREAMS" -ticks "$TICKS" -batch 512 -wire session
 make_fleet fleet "$BASE"
+curl -sf -X PUT "$BASE/v1/groups/fleet-cmp" \
+    -H 'Content-Type: application/json' \
+    -d '{"specs": ["systematic:interval=50", "stratified:interval=50,seed=3",
+                   "simple:n=100,seed=4", "bernoulli:rate=0.02,seed=5",
+                   "bss:interval=50,L=5,eps=1.0"],
+         "estimator": "aggvar"}' > /dev/null
+seq 1 "$TICKS" | tr '\n' ' ' |
+    curl -sf -X POST "$BASE/v1/groups/fleet-cmp/ticks" --data-binary @- > /dev/null
+group_before="$(group_seen "$BASE" fleet-cmp)"
+if [ "$group_before" != "$TICKS" ]; then
+    echo "e2e-restart: group fleet-cmp saw $group_before ticks, want $TICKS" >&2
+    exit 1
+fi
 
 total="$(curl -sf "$BASE/v1/streams" | sed -E 's/.*"count":([0-9]+).*/\1/')"
 if [ "$total" != "$STREAMS" ]; then
@@ -226,8 +246,17 @@ for i in $(seq 0 $((STREAMS - 1))); do
         exit 1
     fi
 done
+group_after="$(group_seen "$BASE" fleet-cmp)"
+if [ "$group_after" != "$group_before" ]; then
+    echo "e2e-restart: group fleet-cmp seen changed across the outage: $group_before -> $group_after" >&2
+    exit 1
+fi
+if ! curl -sf "$BASE/v1/groups" | grep -q '"fleet-cmp"'; then
+    echo "e2e-restart: merged group list lacks fleet-cmp after the outage" >&2
+    exit 1
+fi
 handoffs="$(curl -sf "$BASE/metrics" | awk '/^sampled_router_handoffs_total /{print $2}')"
-echo "e2e-restart: part 2 ok ($STREAMS streams, placement $n1/$n2, ${handoffs:-0} handoffs)"
+echo "e2e-restart: part 2 ok ($STREAMS streams + 1 group, placement $n1/$n2, ${handoffs:-0} handoffs)"
 
 kill -TERM "$router_pid"
 wait "$router_pid" || true
