@@ -188,57 +188,30 @@ func run(ctx context.Context, args []string, ready chan<- net.Addr) error {
 
 	handler := newServer(h, *maxBody, *hurstEvery,
 		withLogger(logger), withPprof(*pprofOn), withEvents(*events), withReady(&isReady))
-	srv := &http.Server{Handler: handler}
-	errc := make(chan error, 1)
-	go func() { errc <- srv.Serve(ln) }()
-
-	if ckpt != nil {
-		if err := ckpt.restore(); err != nil {
-			srv.Close()
-			return fmt.Errorf("restore: %w", err)
-		}
-	}
-	isReady.Store(true)
-	if ready != nil {
-		ready <- ln.Addr()
-	}
-
-	if ckpt != nil && *ckptEvery > 0 {
-		go ckpt.loop(ctx, *ckptEvery)
-	}
-	if *ttl > 0 {
-		go func() {
-			t := time.NewTicker(*sweep)
-			defer t.Stop()
-			for {
-				select {
-				case <-ctx.Done():
-					return
-				case <-t.C:
-					if n := h.Sweep(); n > 0 {
-						logger.Info("evicted idle streams", "count", n)
-					}
-				}
+	boot := func() error {
+		if ckpt != nil {
+			if err := ckpt.restore(); err != nil {
+				return fmt.Errorf("restore: %w", err)
 			}
-		}()
-	}
-
-	select {
-	case err := <-errc:
-		return err
-	case <-ctx.Done():
+			go every(ctx, *ckptEvery, ckpt.periodic)
+		}
+		isReady.Store(true)
+		if ready != nil {
+			ready <- ln.Addr()
+		}
+		if *ttl > 0 {
+			go every(ctx, *sweep, func() {
+				if n := h.Sweep(); n > 0 {
+					logger.Info("evicted idle streams", "count", n)
+				}
+			})
+		}
+		return nil
 	}
 	// Draining: readiness drops first so probes steer new traffic away,
 	// then in-flight requests finish, then — with no writers left — the
 	// final checkpoint captures every acknowledged tick.
-	isReady.Store(false)
-	logger.Info("shutting down", "drain", *drain)
-	sctx, cancel := context.WithTimeout(context.Background(), *drain)
-	defer cancel()
-	if err := srv.Shutdown(sctx); err != nil {
-		return fmt.Errorf("shutdown: %w", err)
-	}
-	if err := <-errc; err != nil && !errors.Is(err, http.ErrServerClosed) {
+	if err := serveUntilDrained(ctx, ln, handler, *drain, logger, boot, func() { isReady.Store(false) }); err != nil {
 		return err
 	}
 	if ckpt != nil {
@@ -272,27 +245,41 @@ func runRouter(ctx context.Context, addr, route string, maxBody int64, healthEve
 	}
 	logger.Info("routing", "addr", ln.Addr().String(), "backends", len(rt.backends))
 
-	srv := &http.Server{Handler: rt.handler()}
-	errc := make(chan error, 1)
-	go func() { errc <- srv.Serve(ln) }()
-
 	// One synchronous probe round before announcing readiness, so the
 	// first request already sees real membership, then the steady
-	// polling loop.
-	rt.checkHealth(ctx)
-	if ready != nil {
-		ready <- ln.Addr()
+	// polling loop: every probe round that changes membership
+	// rebalances.
+	boot := func() error {
+		rt.checkHealth(ctx)
+		if ready != nil {
+			ready <- ln.Addr()
+		}
+		go every(ctx, healthEvery, func() { rt.checkHealth(ctx) })
+		return nil
 	}
-	if healthEvery > 0 {
-		go rt.healthLoop(ctx, healthEvery)
-	}
+	return serveUntilDrained(ctx, ln, rt.handler(), drain, logger, boot, func() {})
+}
 
+// serveUntilDrained serves h on ln and runs boot once the listener is
+// live; a boot error closes the server and is returned. When ctx ends
+// it calls stop, then drains in-flight requests for up to drain and
+// returns once the server is down.
+func serveUntilDrained(ctx context.Context, ln net.Listener, h http.Handler, drain time.Duration,
+	logger *slog.Logger, boot func() error, stop func()) error {
+	srv := &http.Server{Handler: h}
+	errc := make(chan error, 1)
+	go func() { errc <- srv.Serve(ln) }()
+	if err := boot(); err != nil {
+		srv.Close()
+		return err
+	}
 	select {
 	case err := <-errc:
 		return err
 	case <-ctx.Done():
 	}
-	logger.Info("router shutting down", "drain", drain)
+	stop()
+	logger.Info("shutting down", "drain", drain)
 	sctx, cancel := context.WithTimeout(context.Background(), drain)
 	defer cancel()
 	if err := srv.Shutdown(sctx); err != nil {
@@ -302,4 +289,22 @@ func runRouter(ctx context.Context, addr, route string, maxBody int64, healthEve
 		return err
 	}
 	return nil
+}
+
+// every calls f once per period until ctx ends. A period of zero or
+// less never calls it.
+func every(ctx context.Context, period time.Duration, f func()) {
+	if period <= 0 {
+		return
+	}
+	t := time.NewTicker(period)
+	defer t.Stop()
+	for {
+		select {
+		case <-ctx.Done():
+			return
+		case <-t.C:
+			f()
+		}
+	}
 }

@@ -4,9 +4,10 @@ package main
 // into a thin stateless proxy over N sampled backends. Stream and
 // group ids place onto backends by consistent hash (sampling/cluster),
 // so every router instance with the same backend list agrees on
-// ownership without coordination; requests forward to the owner over
-// a per-backend reverse proxy, and the persistent-session wire demuxes
-// per frame onto per-backend upstream sessions.
+// ownership without coordination; any request under an id forwards to
+// the owner over a per-backend reverse proxy, whose own route table
+// answers it, and the persistent-session wire demuxes per frame onto
+// per-backend upstream sessions (cluster.Session).
 //
 // Membership is driven by health: a probe loop polls every backend's
 // /healthz, and when the healthy set changes the router rebuilds its
@@ -28,7 +29,6 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/obs"
 	"repro/sampling/cluster"
@@ -120,32 +120,16 @@ func newRouter(backends []string, maxTicks int, logger *slog.Logger, client *htt
 	return rt, nil
 }
 
-// handler builds the router's mux: id-addressed v1 routes forward to
-// the owner, collection routes fan out and merge, the session wire
-// demuxes per frame, and the router serves its own health and metrics.
+// handler builds the router's mux: every request under an id, any
+// method, forwards to the id's owner, collection routes fan out and
+// merge, the session wire demuxes per frame, and the router serves its
+// own health and metrics.
 func (rt *router) handler() http.Handler {
 	mux := http.NewServeMux()
 	byID := func(w http.ResponseWriter, r *http.Request) { rt.forward(w, r, r.PathValue("id")) }
-	for _, pattern := range []string{
-		"PUT /v1/streams/{id}",
-		"POST /v1/streams/{id}/ticks",
-		"GET /v1/streams/{id}/snapshot",
-		"GET /v1/streams/{id}/hurst",
-		"GET /v1/streams/{id}/state",
-		"PUT /v1/streams/{id}/state",
-		"DELETE /v1/streams/{id}/state",
-		"DELETE /v1/streams/{id}",
-		"PUT /v1/groups/{id}",
-		"POST /v1/groups/{id}/ticks",
-		"GET /v1/groups/{id}/state",
-		"PUT /v1/groups/{id}/state",
-		"DELETE /v1/groups/{id}/state",
-		"GET /v1/groups/{id}",
-		"DELETE /v1/groups/{id}",
-	} {
-		mux.HandleFunc(pattern, byID)
-	}
 	for _, coll := range collections {
+		mux.HandleFunc("/v1/"+coll+"/{id}", byID)
+		mux.HandleFunc("/v1/"+coll+"/{id}/{sub}", byID)
 		mux.HandleFunc("GET /v1/"+coll, func(w http.ResponseWriter, r *http.Request) {
 			rt.mergeLists(w, r, coll)
 		})
@@ -202,16 +186,6 @@ func (rt *router) mergeLists(w http.ResponseWriter, r *http.Request, key string)
 	writeJSON(w, http.StatusOK, map[string]any{key: ids, "count": len(ids)})
 }
 
-// upstreamSession is one lazily opened persistent session to a
-// backend: frames re-encode into the pipe, and the backend's response
-// is collected when the client session ends.
-type upstreamSession struct {
-	pw   *io.PipeWriter
-	enc  *wire.Encoder
-	done chan error
-	resp sessionResponse
-}
-
 // session demuxes a persistent client session onto per-backend
 // upstream sessions: each frame routes to its embedded id's owner,
 // re-encoded onto that backend's long-lived connection, so the
@@ -225,25 +199,17 @@ func (rt *router) session(w http.ResponseWriter, r *http.Request) {
 	}
 	dec := rt.decoders.get(r.Body)
 	defer rt.decoders.put(dec)
-	upstreams := make(map[string]*upstreamSession)
+	upstreams := make(map[string]*cluster.Session)
 	var total sessionResponse
 
-	// closeAll tears down every upstream pipe and collects responses;
-	// on the error path the pipes are broken instead so backends see a
-	// truncated body, not a clean end of session.
-	closeAll := func(breakWith error) {
-		for _, up := range upstreams {
-			if breakWith != nil {
-				up.pw.CloseWithError(breakWith)
-			} else {
-				up.pw.Close()
-			}
-			<-up.done
-		}
-	}
-
+	// fail breaks every upstream session, so backends see a truncated
+	// body rather than a clean end of session, and reports how far the
+	// client session got.
 	fail := func(status int, msg string) {
-		closeAll(errors.New(msg))
+		cause := errors.New(msg)
+		for _, up := range upstreams {
+			up.Abort(cause)
+		}
 		writeJSON(w, status, map[string]any{
 			"error": msg, "frames": total.Frames, "accepted": total.Accepted, "kept": total.Kept})
 	}
@@ -273,14 +239,14 @@ func (rt *router) session(w http.ResponseWriter, r *http.Request) {
 		up, ok := upstreams[owner]
 		if !ok {
 			var err error
-			if up, err = rt.openUpstream(r.Context(), owner); err != nil {
+			if up, err = cluster.OpenSession(r.Context(), rt.client.Client, owner); err != nil {
 				fail(http.StatusBadGateway, "backend "+owner+": "+err.Error())
 				return
 			}
 			upstreams[owner] = up
 			rt.requests.With(owner).Inc()
 		}
-		if err := up.enc.Encode(id, values); err != nil {
+		if err := up.Encode(id, values); err != nil {
 			fail(http.StatusBadGateway, "backend "+owner+": "+err.Error())
 			return
 		}
@@ -292,11 +258,11 @@ func (rt *router) session(w http.ResponseWriter, r *http.Request) {
 	// the backends' kept totals into the response.
 	var firstErr error
 	for owner, up := range upstreams {
-		up.pw.Close()
-		if err := <-up.done; err != nil && firstErr == nil {
+		t, err := up.Close()
+		if err != nil && firstErr == nil {
 			firstErr = fmt.Errorf("backend %s: %w", owner, err)
 		}
-		total.Kept += up.resp.Kept
+		total.Kept += t.Kept
 	}
 	if firstErr != nil {
 		writeJSON(w, http.StatusBadGateway, map[string]any{
@@ -304,57 +270,6 @@ func (rt *router) session(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, total)
-}
-
-// openUpstream starts one persistent session POST to a backend, its
-// body fed by a pipe the demux writes frames into.
-func (rt *router) openUpstream(ctx context.Context, base string) (*upstreamSession, error) {
-	pr, pw := io.Pipe()
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, base+"/v1/session", pr)
-	if err != nil {
-		pw.Close()
-		return nil, err
-	}
-	req.Header.Set("Content-Type", wire.ContentType)
-	up := &upstreamSession{pw: pw, enc: wire.NewEncoder(pw), done: make(chan error, 1)}
-	httpClient := rt.client.Client
-	if httpClient == nil {
-		httpClient = http.DefaultClient
-	}
-	go func() {
-		resp, err := httpClient.Do(req)
-		if err != nil {
-			pr.CloseWithError(err)
-			up.done <- err
-			return
-		}
-		defer resp.Body.Close()
-		var sr sessionResponse
-		if derr := decodeStrict(io.LimitReader(resp.Body, 1<<20), &sr); derr == nil {
-			up.resp = sr
-		}
-		if resp.StatusCode != http.StatusOK {
-			up.done <- fmt.Errorf("session status %d", resp.StatusCode)
-			return
-		}
-		up.done <- nil
-	}()
-	return up, nil
-}
-
-// healthLoop polls every backend until the context ends, rebalancing
-// when the healthy set changes.
-func (rt *router) healthLoop(ctx context.Context, every time.Duration) {
-	t := time.NewTicker(every)
-	defer t.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case <-t.C:
-			rt.checkHealth(ctx)
-		}
-	}
 }
 
 // checkHealth probes every configured backend, swaps in a new ring

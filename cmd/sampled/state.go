@@ -8,7 +8,6 @@ package main
 // evicted.
 
 import (
-	"context"
 	"errors"
 	"io"
 	"io/fs"
@@ -210,25 +209,15 @@ func (c *checkpointer) save() error {
 	return nil
 }
 
-// loop writes a checkpoint every interval until the context ends,
-// then writes one final checkpoint — the shutdown half of a
-// zero-downtime restart. The final write runs after the caller's
-// drain (run sequences it), so the file carries every acknowledged
-// tick.
-func (c *checkpointer) loop(ctx context.Context, interval time.Duration) {
-	t := time.NewTicker(interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case <-t.C:
-			if err := c.save(); err != nil {
-				c.logger.Error("checkpoint failed", "err", err)
-			} else {
-				c.logger.Debug("checkpoint written", "dir", c.dir)
-			}
-		}
+// periodic writes one of the periodic checkpoints, logging rather
+// than returning a failure: the next period retries. The final
+// checkpoint is not written here — run writes it after the shutdown
+// drain, so the file carries every acknowledged tick.
+func (c *checkpointer) periodic() {
+	if err := c.save(); err != nil {
+		c.logger.Error("checkpoint failed", "err", err)
+	} else {
+		c.logger.Debug("checkpoint written", "dir", c.dir)
 	}
 }
 

@@ -40,6 +40,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"flag"
@@ -61,6 +62,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/traffic"
 	"repro/sampling"
+	"repro/sampling/cluster"
 	"repro/sampling/estimate"
 	"repro/sampling/hub"
 	"repro/sampling/wire"
@@ -163,8 +165,14 @@ type loadResult struct {
 	ticks   int64
 	kept    int64
 	elapsed time.Duration
-	drift   *driftReport   // nil when the run had no estimator
+	drift   *driftReport   // nil when the run had no estimator or drove groups
 	lat     *obs.Histogram // client-side per-request (per-offer) latency
+
+	// specs are the run's techniques; tallies folds each one's live
+	// readings over every id, and seen is the ids' summed input ticks.
+	specs   []sampling.Spec
+	tallies []tally
+	seen    int64
 }
 
 // latencyBuckets spans 1µs..64s exponentially — wide enough for both
@@ -234,102 +242,77 @@ func run(args []string, out io.Writer) error {
 	if err := cfg.checkWire(); err != nil {
 		return err
 	}
-	if cfg.compare != "" {
-		return runCompare(cfg, out)
-	}
-	res, err := runLoad(cfg, out)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(out, "ingest:   %d ticks in %v -> %.3g ticks/s aggregate\n",
-		res.ticks, res.elapsed.Round(time.Millisecond), res.ticksPerSec())
-	fmt.Fprintf(out, "kept:     %d samples (%.3g%% of ticks)\n",
-		res.kept, 100*float64(res.kept)/float64(res.ticks))
-	if line := latencyLine(res.lat, cfg.wireLabel()); line != "" {
-		fmt.Fprintln(out, line)
-	}
-	if dr := res.drift; dr != nil {
-		fmt.Fprintf(out, "hurst:    %s estimator, generated H %.2f\n", dr.method, cfg.hurst)
-		if dr.inputN > 0 {
-			fmt.Fprintf(out, "          input  H %.3f (%d/%d streams resolved)\n", dr.inputH, dr.inputN, cfg.streams)
-		} else {
-			fmt.Fprintf(out, "          input  H unresolved (stream too short to regress; raise -ticks)\n")
-		}
-		if dr.keptN > 0 {
-			fmt.Fprintf(out, "          kept   H %.3f (%d/%d streams resolved)\n", dr.keptH, dr.keptN, cfg.streams)
-			fmt.Fprintf(out, "          drift  %+.3f (post minus pre, %d streams)\n", dr.driftH, dr.driftN)
-		} else {
-			fmt.Fprintf(out, "          kept   H unresolved (too few kept samples; raise -ticks or the sampling rate)\n")
-		}
-	}
-	return nil
+	_, err = runLoad(cfg, out)
+	return err
 }
 
-// driver abstracts the two targets: the in-process hub and the HTTP
-// daemon. Per-stream call order matters (ticks must stay sequential);
-// different streams are driven fully in parallel. The group methods
-// mirror the stream ones for -compare mode. drain flushes transport
-// state after the ingest phase — the session wire closes its
-// long-lived connections there and folds their kept totals in; every
-// other target is a no-op.
+// driver abstracts the two targets, the in-process hub and the HTTP
+// daemon, each bound at construction to one namespace: streams, or
+// comparison groups under -compare. A stream is the one-spec case of
+// a group: create takes the member specs, and read returns the live
+// comparison, for a stream one member carrying its summary and no
+// fidelity scores. Per-id call order matters (ticks must stay
+// sequential); different ids are driven fully in parallel. drain
+// flushes transport state after the ingest phase — the session wire
+// closes its long-lived connections there and folds their kept
+// totals in; every other target is a no-op.
 type driver interface {
-	create(id string, spec sampling.Spec, estimator estimate.Method) error
+	create(id string, specs []sampling.Spec, estimator estimate.Method) error
 	offer(id string, batch []float64) (kept int, err error)
-	hurst(id string) (*sampling.HurstSummary, error)
+	read(id string) (sampling.Comparison, error)
 	finish(id string) error
 	drain() (kept int64, err error)
-
-	createGroup(id string, specs []sampling.Spec, estimator estimate.Method) error
-	offerGroup(id string, batch []float64) (kept int, err error)
-	comparison(id string) (sampling.Comparison, error)
-	finishGroup(id string) error
 }
 
-type directDriver struct{ hub *hub.Hub }
+// asComparison is a stream's summary in the shape read returns.
+func asComparison(sum sampling.Summary) sampling.Comparison {
+	return sampling.Comparison{Seen: sum.Seen, Members: []sampling.TechniqueReport{{Summary: sum}}}
+}
 
-func (d directDriver) create(id string, spec sampling.Spec, estimator estimate.Method) error {
+type directDriver struct {
+	hub    *hub.Hub
+	groups bool
+}
+
+func (d directDriver) create(id string, specs []sampling.Spec, estimator estimate.Method) error {
+	var opts []sampling.Option
 	if estimator != "" {
-		return d.hub.Create(id, spec, sampling.WithEstimator(estimator))
+		opts = append(opts, sampling.WithEstimator(estimator))
 	}
-	return d.hub.Create(id, spec)
+	if d.groups {
+		return d.hub.CreateGroup(id, specs, opts...)
+	}
+	return d.hub.Create(id, specs[0], opts...)
 }
+
 func (d directDriver) offer(id string, batch []float64) (int, error) {
+	if d.groups {
+		return d.hub.OfferGroupBatch(id, batch)
+	}
 	return d.hub.OfferBatch(id, batch)
 }
-func (d directDriver) hurst(id string) (*sampling.HurstSummary, error) {
-	sum, err := d.hub.Snapshot(id)
-	if err != nil {
-		return nil, err
+
+func (d directDriver) read(id string) (sampling.Comparison, error) {
+	if d.groups {
+		return d.hub.GroupSnapshot(id)
 	}
-	return sum.Hurst, nil
+	sum, err := d.hub.Snapshot(id)
+	return asComparison(sum), err
 }
+
 func (d directDriver) drain() (int64, error) { return 0, nil }
+
 func (d directDriver) finish(id string) error {
 	// A deferred engine error (e.g. a fixed-size draw over a shorter
 	// stream) is a property of the workload, not a harness failure —
 	// the daemon's DELETE tolerates it the same way. Only a missing
-	// stream means the run itself went wrong.
-	_, _, err := d.hub.Finish(id)
-	if errors.Is(err, hub.ErrStreamNotFound) {
-		return err
+	// stream or group means the run itself went wrong.
+	var err error
+	if d.groups {
+		_, _, err = d.hub.FinishGroup(id)
+	} else {
+		_, _, err = d.hub.Finish(id)
 	}
-	return nil
-}
-
-func (d directDriver) createGroup(id string, specs []sampling.Spec, estimator estimate.Method) error {
-	if estimator != "" {
-		return d.hub.CreateGroup(id, specs, sampling.WithEstimator(estimator))
-	}
-	return d.hub.CreateGroup(id, specs)
-}
-func (d directDriver) offerGroup(id string, batch []float64) (int, error) {
-	return d.hub.OfferGroupBatch(id, batch)
-}
-func (d directDriver) comparison(id string) (sampling.Comparison, error) {
-	return d.hub.GroupSnapshot(id)
-}
-func (d directDriver) finishGroup(id string) error {
-	_, _, err := d.hub.FinishGroup(id)
 	if errors.Is(err, hub.ErrStreamNotFound) {
 		return err
 	}
@@ -338,6 +321,7 @@ func (d directDriver) finishGroup(id string) error {
 
 type httpDriver struct {
 	base   string
+	groups bool
 	client *http.Client
 	wire   string
 
@@ -349,22 +333,16 @@ type httpDriver struct {
 	// stream's ingest does.
 	bufs       sync.Pool
 	sessMu     sync.Mutex
-	sessions   map[string]*wireSession
+	sessions   map[string]*cluster.Session
 	sessClient *http.Client
 }
 
-// wireSession is one live session-mode connection: frames go into the
-// pipe (the in-flight POST body), and the response — total kept, or
-// the daemon's error — arrives on done once the writer side closes.
-type wireSession struct {
-	pw   *io.PipeWriter
-	enc  *wire.Encoder
-	done chan sessionResult
-}
-
-type sessionResult struct {
-	kept int64
-	err  error
+// url addresses id in the driver's namespace.
+func (d *httpDriver) url(id string) string {
+	if d.groups {
+		return d.base + "/v1/groups/" + id
+	}
+	return d.base + "/v1/streams/" + id
 }
 
 func (d *httpDriver) do(method, url string, ctype string, body []byte) ([]byte, error) {
@@ -388,10 +366,6 @@ func (d *httpDriver) do(method, url string, ctype string, body []byte) ([]byte, 
 		return nil, fmt.Errorf("%s %s: %s: %s", method, url, resp.Status, strings.TrimSpace(string(data)))
 	}
 	return data, nil
-}
-
-func (d *httpDriver) doJSON(method, url string, body []byte) ([]byte, error) {
-	return d.do(method, url, "application/json", body)
 }
 
 // encodeBatch renders one tick batch under the configured wire into
@@ -425,33 +399,11 @@ func (d *httpDriver) encodeBatch(buf []byte, batch []float64) ([]byte, string, e
 	}
 }
 
-// postBatch sends one encoded batch to url and returns the response
-// body. The encode buffer comes from (and returns to) the pool; it is
-// free for reuse once do returns because the request body has been
-// fully written by then.
-func (d *httpDriver) postBatch(url string, batch []float64) ([]byte, error) {
-	bp := d.bufs.Get().(*[]byte)
-	defer d.bufs.Put(bp)
-	buf, ctype, err := d.encodeBatch((*bp)[:0], batch)
-	if err != nil {
-		return nil, err
+func (d *httpDriver) create(id string, specs []sampling.Spec, estimator estimate.Method) error {
+	req := map[string]any{"spec": specs[0]}
+	if d.groups {
+		req = map[string]any{"specs": specs}
 	}
-	*bp = buf
-	return d.do(http.MethodPost, url, ctype, buf)
-}
-
-func parseKept(data []byte) (int, error) {
-	var resp struct {
-		Kept int `json:"kept"`
-	}
-	if err := json.Unmarshal(data, &resp); err != nil {
-		return 0, err
-	}
-	return resp.Kept, nil
-}
-
-func (d *httpDriver) create(id string, spec sampling.Spec, estimator estimate.Method) error {
-	req := map[string]any{"spec": spec}
 	if estimator != "" {
 		req["estimator"] = string(estimator)
 	}
@@ -459,105 +411,78 @@ func (d *httpDriver) create(id string, spec sampling.Spec, estimator estimate.Me
 	if err != nil {
 		return err
 	}
-	_, err = d.doJSON(http.MethodPut, d.base+"/v1/streams/"+id, body)
+	_, err = d.do(http.MethodPut, d.url(id), "application/json", body)
 	return err
 }
 
-func (d *httpDriver) hurst(id string) (*sampling.HurstSummary, error) {
-	data, err := d.doJSON(http.MethodGet, d.base+"/v1/streams/"+id+"/hurst", nil)
-	if err != nil {
-		return nil, err
-	}
-	var hs sampling.HurstSummary
-	if err := json.Unmarshal(data, &hs); err != nil {
-		return nil, err
-	}
-	return &hs, nil
-}
-
+// offer posts one encoded batch, or with the session wire writes it as
+// one frame into the stream's long-lived session. Session kept counts
+// are only known when the session closes, so a session offer reports 0
+// and drain folds the daemon's total in. The encode buffer comes from
+// (and returns to) the pool; it is free for reuse once do returns
+// because the request body has been fully written by then.
 func (d *httpDriver) offer(id string, batch []float64) (int, error) {
 	if d.wire == "session" {
-		return d.offerSession(id, batch)
-	}
-	data, err := d.postBatch(d.base+"/v1/streams/"+id+"/ticks", batch)
-	if err != nil {
-		return 0, err
-	}
-	return parseKept(data)
-}
-
-// offerSession writes one frame into the stream's long-lived session
-// connection. Kept counts are only known when the session closes, so
-// every offer reports 0 and drain folds the daemon's total in.
-func (d *httpDriver) offerSession(id string, batch []float64) (int, error) {
-	s, err := d.session(id)
-	if err != nil {
-		return 0, err
-	}
-	if err := s.enc.Encode(id, batch); err != nil {
-		// A broken pipe here usually means the daemon already answered
-		// (an error response closes the body mid-stream) — surface its
-		// verdict rather than the bare pipe error when it has arrived.
-		select {
-		case res := <-s.done:
-			if res.err != nil {
-				return 0, res.err
-			}
-		default:
+		s, err := d.session(id)
+		if err != nil {
+			return 0, err
 		}
+		return 0, s.Encode(id, batch)
+	}
+	bp := d.bufs.Get().(*[]byte)
+	defer d.bufs.Put(bp)
+	buf, ctype, err := d.encodeBatch((*bp)[:0], batch)
+	if err != nil {
 		return 0, err
 	}
-	return 0, nil
+	*bp = buf
+	data, err := d.do(http.MethodPost, d.url(id)+"/ticks", ctype, buf)
+	if err != nil {
+		return 0, err
+	}
+	var resp struct {
+		Kept int `json:"kept"`
+	}
+	err = json.Unmarshal(data, &resp)
+	return resp.Kept, err
 }
 
-// session returns the live session for id, opening it on first use: a
-// POST /v1/session whose body is the write end of a pipe, with a
-// goroutine waiting on the daemon's end-of-stream response. hammer
-// guarantees a single writer per id, so the encoder needs no lock;
-// the map does.
-func (d *httpDriver) session(id string) (*wireSession, error) {
+// session returns the live session for id, opening it on first use.
+// hammer guarantees a single writer per id, so the session needs no
+// lock; the map does.
+func (d *httpDriver) session(id string) (*cluster.Session, error) {
 	d.sessMu.Lock()
 	defer d.sessMu.Unlock()
 	if s, ok := d.sessions[id]; ok {
 		return s, nil
 	}
-	pr, pw := io.Pipe()
-	req, err := http.NewRequest(http.MethodPost, d.base+"/v1/session", pr)
+	s, err := cluster.OpenSession(context.Background(), d.sessClient, d.base)
 	if err != nil {
-		pw.Close()
 		return nil, err
 	}
-	req.Header.Set("Content-Type", wire.ContentType)
-	s := &wireSession{pw: pw, enc: wire.NewEncoder(pw), done: make(chan sessionResult, 1)}
-	go func() {
-		resp, err := d.sessClient.Do(req)
-		if err != nil {
-			pr.CloseWithError(err) // unblock any in-flight Encode
-			s.done <- sessionResult{err: err}
-			return
-		}
-		defer resp.Body.Close()
-		data, err := io.ReadAll(resp.Body)
-		if err != nil {
-			s.done <- sessionResult{err: err}
-			return
-		}
-		if resp.StatusCode/100 != 2 {
-			s.done <- sessionResult{err: fmt.Errorf("POST %s/v1/session: %s: %s",
-				d.base, resp.Status, strings.TrimSpace(string(data)))}
-			return
-		}
-		var body struct {
-			Kept int64 `json:"kept"`
-		}
-		if err := json.Unmarshal(data, &body); err != nil {
-			s.done <- sessionResult{err: err}
-			return
-		}
-		s.done <- sessionResult{kept: body.Kept}
-	}()
 	d.sessions[id] = s
 	return s, nil
+}
+
+// read fetches the live document: a group's comparison, or a stream's
+// snapshot.
+func (d *httpDriver) read(id string) (sampling.Comparison, error) {
+	url := d.url(id)
+	if !d.groups {
+		url += "/snapshot"
+	}
+	data, err := d.do(http.MethodGet, url, "", nil)
+	if err != nil {
+		return sampling.Comparison{}, err
+	}
+	if d.groups {
+		var cmp sampling.Comparison
+		err := json.Unmarshal(data, &cmp)
+		return cmp, err
+	}
+	var sum sampling.Summary
+	err = json.Unmarshal(data, &sum)
+	return asComparison(sum), err
 }
 
 // drain closes every live session and folds the daemon's totals in. A
@@ -565,62 +490,23 @@ func (d *httpDriver) session(id string) (*wireSession, error) {
 func (d *httpDriver) drain() (int64, error) {
 	d.sessMu.Lock()
 	sessions := d.sessions
-	d.sessions = map[string]*wireSession{}
+	d.sessions = map[string]*cluster.Session{}
 	d.sessMu.Unlock()
 	var kept int64
 	var errs []error
 	for id, s := range sessions {
-		s.pw.Close()
-		res := <-s.done
-		if res.err != nil {
-			errs = append(errs, fmt.Errorf("session %s: %w", id, res.err))
+		t, err := s.Close()
+		if err != nil {
+			errs = append(errs, fmt.Errorf("session %s: %w", id, err))
 			continue
 		}
-		kept += res.kept
+		kept += t.Kept
 	}
 	return kept, errors.Join(errs...)
 }
 
 func (d *httpDriver) finish(id string) error {
-	_, err := d.doJSON(http.MethodDelete, d.base+"/v1/streams/"+id, nil)
-	return err
-}
-
-func (d *httpDriver) createGroup(id string, specs []sampling.Spec, estimator estimate.Method) error {
-	req := map[string]any{"specs": specs}
-	if estimator != "" {
-		req["estimator"] = string(estimator)
-	}
-	body, err := json.Marshal(req)
-	if err != nil {
-		return err
-	}
-	_, err = d.doJSON(http.MethodPut, d.base+"/v1/groups/"+id, body)
-	return err
-}
-
-func (d *httpDriver) offerGroup(id string, batch []float64) (int, error) {
-	data, err := d.postBatch(d.base+"/v1/groups/"+id+"/ticks", batch)
-	if err != nil {
-		return 0, err
-	}
-	return parseKept(data)
-}
-
-func (d *httpDriver) comparison(id string) (sampling.Comparison, error) {
-	data, err := d.doJSON(http.MethodGet, d.base+"/v1/groups/"+id, nil)
-	if err != nil {
-		return sampling.Comparison{}, err
-	}
-	var cmp sampling.Comparison
-	if err := json.Unmarshal(data, &cmp); err != nil {
-		return sampling.Comparison{}, err
-	}
-	return cmp, nil
-}
-
-func (d *httpDriver) finishGroup(id string) error {
-	_, err := d.doJSON(http.MethodDelete, d.base+"/v1/groups/"+id, nil)
+	_, err := d.do(http.MethodDelete, d.url(id), "", nil)
 	return err
 }
 
@@ -670,14 +556,85 @@ func specAcceptsSeed(spec sampling.Spec) bool {
 	return !(errors.As(err, &pe) && strings.Contains(pe.Param, "seed"))
 }
 
-// runLoad creates the streams, hammers the target from cfg.workers
-// goroutines, finishes every stream and returns what the ingest phase
-// (creation and teardown excluded) achieved.
+// specs parses the run's sampler specs: the one -spec of a streams
+// run, or the ';'-separated -compare list (two or more) of a groups
+// run.
+func (c loadConfig) specs() ([]sampling.Spec, error) {
+	if c.compare == "" {
+		spec, err := sampling.Parse(c.spec)
+		return []sampling.Spec{spec}, err
+	}
+	var specs []sampling.Spec
+	for _, s := range strings.Split(c.compare, ";") {
+		s = strings.TrimSpace(s)
+		if s == "" {
+			continue
+		}
+		spec, err := sampling.Parse(s)
+		if err != nil {
+			return nil, fmt.Errorf("-compare: %w", err)
+		}
+		specs = append(specs, spec)
+	}
+	if len(specs) < 2 {
+		return nil, fmt.Errorf("-compare needs at least two ';'-separated specs, got %d", len(specs))
+	}
+	return specs, nil
+}
+
+// mean is a running mean over the readings that resolved (not NaN).
+type mean struct {
+	sum float64
+	n   int
+}
+
+func (m *mean) add(v float64) {
+	if !math.IsNaN(v) {
+		m.sum += v
+		m.n++
+	}
+}
+
+func (m mean) value() float64 {
+	if m.n == 0 {
+		return 0
+	}
+	return m.sum / float64(m.n)
+}
+
+// tally folds one technique's live readings over every id of a run.
+type tally struct {
+	kept                                    int64
+	meanBias, varBias, inputH, keptH, drift mean
+}
+
+func (t *tally) add(m sampling.TechniqueReport) {
+	t.kept += int64(m.Summary.Kept)
+	t.meanBias.add(m.Fidelity.MeanBias)
+	t.varBias.add(m.Fidelity.VarianceBias)
+	if hs := m.Summary.Hurst; hs != nil {
+		if hs.Input.OK {
+			t.inputH.add(hs.Input.H)
+		}
+		if hs.Kept.OK {
+			t.keptH.add(hs.Kept.H)
+		}
+		t.drift.add(hs.Drift)
+	}
+}
+
+// runLoad creates the streams — or, with -compare, the comparison
+// groups — hammers the target from cfg.workers goroutines, reads every
+// id's live document, finishes every id and reports what the ingest
+// phase (creation and teardown excluded) achieved: for streams the
+// mean pre- vs post-sampling Hurst drift, for groups a per-technique
+// fidelity table (kept ratio, mean and variance bias against the
+// unsampled input, Hurst drift) aggregated over the groups.
 func runLoad(cfg loadConfig, out io.Writer) (loadResult, error) {
 	if cfg.streams < 1 || cfg.ticks < 1 || cfg.batch < 1 || cfg.workers < 1 {
 		return loadResult{}, fmt.Errorf("streams, ticks, batch and workers must all be >= 1")
 	}
-	spec, err := sampling.Parse(cfg.spec)
+	specs, err := cfg.specs()
 	if err != nil {
 		return loadResult{}, err
 	}
@@ -693,31 +650,45 @@ func runLoad(cfg loadConfig, out io.Writer) (loadResult, error) {
 		return loadResult{}, err
 	}
 
+	groups := cfg.compare != ""
 	d, mode := newDriver(cfg)
-	fmt.Fprintf(out, "target:   %s, %d streams x %d ticks, batch %d, %d workers, spec %s\n",
-		mode, cfg.streams, cfg.ticks, cfg.batch, cfg.workers, spec)
+	prefix := "load"
+	if groups {
+		prefix = "cmp"
+		fmt.Fprintf(out, "target:   %s, %d groups x %d ticks x %d techniques, batch %d, %d workers\n",
+			mode, cfg.streams, cfg.ticks, len(specs), cfg.batch, cfg.workers)
+	} else {
+		fmt.Fprintf(out, "target:   %s, %d streams x %d ticks, batch %d, %d workers, spec %s\n",
+			mode, cfg.streams, cfg.ticks, cfg.batch, cfg.workers, specs[0])
+	}
 	fmt.Fprintf(out, "traffic:  %s (H=%.2f), base series %d ticks\n", cfg.traffic, cfg.hurst, len(base))
 
-	seedable := specAcceptsSeed(spec)
+	seedable := make([]bool, len(specs))
+	for i, spec := range specs {
+		seedable[i] = specAcceptsSeed(spec)
+	}
 	ids := make([]string, cfg.streams)
-	for i := range ids {
-		ids[i] = fmt.Sprintf("load-%05d", i)
-		// Randomized techniques get a distinct seed per stream — without
-		// one, N copies of the default seed would keep/drop in lockstep
-		// and the load would be degenerate. Seedless techniques (which
-		// reject the parameter) keep the spec as-is.
-		s := spec
-		if seedable {
-			s = spec.With("seed", fmt.Sprint(cfg.seed+uint64(i)))
+	for g := range ids {
+		ids[g] = fmt.Sprintf("%s-%05d", prefix, g)
+		// Randomized techniques get a distinct seed per id and member —
+		// without one, copies of the default seed would keep/drop in
+		// lockstep and the load would be degenerate. Seedless techniques
+		// (which reject the parameter) keep the spec as-is.
+		members := make([]sampling.Spec, len(specs))
+		for i, spec := range specs {
+			members[i] = spec
+			if seedable[i] {
+				members[i] = spec.With("seed", fmt.Sprint(cfg.seed+uint64(g*len(specs)+i)))
+			}
 		}
-		if err := d.create(ids[i], s, method); err != nil {
-			return loadResult{}, fmt.Errorf("creating %s: %w", ids[i], err)
+		if err := d.create(ids[g], members, method); err != nil {
+			return loadResult{}, fmt.Errorf("creating %s: %w", ids[g], err)
 		}
 	}
-	cfg.log().Debug("streams created", "count", len(ids), "wire", cfg.wireLabel())
+	cfg.log().Debug("created", "count", len(ids), "techniques", len(specs), "wire", cfg.wireLabel())
 
-	lat := obs.NewBareHistogram(latencyBuckets())
-	ticks, kept, elapsed, err := hammer(cfg, ids, base, timedOffer(lat, d.offer))
+	res := loadResult{lat: obs.NewBareHistogram(latencyBuckets()), specs: specs, tallies: make([]tally, len(specs))}
+	res.ticks, res.kept, res.elapsed, err = hammer(cfg, ids, base, timedOffer(res.lat, d.offer))
 	if err != nil {
 		return loadResult{}, err
 	}
@@ -729,42 +700,22 @@ func runLoad(cfg loadConfig, out io.Writer) (loadResult, error) {
 	if err != nil {
 		return loadResult{}, err
 	}
-	kept += dkept
-	elapsed += time.Since(dstart)
-	cfg.log().Debug("ingest done", "ticks", ticks, "kept", kept, "elapsed", elapsed)
-	// Read the Hurst blocks before teardown: Finish removes the streams.
-	var dr *driftReport
-	if method != "" {
-		dr = &driftReport{method: method}
-		for _, id := range ids {
-			hs, err := d.hurst(id)
-			if err != nil {
-				return loadResult{}, fmt.Errorf("hurst %s: %w", id, err)
-			}
-			if hs == nil {
-				continue
-			}
-			if hs.Input.OK {
-				dr.inputN++
-				dr.inputH += hs.Input.H
-			}
-			if hs.Kept.OK {
-				dr.keptN++
-				dr.keptH += hs.Kept.H
-			}
-			if !math.IsNaN(hs.Drift) {
-				dr.driftN++
-				dr.driftH += hs.Drift
-			}
+	res.kept += dkept
+	res.elapsed += time.Since(dstart)
+	cfg.log().Debug("ingest done", "ticks", res.ticks, "kept", res.kept, "elapsed", res.elapsed)
+
+	// Read every live document before teardown: finish removes the ids.
+	for _, id := range ids {
+		cmp, err := d.read(id)
+		if err != nil {
+			return loadResult{}, fmt.Errorf("reading %s: %w", id, err)
 		}
-		if dr.inputN > 0 {
-			dr.inputH /= float64(dr.inputN)
+		if len(cmp.Members) != len(specs) {
+			return loadResult{}, fmt.Errorf("%s has %d members, want %d", id, len(cmp.Members), len(specs))
 		}
-		if dr.keptN > 0 {
-			dr.keptH /= float64(dr.keptN)
-		}
-		if dr.driftN > 0 {
-			dr.driftH /= float64(dr.driftN)
+		res.seen += int64(cmp.Seen)
+		for i, m := range cmp.Members {
+			res.tallies[i].add(m)
 		}
 	}
 	for _, id := range ids {
@@ -772,14 +723,79 @@ func runLoad(cfg loadConfig, out io.Writer) (loadResult, error) {
 			return loadResult{}, fmt.Errorf("finishing %s: %w", id, err)
 		}
 	}
-	return loadResult{ticks: ticks, kept: kept, elapsed: elapsed, drift: dr, lat: lat}, nil
+
+	if t := res.tallies[0]; !groups && method != "" {
+		res.drift = &driftReport{method: method,
+			inputN: t.inputH.n, keptN: t.keptH.n, driftN: t.drift.n,
+			inputH: t.inputH.value(), keptH: t.keptH.value(), driftH: t.drift.value()}
+	}
+	res.report(out, cfg)
+	return res, nil
 }
 
-// newDriver builds the run's target from the config: the in-process
-// hub, or an HTTP client against a running daemon.
+// report prints the ingest, kept and latency lines, then a streams
+// run's Hurst block — the mean pre- and post-sampling H against the
+// generator's, and their drift — or a groups run's fidelity table: one
+// row per technique, each score the mean over the groups where it
+// resolved.
+func (r loadResult) report(out io.Writer, cfg loadConfig) {
+	if cfg.compare != "" {
+		fmt.Fprintf(out, "ingest:   %d input ticks in %v -> %.3g ticks/s (x%d fan-out: %.3g engine ticks/s)\n",
+			r.ticks, r.elapsed.Round(time.Millisecond), r.ticksPerSec(), len(r.specs), r.ticksPerSec()*float64(len(r.specs)))
+		fmt.Fprintf(out, "kept:     %d samples across all techniques\n", r.kept)
+	} else {
+		fmt.Fprintf(out, "ingest:   %d ticks in %v -> %.3g ticks/s aggregate\n",
+			r.ticks, r.elapsed.Round(time.Millisecond), r.ticksPerSec())
+		fmt.Fprintf(out, "kept:     %d samples (%.3g%% of ticks)\n", r.kept, 100*float64(r.kept)/float64(r.ticks))
+	}
+	if line := latencyLine(r.lat, cfg.wireLabel()); line != "" {
+		fmt.Fprintln(out, line)
+	}
+	if dr := r.drift; dr != nil {
+		fmt.Fprintf(out, "hurst:    %s estimator, generated H %.2f\n", dr.method, cfg.hurst)
+		if dr.inputN > 0 {
+			fmt.Fprintf(out, "          input  H %.3f (%d/%d streams resolved)\n", dr.inputH, dr.inputN, cfg.streams)
+		} else {
+			fmt.Fprintf(out, "          input  H unresolved (stream too short to regress; raise -ticks)\n")
+		}
+		if dr.keptN > 0 {
+			fmt.Fprintf(out, "          kept   H %.3f (%d/%d streams resolved)\n", dr.keptH, dr.keptN, cfg.streams)
+			fmt.Fprintf(out, "          drift  %+.3f (post minus pre, %d streams)\n", dr.driftH, dr.driftN)
+		} else {
+			fmt.Fprintf(out, "          kept   H unresolved (too few kept samples; raise -ticks or the sampling rate)\n")
+		}
+	}
+	if cfg.compare == "" {
+		return
+	}
+	cell := func(m mean) string {
+		if m.n == 0 {
+			return "n/a"
+		}
+		return fmt.Sprintf("%+.4f", m.value())
+	}
+	fmt.Fprintf(out, "\n%-36s %8s %11s %11s %9s\n", "technique", "kept%", "mean-bias", "var-bias", "h-drift")
+	for i, spec := range r.specs {
+		t := r.tallies[i]
+		keptPct := math.NaN()
+		if r.seen > 0 {
+			keptPct = 100 * float64(t.kept) / float64(r.seen)
+		}
+		fmt.Fprintf(out, "%-36s %7.3f%% %11s %11s %9s\n",
+			spec.String(), keptPct, cell(t.meanBias), cell(t.varBias), cell(t.drift))
+	}
+	if cfg.estimatorMethod() == "" {
+		fmt.Fprintln(out, "(h-drift needs an estimator; it was disabled for this run)")
+	}
+}
+
+// newDriver builds the run's target from the config — the in-process
+// hub, or an HTTP client against a running daemon — bound to the
+// stream namespace, or to the group namespace under -compare.
 func newDriver(cfg loadConfig) (driver, string) {
+	groups := cfg.compare != ""
 	if cfg.direct {
-		return directDriver{hub: hub.New()}, "direct"
+		return directDriver{hub: hub.New(), groups: groups}, "direct"
 	}
 	addr := cfg.addr
 	if !strings.Contains(addr, "://") {
@@ -787,162 +803,16 @@ func newDriver(cfg loadConfig) (driver, string) {
 	}
 	d := &httpDriver{
 		base:     addr,
+		groups:   groups,
 		client:   &http.Client{Timeout: 30 * time.Second},
 		wire:     cfg.wireName(),
-		sessions: map[string]*wireSession{},
+		sessions: map[string]*cluster.Session{},
 		// Sessions outlive any per-request deadline by design: one
 		// connection carries a whole run's frames.
 		sessClient: &http.Client{},
 	}
 	d.bufs.New = func() any { return new([]byte) }
 	return d, addr + " (" + d.wire + " wire)"
-}
-
-// runCompare is -compare mode: every "stream" becomes a comparison
-// group fanning the same traffic out to each of the given specs, and
-// the report is a per-technique fidelity table — kept ratio, mean and
-// variance bias against the unsampled input, and (with an estimator)
-// the pre- vs post-sampling Hurst drift — aggregated over the groups.
-func runCompare(cfg loadConfig, out io.Writer) error {
-	if cfg.streams < 1 || cfg.ticks < 1 || cfg.batch < 1 || cfg.workers < 1 {
-		return fmt.Errorf("streams, ticks, batch and workers must all be >= 1")
-	}
-	var specs []sampling.Spec
-	for _, s := range strings.Split(cfg.compare, ";") {
-		s = strings.TrimSpace(s)
-		if s == "" {
-			continue
-		}
-		spec, err := sampling.Parse(s)
-		if err != nil {
-			return fmt.Errorf("-compare: %w", err)
-		}
-		specs = append(specs, spec)
-	}
-	if len(specs) < 2 {
-		return fmt.Errorf("-compare needs at least two ';'-separated specs, got %d", len(specs))
-	}
-	method := cfg.estimatorMethod()
-	if method != "" {
-		if _, err := estimate.New(method); err != nil {
-			return err
-		}
-	}
-	base, err := baseSeries(cfg)
-	if err != nil {
-		return err
-	}
-	d, mode := newDriver(cfg)
-	fmt.Fprintf(out, "target:   %s, %d groups x %d ticks x %d techniques, batch %d, %d workers\n",
-		mode, cfg.streams, cfg.ticks, len(specs), cfg.batch, cfg.workers)
-	fmt.Fprintf(out, "traffic:  %s (H=%.2f), base series %d ticks\n", cfg.traffic, cfg.hurst, len(base))
-
-	seedable := make([]bool, len(specs))
-	for i, spec := range specs {
-		seedable[i] = specAcceptsSeed(spec)
-	}
-	ids := make([]string, cfg.streams)
-	for g := range ids {
-		ids[g] = fmt.Sprintf("cmp-%05d", g)
-		members := make([]sampling.Spec, len(specs))
-		for i, spec := range specs {
-			members[i] = spec
-			// Distinct seeds per group and member, as in single-spec
-			// mode, so randomized members never keep/drop in lockstep.
-			if seedable[i] {
-				members[i] = spec.With("seed", fmt.Sprint(cfg.seed+uint64(g*len(specs)+i)))
-			}
-		}
-		if err := d.createGroup(ids[g], members, method); err != nil {
-			return fmt.Errorf("creating %s: %w", ids[g], err)
-		}
-	}
-	cfg.log().Debug("groups created", "count", len(ids), "techniques", len(specs), "wire", cfg.wireLabel())
-	lat := obs.NewBareHistogram(latencyBuckets())
-	ticks, kept, elapsed, err := hammer(cfg, ids, base, timedOffer(lat, d.offerGroup))
-	if err != nil {
-		return err
-	}
-	dstart := time.Now()
-	dkept, err := d.drain()
-	if err != nil {
-		return err
-	}
-	kept += dkept
-	elapsed += time.Since(dstart)
-	cfg.log().Debug("ingest done", "ticks", ticks, "kept", kept, "elapsed", elapsed)
-
-	// Fold the per-group fidelity blocks into one row per technique
-	// before teardown: means over the groups where each score resolved.
-	type agg struct {
-		kept                int64
-		mbSum, vbSum, hdSum float64
-		mbN, vbN, hdN       int
-	}
-	aggs := make([]agg, len(specs))
-	var inputSeen int64
-	for _, id := range ids {
-		cmp, err := d.comparison(id)
-		if err != nil {
-			return fmt.Errorf("comparison %s: %w", id, err)
-		}
-		if len(cmp.Members) != len(specs) {
-			return fmt.Errorf("comparison %s has %d members, want %d", id, len(cmp.Members), len(specs))
-		}
-		inputSeen += int64(cmp.Seen)
-		for i, m := range cmp.Members {
-			a := &aggs[i]
-			a.kept += int64(m.Summary.Kept)
-			if v := m.Fidelity.MeanBias; !math.IsNaN(v) {
-				a.mbSum += v
-				a.mbN++
-			}
-			if v := m.Fidelity.VarianceBias; !math.IsNaN(v) {
-				a.vbSum += v
-				a.vbN++
-			}
-			if v := m.Fidelity.HurstDrift; !math.IsNaN(v) {
-				a.hdSum += v
-				a.hdN++
-			}
-		}
-	}
-	for _, id := range ids {
-		if err := d.finishGroup(id); err != nil {
-			return fmt.Errorf("finishing %s: %w", id, err)
-		}
-	}
-
-	rate := 0.0
-	if elapsed > 0 {
-		rate = float64(ticks) / elapsed.Seconds()
-	}
-	fmt.Fprintf(out, "ingest:   %d input ticks in %v -> %.3g ticks/s (x%d fan-out: %.3g engine ticks/s)\n",
-		ticks, elapsed.Round(time.Millisecond), rate, len(specs), rate*float64(len(specs)))
-	fmt.Fprintf(out, "kept:     %d samples across all techniques\n", kept)
-	if line := latencyLine(lat, cfg.wireLabel()); line != "" {
-		fmt.Fprintln(out, line)
-	}
-	cell := func(sum float64, n int) string {
-		if n == 0 {
-			return "n/a"
-		}
-		return fmt.Sprintf("%+.4f", sum/float64(n))
-	}
-	fmt.Fprintf(out, "\n%-36s %8s %11s %11s %9s\n", "technique", "kept%", "mean-bias", "var-bias", "h-drift")
-	for i, spec := range specs {
-		a := aggs[i]
-		keptPct := math.NaN()
-		if inputSeen > 0 {
-			keptPct = 100 * float64(a.kept) / float64(inputSeen)
-		}
-		fmt.Fprintf(out, "%-36s %7.3f%% %11s %11s %9s\n",
-			spec.String(), keptPct, cell(a.mbSum, a.mbN), cell(a.vbSum, a.vbN), cell(a.hdSum, a.hdN))
-	}
-	if method == "" {
-		fmt.Fprintln(out, "(h-drift needs an estimator; it was disabled for this run)")
-	}
-	return nil
 }
 
 // hammer drives batches at the target from cfg.workers goroutines and

@@ -100,14 +100,16 @@ func fakeReadTicks(r *http.Request) ([]float64, error) {
 	}
 }
 
-// fakeDaemon mirrors the sampled daemon's v1 surface over a hub — just
-// enough protocol for the HTTP driver to run against a loopback port.
+// fakeDaemon mirrors the sampled daemon's v1 surface over a hub, for
+// both namespaces ({ns} is "streams" or "groups") — just enough
+// protocol for the HTTP driver to run against a loopback port.
 func fakeDaemon(h *hub.Hub) http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("PUT /v1/streams/{id}", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("PUT /v1/{ns}/{id}", func(w http.ResponseWriter, r *http.Request) {
 		var req struct {
-			Spec      sampling.Spec `json:"spec"`
-			Estimator string        `json:"estimator"`
+			Spec      sampling.Spec   `json:"spec"`
+			Specs     []sampling.Spec `json:"specs"`
+			Estimator string          `json:"estimator"`
 		}
 		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 			http.Error(w, err.Error(), http.StatusBadRequest)
@@ -117,27 +119,45 @@ func fakeDaemon(h *hub.Hub) http.Handler {
 		if req.Estimator != "" {
 			opts = append(opts, sampling.WithEstimator(estimate.Method(req.Estimator)))
 		}
-		if err := h.Create(r.PathValue("id"), req.Spec, opts...); err != nil {
+		var err error
+		if r.PathValue("ns") == "groups" {
+			err = h.CreateGroup(r.PathValue("id"), req.Specs, opts...)
+		} else {
+			err = h.Create(r.PathValue("id"), req.Spec, opts...)
+		}
+		if err != nil {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
 		w.WriteHeader(http.StatusCreated)
 	})
-	mux.HandleFunc("GET /v1/streams/{id}/hurst", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("GET /v1/streams/{id}/snapshot", func(w http.ResponseWriter, r *http.Request) {
 		sum, err := h.Snapshot(r.PathValue("id"))
-		if err != nil || sum.Hurst == nil {
-			http.Error(w, "no estimator", http.StatusNotFound)
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusNotFound)
 			return
 		}
-		json.NewEncoder(w).Encode(sum.Hurst)
+		json.NewEncoder(w).Encode(sum)
 	})
-	mux.HandleFunc("POST /v1/streams/{id}/ticks", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("GET /v1/groups/{id}", func(w http.ResponseWriter, r *http.Request) {
+		cmp, err := h.GroupSnapshot(r.PathValue("id"))
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusNotFound)
+			return
+		}
+		json.NewEncoder(w).Encode(cmp)
+	})
+	mux.HandleFunc("POST /v1/{ns}/{id}/ticks", func(w http.ResponseWriter, r *http.Request) {
 		values, err := fakeReadTicks(r)
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
-		kept, err := h.OfferBatch(r.PathValue("id"), values)
+		offer := h.OfferBatch
+		if r.PathValue("ns") == "groups" {
+			offer = h.OfferGroupBatch
+		}
+		kept, err := offer(r.PathValue("id"), values)
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusNotFound)
 			return
@@ -165,8 +185,14 @@ func fakeDaemon(h *hub.Hub) http.Handler {
 		}
 		json.NewEncoder(w).Encode(map[string]int64{"kept": kept})
 	})
-	mux.HandleFunc("DELETE /v1/streams/{id}", func(w http.ResponseWriter, r *http.Request) {
-		if _, _, err := h.Finish(r.PathValue("id")); err != nil {
+	mux.HandleFunc("DELETE /v1/{ns}/{id}", func(w http.ResponseWriter, r *http.Request) {
+		var err error
+		if r.PathValue("ns") == "groups" {
+			_, _, err = h.FinishGroup(r.PathValue("id"))
+		} else {
+			_, _, err = h.Finish(r.PathValue("id"))
+		}
+		if err != nil {
 			http.Error(w, err.Error(), http.StatusNotFound)
 			return
 		}
@@ -208,42 +234,56 @@ func TestHTTPLoad(t *testing.T) {
 	t.Logf("http mode: %.3g ticks/s aggregate", res.ticksPerSec())
 }
 
-// TestHTTPLoadWires drives the same workload through each alternate
-// HTTP encoding: the totals must not depend on the wire.
+// TestHTTPLoadWires drives the same workload through each HTTP
+// encoding, over both namespaces: streams, and two-technique groups
+// (the session wire routes frames by stream id, so it drives streams
+// only). The totals must not depend on the wire.
 func TestHTTPLoadWires(t *testing.T) {
-	for _, w := range []string{"text", "binary", "session"} {
+	for _, w := range []string{"json", "text", "binary", "session"} {
 		t.Run(w, func(t *testing.T) {
-			h := hub.New()
-			srv := httptest.NewServer(fakeDaemon(h))
-			defer srv.Close()
-			cfg := loadConfig{
-				addr:    srv.URL,
-				streams: 4,
-				ticks:   1000,
-				batch:   250,
-				workers: 2,
-				wire:    w,
-				spec:    "systematic:interval=50",
-				traffic: "fgn",
-				hurst:   0.8,
-				seed:    1,
-			}
-			var buf bytes.Buffer
-			res, err := runLoad(cfg, &buf)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if want := int64(cfg.streams * cfg.ticks); res.ticks != want {
-				t.Errorf("ingested %d ticks, want %d", res.ticks, want)
-			}
-			if want := int64(cfg.streams * cfg.ticks / 50); res.kept != want {
-				t.Errorf("kept %d samples, want %d", res.kept, want)
-			}
-			if n := h.Stats().Streams; n != 0 {
-				t.Errorf("%d streams left behind on the daemon", n)
-			}
-			if !strings.Contains(buf.String(), "("+w+" wire)") {
-				t.Errorf("run output does not name the wire:\n%s", buf.String())
+			for _, compare := range []string{"", "systematic:interval=50;stratified:interval=50"} {
+				ns, members := "streams", 1
+				if compare != "" {
+					ns, members = "groups", 2
+				}
+				if w == "session" && compare != "" {
+					continue
+				}
+				t.Run(ns, func(t *testing.T) {
+					h := hub.New()
+					srv := httptest.NewServer(fakeDaemon(h))
+					defer srv.Close()
+					cfg := loadConfig{
+						addr:    srv.URL,
+						streams: 4,
+						ticks:   1000,
+						batch:   250,
+						workers: 2,
+						wire:    w,
+						spec:    "systematic:interval=50",
+						compare: compare,
+						traffic: "fgn",
+						hurst:   0.8,
+						seed:    1,
+					}
+					var buf bytes.Buffer
+					res, err := runLoad(cfg, &buf)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if want := int64(cfg.streams * cfg.ticks); res.ticks != want {
+						t.Errorf("ingested %d ticks, want %d", res.ticks, want)
+					}
+					if want := int64(cfg.streams * cfg.ticks / 50 * members); res.kept != want {
+						t.Errorf("kept %d samples, want %d", res.kept, want)
+					}
+					if st := h.Stats(); st.Streams != 0 || st.Groups != 0 {
+						t.Errorf("%d streams and %d groups left behind on the daemon", st.Streams, st.Groups)
+					}
+					if !strings.Contains(buf.String(), "("+w+" wire)") {
+						t.Errorf("run output does not name the wire:\n%s", buf.String())
+					}
+				})
 			}
 		})
 	}
@@ -413,7 +453,7 @@ func TestDirectLoadReportsDrift(t *testing.T) {
 }
 
 // TestHTTPLoadReportsDrift drives the drift path over the wire,
-// including the GET /hurst round trip.
+// including the GET /snapshot round trip.
 func TestHTTPLoadReportsDrift(t *testing.T) {
 	h := hub.New()
 	srv := httptest.NewServer(fakeDaemon(h))
@@ -473,60 +513,6 @@ func TestBadEstimatorRejected(t *testing.T) {
 	}
 }
 
-// groupFakeDaemon extends fakeDaemon with the v2 group surface, enough
-// for the HTTP driver's -compare mode.
-func groupFakeDaemon(h *hub.Hub) http.Handler {
-	mux := fakeDaemon(h).(*http.ServeMux)
-	mux.HandleFunc("PUT /v1/groups/{id}", func(w http.ResponseWriter, r *http.Request) {
-		var req struct {
-			Specs     []sampling.Spec `json:"specs"`
-			Estimator string          `json:"estimator"`
-		}
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		var opts []sampling.Option
-		if req.Estimator != "" {
-			opts = append(opts, sampling.WithEstimator(estimate.Method(req.Estimator)))
-		}
-		if err := h.CreateGroup(r.PathValue("id"), req.Specs, opts...); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		w.WriteHeader(http.StatusCreated)
-	})
-	mux.HandleFunc("POST /v1/groups/{id}/ticks", func(w http.ResponseWriter, r *http.Request) {
-		var values []float64
-		if err := json.NewDecoder(r.Body).Decode(&values); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		kept, err := h.OfferGroupBatch(r.PathValue("id"), values)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusNotFound)
-			return
-		}
-		json.NewEncoder(w).Encode(map[string]int{"accepted": len(values), "kept": kept})
-	})
-	mux.HandleFunc("GET /v1/groups/{id}", func(w http.ResponseWriter, r *http.Request) {
-		cmp, err := h.GroupSnapshot(r.PathValue("id"))
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusNotFound)
-			return
-		}
-		json.NewEncoder(w).Encode(cmp)
-	})
-	mux.HandleFunc("DELETE /v1/groups/{id}", func(w http.ResponseWriter, r *http.Request) {
-		if _, _, err := h.FinishGroup(r.PathValue("id")); err != nil {
-			http.Error(w, err.Error(), http.StatusNotFound)
-			return
-		}
-		w.Write([]byte("{}"))
-	})
-	return mux
-}
-
 // TestCompareDirect: -compare mode over the in-process hub produces one
 // fidelity row per technique, with the deterministic technique's kept
 // ratio exact.
@@ -544,7 +530,7 @@ func TestCompareDirect(t *testing.T) {
 		estimator: "aggvar",
 	}
 	var buf bytes.Buffer
-	if err := runCompare(cfg, &buf); err != nil {
+	if _, err := runLoad(cfg, &buf); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -573,7 +559,7 @@ func TestCompareDirect(t *testing.T) {
 // comparison-document round trip.
 func TestCompareHTTP(t *testing.T) {
 	h := hub.New()
-	srv := httptest.NewServer(groupFakeDaemon(h))
+	srv := httptest.NewServer(fakeDaemon(h))
 	defer srv.Close()
 	cfg := loadConfig{
 		addr:      srv.URL,
@@ -588,7 +574,7 @@ func TestCompareHTTP(t *testing.T) {
 		estimator: "off",
 	}
 	var buf bytes.Buffer
-	if err := runCompare(cfg, &buf); err != nil {
+	if _, err := runLoad(cfg, &buf); err != nil {
 		t.Fatal(err)
 	}
 	if st := h.Stats(); st.Groups != 0 || st.GroupsCreated != 2 {
@@ -605,12 +591,12 @@ func TestCompareBadFlags(t *testing.T) {
 		traffic: "fgn", hurst: 0.8}
 	one := base
 	one.compare = "systematic:interval=10"
-	if err := runCompare(one, &buf); err == nil {
+	if _, err := runLoad(one, &buf); err == nil {
 		t.Error("single-spec compare accepted")
 	}
 	bad := base
 	bad.compare = "systematic:interval=10;:broken"
-	if err := runCompare(bad, &buf); err == nil {
+	if _, err := runLoad(bad, &buf); err == nil {
 		t.Error("bad compare spec accepted")
 	}
 }

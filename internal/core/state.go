@@ -21,28 +21,6 @@ const (
 	stateTagBSS          = 0x05
 )
 
-func appendAcc(dst []byte, a *stats.Accumulator) []byte {
-	st := a.State()
-	dst = binenc.AppendI64(dst, int64(st.N))
-	dst = binenc.AppendF64(dst, st.Mean)
-	dst = binenc.AppendF64(dst, st.M2)
-	dst = binenc.AppendF64(dst, st.Sum)
-	dst = binenc.AppendF64(dst, st.Min)
-	dst = binenc.AppendF64(dst, st.Max)
-	return dst
-}
-
-func readAcc(r *binenc.Reader) stats.AccumulatorState {
-	return stats.AccumulatorState{
-		N:    int(r.I64()),
-		Mean: r.F64(),
-		M2:   r.F64(),
-		Sum:  r.F64(),
-		Min:  r.F64(),
-		Max:  r.F64(),
-	}
-}
-
 func appendSample(dst []byte, s Sample) []byte {
 	dst = binenc.AppendI64(dst, int64(s.Index))
 	dst = binenc.AppendF64(dst, s.Value)
@@ -277,7 +255,7 @@ func (s *StreamBSS) AppendState(dst []byte) ([]byte, error) {
 	dst = binenc.AppendI64(dst, int64(s.cfg.L))
 	dst = binenc.AppendI64(dst, int64(s.tick))
 	dst = binenc.AppendI64(dst, int64(s.nextBase))
-	dst = appendAcc(dst, &s.running)
+	dst = s.running.AppendState(dst)
 	dst = binenc.AppendI64(dst, int64(s.baseSeen))
 	dst = binenc.AppendF64(dst, s.ath)
 	dst = binenc.AppendBool(dst, s.armed)
@@ -297,7 +275,7 @@ func (s *StreamBSS) RestoreState(data []byte) error {
 	}
 	interval, l := int(r.I64()), int(r.I64())
 	tick, nextBase := int(r.I64()), int(r.I64())
-	accState := readAcc(r)
+	accState := stats.ReadAccumulatorState(r)
 	baseSeen := int(r.I64())
 	ath := r.F64()
 	armed := r.Bool()

@@ -21,7 +21,7 @@ func Analyzers() []*analysis.Analyzer {
 // graph so they cannot silently go stale.
 var Scopes = map[string][]string{
 	"batchoffer": {"repro/sampling/hub", "repro/cmd/sampled", "repro/cmd/sampleload"},
-	"noreadall":  {"repro/sampling/wire", "repro/cmd/sampled"},
+	"noreadall":  {"repro/sampling/wire", "repro/cmd/sampled", "repro/sampling/cluster"},
 	"detsource":  {samplingPath, "repro/internal/core", "repro/sampling/estimate", obsPath, "repro/sampling/persist", "repro/sampling/cluster"},
 	"hotalloc":   nil,
 	"nanwire":    {samplingPath},

@@ -32,28 +32,6 @@ func checkTag(r *binenc.Reader, want uint8, name string) error {
 	return r.Err()
 }
 
-func appendAcc(dst []byte, a *stats.Accumulator) []byte {
-	st := a.State()
-	dst = binenc.AppendI64(dst, int64(st.N))
-	dst = binenc.AppendF64(dst, st.Mean)
-	dst = binenc.AppendF64(dst, st.M2)
-	dst = binenc.AppendF64(dst, st.Sum)
-	dst = binenc.AppendF64(dst, st.Min)
-	dst = binenc.AppendF64(dst, st.Max)
-	return dst
-}
-
-func readAcc(r *binenc.Reader) stats.AccumulatorState {
-	return stats.AccumulatorState{
-		N:    int(r.I64()),
-		Mean: r.F64(),
-		M2:   r.F64(),
-		Sum:  r.F64(),
-		Min:  r.F64(),
-		Max:  r.F64(),
-	}
-}
-
 // checkShape refuses a ladder header no tick sequence produces: a
 // stream of n ticks holds exactly ladderLevels(n) levels.
 func checkShape(name string, levels int, n int64) error {
@@ -77,7 +55,7 @@ func (s *StreamAggVar) AppendState(dst []byte) []byte {
 		l := &s.levels[j]
 		dst = binenc.AppendF64(dst, l.half.sum)
 		dst = binenc.AppendBool(dst, l.half.has)
-		dst = appendAcc(dst, &l.acc)
+		dst = l.acc.AppendState(dst)
 	}
 	return dst
 }
@@ -106,7 +84,7 @@ func (s *StreamAggVar) RestoreState(data []byte) error {
 		l := &next.levels[j]
 		l.half.sum = r.F64()
 		l.half.has = r.Bool()
-		acc := readAcc(r)
+		acc := stats.ReadAccumulatorState(r)
 		if r.Err() != nil {
 			break
 		}

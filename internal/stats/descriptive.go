@@ -9,6 +9,8 @@ import (
 	"fmt"
 	"math"
 	"sort"
+
+	"repro/internal/binenc"
 )
 
 // Mean returns the arithmetic mean of x, or NaN for empty input.
@@ -245,6 +247,23 @@ func (a *Accumulator) State() AccumulatorState {
 // SetState overwrites the accumulator with a previously captured state.
 func (a *Accumulator) SetState(s AccumulatorState) {
 	a.n, a.mean, a.m2, a.sum, a.min, a.max = s.N, s.Mean, s.M2, s.Sum, s.Min, s.Max
+}
+
+// AppendState appends the accumulator's exact state to dst in the
+// layout every state codec shares: N as an i64, then Mean, M2, Sum, Min
+// and Max as raw float64 bits.
+func (a *Accumulator) AppendState(dst []byte) []byte {
+	dst = binenc.AppendI64(dst, int64(a.n))
+	dst = binenc.AppendF64(dst, a.mean)
+	dst = binenc.AppendF64(dst, a.m2)
+	dst = binenc.AppendF64(dst, a.sum)
+	dst = binenc.AppendF64(dst, a.min)
+	return binenc.AppendF64(dst, a.max)
+}
+
+// ReadAccumulatorState reads the six fields AppendState wrote.
+func ReadAccumulatorState(r *binenc.Reader) AccumulatorState {
+	return AccumulatorState{N: int(r.I64()), Mean: r.F64(), M2: r.F64(), Sum: r.F64(), Min: r.F64(), Max: r.F64()}
 }
 
 // Merge folds another accumulator into a (parallel reduction support).

@@ -45,8 +45,8 @@ func stateURL(base, collection, id string) string {
 	return base + "/v1/" + collection + "/" + url.PathEscape(id) + "/state"
 }
 
-// do runs one request and returns the body on 2xx; any other status
-// becomes an ErrPeer carrying the peer's (truncated) error body.
+// do runs one request and returns the body on 2xx, an ErrPeer
+// otherwise (peerStatus).
 func (c *StateClient) do(req *http.Request) ([]byte, error) {
 	resp, err := c.client().Do(req)
 	if err != nil {
@@ -57,14 +57,21 @@ func (c *StateClient) do(req *http.Request) ([]byte, error) {
 	if _, err := io.Copy(&buf, io.LimitReader(resp.Body, maxStateBytes)); err != nil {
 		return nil, fmt.Errorf("cluster: reading %s %s: %w", req.Method, req.URL, err)
 	}
-	if resp.StatusCode < 200 || resp.StatusCode > 299 {
-		msg := buf.String()
-		if len(msg) > 256 {
-			msg = msg[:256]
-		}
-		return nil, fmt.Errorf("cluster: %s %s: status %d: %s: %w", req.Method, req.URL, resp.StatusCode, msg, ErrPeer)
+	if err := peerStatus(resp, buf.Bytes()); err != nil {
+		return nil, err
 	}
 	return buf.Bytes(), nil
+}
+
+// peerStatus is nil for a 2xx response; any other status becomes an
+// ErrPeer carrying the peer's (truncated) error body.
+func peerStatus(resp *http.Response, body []byte) error {
+	if resp.StatusCode/100 == 2 {
+		return nil
+	}
+	req := resp.Request
+	return fmt.Errorf("cluster: %s %s: status %d: %s: %w",
+		req.Method, req.URL, resp.StatusCode, bytes.TrimSpace(body[:min(len(body), 256)]), ErrPeer)
 }
 
 // Put installs an exported state blob as a new stream or group on a

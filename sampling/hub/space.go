@@ -316,8 +316,8 @@ func (s *space[M]) records() ([]persist.Record, error) {
 }
 
 // decode rebuilds one member per checkpoint record and checks that no
-// record's id is already live, so a corrupt record or a collision fails
-// before restore inserts anything.
+// record's id repeats or is already live, so a corrupt record or a
+// collision fails before restore inserts anything.
 func (s *space[M]) decode(recs []persist.Record) ([]M, error) {
 	ms := make([]M, len(recs))
 	for i, rec := range recs {
@@ -330,7 +330,12 @@ func (s *space[M]) decode(recs []persist.Record) ([]M, error) {
 		}
 		ms[i] = m
 	}
+	seen := make(map[string]bool, len(recs))
 	for _, rec := range recs {
+		if seen[rec.ID] {
+			return nil, fmt.Errorf("hub: checkpoint repeats %s %q: %w", s.kind, rec.ID, ErrStreamExists)
+		}
+		seen[rec.ID] = true
 		if _, e := s.lookup(rec.ID); e != nil {
 			return nil, fmt.Errorf("hub: restoring %s %q: %w", s.kind, rec.ID, ErrStreamExists)
 		}

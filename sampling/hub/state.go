@@ -79,8 +79,9 @@ func (h *Hub) Checkpoint() (*persist.Checkpoint, error) {
 // hub untouched. Restored streams are stamped active now, on the
 // hub's clock — process downtime is not idleness, and a freshly
 // restored hub must not mass-evict on its first Sweep. Restore is
-// meant for an empty hub (boot); a colliding live id fails with
-// ErrStreamExists after the decode pass, with nothing inserted.
+// meant for an empty hub (boot); a colliding live id, or an id listed
+// twice in one section, fails with ErrStreamExists after the decode
+// pass, with nothing inserted.
 func (h *Hub) Restore(ck *persist.Checkpoint) error {
 	engines, err := h.streams.decode(ck.Streams)
 	if err != nil {

@@ -188,6 +188,43 @@ func TestRestoreRejectsCollisionsAtomically(t *testing.T) {
 	}
 }
 
+// TestRestoreRejectsRepeatedIDs: a CRC-valid checkpoint that lists one
+// id twice in a section must fail as a whole, in either section, with
+// nothing from that checkpoint left live.
+func TestRestoreRejectsRepeatedIDs(t *testing.T) {
+	src := hub.New()
+	if err := src.Create("a", sampling.MustParse("systematic:interval=4")); err != nil {
+		t.Fatal(err)
+	}
+	if err := src.CreateGroup("g", []sampling.Spec{sampling.MustParse("systematic:interval=4")}); err != nil {
+		t.Fatal(err)
+	}
+	for _, section := range []string{"streams", "groups"} {
+		ck, err := src.Checkpoint()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if section == "streams" {
+			ck.Streams = append(ck.Streams, ck.Streams[0])
+		} else {
+			ck.Groups = append(ck.Groups, ck.Groups[0])
+		}
+		// The repeat survives the container codec: persist.Decode checks
+		// framing and CRC, not id uniqueness.
+		ck, err = persist.Decode(ck.Encode())
+		if err != nil {
+			t.Fatal(err)
+		}
+		dst := hub.New()
+		if err := dst.Restore(ck); !errors.Is(err, hub.ErrStreamExists) {
+			t.Fatalf("%s: Restore of a repeated id = %v, want ErrStreamExists", section, err)
+		}
+		if st := dst.Stats(); st.Streams != 0 || st.Groups != 0 {
+			t.Fatalf("%s: failed Restore left %d streams and %d groups behind", section, st.Streams, st.Groups)
+		}
+	}
+}
+
 // TestRestoredHubSurvivesFirstSweep: downtime is not idleness — a hub
 // restored from an old checkpoint must not evict everything on its
 // first Sweep, even when the checkpointed activity stamps are far

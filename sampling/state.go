@@ -145,13 +145,7 @@ func (e *Engine) AppendState(dst []byte) ([]byte, error) {
 	b = binenc.AppendI64(b, int64(e.seen))
 	b = binenc.AppendI64(b, int64(e.kept))
 	b = binenc.AppendI64(b, int64(e.qualified))
-	accState := e.acc.State()
-	b = binenc.AppendI64(b, int64(accState.N))
-	b = binenc.AppendF64(b, accState.Mean)
-	b = binenc.AppendF64(b, accState.M2)
-	b = binenc.AppendF64(b, accState.Sum)
-	b = binenc.AppendF64(b, accState.Min)
-	b = binenc.AppendF64(b, accState.Max)
+	b = e.acc.AppendState(b)
 	b = binenc.AppendBool(b, e.finished)
 	b = binenc.AppendString(b, errString(e.finishErr))
 	b, at := binenc.ReserveLen(b)
@@ -191,7 +185,7 @@ func restoreEngine(r *binenc.Reader, clock func() time.Time) (*Engine, error) {
 	budget := int(r.I64())
 	startNanos := r.I64()
 	seen, kept, qualified := int(r.I64()), int(r.I64()), int(r.I64())
-	accState := readAccState(r)
+	accState := stats.ReadAccumulatorState(r)
 	finished := r.Bool()
 	finishMsg := r.String()
 	kernelState := r.Bytes()
@@ -259,13 +253,7 @@ func (g *Group) AppendState(dst []byte) ([]byte, error) {
 	b = binenc.AppendString(b, string(g.method))
 	b = binenc.AppendI64(b, int64(g.seen))
 	b = binenc.AppendI64(b, g.start.UnixNano())
-	accState := g.inputAcc.State()
-	b = binenc.AppendI64(b, int64(accState.N))
-	b = binenc.AppendF64(b, accState.Mean)
-	b = binenc.AppendF64(b, accState.M2)
-	b = binenc.AppendF64(b, accState.Sum)
-	b = binenc.AppendF64(b, accState.Min)
-	b = binenc.AppendF64(b, accState.Max)
+	b = g.inputAcc.AppendState(b)
 	b = binenc.AppendBool(b, g.finished)
 	b = binenc.AppendString(b, errString(g.finishErr))
 	b = appendEstimator(b, g.estIn)
@@ -297,7 +285,7 @@ func RestoreGroup(data []byte, opts ...Option) (*Group, error) {
 	method := estimate.Method(r.String())
 	seen := int(r.I64())
 	startNanos := r.I64()
-	accState := readAccState(r)
+	accState := stats.ReadAccumulatorState(r)
 	finished := r.Bool()
 	finishMsg := r.String()
 	if err := r.Err(); err != nil {
@@ -379,17 +367,6 @@ func readEstimator(r *binenc.Reader) (estimate.Estimator, error) {
 		return nil, fmt.Errorf("sampling: restore %q estimator state: %w", method, err)
 	}
 	return est, nil
-}
-
-// readAccState reads the six accumulator fields.
-func readAccState(r *binenc.Reader) (s stats.AccumulatorState) {
-	s.N = int(r.I64())
-	s.Mean = r.F64()
-	s.M2 = r.F64()
-	s.Sum = r.F64()
-	s.Min = r.F64()
-	s.Max = r.F64()
-	return s
 }
 
 func errString(err error) string {

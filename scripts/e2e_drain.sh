@@ -2,9 +2,9 @@
 # e2e_drain.sh — end-to-end smoke for the sampled daemon's serving and
 # shutdown paths: boot sampled on a loopback port, hammer it with
 # sampleload over HTTP (which also exercises the estimator/hurst
-# surface), scrape /metrics and a /hurst document, then SIGTERM the
-# daemon and require a clean drain (exit 0). CI runs this; it works the
-# same locally:
+# surface, and comparison groups over the binary wire), scrape /metrics
+# and a /hurst document, then SIGTERM the daemon and require a clean
+# drain (exit 0). CI runs this; it works the same locally:
 #
 #   ./scripts/e2e_drain.sh [streams] [ticks]
 set -euo pipefail
@@ -126,6 +126,19 @@ metrics="$(curl -sf "$BASE/metrics")"
 echo "$metrics" | grep -q '^sampled_groups 1$'
 echo "$metrics" | grep -q '^sampled_group_ticks_total 5000$'
 curl -sf "$BASE/v1/groups" | grep -q '"groups":\["compare-check"\]'
+
+# The load tool's group namespace over the binary wire: three
+# techniques side by side on every group, each group fed TICKS input
+# ticks, so the group tick counter must grow by exactly STREAMS x TICKS.
+before="$(echo "$metrics" | awk '/^sampled_group_ticks_total /{print $2}')"
+"$workdir/sampleload" -addr "127.0.0.1:${PORT}" -wire binary \
+    -compare "systematic:interval=50;bernoulli:rate=0.02;bss:interval=50,L=5,eps=1.0" \
+    -streams "$STREAMS" -ticks "$TICKS" -batch 512
+after="$(curl -sf "$BASE/metrics" | awk '/^sampled_group_ticks_total /{print $2}')"
+if [ "$((after - before))" -ne "$((STREAMS * TICKS))" ]; then
+    echo "e2e: sampleload -compare moved sampled_group_ticks_total from $before to $after, want +$((STREAMS * TICKS))" >&2
+    exit 1
+fi
 
 # Graceful shutdown: SIGTERM must drain and exit 0.
 kill -TERM "$daemon_pid"
