@@ -22,6 +22,7 @@ import (
 	"repro/internal/stats"
 	"repro/internal/traffic"
 	"repro/sampling"
+	"repro/sampling/estimate"
 )
 
 // benchFigure runs one experiment per iteration at small scale.
@@ -317,6 +318,10 @@ func BenchmarkPublicEngineOfferBatch(b *testing.B) {
 //     five specs, an aggvar input-side estimator and 8192-tick batches
 //     of fGn (H=0.8) traffic, the setup where the group input side
 //     dominates.
+//   - wavelet, rs: the same shape with a wavelet or rs input-side
+//     estimator, whose input side keeps a separate accumulator next to
+//     the estimator: one shared per-tick loop for wavelet, two batch
+//     passes for rs.
 func BenchmarkGroupOfferBatch(b *testing.B) {
 	run := func(b *testing.B, specs []string, batch func(i int) []float64, opts ...sampling.Option) {
 		b.Helper()
@@ -342,25 +347,27 @@ func BenchmarkGroupOfferBatch(b *testing.B) {
 		f := samplerBenchTrace()[:512]
 		run(b, specs, func(int) []float64 { return f })
 	})
-	b.Run("aggvar", func(b *testing.B) {
-		const batch = 8192
-		gen, err := lrd.NewFGN(0.8, 1<<16, 100, 20)
-		if err != nil {
-			b.Fatal(err)
-		}
-		f := gen.Generate(dist.NewRand(5))
-		specs := []string{
-			"systematic:interval=100,offset=7",
-			"stratified:interval=100,seed=11",
-			"bernoulli:rate=0.01,seed=12",
-			"simple:n=1000,seed=13",
-			"bss:interval=100,L=5,eps=1.0,offset=3",
-		}
-		run(b, specs, func(i int) []float64 {
-			off := i * batch % len(f)
-			return f[off : off+batch]
-		}, sampling.WithEstimator("aggvar"))
-	})
+	gen, err := lrd.NewFGN(0.8, 1<<16, 100, 20)
+	if err != nil {
+		b.Fatal(err)
+	}
+	f := gen.Generate(dist.NewRand(5))
+	for _, method := range estimate.Methods() {
+		b.Run(string(method), func(b *testing.B) {
+			const batch = 8192
+			specs := []string{
+				"systematic:interval=100,offset=7",
+				"stratified:interval=100,seed=11",
+				"bernoulli:rate=0.01,seed=12",
+				"simple:n=1000,seed=13",
+				"bss:interval=100,L=5,eps=1.0,offset=3",
+			}
+			run(b, specs, func(i int) []float64 {
+				off := i * batch % len(f)
+				return f[off : off+batch]
+			}, sampling.WithEstimator(method))
+		})
+	}
 }
 
 // BenchmarkPublicSnapshot measures one mid-stream observation of a warm

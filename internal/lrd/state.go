@@ -2,6 +2,7 @@ package lrd
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/binenc"
 	"repro/internal/stats"
@@ -97,6 +98,37 @@ func (s *StreamAggVar) RestoreState(data []byte) error {
 		return err
 	}
 	*s = next
+	return nil
+}
+
+// CompareFoldedStates checks got, an aggvar ladder state, against ref,
+// the state of a ladder fed the same ticks in another batch partition
+// (one Tick per value, say). TickBatch promises exact structure — MinM,
+// tick count, level count, every half-block flag and sum, and every
+// level's block count, Min and Max — and level moments within
+// stats.FoldTolerance (stats.CompareFolded). A NaN matches any NaN: its
+// payload depends on the compiled operand order.
+func CompareFoldedStates(ref, got []byte) error {
+	var a, b StreamAggVar
+	if err := a.RestoreState(ref); err != nil {
+		return err
+	}
+	if err := b.RestoreState(got); err != nil {
+		return err
+	}
+	if a.MinM != b.MinM || a.n != b.n || len(a.levels) != len(b.levels) {
+		return fmt.Errorf("lrd: folded ladder minM=%d n=%d levels=%d, want minM=%d n=%d levels=%d",
+			b.MinM, b.n, len(b.levels), a.MinM, a.n, len(a.levels))
+	}
+	for j := range a.levels {
+		ha, hb := a.levels[j].half, b.levels[j].half
+		if ha.has != hb.has || !(math.Float64bits(ha.sum) == math.Float64bits(hb.sum) || math.IsNaN(ha.sum) && math.IsNaN(hb.sum)) {
+			return fmt.Errorf("lrd: folded level %d half-block %+v, want %+v", j, hb, ha)
+		}
+		if err := stats.CompareFolded(a.levels[j].acc.State(), b.levels[j].acc.State()); err != nil {
+			return fmt.Errorf("lrd: level %d: %w", j, err)
+		}
+	}
 	return nil
 }
 

@@ -94,70 +94,90 @@ func (s *StreamAggVar) Tick(v float64) {
 	s.carry(1, v+h.sum)
 }
 
-// TickBatch folds a batch of observations and leaves the ladder bit for
-// bit where one Tick per value would, down to the stale sums of closed
-// half-blocks that AppendState persists. It reserves every level the
-// batch reaches up front, so it allocates at most once.
+// foldChunk is the most ticks TickBatch cascades at a time: the level-1
+// block sums of one chunk fit a stack buffer of half its length, which
+// every higher level then reuses in place.
+const foldChunk = 1024
+
+// TickBatch folds a batch of observations level by level: level 0 takes
+// the raw ticks, level j the batch's completed 2^j-tick block sums, and
+// each level merges its run once (stats.Run) instead of taking one
+// Welford division per block. The block sums come from the pairwise adds
+// Tick's carry makes, in its operand order, so the ladder's shape, block
+// counts, open and stale half-block sums, Min and Max are bit for bit
+// where one Tick per value would leave them, and a one-tick batch is
+// Tick. Mean, M2 and Sum agree with Tick's within stats.FoldTolerance;
+// the same batches always give the same bytes. It reserves every level
+// the batch reaches up front, so it allocates at most once.
 //
 //samplelint:hotpath
 func (s *StreamAggVar) TickBatch(values []float64) {
 	if len(values) == 0 {
 		return
 	}
-	s.levels = reach(s.levels, s.n+int64(len(values)))
-	if s.levels[0].half.has {
-		s.Tick(values[0])
-		values = values[1:]
+	before := s.n
+	s.n += int64(len(values))
+	s.levels = reach(s.levels, s.n)
+	// Blocks complete within this batch on levels below the highest bit
+	// in which the old and new tick counts differ.
+	levels := s.levels[:min(bits.Len64(uint64(before^s.n)), len(s.levels))]
+	var runs [maxStreamLevels]stats.Run
+	for j := range levels {
+		runs[j] = levels[j].acc.Run(int(s.n>>j - before>>j))
 	}
-	pairs := len(values) &^ 1
-	if pairs > 0 {
-		s.foldPairs(values[:pairs])
+	var buf [foldChunk / 2]float64
+	for len(values) > 0 {
+		chunk := values[:min(len(values), foldChunk)]
+		values = values[len(chunk):]
+		run := s.foldLevel(0, &runs[0], chunk, buf[:])
+		for j := 1; len(run) > 0; j++ {
+			if j == maxStreamLevels-1 {
+				// The top level closes no half-blocks, as in carry.
+				runs[j].FoldPairs(run, 1/float64(int64(1)<<j), run)
+				break
+			}
+			run = s.foldLevel(j, &runs[j], run, run)
+		}
 	}
-	if pairs < len(values) {
-		s.Tick(values[pairs])
+	for j := range levels {
+		levels[j].acc.Merge(&runs[j])
 	}
 }
 
-// foldPairs folds an even-length run of ticks that starts on a closed
-// level-0 half-block. Level 0's moments stay in locals for the whole
-// run and each pair's sum goes straight to level 1, so the levels'
-// serial Welford division chains overlap in one loop instead of
-// queueing one level after another.
+// foldLevel folds level j's run of block sums into r, as the block
+// means Tick adds, and returns the next level's block sums, written to
+// out (which may alias run). Each adds the later block to the earlier
+// one, as carry does: an open half-block pairs with the run's first
+// block, and the half-block ends open on an unpaired last block, or
+// closed on the stale sum of the last pair's first block.
 //
 //samplelint:hotpath
-func (s *StreamAggVar) foldPairs(values []float64) {
-	l0, l1 := &s.levels[0], &s.levels[1]
-	st := l0.acc.State()
-	if st.N == 0 {
-		st.Min, st.Max = values[0], values[0]
+func (s *StreamAggVar) foldLevel(j int, r *stats.Run, run, out []float64) []float64 {
+	m := 1 / float64(int64(1)<<j)
+	h := &s.levels[j].half
+	k := 0
+	if h.has {
+		r.FoldPairs(run[:1], m, nil)
+		out[0] = run[0] + h.sum
+		h.has = false
+		run = run[1:]
+		k = 1
 	}
-	n, mean, m2, sum, lo, hi := st.N, st.Mean, st.M2, st.Sum, st.Min, st.Max
-	for i := 0; i < len(values); i += 2 {
-		a, b := values[i], values[i+1]
-		lo, hi = stats.Extend(lo, hi, a)
-		lo, hi = stats.Extend(lo, hi, b)
-		sum += a
-		sum += b
-		mean, m2 = stats.Welford(n+1, mean, m2, a)
-		mean, m2 = stats.Welford(n+2, mean, m2, b)
-		n += 2
-		pair := b + a
-		l1.acc.Add(pair / 2)
-		if h := &l1.half; !h.has {
-			h.sum, h.has = pair, true
-		} else {
-			h.has = false
-			s.carry(2, pair+h.sum)
-		}
+	// Read the closing sums before the fold overwrites an aliased run.
+	p := len(run) / 2
+	if p > 0 {
+		h.sum = run[2*p-2]
 	}
-	l0.acc.SetState(stats.AccumulatorState{N: n, Mean: mean, M2: m2, Sum: sum, Min: lo, Max: hi})
-	s.n += int64(len(values))
-	l0.half.sum = values[len(values)-2]
+	if len(run)&1 == 1 {
+		h.sum, h.has = run[len(run)-1], true
+	}
+	r.FoldPairs(run, m, out[k:k+p])
+	return out[:k+p]
 }
 
 // carry records a completed block of 2^j ticks summing to sum at level
-// j and percolates it up the ladder: an open half-block waits for its
-// sibling, a closed pair becomes a block of the next level.
+// j and percolates it up the ladder for Tick: an open half-block waits
+// for its sibling, a closed pair becomes a block of the next level.
 //
 //samplelint:hotpath
 func (s *StreamAggVar) carry(j int, sum float64) {

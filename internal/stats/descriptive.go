@@ -8,6 +8,7 @@ package stats
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 
 	"repro/internal/binenc"
@@ -266,25 +267,173 @@ func ReadAccumulatorState(r *binenc.Reader) AccumulatorState {
 	return AccumulatorState{N: int(r.I64()), Mean: r.F64(), M2: r.F64(), Sum: r.F64(), Min: r.F64(), Max: r.F64()}
 }
 
-// Merge folds another accumulator into a (parallel reduction support).
-func (a *Accumulator) Merge(b *Accumulator) {
-	if b.n == 0 {
-		return
-	}
-	if a.n == 0 {
-		*a = *b
-		return
-	}
-	n := a.n + b.n
-	delta := b.mean - a.mean
-	mean := a.mean + delta*float64(b.n)/float64(n)
-	m2 := a.m2 + b.m2 + delta*delta*float64(a.n)*float64(b.n)/float64(n)
-	if b.min < a.min {
-		a.min = b.min
-	}
-	if b.max > a.max {
-		a.max = b.max
-	}
-	a.n, a.mean, a.m2 = n, mean, m2
-	a.sum += b.sum
+// Run is a run of observations reduced for one Merge into an
+// Accumulator — Chan, Golub and LeVeque's pairwise combination, in a
+// division-free pass. Each value x enters as d = (x − shift)·scale,
+// summed as Σd and Σd², where shift is the accumulator's running mean
+// (the run's first value when the accumulator is empty) and scale is a
+// power of two small enough that Σd² stays finite wherever the merged
+// M2 does. Min and Max widen value by value, exactly as Add widens
+// them. The zero Run is empty; Accumulator.Run starts one.
+type Run struct {
+	n      int
+	fresh  bool    // the accumulator holds nothing: the first value is the shift
+	shift  float64 // the accumulator's mean, or the run's first value
+	scale  float64 // 2^-k with 4^k > 2n+1 for the expected length n
+	s1, s2 float64 // Σd and Σd² of d = (x − shift)·scale
+	lo, hi float64
+	last   float64 // the latest value, which a one-value run merges as Add
 }
+
+// Run starts a run for the next observations of a, about n of them.
+// n only sizes the scale: a run of any length merges correctly, and up
+// to n of them it cannot overflow where a's own M2 would not.
+func (a *Accumulator) Run(n int) Run {
+	k := (bits.Len(uint(2*n+1)) + 1) / 2
+	scale := math.Float64frombits(uint64(1023-k) << 52) // 2^-k
+	return Run{fresh: a.n == 0, shift: a.mean, scale: scale, lo: a.min, hi: a.max}
+}
+
+// FoldPairs folds the values xs[i]·m into the run and writes the sum of
+// each consecutive pair, xs[2i+1] + xs[2i], to pairs[i]; pairs may
+// alias xs, and an odd last value is folded but not paired. A dyadic
+// caller folds one level and forms the next level's block sums in the
+// same pass. With m = 1 the values fold as they are, down to the bits
+// of the Min, Max and one-value merge they may become.
+func (r *Run) FoldPairs(xs []float64, m float64, pairs []float64) {
+	if len(xs) == 0 {
+		return
+	}
+	first, last := xs[0], xs[len(xs)-1]
+	if m != 1 {
+		first, last = first*m, last*m
+	}
+	if r.fresh && r.n == 0 {
+		r.shift, r.lo, r.hi = first, first, first
+	}
+	c, s := r.shift, r.scale
+	var s1a, s1b, s2a, s2b float64
+	inside := r.inside()
+	pairs = pairs[:len(xs)/2]
+	for i := 1; i < len(xs); i += 2 {
+		xa, xb := xs[i-1], xs[i]
+		pairs[i>>1] = xb + xa
+		a, b := xa*m, xb*m
+		da, db := (a-c)*s, (b-c)*s
+		qa, qb := da*da, db*db
+		// Both values inside the range is the common case, and then
+		// Extend is a no-op; the squared deviations already tell, at
+		// one compare each. Anything else, NaN included, widens
+		// exactly. The range stays in r, so the rare widening costs the
+		// common case no register shuffles.
+		if !(qa < inside && qb < inside) {
+			r.lo, r.hi = Extend(r.lo, r.hi, a)
+			r.lo, r.hi = Extend(r.lo, r.hi, b)
+			inside = r.inside()
+		}
+		s1a += da
+		s1b += db
+		s2a += qa
+		s2b += qb
+	}
+	if len(xs)&1 == 1 {
+		r.lo, r.hi = Extend(r.lo, r.hi, last)
+		d := (last - c) * s
+		s1a += d
+		s2a += d * d
+	}
+	r.n += len(xs)
+	r.last = last
+	r.s1 += s1a + s1b
+	r.s2 += s2a + s2b
+}
+
+// inside bounds the squared scaled deviations of values that lie
+// within [lo, hi]: with R the shift's distance to the nearer end,
+// rounding is monotone, so fl(fl(x − shift)·scale)² < fl(fl(R·scale)²)
+// implies lo ≤ x ≤ hi. A NaN or an empty range gives 0, which no
+// square is below.
+func (r *Run) inside() float64 {
+	rad := min(r.hi-r.shift, r.shift-r.lo)
+	if !(rad > 0) {
+		return 0
+	}
+	rs := rad * r.scale
+	return rs * rs
+}
+
+// Merge folds a run started on a into a in one step. With d = x − mean
+// over the run's values and n the merged count, mean' = mean + Σd/n and
+// M2' = M2 + Σd² − (Σd)²/n: Chan et al.'s pairwise combination, whose
+// cross term δ²·n_a·n_run/n is folded into the run's own Σd² by
+// shifting with a's mean. A run of one value is Add, bit for bit; a
+// longer one agrees with one Add per value within FoldTolerance (see
+// CompareFolded), and Min and Max exactly.
+func (a *Accumulator) Merge(r *Run) {
+	switch r.n {
+	case 0:
+		return
+	case 1:
+		a.Add(r.last)
+		return
+	}
+	inv := 1 / r.scale
+	n := a.n + r.n
+	s1 := r.s1 * inv // Σ(x − shift)
+	// Rounding can take a run of equal values a hair below zero; M2
+	// never decreases, as under Add.
+	a.m2 += max((r.s2-r.s1*(r.s1/float64(n)))*inv*inv, 0)
+	a.mean = r.shift + s1/float64(n)
+	a.sum += float64(r.n)*r.shift + s1
+	a.n, a.min, a.max = n, r.lo, r.hi
+}
+
+// FoldTolerance bounds how far an accumulator fed by Merge may stray
+// from one fed the same values by Add, relative to the magnitude of
+// the data: for n values in [Min, Max] with A = max(|Min|, |Max|),
+// Mean within FoldTolerance·A, Sum within FoldTolerance·n·A and M2
+// within FoldTolerance·n·(Max−Min)·A, each plus n·2^-1000 for values
+// so small that their squares underflow. The (Max−Min)·A scale is the
+// conditioning of the variance: a deviation d from a mean of size A
+// carries a rounding error of order ε·A, so each squared deviation is
+// uncertain by ε·|d|·A in either arithmetic.
+const FoldTolerance = 0x1p-32
+
+// CompareFolded checks got, an accumulator fed by Merge, against ref,
+// one fed the same values by Add: N, Min and Max must be identical (a
+// NaN matching any NaN), and wherever ref's Mean, M2 and Sum are all
+// finite, got's must be finite too and within FoldTolerance.
+func CompareFolded(ref, got AccumulatorState) error {
+	if got.N != ref.N || !sameFloat(got.Min, ref.Min) || !sameFloat(got.Max, ref.Max) {
+		return fmt.Errorf("stats: folded n=%d min=%g max=%g, want n=%d min=%g max=%g",
+			got.N, got.Min, got.Max, ref.N, ref.Min, ref.Max)
+	}
+	if !isFinite(ref.Mean) || !isFinite(ref.M2) || !isFinite(ref.Sum) {
+		return nil
+	}
+	n := float64(ref.N)
+	a := max(math.Abs(ref.Min), math.Abs(ref.Max))
+	floor := n * 0x1p-1000
+	for _, f := range []struct {
+		name      string
+		ref, got  float64
+		magnitude float64
+	}{
+		{"mean", ref.Mean, got.Mean, a},
+		{"sum", ref.Sum, got.Sum, n * a},
+		{"m2", ref.M2, got.M2, n * (ref.Max - ref.Min) * a},
+	} {
+		if !isFinite(f.got) || !(math.Abs(f.got-f.ref) <= FoldTolerance*f.magnitude+floor) {
+			return fmt.Errorf("stats: folded %s %g, want %g within %g", f.name, f.got, f.ref, FoldTolerance*f.magnitude+floor)
+		}
+	}
+	return nil
+}
+
+// sameFloat reports whether a and b are the same value: identical bits,
+// or both NaN, whose payload depends on the compiled operand order.
+func sameFloat(a, b float64) bool {
+	return math.Float64bits(a) == math.Float64bits(b) || (math.IsNaN(a) && math.IsNaN(b))
+}
+
+func isFinite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }

@@ -119,6 +119,13 @@ func TestAccumulatorZeroValue(t *testing.T) {
 	}
 }
 
+// foldRun merges xs into a as one Run.
+func foldRun(a *Accumulator, xs []float64) {
+	r := a.Run(len(xs))
+	r.FoldPairs(xs, 1, make([]float64, len(xs)/2))
+	a.Merge(&r)
+}
+
 func TestAccumulatorMerge(t *testing.T) {
 	prop := func(seed uint64) bool {
 		rng := newRand(seed)
@@ -126,29 +133,86 @@ func TestAccumulatorMerge(t *testing.T) {
 		for i := range x {
 			x[i] = rng.NormFloat64()
 		}
-		var whole, left, right Accumulator
+		var whole, left Accumulator
 		whole.AddAll(x)
 		left.AddAll(x[:20])
-		right.AddAll(x[20:])
-		left.Merge(&right)
-		return left.N() == whole.N() &&
+		foldRun(&left, x[20:])
+		return CompareFolded(whole.State(), left.State()) == nil &&
 			almostEqual(left.Mean(), whole.Mean(), 1e-10) &&
-			almostEqual(left.Variance(), whole.Variance(), 1e-9) &&
-			left.Min() == whole.Min() && left.Max() == whole.Max()
+			almostEqual(left.Variance(), whole.Variance(), 1e-9)
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)
 	}
-	// Merging into/from empty accumulators.
-	var a, b Accumulator
-	b.Add(3)
-	a.Merge(&b)
-	if a.N() != 1 || a.Mean() != 3 {
-		t.Error("merge into empty accumulator failed")
+	// Into an empty accumulator the run's first value is the shift.
+	var fresh, ref Accumulator
+	x := []float64{1e6 + 0.5, 1e6 - 0.25, 1e6 + 2, 1e6}
+	ref.AddAll(x)
+	foldRun(&fresh, x)
+	if err := CompareFolded(ref.State(), fresh.State()); err != nil {
+		t.Error(err)
 	}
-	var empty Accumulator
-	a.Merge(&empty)
-	if a.N() != 1 {
-		t.Error("merge of empty accumulator changed state")
+	// An empty run changes nothing.
+	before := fresh.State()
+	foldRun(&fresh, nil)
+	if fresh.State() != before {
+		t.Error("merging an empty run changed the accumulator")
 	}
 }
+
+// TestMergeOneValueIsAdd: merging a run of one value is Add, bit for
+// bit, from any state — empty, ±0, NaN and infinities included.
+func TestMergeOneValueIsAdd(t *testing.T) {
+	values := []float64{3, -0.0, 0, 1e308, -1e-310, math.Inf(1), math.NaN(), 1e6 + 1}
+	for _, start := range [][]float64{nil, {0}, {1, 2, 3}, {1e6, 1e6 + 3}, {-0.0}} {
+		for _, v := range values {
+			var added, merged Accumulator
+			added.AddAll(start)
+			merged.AddAll(start)
+			added.Add(v)
+			foldRun(&merged, []float64{v})
+			a, m := added.State(), merged.State()
+			if a.N != m.N || !sameBits(a.Mean, m.Mean) || !sameBits(a.M2, m.M2) || !sameBits(a.Sum, m.Sum) ||
+				!sameBits(a.Min, m.Min) || !sameBits(a.Max, m.Max) {
+				t.Errorf("start %v, value %g: merged %+v, added %+v", start, v, m, a)
+			}
+		}
+	}
+}
+
+// TestFoldPairsWritesPairSums: the pair sums add each later value to
+// the earlier one, in place as well as into a separate buffer, and an
+// odd last value is folded but not paired.
+func TestFoldPairsWritesPairSums(t *testing.T) {
+	x := []float64{1, 2, 4, 8, 16}
+	var a Accumulator
+	r := a.Run(len(x))
+	inPlace := append([]float64(nil), x...)
+	r.FoldPairs(inPlace, 0.5, inPlace)
+	if inPlace[0] != 3 || inPlace[1] != 12 || r.n != 5 {
+		t.Fatalf("pairs %v, len %d", inPlace[:2], r.n)
+	}
+	a.Merge(&r)
+	if a.Min() != 0.5 || a.Max() != 8 || a.Sum() != 15.5 || a.Mean() != 3.1 {
+		t.Errorf("scaled fold: min %g max %g sum %g mean %g", a.Min(), a.Max(), a.Sum(), a.Mean())
+	}
+}
+
+// TestRunScaleKeepsM2Finite: values whose squared deviations overflow
+// while their M2 does not still merge to a finite M2.
+func TestRunScaleKeepsM2Finite(t *testing.T) {
+	x := make([]float64, 200)
+	for i := range x {
+		x[i] = 1e153
+	}
+	var ref, folded Accumulator
+	ref.Add(0)
+	folded.Add(0)
+	ref.AddAll(x)
+	foldRun(&folded, x)
+	if err := CompareFolded(ref.State(), folded.State()); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }

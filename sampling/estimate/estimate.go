@@ -60,16 +60,20 @@ type Estimate struct {
 // Estimator consumes a stream and produces Hurst estimates on demand.
 // Tick must be O(log n) worst case and may allocate only when the
 // stream first reaches a new ladder level, never between powers of
-// two; TickBatch is its batch form and must leave the estimator bit for
-// bit where one Tick per value would. Estimate may allocate (it runs a
-// small regression) and belongs on the observation path, not the
-// ingest path.
+// two; TickBatch is its batch form. Wavelet and rs leave the estimator
+// bit for bit where one Tick per value would. Aggvar merges each
+// ladder level's run of a batch in one step: its structure stays exact
+// and a one-tick batch is Tick, while the level moments depend on the
+// batch partition within stats.FoldTolerance (lrd.CompareFoldedStates);
+// the same batches always give the same state. Estimate may allocate
+// (it runs a small regression) and belongs on the observation path,
+// not the ingest path.
 //
 // An estimator's exact internal state can be captured and restored:
 // AppendState on a live estimator followed by RestoreState on a fresh
 // estimator of the same method yields one that reports the identical
-// estimates — and continues the identical ladder recursion — the
-// original would have. The sampling engine codec relies on that to
+// estimates — and, fed the same batches, continues the identical
+// ladder recursion — the original would have. The sampling engine codec relies on that to
 // carry Hurst ladders through checkpoints.
 type Estimator interface {
 	Method() Method

@@ -46,10 +46,14 @@ import (
 //
 // The invariant the whole layer is built for: RestoreEngine on a
 // MarshalState blob yields an engine that emits the byte-identical
-// kept-sample sequence — and Hurst estimates — the original engine
-// would have produced had it never stopped. The RNG position travels
-// inside the kernel blob, so the random draw sequence continues
-// exactly.
+// kept-sample sequence — and, fed the same batches, the byte-identical
+// Hurst ladders and estimates — the original engine would have
+// produced had it never stopped. The RNG position travels inside the
+// kernel blob, so the random draw sequence continues exactly. Fed a
+// different batch partition, a ladder keeps its exact structure and
+// aggvar moments within stats.FoldTolerance (lrd.CompareFoldedStates).
+// Restore refuses estimator sections whose methods or tick counts no
+// engine or group writes.
 
 const (
 	engineStateMagic uint32 = 0x31676e45 // "Eng1" little-endian
@@ -171,16 +175,27 @@ func RestoreEngine(data []byte, opts ...Option) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
+	e, err := restoreEngine(data, cfg.clock)
+	if err != nil {
+		return nil, err
+	}
+	// A standalone engine estimates both sides of its stream with one
+	// method, or neither: Snapshot reads the two together.
+	if in, kept := methodOf(e.estIn), methodOf(e.estKept); in != kept {
+		return nil, fmt.Errorf("sampling: engine state carries input estimator %q and kept estimator %q: %w", in, kept, ErrBadState)
+	}
+	return e, nil
+}
+
+// restoreEngine decodes an engine blob in the form shared by standalone
+// engines and group members, and refuses estimator ladders whose tick
+// counts disagree with the counters: a ladder has consumed exactly the
+// ticks its side of the stream has seen.
+func restoreEngine(data []byte, clock func() time.Time) (*Engine, error) {
 	r, err := openState(data, engineStateMagic, "engine")
 	if err != nil {
 		return nil, err
 	}
-	return restoreEngine(r, cfg.clock)
-}
-
-// restoreEngine decodes the payload fields shared by the standalone and
-// group-member forms.
-func restoreEngine(r *binenc.Reader, clock func() time.Time) (*Engine, error) {
 	specString := r.String()
 	budget := int(r.I64())
 	startNanos := r.I64()
@@ -234,7 +249,21 @@ func restoreEngine(r *binenc.Reader, clock func() time.Time) (*Engine, error) {
 	if err := r.Err(); err != nil {
 		return nil, fmt.Errorf("sampling: engine state payload: %w (%w)", err, ErrBadState)
 	}
+	if e.estIn != nil && e.estIn.Ticks() != int64(seen) {
+		return nil, fmt.Errorf("sampling: engine state input estimator has %d ticks, engine has seen %d: %w", e.estIn.Ticks(), seen, ErrBadState)
+	}
+	if e.estKept != nil && e.estKept.Ticks() != int64(kept) {
+		return nil, fmt.Errorf("sampling: engine state kept estimator has %d ticks, engine has kept %d: %w", e.estKept.Ticks(), kept, ErrBadState)
+	}
 	return e, nil
+}
+
+// methodOf names an optional estimator's method, "" for none.
+func methodOf(est estimate.Estimator) estimate.Method {
+	if est == nil {
+		return ""
+	}
+	return est.Method()
 }
 
 // MarshalState captures the group's complete state: the shared
@@ -307,8 +336,11 @@ func RestoreGroup(data []byte, opts ...Option) (*Group, error) {
 		return nil, err
 	}
 	g.setEstimator(est)
-	if method != "" && g.estIn == nil {
-		return nil, fmt.Errorf("sampling: group state method %q carries no input estimator state: %w", method, ErrBadState)
+	if got := methodOf(est); got != method {
+		return nil, fmt.Errorf("sampling: group state method %q carries input estimator %q: %w", method, got, ErrBadState)
+	}
+	if est != nil && est.Ticks() != int64(seen) {
+		return nil, fmt.Errorf("sampling: group state input estimator has %d ticks, group has seen %d: %w", est.Ticks(), seen, ErrBadState)
 	}
 	n := int(r.U32())
 	if r.Err() == nil && r.Remaining() < 4*n {
@@ -319,9 +351,15 @@ func RestoreGroup(data []byte, opts ...Option) (*Group, error) {
 		if err := r.Err(); err != nil {
 			return nil, fmt.Errorf("sampling: group state member %d: %w (%w)", i, err, ErrBadState)
 		}
-		eng, err := RestoreEngine(blob, WithClock(cfg.clock))
+		eng, err := restoreEngine(blob, cfg.clock)
 		if err != nil {
 			return nil, fmt.Errorf("sampling: group state member %d: %w", i, err)
+		}
+		// A member estimates only its kept side, with the group's
+		// method; the input side is the group's.
+		if eng.estIn != nil || methodOf(eng.estKept) != method {
+			return nil, fmt.Errorf("sampling: group state member %d carries estimators (input %q, kept %q) for method %q: %w",
+				i, methodOf(eng.estIn), methodOf(eng.estKept), method, ErrBadState)
 		}
 		g.members = append(g.members, eng)
 	}

@@ -359,10 +359,11 @@ func TestRestoreFinishedEngine(t *testing.T) {
 
 // TestGroupInputMomentsMatchPerTick pins the group's input reference to
 // the per-tick arithmetic for every estimator choice: with aggvar it is
-// read off the ladder's level 0, otherwise it is the group's own
-// accumulator, and either way it must equal, bit for bit, one
-// stats.Accumulator.Add per tick — live, across batch shapes, and after
-// a restore.
+// read off the ladder's level 0, whose batches merge their moments, so
+// it must agree with one stats.Accumulator.Add per tick within the fold
+// tolerance (stats.CompareFolded); otherwise it is the group's own
+// accumulator and must equal it bit for bit — live, across batch
+// shapes, and after a restore.
 func TestGroupInputMomentsMatchPerTick(t *testing.T) {
 	trace := stateTrace(20000, 33)
 	var want stats.Accumulator
@@ -393,7 +394,12 @@ func TestGroupInputMomentsMatchPerTick(t *testing.T) {
 		for off := cut; off < len(trace); off += 8192 {
 			g.OfferBatch(trace[off:min(off+8192, len(trace))])
 		}
-		if got := g.inputAcc.State(); got != want.State() {
+		got := g.inputAcc.State()
+		if method == estimate.AggVar {
+			if err := stats.CompareFolded(want.State(), got); err != nil {
+				t.Errorf("estimator %q: input moments: %v", method, err)
+			}
+		} else if got != want.State() {
 			t.Errorf("estimator %q: input moments %+v, want %+v", method, got, want.State())
 		}
 	}
@@ -576,4 +582,59 @@ func TestRestoreDoesNotAliasBlob(t *testing.T) {
 			t.Fatalf("final group snapshots diverge:\nmoved %s\ntwin  %s", got, want)
 		}
 	})
+}
+
+// TestRestoreRefusesInconsistentEstimators: restore refuses, with
+// ErrBadState, estimator sections no engine or group writes — the
+// cross-field rules the batch merge of the aggvar ladder relies on.
+// Each case tampers with a live engine or group and re-marshals it, so
+// the blob is well framed and freshly sealed. The first case is the
+// engine whose kept-side section reads "absent": accepted, it panicked
+// Snapshot.
+func TestRestoreRefusesInconsistentEstimators(t *testing.T) {
+	trace := stateTrace(300, 5)
+	engineCases := map[string]func(e *Engine){
+		"kept estimator absent":  func(e *Engine) { e.estKept = nil },
+		"input estimator absent": func(e *Engine) { e.estIn = nil },
+		"kept method differs":    func(e *Engine) { e.estKept, _ = estimate.New(estimate.Wavelet) },
+		"input ladder past seen": func(e *Engine) { e.estIn.Tick(1) },
+		"kept ladder short of kept": func(e *Engine) {
+			e.estKept, _ = estimate.New(estimate.AggVar)
+		},
+	}
+	for name, tamper := range engineCases {
+		eng := stateEngine(t, "systematic:interval=7", 0, estimate.AggVar)
+		eng.OfferBatch(trace)
+		tamper(eng)
+		blob, err := eng.MarshalState()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := RestoreEngine(blob); !errors.Is(err, ErrBadState) {
+			t.Errorf("engine, %s: restore returned %v, want ErrBadState", name, err)
+		}
+	}
+
+	groupCases := map[string]func(g *Group){
+		"member with an input estimator": func(g *Group) { g.members[0].estIn, _ = estimate.New(estimate.AggVar) },
+		"member kept method differs":     func(g *Group) { g.members[1].estKept, _ = estimate.New(estimate.RS) },
+		"member kept estimator absent":   func(g *Group) { g.members[0].estKept = nil },
+		"input ladder past seen":         func(g *Group) { g.estIn.Tick(1) },
+	}
+	for name, tamper := range groupCases {
+		g, err := NewGroup([]Spec{MustParse("systematic:interval=7"), MustParse("bernoulli:rate=0.1,seed=4")},
+			WithEstimator(estimate.AggVar))
+		if err != nil {
+			t.Fatal(err)
+		}
+		g.OfferBatch(trace)
+		tamper(g)
+		blob, err := g.MarshalState()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := RestoreGroup(blob); !errors.Is(err, ErrBadState) {
+			t.Errorf("group, %s: restore returned %v, want ErrBadState", name, err)
+		}
+	}
 }
