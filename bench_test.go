@@ -177,12 +177,12 @@ func BenchmarkAvgVarianceInstances(b *testing.B) {
 	}
 }
 
-// --- Per-tick kernel reference, per technique -------------------------
+// --- Whole-series kernel run, per technique ---------------------------
 //
-// BenchmarkSamplerStream runs core.Collect, the per-tick Offer form
-// the batch kernels are tested against, over a fresh kernel each
-// iteration: the raw cost of the core Kernel interface without the
-// public engine's lock.
+// BenchmarkSamplerStream runs core.Collect — the whole trace as one
+// OfferBatch, then Finish, the run the paper's figures use — over a
+// fresh kernel each iteration: the raw cost of the core Kernel
+// interface without the public engine's lock.
 
 // samplerBenchSpecs names one spec per technique at a 1e-3-ish rate.
 var samplerBenchSpecs = []struct{ name, spec string }{

@@ -2,8 +2,11 @@ package main
 
 import (
 	"bytes"
+	"flag"
 	"io"
 	"os"
+	"path/filepath"
+	"runtime"
 	"testing"
 )
 
@@ -73,4 +76,53 @@ func TestParallelOutputMatchesSerial(t *testing.T) {
 	if !bytes.Equal(serial, parallel) {
 		t.Errorf("parallel stdout differs from serial:\n--- serial ---\n%s\n--- parallel ---\n%s", serial, parallel)
 	}
+}
+
+var updateGolden = flag.Bool("update", false, "rewrite testdata/small.golden from the current output")
+
+// TestSmallGolden pins every figure's table at the reduced scale to a
+// committed golden file, so a change to a sampling kernel, an
+// estimator or a trace generator that moves a figure shows up here
+// instead of going unnoticed. If the move is intended, regenerate with
+//
+//	go test ./cmd/figures -run TestSmallGolden -update
+//
+// and call the change out in the commit message. The tables print
+// rounded floats, and architectures whose compiler fuses multiply-adds
+// can move a last digit, so the file is checked on amd64 only.
+func TestSmallGolden(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skipf("golden is amd64 output; GOARCH=%s may fuse multiply-adds", runtime.GOARCH)
+	}
+	got := capture(t, func() error { return run([]string{"-small"}) })
+	path := filepath.Join("testdata", "small.golden")
+	if *updateGolden {
+		if err := os.WriteFile(path, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("rewrote %s", path)
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("read golden (run with -update to generate): %v", err)
+	}
+	if bytes.Equal(got, want) {
+		return
+	}
+	gotLines := bytes.Split(got, []byte("\n"))
+	wantLines := bytes.Split(want, []byte("\n"))
+	for i := 0; i < len(gotLines) || i < len(wantLines); i++ {
+		g, w := lineOrMissing(gotLines, i), lineOrMissing(wantLines, i)
+		if !bytes.Equal(g, w) {
+			t.Fatalf("figure output drifted at line %d:\n got: %s\nwant: %s", i+1, g, w)
+		}
+	}
+}
+
+func lineOrMissing(lines [][]byte, i int) []byte {
+	if i < len(lines) {
+		return lines[i]
+	}
+	return []byte("<missing>")
 }

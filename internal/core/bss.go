@@ -143,25 +143,6 @@ func NewStreamBSS(cfg BSS) (*StreamBSS, error) {
 // Name implements Kernel.
 func (s *StreamBSS) Name() string { return "bss" }
 
-// Offer implements Kernel. Base samples are emitted
-// unconditionally; extra probes are emitted only when they qualify
-// (exceed the threshold frozen at the triggering base sample).
-func (s *StreamBSS) Offer(index int, value float64) (Sample, bool) {
-	t := s.tick
-	s.tick++
-	if t == s.nextBase {
-		s.base(t, value)
-		return Sample{Index: index, Value: value}, true
-	}
-	if s.pi < len(s.extras) && s.extras[s.pi] == t {
-		s.pi++
-		if s.qualifies(value) {
-			return Sample{Index: index, Value: value, Qualified: true}, true
-		}
-	}
-	return Sample{}, false
-}
-
 // OfferBatch implements Kernel. BSS reads only its base ticks
 // and the probe ticks it scheduled, and both are known in advance: the
 // kernel hops base -> pending probes -> next base and never reads the

@@ -9,13 +9,14 @@
 // eta(r) convergence law).
 //
 // Every technique is implemented once, as a Kernel: a state machine
-// consuming the traffic process f(t) in stream order, one tick (Offer)
-// or one batch (OfferBatch) at a time, whose exact state can be saved
-// and restored. The configuration types below (Systematic, Stratified,
-// SimpleRandom, Bernoulli, BSS) validate parameters and build a fresh
-// kernel; Collect runs one over a whole series. A spec-string registry
-// (Register/Lookup/Names) builds kernels from descriptions like
-// "bss:rate=1e-3,L=10,eps=1.0".
+// consuming the traffic process f(t) in stream order, one batch
+// (OfferBatch) at a time, whose exact state can be saved and restored.
+// The configuration types below (Systematic, Stratified, SimpleRandom,
+// Bernoulli, BSS) validate parameters and build a fresh kernel; Collect
+// runs one over a whole series as a single batch, so the paper's
+// figures and the serving engines run the same code. A spec-string
+// registry (Register/Lookup/Names) builds kernels from descriptions
+// like "bss:rate=1e-3,L=10,eps=1.0".
 package core
 
 import (

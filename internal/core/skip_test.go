@@ -10,9 +10,10 @@ import (
 // The skip-based kernels change HOW randomness is spent, never WHAT is
 // sampled. Two invariant families pin that:
 //
-//   - state-machine equivalence: on one instance, any mix of Offer and
-//     OfferBatch calls yields exactly the per-tick sample sequence
-//     (same RNG spend, same indices, same values);
+//   - state-machine equivalence: on one instance, any mix of the
+//     per-tick oracle's Offer (oracle_test.go) and OfferBatch calls
+//     yields exactly the per-tick sample sequence (same RNG spend, same
+//     indices, same values);
 //   - distributional equality: where the kernels spend randomness
 //     differently from the retired per-tick draws (Bernoulli's
 //     geometric gaps, simple random's reservoir/Floyd selection), the
@@ -61,14 +62,14 @@ var batchSpecs = []string{
 	"bss:interval=50,L=5,eps=1.1,placement=chase",
 }
 
-// runTicks drives the per-tick reference form.
+// runTicks drives the per-tick oracle.
 func runTicks(t *testing.T, spec string, f []float64) []Sample {
 	t.Helper()
 	eng, err := Lookup(spec)
 	if err != nil {
 		t.Fatalf("%s: %v", spec, err)
 	}
-	out, err := Collect(eng, f)
+	out, err := collectTicks(eng, f)
 	if err != nil {
 		t.Fatalf("%s: %v", spec, err)
 	}
@@ -99,10 +100,10 @@ func runBatches(t *testing.T, spec string, f []float64, sizes []int) []Sample {
 	return append(out, tail...)
 }
 
-// TestBatchKernelMatchesOffer is the tentpole's correctness anchor: for
-// every kernel and several adversarial batch shapes (single ticks,
+// TestBatchKernelMatchesOffer is the batch kernels' correctness anchor:
+// for every kernel and several adversarial batch shapes (single ticks,
 // chunks straddling strata, chunks larger than the skip), the batch
-// form emits exactly the per-tick sample sequence.
+// form emits exactly the per-tick oracle's sample sequence.
 func TestBatchKernelMatchesOffer(t *testing.T) {
 	f := streamTestTrace(30000)
 	shapes := [][]int{
@@ -129,8 +130,9 @@ func TestBatchKernelMatchesOffer(t *testing.T) {
 	}
 }
 
-// TestBatchKernelInterleaved mixes Offer and OfferBatch on one
-// instance — the documented contract — against the pure per-tick run.
+// TestBatchKernelInterleaved mixes the oracle's Offer and OfferBatch on
+// one instance against the pure per-tick run: the two forms share one
+// state, so either can pick up where the other stopped.
 func TestBatchKernelInterleaved(t *testing.T) {
 	f := streamTestTrace(20000)
 	for _, spec := range batchSpecs {
@@ -147,7 +149,7 @@ func TestBatchKernelInterleaved(t *testing.T) {
 					end = len(f)
 				}
 				for ; off < end; off++ {
-					if s, ok := eng.Offer(off, f[off]); ok {
+					if s, ok := eng.(tickKernel).Offer(off, f[off]); ok {
 						got = append(got, s)
 					}
 				}
@@ -241,8 +243,8 @@ func TestBSSCheckpointWithPendingProbes(t *testing.T) {
 }
 
 // TestBSSRestoreRejectsBrokenSchedule: the kernel hops straight to the
-// pending probes and the next base, so a blob whose schedule no Offer
-// sequence could produce is refused rather than run.
+// pending probes and the next base, so a blob whose schedule no stream
+// of ticks could produce is refused rather than run.
 func TestBSSRestoreRejectsBrokenSchedule(t *testing.T) {
 	eng, err := Lookup("bss:interval=10,L=3,ath=0.5")
 	if err != nil {

@@ -56,7 +56,7 @@ func appendReservoir(dst []byte, idx []int, val []float64) []byte {
 // readReservoir reads the form appendReservoir writes: one bounded read
 // holds the count against the bytes left before anything is allocated,
 // and the records decode from that raw view into the two columns. A
-// nonzero qualified byte is an error: no Offer sequence puts a
+// nonzero qualified byte is an error: no stream of ticks puts a
 // qualified sample in a reservoir.
 func readReservoir(r *binenc.Reader) (idx []int, val []float64, err error) {
 	n := int(r.U32())
@@ -194,7 +194,7 @@ func (p *streamSimpleRandom) RestoreState(data []byte) error {
 	if rate != p.rate {
 		return mismatch("simple-random", "rate", rate, p.rate)
 	}
-	// Every Offer sequence ties seen to the data Finish draws from:
+	// Every stream of ticks ties seen to the data Finish draws from:
 	// fixed-n mode fills the reservoir up to n, rate mode buffers every
 	// tick. A blob that breaks the tie is refused here, not left to
 	// panic in Finish.
@@ -302,8 +302,8 @@ func (s *StreamBSS) RestoreState(data []byte) error {
 	if tick < 0 || baseSeen < 0 || accState.N < 0 {
 		return fmt.Errorf("core: bss state counters negative (tick=%d baseSeen=%d accN=%d)", tick, baseSeen, accState.N)
 	}
-	// The batch kernel relies on the schedule invariant every Offer
-	// sequence keeps: the next base is not behind the stream, and the
+	// The batch kernel relies on the schedule invariant every stream of
+	// ticks keeps: the next base is not behind the stream, and the
 	// pending probes ascend strictly inside [tick, nextBase).
 	if nextBase < tick {
 		return fmt.Errorf("core: bss state next base %d behind tick %d", nextBase, tick)

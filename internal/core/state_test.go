@@ -32,8 +32,8 @@ func reservoirKernel(t *testing.T) *streamSimpleRandom {
 // TestReservoirStateLayout: the bulk reservoir codec writes exactly the
 // per-field layout (count, then index/value/qualified per sample) with
 // every qualified byte 0, a restored kernel writes the identical blob
-// back, and a blob whose qualified byte is 1 — a sample no Offer
-// sequence puts in a reservoir — is refused.
+// back, and a blob whose qualified byte is 1 — a sample no stream of
+// ticks puts in a reservoir — is refused.
 func TestReservoirStateLayout(t *testing.T) {
 	p := reservoirKernel(t)
 	blob, err := p.AppendState(nil)

@@ -18,24 +18,19 @@ import (
 type Kernel interface {
 	// Name identifies the technique (for reports and experiment tables).
 	Name() string
-	// Offer presents the next tick. index is recorded in emitted samples
-	// and must increase by one per call starting from the first offered
-	// tick. It returns the sample finalized by this tick, if any — which
-	// may carry an earlier index when the decision was deferred (e.g.
-	// stratified sampling emits a stratum's pick only once the stratum is
-	// complete). Offer is the per-tick reference form that Collect
-	// drives and the batch form is tested against.
-	Offer(index int, value float64) (Sample, bool)
 	// OfferBatch presents a contiguous batch: values[i] is the tick at
 	// index startIndex+i, and batches arrive in stream order. Every
-	// sample the batch finalizes is appended to dst in the order Offer
-	// would have emitted it, and the extended slice is returned; dst is
-	// never retained, so callers reuse one buffer across batches. The
-	// kernels jump skip-wise to the ticks they keep instead of visiting
-	// every element, with one RNG draw per kept sample (or per stratum),
-	// and consume the random source in the same sequence as Offer: any
-	// mix of Offer and OfferBatch on one kernel equals the pure per-tick
-	// run.
+	// sample the batch finalizes is appended to dst in the order it is
+	// decided, and the extended slice is returned; dst is never
+	// retained, so callers reuse one buffer across batches. A sample
+	// may carry an index from an earlier batch when its decision was
+	// deferred (stratified sampling emits a stratum's pick only once the
+	// stratum is complete). The kernels jump skip-wise to the ticks they
+	// keep instead of visiting every element, with one RNG draw per kept
+	// sample (or per stratum). The output and the state are independent
+	// of how the stream is split into batches: any partition, down to
+	// one tick per call, emits the same samples and leaves the same
+	// AppendState bytes as the whole series in one call.
 	OfferBatch(startIndex int, values []float64, dst []Sample) []Sample
 	// Finish declares the end of the stream and returns any samples that
 	// could only be decided with the whole stream seen (e.g. simple random
@@ -52,7 +47,7 @@ type Kernel interface {
 	// AppendState wrote on a kernel of the same configuration; the
 	// restored kernel then emits the byte-identical sample sequence the
 	// original would have continued with. A blob from another technique
-	// or configuration, or one no Offer sequence can produce, is an
+	// or configuration, or one no stream of ticks can produce, is an
 	// error.
 	RestoreState(data []byte) error
 }
@@ -67,19 +62,13 @@ var (
 )
 
 // Collect runs a kernel over a complete series and gathers its output —
-// the paper's batch formulation f -> []Sample. It deliberately drives
-// the per-tick Offer form: Collect is the reference run the batch
-// kernels are tested against.
+// the paper's batch formulation f -> []Sample: the whole series is one
+// OfferBatch, then Finish.
 func Collect(k Kernel, f []float64) ([]Sample, error) {
 	if len(f) == 0 {
 		return nil, fmt.Errorf("core: cannot sample an empty series")
 	}
-	out := make([]Sample, 0, 16)
-	for i, v := range f {
-		if smp, ok := k.Offer(i, v); ok {
-			out = append(out, smp)
-		}
-	}
+	out := k.OfferBatch(0, f, nil)
 	tail, err := k.Finish()
 	if err != nil {
 		return nil, err
@@ -116,25 +105,14 @@ type streamSystematic struct {
 // Name implements Kernel.
 func (p *streamSystematic) Name() string { return "systematic" }
 
-// Offer implements Kernel.
-func (p *streamSystematic) Offer(index int, value float64) (Sample, bool) {
-	t := p.tick
-	p.tick++
-	if t != p.next {
-		return Sample{}, false
-	}
-	p.next += p.interval
-	return Sample{Index: index, Value: value}, true
-}
-
 // OfferBatch implements Kernel: the selected positions are known
 // in advance, so the batch form steps straight from kept tick to kept
 // tick — interval-length jumps — instead of counting every tick.
 //
 //samplelint:hotpath
 func (p *streamSystematic) OfferBatch(startIndex int, values []float64, dst []Sample) []Sample {
-	// p.next never trails p.tick: Offer only advances it past the
-	// current tick, so the batch-relative offset is non-negative.
+	// p.next never trails p.tick: a batch only advances it past the
+	// ticks it has seen, so the batch-relative offset is non-negative.
 	off := p.next - p.tick
 	for off < len(values) {
 		dst = append(dst, Sample{Index: startIndex + off, Value: values[off]})
@@ -163,24 +141,8 @@ type streamStratified struct {
 // Name implements Kernel.
 func (p *streamStratified) Name() string { return "stratified" }
 
-// Offer implements Kernel.
-func (p *streamStratified) Offer(index int, value float64) (Sample, bool) {
-	pos := p.tick % p.interval
-	p.tick++
-	if pos == 0 {
-		p.pick = p.rng.IntN(p.interval)
-	}
-	if pos == p.pick {
-		p.pending = Sample{Index: index, Value: value}
-	}
-	if pos == p.interval-1 {
-		return p.pending, true
-	}
-	return Sample{}, false
-}
-
-// OfferBatch implements Kernel: one draw when a stratum opens —
-// exactly the draw sequence of the per-tick form — then a direct index
+// OfferBatch implements Kernel: one draw when a stratum opens — the
+// same draw sequence however the stream is batched — then a direct index
 // computation for the pick and a jump to the stratum boundary, so the
 // per-stratum work is O(1) regardless of the interval.
 //
@@ -218,7 +180,7 @@ func (p *streamStratified) Finish() ([]Sample, error) { return nil, nil }
 // Fixed size (n > 0) runs a Vitter-style reservoir with skip counts
 // (Algorithm L): the first n ticks fill the reservoir, then a single
 // geometric-tailed draw yields how many ticks to pass over before the
-// next replacement, so the per-tick work is a counter decrement. The
+// next replacement, so the batch form jumps straight to it. The
 // reservoir is two columns, kept index and kept value (16 bytes a
 // slot: a reservoir never holds a BSS-qualified sample), grown by
 // append as it fills, since n is unbounded user input; Finish builds
@@ -250,20 +212,6 @@ type streamSimpleRandom struct {
 
 // Name implements Kernel.
 func (p *streamSimpleRandom) Name() string { return "simple-random" }
-
-// Offer implements Kernel.
-func (p *streamSimpleRandom) Offer(index int, value float64) (Sample, bool) {
-	if p.n == 0 {
-		if p.seen == 0 {
-			p.base = index
-		}
-		p.seen++
-		p.buf = append(p.buf, value)
-		return Sample{}, false
-	}
-	p.offerReservoir(index, value)
-	return Sample{}, false
-}
 
 // offerReservoir advances the fixed-n reservoir by one tick.
 func (p *streamSimpleRandom) offerReservoir(index int, value float64) {
@@ -417,8 +365,8 @@ type streamBernoulli struct {
 }
 
 // newStreamBernoulli seeds the gap state: the first skip is drawn at
-// construction so Offer and OfferBatch share one well-defined draw
-// sequence.
+// construction, so the draw sequence is the same however the stream is
+// batched.
 func newStreamBernoulli(rate float64, rng *Rand) *streamBernoulli {
 	p := &streamBernoulli{rate: rate, rng: rng, logq: math.Log1p(-rate)}
 	p.skip = geometricSkip(rng, p.logq)
@@ -427,16 +375,6 @@ func newStreamBernoulli(rate float64, rng *Rand) *streamBernoulli {
 
 // Name implements Kernel.
 func (p *streamBernoulli) Name() string { return "bernoulli" }
-
-// Offer implements Kernel.
-func (p *streamBernoulli) Offer(index int, value float64) (Sample, bool) {
-	if p.skip > 0 {
-		p.skip--
-		return Sample{}, false
-	}
-	p.skip = geometricSkip(p.rng, p.logq)
-	return Sample{Index: index, Value: value}, true
-}
 
 // OfferBatch implements Kernel: hop from kept tick to kept tick,
 // one geometric draw each, carrying the remainder of the final skip

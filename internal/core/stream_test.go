@@ -7,7 +7,7 @@ import (
 )
 
 // streamTestTrace is a deterministic heavy-tailed trace shared by the
-// batch-vs-tick equality tests.
+// batch-vs-oracle equality tests.
 func streamTestTrace(n int) []float64 {
 	rng := dist.NewRand(20050608)
 	p := dist.Pareto{Alpha: 1.4, Xm: 1}
@@ -51,7 +51,7 @@ func TestStreamSimpleRandomErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 5; i++ {
-		eng2.Offer(i, 1)
+		eng2.(tickKernel).Offer(i, 1)
 	}
 	if _, err := eng2.Finish(); err == nil {
 		t.Error("expected n > population error")

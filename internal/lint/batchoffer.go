@@ -8,15 +8,15 @@ import (
 )
 
 // BatchOffer enforces the batch-ingest invariant: the hot ingest
-// layers must call Engine.OfferBatch / Group.OfferBatch, never the
-// per-tick Offer forms, which pay one lock acquisition per tick. The
-// check resolves the selector to the actual method object, so an
-// unrelated type with an Offer method passes, and it fires on any
-// reference to the method — a method value (f := e.Offer) or method
-// expression escapes the same per-tick cost and is flagged too.
+// layers must call Engine.OfferBatch, never the per-tick Engine.Offer,
+// which pays one lock acquisition per tick. The check resolves the
+// selector to the actual method object, so an unrelated type with an
+// Offer method passes, and it fires on any reference to the method — a
+// method value (f := e.Offer) or method expression escapes the same
+// per-tick cost and is flagged too.
 var BatchOffer = &analysis.Analyzer{
 	Name: "batchoffer",
-	Doc:  "ingest packages must use OfferBatch, not the per-tick (*sampling.Engine).Offer / (*sampling.Group).Offer",
+	Doc:  "ingest packages must use OfferBatch, not the per-tick (*sampling.Engine).Offer",
 	Run:  runBatchOffer,
 }
 
@@ -39,11 +39,9 @@ func runBatchOffer(pass *analysis.Pass) (any, error) {
 			if obj.Pkg() == nil || obj.Pkg().Path() != samplingPath {
 				return true
 			}
-			switch obj.Name() {
-			case "Engine", "Group":
+			if obj.Name() == "Engine" {
 				pass.Reportf(sel.Sel.Pos(),
-					"ingest path uses (*sampling.%s).Offer — use OfferBatch; Offer is the single-tick convenience form and pays one lock acquisition per tick",
-					obj.Name())
+					"ingest path uses (*sampling.Engine).Offer — use OfferBatch; Offer is the single-tick convenience form and pays one lock acquisition per tick")
 			}
 			return true
 		})

@@ -8,11 +8,10 @@
 // The suite:
 //
 //   - batchoffer: the ingest layers (hub, sampled, sampleload) must
-//     stay on Engine.OfferBatch / Group.OfferBatch — one lock
-//     acquisition per batch, never one per tick. Resolved against the
-//     (*sampling.Engine).Offer and (*sampling.Group).Offer method
-//     objects, so unrelated Offer methods pass and method-value
-//     escapes (f := e.Offer) are caught.
+//     stay on Engine.OfferBatch — one lock acquisition per batch, never
+//     one per tick. Resolved against the (*sampling.Engine).Offer
+//     method object, so unrelated Offer methods pass and method-value
+//     escapes (f := e.Offer) are caught. Group has no per-tick form.
 //
 //   - noreadall: the serving side of the wire (sampling/wire,
 //     cmd/sampled) must not reference io.ReadAll — bodies decode

@@ -30,10 +30,6 @@ func flaggedMethodExpression() func(*sampling.Engine, float64) (sampling.Sample,
 	return (*sampling.Engine).Offer // want `\(\*sampling\.Engine\)\.Offer`
 }
 
-func flaggedGroupOffer(g *sampling.Group, v float64) int {
-	return g.Offer(v) // want `\(\*sampling\.Group\)\.Offer`
-}
-
 func allowedBatch(e *sampling.Engine, g *sampling.Group, vals []float64) int {
 	return e.OfferBatch(vals) + g.OfferBatch(vals)
 }

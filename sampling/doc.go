@@ -55,9 +55,10 @@
 // finalized. It dispatches to the technique's skip-based batch kernel
 // (internal/core's Kernel.OfferBatch) that jumps from kept tick to kept
 // tick instead of visiting each element, so batch ingest costs
-// O(samples kept), not O(ticks seen) — with output identical to the
-// per-tick form under the same seed. Offer is the single-tick
-// convenience form — the same kernel, but paying one lock per tick —
+// O(samples kept), not O(ticks seen). The kernel has no other entry
+// point, and its output under a seed does not depend on how the stream
+// is split into batches. Offer is the single-tick convenience form —
+// the same kernel on a one-tick batch, but paying one lock per tick —
 // so hot loops (the hub, the sampled daemon, sampleload) stay on the
 // batch form:
 //

@@ -154,9 +154,9 @@ func (e *Engine) Offer(value float64) (Sample, bool) {
 // estimator takes the batch in one TickBatch call, and the technique's
 // kernel (core.Kernel.OfferBatch) jumps from kept tick to kept tick
 // instead of visiting every one. Batches of any shape produce exactly the
-// samples a per-tick run would (asserted in TestOfferBatchMatchesOffer,
-// and against core.Collect's per-tick reference in
-// TestEngineMatchesCoreBatch).
+// samples a run of single-tick Offers would (asserted in
+// TestOfferBatchMatchesOffer; internal/core checks each kernel against
+// a per-tick oracle).
 //
 // The batch is atomic with respect to Finish and Snapshot — an
 // observer sees either none or all of it. After Finish, OfferBatch is

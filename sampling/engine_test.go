@@ -31,10 +31,12 @@ var equalitySpecs = []string{
 	"bss:interval=16,L=4,eps=1.1",
 }
 
-// TestEngineMatchesCoreBatch is the public half of the batch-vs-tick
-// invariant: Engine.Sample, which runs the batch kernel, must produce
-// byte-identical output to core.Collect's per-tick reference run for
-// every technique.
+// TestEngineMatchesCoreBatch: Engine.Sample must produce byte-identical
+// output to core.Collect — the whole series as one kernel batch, the
+// run the paper's figures use — for every technique, so the engine's
+// budget, record and estimator layers add nothing to what the kernel
+// keeps. (Each kernel is checked against the per-tick oracle in
+// internal/core.)
 func TestEngineMatchesCoreBatch(t *testing.T) {
 	f := heavyTrace(1 << 13)
 	for _, spec := range equalitySpecs {

@@ -185,11 +185,6 @@ func (g *Group) offerInput(values []float64) {
 	}
 }
 
-// Offer is the single-tick convenience form of OfferBatch.
-func (g *Group) Offer(value float64) (kept int) {
-	return g.OfferBatch([]float64{value})
-}
-
 // Finish declares the end of the stream to every member and returns the
 // per-member end-of-stream tails, in member order. Member finalization
 // errors are joined (and each also stays visible in its member's

@@ -52,8 +52,8 @@ import (
 // kernel blob, so the random draw sequence continues exactly. Fed a
 // different batch partition, a ladder keeps its exact structure and
 // aggvar moments within stats.FoldTolerance (lrd.CompareFoldedStates).
-// Restore refuses estimator sections whose methods or tick counts no
-// engine or group writes.
+// Restore refuses counters, accumulators and estimator sections that no
+// stream of ticks produces (Engine.validate, Group.validate).
 
 const (
 	engineStateMagic uint32 = 0x31676e45 // "Eng1" little-endian
@@ -181,16 +181,47 @@ func RestoreEngine(data []byte, opts ...Option) (*Engine, error) {
 	}
 	// A standalone engine estimates both sides of its stream with one
 	// method, or neither: Snapshot reads the two together.
-	if in, kept := methodOf(e.estIn), methodOf(e.estKept); in != kept {
-		return nil, fmt.Errorf("sampling: engine state carries input estimator %q and kept estimator %q: %w", in, kept, ErrBadState)
+	if err := e.validate(methodOf(e.estIn), methodOf(e.estIn)); err != nil {
+		return nil, err
 	}
 	return e, nil
 }
 
+// validate checks the invariants every stream of ticks keeps between an
+// engine's counters, its kept-value accumulator and its estimator
+// ladders, which restore cannot take on trust: a blob is only sealed,
+// not signed. in and kept name the methods the input-side and
+// kept-side estimators must carry, "" for none. A ladder has consumed
+// exactly the ticks its side of the stream has seen.
+func (e *Engine) validate(in, kept estimate.Method) error {
+	var bad string
+	switch {
+	case e.seen < 0 || e.kept < 0 || e.qualified < 0 || e.budget < 0:
+		bad = "a negative counter"
+	case e.kept > e.seen:
+		bad = "more kept than seen"
+	case e.qualified > e.kept:
+		bad = "more qualified than kept"
+	case e.budget > 0 && e.kept > e.budget:
+		bad = "more kept than its budget"
+	case e.acc.N() != e.kept:
+		bad = fmt.Sprintf("%d values in its kept accumulator", e.acc.N())
+	case methodOf(e.estIn) != in || methodOf(e.estKept) != kept:
+		bad = fmt.Sprintf("input estimator %q and kept estimator %q where %q and %q belong",
+			methodOf(e.estIn), methodOf(e.estKept), in, kept)
+	case e.estIn != nil && e.estIn.Ticks() != int64(e.seen):
+		bad = fmt.Sprintf("an input estimator of %d ticks", e.estIn.Ticks())
+	case e.estKept != nil && e.estKept.Ticks() != int64(e.kept):
+		bad = fmt.Sprintf("a kept estimator of %d ticks", e.estKept.Ticks())
+	default:
+		return nil
+	}
+	return fmt.Errorf("sampling: engine state has %s (seen=%d kept=%d qualified=%d budget=%d): %w",
+		bad, e.seen, e.kept, e.qualified, e.budget, ErrBadState)
+}
+
 // restoreEngine decodes an engine blob in the form shared by standalone
-// engines and group members, and refuses estimator ladders whose tick
-// counts disagree with the counters: a ladder has consumed exactly the
-// ticks its side of the stream has seen.
+// engines and group members; the caller validates the result.
 func restoreEngine(data []byte, clock func() time.Time) (*Engine, error) {
 	r, err := openState(data, engineStateMagic, "engine")
 	if err != nil {
@@ -218,10 +249,6 @@ func restoreEngine(data []byte, clock func() time.Time) (*Engine, error) {
 	if err := kernel.RestoreState(kernelState); err != nil {
 		return nil, fmt.Errorf("sampling: restore %q kernel state: %w", kernel.Name(), err)
 	}
-	if seen < 0 || kept < 0 || qualified < 0 || budget < 0 {
-		return nil, fmt.Errorf("sampling: engine state counters negative (seen=%d kept=%d qualified=%d budget=%d): %w",
-			seen, kept, qualified, budget, ErrBadState)
-	}
 	e := &Engine{
 		spec:       spec,
 		specString: specString,
@@ -248,12 +275,6 @@ func restoreEngine(data []byte, clock func() time.Time) (*Engine, error) {
 	}
 	if err := r.Err(); err != nil {
 		return nil, fmt.Errorf("sampling: engine state payload: %w (%w)", err, ErrBadState)
-	}
-	if e.estIn != nil && e.estIn.Ticks() != int64(seen) {
-		return nil, fmt.Errorf("sampling: engine state input estimator has %d ticks, engine has seen %d: %w", e.estIn.Ticks(), seen, ErrBadState)
-	}
-	if e.estKept != nil && e.estKept.Ticks() != int64(kept) {
-		return nil, fmt.Errorf("sampling: engine state kept estimator has %d ticks, engine has kept %d: %w", e.estKept.Ticks(), kept, ErrBadState)
 	}
 	return e, nil
 }
@@ -336,12 +357,6 @@ func RestoreGroup(data []byte, opts ...Option) (*Group, error) {
 		return nil, err
 	}
 	g.setEstimator(est)
-	if got := methodOf(est); got != method {
-		return nil, fmt.Errorf("sampling: group state method %q carries input estimator %q: %w", method, got, ErrBadState)
-	}
-	if est != nil && est.Ticks() != int64(seen) {
-		return nil, fmt.Errorf("sampling: group state input estimator has %d ticks, group has seen %d: %w", est.Ticks(), seen, ErrBadState)
-	}
 	n := int(r.U32())
 	if r.Err() == nil && r.Remaining() < 4*n {
 		return nil, fmt.Errorf("sampling: group state declares %d members beyond the blob: %w", n, ErrBadState)
@@ -355,18 +370,45 @@ func RestoreGroup(data []byte, opts ...Option) (*Group, error) {
 		if err != nil {
 			return nil, fmt.Errorf("sampling: group state member %d: %w", i, err)
 		}
-		// A member estimates only its kept side, with the group's
-		// method; the input side is the group's.
-		if eng.estIn != nil || methodOf(eng.estKept) != method {
-			return nil, fmt.Errorf("sampling: group state member %d carries estimators (input %q, kept %q) for method %q: %w",
-				i, methodOf(eng.estIn), methodOf(eng.estKept), method, ErrBadState)
-		}
 		g.members = append(g.members, eng)
 	}
 	if err := r.Err(); err != nil {
 		return nil, fmt.Errorf("sampling: group state payload: %w (%w)", err, ErrBadState)
 	}
+	if err := g.validate(); err != nil {
+		return nil, err
+	}
 	return g, nil
+}
+
+// validate checks what Engine.validate checks, for the group's input
+// side and for each member: the input accumulator and estimator have
+// consumed exactly the group's ticks with the group's method, and each
+// member has seen those same ticks — its fidelity is scored against
+// them — and estimates only its kept side, with the group's method.
+func (g *Group) validate() error {
+	var bad string
+	switch {
+	case g.seen < 0:
+		bad = "a negative tick count"
+	case g.inputAcc.N() != g.seen:
+		bad = fmt.Sprintf("%d values in its input accumulator", g.inputAcc.N())
+	case methodOf(g.estIn) != g.method:
+		bad = fmt.Sprintf("input estimator %q for method %q", methodOf(g.estIn), g.method)
+	case g.estIn != nil && g.estIn.Ticks() != int64(g.seen):
+		bad = fmt.Sprintf("an input estimator of %d ticks", g.estIn.Ticks())
+	default:
+		for i, eng := range g.members {
+			if eng.seen != g.seen {
+				return fmt.Errorf("sampling: group state member %d has seen %d ticks, the group %d: %w", i, eng.seen, g.seen, ErrBadState)
+			}
+			if err := eng.validate("", g.method); err != nil {
+				return fmt.Errorf("sampling: group state member %d: %w", i, err)
+			}
+		}
+		return nil
+	}
+	return fmt.Errorf("sampling: group state has %s (seen=%d): %w", bad, g.seen, ErrBadState)
 }
 
 // appendEstimator writes an optional estimator: absent as a single

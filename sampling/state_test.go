@@ -3,9 +3,11 @@ package sampling
 import (
 	"bytes"
 	"cmp"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"math"
 	"math/rand/v2"
 	"testing"
@@ -636,5 +638,115 @@ func TestRestoreRefusesInconsistentEstimators(t *testing.T) {
 		if _, err := RestoreGroup(blob); !errors.Is(err, ErrBadState) {
 			t.Errorf("group, %s: restore returned %v, want ErrBadState", name, err)
 		}
+	}
+}
+
+// resealEngineCounters rewrites the kept and qualified counters of an
+// engine blob in place and re-seals its CRC, so the blob is well
+// framed and checksummed but carries counters its stream never
+// produced.
+func resealEngineCounters(t *testing.T, blob []byte, spec string, kept, qualified int64) []byte {
+	t.Helper()
+	// magic, version, spec string, budget, start, seen; then kept.
+	at := 4 + 1 + 4 + len(spec) + 8 + 8 + 8
+	out := bytes.Clone(blob)
+	binary.LittleEndian.PutUint64(out[at:], uint64(kept))
+	binary.LittleEndian.PutUint64(out[at+8:], uint64(qualified))
+	binary.LittleEndian.PutUint32(out[len(out)-4:], crc32.ChecksumIEEE(out[:len(out)-4]))
+	return out
+}
+
+// TestRestoreRefusesImpossibleCounters: a sealed blob whose counters
+// no stream of ticks produces is refused with ErrBadState, not served.
+// The first case is an edited blob that was accepted and then
+// reported kept 1000 of seen 100 against a budget of 3; the rest break
+// one rule each on a live engine before it is marshaled.
+func TestRestoreRefusesImpossibleCounters(t *testing.T) {
+	const spec = "systematic:interval=10"
+	eng := stateEngine(t, spec, 3, "")
+	eng.OfferBatch(stateTrace(100, 3))
+	blob, err := eng.MarshalState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := RestoreEngine(blob); err != nil {
+		t.Fatalf("untouched blob: %v", err)
+	}
+	edited := resealEngineCounters(t, blob, eng.specString, 1000, 900)
+	if e, err := RestoreEngine(edited); !errors.Is(err, ErrBadState) {
+		t.Errorf("kept 1000 of seen 100 under budget 3: restore returned %v, want ErrBadState", err)
+		if err == nil {
+			t.Logf("snapshot served: %+v", e.Snapshot())
+		}
+	}
+
+	cases := map[string]func(e *Engine){
+		"kept past seen":             func(e *Engine) { e.kept, e.seen = 5, 4 },
+		"qualified past kept":        func(e *Engine) { e.qualified = e.kept + 1 },
+		"kept past budget":           func(e *Engine) { e.budget = e.kept - 1 },
+		"accumulator short of kept":  func(e *Engine) { e.acc = stats.Accumulator{} },
+		"accumulator past kept":      func(e *Engine) { e.acc.Add(1) },
+		"negative qualified counter": func(e *Engine) { e.qualified = -1 },
+	}
+	for name, tamper := range cases {
+		eng := stateEngine(t, "bss:interval=10,L=3,ath=1", 0, "")
+		eng.OfferBatch(stateTrace(400, 3))
+		tamper(eng)
+		blob, err := eng.MarshalState()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := RestoreEngine(blob); !errors.Is(err, ErrBadState) {
+			t.Errorf("%s: restore returned %v, want ErrBadState", name, err)
+		}
+	}
+}
+
+// TestRestoreGroupRefusesForeignMember: every member of a group has
+// seen the group's ticks, and its fidelity is scored against them. A
+// group blob carrying, as its second member, the state of a 5000-tick
+// engine in a group that has seen 100 ticks was accepted; it is
+// refused. So is a group whose input accumulator disagrees with its
+// tick count.
+func TestRestoreGroupRefusesForeignMember(t *testing.T) {
+	specs := []Spec{MustParse("systematic:interval=10"), MustParse("bernoulli:rate=0.1,seed=4")}
+	newGroup := func() *Group {
+		g, err := NewGroup(specs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g.OfferBatch(stateTrace(100, 5))
+		return g
+	}
+
+	foreign, err := New(specs[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	foreign.OfferBatch(stateTrace(5000, 6))
+	g := newGroup()
+	g.members[1] = foreign
+	blob, err := g.MarshalState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := RestoreGroup(blob); !errors.Is(err, ErrBadState) {
+		t.Errorf("5000-tick member in a 100-tick group: restore returned %v, want ErrBadState", err)
+	}
+
+	g = newGroup()
+	g.inputAcc.Add(1)
+	if blob, err = g.MarshalState(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := RestoreGroup(blob); !errors.Is(err, ErrBadState) {
+		t.Errorf("input accumulator past seen: restore returned %v, want ErrBadState", err)
+	}
+
+	if blob, err = newGroup().MarshalState(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := RestoreGroup(blob); err != nil {
+		t.Errorf("untouched group blob: %v", err)
 	}
 }
