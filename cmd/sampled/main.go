@@ -247,8 +247,7 @@ func runRouter(ctx context.Context, addr, route string, maxBody int64, healthEve
 
 	// One synchronous probe round before announcing readiness, so the
 	// first request already sees real membership, then the steady
-	// polling loop: every probe round that changes membership
-	// rebalances.
+	// polling loop: every probe round rebalances.
 	boot := func() error {
 		rt.checkHealth(ctx)
 		if ready != nil {

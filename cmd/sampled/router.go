@@ -9,13 +9,15 @@ package main
 // answers it, and the persistent-session wire demuxes per frame onto
 // per-backend upstream sessions (cluster.Session).
 //
-// Membership is driven by health: a probe loop polls every backend's
-// /healthz, and when the healthy set changes the router rebuilds its
-// ring and rebalances — every live stream whose owner under the new
-// ring differs from the backend currently holding it moves by
-// checkpoint transfer (DELETE state from the holder, PUT to the
-// owner), so a backend rejoining after a restart picks its share of
-// streams back up with their counters intact.
+// Membership is driven by health: every probe round polls each
+// backend's /healthz, swaps in the ring over the healthy ones and runs
+// cluster.Rebalance over it — every live stream or group whose ring
+// owner differs from the backend holding it moves by checkpoint
+// transfer (DELETE state from the holder, PUT to the owner). The
+// rebalance converges by observed placement, so a backend rejoining
+// after a restart picks its share of streams back up with their
+// counters intact, and a failed move or a router restart is finished
+// by the next round.
 
 import (
 	"context"
@@ -35,10 +37,6 @@ import (
 	"repro/sampling/wire"
 )
 
-// collections are the two id namespaces, named as their URL segment
-// (/v1/streams, /v1/groups) and their list key.
-var collections = [...]string{"streams", "groups"}
-
 // router is the proxy's handler state.
 type router struct {
 	backends []string // full configured set, normalized base URLs
@@ -47,11 +45,9 @@ type router struct {
 	logger   *slog.Logger
 	decoders decoderPool
 
-	// ring holds the current placement over the healthy subset; healthy
-	// is the probe loop's latest verdict per backend. Both are read on
-	// the request path, so they are atomics, not mutexes.
-	ring    atomic.Pointer[cluster.Ring]
-	healthy sync.Map // base URL -> bool
+	// ring holds the current placement over the healthy subset. It is
+	// read on the request path, so it is an atomic, not a mutex.
+	ring atomic.Pointer[cluster.Ring]
 
 	// rebalanceMu serializes rebalances; the probe loop is the only
 	// steady-state caller, but tests trigger checkHealth directly.
@@ -102,9 +98,6 @@ func newRouter(backends []string, maxTicks int, logger *slog.Logger, client *htt
 	// Boot optimistically: every backend is assumed healthy until the
 	// first probe round says otherwise, so a router never drops early
 	// traffic just because its first poll has not fired yet.
-	for _, b := range rt.backends {
-		rt.healthy.Store(b, true)
-	}
 	rt.ring.Store(cluster.NewRing(rt.backends, 0))
 
 	rt.reg = obs.NewRegistry()
@@ -112,7 +105,7 @@ func newRouter(backends []string, maxTicks int, logger *slog.Logger, client *htt
 	rt.backendsUp.Set(float64(len(rt.backends)))
 	rt.requests = rt.reg.NewCounterVec("sampled_router_requests_total", "Requests forwarded, by backend.", "backend")
 	rt.handoffs = rt.reg.NewCounter("sampled_router_handoffs_total", "Streams and groups moved between backends by checkpoint transfer.")
-	rt.handoffErrs = rt.reg.NewCounter("sampled_router_handoff_errors_total", "Failed stream/group handoffs.")
+	rt.handoffErrs = rt.reg.NewCounter("sampled_router_handoff_errors_total", "Failed stream/group handoffs and rebalance listings.")
 	version, goVersion := obs.BuildInfo()
 	rt.reg.NewGaugeVec("sampled_build_info", "Build metadata; the value is always 1.",
 		"version", "go_version").With(version, goVersion).Set(1)
@@ -127,7 +120,7 @@ func newRouter(backends []string, maxTicks int, logger *slog.Logger, client *htt
 func (rt *router) handler() http.Handler {
 	mux := http.NewServeMux()
 	byID := func(w http.ResponseWriter, r *http.Request) { rt.forward(w, r, r.PathValue("id")) }
-	for _, coll := range collections {
+	for _, coll := range cluster.Collections {
 		mux.HandleFunc("/v1/"+coll+"/{id}", byID)
 		mux.HandleFunc("/v1/"+coll+"/{id}/{sub}", byID)
 		mux.HandleFunc("GET /v1/"+coll, func(w http.ResponseWriter, r *http.Request) {
@@ -272,75 +265,34 @@ func (rt *router) session(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, total)
 }
 
-// checkHealth probes every configured backend, swaps in a new ring
-// when membership changed, and rebalances: every stream and group
-// held by a healthy backend that is not its owner under the current
-// ring moves to its owner by checkpoint transfer. Convergence is by
-// observed placement, not ring history, so a router restarted
-// mid-rebalance finishes the job on its first probe round.
+// checkHealth is one probe round: it swaps in the ring over the
+// backends that answer healthy, logs every backend whose membership
+// flipped, and rebalances — every stream and group held by a healthy
+// backend that is not its owner under the new ring moves to its owner
+// by checkpoint transfer. Convergence is by observed placement, not
+// ring history, so a router restarted mid-rebalance, or a transfer
+// that failed, finishes the job on the next probe round.
 func (rt *router) checkHealth(ctx context.Context) {
 	rt.rebalanceMu.Lock()
 	defer rt.rebalanceMu.Unlock()
 
-	var healthy []string
+	cur := cluster.Probe(ctx, &rt.client, rt.backends)
+	old := rt.ring.Swap(cur)
 	for _, b := range rt.backends {
-		ok := rt.client.Healthy(ctx, b)
-		prev, _ := rt.healthy.Load(b)
-		if prev != ok {
-			rt.logger.Info("backend health changed", "backend", b, "healthy", ok)
-		}
-		rt.healthy.Store(b, ok)
-		if ok {
-			healthy = append(healthy, b)
+		if old.Has(b) != cur.Has(b) {
+			rt.logger.Info("backend health changed", "backend", b, "healthy", cur.Has(b))
 		}
 	}
-	rt.backendsUp.Set(float64(len(healthy)))
-
-	old := rt.ring.Load()
-	changed := len(healthy) != old.Len()
-	for _, b := range healthy {
-		if !old.Has(b) {
-			changed = true
+	for _, h := range cluster.Rebalance(ctx, &rt.client, cur) {
+		if h.Err != nil { // a failed listing has no id and no target
+			rt.handoffErrs.Inc()
+			rt.logger.Error("handoff failed", "collection", h.Collection, "id", h.ID, "from", h.From, "to", h.To, "err", h.Err)
+			continue
 		}
+		rt.handoffs.Inc()
+		rt.logger.Info("handed off", "collection", h.Collection, "id", h.ID, "from", h.From, "to", h.To)
 	}
-	if !changed {
-		return
-	}
-	cur := cluster.NewRing(healthy, 0)
-	rt.ring.Store(cur)
-	rt.logger.Info("ring rebuilt", "backends", len(healthy))
-	if cur.Len() == 0 {
-		return
-	}
-	rt.rebalance(ctx, cur)
-}
-
-// rebalance walks every healthy backend's live streams and groups and
-// transfers each one its ring owner does not hold. Failures are
-// logged and counted but do not stop the walk — a failed listing skips
-// only that collection of that holder, and the next membership change
-// (or a converged retry) picks up stragglers.
-func (rt *router) rebalance(ctx context.Context, ring *cluster.Ring) {
-	for _, holder := range ring.Members() {
-		for _, coll := range collections {
-			ids, err := rt.client.List(ctx, holder, coll)
-			if err != nil {
-				rt.logger.Error("rebalance: listing failed", "collection", coll, "backend", holder, "err", err)
-				continue
-			}
-			for _, id := range ids {
-				owner := ring.Lookup(id)
-				if owner == holder {
-					continue
-				}
-				if err := rt.client.Transfer(ctx, holder, owner, coll, id); err != nil {
-					rt.handoffErrs.Inc()
-					rt.logger.Error("handoff failed", "collection", coll, "id", id, "from", holder, "to", owner, "err", err)
-					continue
-				}
-				rt.handoffs.Inc()
-				rt.logger.Info("handed off", "collection", coll, "id", id, "from", holder, "to", owner)
-			}
-		}
-	}
+	// Set after the rebalance, so a backends_up reading that shows a
+	// membership change also shows its handoffs done.
+	rt.backendsUp.Set(float64(cur.Len()))
 }

@@ -9,7 +9,6 @@ import (
 	"io"
 	"net/http"
 	"net/url"
-	"strings"
 )
 
 // maxStateBytes caps how much of a state response the client will
@@ -24,8 +23,8 @@ var ErrPeer = errors.New("peer error")
 
 // StateClient drives the state resource of both id namespaces
 // (GET/PUT/DELETE {base}/v1/{collection}/{id}/state, where collection
-// is "streams" or "groups") on sampled peers — the transport half of a
-// checkpoint-transfer handoff. The zero value uses http.DefaultClient;
+// is "streams" or "groups") on sampled peers: *StateClient is the
+// HTTP Transport of a rebalance. The zero value uses http.DefaultClient;
 // inject a Client with timeouts for production use. Methods take the
 // peer base URL explicitly, so one StateClient serves a whole cluster.
 type StateClient struct {
@@ -95,28 +94,6 @@ func (c *StateClient) Detach(ctx context.Context, base, collection, id string) (
 		return nil, err
 	}
 	return c.do(req)
-}
-
-// Transfer moves a stream or group between peers: detach from the
-// source (atomically capturing its final state), install on the
-// target. If the install fails, the state is put back on the source so
-// nothing is lost; a failed restore of the restore is reported joined
-// with the original error and means the blob exists only in this
-// process.
-func (c *StateClient) Transfer(ctx context.Context, from, to, collection, id string) error {
-	kind := strings.TrimSuffix(collection, "s")
-	state, err := c.Detach(ctx, from, collection, id)
-	if err != nil {
-		return fmt.Errorf("cluster: transferring %s %q: detach: %w", kind, id, err)
-	}
-	if err := c.Put(ctx, to, collection, id, state); err != nil {
-		err = fmt.Errorf("cluster: transferring %s %q to %s: %w", kind, id, to, err)
-		if backErr := c.Put(ctx, from, collection, id, state); backErr != nil {
-			return errors.Join(err, fmt.Errorf("cluster: returning %s %q to %s: %w", kind, id, from, backErr))
-		}
-		return err
-	}
-	return nil
 }
 
 // List returns a peer's live ids in a collection (GET

@@ -102,7 +102,7 @@ func TestTransferStream(t *testing.T) {
 			c := &StateClient{Client: srcSrv.Client()}
 
 			src.blobs[coll+"/flow"] = []byte("engine-state-bytes")
-			if err := c.Transfer(ctx, srcSrv.URL, dstSrv.URL, coll, "flow"); err != nil {
+			if err := Transfer(ctx, c, srcSrv.URL, dstSrv.URL, coll, "flow"); err != nil {
 				t.Fatal(err)
 			}
 			if _, still := src.blobs[coll+"/flow"]; still {
@@ -115,7 +115,7 @@ func TestTransferStream(t *testing.T) {
 			// Rollback: the target refuses, the source must get the blob back.
 			src.blobs[coll+"/flow2"] = []byte("more-state")
 			dst.failAt = "PUT /v1/" + coll + "/flow2/state"
-			if err := c.Transfer(ctx, srcSrv.URL, dstSrv.URL, coll, "flow2"); !errors.Is(err, ErrPeer) {
+			if err := Transfer(ctx, c, srcSrv.URL, dstSrv.URL, coll, "flow2"); !errors.Is(err, ErrPeer) {
 				t.Fatalf("transfer into a failing target: %v, want ErrPeer", err)
 			}
 			if string(src.blobs[coll+"/flow2"]) != "more-state" {

@@ -10,15 +10,17 @@
 // instead of reshuffling everything, which is exactly what keeps a
 // checkpoint-transfer handoff affordable on membership change.
 //
-// Rings are immutable values: With and Without derive new rings, and
-// Moves diffs two rings over a set of ids to produce the handoff work
-// list. The package holds no clock and draws no randomness — placement
-// is a pure function of membership and id, so any two routers with the
-// same member list agree on every stream's owner without coordination.
+// Rings are immutable values built by NewRing; Probe builds one over
+// the members that answer healthy. Rebalance moves every stream and
+// group its holder does not own to its owner by checkpoint transfer
+// over a Transport (StateClient over HTTP), converging by observed
+// placement rather than ring history. The package holds no clock and
+// draws no randomness — placement is a pure function of membership
+// and id, so any two routers with the same member list agree on every
+// stream's owner without coordination.
 package cluster
 
 import (
-	"fmt"
 	"slices"
 	"sort"
 	"strconv"
@@ -39,9 +41,8 @@ type point struct {
 
 // Ring is an immutable consistent-hash ring over a member set.
 type Ring struct {
-	replicas int
-	members  []string // sorted, unique
-	points   []point  // sorted by hash
+	members []string // sorted, unique
+	points  []point  // sorted by hash
 }
 
 // hash64 positions a string on the circle: 64-bit FNV-1a finished with
@@ -82,7 +83,7 @@ func NewRing(members []string, replicas int) *Ring {
 	uniq := slices.Clone(members)
 	sort.Strings(uniq)
 	uniq = slices.Compact(uniq)
-	r := &Ring{replicas: replicas, members: uniq}
+	r := &Ring{members: uniq}
 	r.points = make([]point, 0, len(uniq)*replicas)
 	for _, m := range uniq {
 		for v := 0; v < replicas; v++ {
@@ -124,45 +125,3 @@ func (r *Ring) Has(member string) bool {
 
 // Len returns the member count.
 func (r *Ring) Len() int { return len(r.members) }
-
-// With derives a ring with member added (a no-op copy if present).
-func (r *Ring) With(member string) *Ring {
-	return NewRing(append(r.Members(), member), r.replicas)
-}
-
-// Without derives a ring with member removed (a no-op copy if absent).
-func (r *Ring) Without(member string) *Ring {
-	ms := r.Members()
-	ms = slices.DeleteFunc(ms, func(m string) bool { return m == member })
-	return NewRing(ms, r.replicas)
-}
-
-// String renders the ring for logs.
-func (r *Ring) String() string {
-	return fmt.Sprintf("ring(%d members, %d replicas)", len(r.members), r.replicas)
-}
-
-// Move is one unit of handoff work: stream ID must leave From and
-// arrive at To for placement under the new ring to be correct. From is
-// "" when the id had no owner before (the old ring was empty).
-type Move struct {
-	ID   string
-	From string
-	To   string
-}
-
-// Moves diffs stream ownership between two rings over the given ids:
-// every id whose owner changed becomes one Move. Ids the new ring
-// cannot place (cur is empty) are skipped — there is nowhere to move
-// them to.
-func Moves(old, cur *Ring, ids []string) []Move {
-	var out []Move
-	for _, id := range ids {
-		from, to := old.Lookup(id), cur.Lookup(id)
-		if to == "" || from == to {
-			continue
-		}
-		out = append(out, Move{ID: id, From: from, To: to})
-	}
-	return out
-}

@@ -58,7 +58,7 @@ func TestRingBalance(t *testing.T) {
 // proportional to 1/N instead of a full reshuffle.
 func TestRingMinimalDisruption(t *testing.T) {
 	old := NewRing([]string{"n1", "n2", "n3", "n4"}, 0)
-	cur := old.Without("n3")
+	cur := NewRing([]string{"n1", "n2", "n4"}, 0)
 	moved := 0
 	for _, id := range ringIDs(10000) {
 		from, to := old.Lookup(id), cur.Lookup(id)
@@ -76,7 +76,7 @@ func TestRingMinimalDisruption(t *testing.T) {
 		t.Fatal("removed member owned nothing — balance test should have caught this")
 	}
 	// Adding the member back restores the original placement exactly.
-	back := cur.With("n3")
+	back := NewRing(append(cur.Members(), "n3"), 0)
 	for _, id := range ringIDs(1000) {
 		if back.Lookup(id) != old.Lookup(id) {
 			t.Fatalf("id %s placed differently after remove+add round trip", id)
@@ -84,46 +84,14 @@ func TestRingMinimalDisruption(t *testing.T) {
 	}
 }
 
-// TestRingEmpty: the empty ring owns nothing and Moves skips ids it
-// cannot place.
+// TestRingEmpty: the empty ring owns nothing and has no members.
 func TestRingEmpty(t *testing.T) {
 	empty := NewRing(nil, 0)
 	if got := empty.Lookup("x"); got != "" {
 		t.Fatalf("empty ring owns %q", got)
 	}
-	one := NewRing([]string{"n1"}, 0)
-	if mv := Moves(one, empty, []string{"a", "b"}); len(mv) != 0 {
-		t.Fatalf("moves into an empty ring: %v", mv)
-	}
-	if mv := Moves(empty, one, []string{"a"}); len(mv) != 1 || mv[0] != (Move{ID: "a", From: "", To: "n1"}) {
-		t.Fatalf("moves from an empty ring: %v", mv)
-	}
-}
-
-// TestMoves: diffing two rings yields exactly the ids whose owner
-// changed, with correct endpoints.
-func TestMoves(t *testing.T) {
-	old := NewRing([]string{"n1", "n2", "n3"}, 0)
-	cur := old.Without("n2")
-	ids := ringIDs(5000)
-	moves := Moves(old, cur, ids)
-	if len(moves) == 0 {
-		t.Fatal("no moves after removing a member that owned ids")
-	}
-	seen := map[string]bool{}
-	for _, mv := range moves {
-		if mv.From != "n2" {
-			t.Fatalf("move %+v leaves a surviving member", mv)
-		}
-		if mv.To != cur.Lookup(mv.ID) {
-			t.Fatalf("move %+v does not land on the new owner %s", mv, cur.Lookup(mv.ID))
-		}
-		seen[mv.ID] = true
-	}
-	for _, id := range ids {
-		if old.Lookup(id) == "n2" && !seen[id] {
-			t.Fatalf("id %s owned by the removed member has no move", id)
-		}
+	if empty.Len() != 0 || len(empty.Members()) != 0 || empty.Has("") {
+		t.Fatalf("empty ring reports members: len %d, %v", empty.Len(), empty.Members())
 	}
 }
 

@@ -76,18 +76,18 @@ fi
 # per-route duration histogram for the ingest route, the per-wire
 # decode histogram for the sessions just driven, and the build-info
 # gauge.
-echo "$metrics" | grep -qF 'sampled_http_request_duration_seconds_bucket{route="POST /v1/streams/{id}/ticks",le="+Inf"}'
-echo "$metrics" | grep -qF 'sampled_ingest_decode_seconds_bucket{wire="session",le="+Inf"}'
-echo "$metrics" | grep -qF 'sampled_build_info{version="'
-echo "$metrics" | grep -q '^sampled_goroutines '
+grep -qF 'sampled_http_request_duration_seconds_bucket{route="POST /v1/streams/{id}/ticks",le="+Inf"}' <<<"$metrics"
+grep -qF 'sampled_ingest_decode_seconds_bucket{wire="session",le="+Inf"}' <<<"$metrics"
+grep -qF 'sampled_build_info{version="' <<<"$metrics"
+grep -q '^sampled_goroutines ' <<<"$metrics"
 
-# The flight recorder has seen the load run's requests. (Capture the
-# body before grepping: with pipefail, grep -q quitting at the first
-# match would hand curl an EPIPE on any body larger than the pipe
-# buffer — and the event ring and the histogram-laden /metrics both
-# are.)
+# The flight recorder has seen the load run's requests. (Bodies are
+# captured, then fed to grep -q through a here-string: under pipefail,
+# grep -q quitting at the first match would hand the writer — curl or
+# echo alike — a SIGPIPE on any body larger than the pipe buffer, and
+# the event ring and the histogram-laden /metrics both are.)
 events="$(curl -sf "$BASE/debug/events")"
-echo "$events" | grep -q '"kind":"request"'
+grep -q '"kind":"request"' <<<"$events"
 
 # The opted-in profiling surface: a 1s CPU profile must come back
 # non-empty.
@@ -105,7 +105,7 @@ curl -sf -X PUT "$BASE/v1/streams/drain-check" \
 seq 1 5000 | tr '\n' ' ' | curl -sf -X POST "$BASE/v1/streams/drain-check/ticks" --data-binary @- > /dev/null
 curl -sf "$BASE/v1/streams/drain-check/hurst" | grep -q '"method":"aggvar"'
 metrics="$(curl -sf "$BASE/metrics")"
-echo "$metrics" | grep -q '^sampled_hurst_streams_estimating 1$'
+grep -q '^sampled_hurst_streams_estimating 1$' <<<"$metrics"
 
 # The v2 surface: one comparison group over all five techniques on the
 # same ticks, its comparison snapshot carrying every member plus the
@@ -118,13 +118,13 @@ curl -sf -X PUT "$BASE/v1/groups/compare-check" \
          "estimator": "aggvar"}' > /dev/null
 seq 1 5000 | tr '\n' ' ' | curl -sf -X POST "$BASE/v1/groups/compare-check/ticks" --data-binary @- > /dev/null
 comparison="$(curl -sf "$BASE/v1/groups/compare-check")"
-echo "$comparison" | grep -q '"seen":5000'
-echo "$comparison" | grep -q '"technique":"bss"'
-echo "$comparison" | grep -q '"kept_ratio":'
-echo "$comparison" | grep -q '"mean_bias":'
+grep -q '"seen":5000' <<<"$comparison"
+grep -q '"technique":"bss"' <<<"$comparison"
+grep -q '"kept_ratio":' <<<"$comparison"
+grep -q '"mean_bias":' <<<"$comparison"
 metrics="$(curl -sf "$BASE/metrics")"
-echo "$metrics" | grep -q '^sampled_groups 1$'
-echo "$metrics" | grep -q '^sampled_group_ticks_total 5000$'
+grep -q '^sampled_groups 1$' <<<"$metrics"
+grep -q '^sampled_group_ticks_total 5000$' <<<"$metrics"
 curl -sf "$BASE/v1/groups" | grep -q '"groups":\["compare-check"\]'
 
 # The load tool's group namespace over the binary wire: three

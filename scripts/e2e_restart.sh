@@ -241,7 +241,7 @@ fi
 for i in $(seq 0 $((STREAMS - 1))); do
     id="$(printf 'fleet-%02d' "$i")"
     line="$(snapshot_line "$BASE" "$id")"
-    if ! echo "$line" | grep -q "seen=${TICKS} "; then
+    if ! grep -q "seen=${TICKS} " <<<"$line"; then
         echo "e2e-restart: stream $id lost ticks across the outage: $line" >&2
         exit 1
     fi
