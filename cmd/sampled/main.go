@@ -256,7 +256,12 @@ func runRouter(ctx context.Context, addr, route string, maxBody int64, healthEve
 		go every(ctx, healthEvery, func() { rt.checkHealth(ctx) })
 		return nil
 	}
-	return serveUntilDrained(ctx, ln, rt.handler(), drain, logger, boot, func() {})
+	err = serveUntilDrained(ctx, ln, rt.handler(), drain, logger, boot, func() {})
+	// A probe round cut by shutdown starts no new move, but the move in
+	// flight settles: wait for it rather than exit mid-move.
+	rt.rebalanceMu.Lock()
+	defer rt.rebalanceMu.Unlock()
+	return err
 }
 
 // serveUntilDrained serves h on ln and runs boot once the listener is

@@ -23,7 +23,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"log/slog"
 	"net/http"
 	"net/http/httputil"
@@ -34,7 +33,6 @@ import (
 
 	"repro/internal/obs"
 	"repro/sampling/cluster"
-	"repro/sampling/wire"
 )
 
 // router is the proxy's handler state.
@@ -50,7 +48,8 @@ type router struct {
 	ring atomic.Pointer[cluster.Ring]
 
 	// rebalanceMu serializes rebalances; the probe loop is the only
-	// steady-state caller, but tests trigger checkHealth directly.
+	// steady-state caller, but tests trigger checkHealth directly, and
+	// shutdown takes it to wait out a round in flight.
 	rebalanceMu sync.Mutex
 
 	reg         *obs.Registry
@@ -185,84 +184,51 @@ func (rt *router) mergeLists(w http.ResponseWriter, r *http.Request, key string)
 // session wire keeps its pay-once property end to end. The merged
 // totals (or the first error) answer when the client closes its body.
 func (rt *router) session(w http.ResponseWriter, r *http.Request) {
-	if !isTickBatch(r) {
-		writeJSON(w, http.StatusUnsupportedMediaType,
-			map[string]string{"error": "session bodies are binary tick-batch frames; set Content-Type " + wire.ContentType})
+	if !requireTickBatch(w, r) {
 		return
 	}
 	dec := rt.decoders.get(r.Body)
 	defer rt.decoders.put(dec)
 	upstreams := make(map[string]*cluster.Session)
-	var total sessionResponse
-
-	// fail breaks every upstream session, so backends see a truncated
-	// body rather than a clean end of session, and reports how far the
-	// client session got.
-	fail := func(status int, msg string) {
-		cause := errors.New(msg)
-		for _, up := range upstreams {
-			up.Abort(cause)
+	total, err := readFrames(dec, func(f frame) (int, error) {
+		if f.id == "" {
+			return 0, errAnonymousFrame
 		}
-		writeJSON(w, status, map[string]any{
-			"error": msg, "frames": total.Frames, "accepted": total.Accepted, "kept": total.Kept})
-	}
-
-	for {
-		id, values, err := dec.ReadFrame()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			status := http.StatusBadRequest
-			if errors.Is(err, wire.ErrFrameTooLarge) {
-				status = http.StatusRequestEntityTooLarge
-			}
-			fail(status, "frame: "+err.Error())
-			return
-		}
-		if id == "" {
-			fail(http.StatusBadRequest, "session frame carries no stream id")
-			return
-		}
-		owner := rt.ring.Load().Lookup(id)
+		owner := rt.ring.Load().Lookup(f.id)
 		if owner == "" {
-			fail(http.StatusServiceUnavailable, "no healthy backends")
-			return
+			return 0, refuse(http.StatusServiceUnavailable, "no healthy backends")
 		}
 		up, ok := upstreams[owner]
 		if !ok {
 			var err error
 			if up, err = cluster.OpenSession(r.Context(), rt.client.Client, owner); err != nil {
-				fail(http.StatusBadGateway, "backend "+owner+": "+err.Error())
-				return
+				return 0, refuse(http.StatusBadGateway, "backend %s: %w", owner, err)
 			}
 			upstreams[owner] = up
 			rt.requests.With(owner).Inc()
 		}
-		if err := up.Encode(id, values); err != nil {
-			fail(http.StatusBadGateway, "backend "+owner+": "+err.Error())
-			return
+		if err := up.Encode(f.id, f.values); err != nil {
+			return 0, refuse(http.StatusBadGateway, "backend %s: %w", owner, err)
 		}
-		total.Frames++
-		total.Accepted += int64(len(values))
-	}
-
-	// Clean end of client session: close every upstream body and merge
-	// the backends' kept totals into the response.
-	var firstErr error
+		return 0, nil // the backends report kept samples when they close
+	})
+	// On a clean end of the client session, close every upstream body
+	// and merge the backends' kept totals; on a failure, break every
+	// upstream session, so backends see a truncated body rather than a
+	// clean end.
+	failed := err != nil
 	for owner, up := range upstreams {
-		t, err := up.Close()
-		if err != nil && firstErr == nil {
-			firstErr = fmt.Errorf("backend %s: %w", owner, err)
+		if failed {
+			up.Abort(err)
+			continue
+		}
+		t, cerr := up.Close()
+		if cerr != nil && err == nil {
+			err = refuse(http.StatusBadGateway, "backend %s: %w", owner, cerr)
 		}
 		total.Kept += t.Kept
 	}
-	if firstErr != nil {
-		writeJSON(w, http.StatusBadGateway, map[string]any{
-			"error": firstErr.Error(), "frames": total.Frames, "accepted": total.Accepted, "kept": total.Kept})
-		return
-	}
-	writeJSON(w, http.StatusOK, total)
+	writeIngest(w, total, err)
 }
 
 // checkHealth is one probe round: it swaps in the ring over the

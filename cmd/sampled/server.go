@@ -50,19 +50,18 @@ type server struct {
 	ingestBytes  *obs.Counter
 	ingest       map[string]*wireInstruments
 
-	// statsCache and hurstCache are refreshed once per scrape by the
-	// registry's OnScrape hook and read by the func-backed series, all
-	// under the registry's scrape lock — one hub.Stats() walk feeds
-	// every mirrored counter.
+	// statsCache is refreshed once per scrape by the registry's
+	// OnScrape hook and read by the func-backed series, all under the
+	// registry's scrape lock — one hub.Stats() walk feeds every
+	// mirrored counter.
 	statsCache hub.Stats
-	hurstCache hub.HurstStats
 
 	// The hub's Hurst aggregate costs O(streams) — one engine snapshot
 	// and regression per estimating stream — while every other /metrics
-	// figure is O(shards). Scrapes therefore reuse a cached aggregate
-	// for hurstEvery, so high-frequency scraping cannot stall ingest.
+	// figure is O(shards). The same hook therefore refreshes hurstStats
+	// only once it is hurstEvery old, so high-frequency scraping cannot
+	// stall ingest; the per-stream /hurst endpoint is always live.
 	hurstEvery time.Duration
-	hurstMu    sync.Mutex
 	hurstAt    time.Time
 	hurstStats hub.HurstStats
 }
@@ -202,7 +201,9 @@ func (s *server) registerMetrics() {
 	r := s.reg
 	r.OnScrape(func() {
 		s.statsCache = s.hub.Stats()
-		s.hurstCache = s.hurstAggregate()
+		if s.hurstAt.IsZero() || time.Since(s.hurstAt) >= s.hurstEvery {
+			s.hurstStats, s.hurstAt = s.hub.Hurst(), time.Now()
+		}
 	})
 	counter := func(name, help string, v func() float64) { r.NewCounterFunc(name, help, v) }
 	gauge := func(name, help string, v func() float64) { r.NewGaugeFunc(name, help, v) }
@@ -233,17 +234,17 @@ func (s *server) registerMetrics() {
 		func() float64 { return s.statsCache.TicksPerSec })
 
 	gauge("sampled_hurst_streams_estimating", "Live streams carrying an online Hurst estimator.",
-		func() float64 { return float64(s.hurstCache.Estimating) })
+		func() float64 { return float64(s.hurstStats.Estimating) })
 	// The means stay NaN until a stream resolves. They are emitted on
 	// every scrape regardless — a NaN sample, not a vanishing series —
 	// so scrapers never see series churn; null-for-NaN is a JSON-wire
 	// convention only.
 	gauge("sampled_hurst_input_h_mean", "Mean pre-sampling Hurst estimate over resolved streams.",
-		func() float64 { return s.hurstCache.MeanInputH })
+		func() float64 { return s.hurstStats.MeanInputH })
 	gauge("sampled_hurst_kept_h_mean", "Mean post-sampling Hurst estimate over resolved streams.",
-		func() float64 { return s.hurstCache.MeanKeptH })
+		func() float64 { return s.hurstStats.MeanKeptH })
 	gauge("sampled_hurst_drift_mean", "Mean kept-minus-input Hurst drift over resolved streams.",
-		func() float64 { return s.hurstCache.MeanDrift })
+		func() float64 { return s.hurstStats.MeanDrift })
 
 	s.ingestFrames = r.NewCounter("sampled_ingest_frames_total",
 		"Binary tick-batch frames decoded (single-shot POSTs and streaming sessions).")
@@ -287,12 +288,16 @@ func (s *server) notFound(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusNotFound, map[string]string{"error": "no such route"})
 }
 
-// statusFor maps the typed error chain onto an HTTP status: client
-// mistakes (bad specs, unknown techniques, rejected parameters) are
-// 400s, lifecycle conflicts are 404/409, anything untyped is a 500.
+// statusFor maps the typed error chain onto an HTTP status: a
+// statusError carries its own, client mistakes (bad specs, unknown
+// techniques, rejected parameters) are 400s, lifecycle conflicts are
+// 404/409, anything untyped is a 500.
 func statusFor(err error) int {
 	var pe *sampling.ParamError
+	var se *statusError
 	switch {
+	case errors.As(err, &se):
+		return se.status
 	case errors.Is(err, hub.ErrStreamNotFound):
 		return http.StatusNotFound
 	case errors.Is(err, hub.ErrStreamExists):
@@ -314,15 +319,37 @@ func writeError(w http.ResponseWriter, err error) {
 	writeJSON(w, statusFor(err), map[string]string{"error": err.Error()})
 }
 
-// writeBodyError reports a request-body failure: 413 when the body blew
-// the size cap (retryable by splitting the batch), 400 otherwise.
-func writeBodyError(w http.ResponseWriter, err error) {
-	status := http.StatusBadRequest
+// statusError is a refusal that is not a hub error: it carries its
+// own HTTP status, which statusFor finds anywhere in an error chain.
+type statusError struct {
+	status int
+	err    error
+}
+
+func (e *statusError) Error() string { return e.err.Error() }
+func (e *statusError) Unwrap() error { return e.err }
+
+// refuse builds a statusError from a message.
+func refuse(status int, format string, args ...any) error {
+	return &statusError{status, fmt.Errorf(format, args...)}
+}
+
+// ingestStatus maps a body or frame read failure onto its status: a
+// body over the byte cap, or a frame whose declared batch blows the
+// tick cap, is a 413, retryable by splitting the batch; anything else
+// — malformed JSON or text, bad frame magic or version, checksum
+// mismatch, truncation, non-finite ticks — is a 400.
+func ingestStatus(err error) int {
 	var mbe *http.MaxBytesError
-	if errors.As(err, &mbe) {
-		status = http.StatusRequestEntityTooLarge
+	if errors.Is(err, wire.ErrFrameTooLarge) || errors.As(err, &mbe) {
+		return http.StatusRequestEntityTooLarge
 	}
-	writeJSON(w, status, map[string]string{"error": "body: " + err.Error()})
+	return http.StatusBadRequest
+}
+
+// writeBodyError reports a request-body failure under ingestStatus.
+func writeBodyError(w http.ResponseWriter, err error) {
+	writeJSON(w, ingestStatus(err), map[string]string{"error": "body: " + err.Error()})
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {
@@ -442,12 +469,6 @@ func create[R createBody, T any](s *server, doc func(string) (T, error)) http.Ha
 	}
 }
 
-// offerResponse is the body of a successful tick ingest.
-type offerResponse struct {
-	Accepted int `json:"accepted"` // ticks offered to the engine
-	Kept     int `json:"kept"`     // samples this batch finalized
-}
-
 // readTicks parses one ingest batch from the request body. Two body
 // formats: a JSON array of numbers (Content-Type application/json) and
 // newline- or whitespace-separated decimal floats (anything else) — the
@@ -528,7 +549,7 @@ func (s *server) offerTicks(offer func(string, []float64) (int, error)) http.Han
 			writeError(w, err)
 			return
 		}
-		writeJSON(w, http.StatusOK, offerResponse{Accepted: len(values), Kept: kept})
+		writeIngest(w, ingestResponse{Frames: 1, Accepted: int64(len(values)), Kept: int64(kept)}, nil)
 	}
 }
 
@@ -557,74 +578,100 @@ func (p *decoderPool) get(r io.Reader) *wire.Decoder {
 
 func (p *decoderPool) put(d *wire.Decoder) { p.pool.Put(d) }
 
-// writeWireError reports a binary-ingest failure: a frame whose
-// declared batch blows the tick cap (or a body over the byte cap) is a
-// 413, retryable by splitting the batch; corruption — bad magic or
-// version, checksum mismatch, truncation, non-finite ticks — is a 400.
-func writeWireError(w http.ResponseWriter, err error) {
-	status := http.StatusBadRequest
-	var mbe *http.MaxBytesError
-	if errors.Is(err, wire.ErrFrameTooLarge) || errors.As(err, &mbe) {
-		status = http.StatusRequestEntityTooLarge
+// ingestResponse is the body of every tick ingest: what the body's
+// batches added up to — a JSON or text body is one batch, a binary
+// body one batch per frame. A failed ingest answers the same counts
+// beside its error: ingest is not transactional, and the batches
+// before the failure stay ingested.
+type ingestResponse struct {
+	Error    string `json:"error,omitempty"`
+	Frames   int64  `json:"frames"`
+	Accepted int64  `json:"accepted"` // ticks offered
+	Kept     int64  `json:"kept"`     // samples the batches finalized
+}
+
+// writeIngest answers an ingest: 200 with its totals, or err's status
+// with the totals so far.
+func writeIngest(w http.ResponseWriter, resp ingestResponse, err error) {
+	status := http.StatusOK
+	if err != nil {
+		status, resp.Error = statusFor(err), err.Error()
 	}
-	writeJSON(w, status, map[string]string{"error": "frame: " + err.Error()})
+	writeJSON(w, status, resp)
+}
+
+// frame is one decoded tick-batch frame: its embedded id ("" for
+// none), its ticks (valid until the next read), its encoded size and
+// the time decoding it took.
+type frame struct {
+	id     string
+	values []float64
+	bytes  int64
+	decode time.Duration
+}
+
+// errAnonymousFrame refuses a session frame that names no stream.
+var errAnonymousFrame = refuse(http.StatusBadRequest, "session frame carries no stream id")
+
+// readFrames reads frames from dec until the body ends, handing each to
+// offer, which returns the samples the frame kept. It returns the
+// totals of the frames offer took and the first error: a read failure,
+// wrapped in a statusError under ingestStatus, or offer's own.
+func readFrames(dec *wire.Decoder, offer func(frame) (int, error)) (ingestResponse, error) {
+	var resp ingestResponse
+	for {
+		start := time.Now()
+		id, values, err := dec.ReadFrame()
+		decode := time.Since(start)
+		if err == io.EOF {
+			return resp, nil
+		}
+		if err != nil {
+			return resp, &statusError{ingestStatus(err), fmt.Errorf("frame: %w", err)}
+		}
+		kept, err := offer(frame{id, values, dec.FrameBytes(), decode})
+		if err != nil {
+			return resp, err
+		}
+		resp.Frames++
+		resp.Accepted += int64(len(values))
+		resp.Kept += int64(kept)
+	}
+}
+
+// requireTickBatch refuses, with a 415, a session body that is not
+// binary tick-batch frames; it reports whether the body is.
+func requireTickBatch(w http.ResponseWriter, r *http.Request) bool {
+	if isTickBatch(r) {
+		return true
+	}
+	writeJSON(w, http.StatusUnsupportedMediaType,
+		map[string]string{"error": "session bodies are binary tick-batch frames; set Content-Type " + wire.ContentType})
+	return false
 }
 
 // offerFrames ingests a body of binary frames into the URL-addressed
 // stream (or group, via the offer argument). Each frame decodes into a
 // pooled []float64 handed straight to OfferBatch; a frame-embedded id,
 // when present, must match the URL. Nothing is echoed per frame — one
-// summary response covers the whole body.
+// summary response covers the whole body, and a failure reports how
+// far the body got, since the frames before it stay ingested.
 func (s *server) offerFrames(w http.ResponseWriter, r *http.Request, offer func(string, []float64) (int, error)) {
 	id := r.PathValue("id")
 	dec := s.decoders.get(http.MaxBytesReader(w, r.Body, s.maxBody))
 	defer s.decoders.put(dec)
-	accepted, kept, frames := 0, 0, 0
-	for {
-		start := time.Now()
-		frameID, values, err := dec.ReadFrame()
-		decodeDur := time.Since(start)
-		if err == io.EOF {
-			break
+	resp, err := readFrames(dec, func(f frame) (int, error) {
+		if f.id != "" && f.id != id {
+			return 0, refuse(http.StatusBadRequest, "frame names stream %q but the URL names %q", f.id, id)
 		}
-		if err != nil {
-			writeWireError(w, err)
-			return
-		}
-		if frameID != "" && frameID != id {
-			writeJSON(w, http.StatusBadRequest, map[string]string{
-				"error": fmt.Sprintf("frame names stream %q but the URL names %q", frameID, id)})
-			return
-		}
-		k, err := offer(id, values)
-		if err != nil {
-			writeError(w, err)
-			return
-		}
-		s.ingestFrames.Inc()
-		s.ingestBytes.Add(uint64(dec.FrameBytes()))
-		s.observeIngest("binary", decodeDur, dec.FrameBytes(), len(values))
-		accepted += len(values)
-		kept += k
-		frames++
-	}
-	if frames == 0 {
+		return s.offerFrame("binary", id, f, offer)
+	})
+	if err == nil && resp.Frames == 0 {
 		// An empty body still names a stream; surface a 404 for a ghost
 		// the way an empty text body does.
-		if _, err := offer(id, nil); err != nil {
-			writeError(w, err)
-			return
-		}
+		_, err = offer(id, nil)
 	}
-	writeJSON(w, http.StatusOK, offerResponse{Accepted: accepted, Kept: kept})
-}
-
-// sessionResponse is the body of a completed streaming session: what
-// the connection's frames added up to.
-type sessionResponse struct {
-	Frames   int64 `json:"frames"`
-	Accepted int64 `json:"accepted"`
-	Kept     int64 `json:"kept"`
+	writeIngest(w, resp, err)
 }
 
 // session is the persistent streaming ingest mode: one long-lived POST
@@ -639,50 +686,31 @@ type sessionResponse struct {
 // not transactional: frames before a mid-session error stay ingested,
 // and the error body reports how far the session got.
 func (s *server) session(w http.ResponseWriter, r *http.Request) {
-	if !isTickBatch(r) {
-		writeJSON(w, http.StatusUnsupportedMediaType,
-			map[string]string{"error": "session bodies are binary tick-batch frames; set Content-Type " + wire.ContentType})
+	if !requireTickBatch(w, r) {
 		return
 	}
 	dec := s.decoders.get(r.Body)
 	defer s.decoders.put(dec)
-	var resp sessionResponse
-	fail := func(status int, msg string) {
-		writeJSON(w, status, map[string]any{
-			"error": msg, "frames": resp.Frames, "accepted": resp.Accepted, "kept": resp.Kept})
+	resp, err := readFrames(dec, func(f frame) (int, error) {
+		if f.id == "" {
+			return 0, errAnonymousFrame
+		}
+		return s.offerFrame("session", f.id, f, s.hub.OfferBatch)
+	})
+	writeIngest(w, resp, err)
+}
+
+// offerFrame offers one decoded frame to id and, once it is taken,
+// counts it into the ingest counters and the wire's histograms.
+func (s *server) offerFrame(wireName, id string, f frame, offer func(string, []float64) (int, error)) (int, error) {
+	kept, err := offer(id, f.values)
+	if err != nil {
+		return 0, err
 	}
-	for {
-		start := time.Now()
-		id, values, err := dec.ReadFrame()
-		decodeDur := time.Since(start)
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			status := http.StatusBadRequest
-			if errors.Is(err, wire.ErrFrameTooLarge) {
-				status = http.StatusRequestEntityTooLarge
-			}
-			fail(status, "frame: "+err.Error())
-			return
-		}
-		if id == "" {
-			fail(http.StatusBadRequest, "session frame carries no stream id")
-			return
-		}
-		kept, err := s.hub.OfferBatch(id, values)
-		if err != nil {
-			fail(statusFor(err), err.Error())
-			return
-		}
-		s.ingestFrames.Inc()
-		s.ingestBytes.Add(uint64(dec.FrameBytes()))
-		s.observeIngest("session", decodeDur, dec.FrameBytes(), len(values))
-		resp.Frames++
-		resp.Accepted += int64(len(values))
-		resp.Kept += int64(kept)
-	}
-	writeJSON(w, http.StatusOK, resp)
+	s.ingestFrames.Inc()
+	s.ingestBytes.Add(uint64(f.bytes))
+	s.observeIngest(wireName, f.decode, f.bytes, len(f.values))
+	return kept, nil
 }
 
 // snapshot builds the live-document handler of a stream (its summary)
@@ -790,19 +818,6 @@ func (s *server) finishGroup(id string) (finishGroupResponse, error) {
 		resp.Tails[i] = samplesJSON(tail)
 	}
 	return resp, err
-}
-
-// hurstAggregate returns the hub's Hurst aggregate, recomputed at most
-// once per hurstEvery (staleness up to that period is inherent to the
-// gauge; the per-stream /hurst endpoint is always live).
-func (s *server) hurstAggregate() hub.HurstStats {
-	s.hurstMu.Lock()
-	defer s.hurstMu.Unlock()
-	if s.hurstAt.IsZero() || s.hurstEvery <= 0 || time.Since(s.hurstAt) >= s.hurstEvery {
-		s.hurstStats = s.hub.Hurst()
-		s.hurstAt = time.Now()
-	}
-	return s.hurstStats
 }
 
 // metrics renders the whole exposition from the obs registry —

@@ -103,7 +103,7 @@ func TestEndToEnd(t *testing.T) {
 			if code != http.StatusOK {
 				t.Fatalf("POST %s ticks: %d %s", name, code, body)
 			}
-			var resp offerResponse
+			var resp ingestResponse
 			if err := json.Unmarshal(body, &resp); err != nil {
 				t.Fatal(err)
 			}
@@ -228,7 +228,7 @@ func TestTextIngestAndObjectSpec(t *testing.T) {
 	}
 	data, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
-	var off offerResponse
+	var off ingestResponse
 	if err := json.Unmarshal(data, &off); err != nil {
 		t.Fatal(err)
 	}
@@ -582,7 +582,7 @@ func TestGroupEndpoints(t *testing.T) {
 		if code != http.StatusOK {
 			t.Fatalf("POST group ticks: %d %s", code, body)
 		}
-		var resp offerResponse
+		var resp ingestResponse
 		if err := json.Unmarshal(body, &resp); err != nil {
 			t.Fatal(err)
 		}

@@ -391,7 +391,7 @@ func TestRouterEndToEnd(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("session via router: %d %s", resp.StatusCode, sessionBody)
 	}
-	var sr sessionResponse
+	var sr ingestResponse
 	if err := json.Unmarshal(sessionBody, &sr); err != nil {
 		t.Fatal(err)
 	}

@@ -17,6 +17,8 @@ import (
 
 	"repro/internal/dist"
 	"repro/internal/lrd"
+	"repro/internal/obs"
+	"repro/sampling/cluster"
 	"repro/sampling/hub"
 	"repro/sampling/wire"
 )
@@ -67,7 +69,7 @@ func TestBinaryIngest(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("binary ingest: %d %s", code, data)
 	}
-	var off offerResponse
+	var off ingestResponse
 	if err := json.Unmarshal(data, &off); err != nil {
 		t.Fatal(err)
 	}
@@ -105,51 +107,94 @@ func TestBinaryIngest(t *testing.T) {
 	}
 }
 
-// TestBinaryErrorMapping pins the wire's failure statuses: corruption
-// and routing mistakes are 400s, anything oversized — a frame whose
-// declared batch blows the tick cap, or a body over the byte cap — is
-// a 413, and a ghost stream stays a 404.
+// TestBinaryErrorMapping pins the wire's failure statuses on all three
+// frame paths — a binary POST, a session on the daemon and a session
+// through a router: corruption and routing mistakes are 400s, anything
+// oversized — a frame whose declared batch blows the tick cap, or a
+// body over the byte cap — is a 413, and a ghost stream stays a 404
+// (a 502 through the router, whose backend refuses it mid-session).
+// Every error body reports how far the body got.
 func TestBinaryErrorMapping(t *testing.T) {
 	// maxBody 256 gives maxTicks 32 — small enough to trip on purpose.
-	srv := httptest.NewServer(newServer(hub.New(), 256, 0))
-	defer srv.Close()
-	client := srv.Client()
-
-	if code, _ := doJSON(t, client, http.MethodPut, srv.URL+"/v1/streams/s",
-		map[string]any{"spec": "systematic:interval=2"}); code != http.StatusCreated {
-		t.Fatal("create failed")
+	daemon := httptest.NewServer(newServer(hub.New(), 256, 0))
+	defer daemon.Close()
+	logger, _ := obs.NewLogger(io.Discard, "text", "error")
+	rt, err := newRouter([]string{daemon.URL}, 32, logger, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
+	routed := httptest.NewServer(rt.handler())
+	defer routed.Close()
+	client := daemon.Client()
 
 	badMagic := mustFrame(t, "", []float64{1})
 	badMagic[0] ^= 0xff
+	truncated := mustFrame(t, "", []float64{1, 2})[:12]
+	oversized := mustFrame(t, "", make([]float64, 33))
+	good := []float64{1, 2, 3} // the frame before each offender
 
-	cases := []struct {
-		name string
-		path string
-		body []byte
-		want int
-	}{
-		{"bad magic", "/v1/streams/s/ticks", badMagic, http.StatusBadRequest},
-		{"truncated frame", "/v1/streams/s/ticks", mustFrame(t, "", []float64{1, 2})[:12], http.StatusBadRequest},
-		{"oversized frame", "/v1/streams/s/ticks", mustFrame(t, "", make([]float64, 33)), http.StatusRequestEntityTooLarge},
-		{"id mismatch", "/v1/streams/s/ticks", mustFrame(t, "other", []float64{1}), http.StatusBadRequest},
-		{"ghost stream", "/v1/streams/ghost/ticks", mustFrame(t, "", []float64{1}), http.StatusNotFound},
-		{"empty body to ghost", "/v1/streams/ghost/ticks", nil, http.StatusNotFound},
-	}
-	for _, tc := range cases {
-		code, data := postRaw(t, client, srv.URL+tc.path, wire.ContentType, tc.body)
-		if code != tc.want {
-			t.Errorf("%s: got %d (%s), want %d", tc.name, code, data, tc.want)
+	// check posts body to url and wants status, with an error body
+	// reporting frames frames of good before the failure.
+	check := func(name, url string, body []byte, status, frames int) {
+		t.Helper()
+		code, data := postRaw(t, client, url, wire.ContentType, body)
+		var resp ingestResponse
+		if err := json.Unmarshal(data, &resp); err != nil || code != status || resp.Error == "" ||
+			resp.Frames != int64(frames) || resp.Accepted != int64(frames*len(good)) {
+			t.Errorf("%s: got %d %s, want %d with an error after %d frames of %d ticks", name, code, data, status, frames, len(good))
 		}
 	}
 
-	// Rejected bodies must not have leaked partial batches: only the
-	// frames before the failure count, and every case above fails on
-	// its first frame.
-	code, data := doJSON(t, client, http.MethodGet, srv.URL+"/v1/streams/s/snapshot", nil)
-	if code != http.StatusOK || !strings.Contains(string(data), `"seen":0`) {
-		t.Errorf("rejected frames leaked ticks: %d %s", code, data)
+	post := func(id string) string { return daemon.URL + "/v1/streams/" + id + "/ticks" }
+	session := func(base string) func(string) string {
+		return func(string) string { return base + "/v1/session" }
 	}
+	anonymous := func(string) string { return "" }
+	named := func(id string) string { return id }
+	for _, tg := range []struct {
+		id        string                 // the target's stream, which it names
+		url       func(id string) string // where frames for id go
+		frameID   func(id string) string // the id a frame for id embeds
+		misrouted []byte                 // a frame the target refuses for its id
+		ghost     int                    // the status of a frame for a missing stream
+		ghostRead int                    // the frames its error body counts
+		leak      bool                   // check the stream took exactly the good frames
+	}{
+		{"post", post, anonymous, mustFrame(t, "other", good), http.StatusNotFound, 0, true},
+		{"session", session(daemon.URL), named, mustFrame(t, "", good), http.StatusNotFound, 0, true},
+		// The router forwards a frame before its backend judges it: a
+		// ghost is a backend failure found when the upstream session
+		// closes, after the router has read (and counts) the frame. And
+		// breaking the upstream session on a bad frame races the
+		// backend's read of the good one before it, so what the backend
+		// kept is not pinned.
+		{"routed", session(routed.URL), named, mustFrame(t, "", good), http.StatusBadGateway, 1, false},
+	} {
+		if code, _ := doJSON(t, client, http.MethodPut, daemon.URL+"/v1/streams/"+tg.id,
+			map[string]any{"spec": "systematic:interval=2"}); code != http.StatusCreated {
+			t.Fatalf("create %s failed", tg.id)
+		}
+		url, prefix := tg.url(tg.id), mustFrame(t, tg.frameID(tg.id), good)
+		check(tg.id+": bad magic", url, bytes.Join([][]byte{prefix, badMagic}, nil), http.StatusBadRequest, 1)
+		check(tg.id+": truncated frame", url, bytes.Join([][]byte{prefix, truncated}, nil), http.StatusBadRequest, 1)
+		check(tg.id+": oversized frame", url, bytes.Join([][]byte{prefix, oversized}, nil), http.StatusRequestEntityTooLarge, 1)
+		check(tg.id+": misrouted frame", url, bytes.Join([][]byte{prefix, tg.misrouted}, nil), http.StatusBadRequest, 1)
+		check(tg.id+": ghost stream", tg.url("ghost"), mustFrame(t, tg.frameID("ghost"), good), tg.ghost, tg.ghostRead)
+		if !tg.leak {
+			continue
+		}
+		// Rejected bodies must not have leaked partial batches: only
+		// the good frame before each failure counts.
+		code, data := doJSON(t, client, http.MethodGet, daemon.URL+"/v1/streams/"+tg.id+"/snapshot", nil)
+		if want := fmt.Sprintf(`"seen":%d`, 4*len(good)); code != http.StatusOK || !strings.Contains(string(data), want) {
+			t.Errorf("%s: rejected frames leaked ticks: %d %s, want %s", tg.id, code, data, want)
+		}
+	}
+	check("post: empty body to ghost", post("ghost"), nil, http.StatusNotFound, 0)
+
+	// A router with no healthy backend refuses every session frame.
+	rt.ring.Store(cluster.NewRing(nil, 0))
+	check("routed: no healthy backend", routed.URL+"/v1/session", mustFrame(t, "routed", good), http.StatusServiceUnavailable, 0)
 }
 
 // TestBinaryBodyCapProgress: a body over -max-body ingests exactly the
@@ -212,7 +257,7 @@ func TestSessionIngest(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("session: %d %s", code, data)
 	}
-	var resp sessionResponse
+	var resp ingestResponse
 	if err := json.Unmarshal(data, &resp); err != nil {
 		t.Fatal(err)
 	}

@@ -5,7 +5,13 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"time"
 )
+
+// settleTimeout bounds each install of a move whose source has already
+// given up the state. Installs run detached from the caller's context,
+// so a move cut mid-way still lands its state on a node.
+const settleTimeout = 30 * time.Second
 
 // Collections are the two id namespaces a node holds, named as their
 // URL segment (/v1/streams, /v1/groups) and their list key.
@@ -37,16 +43,23 @@ type Handoff struct {
 // target. If the install fails, the state is put back on the source so
 // nothing is lost; a failed restore of the restore is reported joined
 // with the original error and means the blob exists only in this
-// process.
+// process. Once the detach has returned, cancelling ctx no longer cuts
+// the move: each install runs on ctx's values alone, for at most
+// settleTimeout.
 func Transfer(ctx context.Context, t Transport, from, to, collection, id string) error {
 	kind := strings.TrimSuffix(collection, "s")
 	state, err := t.Detach(ctx, from, collection, id)
 	if err != nil {
 		return fmt.Errorf("cluster: transferring %s %q: detach: %w", kind, id, err)
 	}
-	if err := t.Put(ctx, to, collection, id, state); err != nil {
+	put := func(node string) error {
+		ctx, cancel := context.WithTimeout(context.WithoutCancel(ctx), settleTimeout)
+		defer cancel()
+		return t.Put(ctx, node, collection, id, state)
+	}
+	if err := put(to); err != nil {
 		err = fmt.Errorf("cluster: transferring %s %q to %s: %w", kind, id, to, err)
-		if backErr := t.Put(ctx, from, collection, id, state); backErr != nil {
+		if backErr := put(from); backErr != nil {
 			return errors.Join(err, fmt.Errorf("cluster: returning %s %q to %s: %w", kind, id, from, backErr))
 		}
 		return err
@@ -71,17 +84,24 @@ func Probe(ctx context.Context, t Transport, nodes []string) *Ring {
 // history: a round after a router restart, a failed transfer or a
 // membership change finishes whatever moves earlier rounds left, and a
 // converged cluster costs one List per collection per member. A failed
-// listing skips only that collection of that member.
+// listing skips only that collection of that member. Once ctx ends no
+// new move starts; the one in flight settles (see Transfer).
 func Rebalance(ctx context.Context, t Transport, ring *Ring) []Handoff {
 	var out []Handoff
 	for _, holder := range ring.Members() {
 		for _, coll := range Collections {
+			if ctx.Err() != nil {
+				return out
+			}
 			ids, err := t.List(ctx, holder, coll)
 			if err != nil {
 				out = append(out, Handoff{Collection: coll, From: holder, Err: err})
 				continue
 			}
 			for _, id := range ids {
+				if ctx.Err() != nil {
+					return out
+				}
 				if owner := ring.Lookup(id); owner != holder {
 					out = append(out, Handoff{coll, id, holder, owner, Transfer(ctx, t, holder, owner, coll, id)})
 				}

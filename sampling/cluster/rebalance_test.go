@@ -52,7 +52,7 @@ func (x simID) key() string { return x.coll + "/" + x.id }
 type coverage struct {
 	transfers, faultFree, restarts, cuts, churn   int
 	listFailures, bothPutsFailed, midMoveRefusals int
-	lost, duplicated                              int
+	settledAfterCut, lost, duplicated             int
 }
 
 // sim is one schedule. It is also the Transport the rebalance runs
@@ -73,6 +73,7 @@ type sim struct {
 	cancel  context.CancelFunc // cuts the round, as a router shutdown would
 	faulted bool               // some call of this round faulted
 	cut     bool               // the round was cut
+	moveHit map[string]bool    // a Detach or Put of the id faulted this round
 
 	reported map[string]bool // a Handoff.Err named the id since it was last whole
 	tainted  map[string]bool // the id was once missing or held twice
@@ -189,8 +190,17 @@ func (s *sim) List(ctx context.Context, node, coll string) ([]string, error) {
 	return s.nodes[node].hub.ListGroups(), nil
 }
 
+// hit records that a move's call on x faulted: its node was down, or
+// the request or its response was lost.
+func (s *sim) hit(x simID, lose bool, err error) {
+	if lose || errors.Is(err, errDown) || errors.Is(err, errDropped) {
+		s.moveHit[x.key()] = true
+	}
+}
+
 func (s *sim) Detach(ctx context.Context, node, coll, id string) ([]byte, error) {
 	lose, err := s.step(ctx, node)
+	s.hit(simID{coll: coll, id: id}, lose, err)
 	if err != nil {
 		return nil, err
 	}
@@ -221,8 +231,12 @@ func (s *sim) Put(ctx context.Context, node, coll, id string, state []byte) erro
 		s.cov.midMoveRefusals++
 	}
 	lose, err := s.step(ctx, node)
+	s.hit(simID{coll: coll, id: id}, lose, err)
 	if err != nil {
 		return err
+	}
+	if s.cut {
+		s.cov.settledAfterCut++
 	}
 	h := s.nodes[node].hub
 	if coll == "streams" {
@@ -281,6 +295,7 @@ func (s *sim) round(r int) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	s.cancel, s.faulted, s.cut, s.rate, s.budget = cancel, false, false, 0, -1
+	s.moveHit = map[string]bool{}
 	if s.rng.IntN(2) == 0 {
 		s.rate = 0.15
 	}
@@ -306,10 +321,12 @@ func (s *sim) round(r int) {
 }
 
 // check asserts the invariants after a round: an id missing or held
-// twice had a Handoff.Err reported for it since it was last whole; a
-// fault-free round leaves every whole id on a live node on its owner;
-// and a whole id that was never broken carries exactly the counters of
-// the control, which saw every accepted batch once.
+// twice had a Handoff.Err reported for it since it was last whole; an
+// id goes missing only when a call of its move faulted — a round cut
+// mid-move still lands the state on a node; a fault-free round leaves
+// every whole id on a live node on its owner; and a whole id that was
+// never broken carries exactly the counters of the control, which saw
+// every accepted batch once.
 func (s *sim) check(r int, ring *Ring, handoffs []Handoff, faultFree bool) {
 	for _, h := range handoffs {
 		switch {
@@ -344,6 +361,10 @@ func (s *sim) check(r int, ring *Ring, handoffs []Handoff, faultFree bool) {
 				s.fatalf("round %d: %s is held by %v, and no handoff error was reported for it", r, x.key(), at)
 			}
 			if !s.tainted[x.key()] {
+				if len(at) == 0 && !s.moveHit[x.key()] {
+					s.fatalf("round %d: %s was lost, though its source and target were up and no call of its move faulted (cut round: %v)",
+						r, x.key(), s.cut)
+				}
 				if len(at) == 0 {
 					s.cov.lost++
 				} else {
@@ -414,10 +435,101 @@ func TestRebalanceSimulation(t *testing.T) {
 		"transfers": cov.transfers, "fault-free rounds": cov.faultFree, "restarts": cov.restarts,
 		"cut rounds": cov.cuts, "node churn": cov.churn, "listing failures": cov.listFailures,
 		"install and rollback both failing": cov.bothPutsFailed, "mid-move refusals": cov.midMoveRefusals,
-		"lost ids": cov.lost, "duplicated ids": cov.duplicated,
+		"moves settled after a cut": cov.settledAfterCut, "lost ids": cov.lost, "duplicated ids": cov.duplicated,
 	} {
 		if n == 0 {
 			t.Errorf("no schedule exercised %s", name)
 		}
+	}
+}
+
+// cutOnDetach is a transport over in-memory nodes (node → id → state)
+// whose Detach cancels the round's context once it has taken the state,
+// as a shutdown landing between a move's DELETE and its PUT would. Put
+// refuses a done context, as an HTTP request on one does.
+type cutOnDetach struct {
+	nodes  map[string]map[string][]byte
+	cancel context.CancelFunc
+}
+
+func (c *cutOnDetach) Healthy(context.Context, string) bool { return true }
+
+func (c *cutOnDetach) List(_ context.Context, node, coll string) ([]string, error) {
+	var ids []string
+	if coll == "streams" {
+		for id := range c.nodes[node] {
+			ids = append(ids, id)
+		}
+	}
+	return ids, nil
+}
+
+func (c *cutOnDetach) Detach(_ context.Context, node, _, id string) ([]byte, error) {
+	state, ok := c.nodes[node][id]
+	if !ok {
+		return nil, hub.ErrStreamNotFound
+	}
+	delete(c.nodes[node], id)
+	c.cancel()
+	return state, nil
+}
+
+func (c *cutOnDetach) Put(ctx context.Context, node, _, id string, state []byte) error {
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	c.nodes[node][id] = state
+	return nil
+}
+
+// TestTransferSettlesAfterCancel: a move whose context is cancelled
+// after its source detached the state still installs it on the target,
+// and a rebalance cut that way starts no further move.
+func TestTransferSettlesAfterCancel(t *testing.T) {
+	ring := NewRing([]string{"a", "b"}, 0)
+	var owned []string // two ids b owns
+	for i := 0; len(owned) < 2; i++ {
+		if id := fmt.Sprintf("s%d", i); ring.Lookup(id) == "b" {
+			owned = append(owned, id)
+		}
+	}
+	at := func(c *cutOnDetach, id string) []string {
+		var on []string
+		for _, n := range []string{"a", "b"} {
+			if _, ok := c.nodes[n][id]; ok {
+				on = append(on, n)
+			}
+		}
+		return on
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	c := &cutOnDetach{nodes: map[string]map[string][]byte{"a": {"x": []byte("state")}, "b": {}}, cancel: cancel}
+	if err := Transfer(ctx, c, "a", "b", "streams", "x"); err != nil {
+		t.Fatalf("transfer cut after its detach: %v", err)
+	}
+	if on := at(c, "x"); len(on) != 1 || on[0] != "b" || string(c.nodes["b"]["x"]) != "state" {
+		t.Fatalf("transfer cut after its detach left the stream on %v, want [b]", on)
+	}
+
+	// Two ids owned by b, both held by a: the first move cuts the round.
+	ctx, cancel = context.WithCancel(context.Background())
+	c = &cutOnDetach{nodes: map[string]map[string][]byte{"a": {}, "b": {}}, cancel: cancel}
+	for _, id := range owned {
+		c.nodes["a"][id] = []byte(id)
+	}
+	handoffs := Rebalance(ctx, c, ring)
+	if len(handoffs) != 1 || handoffs[0].Err != nil || handoffs[0].To != "b" {
+		t.Fatalf("cut rebalance reported %+v, want one successful move to b", handoffs)
+	}
+	moved, left := handoffs[0].ID, owned[0]
+	if left == moved {
+		left = owned[1]
+	}
+	if on := at(c, moved); len(on) != 1 || on[0] != "b" {
+		t.Errorf("the move in flight left %s on %v, want [b]", moved, on)
+	}
+	if on := at(c, left); len(on) != 1 || on[0] != "a" {
+		t.Errorf("the cut round touched %s: on %v, want [a]", left, on)
 	}
 }

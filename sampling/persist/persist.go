@@ -3,8 +3,10 @@
 // hub, each as an opaque engine-state blob (sampling.MarshalState
 // framing, self-checksummed), plus the hub's cumulative counters and
 // the instant the snapshot was taken. The container is what sampled
-// writes to -checkpoint-dir on a timer and on shutdown, and what the
-// cluster router ships between nodes when stream ownership moves.
+// writes to -checkpoint-dir on a timer and on shutdown, and reads back
+// at boot. (The cluster router does not use it: it moves one stream or
+// group at a time as its bare engine or group blob, over the
+// /v1/{streams,groups}/{id}/state routes.)
 //
 // The framing mirrors sampling/wire and the engine-state codec: a
 // little-endian magic, a version byte, the payload, and a CRC-32

@@ -413,7 +413,7 @@ var appendStateEstimators = []estimate.Method{"", estimate.AggVar, estimate.Wave
 
 // stateEngine builds one restoreSpecs engine with the given estimator
 // ("" for none) on a fixed clock.
-func stateEngine(t *testing.T, spec string, budget int, method estimate.Method) *Engine {
+func stateEngine(t testing.TB, spec string, budget int, method estimate.Method) *Engine {
 	t.Helper()
 	opts := []Option{WithClock(func() time.Time { return time.Unix(1700000000, 0) })}
 	if budget > 0 {
