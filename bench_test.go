@@ -320,8 +320,8 @@ func BenchmarkPublicEngineOfferBatch(b *testing.B) {
 //     dominates.
 //   - wavelet, rs: the same shape with a wavelet or rs input-side
 //     estimator, whose input side keeps a separate accumulator next to
-//     the estimator: one shared per-tick loop for wavelet, two batch
-//     passes for rs.
+//     the estimator: two batch passes, the estimator's TickBatch and
+//     the accumulator's folded AddAll.
 func BenchmarkGroupOfferBatch(b *testing.B) {
 	run := func(b *testing.B, specs []string, batch func(i int) []float64, opts ...sampling.Option) {
 		b.Helper()

@@ -100,6 +100,15 @@ func (r *Reader) Err() error { return r.err }
 // Remaining returns how many undecoded bytes are left.
 func (r *Reader) Remaining() int { return len(r.buf) }
 
+// End returns Err, or an error if bytes remain undecoded: a decoder
+// that ends with End accepts no bytes its encoder would not write.
+func (r *Reader) End() error {
+	if r.err == nil && len(r.buf) > 0 {
+		r.fail(fmt.Errorf("binenc: %d trailing bytes", len(r.buf)))
+	}
+	return r.err
+}
+
 func (r *Reader) fail(err error) {
 	if r.err == nil {
 		r.err = err

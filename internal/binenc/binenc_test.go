@@ -103,6 +103,25 @@ func TestOversizedLengthPrefixIsRejected(t *testing.T) {
 	}
 }
 
+func TestEndRefusesTrailingBytes(t *testing.T) {
+	b := AppendU32(AppendU8(nil, 7), 9)
+	r := NewReader(b)
+	r.U8()
+	r.U32()
+	if err := r.End(); err != nil {
+		t.Fatalf("End after the last field: %v", err)
+	}
+	r = NewReader(append(b, 0))
+	r.U8()
+	r.U32()
+	if err := r.End(); err == nil {
+		t.Fatal("End accepted a trailing byte")
+	}
+	if r.Err() == nil {
+		t.Fatal("End did not latch its error")
+	}
+}
+
 func TestBadBoolByte(t *testing.T) {
 	r := NewReader([]byte{2})
 	if r.Bool() {

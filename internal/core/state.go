@@ -106,7 +106,7 @@ func (p *streamSystematic) RestoreState(data []byte) error {
 		return err
 	}
 	interval, next, tick := int(r.I64()), int(r.I64()), int(r.I64())
-	if err := r.Err(); err != nil {
+	if err := r.End(); err != nil {
 		return err
 	}
 	if interval != p.interval {
@@ -138,7 +138,7 @@ func (p *streamStratified) RestoreState(data []byte) error {
 	interval, tick, pick := int(r.I64()), int(r.I64()), int(r.I64())
 	pending := readSample(r)
 	rngState := r.Bytes()
-	if err := r.Err(); err != nil {
+	if err := r.End(); err != nil {
 		return err
 	}
 	if interval != p.interval {
@@ -185,7 +185,7 @@ func (p *streamSimpleRandom) RestoreState(data []byte) error {
 	buf := r.F64s()
 	base := int(r.I64())
 	rngState := r.Bytes()
-	if err := r.Err(); err != nil {
+	if err := r.End(); err != nil {
 		return err
 	}
 	if n != p.n {
@@ -230,7 +230,7 @@ func (p *streamBernoulli) RestoreState(data []byte) error {
 	}
 	rate, skip := r.F64(), int(r.I64())
 	rngState := r.Bytes()
-	if err := r.Err(); err != nil {
+	if err := r.End(); err != nil {
 		return err
 	}
 	if rate != p.rate {
@@ -290,7 +290,7 @@ func (s *StreamBSS) RestoreState(data []byte) error {
 			extras[i] = int(r.I64())
 		}
 	}
-	if err := r.Err(); err != nil {
+	if err := r.End(); err != nil {
 		return err
 	}
 	if interval != s.cfg.Interval {

@@ -152,3 +152,28 @@ func TestReservoirRestoreRejectsCorruption(t *testing.T) {
 		}
 	}
 }
+
+// TestKernelStateRejectsTrailingBytes: every kernel accepts only the
+// bytes its AppendState writes, so whatever restores re-marshals to the
+// same blob.
+func TestKernelStateRejectsTrailingBytes(t *testing.T) {
+	f := streamTestTrace(2000)
+	for _, spec := range batchSpecs {
+		k, err := Lookup(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		k.OfferBatch(0, f, nil)
+		blob, err := k.AppendState(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh, _ := Lookup(spec)
+		if err := fresh.RestoreState(blob); err != nil {
+			t.Fatalf("%s: own blob: %v", spec, err)
+		}
+		if err := fresh.RestoreState(append(blob, 0)); err == nil {
+			t.Errorf("%s accepted a blob with a trailing byte", spec)
+		}
+	}
+}

@@ -94,7 +94,7 @@ func (s *StreamAggVar) RestoreState(data []byte) error {
 		}
 		l.acc.SetState(acc)
 	}
-	if err := r.Err(); err != nil {
+	if err := r.End(); err != nil {
 		return err
 	}
 	*s = next
@@ -179,7 +179,7 @@ func (s *StreamWavelet) RestoreState(data []byte) error {
 			return fmt.Errorf("lrd: wavelet state slot %d (open=%v, %d details) does not match %d ticks", j, l.half.has, l.count, n)
 		}
 	}
-	if err := r.Err(); err != nil {
+	if err := r.End(); err != nil {
 		return err
 	}
 	*s = next
@@ -207,7 +207,7 @@ func (s *StreamRS) RestoreState(data []byte) error {
 	n := r.I64()
 	pos := int(r.I64())
 	window := r.F64s()
-	if err := r.Err(); err != nil {
+	if err := r.End(); err != nil {
 		return err
 	}
 	if len(window) < 256 || n < 0 || pos < 0 || pos >= len(window) {

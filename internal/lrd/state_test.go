@@ -111,6 +111,22 @@ func TestStreamStateRejectsWrongKind(t *testing.T) {
 	}
 }
 
+// TestStreamStateRejectsTrailingBytes: every estimator accepts only the
+// bytes its AppendState writes, so whatever restores re-marshals to the
+// same blob.
+func TestStreamStateRejectsTrailingBytes(t *testing.T) {
+	for name, est := range map[string]batchTicker{"aggvar": &StreamAggVar{}, "wavelet": &StreamWavelet{}, "rs": NewStreamRS(0)} {
+		est.TickBatch([]float64{1, 2, 3, 4, 5})
+		blob := est.AppendState(nil)
+		if err := est.RestoreState(blob); err != nil {
+			t.Fatalf("%s: own blob: %v", name, err)
+		}
+		if err := est.RestoreState(append(blob, 0)); err == nil {
+			t.Errorf("%s accepted a blob with a trailing byte", name)
+		}
+	}
+}
+
 // batchTicker is the batch-form contract every streaming estimator
 // keeps: TickBatch leaves the state AppendState captures byte for byte
 // where one Tick per value would.

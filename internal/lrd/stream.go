@@ -112,7 +112,12 @@ const foldChunk = 1024
 //
 //samplelint:hotpath
 func (s *StreamAggVar) TickBatch(values []float64) {
-	if len(values) == 0 {
+	if len(values) < 2 {
+		// A one-tick batch is Tick, and going there spares it the
+		// fold's ~8 KB of zeroed run records and chunk buffer.
+		for _, v := range values {
+			s.Tick(v)
+		}
 		return
 	}
 	before := s.n

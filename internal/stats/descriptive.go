@@ -1,6 +1,7 @@
 // Package stats provides the statistical substrate for the reproduction:
-// descriptive statistics, streaming (Welford) accumulators, ordinary and
-// weighted least-squares regression, empirical distribution functions,
+// descriptive statistics, streaming accumulators (Welford steps one
+// value at a time, batches folded in one merge), ordinary and weighted
+// least-squares regression, empirical distribution functions,
 // autocorrelation estimates and the special functions the wavelet Hurst
 // estimator needs. All functions are pure and allocation-conscious.
 package stats
@@ -113,8 +114,10 @@ func Quantile(x []float64, q float64) (float64, error) {
 // Median returns the empirical median of x.
 func Median(x []float64) (float64, error) { return Quantile(x, 0.5) }
 
-// Accumulator is a streaming mean/variance tracker using Welford's
-// algorithm. The zero value is ready to use.
+// Accumulator is a streaming mean/variance tracker: Welford's
+// algorithm one value at a time (Add), Chan et al.'s pairwise merge a
+// batch at a time (AddAll, Run and Merge). The zero value is ready to
+// use.
 type Accumulator struct {
 	n    int
 	mean float64
@@ -124,7 +127,8 @@ type Accumulator struct {
 	max  float64
 }
 
-// Add folds one observation into the accumulator.
+// Add folds one observation into the accumulator: one step of
+// Welford's recurrence.
 func (a *Accumulator) Add(v float64) {
 	if a.n == 0 {
 		a.min, a.max = v, v
@@ -138,18 +142,9 @@ func (a *Accumulator) Add(v float64) {
 	}
 	a.n++
 	a.sum += v
-	a.mean, a.m2 = Welford(a.n, a.mean, a.m2, v)
-}
-
-// Welford is one step of Welford's recurrence: the mean and sum of
-// squared deviations after folding v in as observation n (1-based).
-// Add applies it; a tight loop that hoists an accumulator's state into
-// locals (State, then SetState) applies it to stay on Add's exact
-// arithmetic.
-func Welford(n int, mean, m2, v float64) (float64, float64) {
-	delta := v - mean
-	mean += delta / float64(n)
-	return mean, m2 + delta*(v-mean)
+	delta := v - a.mean
+	a.mean += delta / float64(a.n)
+	a.m2 += delta * (v - a.mean)
 }
 
 // Extend widens the range [lo, hi] to cover v, the way Add tracks
@@ -164,23 +159,26 @@ func Extend(lo, hi, v float64) (float64, float64) {
 	return lo, hi
 }
 
-// AddAll folds a batch of observations, bit for bit like one Add per
-// value but with the state held in locals across the batch.
+// addAllChunk is the most values AddAll folds per FoldPairs call, so
+// the pair sums FoldPairs writes fit one stack buffer.
+const addAllChunk = 1024
+
+// AddAll folds a batch of observations as one Run and one Merge: no
+// division per value. A one-value batch is Add, bit for bit; a longer
+// one agrees with one Add per value within FoldTolerance (see
+// CompareFolded), and Min and Max exactly. The same batches always give
+// the same bytes.
+//
+//samplelint:hotpath
 func (a *Accumulator) AddAll(xs []float64) {
-	if len(xs) == 0 {
-		return
+	r := a.Run(len(xs))
+	var buf [addAllChunk / 2]float64
+	for len(xs) > 0 {
+		chunk := xs[:min(len(xs), addAllChunk)]
+		xs = xs[len(chunk):]
+		r.FoldPairs(chunk, 1, buf[:])
 	}
-	if a.n == 0 {
-		a.min, a.max = xs[0], xs[0]
-	}
-	n, mean, m2, sum, lo, hi := a.n, a.mean, a.m2, a.sum, a.min, a.max
-	for _, v := range xs {
-		lo, hi = Extend(lo, hi, v)
-		sum += v
-		n++
-		mean, m2 = Welford(n, mean, m2, v)
-	}
-	a.n, a.mean, a.m2, a.sum, a.min, a.max = n, mean, m2, sum, lo, hi
+	a.Merge(&r)
 }
 
 // N returns the number of observations seen so far.
@@ -233,8 +231,8 @@ func (a *Accumulator) Max() float64 {
 
 // AccumulatorState is the exported form of an Accumulator's internal
 // state, for exact serialization: State followed by SetState reproduces
-// the accumulator bit for bit, so a restored stream continues the same
-// Welford recursion a never-stopped one would.
+// the accumulator bit for bit, so a restored stream continues with the
+// same arithmetic a never-stopped one would.
 type AccumulatorState struct {
 	N                       int
 	Mean, M2, Sum, Min, Max float64

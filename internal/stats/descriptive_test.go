@@ -1,6 +1,8 @@
 package stats
 
 import (
+	"bytes"
+	"encoding/binary"
 	"math"
 	"math/rand/v2"
 	"testing"
@@ -119,6 +121,14 @@ func TestAccumulatorZeroValue(t *testing.T) {
 	}
 }
 
+// addEach feeds xs to a one Add per value: the reference every folded
+// form is held to.
+func addEach(a *Accumulator, xs []float64) {
+	for _, v := range xs {
+		a.Add(v)
+	}
+}
+
 // foldRun merges xs into a as one Run.
 func foldRun(a *Accumulator, xs []float64) {
 	r := a.Run(len(xs))
@@ -134,8 +144,8 @@ func TestAccumulatorMerge(t *testing.T) {
 			x[i] = rng.NormFloat64()
 		}
 		var whole, left Accumulator
-		whole.AddAll(x)
-		left.AddAll(x[:20])
+		addEach(&whole, x)
+		addEach(&left, x[:20])
 		foldRun(&left, x[20:])
 		return CompareFolded(whole.State(), left.State()) == nil &&
 			almostEqual(left.Mean(), whole.Mean(), 1e-10) &&
@@ -147,7 +157,7 @@ func TestAccumulatorMerge(t *testing.T) {
 	// Into an empty accumulator the run's first value is the shift.
 	var fresh, ref Accumulator
 	x := []float64{1e6 + 0.5, 1e6 - 0.25, 1e6 + 2, 1e6}
-	ref.AddAll(x)
+	addEach(&ref, x)
 	foldRun(&fresh, x)
 	if err := CompareFolded(ref.State(), fresh.State()); err != nil {
 		t.Error(err)
@@ -167,8 +177,8 @@ func TestMergeOneValueIsAdd(t *testing.T) {
 	for _, start := range [][]float64{nil, {0}, {1, 2, 3}, {1e6, 1e6 + 3}, {-0.0}} {
 		for _, v := range values {
 			var added, merged Accumulator
-			added.AddAll(start)
-			merged.AddAll(start)
+			addEach(&added, start)
+			addEach(&merged, start)
 			added.Add(v)
 			foldRun(&merged, []float64{v})
 			a, m := added.State(), merged.State()
@@ -208,11 +218,96 @@ func TestRunScaleKeepsM2Finite(t *testing.T) {
 	var ref, folded Accumulator
 	ref.Add(0)
 	folded.Add(0)
-	ref.AddAll(x)
+	addEach(&ref, x)
 	foldRun(&folded, x)
 	if err := CompareFolded(ref.State(), folded.State()); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// addSpecials are the values FuzzAddAllPartition draws with a selector
+// byte below len(addSpecials).
+var addSpecials = []float64{
+	math.MaxFloat64, -math.MaxFloat64, math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64,
+	0x1p-1030, -0x1p-1030, 0, math.Copysign(0, -1),
+	math.Inf(1), math.Inf(-1), math.NaN(), 1e153,
+	-1e153, 1e6, 1e6 + 0.5, 1,
+}
+
+// fuzzValues decodes a value series: a selector byte picks a special
+// value (below 16), a small multiple of 1/8 (below 128, from the next
+// byte) or the raw bits of the next 8 bytes.
+func fuzzValues(data []byte) []float64 {
+	var out []float64
+	for len(data) > 0 {
+		sel := data[0]
+		data = data[1:]
+		switch {
+		case int(sel) < len(addSpecials):
+			out = append(out, addSpecials[sel])
+		case sel < 128 && len(data) >= 1:
+			out = append(out, float64(int8(data[0]))/8)
+			data = data[1:]
+		case len(data) >= 8:
+			out = append(out, math.Float64frombits(binary.LittleEndian.Uint64(data)))
+			data = data[8:]
+		default:
+			return out
+		}
+	}
+	return out
+}
+
+// FuzzAddAllPartition feeds arbitrary values, ±MaxFloat64, subnormals,
+// ±0, infinities and NaN among them, to an accumulator one Add per
+// value and to AddAll in an arbitrary partition, across its 1024-value
+// chunk included. The folded moments must stay within the fold
+// tolerance of the added ones (CompareFolded), the same partition must
+// give the same bytes, and one-value AddAlls must be Add bit for bit
+// (a NaN matching any NaN: its payload depends on the compiled operand
+// order of each inlined Add).
+func FuzzAddAllPartition(f *testing.F) {
+	f.Add([]byte{15, 16, 3, 20, 250, 1, 2, 3, 4, 5, 6, 7, 8, 0, 1, 8, 9, 10, 7, 6, 40, 9}, []byte{3, 0, 1, 7})
+	f.Add([]byte{11, 11, 11, 12, 7, 7, 6, 6, 4, 5, 13, 14, 13, 14, 13}, []byte{2, 2, 0, 5, 1})
+	long := make([]byte, 0, 2*3000)
+	for i := 0; i < 3000; i++ {
+		long = append(long, 16+byte(i%7), byte(i*37))
+	}
+	f.Add(long, []byte{255, 17, 200, 1})
+	f.Fuzz(func(t *testing.T, data, cuts []byte) {
+		values := fuzzValues(data)
+		var added, single, folded, twin Accumulator
+		addEach(&added, values)
+		for _, v := range values {
+			single.AddAll([]float64{v})
+		}
+		for rest := values; len(rest) > 0; {
+			size := len(rest)
+			if len(cuts) > 0 {
+				// Sizes up to 199 values, or multiples of 64 across the
+				// 1024-value chunk.
+				size = int(cuts[0])
+				if size >= 200 {
+					size = (size - 199) * 64
+				}
+				size = min(size, len(rest))
+				cuts = cuts[1:]
+			}
+			folded.AddAll(rest[:size])
+			twin.AddAll(rest[:size])
+			rest = rest[size:]
+		}
+		if err := CompareFolded(added.State(), folded.State()); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(folded.AppendState(nil), twin.AppendState(nil)) {
+			t.Fatal("the same partition gave different bytes")
+		}
+		if a, b := single.State(), added.State(); a.N != b.N || !sameFloat(a.Mean, b.Mean) || !sameFloat(a.M2, b.M2) ||
+			!sameFloat(a.Sum, b.Sum) || !sameFloat(a.Min, b.Min) || !sameFloat(a.Max, b.Max) {
+			t.Fatalf("one-value AddAlls %+v, Add %+v", a, b)
+		}
+	})
 }
 
 func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }

@@ -123,7 +123,7 @@ func (e *Engine) Spec() Spec {
 // an earlier index when the technique defers its decision (stratified
 // picks). After Finish, Offer is a no-op returning false.
 //
-// Offer is OfferBatch of one tick — the same kernel call on a
+// Offer is OfferBatch of one tick — the same offerBatch on a
 // one-element batch, minus the scratch buffer — and pays one mutex
 // acquisition per tick, so ingest loops that already hold their ticks
 // in a slice should call OfferBatch instead (the hub, the sampled
@@ -134,17 +134,12 @@ func (e *Engine) Offer(value float64) (Sample, bool) {
 	if e.finished {
 		return Sample{}, false
 	}
-	if e.estIn != nil {
-		e.estIn.Tick(value)
-	}
 	e.one[0] = value
-	out := e.kernel.OfferBatch(e.seen, e.one[:], e.oneOut[:0])
-	e.seen++
 	// A kernel emits at most one sample per tick.
-	if len(out) == 0 || (e.budget > 0 && e.kept >= e.budget) {
+	out := e.offerBatch(e.one[:], e.oneOut[:0])
+	if len(out) == 0 {
 		return Sample{}, false
 	}
-	e.record(out[0])
 	return out[0], true
 }
 

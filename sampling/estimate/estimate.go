@@ -155,11 +155,8 @@ func (a *aggVar) Estimate() Estimate {
 	return finish(AggVar, a.core.N(), e, err)
 }
 
-// wavelet embeds its cascade, so an interface call to Tick jumps
-// straight into lrd's method: Tick calls the cascade's growth helper,
-// so it cannot be inlined into a forwarding method, and a forwarding
-// frame measurably slows its short per-tick loop. TickBatch,
-// AppendState and RestoreState are the cascade's own as well.
+// wavelet embeds its cascade, so Tick, TickBatch, AppendState and
+// RestoreState are the cascade's own, with no forwarding frame.
 type wavelet struct{ lrd.StreamWavelet }
 
 func (w *wavelet) Method() Method { return Wavelet }

@@ -16,8 +16,9 @@ import (
 // client computes CRC-32 as easily as the daemon does. Each corpus
 // entry is a blob's payload without its CRC-32 trailer; the harness
 // re-seals it, so a mutation reaches the decoders and validate instead
-// of dying at the checksum. Whatever restore accepts must then serve
-// every call a daemon makes on a live stream without panicking.
+// of dying at the checksum. Whatever restore accepts must re-marshal
+// to its own bytes, and then serve every call a daemon makes on a live
+// stream without panicking.
 
 // fuzzTicks are the ticks offered to every restored engine and group.
 var fuzzTicks = stateTrace(64, 99)
@@ -84,9 +85,13 @@ func FuzzRestoreEngine(f *testing.F) {
 		}
 	}
 	f.Fuzz(func(t *testing.T, payload []byte) {
-		eng, err := RestoreEngine(resealEngine(payload))
+		blob := resealEngine(payload)
+		eng, err := RestoreEngine(blob)
 		if err != nil {
 			return
+		}
+		if again, err := eng.AppendState(nil); err != nil || !bytes.Equal(again, blob) {
+			t.Fatalf("restored engine re-marshals to other bytes (err %v)", err)
 		}
 		eng.Snapshot()
 		eng.OfferBatch(fuzzTicks)
@@ -122,9 +127,13 @@ func FuzzRestoreGroup(f *testing.F) {
 		}
 	}
 	f.Fuzz(func(t *testing.T, payload []byte) {
-		g, err := RestoreGroup(resealGroup(payload))
+		blob := resealGroup(payload)
+		g, err := RestoreGroup(blob)
 		if err != nil {
 			return
+		}
+		if again, err := g.AppendState(nil); err != nil || !bytes.Equal(again, blob) {
+			t.Fatalf("restored group re-marshals to other bytes (err %v)", err)
 		}
 		g.Snapshot()
 		g.OfferBatch(fuzzTicks)

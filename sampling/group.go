@@ -42,7 +42,7 @@ type Group struct {
 	estIn    estimate.Estimator
 	// moments is estIn when its state already holds inputAcc: aggvar's
 	// ladder level 0 starts at zero and takes every input tick in order,
-	// so the group reads its moments instead of running a second chain.
+	// so the group reads its moments instead of folding the batch twice.
 	// They are the ladder's batch-merged moments, the same bytes for the
 	// same batches and within stats.FoldTolerance of one Add per tick
 	// for any others. Nil otherwise.
@@ -146,7 +146,7 @@ func (g *Group) OfferBatch(values []float64) (kept int) {
 }
 
 // inputMoments is implemented by estimators whose state includes the
-// exact running moments of every tick they consumed.
+// running moments of every tick they consumed.
 type inputMoments interface {
 	Moments() stats.AccumulatorState
 }
@@ -157,31 +157,20 @@ func (g *Group) setEstimator(est estimate.Estimator) {
 	g.moments, _ = est.(inputMoments)
 }
 
-// offerInput feeds a batch to the input-side reference. With aggvar the
-// estimator's batch form computes the input moments too. The wavelet
-// cascade is a serial per-tick chain like the accumulator's Welford
-// steps, so the two share one loop and their chains overlap: ~12%
-// faster than two batch passes in BenchmarkGroupOfferBatch/wavelet on
-// a 2-vCPU VM. Otherwise the accumulator and the estimator each take
-// the batch whole.
+// offerInput feeds a batch to the input-side reference: the estimator
+// takes it in one TickBatch, and the accumulator in one AddAll unless
+// the estimator's state already holds its moments.
 //
 //samplelint:hotpath
 func (g *Group) offerInput(values []float64) {
 	g.seen += len(values)
-	switch {
-	case g.moments != nil:
+	if g.estIn != nil {
 		g.estIn.TickBatch(values)
+	}
+	if g.moments != nil {
 		g.inputAcc.SetState(g.moments.Moments())
-	case g.method == estimate.Wavelet:
-		for _, v := range values {
-			g.inputAcc.Add(v)
-			g.estIn.Tick(v)
-		}
-	default:
+	} else {
 		g.inputAcc.AddAll(values)
-		if g.estIn != nil {
-			g.estIn.TickBatch(values)
-		}
 	}
 }
 

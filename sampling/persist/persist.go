@@ -177,11 +177,8 @@ func Decode(data []byte) (*Checkpoint, error) {
 	if ck.Groups, err = readRecords(r, "group"); err != nil {
 		return nil, err
 	}
-	if err := r.Err(); err != nil {
+	if err := r.End(); err != nil {
 		return nil, fmt.Errorf("persist: %v: %w", err, ErrBadCheckpoint)
-	}
-	if r.Remaining() != 0 {
-		return nil, fmt.Errorf("persist: %d trailing bytes after the last record: %w", r.Remaining(), ErrBadCheckpoint)
 	}
 	return ck, nil
 }

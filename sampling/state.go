@@ -242,6 +242,10 @@ func restoreEngine(data []byte, clock func() time.Time) (*Engine, error) {
 	if err != nil {
 		return nil, fmt.Errorf("sampling: engine state spec %q: %w", specString, err)
 	}
+	// AppendState writes the canonical form, and nothing else restores.
+	if spec.String() != specString {
+		return nil, fmt.Errorf("sampling: engine state spec %q is not in its canonical form %q: %w", specString, spec.String(), ErrBadState)
+	}
 	kernel, err := core.Build(spec.Technique, spec.Params)
 	if err != nil {
 		return nil, fmt.Errorf("sampling: rebuild %q from state: %w", specString, err)
@@ -273,7 +277,7 @@ func restoreEngine(data []byte, clock func() time.Time) (*Engine, error) {
 	if e.estKept, err = readEstimator(r); err != nil {
 		return nil, err
 	}
-	if err := r.Err(); err != nil {
+	if err := r.End(); err != nil {
 		return nil, fmt.Errorf("sampling: engine state payload: %w (%w)", err, ErrBadState)
 	}
 	return e, nil
@@ -372,7 +376,7 @@ func RestoreGroup(data []byte, opts ...Option) (*Group, error) {
 		}
 		g.members = append(g.members, eng)
 	}
-	if err := r.Err(); err != nil {
+	if err := r.End(); err != nil {
 		return nil, fmt.Errorf("sampling: group state payload: %w (%w)", err, ErrBadState)
 	}
 	if err := g.validate(); err != nil {

@@ -360,12 +360,13 @@ func TestRestoreFinishedEngine(t *testing.T) {
 }
 
 // TestGroupInputMomentsMatchPerTick pins the group's input reference to
-// the per-tick arithmetic for every estimator choice: with aggvar it is
-// read off the ladder's level 0, whose batches merge their moments, so
-// it must agree with one stats.Accumulator.Add per tick within the fold
-// tolerance (stats.CompareFolded); otherwise it is the group's own
-// accumulator and must equal it bit for bit — live, across batch
-// shapes, and after a restore.
+// the per-tick arithmetic for every estimator choice. Batches fold
+// their moments — into aggvar's ladder level 0, or into the group's own
+// accumulator — so they must agree with one stats.Accumulator.Add per
+// tick within the fold tolerance (stats.CompareFolded), live, across
+// batch shapes, and after a restore. A restore moves nothing: a group
+// restored mid-stream and one that never stopped, fed the same batches,
+// hold the same accumulator bytes.
 func TestGroupInputMomentsMatchPerTick(t *testing.T) {
 	trace := stateTrace(20000, 33)
 	var want stats.Accumulator
@@ -390,19 +391,21 @@ func TestGroupInputMomentsMatchPerTick(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if g, err = RestoreGroup(blob); err != nil {
+		restored, err := RestoreGroup(blob)
+		if err != nil {
 			t.Fatal(err)
 		}
 		for off := cut; off < len(trace); off += 8192 {
-			g.OfferBatch(trace[off:min(off+8192, len(trace))])
+			batch := trace[off:min(off+8192, len(trace))]
+			g.OfferBatch(batch)
+			restored.OfferBatch(batch)
 		}
-		got := g.inputAcc.State()
-		if method == estimate.AggVar {
-			if err := stats.CompareFolded(want.State(), got); err != nil {
-				t.Errorf("estimator %q: input moments: %v", method, err)
-			}
-		} else if got != want.State() {
-			t.Errorf("estimator %q: input moments %+v, want %+v", method, got, want.State())
+		got := restored.inputAcc.State()
+		if err := stats.CompareFolded(want.State(), got); err != nil {
+			t.Errorf("estimator %q: input moments: %v", method, err)
+		}
+		if live, back := g.inputAcc.AppendState(nil), restored.inputAcc.AppendState(nil); !bytes.Equal(live, back) {
+			t.Errorf("estimator %q: restored input moments %+v, never-stopped %+v", method, got, g.inputAcc.State())
 		}
 	}
 }
@@ -638,6 +641,63 @@ func TestRestoreRefusesInconsistentEstimators(t *testing.T) {
 		if _, err := RestoreGroup(blob); !errors.Is(err, ErrBadState) {
 			t.Errorf("group, %s: restore returned %v, want ErrBadState", name, err)
 		}
+	}
+}
+
+// TestRestoreRefusesNonCanonicalSpec: AppendState writes a spec string
+// in its canonical form (Spec.String), so a blob whose spec string
+// parses to a spec that prints differently could never be written, and
+// it would not re-marshal to its own bytes. Restore refuses it, in an
+// engine and in a group member, with ErrBadState.
+func TestRestoreRefusesNonCanonicalSpec(t *testing.T) {
+	for _, spec := range []string{"systematic: interval=16", "systematic:offset=0,interval=16"} {
+		if _, err := Parse(spec); err != nil {
+			t.Fatalf("%q must parse, or restore refuses it for another reason: %v", spec, err)
+		}
+		eng := stateEngine(t, "systematic:interval=16,offset=0", 0, "")
+		eng.OfferBatch(stateTrace(100, 3))
+		eng.specString = spec
+		blob, err := eng.MarshalState()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := RestoreEngine(blob); !errors.Is(err, ErrBadState) {
+			t.Errorf("engine spec %q: restore returned %v, want ErrBadState", spec, err)
+		}
+		g, err := NewGroup([]Spec{MustParse("systematic:interval=16,offset=0")})
+		if err != nil {
+			t.Fatal(err)
+		}
+		g.OfferBatch(stateTrace(100, 3))
+		g.members[0].specString = spec
+		if blob, err = g.MarshalState(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := RestoreGroup(blob); !errors.Is(err, ErrBadState) {
+			t.Errorf("group member spec %q: restore returned %v, want ErrBadState", spec, err)
+		}
+	}
+}
+
+// TestRestoreRefusesTrailingBytes: an engine or group blob with bytes
+// after its last field, resealed so the CRC holds, is refused with
+// ErrBadState: accepted, it would re-marshal to a shorter blob.
+func TestRestoreRefusesTrailingBytes(t *testing.T) {
+	eng := stateEngine(t, "bernoulli:rate=0.1,seed=2", 0, estimate.Wavelet)
+	eng.OfferBatch(stateTrace(300, 3))
+	blob, err := eng.MarshalState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := RestoreEngine(resealEngine(append(blob[:len(blob)-4:len(blob)-4], 0))); !errors.Is(err, ErrBadState) {
+		t.Errorf("engine: restore returned %v, want ErrBadState", err)
+	}
+	g := fiveMemberGroup(t, 300)
+	if blob, err = g.MarshalState(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := RestoreGroup(resealGroup(append(blob[:len(blob)-4:len(blob)-4], 0))); !errors.Is(err, ErrBadState) {
+		t.Errorf("group: restore returned %v, want ErrBadState", err)
 	}
 }
 
