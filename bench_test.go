@@ -28,8 +28,8 @@ import (
 // benchFigure runs one experiment per iteration at small scale.
 func benchFigure(b *testing.B, id string) {
 	b.Helper()
-	runner := experiments.Registry()[id]
-	if runner == nil {
+	runner, ok := experiments.Lookup(id)
+	if !ok {
 		b.Fatalf("unknown figure %q", id)
 	}
 	// Warm the shared trace cache outside the timer.
@@ -313,7 +313,9 @@ func BenchmarkPublicEngineOfferBatch(b *testing.B) {
 // group-lock acquisition; ns/op is per batch.
 //
 //   - bare: one 512-tick batch through all five techniques plus the
-//     shared input accumulator, no estimator.
+//     shared input accumulator, no estimator. Its simple random member
+//     is the fixed-size reservoir: the rate form buffers every tick, so
+//     its cost would grow with b.N.
 //   - aggvar: the serving benchmark's groups-estimator shape — its
 //     five specs, an aggvar input-side estimator and 8192-tick batches
 //     of fGn (H=0.8) traffic, the setup where the group input side
@@ -340,9 +342,12 @@ func BenchmarkGroupOfferBatch(b *testing.B) {
 		}
 	}
 	b.Run("bare", func(b *testing.B) {
-		specs := make([]string, len(samplerBenchSpecs))
-		for i, tc := range samplerBenchSpecs {
-			specs[i] = tc.spec
+		specs := []string{
+			"systematic:interval=1000",
+			"stratified:interval=1000,seed=1",
+			"simple:n=1000,seed=1",
+			"bernoulli:rate=0.001,seed=1",
+			"bss:interval=1000,L=10,eps=1.0",
 		}
 		f := samplerBenchTrace()[:512]
 		run(b, specs, func(int) []float64 { return f })
@@ -431,13 +436,12 @@ func BenchmarkHurstEstimatorSuite(b *testing.B) {
 }
 
 func BenchmarkFFTRoundTrip64k(b *testing.B) {
-	x := make([]float64, 1<<16)
+	x := make([]complex128, 1<<16)
 	for i := range x {
-		x[i] = float64(i % 101)
+		x[i] = complex(float64(i%101), 0)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		spec := dsp.FFTReal(x)
-		dsp.IFFT(spec)
+		dsp.IFFT(dsp.FFT(x))
 	}
 }

@@ -181,8 +181,11 @@ func (rt *router) mergeLists(w http.ResponseWriter, r *http.Request, key string)
 // session demuxes a persistent client session onto per-backend
 // upstream sessions: each frame routes to its embedded id's owner,
 // re-encoded onto that backend's long-lived connection, so the
-// session wire keeps its pay-once property end to end. The merged
-// totals (or the first error) answer when the client closes its body.
+// session wire keeps its pay-once property end to end. When the client
+// closes its body, the backends' summed totals answer, with the first
+// backend's error status if one refused a frame. A body the router
+// itself refuses breaks every upstream session and answers with the
+// frames the router forwarded before the failure.
 func (rt *router) session(w http.ResponseWriter, r *http.Request) {
 	if !requireTickBatch(w, r) {
 		return
@@ -208,27 +211,44 @@ func (rt *router) session(w http.ResponseWriter, r *http.Request) {
 			rt.requests.With(owner).Inc()
 		}
 		if err := up.Encode(f.id, f.values); err != nil {
-			return 0, refuse(http.StatusBadGateway, "backend %s: %w", owner, err)
+			return 0, backendError(owner, err)
 		}
 		return 0, nil // the backends report kept samples when they close
 	})
-	// On a clean end of the client session, close every upstream body
-	// and merge the backends' kept totals; on a failure, break every
-	// upstream session, so backends see a truncated body rather than a
-	// clean end.
-	failed := err != nil
-	for owner, up := range upstreams {
-		if failed {
+	// On a failure, break every upstream session, so backends see a
+	// truncated body rather than a clean end. On a clean end of the
+	// client session, close every upstream body: the backends' totals,
+	// not the frames the router forwarded, say what was ingested.
+	if err != nil {
+		for _, up := range upstreams {
 			up.Abort(err)
-			continue
 		}
+		writeIngest(w, total, err)
+		return
+	}
+	total = ingestResponse{}
+	for owner, up := range upstreams {
 		t, cerr := up.Close()
 		if cerr != nil && err == nil {
-			err = refuse(http.StatusBadGateway, "backend %s: %w", owner, cerr)
+			err = backendError(owner, cerr)
 		}
+		total.Frames += t.Frames
+		total.Accepted += t.Accepted
 		total.Kept += t.Kept
 	}
 	writeIngest(w, total, err)
+}
+
+// backendError maps a failed upstream session onto the router's answer:
+// the backend's own status when it answered with one, 502 when it
+// never answered.
+func backendError(owner string, err error) error {
+	status := http.StatusBadGateway
+	var pe *cluster.PeerError
+	if errors.As(err, &pe) {
+		status = pe.Status
+	}
+	return refuse(status, "backend %s: %w", owner, err)
 }
 
 // checkHealth is one probe round: it swaps in the ring over the

@@ -369,6 +369,7 @@ func TestRouterEndToEnd(t *testing.T) {
 	}
 	var buf bytes.Buffer
 	enc := wire.NewEncoder(&buf)
+	frames := int64(0)
 	for off := ticksEach / 2; off < ticksEach; off += 100 {
 		for _, id := range ids {
 			end := off + 100
@@ -378,6 +379,7 @@ func TestRouterEndToEnd(t *testing.T) {
 			if err := enc.Encode(id, series[off:end]); err != nil {
 				t.Fatal(err)
 			}
+			frames++
 		}
 	}
 	req, _ := http.NewRequest(http.MethodPost, routerBase+"/v1/session", bytes.NewReader(buf.Bytes()))
@@ -395,8 +397,9 @@ func TestRouterEndToEnd(t *testing.T) {
 	if err := json.Unmarshal(sessionBody, &sr); err != nil {
 		t.Fatal(err)
 	}
-	if sr.Accepted != int64(streams*ticksEach/2) {
-		t.Fatalf("session accepted %d ticks, want %d", sr.Accepted, streams*ticksEach/2)
+	// The answer is the backends' summed totals.
+	if sr.Accepted != int64(streams*ticksEach/2) || sr.Frames != frames {
+		t.Fatalf("session took %d frames of %d ticks, want %d of %d", sr.Frames, sr.Accepted, frames, streams*ticksEach/2)
 	}
 
 	// Every stream is fully fed, wherever it landed.

@@ -111,8 +111,8 @@ func TestBinaryIngest(t *testing.T) {
 // frame paths — a binary POST, a session on the daemon and a session
 // through a router: corruption and routing mistakes are 400s, anything
 // oversized — a frame whose declared batch blows the tick cap, or a
-// body over the byte cap — is a 413, and a ghost stream stays a 404
-// (a 502 through the router, whose backend refuses it mid-session).
+// body over the byte cap — is a 413, and a ghost stream stays a 404,
+// through the router too, which passes its backend's verdict through.
 // Every error body reports how far the body got.
 func TestBinaryErrorMapping(t *testing.T) {
 	// maxBody 256 gives maxTicks 32 — small enough to trip on purpose.
@@ -163,12 +163,12 @@ func TestBinaryErrorMapping(t *testing.T) {
 		{"post", post, anonymous, mustFrame(t, "other", good), http.StatusNotFound, 0, true},
 		{"session", session(daemon.URL), named, mustFrame(t, "", good), http.StatusNotFound, 0, true},
 		// The router forwards a frame before its backend judges it: a
-		// ghost is a backend failure found when the upstream session
-		// closes, after the router has read (and counts) the frame. And
+		// ghost is a backend refusal found when the upstream session
+		// closes, answered with the backend's status and totals. And
 		// breaking the upstream session on a bad frame races the
 		// backend's read of the good one before it, so what the backend
 		// kept is not pinned.
-		{"routed", session(routed.URL), named, mustFrame(t, "", good), http.StatusBadGateway, 1, false},
+		{"routed", session(routed.URL), named, mustFrame(t, "", good), http.StatusNotFound, 0, false},
 	} {
 		if code, _ := doJSON(t, client, http.MethodPut, daemon.URL+"/v1/streams/"+tg.id,
 			map[string]any{"spec": "systematic:interval=2"}); code != http.StatusCreated {

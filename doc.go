@@ -57,8 +57,8 @@
 // the SNC of Theorem 1, the average-variance theory of Theorem 2 and the
 // full BSS parameter design) is in internal/core, where every technique
 // is one Kernel — a state machine fed tick by tick or batch by batch,
-// whose exact state can be saved and restored — built from a
-// spec-string registry; the substrates it stands on — FFT/wavelets
+// whose exact state can be saved and restored — built from a fixed
+// spec-string technique table; the substrates it stands on — FFT/wavelets
 // (internal/dsp), statistics (internal/stats), heavy-tailed
 // distributions (internal/dist), long-range dependence and Hurst
 // estimation (internal/lrd), traffic models and packet-trace synthesis

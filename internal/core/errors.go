@@ -6,8 +6,8 @@ import (
 	"strings"
 )
 
-// ErrUnknownTechnique reports a spec that names no registered sampling
-// technique. Errors returned by Lookup and Build wrap it, so callers
+// ErrUnknownTechnique reports a spec that names no technique in the
+// technique table. Errors returned by Lookup and Build wrap it, so callers
 // can branch with errors.Is.
 var ErrUnknownTechnique = errors.New("unknown sampling technique")
 
@@ -16,7 +16,7 @@ var ErrUnknownTechnique = errors.New("unknown sampling technique")
 // keys). Errors returned by ParseSpec wrap it.
 var ErrBadSpec = errors.New("malformed sampler spec")
 
-// ParamError describes a spec parameter the registry rejected: a value
+// ParamError describes a spec parameter a factory rejected: a value
 // that does not parse, a missing required parameter, or a key the
 // technique's factory did not consume. Lookup fills in Technique before
 // returning; extract with errors.As.

@@ -6,7 +6,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 )
 
 // Spec syntax: a sampler is described by "name" or
@@ -16,9 +15,10 @@ import (
 //	bss:rate=1e-3,L=10,eps=1.0
 //	simple:rate=1e-2,seed=7
 //
-// Lookup parses the spec, finds the registered factory for name, builds
-// the kernel and rejects any parameter the factory did not consume, so
-// typos fail loudly instead of silently using defaults.
+// Lookup parses the spec, finds the factory for name in the technique
+// table (factories), builds the kernel and rejects any parameter the
+// factory did not consume, so typos fail loudly instead of silently
+// using defaults.
 
 // Params carries the parsed key=value parameters of a spec to a Factory.
 // Typed accessors record which keys were consumed; Lookup reports keys no
@@ -133,46 +133,22 @@ func ParseSpec(spec string) (string, *Params, error) {
 // Factory builds a fresh kernel from parsed spec parameters.
 type Factory func(p *Params) (Kernel, error)
 
-// registry is the process-wide sampler registry. Reads vastly outnumber
-// writes (registration happens at init time), hence the RWMutex.
-var registry = struct {
-	sync.RWMutex
-	m map[string]Factory
-}{m: make(map[string]Factory)}
-
-// Register adds a sampler factory under the given technique name. It is
-// safe for concurrent use and fails on empty names, names containing the
-// spec separators ':' ',' '=', nil factories and duplicates.
-func Register(name string, f Factory) error {
-	if strings.TrimSpace(name) == "" {
-		return fmt.Errorf("core: cannot register an empty sampler name")
-	}
-	if strings.ContainsAny(name, ":,= \t\n") {
-		return fmt.Errorf("core: sampler name %q contains spec syntax characters", name)
-	}
-	if f == nil {
-		return fmt.Errorf("core: nil factory for sampler %q", name)
-	}
-	registry.Lock()
-	defer registry.Unlock()
-	if _, dup := registry.m[name]; dup {
-		return fmt.Errorf("core: sampler %q already registered", name)
-	}
-	registry.m[name] = f
-	return nil
-}
-
-// mustRegister registers the built-in techniques at init time.
-func mustRegister(name string, f Factory) {
-	if err := Register(name, f); err != nil {
-		panic(err)
-	}
+// factories is the technique table: the paper's five techniques, with
+// simple random under two names. It is fixed at compile time and never
+// written, so build and Names read it without a lock.
+var factories = map[string]Factory{
+	"systematic":    systematicFactory,
+	"stratified":    stratifiedFactory,
+	"simple":        simpleFactory,
+	"simple-random": simpleFactory,
+	"bernoulli":     bernoulliFactory,
+	"bss":           bssFactory,
 }
 
 // Lookup builds a fresh kernel from a spec string like
-// "bss:rate=1e-3,L=10,eps=1.0". Every registered technique name is valid;
-// see Names. Failures are typed: syntax errors wrap ErrBadSpec,
-// unregistered names wrap ErrUnknownTechnique, and rejected parameters
+// "bss:rate=1e-3,L=10,eps=1.0". Every name in the technique table is
+// valid; see Names. Failures are typed: syntax errors wrap ErrBadSpec,
+// unknown names wrap ErrUnknownTechnique, and rejected parameters
 // surface as a *ParamError in the chain.
 func Lookup(spec string) (Kernel, error) {
 	name, p, err := ParseSpec(spec)
@@ -206,9 +182,7 @@ func NewParams(kv map[string]string) *Params {
 // build resolves the factory and runs it, enforcing full parameter
 // consumption — the shared tail of Lookup and Build.
 func build(name string, p *Params) (Kernel, error) {
-	registry.RLock()
-	f := registry.m[name]
-	registry.RUnlock()
+	f := factories[name]
 	if f == nil {
 		return nil, fmt.Errorf("core: unknown sampler %q (registered: %s): %w",
 			name, strings.Join(Names(), ", "), ErrUnknownTechnique)
@@ -227,14 +201,12 @@ func build(name string, p *Params) (Kernel, error) {
 	return k, nil
 }
 
-// Names returns the sorted names of every registered technique.
+// Names returns the sorted names of every technique in the table.
 func Names() []string {
-	registry.RLock()
-	out := make([]string, 0, len(registry.m))
-	for name := range registry.m {
+	out := make([]string, 0, len(factories))
+	for name := range factories {
 		out = append(out, name)
 	}
-	registry.RUnlock()
 	sort.Strings(out)
 	return out
 }
@@ -264,94 +236,95 @@ func specInterval(p *Params) (int, error) {
 	return iv, nil
 }
 
-func init() {
-	mustRegister("systematic", func(p *Params) (Kernel, error) {
-		interval, err := specInterval(p)
-		if err != nil {
-			return nil, err
-		}
-		offset, err := p.Int("offset", 0)
-		if err != nil {
-			return nil, err
-		}
-		return Systematic{Interval: interval, Offset: offset}.Kernel()
-	})
-	mustRegister("stratified", func(p *Params) (Kernel, error) {
-		interval, err := specInterval(p)
-		if err != nil {
-			return nil, err
-		}
-		seed, err := p.Uint("seed", 1)
-		if err != nil {
-			return nil, err
-		}
-		return Stratified{Interval: interval, Rng: newRand(seed)}.Kernel()
-	})
-	simple := func(p *Params) (Kernel, error) {
-		n, err := p.Int("n", 0)
-		if err != nil {
-			return nil, err
-		}
-		seed, err := p.Uint("seed", 1)
-		if err != nil {
-			return nil, err
-		}
-		if n > 0 {
-			return SimpleRandom{N: n, Rng: newRand(seed)}.Kernel()
-		}
-		rate, err := p.Float("rate", 0)
-		if err != nil {
-			return nil, err
-		}
-		return SimpleRandom{Rate: rate, Rng: newRand(seed)}.Kernel()
+func systematicFactory(p *Params) (Kernel, error) {
+	interval, err := specInterval(p)
+	if err != nil {
+		return nil, err
 	}
-	mustRegister("simple", simple)
-	mustRegister("simple-random", simple)
-	mustRegister("bernoulli", func(p *Params) (Kernel, error) {
-		rate, err := p.Float("rate", 0)
-		if err != nil {
-			return nil, err
-		}
-		seed, err := p.Uint("seed", 1)
-		if err != nil {
-			return nil, err
-		}
-		return Bernoulli{Rate: rate, Rng: newRand(seed)}.Kernel()
-	})
-	mustRegister("bss", func(p *Params) (Kernel, error) {
-		interval, err := specInterval(p)
-		if err != nil {
-			return nil, err
-		}
-		offset, err := p.Int("offset", 0)
-		if err != nil {
-			return nil, err
-		}
-		l, err := p.Int("L", 10)
-		if err != nil {
-			return nil, err
-		}
-		eps, err := p.Float("eps", 1.0)
-		if err != nil {
-			return nil, err
-		}
-		ath, err := p.Float("ath", 0)
-		if err != nil {
-			return nil, err
-		}
-		pre, err := p.Int("pre", 0)
-		if err != nil {
-			return nil, err
-		}
-		cfg := BSS{Interval: interval, Offset: offset, L: l, Epsilon: eps, Threshold: ath, PreSamples: pre}
-		switch placement := p.String("placement", "spread"); placement {
-		case "spread":
-			cfg.Placement = PlacementSpread
-		case "chase":
-			cfg.Placement = PlacementChase
-		default:
-			return nil, fmt.Errorf("core: unknown BSS placement %q (spread or chase)", placement)
-		}
-		return cfg.Kernel()
-	})
+	offset, err := p.Int("offset", 0)
+	if err != nil {
+		return nil, err
+	}
+	return Systematic{Interval: interval, Offset: offset}.Kernel()
+}
+
+func stratifiedFactory(p *Params) (Kernel, error) {
+	interval, err := specInterval(p)
+	if err != nil {
+		return nil, err
+	}
+	seed, err := p.Uint("seed", 1)
+	if err != nil {
+		return nil, err
+	}
+	return Stratified{Interval: interval, Rng: newRand(seed)}.Kernel()
+}
+
+// simpleFactory serves both "simple" and "simple-random".
+func simpleFactory(p *Params) (Kernel, error) {
+	n, err := p.Int("n", 0)
+	if err != nil {
+		return nil, err
+	}
+	seed, err := p.Uint("seed", 1)
+	if err != nil {
+		return nil, err
+	}
+	if n > 0 {
+		return SimpleRandom{N: n, Rng: newRand(seed)}.Kernel()
+	}
+	rate, err := p.Float("rate", 0)
+	if err != nil {
+		return nil, err
+	}
+	return SimpleRandom{Rate: rate, Rng: newRand(seed)}.Kernel()
+}
+
+func bernoulliFactory(p *Params) (Kernel, error) {
+	rate, err := p.Float("rate", 0)
+	if err != nil {
+		return nil, err
+	}
+	seed, err := p.Uint("seed", 1)
+	if err != nil {
+		return nil, err
+	}
+	return Bernoulli{Rate: rate, Rng: newRand(seed)}.Kernel()
+}
+
+func bssFactory(p *Params) (Kernel, error) {
+	interval, err := specInterval(p)
+	if err != nil {
+		return nil, err
+	}
+	offset, err := p.Int("offset", 0)
+	if err != nil {
+		return nil, err
+	}
+	l, err := p.Int("L", 10)
+	if err != nil {
+		return nil, err
+	}
+	eps, err := p.Float("eps", 1.0)
+	if err != nil {
+		return nil, err
+	}
+	ath, err := p.Float("ath", 0)
+	if err != nil {
+		return nil, err
+	}
+	pre, err := p.Int("pre", 0)
+	if err != nil {
+		return nil, err
+	}
+	cfg := BSS{Interval: interval, Offset: offset, L: l, Epsilon: eps, Threshold: ath, PreSamples: pre}
+	switch placement := p.String("placement", "spread"); placement {
+	case "spread":
+		cfg.Placement = PlacementSpread
+	case "chase":
+		cfg.Placement = PlacementChase
+	default:
+		return nil, fmt.Errorf("core: unknown BSS placement %q (spread or chase)", placement)
+	}
+	return cfg.Kernel()
 }

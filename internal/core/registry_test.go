@@ -1,10 +1,8 @@
 package core
 
 import (
-	"fmt"
-	"sort"
+	"slices"
 	"strings"
-	"sync"
 	"testing"
 )
 
@@ -67,7 +65,7 @@ func TestLookupBuildsEveryTechnique(t *testing.T) {
 func TestLookupErrors(t *testing.T) {
 	for _, bad := range []string{
 		"",
-		"warp-drive:rate=0.5",            // unregistered
+		"warp-drive:rate=0.5",            // unknown technique
 		"systematic",                     // no interval or rate
 		"systematic:interval=0",          // invalid config
 		"systematic:rate=3",              // rate out of range
@@ -80,80 +78,16 @@ func TestLookupErrors(t *testing.T) {
 			t.Errorf("Lookup(%q): expected error", bad)
 		}
 	}
-	// The unknown-name error should list what is registered.
+	// The unknown-name error should list the technique table.
 	_, err := Lookup("warp-drive")
 	if err == nil || !strings.Contains(err.Error(), "bss") {
-		t.Errorf("unknown-name error should list registered names, got %v", err)
-	}
-}
-
-func TestRegisterValidation(t *testing.T) {
-	if err := Register("", func(*Params) (Kernel, error) { return nil, nil }); err == nil {
-		t.Error("expected error for empty name")
-	}
-	if err := Register("has space", func(*Params) (Kernel, error) { return nil, nil }); err == nil {
-		t.Error("expected error for name with spec syntax characters")
-	}
-	if err := Register("nilfactory", nil); err == nil {
-		t.Error("expected error for nil factory")
-	}
-	if err := Register("systematic", func(*Params) (Kernel, error) { return nil, nil }); err == nil {
-		t.Error("expected error for duplicate registration")
+		t.Errorf("unknown-name error should list the technique names, got %v", err)
 	}
 }
 
 func TestNamesSortedAndComplete(t *testing.T) {
-	names := Names()
-	if !sort.StringsAreSorted(names) {
-		t.Errorf("Names() not sorted: %v", names)
+	want := []string{"bernoulli", "bss", "simple", "simple-random", "stratified", "systematic"}
+	if got := Names(); !slices.Equal(got, want) {
+		t.Errorf("Names() = %v, want %v", got, want)
 	}
-	want := map[string]bool{
-		"systematic": true, "stratified": true, "simple": true,
-		"simple-random": true, "bernoulli": true, "bss": true,
-	}
-	for _, n := range names {
-		delete(want, n)
-	}
-	if len(want) > 0 {
-		t.Errorf("Names() missing built-ins: %v (got %v)", want, names)
-	}
-}
-
-// TestRegistryConcurrent hammers Register/Lookup/Names from many
-// goroutines; run with -race to verify the registry's locking.
-func TestRegistryConcurrent(t *testing.T) {
-	const workers = 16
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			name := fmt.Sprintf("race-probe-%d", w)
-			if err := Register(name, func(p *Params) (Kernel, error) {
-				interval, err := specInterval(p)
-				if err != nil {
-					return nil, err
-				}
-				return Systematic{Interval: interval}.Kernel()
-			}); err != nil {
-				t.Errorf("Register(%s): %v", name, err)
-				return
-			}
-			for i := 0; i < 50; i++ {
-				if _, err := Lookup(name + ":interval=10"); err != nil {
-					t.Errorf("Lookup(%s): %v", name, err)
-					return
-				}
-				if _, err := Lookup("bss:rate=0.1,L=2"); err != nil {
-					t.Errorf("Lookup(bss): %v", err)
-					return
-				}
-				if len(Names()) < 6 {
-					t.Error("Names() lost entries")
-					return
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
 }

@@ -14,9 +14,9 @@
 // The configuration types below (Systematic, Stratified, SimpleRandom,
 // Bernoulli, BSS) validate parameters and build a fresh kernel; Collect
 // runs one over a whole series as a single batch, so the paper's
-// figures and the serving engines run the same code. A spec-string
-// registry (Register/Lookup/Names) builds kernels from descriptions
-// like "bss:rate=1e-3,L=10,eps=1.0".
+// figures and the serving engines run the same code. A fixed technique
+// table, read through Lookup, Build and Names, builds kernels from spec
+// strings like "bss:rate=1e-3,L=10,eps=1.0".
 package core
 
 import (

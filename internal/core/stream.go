@@ -79,7 +79,7 @@ func Collect(k Kernel, f []float64) ([]Sample, error) {
 // IntervalForRate maps a sampling rate r in (0,1] to the base interval
 // 1/r rounded to the nearest integer — halves round up (away from
 // zero), so r = 0.4 gives interval 3, not 2 — and never below 1. This
-// is the single conversion rule shared by the spec registry, the
+// is the single conversion rule shared by the technique table, the
 // rate-sized simple random draw and the CLIs; note that for
 // non-reciprocal rates the achieved rate 1/interval differs from r by
 // up to the rounding error (r = 0.7 keeps every tick, r = 0.6 keeps

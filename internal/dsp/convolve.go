@@ -2,40 +2,8 @@ package dsp
 
 import "fmt"
 
-// Convolve returns the full linear convolution of a and b, a sequence of
-// length len(a)+len(b)-1. It uses the FFT for large inputs and the direct
-// O(n*m) algorithm for small ones, where the direct form is faster.
-func Convolve(a, b []float64) []float64 {
-	if len(a) == 0 || len(b) == 0 {
-		return nil
-	}
-	outLen := len(a) + len(b) - 1
-	if len(a)*len(b) <= 4096 {
-		return convolveDirect(a, b)
-	}
-	n := NextPow2(outLen)
-	fa := make([]complex128, n)
-	fb := make([]complex128, n)
-	for i, v := range a {
-		fa[i] = complex(v, 0)
-	}
-	for i, v := range b {
-		fb[i] = complex(v, 0)
-	}
-	fftPow2(fa, false)
-	fftPow2(fb, false)
-	for i := range fa {
-		fa[i] *= fb[i]
-	}
-	fftPow2(fa, true)
-	out := make([]float64, outLen)
-	inv := 1 / float64(n)
-	for i := range out {
-		out[i] = real(fa[i]) * inv
-	}
-	return out
-}
-
+// convolveDirect returns the full linear convolution of a and b by the
+// direct O(n*m) sum, the reference SelfConvolvePowerDirect builds on.
 func convolveDirect(a, b []float64) []float64 {
 	out := make([]float64, len(a)+len(b)-1)
 	for i, av := range a {

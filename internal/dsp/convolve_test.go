@@ -16,39 +16,32 @@ func maxAbsDiffF(a, b []float64) float64 {
 	return m
 }
 
+// TestConvolveKnown pins the direct convolution behind the
+// SelfConvolvePowerDirect oracle on a hand-computed case.
 func TestConvolveKnown(t *testing.T) {
-	got := Convolve([]float64{1, 2, 3}, []float64{0, 1, 0.5})
+	got := convolveDirect([]float64{1, 2, 3}, []float64{0, 1, 0.5})
 	want := []float64{0, 1, 2.5, 4, 1.5}
 	if len(got) != len(want) || maxAbsDiffF(got, want) > 1e-12 {
-		t.Errorf("Convolve = %v, want %v", got, want)
+		t.Errorf("convolveDirect = %v, want %v", got, want)
 	}
 }
 
-func TestConvolveEmpty(t *testing.T) {
-	if got := Convolve(nil, []float64{1}); got != nil {
-		t.Errorf("Convolve(nil, x) = %v, want nil", got)
-	}
-	if got := Convolve([]float64{1}, nil); got != nil {
-		t.Errorf("Convolve(x, nil) = %v, want nil", got)
-	}
-}
-
+// TestConvolveFFTMatchesDirect: the FFT self-convolution agrees with
+// the direct sum at lengths on both sides of a power of two, so the
+// zero padding never aliases.
 func TestConvolveFFTMatchesDirect(t *testing.T) {
 	rng := newRand(10)
-	// Sizes straddling the FFT/direct threshold.
-	for _, sz := range [][2]int{{3, 5}, {64, 64}, {100, 200}, {333, 77}} {
-		a := make([]float64, sz[0])
-		b := make([]float64, sz[1])
-		for i := range a {
-			a[i] = rng.NormFloat64()
+	for _, n := range []int{3, 64, 100, 333} {
+		p := make([]float64, n)
+		for i := range p {
+			p[i] = rng.NormFloat64()
 		}
-		for i := range b {
-			b[i] = rng.NormFloat64()
+		fast, err := SelfConvolvePower(p, 2)
+		if err != nil {
+			t.Fatal(err)
 		}
-		fast := Convolve(a, b)
-		slow := convolveDirect(a, b)
-		if d := maxAbsDiffF(fast, slow); d > 1e-8 {
-			t.Errorf("sizes %v: FFT convolution deviates from direct by %g", sz, d)
+		if d := maxAbsDiffF(fast, convolveDirect(p, p)); d > 1e-8 {
+			t.Errorf("n=%d: FFT convolution deviates from direct by %g", n, d)
 		}
 	}
 }
@@ -65,7 +58,7 @@ func TestConvolveCommutative(t *testing.T) {
 		for i := range b {
 			b[i] = rng.Float64()
 		}
-		return maxAbsDiffF(Convolve(a, b), Convolve(b, a)) < 1e-9
+		return maxAbsDiffF(convolveDirect(a, b), convolveDirect(b, a)) < 1e-9
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)

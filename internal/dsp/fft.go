@@ -1,12 +1,11 @@
 // Package dsp provides the signal-processing substrate used throughout the
 // reproduction: fast Fourier transforms (radix-2 and Bluestein for arbitrary
-// lengths), linear convolution, periodograms, and an orthonormal discrete
-// wavelet transform. Everything is implemented from scratch on the standard
+// lengths), FFT self-convolution of a pmf, periodograms, and an orthonormal
+// discrete wavelet transform. Everything is implemented from scratch on the standard
 // library so the repository has no external numeric dependencies.
 package dsp
 
 import (
-	"fmt"
 	"math"
 	"math/bits"
 	"math/cmplx"
@@ -46,17 +45,6 @@ func IFFT(x []complex128) []complex128 {
 	copy(out, x)
 	fftInPlace(out, true)
 	return out
-}
-
-// FFTReal transforms a real-valued signal, returning the full complex
-// spectrum of length len(x).
-func FFTReal(x []float64) []complex128 {
-	c := make([]complex128, len(x))
-	for i, v := range x {
-		c[i] = complex(v, 0)
-	}
-	fftInPlace(c, false)
-	return c
 }
 
 // fftInPlace dispatches between the radix-2 and Bluestein implementations
@@ -163,16 +151,4 @@ func DFTNaive(x []complex128) []complex128 {
 		out[k] = sum
 	}
 	return out
-}
-
-// CheckLengths validates that two series have equal nonzero length; several
-// public helpers share this guard.
-func CheckLengths(a, b []float64) error {
-	if len(a) == 0 || len(b) == 0 {
-		return fmt.Errorf("dsp: empty input (len(a)=%d, len(b)=%d)", len(a), len(b))
-	}
-	if len(a) != len(b) {
-		return fmt.Errorf("dsp: length mismatch (%d vs %d)", len(a), len(b))
-	}
-	return nil
 }

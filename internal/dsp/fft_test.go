@@ -149,30 +149,3 @@ func TestFFTDoesNotMutateInput(t *testing.T) {
 		t.Errorf("FFT/IFFT mutated their input (max diff %g)", d)
 	}
 }
-
-func TestFFTRealMatchesComplex(t *testing.T) {
-	rng := newRand(4)
-	x := make([]float64, 96)
-	for i := range x {
-		x[i] = rng.NormFloat64()
-	}
-	c := make([]complex128, len(x))
-	for i, v := range x {
-		c[i] = complex(v, 0)
-	}
-	if d := maxAbsDiff(FFTReal(x), FFT(c)); d > 1e-10 {
-		t.Errorf("FFTReal deviates from complex FFT by %g", d)
-	}
-}
-
-func TestCheckLengths(t *testing.T) {
-	if err := CheckLengths([]float64{1}, []float64{2}); err != nil {
-		t.Errorf("unexpected error: %v", err)
-	}
-	if err := CheckLengths(nil, []float64{1}); err == nil {
-		t.Error("expected error for empty first argument")
-	}
-	if err := CheckLengths([]float64{1, 2}, []float64{1}); err == nil {
-		t.Error("expected error for mismatched lengths")
-	}
-}

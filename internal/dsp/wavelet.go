@@ -17,10 +17,6 @@ type Wavelet struct {
 // Name returns the conventional name of the wavelet family member.
 func (w Wavelet) Name() string { return w.name }
 
-// VanishingMoments returns the number of vanishing moments (filter length/2
-// for the Daubechies family; 1 for Haar).
-func (w Wavelet) VanishingMoments() int { return len(w.h) / 2 }
-
 func newWavelet(name string, h []float64) Wavelet {
 	l := len(h)
 	g := make([]float64, l)
@@ -47,34 +43,6 @@ func Daubechies4() Wavelet {
 		0.83651630373746899,
 		0.22414386804185735,
 		-0.12940952255092145,
-	})
-}
-
-// Daubechies6 returns the Daubechies wavelet with 3 vanishing moments
-// (6-tap filter, db3/D6).
-func Daubechies6() Wavelet {
-	return newWavelet("db6", []float64{
-		0.33267055295095688,
-		0.80689150931333875,
-		0.45987750211933132,
-		-0.13501102001039084,
-		-0.08544127388224149,
-		0.03522629188210562,
-	})
-}
-
-// Daubechies8 returns the Daubechies wavelet with 4 vanishing moments
-// (8-tap filter, db4/D8).
-func Daubechies8() Wavelet {
-	return newWavelet("db8", []float64{
-		0.23037781330885523,
-		0.71484657055254153,
-		0.63088076792959036,
-		-0.02798376941698385,
-		-0.18703481171888114,
-		0.03084138183598697,
-		0.03288301166698295,
-		-0.01059740178499728,
 	})
 }
 

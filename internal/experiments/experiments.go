@@ -39,8 +39,8 @@ type Renderer interface {
 type Runner func(Scale) (Renderer, error)
 
 // registry maps figure identifiers ("fig02" ... "fig22") to their
-// runners. It is built once at package init and never mutated; Lookup
-// reads it directly and Registry hands out per-call copies.
+// runners. It is built once at package init and never mutated, so
+// Lookup reads it without a lock.
 var registry = map[string]Runner{
 	"fig02": func(s Scale) (Renderer, error) { return Fig02(s) },
 	"fig03": func(s Scale) (Renderer, error) { return Fig03(s) },
@@ -79,18 +79,6 @@ var figureIDs = func() []string {
 func Lookup(id string) (Runner, bool) {
 	r, ok := registry[id]
 	return r, ok
-}
-
-// Registry returns a fresh copy of the figure registry, rebuilt on every
-// call, so callers can iterate or mutate their copy freely without
-// corrupting the shared map the parallel figure runner reads. Use Lookup
-// for single-figure access when the copy is not needed.
-func Registry() map[string]Runner {
-	out := make(map[string]Runner, len(registry))
-	for id, r := range registry {
-		out[id] = r
-	}
-	return out
 }
 
 // Names returns the sorted figure identifiers.

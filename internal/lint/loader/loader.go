@@ -107,12 +107,6 @@ func NewAt(root string) (*Loader, error) {
 // Fset returns the loader's shared file set.
 func (l *Loader) Fset() *token.FileSet { return l.fset }
 
-// Module returns the module path from go.mod.
-func (l *Loader) Module() string { return l.module }
-
-// Root returns the module root directory.
-func (l *Loader) Root() string { return l.root }
-
 // Import resolves one import path for the type checker: module
 // packages recurse into the loader, everything else (the standard
 // library) goes to the source importer.

@@ -122,15 +122,3 @@ func (g *FGN) Generate(rng *rand.Rand) []float64 {
 	}
 	return out
 }
-
-// FBM integrates an fGn path into fractional Brownian motion (cumulative
-// sums), handy for DFA-style tests.
-func FBM(fgn []float64) []float64 {
-	out := make([]float64, len(fgn))
-	var s float64
-	for i, v := range fgn {
-		s += v
-		out[i] = s
-	}
-	return out
-}

@@ -118,16 +118,6 @@ func TestFGNMeanAndScale(t *testing.T) {
 	}
 }
 
-func TestFBM(t *testing.T) {
-	got := FBM([]float64{1, 2, 3})
-	want := []float64{1, 3, 6}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("FBM[%d] = %g, want %g", i, got[i], want[i])
-		}
-	}
-}
-
 func TestAggregate(t *testing.T) {
 	x := []float64{1, 3, 2, 4, 10, 20, 5}
 	got, err := Aggregate(x, 2)

@@ -19,6 +19,8 @@ import (
 //
 // Blobs are tagged per estimator kind and validated on restore; callers
 // frame, version and checksum them (the sampling engine codec does).
+// The two ladder blobs carry a reserved i64 after the tag, written as 0
+// and refused otherwise, which keeps the persisted layout unchanged.
 
 const (
 	stateTagAggVar  = 0x11
@@ -29,6 +31,14 @@ const (
 func checkTag(r *binenc.Reader, want uint8, name string) error {
 	if got := r.U8(); r.Err() == nil && got != want {
 		return fmt.Errorf("lrd: state blob tagged %#02x is not %s state (tag %#02x)", got, name, want)
+	}
+	return r.Err()
+}
+
+// checkReserved refuses a ladder blob whose reserved field is not 0.
+func checkReserved(r *binenc.Reader, name string) error {
+	if v := r.I64(); r.Err() == nil && v != 0 {
+		return fmt.Errorf("lrd: %s state reserved field is %d, want 0", name, v)
 	}
 	return r.Err()
 }
@@ -49,7 +59,7 @@ func openHalf(n int64, j int) bool { return n>>j&1 == 1 }
 // AppendState appends the ladder's exact state to dst.
 func (s *StreamAggVar) AppendState(dst []byte) []byte {
 	dst = binenc.AppendU8(dst, stateTagAggVar)
-	dst = binenc.AppendI64(dst, int64(s.MinM))
+	dst = binenc.AppendI64(dst, 0) // reserved
 	dst = binenc.AppendI64(dst, s.n)
 	dst = binenc.AppendU8(dst, uint8(len(s.levels)))
 	for j := range s.levels {
@@ -71,7 +81,9 @@ func (s *StreamAggVar) RestoreState(data []byte) error {
 	if err := checkTag(r, stateTagAggVar, "aggvar"); err != nil {
 		return err
 	}
-	minM := int(r.I64())
+	if err := checkReserved(r, "aggvar"); err != nil {
+		return err
+	}
 	n := r.I64()
 	levels := int(r.U8())
 	if err := r.Err(); err != nil {
@@ -80,7 +92,7 @@ func (s *StreamAggVar) RestoreState(data []byte) error {
 	if err := checkShape("aggvar", levels, n); err != nil {
 		return err
 	}
-	next := StreamAggVar{MinM: minM, n: n, levels: make([]aggLevel, levels)}
+	next := StreamAggVar{n: n, levels: make([]aggLevel, levels)}
 	for j := range next.levels {
 		l := &next.levels[j]
 		l.half.sum = r.F64()
@@ -103,8 +115,8 @@ func (s *StreamAggVar) RestoreState(data []byte) error {
 
 // CompareFoldedStates checks got, an aggvar ladder state, against ref,
 // the state of a ladder fed the same ticks in another batch partition
-// (one Tick per value, say). TickBatch promises exact structure — MinM,
-// tick count, level count, every half-block flag and sum, and every
+// (one Tick per value, say). TickBatch promises exact structure — tick
+// count, level count, every half-block flag and sum, and every
 // level's block count, Min and Max — and level moments within
 // stats.FoldTolerance (stats.CompareFolded). A NaN matches any NaN: its
 // payload depends on the compiled operand order.
@@ -116,9 +128,9 @@ func CompareFoldedStates(ref, got []byte) error {
 	if err := b.RestoreState(got); err != nil {
 		return err
 	}
-	if a.MinM != b.MinM || a.n != b.n || len(a.levels) != len(b.levels) {
-		return fmt.Errorf("lrd: folded ladder minM=%d n=%d levels=%d, want minM=%d n=%d levels=%d",
-			b.MinM, b.n, len(b.levels), a.MinM, a.n, len(a.levels))
+	if a.n != b.n || len(a.levels) != len(b.levels) {
+		return fmt.Errorf("lrd: folded ladder n=%d levels=%d, want n=%d levels=%d",
+			b.n, len(b.levels), a.n, len(a.levels))
 	}
 	for j := range a.levels {
 		ha, hb := a.levels[j].half, b.levels[j].half
@@ -135,7 +147,7 @@ func CompareFoldedStates(ref, got []byte) error {
 // AppendState appends the cascade's exact state to dst.
 func (s *StreamWavelet) AppendState(dst []byte) []byte {
 	dst = binenc.AppendU8(dst, stateTagWavelet)
-	dst = binenc.AppendI64(dst, int64(s.JMin))
+	dst = binenc.AppendI64(dst, 0) // reserved
 	dst = binenc.AppendI64(dst, s.n)
 	dst = binenc.AppendU8(dst, uint8(len(s.levels)))
 	for _, l := range s.levels {
@@ -156,7 +168,9 @@ func (s *StreamWavelet) RestoreState(data []byte) error {
 	if err := checkTag(r, stateTagWavelet, "wavelet"); err != nil {
 		return err
 	}
-	jMin := int(r.I64())
+	if err := checkReserved(r, "wavelet"); err != nil {
+		return err
+	}
 	n := r.I64()
 	levels := int(r.U8())
 	if err := r.Err(); err != nil {
@@ -165,7 +179,7 @@ func (s *StreamWavelet) RestoreState(data []byte) error {
 	if err := checkShape("wavelet", levels, n); err != nil {
 		return err
 	}
-	next := StreamWavelet{JMin: jMin, n: n, levels: make([]waveletLevel, levels)}
+	next := StreamWavelet{n: n, levels: make([]waveletLevel, levels)}
 	for j := range next.levels {
 		l := &next.levels[j]
 		l.half.sum = r.F64()
@@ -197,23 +211,23 @@ func (s *StreamRS) AppendState(dst []byte) []byte {
 }
 
 // RestoreState overwrites the ring from a blob written by AppendState.
-// The window is resized to the blob's window, so the restored estimator
-// forgets exactly as much history as the original did.
+// A ring of any size but rsWindow, or a write position other than the
+// one n ticks leave (n mod rsWindow), is refused.
 func (s *StreamRS) RestoreState(data []byte) error {
 	r := binenc.NewReader(data)
 	if err := checkTag(r, stateTagRS, "rs"); err != nil {
 		return err
 	}
 	n := r.I64()
-	pos := int(r.I64())
+	pos := r.I64()
 	window := r.F64s()
 	if err := r.End(); err != nil {
 		return err
 	}
-	if len(window) < 256 || n < 0 || pos < 0 || pos >= len(window) {
+	if len(window) != rsWindow || n < 0 || pos != n%rsWindow {
 		return fmt.Errorf("lrd: rs state inconsistent (window=%d n=%d pos=%d)", len(window), n, pos)
 	}
 	s.window = window
-	s.n, s.pos = n, pos
+	s.n, s.pos = n, int(pos)
 	return nil
 }

@@ -73,11 +73,11 @@ func TestStreamStateRoundTrip(t *testing.T) {
 	})
 
 	t.Run("rs", func(t *testing.T) {
-		live := NewStreamRS(512)
+		live := NewStreamRS()
 		for _, v := range f[:cut] {
 			live.Tick(v)
 		}
-		restored := NewStreamRS(0) // restore must adopt the blob's window size
+		restored := NewStreamRS()
 		if err := restored.RestoreState(live.AppendState(nil)); err != nil {
 			t.Fatal(err)
 		}
@@ -103,7 +103,7 @@ func TestStreamStateRejectsWrongKind(t *testing.T) {
 	if err := wv.RestoreState(blob); err == nil {
 		t.Fatal("wavelet accepted an aggvar blob")
 	}
-	if err := NewStreamRS(0).RestoreState(blob); err == nil {
+	if err := NewStreamRS().RestoreState(blob); err == nil {
 		t.Fatal("rs accepted an aggvar blob")
 	}
 	if err := av.RestoreState(blob[:len(blob)-3]); err == nil {
@@ -115,7 +115,7 @@ func TestStreamStateRejectsWrongKind(t *testing.T) {
 // bytes its AppendState writes, so whatever restores re-marshals to the
 // same blob.
 func TestStreamStateRejectsTrailingBytes(t *testing.T) {
-	for name, est := range map[string]batchTicker{"aggvar": &StreamAggVar{}, "wavelet": &StreamWavelet{}, "rs": NewStreamRS(0)} {
+	for name, est := range map[string]batchTicker{"aggvar": &StreamAggVar{}, "wavelet": &StreamWavelet{}, "rs": NewStreamRS()} {
 		est.TickBatch([]float64{1, 2, 3, 4, 5})
 		blob := est.AppendState(nil)
 		if err := est.RestoreState(blob); err != nil {
@@ -158,7 +158,7 @@ func TestTickBatchMatchesTick(t *testing.T) {
 	}{
 		{"aggvar", func() batchTicker { return &StreamAggVar{} }},
 		{"wavelet", func() batchTicker { return &StreamWavelet{} }},
-		{"rs", func() batchTicker { return NewStreamRS(256) }},
+		{"rs", func() batchTicker { return NewStreamRS() }},
 	}
 	sizes := []int{0, 1, 2, 3, 7, 63, 64, 65, 255, 257, 8191, 8192, 8193}
 	for _, k := range kinds {
@@ -240,10 +240,11 @@ func TestLadderShapeFollowsTicks(t *testing.T) {
 }
 
 // TestLadderRestoreRejectsImpossibleShapes: a ladder blob whose level
-// count, open half-blocks or block counts no tick sequence produces is
-// refused, and the ladder is left as it was.
+// count, open half-blocks or block counts no tick sequence produces, or
+// whose reserved field is not 0, is refused, and the ladder is left as
+// it was.
 func TestLadderRestoreRejectsImpossibleShapes(t *testing.T) {
-	const head = 1 + 8 + 8 + 1 // tag, MinM/JMin, n, level count
+	const head = 1 + 8 + 8 + 1 // tag, reserved, n, level count
 	kinds := []struct {
 		name   string
 		make   func() batchTicker
@@ -272,6 +273,8 @@ func TestLadderRestoreRejectsImpossibleShapes(t *testing.T) {
 		counted[head+k.count]++
 		negative := bytes.Clone(blob)
 		copy(negative[9:], binenc.AppendI64(nil, -5))
+		reserved := bytes.Clone(blob)
+		copy(reserved[1:], binenc.AppendI64(nil, 3))
 		for name, bad := range map[string][]byte{
 			"48 levels over 5 ticks": levels48,
 			"2 levels over 5 ticks":  short,
@@ -279,6 +282,7 @@ func TestLadderRestoreRejectsImpossibleShapes(t *testing.T) {
 			"open level-1 half":      opened,
 			"level-0 count":          counted,
 			"negative ticks":         negative,
+			"nonzero reserved field": reserved,
 		} {
 			l := k.make()
 			l.TickBatch(stateTrace(3))
@@ -292,6 +296,37 @@ func TestLadderRestoreRejectsImpossibleShapes(t *testing.T) {
 		}
 		if err := k.make().RestoreState(blob); err != nil {
 			t.Errorf("%s: genuine blob refused: %v", k.name, err)
+		}
+	}
+}
+
+// TestRSRestoreRejectsOtherRings: an rs blob whose ring is not
+// rsWindow ticks, or whose write position is not where n ticks leave
+// it, is refused, and the ring is left as it was.
+func TestRSRestoreRejectsOtherRings(t *testing.T) {
+	ring := func(window int, n, pos int64) []byte {
+		b := binenc.AppendU8(nil, stateTagRS)
+		b = binenc.AppendI64(b, n)
+		b = binenc.AppendI64(b, pos)
+		return binenc.AppendF64s(b, stateTrace(window))
+	}
+	if err := NewStreamRS().RestoreState(ring(rsWindow, 5000, 5000%rsWindow)); err != nil {
+		t.Fatalf("genuine ring refused: %v", err)
+	}
+	for name, bad := range map[string][]byte{
+		"256-tick ring":     ring(256, 5000, 5000%256),
+		"4095-tick ring":    ring(rsWindow-1, 5000, 5000%(rsWindow-1)),
+		"8192-tick ring":    ring(2*rsWindow, 5000, 5000),
+		"position behind n": ring(rsWindow, 5000, 903),
+	} {
+		r := NewStreamRS()
+		r.TickBatch(stateTrace(3))
+		before := r.AppendState(nil)
+		if err := r.RestoreState(bad); err == nil {
+			t.Errorf("%s restored", name)
+		}
+		if !bytes.Equal(r.AppendState(nil), before) {
+			t.Errorf("refused %s changed the ring", name)
 		}
 	}
 }

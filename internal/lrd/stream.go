@@ -56,10 +56,6 @@ type halfBlock struct {
 // The zero value is ready to use. Not safe for concurrent use; wrap it
 // the way sampling.Engine wraps its sampler.
 type StreamAggVar struct {
-	// MinM is the smallest aggregation level entering the regression
-	// (rounded into the dyadic grid); zero means 1.
-	MinM int
-
 	n int64
 	// levels[j] is the rung of 2^j-tick blocks; level 0 sees every raw
 	// tick. It holds ladderLevels(n) rungs.
@@ -217,16 +213,12 @@ func (s *StreamAggVar) Moments() stats.AccumulatorState {
 }
 
 // Estimate fits the aggregated-variance regression over the levels the
-// stream has filled so far: dyadic m >= MinM with at least 16 completed
+// stream has filled so far: every dyadic m with at least 16 completed
 // blocks — the same cutoff as the batch default maxM = n/16, so on a
-// complete series Estimate and HurstAggVar(x, MinM, 0) agree exactly.
+// complete series Estimate and HurstAggVar(x, 1, 0) agree exactly.
 // It needs at least three usable levels (n >= 64 or so).
 func (s *StreamAggVar) Estimate() (HurstEstimate, error) {
-	minM := s.MinM
-	if minM < 1 {
-		minM = 1
-	}
-	return s.estimateRange(minM, 0, 16)
+	return s.estimateRange(1, 0, 16)
 }
 
 // estimateRange is the shared regression core: levels with dyadic
@@ -281,10 +273,6 @@ func (s *StreamAggVar) estimateRange(minM, maxM, minBlocks int) (HurstEstimate, 
 //
 // The zero value is ready to use. Not safe for concurrent use.
 type StreamWavelet struct {
-	// JMin is the first octave entering the regression (1-based);
-	// zero means 3, the batch default.
-	JMin int
-
 	n int64
 	// levels[j] is the slot of octave j+1 (slot 0 pairs raw ticks — the
 	// finest octave). It holds ladderLevels(n) slots.
@@ -351,14 +339,10 @@ func haarPush(levels []waveletLevel, a float64) {
 // N returns the number of ticks consumed.
 func (s *StreamWavelet) N() int64 { return s.n }
 
-// Estimate fits the logscale diagram over every octave with at least 8
-// detail coefficients so far — the same regression, bias correction and
-// weighting as the batch HurstWavelet.
+// Estimate fits the logscale diagram over every octave from 3 (the
+// batch default) with at least 8 detail coefficients so far — the same
+// regression, bias correction and weighting as the batch HurstWavelet.
 func (s *StreamWavelet) Estimate() (HurstEstimate, error) {
-	jMin := s.JMin
-	if jMin < 1 {
-		jMin = 3
-	}
 	var mu []float64
 	var counts []int
 	for _, l := range s.levels {
@@ -368,11 +352,14 @@ func (s *StreamWavelet) Estimate() (HurstEstimate, error) {
 		mu = append(mu, l.energy/float64(l.count))
 		counts = append(counts, int(l.count))
 	}
-	return fitLogscale(mu, counts, jMin, len(mu))
+	return fitLogscale(mu, counts, 3, len(mu))
 }
 
+// rsWindow is the ring size of StreamRS: the last 4096 ticks.
+const rsWindow = 4096
+
 // StreamRS is the windowed rescaled-range fallback: a fixed ring of the
-// most recent ticks, re-analyzed on demand with the batch R/S
+// last rsWindow ticks, re-analyzed on demand with the batch R/S
 // estimator. Tick is O(1) and allocation-free; Estimate costs
 // O(window log window) and is meant for the observation path, not the
 // ingest path. Unlike the ladder estimators it forgets history beyond
@@ -387,18 +374,10 @@ type StreamRS struct {
 // a stream keeps only its window resident between snapshots.
 var rsScratch sync.Pool // *[]float64
 
-// NewStreamRS builds a windowed R/S estimator over the last window
-// ticks; window is clamped to at least 256 (the batch R/S regression
-// needs >= 3 block sizes, so 128 ticks alone cannot produce a fit) and
-// defaults to 4096 when <= 0.
-func NewStreamRS(window int) *StreamRS {
-	if window <= 0 {
-		window = 4096
-	}
-	if window < 256 {
-		window = 256
-	}
-	return &StreamRS{window: make([]float64, window)}
+// NewStreamRS builds a windowed R/S estimator over the last rsWindow
+// ticks.
+func NewStreamRS() *StreamRS {
+	return &StreamRS{window: make([]float64, rsWindow)}
 }
 
 // Tick records the observation in the ring. It never allocates.

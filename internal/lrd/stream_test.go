@@ -114,37 +114,28 @@ func TestStreamWaveletRecoversH(t *testing.T) {
 }
 
 func TestStreamRSWindow(t *testing.T) {
-	s := NewStreamRS(256)
+	s := NewStreamRS()
 	if _, err := s.Estimate(); err == nil {
 		t.Error("expected error before the window has 128 ticks")
 	}
-	x := fgnSeries(t, 0.75, 4096, 7)
+	x := fgnSeries(t, 0.75, 3*rsWindow+5, 7)
 	for _, v := range x {
 		s.Tick(v)
 	}
-	if s.N() != 4096 {
-		t.Fatalf("N = %d, want 4096", s.N())
+	if s.N() != int64(len(x)) {
+		t.Fatalf("N = %d, want %d", s.N(), len(x))
 	}
 	got, err := s.Estimate()
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The window holds exactly the last 256 ticks in arrival order.
-	want, err := HurstRS(x[len(x)-256:])
+	// The window holds exactly the last rsWindow ticks in arrival order.
+	want, err := HurstRS(x[len(x)-rsWindow:])
 	if err != nil {
 		t.Fatal(err)
 	}
 	if math.Abs(got.H-want.H) > 1e-12 {
 		t.Errorf("windowed %.6f vs batch-on-tail %.6f", got.H, want.H)
-	}
-}
-
-func TestNewStreamRSClamps(t *testing.T) {
-	if got := len(NewStreamRS(0).window); got != 4096 {
-		t.Errorf("default window = %d, want 4096", got)
-	}
-	if got := len(NewStreamRS(5).window); got != 256 {
-		t.Errorf("clamped window = %d, want 256", got)
 	}
 }
 
@@ -194,7 +185,7 @@ func TestStreamTickDoesNotAllocate(t *testing.T) {
 	}{
 		{"aggvar", func() batchTicker { return &StreamAggVar{} }, uint64(bits.Len64(total))},
 		{"wavelet", func() batchTicker { return &StreamWavelet{} }, uint64(bits.Len64(total))},
-		{"rs", func() batchTicker { return NewStreamRS(256) }, 0},
+		{"rs", func() batchTicker { return NewStreamRS() }, 0},
 	}
 	for _, k := range kinds {
 		warm := k.make()

@@ -118,19 +118,3 @@ func Autocovariance(x []float64, maxLag int) ([]float64, error) {
 	}
 	return out, nil
 }
-
-// Autocorrelation returns rho(0..maxLag) = gamma(tau)/gamma(0).
-func Autocorrelation(x []float64, maxLag int) ([]float64, error) {
-	acv, err := Autocovariance(x, maxLag)
-	if err != nil {
-		return nil, err
-	}
-	if acv[0] == 0 {
-		return nil, fmt.Errorf("stats: autocorrelation undefined for constant series")
-	}
-	out := make([]float64, len(acv))
-	for i, v := range acv {
-		out[i] = v / acv[0]
-	}
-	return out, nil
-}

@@ -118,18 +118,3 @@ func FitPowerLaw(x, y []float64) (p, c float64, fit LineFit, err error) {
 	}
 	return fit.Slope, math.Exp(fit.Intercept), fit, nil
 }
-
-// Log2Points maps positive (x, y) pairs to (log2 x, log2 y), dropping
-// nonpositive entries. Used by the logscale-diagram style plots the paper
-// fits lines to.
-func Log2Points(x, y []float64) (lx, ly []float64) {
-	lx = make([]float64, 0, len(x))
-	ly = make([]float64, 0, len(y))
-	for i := range x {
-		if i < len(y) && x[i] > 0 && y[i] > 0 {
-			lx = append(lx, math.Log2(x[i]))
-			ly = append(ly, math.Log2(y[i]))
-		}
-	}
-	return lx, ly
-}

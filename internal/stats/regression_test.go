@@ -121,13 +121,3 @@ func TestFitPowerLawSkipsNonpositive(t *testing.T) {
 		t.Error("expected error for length mismatch")
 	}
 }
-
-func TestLog2Points(t *testing.T) {
-	lx, ly := Log2Points([]float64{1, 2, -3, 4}, []float64{2, 4, 8, 16})
-	if len(lx) != 3 || len(ly) != 3 {
-		t.Fatalf("kept %d points, want 3", len(lx))
-	}
-	if !almostEqual(lx[1], 1, 1e-12) || !almostEqual(ly[1], 2, 1e-12) {
-		t.Errorf("Log2Points mapped (2,4) to (%g,%g), want (1,2)", lx[1], ly[1])
-	}
-}

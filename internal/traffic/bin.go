@@ -40,32 +40,6 @@ func BinBytes(pkts []Packet, granularity, duration float64) ([]float64, error) {
 	return out, nil
 }
 
-// BinCount returns packets-per-bin counts (not rate-normalized), for
-// workloads where the measured attribute is packet arrivals.
-func BinCount(pkts []Packet, granularity, duration float64) ([]float64, error) {
-	if granularity <= 0 {
-		return nil, fmt.Errorf("traffic: granularity %g must be positive", granularity)
-	}
-	if len(pkts) == 0 {
-		return nil, fmt.Errorf("traffic: cannot bin an empty trace")
-	}
-	if duration <= 0 {
-		duration = pkts[len(pkts)-1].Time + granularity
-	}
-	n := int(duration / granularity)
-	if n < 1 {
-		return nil, fmt.Errorf("traffic: duration %g shorter than one bin (%g)", duration, granularity)
-	}
-	out := make([]float64, n)
-	for _, p := range pkts {
-		idx := int(p.Time / granularity)
-		if idx >= 0 && idx < n {
-			out[idx]++
-		}
-	}
-	return out, nil
-}
-
 // OnPeriods returns the lengths (in ticks) of the maximal runs where
 // f(t) > threshold — the "1-burst periods" B of the paper's Section V-B,
 // whose heavy-tailedness justifies BSS. Runs touching either boundary are

@@ -287,28 +287,6 @@ func TestBinBytesErrors(t *testing.T) {
 	}
 }
 
-func TestBinCount(t *testing.T) {
-	pkts := []Packet{
-		{Time: 0.05, Size: 10}, {Time: 0.15, Size: 10}, {Time: 0.16, Size: 10}, {Time: 0.95, Size: 10},
-	}
-	f, err := BinCount(pkts, 0.1, 1.0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(f) != 10 {
-		t.Fatalf("bins = %d, want 10", len(f))
-	}
-	if f[0] != 1 || f[1] != 2 || f[9] != 1 {
-		t.Errorf("counts = %v", f)
-	}
-	if _, err := BinCount(nil, 0.1, 1); err == nil {
-		t.Error("expected error for empty trace")
-	}
-	if _, err := BinCount(pkts, -1, 1); err == nil {
-		t.Error("expected error for negative granularity")
-	}
-}
-
 func TestOnPeriods(t *testing.T) {
 	f := []float64{0, 5, 6, 0, 0, 7, 0, 8, 8, 8}
 	got := OnPeriods(f, 4)

@@ -21,6 +21,22 @@ const maxStateBytes = 64 << 20
 // status and the peer's error body; branch with errors.Is.
 var ErrPeer = errors.New("peer error")
 
+// PeerError is a non-2xx peer response: the request, the peer's status
+// and its (truncated) error body. It wraps ErrPeer; extract it with
+// errors.As to read the status.
+type PeerError struct {
+	Method string
+	URL    string
+	Status int
+	Body   string
+}
+
+func (e *PeerError) Error() string {
+	return fmt.Sprintf("cluster: %s %s: status %d: %s: %v", e.Method, e.URL, e.Status, e.Body, ErrPeer)
+}
+
+func (e *PeerError) Unwrap() error { return ErrPeer }
+
 // StateClient drives the state resource of both id namespaces
 // (GET/PUT/DELETE {base}/v1/{collection}/{id}/state, where collection
 // is "streams" or "groups") on sampled peers: *StateClient is the
@@ -62,15 +78,15 @@ func (c *StateClient) do(req *http.Request) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// peerStatus is nil for a 2xx response; any other status becomes an
-// ErrPeer carrying the peer's (truncated) error body.
+// peerStatus is nil for a 2xx response; any other status becomes a
+// *PeerError carrying the peer's (truncated) error body.
 func peerStatus(resp *http.Response, body []byte) error {
 	if resp.StatusCode/100 == 2 {
 		return nil
 	}
 	req := resp.Request
-	return fmt.Errorf("cluster: %s %s: status %d: %s: %w",
-		req.Method, req.URL, resp.StatusCode, bytes.TrimSpace(body[:min(len(body), 256)]), ErrPeer)
+	return &PeerError{Method: req.Method, URL: req.URL.String(), Status: resp.StatusCode,
+		Body: string(bytes.TrimSpace(body[:min(len(body), 256)]))}
 }
 
 // Put installs an exported state blob as a new stream or group on a

@@ -76,7 +76,9 @@ func TestSession(t *testing.T) {
 			}
 		}
 		got, err := s.Close()
-		if !errors.Is(err, ErrPeer) || !strings.Contains(err.Error(), "status 404") {
+		var pe *PeerError
+		if !errors.Is(err, ErrPeer) || !errors.As(err, &pe) || pe.Status != http.StatusNotFound ||
+			!strings.Contains(err.Error(), "status 404") {
 			t.Fatalf("Close error = %v, want a 404 ErrPeer", err)
 		}
 		if want := (SessionTotals{Frames: 2, Accepted: 200, Kept: 20}); got != want {

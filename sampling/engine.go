@@ -269,7 +269,7 @@ func (e *Engine) Snapshot() Summary {
 	}
 	s.CILow, s.CIHigh = ci95(&e.acc)
 	if e.estIn != nil {
-		s.Hurst = newHurstSummary(e.estIn.Estimate(), e.estKept.Estimate())
+		s.Hurst = newHurstSummary(e.estIn.Method(), e.estIn.Estimate(), e.estKept.Estimate())
 	}
 	return s
 }

@@ -6,11 +6,11 @@ import (
 )
 
 // The typed failure modes of Parse and New. They alias the internal
-// registry's errors so a *ParamError produced deep inside a factory
+// technique table's errors so a *ParamError produced deep inside a factory
 // satisfies errors.As against the public type.
 var (
 	// ErrUnknownTechnique is wrapped by errors from New when the spec
-	// names no registered technique.
+	// names no known technique.
 	ErrUnknownTechnique = core.ErrUnknownTechnique
 	// ErrBadSpec is wrapped by errors from Parse when the spec string
 	// does not follow the "name:key=val,key=val" syntax.

@@ -5,16 +5,19 @@
 // level — and produce an estimate on demand at any moment mid-stream.
 //
 // Three methods are available, mirroring the batch estimators of the
-// reproduction (internal/lrd) and validated against them:
+// reproduction (internal/lrd) and validated against them. Each has one
+// fixed configuration, with no settings:
 //
 //   - AggVar: streaming aggregated variance over a dyadic ladder of
-//     block sums — on a complete series it agrees exactly with the
-//     batch estimator, because both share one ladder/regression core.
+//     block sums, regressed from m = 1 — on a complete series it agrees
+//     exactly with the batch estimator, because both share one
+//     ladder/regression core.
 //   - Wavelet: streaming Abry-Veitch via a pairwise Haar cascade over
 //     the same ladder discipline, feeding the debiased logscale-diagram
-//     regression.
-//   - RS: rescaled-range analysis over a sliding window of recent
-//     ticks — the assumption-light fallback that forgets old history.
+//     regression from octave 3, the batch default.
+//   - RS: rescaled-range analysis over a sliding window of the last
+//     4096 ticks — the assumption-light fallback that forgets old
+//     history.
 //
 // Estimators are not safe for concurrent use on their own; the
 // sampling.Engine (via sampling.WithEstimator) drives them under its
@@ -33,7 +36,7 @@ import (
 // Method names an estimation algorithm.
 type Method string
 
-// The registered estimation methods.
+// The estimation methods.
 const (
 	AggVar  Method = "aggvar"
 	Wavelet Method = "wavelet"
@@ -44,12 +47,13 @@ const (
 // an estimator; branch with errors.Is.
 var ErrUnknownMethod = errors.New("unknown estimator method")
 
-// Methods returns the registered method names in display order.
+// Methods returns the method names in display order.
 func Methods() []Method { return []Method{AggVar, Wavelet, RS} }
 
-// Estimate is one point-in-time Hurst estimate of a live stream.
+// Estimate is one point-in-time Hurst estimate of a live stream. It
+// does not name its method: the Estimator that produced it does
+// (Method), and so does every summary that carries it.
 type Estimate struct {
-	Method Method
 	H      float64 // estimated Hurst parameter; NaN until determined
 	Beta   float64 // implied ACF decay exponent 2 - 2H; NaN with H
 	Levels int     // regression points (aggregation levels / octaves / block sizes)
@@ -73,8 +77,10 @@ type Estimate struct {
 // AppendState on a live estimator followed by RestoreState on a fresh
 // estimator of the same method yields one that reports the identical
 // estimates — and, fed the same batches, continues the identical
-// ladder recursion — the original would have. The sampling engine codec relies on that to
-// carry Hurst ladders through checkpoints.
+// ladder recursion — the original would have. RestoreState refuses a
+// blob no estimator of the method writes, so whatever restores
+// re-marshals to the same bytes. The sampling engine codec relies on
+// that to carry Hurst ladders through checkpoints.
 type Estimator interface {
 	Method() Method
 	Tick(v float64)
@@ -89,9 +95,10 @@ type Estimator interface {
 	RestoreState(data []byte) error
 }
 
-// New builds an estimator for the named method with its defaults:
-// aggvar and wavelet are unbounded ladders, rs uses a 4096-tick window.
-// Unknown names wrap ErrUnknownMethod.
+// New builds an estimator for the named method. Each method has one
+// fixed configuration: aggvar regresses every dyadic level from m = 1,
+// wavelet every octave from 3, and rs the last 4096 ticks. Unknown
+// names wrap ErrUnknownMethod.
 func New(method Method) (Estimator, error) {
 	switch method {
 	case AggVar:
@@ -99,39 +106,21 @@ func New(method Method) (Estimator, error) {
 	case Wavelet:
 		return &wavelet{}, nil
 	case RS:
-		return NewRS(0), nil
+		return &rs{core: lrd.NewStreamRS()}, nil
 	}
 	return nil, fmt.Errorf("estimate: %q: %w", string(method), ErrUnknownMethod)
-}
-
-// NewAggVar builds a streaming aggregated-variance estimator. minM is
-// the smallest aggregation level entering the regression; <= 0 means 1.
-func NewAggVar(minM int) Estimator {
-	return &aggVar{core: lrd.StreamAggVar{MinM: minM}}
-}
-
-// NewWavelet builds a streaming Haar/Abry-Veitch estimator. jMin is the
-// first octave entering the regression; <= 0 means 3.
-func NewWavelet(jMin int) Estimator {
-	return &wavelet{lrd.StreamWavelet{JMin: jMin}}
-}
-
-// NewRS builds a windowed rescaled-range estimator over the last window
-// ticks; <= 0 means 4096.
-func NewRS(window int) Estimator {
-	return &rs{core: lrd.NewStreamRS(window)}
 }
 
 // finish maps a batch-core result onto the wire-friendly Estimate: an
 // estimator that has not seen enough stream yet reports NaN/false, not
 // an error — "no estimate yet" is a normal state of a live stream.
-func finish(method Method, ticks int64, e lrd.HurstEstimate, err error) Estimate {
+func finish(ticks int64, e lrd.HurstEstimate, err error) Estimate {
 	// A fit that degenerates to a non-finite slope (identical or
 	// overflowed inputs) is also "no estimate", never an OK NaN.
 	if err != nil || math.IsNaN(e.H) || math.IsInf(e.H, 0) {
-		return Estimate{Method: method, H: math.NaN(), Beta: math.NaN(), Ticks: ticks}
+		return Estimate{H: math.NaN(), Beta: math.NaN(), Ticks: ticks}
 	}
-	return Estimate{Method: method, H: e.H, Beta: e.Beta, Levels: e.Fit.N, Ticks: ticks, OK: true}
+	return Estimate{H: e.H, Beta: e.Beta, Levels: e.Fit.N, Ticks: ticks, OK: true}
 }
 
 type aggVar struct{ core lrd.StreamAggVar }
@@ -152,7 +141,7 @@ func (a *aggVar) Moments() stats.AccumulatorState { return a.core.Moments() }
 
 func (a *aggVar) Estimate() Estimate {
 	e, err := a.core.Estimate()
-	return finish(AggVar, a.core.N(), e, err)
+	return finish(a.core.N(), e, err)
 }
 
 // wavelet embeds its cascade, so Tick, TickBatch, AppendState and
@@ -163,7 +152,7 @@ func (w *wavelet) Method() Method { return Wavelet }
 func (w *wavelet) Ticks() int64   { return w.N() }
 func (w *wavelet) Estimate() Estimate {
 	e, err := w.StreamWavelet.Estimate()
-	return finish(Wavelet, w.N(), e, err)
+	return finish(w.N(), e, err)
 }
 
 type rs struct{ core *lrd.StreamRS }
@@ -178,5 +167,5 @@ func (r *rs) TickBatch(values []float64) { r.core.TickBatch(values) }
 func (r *rs) Ticks() int64               { return r.core.N() }
 func (r *rs) Estimate() Estimate {
 	e, err := r.core.Estimate()
-	return finish(RS, r.core.N(), e, err)
+	return finish(r.core.N(), e, err)
 }

@@ -132,31 +132,6 @@ func TestEstimateBeforeWarmup(t *testing.T) {
 	}
 }
 
-// Constructor options reach the cores: a narrow RS window forgets the
-// past, a raised jMin drops the finest octaves from the regression.
-func TestConstructorOptions(t *testing.T) {
-	e := estimate.NewRS(512)
-	feed(e, fgnSeries(t, 0.75, 1024, 5))
-	if got := e.Estimate(); !got.OK {
-		t.Error("RS(512) after 1024 ticks should estimate")
-	}
-	x := fgnSeries(t, 0.8, 1<<14, 6)
-	lo := estimate.NewWavelet(1)
-	hi := estimate.NewWavelet(5)
-	feed(lo, x)
-	feed(hi, x)
-	a, b := lo.Estimate(), hi.Estimate()
-	if !a.OK || !b.OK {
-		t.Fatal("both wavelet variants should estimate on 16k ticks")
-	}
-	if a.Levels <= b.Levels {
-		t.Errorf("jMin=1 used %d levels, jMin=5 used %d; want strictly more", a.Levels, b.Levels)
-	}
-	if got := estimate.NewAggVar(4); got.Method() != estimate.AggVar {
-		t.Error("NewAggVar method mismatch")
-	}
-}
-
 // mallocs returns exactly how many heap allocations f makes;
 // testing.AllocsPerRun's per-run average rounds an allocation made once
 // every few calls down to 0.

@@ -227,18 +227,17 @@ func (g *Group) Snapshot() Comparison {
 		At:       now,
 		Uptime:   now.Sub(g.start),
 	}
-	var in estimate.Estimate
+	var in HurstPoint
 	if g.estIn != nil {
 		in = g.estIn.Estimate()
-		p := hurstPointOf(in)
-		c.Hurst = &p
+		c.Hurst = &in
 	}
 	for i, eng := range g.members {
 		sum := eng.Snapshot()
 		if g.estIn != nil {
 			// The member's input side is the group's shared estimator;
 			// its own engine only tracked the kept side.
-			sum.Hurst = newHurstSummary(in, eng.keptEstimate())
+			sum.Hurst = newHurstSummary(g.method, in, eng.keptEstimate())
 		}
 		c.Members[i] = TechniqueReport{Summary: sum, Fidelity: newFidelity(&c, sum)}
 	}
@@ -334,9 +333,4 @@ type Comparison struct {
 	Finished bool          // Finish (or Sample) has been called
 	At       time.Time     // when the snapshot was taken (per the group's clock)
 	Uptime   time.Duration // time since the group was built
-}
-
-// hurstPointOf maps one estimator reading onto the summary point form.
-func hurstPointOf(e estimate.Estimate) HurstPoint {
-	return HurstPoint{H: e.H, Beta: e.Beta, Levels: e.Levels, Ticks: e.Ticks, OK: e.OK}
 }

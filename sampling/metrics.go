@@ -31,7 +31,7 @@ func SampledSeries(samples []Sample) []float64 { return core.SampledSeries(sampl
 // interval: 1/r rounded to the nearest integer — halves round up (away
 // from zero), so r = 0.4 gives interval 3, not 2 — and never below 1,
 // so any r above 2/3 keeps every tick. It is the conversion rule
-// shared by the spec registry and the CLIs; the achieved rate is
+// shared by the technique table and the CLIs; the achieved rate is
 // 1/interval, which differs from r whenever 1/r is not an integer.
 // Rates outside (0,1] (including NaN) are an error.
 func IntervalForRate(rate float64) (int, error) { return core.IntervalForRate(rate) }

@@ -39,14 +39,10 @@ type Summary struct {
 func (s Summary) Exhausted() bool { return s.Budget > 0 && s.Kept >= s.Budget }
 
 // HurstPoint is one side of the preservation comparison: the online H
-// estimate of a single stream (the engine's input or its kept samples).
-type HurstPoint struct {
-	H      float64 // estimated Hurst parameter; NaN until determined
-	Beta   float64 // implied ACF decay exponent 2 - 2H; NaN with H
-	Levels int     // regression points behind the estimate
-	Ticks  int64   // ticks the estimator had consumed
-	OK     bool    // the stream was long enough to regress
-}
+// estimate of a single stream (the engine's input or its kept samples),
+// exactly the estimator's reading. Its method is carried beside it, by
+// HurstSummary.Method or Comparison.Method.
+type HurstPoint = estimate.Estimate
 
 // HurstSummary is the live form of the paper's central question — does
 // the technique preserve self-similarity? — for one engine: the Hurst
@@ -59,12 +55,10 @@ type HurstSummary struct {
 	Drift  float64         // Kept.H - Input.H; NaN until both sides are OK
 }
 
-// newHurstSummary assembles the block from the two estimator readings.
-func newHurstSummary(in, kept estimate.Estimate) *HurstSummary {
-	point := func(e estimate.Estimate) HurstPoint {
-		return HurstPoint{H: e.H, Beta: e.Beta, Levels: e.Levels, Ticks: e.Ticks, OK: e.OK}
-	}
-	h := &HurstSummary{Method: in.Method, Input: point(in), Kept: point(kept), Drift: math.NaN()}
+// newHurstSummary assembles the block from the two readings of one
+// estimation method.
+func newHurstSummary(method estimate.Method, in, kept HurstPoint) *HurstSummary {
+	h := &HurstSummary{Method: method, Input: in, Kept: kept, Drift: math.NaN()}
 	if in.OK && kept.OK {
 		h.Drift = kept.H - in.H
 	}
