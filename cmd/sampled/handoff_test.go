@@ -3,7 +3,9 @@ package main
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"net"
 	"net/http"
@@ -11,7 +13,9 @@ import (
 	"strconv"
 	"sync"
 	"testing"
+	"time"
 
+	"repro/sampling"
 	"repro/sampling/hub"
 	"repro/sampling/wire"
 )
@@ -84,7 +88,7 @@ func checkFramed(t *testing.T, what string, resp *http.Response, body []byte) {
 // TestStateResponsesFramed: every state response — stream and group,
 // GET and DELETE — carries a Content-Length equal to its body.
 func TestStateResponsesFramed(t *testing.T) {
-	srv := httptest.NewServer(newServer(hub.New(), 0, 0))
+	srv := httptest.NewServer(newServer(hub.New(), 0))
 	defer srv.Close()
 	client := srv.Client()
 	createFilled(t, client, srv.URL, "s", "simple:n=1000,seed=7", heavyTailedSeries(1, 8192))
@@ -109,14 +113,14 @@ func TestStateResponsesFramed(t *testing.T) {
 // chunked and oversized PUTs go to one that caps bodies at 16 KiB.
 func TestPutStateBodies(t *testing.T) {
 	srcHub := hub.New()
-	src := httptest.NewServer(newServer(srcHub, 0, 0))
+	src := httptest.NewServer(newServer(srcHub, 0))
 	defer src.Close()
 	createFilled(t, src.Client(), src.URL, "small", "bernoulli:rate=0.01,seed=5", heavyTailedSeries(2, 4096))
 	_, blob := mustStatus(t, src.Client(), http.MethodGet, src.URL+"/v1/streams/small/state", nil, http.StatusOK)
 	createFilled(t, src.Client(), src.URL, "big", "simple:n=1000,seed=7", heavyTailedSeries(3, 8192))
 	_, big := mustStatus(t, src.Client(), http.MethodGet, src.URL+"/v1/streams/big/state", nil, http.StatusOK)
 
-	srv := httptest.NewServer(newServer(hub.New(), 16<<10, 0))
+	srv := httptest.NewServer(newServer(hub.New(), 16<<10))
 	defer srv.Close()
 	client := srv.Client()
 
@@ -184,7 +188,7 @@ func TestStateHandoffHammer(t *testing.T) {
 		workers = 8
 		rounds  = 2
 	)
-	srv := httptest.NewServer(newServer(hub.New(), 0, 0))
+	srv := httptest.NewServer(newServer(hub.New(), 0))
 	defer srv.Close()
 	client := srv.Client()
 	for i := 0; i < streams; i++ {
@@ -248,7 +252,7 @@ func TestStateHandoffHammer(t *testing.T) {
 func BenchmarkStateHandoff(b *testing.B) {
 	for _, tc := range handoffSpecs {
 		b.Run(tc.name, func(b *testing.B) {
-			srv := httptest.NewServer(newServer(hub.New(), 0, 0))
+			srv := httptest.NewServer(newServer(hub.New(), 0))
 			defer srv.Close()
 			client := srv.Client()
 			url := srv.URL + "/v1/streams/s/state"
@@ -282,4 +286,52 @@ func BenchmarkStateHandoff(b *testing.B) {
 			}
 		})
 	}
+}
+
+// TestPutGroupStateRefusesFinishedMember: a sealed group blob with a
+// finished member inside a live group is a 400, not an install. The
+// blob swaps the member's state for that of a finished twin engine
+// (same spec, clock and ticks) and re-seals the group.
+func TestPutGroupStateRefusesFinishedMember(t *testing.T) {
+	at := time.Unix(1e9, 0)
+	clock := sampling.WithClock(func() time.Time { return at })
+	spec := sampling.MustParse("systematic:interval=10")
+	ticks := heavyTailedSeries(4, 200)
+	g, err := sampling.NewGroup([]sampling.Spec{spec}, clock)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g.OfferBatch(ticks)
+	group, err := g.MarshalState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	twin := func(finish bool) []byte {
+		eng, err := sampling.New(spec, clock)
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng.OfferBatch(ticks)
+		if finish {
+			eng.Finish()
+		}
+		blob, err := eng.MarshalState()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return blob
+	}
+	live, finished := twin(false), twin(true)
+	blob := bytes.Clone(group)
+	at0 := bytes.Index(blob, live)
+	if at0 < 0 || len(finished) != len(live) {
+		t.Fatal("the member's state is not the twin engine's")
+	}
+	copy(blob[at0:], finished)
+	binary.LittleEndian.PutUint32(blob[len(blob)-4:], crc32.ChecksumIEEE(blob[:len(blob)-4]))
+
+	srv := httptest.NewServer(newServer(hub.New(), 0))
+	defer srv.Close()
+	mustStatus(t, srv.Client(), http.MethodPut, srv.URL+"/v1/groups/bad/state", blob, http.StatusBadRequest)
+	mustStatus(t, srv.Client(), http.MethodPut, srv.URL+"/v1/groups/ok/state", group, http.StatusCreated)
 }

@@ -6,7 +6,7 @@
 //
 // The v1 resource model:
 //
-//	PUT    /v1/streams/{id}           create: {"spec": "bss:rate=1e-3,L=10", "seed": 7, "budget": 0, "estimator": "aggvar"}
+//	PUT    /v1/streams/{id}           create: {"spec": "bernoulli:rate=1e-3,seed=7", "budget": 0, "estimator": "aggvar"}
 //	POST   /v1/streams/{id}/ticks     ingest: JSON array of numbers, whitespace-separated text,
 //	                                  or binary tick-batch frames (Content-Type application/x-tickbatch)
 //	POST   /v1/session                streaming ingest: one long-lived connection carrying binary
@@ -117,12 +117,9 @@ func run(ctx context.Context, args []string, ready chan<- net.Addr) error {
 	fs := flag.NewFlagSet("sampled", flag.ContinueOnError)
 	var (
 		addr        = fs.String("addr", ":8080", "listen address")
-		shards      = fs.Int("shards", 64, "hub lock stripes (rounded up to a power of two)")
 		ttl         = fs.Duration("ttl", 0, "evict streams idle for longer than this (0 = never)")
-		sweep       = fs.Duration("sweep-every", time.Minute, "idle-eviction sweep period (with -ttl)")
 		maxBody     = fs.Int64("max-body", 32<<20, "request body cap in bytes")
 		drain       = fs.Duration("drain", 10*time.Second, "graceful-shutdown drain timeout")
-		hurstEvery  = fs.Duration("hurst-metrics-every", 10*time.Second, "refresh period of the O(streams) sampled_hurst_* aggregate on /metrics (0 = every scrape)")
 		ckptDir     = fs.String("checkpoint-dir", "", "durable-state directory: restore the hub from it on boot, checkpoint into it periodically and on shutdown (empty = no durability)")
 		ckptEvery   = fs.Duration("checkpoint-interval", 30*time.Second, "period between checkpoints (with -checkpoint-dir)")
 		route       = fs.String("route", "", "comma-separated backend addresses: serve as a cluster router over them instead of hosting streams locally")
@@ -130,7 +127,6 @@ func run(ctx context.Context, args []string, ready chan<- net.Addr) error {
 		logFormat   = fs.String("log-format", "text", "log output format: text or json")
 		logLevel    = fs.String("log-level", "info", "minimum log level: debug, info, warn or error (request logs are debug; 4xx/5xx are warn/error)")
 		pprofOn     = fs.Bool("pprof", false, "serve runtime profiles on /debug/pprof/")
-		events      = fs.Int("events", 256, "flight-recorder ring size behind /debug/events")
 		version     = fs.Bool("version", false, "print the build version and exit")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -150,8 +146,7 @@ func run(ctx context.Context, args []string, ready chan<- net.Addr) error {
 		return runRouter(ctx, *addr, *route, *maxBody, *healthEvery, *drain, logger, ready)
 	}
 
-	var hubOpts []hub.Option
-	hubOpts = append(hubOpts, hub.WithShards(*shards), hub.WithIdleTTL(*ttl))
+	hubOpts := []hub.Option{hub.WithIdleTTL(*ttl)}
 	var ckpt *checkpointer
 	if *ckptDir != "" {
 		if err := os.MkdirAll(*ckptDir, 0o755); err != nil {
@@ -184,10 +179,9 @@ func run(ctx context.Context, args []string, ready chan<- net.Addr) error {
 	if err != nil {
 		return err
 	}
-	logger.Info("listening", "addr", ln.Addr().String(), "shards", *shards, "ttl", *ttl)
+	logger.Info("listening", "addr", ln.Addr().String(), "ttl", *ttl)
 
-	handler := newServer(h, *maxBody, *hurstEvery,
-		withLogger(logger), withPprof(*pprofOn), withEvents(*events), withReady(&isReady))
+	handler := newServer(h, *maxBody, withLogger(logger), withPprof(*pprofOn), withReady(&isReady))
 	boot := func() error {
 		if ckpt != nil {
 			if err := ckpt.restore(); err != nil {
@@ -200,7 +194,9 @@ func run(ctx context.Context, args []string, ready chan<- net.Addr) error {
 			ready <- ln.Addr()
 		}
 		if *ttl > 0 {
-			go every(ctx, *sweep, func() {
+			// A quarter of the TTL evicts an idle stream within 1.25 TTL;
+			// the minute cap keeps long TTLs from sweeping rarely.
+			go every(ctx, min(*ttl/4, time.Minute), func() {
 				if n := h.Sweep(); n > 0 {
 					logger.Info("evicted idle streams", "count", n)
 				}

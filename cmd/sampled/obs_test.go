@@ -32,7 +32,7 @@ func getBody(t *testing.T, client *http.Client, url string) (int, string) {
 // rendered exposition carries the new families alongside every
 // pre-existing series.
 func TestObservabilitySurface(t *testing.T) {
-	srv := httptest.NewServer(newServer(hub.New(), 0, 0))
+	srv := httptest.NewServer(newServer(hub.New(), 0))
 	defer srv.Close()
 	client := srv.Client()
 
@@ -123,7 +123,7 @@ func TestObservabilitySurface(t *testing.T) {
 // appear newest first, an error request carries its status and the
 // response body as detail.
 func TestDebugEvents(t *testing.T) {
-	srv := httptest.NewServer(newServer(hub.New(), 0, 0))
+	srv := httptest.NewServer(newServer(hub.New(), 0))
 	defer srv.Close()
 	client := srv.Client()
 
@@ -164,13 +164,13 @@ func TestDebugEvents(t *testing.T) {
 // TestPprofOptIn holds /debug/pprof to the -pprof flag: absent by
 // default, live when enabled.
 func TestPprofOptIn(t *testing.T) {
-	off := httptest.NewServer(newServer(hub.New(), 0, 0))
+	off := httptest.NewServer(newServer(hub.New(), 0))
 	defer off.Close()
 	if code, _ := getBody(t, off.Client(), off.URL+"/debug/pprof/cmdline"); code != http.StatusNotFound {
 		t.Fatalf("pprof without -pprof: %d, want 404", code)
 	}
 
-	on := httptest.NewServer(newServer(hub.New(), 0, 0, withPprof(true)))
+	on := httptest.NewServer(newServer(hub.New(), 0, withPprof(true)))
 	defer on.Close()
 	if code, _ := getBody(t, on.Client(), on.URL+"/debug/pprof/cmdline"); code != http.StatusOK {
 		t.Fatalf("pprof with -pprof: %d, want 200", code)

@@ -97,7 +97,7 @@ func newRouter(backends []string, maxTicks int, logger *slog.Logger, client *htt
 	// Boot optimistically: every backend is assumed healthy until the
 	// first probe round says otherwise, so a router never drops early
 	// traffic just because its first poll has not fired yet.
-	rt.ring.Store(cluster.NewRing(rt.backends, 0))
+	rt.ring.Store(cluster.NewRing(rt.backends))
 
 	rt.reg = obs.NewRegistry()
 	rt.backendsUp = rt.reg.NewGauge("sampled_router_backends_up", "Backends currently passing health probes.")

@@ -69,7 +69,7 @@ func TestRouterRouteParity(t *testing.T) {
 // misplaced picks, for a two-backend ring, an id with the given prefix
 // and returns it with its owner and the other backend.
 func misplaced(a, b, prefix string) (id, owner, holder string) {
-	ring := cluster.NewRing([]string{a, b}, 0)
+	ring := cluster.NewRing([]string{a, b})
 	id = prefix + "-0"
 	owner, holder = ring.Lookup(id), a
 	if owner == a {
@@ -93,7 +93,7 @@ func TestRouterConvergesAfterRestart(t *testing.T) {
 
 	sid, sOwner, sHolder := misplaced(b1, b2, "restart-stream")
 	if status, body := doJSON(t, client, http.MethodPut, sHolder+"/v1/streams/"+sid,
-		map[string]any{"spec": "bernoulli:rate=0.05", "seed": uint64(3)}); status != http.StatusCreated {
+		map[string]any{"spec": "bernoulli:rate=0.05,seed=3"}); status != http.StatusCreated {
 		t.Fatalf("create: %d %s", status, body)
 	}
 	if status, _ := doJSON(t, client, http.MethodPost, sHolder+"/v1/streams/"+sid+"/ticks", series); status != http.StatusOK {
@@ -159,7 +159,7 @@ func TestRouterRetriesFailedHandoff(t *testing.T) {
 	backends := make(map[string]*refusingBackend)
 	var urls []string
 	for range 2 {
-		b := &refusingBackend{h: newServer(hub.New(), 0, 0)}
+		b := &refusingBackend{h: newServer(hub.New(), 0)}
 		srv := httptest.NewServer(b)
 		defer srv.Close()
 		backends[srv.URL] = b

@@ -58,12 +58,21 @@ type server struct {
 
 	// The hub's Hurst aggregate costs O(streams) — one engine snapshot
 	// and regression per estimating stream — while every other /metrics
-	// figure is O(shards). The same hook therefore refreshes hurstStats
-	// only once it is hurstEvery old, so high-frequency scraping cannot
-	// stall ingest; the per-stream /hurst endpoint is always live.
-	hurstEvery time.Duration
+	// figure is O(shards). The same hook therefore times each walk and
+	// reruns it only when hurstStale says so, so high-frequency scraping
+	// cannot stall ingest; the per-stream /hurst endpoint is always live.
 	hurstAt    time.Time
+	hurstWalk  time.Duration
 	hurstStats hub.HurstStats
+}
+
+// hurstStale reports whether a Hurst aggregate that is age old, and
+// whose walk took walk, should be recomputed on this scrape. A walk
+// under a millisecond reruns every time; a dearer one reruns only once
+// its result is 100 walks old, so the walk costs a scrape at most a
+// millisecond or about 1% of a core, whatever the stream count.
+func hurstStale(age, walk time.Duration) bool {
+	return walk < time.Millisecond || age >= 100*walk
 }
 
 // wireInstruments is one ingest wire's histogram set: decode seconds,
@@ -75,14 +84,15 @@ type wireInstruments struct {
 }
 
 // serverConfig carries the optional observability knobs; the zero
-// value (no logger, no pprof, default recorder) is what the unit
-// tests run with.
+// value (no logger, no pprof) is what the unit tests run with.
 type serverConfig struct {
 	logger *slog.Logger
 	pprof  bool
-	events int
 	ready  *atomic.Bool
 }
+
+// recorderEvents is the flight-recorder ring size behind /debug/events.
+const recorderEvents = 256
 
 type serverOption func(*serverConfig)
 
@@ -96,11 +106,6 @@ func withPprof(on bool) serverOption {
 	return func(c *serverConfig) { c.pprof = on }
 }
 
-// withEvents sizes the flight recorder ring.
-func withEvents(n int) serverOption {
-	return func(c *serverConfig) { c.events = n }
-}
-
 // withReady connects /readyz to the daemon's readiness flag.
 func withReady(ready *atomic.Bool) serverOption {
 	return func(c *serverConfig) { c.ready = ready }
@@ -109,20 +114,18 @@ func withReady(ready *atomic.Bool) serverOption {
 // newServer builds the daemon's handler around an existing hub. maxBody
 // caps request bodies in bytes (0 means the default of 32 MiB) — an
 // ingest batch bigger than that should be split by the client anyway.
-// hurstEvery is the refresh period of the O(streams) sampled_hurst_*
-// aggregate on /metrics; 0 recomputes on every scrape.
-func newServer(h *hub.Hub, maxBody int64, hurstEvery time.Duration, opts ...serverOption) http.Handler {
+func newServer(h *hub.Hub, maxBody int64, opts ...serverOption) http.Handler {
 	if maxBody <= 0 {
 		maxBody = 32 << 20
 	}
-	cfg := serverConfig{events: 256}
+	var cfg serverConfig
 	for _, o := range opts {
 		o(&cfg)
 	}
-	s := &server{hub: h, maxBody: maxBody, hurstEvery: hurstEvery, logger: cfg.logger, ready: cfg.ready}
+	s := &server{hub: h, maxBody: maxBody, logger: cfg.logger, ready: cfg.ready}
 	s.decoders.maxTicks = max(int(maxBody/8), 1)
 	s.reg = obs.NewRegistry()
-	s.rec = obs.NewRecorder(cfg.events)
+	s.rec = obs.NewRecorder(recorderEvents)
 	s.registerMetrics()
 
 	// Every route is wrapped individually so its duration/size
@@ -201,8 +204,11 @@ func (s *server) registerMetrics() {
 	r := s.reg
 	r.OnScrape(func() {
 		s.statsCache = s.hub.Stats()
-		if s.hurstAt.IsZero() || time.Since(s.hurstAt) >= s.hurstEvery {
-			s.hurstStats, s.hurstAt = s.hub.Hurst(), time.Now()
+		if hurstStale(time.Since(s.hurstAt), s.hurstWalk) {
+			start := time.Now()
+			s.hurstStats = s.hub.Hurst()
+			s.hurstAt = time.Now()
+			s.hurstWalk = s.hurstAt.Sub(start)
 		}
 	})
 	counter := func(name, help string, v func() float64) { r.NewCounterFunc(name, help, v) }
@@ -358,14 +364,13 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	json.NewEncoder(w).Encode(v)
 }
 
-// engineRequest is the seed/budget/estimator part of a create body,
-// shared by streams and groups; the fields map onto the engine options
-// of the public API ("estimator" names an online Hurst estimation
-// method: aggvar, wavelet or rs).
+// engineRequest is the budget/estimator part of a create body, shared
+// by streams and groups; the fields map onto the engine options of the
+// public API ("estimator" names an online Hurst estimation method:
+// aggvar, wavelet or rs). A seed is a parameter of the spec itself.
 type engineRequest struct {
-	Seed      *uint64 `json:"seed,omitempty"`
-	Budget    int     `json:"budget,omitempty"`
-	Estimator string  `json:"estimator,omitempty"`
+	Budget    int    `json:"budget,omitempty"`
+	Estimator string `json:"estimator,omitempty"`
 }
 
 // createRequest is the body of PUT /v1/streams/{id}. The spec comes in
@@ -378,7 +383,7 @@ type createRequest struct {
 
 // createGroupRequest is the body of PUT /v1/groups/{id}: the member
 // specs (each in either wire form, string or object) plus the same
-// seed/budget/estimator options as a stream create — with "estimator"
+// budget/estimator options as a stream create — with "estimator"
 // buying the whole group one shared input-side estimator and one
 // kept-side estimator per member.
 type createGroupRequest struct {
@@ -417,14 +422,11 @@ func decodeStrict(r io.Reader, v any) error {
 	return nil
 }
 
-// options maps the shared seed/budget/estimator request fields onto
+// options maps the shared budget/estimator request fields onto
 // engine options, reporting the 400 itself on a bad budget; the second
 // return is false when a response has already been written.
 func (req engineRequest) options(w http.ResponseWriter) ([]sampling.Option, bool) {
 	var opts []sampling.Option
-	if req.Seed != nil {
-		opts = append(opts, sampling.WithSeed(*req.Seed))
-	}
 	// 0 is the documented "unlimited" default; anything else below 1 is
 	// a client mistake and must not silently create an unbounded stream.
 	if req.Budget < 0 {

@@ -172,7 +172,7 @@ func TestEndToEnd(t *testing.T) {
 }
 
 func TestErrorMapping(t *testing.T) {
-	srv := httptest.NewServer(newServer(hub.New(), 0, 0))
+	srv := httptest.NewServer(newServer(hub.New(), 0))
 	defer srv.Close()
 	client := srv.Client()
 
@@ -209,7 +209,7 @@ func TestErrorMapping(t *testing.T) {
 }
 
 func TestTextIngestAndObjectSpec(t *testing.T) {
-	srv := httptest.NewServer(newServer(hub.New(), 0, 0))
+	srv := httptest.NewServer(newServer(hub.New(), 0))
 	defer srv.Close()
 	client := srv.Client()
 
@@ -280,7 +280,7 @@ func TestTextIngestAndObjectSpec(t *testing.T) {
 
 func TestListAndMetrics(t *testing.T) {
 	h := hub.New()
-	srv := httptest.NewServer(newServer(h, 0, 0))
+	srv := httptest.NewServer(newServer(h, 0))
 	defer srv.Close()
 	client := srv.Client()
 
@@ -317,7 +317,7 @@ func TestListAndMetrics(t *testing.T) {
 // TestOversizedBody checks that blowing the body cap is a 413 (split
 // the batch and retry), distinct from a malformed-body 400.
 func TestOversizedBody(t *testing.T) {
-	srv := httptest.NewServer(newServer(hub.New(), 128, 0))
+	srv := httptest.NewServer(newServer(hub.New(), 128))
 	defer srv.Close()
 	client := srv.Client()
 
@@ -346,16 +346,17 @@ func TestOversizedBody(t *testing.T) {
 	}
 }
 
-// TestBudgetAndSeedOptions checks that the create body's seed/budget
-// fields reach the engine: the seed overrides the spec's and the budget
-// caps kept samples.
+// TestBudgetAndSeedOptions checks that the create body's budget caps
+// kept samples and that a seed travels in the spec: a seed on a seedless
+// technique is a 400, and so is the body field "seed", which no create
+// body has.
 func TestBudgetAndSeedOptions(t *testing.T) {
-	srv := httptest.NewServer(newServer(hub.New(), 0, 0))
+	srv := httptest.NewServer(newServer(hub.New(), 0))
 	defer srv.Close()
 	client := srv.Client()
 
 	code, body := doJSON(t, client, http.MethodPut, srv.URL+"/v1/streams/s", map[string]any{
-		"spec": "bernoulli:rate=0.5", "seed": 99, "budget": 3,
+		"spec": "bernoulli:rate=0.5,seed=99", "budget": 3,
 	})
 	if code != http.StatusCreated {
 		t.Fatalf("PUT: %d %s", code, body)
@@ -377,14 +378,15 @@ func TestBudgetAndSeedOptions(t *testing.T) {
 		t.Errorf("budget not enforced: kept=%d budget=%d", sum.Kept, sum.Budget)
 	}
 	if !strings.Contains(sum.Spec, "seed=99") {
-		t.Errorf("seed option not injected into spec: %s", sum.Spec)
+		t.Errorf("spec seed lost: %s", sum.Spec)
 	}
-	// WithSeed on a seedless technique must fail loudly as a 400.
-	code, _ = doJSON(t, client, http.MethodPut, srv.URL+"/v1/streams/s2", map[string]any{
-		"spec": "systematic:interval=10", "seed": 1,
-	})
-	if code != http.StatusBadRequest {
-		t.Errorf("seed on systematic: got %d, want 400", code)
+	for _, req := range []map[string]any{
+		{"spec": "systematic:interval=10,seed=1"},
+		{"spec": "bernoulli:rate=0.5", "seed": 1},
+	} {
+		if code, body := doJSON(t, client, http.MethodPut, srv.URL+"/v1/streams/s2", req); code != http.StatusBadRequest {
+			t.Errorf("create %v: got %d %s, want 400", req, code, body)
+		}
 	}
 }
 
@@ -392,7 +394,7 @@ func TestBudgetAndSeedOptions(t *testing.T) {
 // 5-sample draw over a 3-tick stream) is still torn down by DELETE, and
 // the summary carries the error.
 func TestFinishErrorStillRemoves(t *testing.T) {
-	srv := httptest.NewServer(newServer(hub.New(), 0, 0))
+	srv := httptest.NewServer(newServer(hub.New(), 0))
 	defer srv.Close()
 	client := srv.Client()
 
@@ -425,7 +427,7 @@ func TestFinishErrorStillRemoves(t *testing.T) {
 // its endpoint and from the snapshot, and check the 404/400 edges.
 func TestHurstEndpoint(t *testing.T) {
 	h := hub.New()
-	srv := httptest.NewServer(newServer(h, 0, 0))
+	srv := httptest.NewServer(newServer(h, 0))
 	defer srv.Close()
 	client := srv.Client()
 
@@ -507,27 +509,31 @@ func TestHurstEndpoint(t *testing.T) {
 	}
 }
 
-// TestMetricsHurstCache: the O(streams) Hurst aggregate on /metrics is
-// recomputed at most once per refresh period, so scraping cannot become
-// an ingest stall; a zero period always recomputes.
+// TestMetricsHurstCache: the O(streams) Hurst aggregate on /metrics
+// reruns on every scrape while its walk is cheap and, once the walk is
+// dear, only when its result is 100 walks old, so scraping cannot
+// become an ingest stall. A small hub's scrape sees a new stream at once.
 func TestMetricsHurstCache(t *testing.T) {
-	h := hub.New()
-	srv := httptest.NewServer(newServer(h, 0, time.Hour))
-	defer srv.Close()
-	scrape := func() string {
-		t.Helper()
-		resp, err := srv.Client().Get(srv.URL + "/metrics")
-		if err != nil {
-			t.Fatal(err)
+	ms := time.Millisecond
+	for _, tc := range []struct {
+		age, walk time.Duration
+		want      bool
+	}{
+		{0, 0, true},                      // never walked
+		{0, 999 * time.Microsecond, true}, // cheap walk: every scrape
+		{99 * ms, ms, false},              // 1 ms walk, 99 walks old
+		{100 * ms, ms, true},              // 1 ms walk, 100 walks old
+		{time.Second, 50 * ms, false},     // 50 ms walk, 20 walks old
+		{5 * time.Second, 50 * ms, true},
+	} {
+		if got := hurstStale(tc.age, tc.walk); got != tc.want {
+			t.Errorf("hurstStale(%v, %v) = %v, want %v", tc.age, tc.walk, got, tc.want)
 		}
-		defer resp.Body.Close()
-		data, err := io.ReadAll(resp.Body)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return string(data)
 	}
-	if !strings.Contains(scrape(), "sampled_hurst_streams_estimating 0") {
+
+	srv := httptest.NewServer(newServer(hub.New(), 0))
+	defer srv.Close()
+	if _, body := getBody(t, srv.Client(), srv.URL+"/metrics"); !strings.Contains(body, "sampled_hurst_streams_estimating 0") {
 		t.Fatal("fresh hub should report 0 estimating streams")
 	}
 	status, body := doJSON(t, srv.Client(), http.MethodPut, srv.URL+"/v1/streams/s",
@@ -535,21 +541,8 @@ func TestMetricsHurstCache(t *testing.T) {
 	if status != http.StatusCreated {
 		t.Fatalf("create: %d %s", status, body)
 	}
-	// Within the period the cached aggregate still shows 0.
-	if !strings.Contains(scrape(), "sampled_hurst_streams_estimating 0") {
-		t.Error("aggregate recomputed inside the refresh period")
-	}
-	// A zero period recomputes every scrape and sees the new stream.
-	live := httptest.NewServer(newServer(h, 0, 0))
-	defer live.Close()
-	resp, err := live.Client().Get(live.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	data, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if !strings.Contains(string(data), "sampled_hurst_streams_estimating 1") {
-		t.Errorf("uncached scrape missed the stream:\n%s", data)
+	if _, body := getBody(t, srv.Client(), srv.URL+"/metrics"); !strings.Contains(body, "sampled_hurst_streams_estimating 1") {
+		t.Errorf("scrape missed the new stream:\n%s", body)
 	}
 }
 
@@ -559,7 +552,7 @@ func TestMetricsHurstCache(t *testing.T) {
 // mapping of the group namespace.
 func TestGroupEndpoints(t *testing.T) {
 	h := hub.New()
-	srv := httptest.NewServer(newServer(h, 0, 0))
+	srv := httptest.NewServer(newServer(h, 0))
 	defer srv.Close()
 	client := srv.Client()
 
@@ -691,7 +684,7 @@ func TestGroupGoldenSnapshot(t *testing.T) {
 	at := time.Date(2026, 7, 27, 12, 0, 0, 0, time.UTC)
 	clock := func() time.Time { return at }
 	h := hub.New(hub.WithClock(clock))
-	srv := httptest.NewServer(newServer(h, 0, 0))
+	srv := httptest.NewServer(newServer(h, 0))
 	defer srv.Close()
 
 	specs := []string{"systematic:interval=2", "bernoulli:rate=0.5,seed=9"}

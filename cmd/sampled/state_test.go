@@ -131,7 +131,7 @@ func TestStateEndpoints(t *testing.T) {
 	client := http.DefaultClient
 
 	status, body := doJSON(t, client, http.MethodPut, base+"/v1/streams/orig",
-		map[string]any{"spec": "bernoulli:rate=0.1", "seed": 7, "estimator": "aggvar"})
+		map[string]any{"spec": "bernoulli:rate=0.1,seed=7", "estimator": "aggvar"})
 	if status != http.StatusCreated {
 		t.Fatalf("create: %d %s", status, body)
 	}
@@ -223,9 +223,9 @@ func TestCheckpointRestartCycle(t *testing.T) {
 	client := http.DefaultClient
 	specs := map[string]map[string]any{
 		"sys": {"spec": "systematic:interval=50"},
-		"ber": {"spec": "bernoulli:rate=0.02", "seed": 9},
-		"res": {"spec": "simple:n=64", "seed": 9},
-		"est": {"spec": "stratified:interval=64", "seed": 9, "estimator": "aggvar"},
+		"ber": {"spec": "bernoulli:rate=0.02,seed=9"},
+		"res": {"spec": "simple:n=64,seed=9"},
+		"est": {"spec": "stratified:interval=64,seed=9", "estimator": "aggvar"},
 	}
 	series := heavyTailedSeries(11, 20000)
 	cut := 12000
@@ -295,7 +295,7 @@ func TestEvictArchive(t *testing.T) {
 	dir := t.TempDir()
 	base, stop := bootDaemon(t,
 		"-checkpoint-dir", dir, "-checkpoint-interval", "1h",
-		"-ttl", "200ms", "-sweep-every", "50ms")
+		"-ttl", "200ms")
 	defer stop()
 	client := http.DefaultClient
 	if status, body := doJSON(t, client, http.MethodPut, base+"/v1/streams/fleeting",
@@ -491,7 +491,7 @@ func TestRouterHandoff(t *testing.T) {
 	for i := range ids {
 		ids[i] = fmt.Sprintf("ho-%02d", i)
 		if status, body := doJSON(t, client, http.MethodPut, routerSrv.URL+"/v1/streams/"+ids[i],
-			map[string]any{"spec": "bernoulli:rate=0.05", "seed": uint64(i + 1)}); status != http.StatusCreated {
+			map[string]any{"spec": fmt.Sprintf("bernoulli:rate=0.05,seed=%d", i+1)}); status != http.StatusCreated {
 			t.Fatalf("create: %d %s", status, body)
 		}
 		if status, _ := doJSON(t, client, http.MethodPost, routerSrv.URL+"/v1/streams/"+ids[i]+"/ticks", series); status != http.StatusOK {

@@ -52,7 +52,7 @@ func mustFrame(t testing.TB, id string, ticks []float64) []byte {
 // multi-frame bodies into streams and groups, with the ingest counters
 // surfacing on /metrics.
 func TestBinaryIngest(t *testing.T) {
-	srv := httptest.NewServer(newServer(hub.New(), 0, 0))
+	srv := httptest.NewServer(newServer(hub.New(), 0))
 	defer srv.Close()
 	client := srv.Client()
 
@@ -116,7 +116,7 @@ func TestBinaryIngest(t *testing.T) {
 // Every error body reports how far the body got.
 func TestBinaryErrorMapping(t *testing.T) {
 	// maxBody 256 gives maxTicks 32 — small enough to trip on purpose.
-	daemon := httptest.NewServer(newServer(hub.New(), 256, 0))
+	daemon := httptest.NewServer(newServer(hub.New(), 256))
 	defer daemon.Close()
 	logger, _ := obs.NewLogger(io.Discard, "text", "error")
 	rt, err := newRouter([]string{daemon.URL}, 32, logger, nil)
@@ -193,7 +193,7 @@ func TestBinaryErrorMapping(t *testing.T) {
 	check("post: empty body to ghost", post("ghost"), nil, http.StatusNotFound, 0)
 
 	// A router with no healthy backend refuses every session frame.
-	rt.ring.Store(cluster.NewRing(nil, 0))
+	rt.ring.Store(cluster.NewRing(nil))
 	check("routed: no healthy backend", routed.URL+"/v1/session", mustFrame(t, "routed", good), http.StatusServiceUnavailable, 0)
 }
 
@@ -214,7 +214,7 @@ func TestBinaryBodyCapProgress(t *testing.T) {
 		{4*len(frame) + 1, 4},
 		{len(frame) - 1, 0},
 	} {
-		srv := httptest.NewServer(newServer(hub.New(), int64(tc.maxBody), 0))
+		srv := httptest.NewServer(newServer(hub.New(), int64(tc.maxBody)))
 		client := srv.Client()
 		if code, _ := doJSON(t, client, http.MethodPut, srv.URL+"/v1/streams/s",
 			map[string]any{"spec": "systematic:interval=2"}); code != http.StatusCreated {
@@ -237,7 +237,7 @@ func TestBinaryBodyCapProgress(t *testing.T) {
 // the failure edges (wrong content type, anonymous frame, ghost
 // stream) reporting how far the session got.
 func TestSessionIngest(t *testing.T) {
-	srv := httptest.NewServer(newServer(hub.New(), 0, 0))
+	srv := httptest.NewServer(newServer(hub.New(), 0))
 	defer srv.Close()
 	client := srv.Client()
 
@@ -307,7 +307,7 @@ func TestSessionIngest(t *testing.T) {
 func TestWireEquivalence(t *testing.T) {
 	at := time.Date(2026, 7, 27, 12, 0, 0, 0, time.UTC)
 	h := hub.New(hub.WithClock(func() time.Time { return at }))
-	srv := httptest.NewServer(newServer(h, 0, 0))
+	srv := httptest.NewServer(newServer(h, 0))
 	defer srv.Close()
 	client := srv.Client()
 
@@ -409,7 +409,7 @@ func BenchmarkServeTicks(b *testing.B) {
 
 	newTarget := func(b *testing.B) (*httptest.Server, *http.Client) {
 		b.Helper()
-		srv := httptest.NewServer(newServer(hub.New(), 0, 0))
+		srv := httptest.NewServer(newServer(hub.New(), 0))
 		b.Cleanup(srv.Close)
 		client := srv.Client()
 		req, err := http.NewRequest(http.MethodPut, srv.URL+"/v1/streams/s",
@@ -491,7 +491,7 @@ func BenchmarkServeTicks(b *testing.B) {
 		for i := range bodies {
 			bodies[i] = mustFrame(b, "", f[i*groupBatch:(i+1)*groupBatch])
 		}
-		srv := httptest.NewServer(newServer(hub.New(), 0, 0))
+		srv := httptest.NewServer(newServer(hub.New(), 0))
 		b.Cleanup(srv.Close)
 		client := srv.Client()
 		create, err := json.Marshal(map[string]any{"estimator": "aggvar", "specs": []string{

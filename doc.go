@@ -5,7 +5,8 @@
 // The supported entry point is the public sampling package (repro/sampling):
 // typed sampler specs (sampling.Parse, Spec.String round-trips), live
 // streaming engines built with functional options
-// (sampling.New(spec, sampling.WithSeed(7), sampling.WithBudget(n))),
+// (sampling.New(spec, sampling.WithBudget(n)), a randomized technique's
+// seed a parameter of its spec),
 // non-destructive mid-stream observation (Engine.Snapshot), typed errors
 // (ErrUnknownTechnique, *ParamError), the paper's evaluation metrics, the
 // BSS parameter design and the Theorem 1 Hurst-preservation checker.

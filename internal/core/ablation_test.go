@@ -3,22 +3,7 @@ package core
 import (
 	"math"
 	"testing"
-
-	"repro/internal/dist"
 )
-
-func TestPlacementString(t *testing.T) {
-	if PlacementSpread.String() != "spread" || PlacementChase.String() != "chase" {
-		t.Error("Placement.String broken")
-	}
-}
-
-func TestPlacementValidation(t *testing.T) {
-	b := BSS{Interval: 10, L: 2, Epsilon: 1, Placement: Placement(9)}
-	if _, err := collect(b, seq(100)); err == nil {
-		t.Error("expected error for unknown placement")
-	}
-}
 
 func TestProbeOffsetsSpread(t *testing.T) {
 	b := BSS{Interval: 10, L: 4, Epsilon: 1}
@@ -58,75 +43,6 @@ func TestProbesTruncatedAtSeriesEnd(t *testing.T) {
 		if s.Index >= len(f) {
 			t.Errorf("sample index %d beyond series end", s.Index)
 		}
-	}
-}
-
-func TestProbeOffsetsChase(t *testing.T) {
-	b := BSS{Interval: 10, L: 4, Epsilon: 1, Placement: PlacementChase}
-	got := b.probeOffsets(100, nil)
-	want := []int{101, 102, 103, 104}
-	if len(got) != len(want) {
-		t.Fatalf("offsets = %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("offset %d = %d, want %d", i, got[i], want[i])
-		}
-	}
-	// Chase never crosses into the next interval.
-	b.L = 20
-	got = b.probeOffsets(100, nil)
-	if len(got) != 9 { // 101..109
-		t.Errorf("chase with L > C kept %d probes, want 9", len(got))
-	}
-}
-
-func TestPlacementAblationChaseQualifiesMore(t *testing.T) {
-	// On bursty data, chasing qualifies more probes per trigger (burst
-	// persistence) but biases the estimate upward relative to spreading.
-	rng := dist.NewRand(606)
-	// Construct on/off bursts directly: heavy-tailed burst lengths.
-	p := dist.Pareto{Alpha: 1.3, Xm: 3}
-	f := make([]float64, 1<<17)
-	i := 0
-	for i < len(f) {
-		burst := int(p.Sample(rng))
-		level := p.Sample(rng)
-		for j := 0; j < burst && i < len(f); j++ {
-			f[i] = level
-			i++
-		}
-		gap := int(p.Sample(rng) * 10)
-		for j := 0; j < gap && i < len(f); j++ {
-			f[i] = 0.5
-			i++
-		}
-	}
-	spread := BSS{Interval: 200, L: 8, Epsilon: 1.0}
-	chase := spread
-	chase.Placement = PlacementChase
-	sSamples, err := collect(spread, f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cSamples, err := collect(chase, f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, sq := CountKinds(sSamples)
-	_, cq := CountKinds(cSamples)
-	if cq <= sq {
-		t.Errorf("chase qualified %d probes, spread %d; chasing should qualify more", cq, sq)
-	}
-	// Both estimates sit above the plain systematic one (qualified samples
-	// only add mass above the threshold).
-	sys, err := collect(Systematic{Interval: 200}, f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if MeanOf(cSamples) <= MeanOf(sys) || MeanOf(sSamples) <= MeanOf(sys) {
-		t.Errorf("BSS means (%g chase, %g spread) should exceed systematic %g",
-			MeanOf(cSamples), MeanOf(sSamples), MeanOf(sys))
 	}
 }
 

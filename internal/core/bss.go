@@ -17,43 +17,20 @@ import (
 //
 // The threshold is either static (Threshold > 0) or adaptive, the paper's
 // online rule: a_th = Epsilon * (running mean of every kept sample so
-// far), seeded from the first PreSamples base samples and updated only at
-// base samples — never while extra probes of the current interval are
-// outstanding.
+// far), seeded from the first bssWarmup base samples and updated only
+// at base samples — never while extra probes of the current interval
+// are outstanding.
 type BSS struct {
-	Interval   int     // base sampling interval C >= 1
-	Offset     int     // base offset in [0, Interval)
-	L          int     // extra probes per triggered interval, >= 0 (0 degenerates to systematic)
-	Epsilon    float64 // adaptive threshold multiplier (used when Threshold == 0)
-	Threshold  float64 // static a_th; > 0 disables the adaptive rule
-	PreSamples int     // warm-up base samples for the adaptive rule (default 10)
-
-	// Placement selects where the L extra probes go; see Placement.
-	Placement Placement
+	Interval  int     // base sampling interval C >= 1
+	Offset    int     // base offset in [0, Interval)
+	L         int     // extra probes per triggered interval, >= 0 (0 degenerates to systematic)
+	Epsilon   float64 // adaptive threshold multiplier (used when Threshold == 0)
+	Threshold float64 // static a_th; > 0 disables the adaptive rule
 }
 
-// Placement is the extra-probe layout within a triggered interval, an
-// ablation axis for the design choice the paper leaves implicit.
-type Placement int
-
-const (
-	// PlacementSpread (the default, the paper's description) spaces the
-	// L probes evenly through the interval at C/(L+1).
-	PlacementSpread Placement = iota
-	// PlacementChase takes the L probes at consecutive ticks right after
-	// the trigger — "burst chasing". It qualifies more probes (the burst
-	// persistence of Eq. 20 is strongest immediately after a trigger) but
-	// over-weights the head of each burst, biasing the estimate upward.
-	PlacementChase
-)
-
-// String implements fmt.Stringer.
-func (p Placement) String() string {
-	if p == PlacementChase {
-		return "chase"
-	}
-	return "spread"
-}
+// bssWarmup is the number of base samples the adaptive rule's running
+// mean warms up on before it arms the threshold.
+const bssWarmup = 10
 
 func (b BSS) validate() error {
 	switch {
@@ -67,29 +44,17 @@ func (b BSS) validate() error {
 		return fmt.Errorf("core: BSS threshold %g must be >= 0", b.Threshold)
 	case b.Threshold == 0 && !(b.Epsilon > 0):
 		return fmt.Errorf("core: adaptive BSS needs Epsilon > 0 (got %g)", b.Epsilon)
-	case b.PreSamples < 0:
-		return fmt.Errorf("core: BSS pre-sample count %d must be >= 0", b.PreSamples)
-	case b.Placement != PlacementSpread && b.Placement != PlacementChase:
-		return fmt.Errorf("core: unknown BSS placement %d", b.Placement)
 	}
 	return nil
 }
 
 // probeOffsets appends the extra-probe tick numbers for a trigger at base
-// tick i, honoring the placement policy and skipping collisions. The
-// stream has no end, so out-of-range probes simply never arrive.
+// tick i, spaced C/(L+1) apart and skipping collisions. The stream has
+// no end, so out-of-range probes simply never arrive.
 func (b BSS) probeOffsets(i int, dst []int) []int {
 	prev := i
 	for j := 1; j <= b.L; j++ {
-		var idx int
-		if b.Placement == PlacementChase {
-			idx = i + j
-			if idx >= i+b.Interval { // never cross into the next interval
-				break
-			}
-		} else {
-			idx = i + j*b.Interval/(b.L+1)
-		}
+		idx := i + j*b.Interval/(b.L+1)
 		if idx == prev {
 			continue
 		}
@@ -133,9 +98,6 @@ type StreamBSS struct {
 func NewStreamBSS(cfg BSS) (*StreamBSS, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
-	}
-	if cfg.PreSamples == 0 {
-		cfg.PreSamples = 10
 	}
 	return &StreamBSS{cfg: cfg, nextBase: cfg.Offset, ath: cfg.Threshold, armed: cfg.Threshold > 0}, nil
 }
@@ -186,7 +148,7 @@ func (s *StreamBSS) base(t int, value float64) {
 	s.running.Add(value)
 	s.baseSeen++
 	if s.cfg.Threshold == 0 {
-		if s.baseSeen >= s.cfg.PreSamples {
+		if s.baseSeen >= bssWarmup {
 			s.ath = s.cfg.Epsilon * s.running.Mean()
 			s.armed = true
 		}

@@ -27,9 +27,6 @@ func TestBSSValidation(t *testing.T) {
 	if _, err := collect(BSS{Interval: 10, L: 2, Epsilon: 1, Offset: 11}, seq(100)); err == nil {
 		t.Error("expected error for offset >= interval")
 	}
-	if _, err := collect(BSS{Interval: 10, L: 2, Epsilon: 1, PreSamples: -1}, seq(100)); err == nil {
-		t.Error("expected error for negative pre-samples")
-	}
 	b := BSS{Interval: 10, L: 5, Epsilon: 1.0}
 	if name := mustKernel(t, b).Name(); name != "bss" {
 		t.Errorf("name = %q", name)
@@ -174,14 +171,14 @@ func TestBSSQualifiedFractionMatchesTheory(t *testing.T) {
 }
 
 func TestBSSAdaptiveWarmup(t *testing.T) {
-	// With PreSamples = 5, the first 4 base samples must not trigger even
-	// if huge.
+	// Until bssWarmup base samples are in, none may trigger, even a
+	// huge one.
 	f := make([]float64, 100)
 	for i := range f {
 		f[i] = 1
 	}
 	f[0] = 1e9 // base sample 0, during warm-up
-	b := BSS{Interval: 10, L: 5, Epsilon: 1, PreSamples: 5}
+	b := BSS{Interval: 10, L: 5, Epsilon: 1}
 	got, err := collect(b, f)
 	if err != nil {
 		t.Fatal(err)
@@ -201,7 +198,7 @@ func TestStreamBSSMatchesBatch(t *testing.T) {
 	for _, cfg := range []BSS{
 		{Interval: 40, L: 6, Epsilon: 1.0},
 		{Interval: 25, L: 4, Threshold: 5},
-		{Interval: 100, L: 12, Epsilon: 1.3, PreSamples: 20},
+		{Interval: 100, L: 12, Epsilon: 1.3},
 	} {
 		stream, err := NewStreamBSS(cfg)
 		if err != nil {

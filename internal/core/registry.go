@@ -67,14 +67,6 @@ func (p *Params) Uint(key string, def uint64) (uint64, error) {
 	return v, nil
 }
 
-// String returns the named parameter verbatim, or def when absent.
-func (p *Params) String(key, def string) string {
-	if s, ok := p.take(key); ok {
-		return s
-	}
-	return def
-}
-
 func (p *Params) take(key string) (string, bool) {
 	s, ok := p.raw[key]
 	if ok {
@@ -313,18 +305,5 @@ func bssFactory(p *Params) (Kernel, error) {
 	if err != nil {
 		return nil, err
 	}
-	pre, err := p.Int("pre", 0)
-	if err != nil {
-		return nil, err
-	}
-	cfg := BSS{Interval: interval, Offset: offset, L: l, Epsilon: eps, Threshold: ath, PreSamples: pre}
-	switch placement := p.String("placement", "spread"); placement {
-	case "spread":
-		cfg.Placement = PlacementSpread
-	case "chase":
-		cfg.Placement = PlacementChase
-	default:
-		return nil, fmt.Errorf("core: unknown BSS placement %q (spread or chase)", placement)
-	}
-	return cfg.Kernel()
+	return BSS{Interval: interval, Offset: offset, L: l, Epsilon: eps, Threshold: ath}.Kernel()
 }

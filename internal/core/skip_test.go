@@ -44,22 +44,19 @@ var batchSpecs = []string{
 	"simple:rate=0.01,seed=13",
 	"bernoulli:rate=0.02,seed=14",
 	"bernoulli:rate=1,seed=2",
-	// BSS: spread and chase placement, adaptive and static threshold,
-	// L=0 (plain systematic), and C < L+1, where spread probes collide
-	// and chase probes run into the next base tick.
+	// BSS: adaptive and static threshold, L=0 (plain systematic), and
+	// C < L+1, where probes collide.
 	"bss:interval=37,offset=5,L=5,eps=1.0",
-	"bss:interval=37,L=5,eps=1.0,placement=chase",
 	"bss:interval=29,offset=3,L=4,ath=3",
-	"bss:interval=29,L=6,ath=3,placement=chase",
+	"bss:interval=29,L=6,ath=3",
 	"bss:interval=50,L=0,eps=1.0",
 	"bss:interval=3,L=7,eps=0.8",
-	"bss:interval=3,L=7,eps=0.8,placement=chase",
 	"bss:interval=1,L=3,eps=1.0",
-	// Longer intervals, larger L and a longer adaptive warm-up.
+	// Longer intervals and larger L.
 	"bss:interval=40,L=6,eps=1.0",
 	"bss:interval=25,L=4,ath=5",
-	"bss:interval=100,L=12,eps=1.3,pre=20",
-	"bss:interval=50,L=5,eps=1.1,placement=chase",
+	"bss:interval=100,L=12,eps=1.3",
+	"bss:interval=50,L=5,eps=1.1",
 }
 
 // runTicks drives the per-tick oracle.
@@ -200,7 +197,7 @@ func TestBSSKernelProbes(t *testing.T) {
 // must equal the uninterrupted per-tick run.
 func TestBSSCheckpointWithPendingProbes(t *testing.T) {
 	f := streamTestTrace(20000)
-	for _, spec := range []string{"bss:interval=37,L=5,eps=1.0", "bss:interval=29,L=6,ath=3,placement=chase"} {
+	for _, spec := range []string{"bss:interval=37,L=5,eps=1.0", "bss:interval=29,L=6,ath=3"} {
 		want := runTicks(t, spec, f)
 		eng, err := Lookup(spec)
 		if err != nil {

@@ -179,13 +179,16 @@ func TestTickBatchMatchesTick(t *testing.T) {
 				// Small batches stop sooner: 300 batches still cross
 				// several power-of-two boundaries.
 				total := min(2*8192+5, 300*max(size, 1))
+				// Both states are appended into buffers reused across
+				// batches: rs's is 32 KiB a side.
+				var a, b []byte
 				for off := 0; off < total; off += max(size, 1) {
 					chunk := f[off : off+size]
 					for _, v := range chunk {
 						ticked.Tick(v)
 					}
 					batched.TickBatch(chunk)
-					a, b := ticked.AppendState(nil), batched.AppendState(nil)
+					a, b = ticked.AppendState(a[:0]), batched.AppendState(b[:0])
 					if k.name == "aggvar" && size > 1 {
 						if err := CompareFoldedStates(a, b); err != nil {
 							t.Fatalf("%s start=%d size=%d: after %d ticks: %v", k.name, start, size, off+size, err)

@@ -75,7 +75,7 @@ func Probe(ctx context.Context, t Transport, nodes []string) *Ring {
 			up = append(up, n)
 		}
 	}
-	return NewRing(up, 0)
+	return NewRing(up)
 }
 
 // Rebalance lists every ring member's streams and groups and transfers

@@ -104,7 +104,7 @@ func newSim(t *testing.T, seed uint64, cov *coverage) *sim {
 		name:     fmt.Sprintf("schedule %d", seed),
 		rng:      rand.New(rand.NewPCG(seed, 0x5eed)),
 		nodes:    map[string]*simNode{},
-		control:  hub.New(hub.WithShards(1), hub.WithClock(simClock)),
+		control:  hub.New(hub.WithClock(simClock)),
 		reported: map[string]bool{},
 		tainted:  map[string]bool{},
 		cov:      cov,
@@ -112,7 +112,7 @@ func newSim(t *testing.T, seed uint64, cov *coverage) *sim {
 	for i := range 2 + s.rng.IntN(3) {
 		name := fmt.Sprintf("n%d", i)
 		s.names = append(s.names, name)
-		s.nodes[name] = &simNode{hub: hub.New(hub.WithShards(1), hub.WithClock(simClock))}
+		s.nodes[name] = &simNode{hub: hub.New(hub.WithClock(simClock))}
 	}
 	for i := range 6 {
 		s.ids = append(s.ids, simID{"streams", fmt.Sprintf("s%d", i),
@@ -138,7 +138,7 @@ func newSim(t *testing.T, seed uint64, cov *coverage) *sim {
 			}
 		}
 	}
-	s.ring = NewRing(s.names, 0) // a router boots optimistic
+	s.ring = NewRing(s.names) // a router boots optimistic
 	return s
 }
 
@@ -315,7 +315,7 @@ func (s *sim) round(r int) {
 	}
 	if restart {
 		s.cov.restarts++
-		s.ring = NewRing(s.names, 0)
+		s.ring = NewRing(s.names)
 	}
 	s.check(r, ring, handoffs, faultFree)
 }
@@ -486,7 +486,7 @@ func (c *cutOnDetach) Put(ctx context.Context, node, _, id string, state []byte)
 // after its source detached the state still installs it on the target,
 // and a rebalance cut that way starts no further move.
 func TestTransferSettlesAfterCancel(t *testing.T) {
-	ring := NewRing([]string{"a", "b"}, 0)
+	ring := NewRing([]string{"a", "b"})
 	var owned []string // two ids b owns
 	for i := 0; len(owned) < 2; i++ {
 		if id := fmt.Sprintf("s%d", i); ring.Lookup(id) == "b" {

@@ -2,13 +2,13 @@
 // nodes and moves their exact engine state when the set changes — the
 // placement and handoff layer under sampled's router mode.
 //
-// Placement is consistent hashing with virtual nodes: each member
-// contributes replicas points on a 64-bit FNV-1a ring, and a stream id
-// is owned by the first point at or after its own hash. Adding or
-// removing one member therefore remaps only the ids that fall into
-// the vanished (or newly claimed) arcs — about 1/N of the keyspace —
-// instead of reshuffling everything, which is exactly what keeps a
-// checkpoint-transfer handoff affordable on membership change.
+// Stream placement is consistent hashing with virtual nodes: each
+// member contributes replicas points on a 64-bit FNV-1a ring, and a
+// stream id is owned by the first point at or after its own hash.
+// Adding or removing one member therefore remaps only the ids that
+// fall into the vanished (or newly claimed) arcs — about 1/N of the
+// keyspace — instead of reshuffling everything, which is exactly what
+// keeps a checkpoint-transfer handoff affordable on membership change.
 //
 // Rings are immutable values built by NewRing; Probe builds one over
 // the members that answer healthy. Rebalance moves every stream and
@@ -26,11 +26,10 @@ import (
 	"strconv"
 )
 
-// DefaultReplicas is the virtual-node count per member when NewRing is
-// given no explicit figure. 128 points per member keeps the expected
-// load imbalance across members in the few-percent range without
-// making ring construction noticeable.
-const DefaultReplicas = 128
+// replicas is the virtual-node count per member. 128 points per member
+// keeps the expected load imbalance across members in the few-percent
+// range without making ring construction noticeable.
+const replicas = 128
 
 // point is one virtual node: a position on the hash circle and the
 // member that owns the arc ending there.
@@ -52,8 +51,8 @@ type Ring struct {
 // other on a 2^64 circle whose arcs average ~1e17 wide, which puts an
 // entire id family inside one arc and therefore on one member. The
 // finalizer avalanches every input bit across the word, restoring the
-// uniform placement consistent hashing is built on. Placement is still
-// a pure function of the string, stable across processes.
+// uniform placement consistent hashing is built on. The position is
+// still a pure function of the string, stable across processes.
 func hash64(s string) uint64 {
 	const (
 		offset64 = 14695981039346656037
@@ -73,13 +72,9 @@ func hash64(s string) uint64 {
 }
 
 // NewRing builds a ring over the given members (duplicates collapse;
-// order is irrelevant) with the given virtual-node count per member
-// (<= 0 means DefaultReplicas). An empty member list is a valid ring
-// that owns nothing.
-func NewRing(members []string, replicas int) *Ring {
-	if replicas <= 0 {
-		replicas = DefaultReplicas
-	}
+// order is irrelevant). An empty member list is a valid ring that owns
+// nothing.
+func NewRing(members []string) *Ring {
 	uniq := slices.Clone(members)
 	sort.Strings(uniq)
 	uniq = slices.Compact(uniq)

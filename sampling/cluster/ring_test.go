@@ -17,8 +17,8 @@ func ringIDs(n int) []string {
 // order, with duplicates) place every id identically — the property
 // that lets independent routers agree without coordination.
 func TestRingDeterministic(t *testing.T) {
-	a := NewRing([]string{"n1", "n2", "n3"}, 0)
-	b := NewRing([]string{"n3", "n1", "n2", "n1"}, 0)
+	a := NewRing([]string{"n1", "n2", "n3"})
+	b := NewRing([]string{"n3", "n1", "n2", "n1"})
 	for _, id := range ringIDs(2000) {
 		if a.Lookup(id) != b.Lookup(id) {
 			t.Fatalf("rings disagree on %s: %s vs %s", id, a.Lookup(id), b.Lookup(id))
@@ -35,7 +35,7 @@ func TestRingDeterministic(t *testing.T) {
 // not a statistical assertion.
 func TestRingBalance(t *testing.T) {
 	members := []string{"node-a", "node-b", "node-c", "node-d"}
-	r := NewRing(members, 0)
+	r := NewRing(members)
 	counts := map[string]int{}
 	ids := ringIDs(10000)
 	for _, id := range ids {
@@ -57,8 +57,8 @@ func TestRingBalance(t *testing.T) {
 // stays put. That containment is what makes membership-change handoff
 // proportional to 1/N instead of a full reshuffle.
 func TestRingMinimalDisruption(t *testing.T) {
-	old := NewRing([]string{"n1", "n2", "n3", "n4"}, 0)
-	cur := NewRing([]string{"n1", "n2", "n4"}, 0)
+	old := NewRing([]string{"n1", "n2", "n3", "n4"})
+	cur := NewRing([]string{"n1", "n2", "n4"})
 	moved := 0
 	for _, id := range ringIDs(10000) {
 		from, to := old.Lookup(id), cur.Lookup(id)
@@ -76,7 +76,7 @@ func TestRingMinimalDisruption(t *testing.T) {
 		t.Fatal("removed member owned nothing — balance test should have caught this")
 	}
 	// Adding the member back restores the original placement exactly.
-	back := NewRing(append(cur.Members(), "n3"), 0)
+	back := NewRing(append(cur.Members(), "n3"))
 	for _, id := range ringIDs(1000) {
 		if back.Lookup(id) != old.Lookup(id) {
 			t.Fatalf("id %s placed differently after remove+add round trip", id)
@@ -86,7 +86,7 @@ func TestRingMinimalDisruption(t *testing.T) {
 
 // TestRingEmpty: the empty ring owns nothing and has no members.
 func TestRingEmpty(t *testing.T) {
-	empty := NewRing(nil, 0)
+	empty := NewRing(nil)
 	if got := empty.Lookup("x"); got != "" {
 		t.Fatalf("empty ring owns %q", got)
 	}
@@ -97,7 +97,7 @@ func TestRingEmpty(t *testing.T) {
 
 // TestRingHas covers the membership probe both ways.
 func TestRingHas(t *testing.T) {
-	r := NewRing([]string{"n1", "n2"}, 0)
+	r := NewRing([]string{"n1", "n2"})
 	if !r.Has("n1") || r.Has("n9") {
 		t.Fatalf("Has misreports membership: n1=%v n9=%v", r.Has("n1"), r.Has("n9"))
 	}
@@ -109,7 +109,7 @@ func TestRingHas(t *testing.T) {
 // putting an entire workload on one member. With the avalanche
 // finalizer every member must pick up a share of a sequential family.
 func TestRingSequentialIDsSpread(t *testing.T) {
-	r := NewRing([]string{"http://10.0.0.1:8080", "http://10.0.0.2:8080"}, 0)
+	r := NewRing([]string{"http://10.0.0.1:8080", "http://10.0.0.2:8080"})
 	counts := map[string]int{}
 	for i := 0; i < 32; i++ {
 		counts[r.Lookup(fmt.Sprintf("flow-%02d", i))]++

@@ -23,9 +23,10 @@
 // # Engines
 //
 // New builds a live streaming engine from a spec, configured with
-// functional options:
+// functional options (a randomized technique's seed is a parameter of
+// the spec itself, e.g. "bernoulli:rate=1e-3,seed=7"):
 //
-//	eng, err := sampling.New(spec, sampling.WithSeed(7), sampling.WithBudget(10_000))
+//	eng, err := sampling.New(spec, sampling.WithBudget(10_000))
 //	for _, v := range ticks {
 //	    if s, kept := eng.Offer(v); kept {
 //	        // s.Index, s.Value, s.Qualified

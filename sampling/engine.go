@@ -3,7 +3,6 @@ package sampling
 import (
 	"fmt"
 	"math"
-	"strconv"
 	"sync"
 	"time"
 
@@ -73,9 +72,6 @@ func New(spec Spec, opts ...Option) (*Engine, error) {
 			return nil, err
 		}
 	}
-	if cfg.seed != nil {
-		spec = spec.With("seed", strconv.FormatUint(*cfg.seed, 10))
-	}
 	// The typed build path: parameters go to the technique's factory as
 	// the map they already are, never round-tripped through the string
 	// syntax (which would re-tokenize values containing ',' or '=').
@@ -108,8 +104,7 @@ func New(spec Spec, opts ...Option) (*Engine, error) {
 // Technique returns the engine's technique name.
 func (e *Engine) Technique() string { return e.kernel.Name() }
 
-// Spec returns a copy of the engine's spec, including any parameters
-// injected by options (e.g. WithSeed).
+// Spec returns a copy of the engine's spec.
 func (e *Engine) Spec() Spec {
 	out := Spec{Technique: e.spec.Technique, Params: make(map[string]string, len(e.spec.Params))}
 	for k, v := range e.spec.Params {
@@ -252,7 +247,19 @@ func (e *Engine) Finished() bool {
 func (e *Engine) Snapshot() Summary {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	now := e.clock()
+	var in *HurstPoint
+	if e.estIn != nil {
+		p := e.estIn.Estimate()
+		in = &p
+	}
+	return e.summary(e.clock(), methodOf(e.estIn), in)
+}
+
+// summary is the engine's Summary at now. in is the input-side Hurst
+// reading that the Hurst block pairs with the engine's kept side, under
+// method: the engine's own for a standalone engine, the group's shared
+// one for a group member, nil for no Hurst block. Callers hold e.mu.
+func (e *Engine) summary(now time.Time, method estimate.Method, in *HurstPoint) Summary {
 	s := Summary{
 		Technique: e.kernel.Name(),
 		Spec:      e.specString,
@@ -268,23 +275,10 @@ func (e *Engine) Snapshot() Summary {
 		Uptime:    now.Sub(e.start),
 	}
 	s.CILow, s.CIHigh = ci95(&e.acc)
-	if e.estIn != nil {
-		s.Hurst = newHurstSummary(e.estIn.Method(), e.estIn.Estimate(), e.estKept.Estimate())
+	if in != nil {
+		s.Hurst = newHurstSummary(method, *in, e.estKept.Estimate())
 	}
 	return s
-}
-
-// keptEstimate returns the live kept-side Hurst estimate, zero when the
-// engine carries no kept-side estimator. Group.Snapshot pairs it with
-// the group's shared input-side estimate; a standalone engine reports
-// both sides through Snapshot().Hurst instead.
-func (e *Engine) keptEstimate() estimate.Estimate {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.estKept == nil {
-		return estimate.Estimate{}
-	}
-	return e.estKept.Estimate()
 }
 
 // ci95 computes the normal-approximation 95% confidence interval for the

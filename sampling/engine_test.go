@@ -219,32 +219,6 @@ func TestBudgetCapsKeptSamples(t *testing.T) {
 	}
 }
 
-func TestWithSeedMatchesSpecSeed(t *testing.T) {
-	f := heavyTrace(1 << 11)
-	viaOpt, err := New(MustParse("stratified:interval=16"), WithSeed(21))
-	if err != nil {
-		t.Fatal(err)
-	}
-	viaSpec, err := New(MustParse("stratified:interval=16,seed=21"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, err := viaOpt.Sample(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := viaSpec.Sample(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(a, b) {
-		t.Error("WithSeed(21) output differs from seed=21 in the spec")
-	}
-	if v, _ := viaOpt.Spec().Param("seed"); v != "21" {
-		t.Errorf("engine spec seed = %q, want the injected 21", v)
-	}
-}
-
 func TestWithClockStampsSummaries(t *testing.T) {
 	now := time.Unix(1000, 0)
 	clock := func() time.Time { return now }

@@ -103,17 +103,6 @@ func TestRunInstancesTypedErrors(t *testing.T) {
 	}
 }
 
-func TestWithSeedOnSeedlessTechniqueIsParamError(t *testing.T) {
-	_, err := New(MustParse("systematic:interval=10"), WithSeed(7))
-	if err == nil {
-		t.Fatal("expected error: systematic takes no seed")
-	}
-	var pe *ParamError
-	if !errors.As(err, &pe) || !strings.Contains(pe.Param, "seed") {
-		t.Errorf("want *ParamError about seed, got %v", err)
-	}
-}
-
 func TestOptionValidation(t *testing.T) {
 	spec := MustParse("systematic:interval=10")
 	if _, err := New(spec, WithBudget(0)); err == nil {

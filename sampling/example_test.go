@@ -63,8 +63,8 @@ func ExampleNew() {
 // batching yields exactly the per-tick sample sequence.
 func ExampleEngine_OfferBatch() {
 	f := exampleTrace(10_000)
-	batched, _ := sampling.New(sampling.MustParse("bernoulli:rate=0.01"), sampling.WithSeed(7))
-	perTick, _ := sampling.New(sampling.MustParse("bernoulli:rate=0.01"), sampling.WithSeed(7))
+	batched, _ := sampling.New(sampling.MustParse("bernoulli:rate=0.01,seed=7"))
+	perTick, _ := sampling.New(sampling.MustParse("bernoulli:rate=0.01,seed=7"))
 
 	var kept int
 	for off := 0; off < len(f); off += 512 {

@@ -17,8 +17,9 @@ import (
 // entry is a blob's payload without its CRC-32 trailer; the harness
 // re-seals it, so a mutation reaches the decoders and validate instead
 // of dying at the checksum. Whatever restore accepts must re-marshal
-// to its own bytes, and then serve every call a daemon makes on a live
-// stream without panicking.
+// to its own bytes, then serve every call a daemon makes on a live
+// stream without panicking, and write states that restore again after
+// a batch and after Finish.
 
 // fuzzTicks are the ticks offered to every restored engine and group.
 var fuzzTicks = stateTrace(64, 99)
@@ -69,6 +70,19 @@ func resealGroup(payload []byte) []byte {
 	return sealState(b[:len(b)-4], 0)
 }
 
+// restoresAgain fails t unless the state marshal writes now restores:
+// whatever restore accepts must keep writing states that restore.
+func restoresAgain[T any](t *testing.T, when string, marshal func([]byte) ([]byte, error), restore func([]byte, ...Option) (T, error)) {
+	t.Helper()
+	blob, err := marshal(nil)
+	if err != nil {
+		t.Fatalf("restored state does not marshal %s: %v", when, err)
+	}
+	if _, err := restore(blob); err != nil {
+		t.Fatalf("state marshalled %s does not restore: %v", when, err)
+	}
+}
+
 // fuzzTickCounts are the stream lengths the seeds are cut at: empty, a
 // partial first estimator block, and several ladder levels deep.
 var fuzzTickCounts = []int{0, 5, 300}
@@ -96,10 +110,9 @@ func FuzzRestoreEngine(f *testing.F) {
 		eng.Snapshot()
 		eng.OfferBatch(fuzzTicks)
 		eng.Snapshot()
+		restoresAgain(t, "after OfferBatch", eng.AppendState, RestoreEngine)
 		eng.Finish()
-		if _, err := eng.AppendState(nil); err != nil {
-			t.Fatalf("restored engine does not marshal: %v", err)
-		}
+		restoresAgain(t, "after Finish", eng.AppendState, RestoreEngine)
 	})
 }
 
@@ -138,9 +151,8 @@ func FuzzRestoreGroup(f *testing.F) {
 		g.Snapshot()
 		g.OfferBatch(fuzzTicks)
 		g.Snapshot()
+		restoresAgain(t, "after OfferBatch", g.AppendState, RestoreGroup)
 		g.Finish()
-		if _, err := g.AppendState(nil); err != nil {
-			t.Fatalf("restored group does not marshal: %v", err)
-		}
+		restoresAgain(t, "after Finish", g.AppendState, RestoreGroup)
 	})
 }

@@ -57,12 +57,11 @@ type Group struct {
 // failing member build fails the whole group with the member's index
 // and spec in the error, the underlying types intact.
 //
-// Options apply group-wide: WithSeed and WithBudget are handed to every
-// member (so a mixed group of seeded and seedless techniques should
-// carry seeds in the specs instead of the option), WithClock times the
-// whole comparison, and WithEstimator attaches the shared input-side
-// estimator plus one kept-side estimator per member — N+1 instances
-// where N separate engines would run 2N.
+// Options apply group-wide: WithBudget is handed to every member (a
+// randomized member's seed is a parameter of its own spec), WithClock
+// times the whole comparison, and WithEstimator attaches the shared
+// input-side estimator plus one kept-side estimator per member — N+1
+// instances where N separate engines would run 2N.
 func NewGroup(specs []Spec, opts ...Option) (*Group, error) {
 	if len(specs) == 0 {
 		// Typed so services can map it to a client error (the sampled
@@ -92,9 +91,6 @@ func NewGroup(specs []Spec, opts ...Option) (*Group, error) {
 		// every engine (the group owns the input side) and the clock must
 		// be the group's.
 		mopts := []Option{WithClock(cfg.clock)}
-		if cfg.seed != nil {
-			mopts = append(mopts, WithSeed(*cfg.seed))
-		}
 		if cfg.budget > 0 {
 			mopts = append(mopts, WithBudget(cfg.budget))
 		}
@@ -115,8 +111,7 @@ func NewGroup(specs []Spec, opts ...Option) (*Group, error) {
 // Len returns the number of member engines.
 func (g *Group) Len() int { return len(g.members) }
 
-// Specs returns a copy of each member's spec, in member order,
-// including parameters injected by options (e.g. WithSeed).
+// Specs returns a copy of each member's spec, in member order.
 func (g *Group) Specs() []Spec {
 	out := make([]Spec, len(g.members))
 	for i, eng := range g.members {
@@ -227,18 +222,16 @@ func (g *Group) Snapshot() Comparison {
 		At:       now,
 		Uptime:   now.Sub(g.start),
 	}
-	var in HurstPoint
 	if g.estIn != nil {
-		in = g.estIn.Estimate()
+		in := g.estIn.Estimate()
 		c.Hurst = &in
 	}
 	for i, eng := range g.members {
-		sum := eng.Snapshot()
-		if g.estIn != nil {
-			// The member's input side is the group's shared estimator;
-			// its own engine only tracked the kept side.
-			sum.Hurst = newHurstSummary(g.method, in, eng.keptEstimate())
-		}
+		// A member's input side is the group's shared estimator; its own
+		// engine tracks only the kept side.
+		eng.mu.Lock()
+		sum := eng.summary(now, g.method, c.Hurst)
+		eng.mu.Unlock()
 		c.Members[i] = TechniqueReport{Summary: sum, Fidelity: newFidelity(&c, sum)}
 	}
 	return c

@@ -340,19 +340,19 @@ func TestGroupConcurrentSnapshot(t *testing.T) {
 }
 
 // TestGroupClockAndSpecs: the group clock stamps the comparison and
-// Specs reflects option-injected parameters.
+// Specs returns each member's spec.
 func TestGroupClockAndSpecs(t *testing.T) {
 	at := time.Date(2026, 7, 27, 9, 0, 0, 0, time.UTC)
 	g, err := sampling.NewGroup(
-		[]sampling.Spec{sampling.MustParse("bernoulli:rate=0.5")},
-		sampling.WithSeed(21), sampling.WithBudget(4),
+		[]sampling.Spec{sampling.MustParse("bernoulli:rate=0.5,seed=21")},
+		sampling.WithBudget(4),
 		sampling.WithClock(func() time.Time { return at }),
 	)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if specs := g.Specs(); specs[0].Params["seed"] != "21" {
-		t.Errorf("WithSeed not visible in Specs(): %v", specs[0])
+		t.Errorf("spec seed not visible in Specs(): %v", specs[0])
 	}
 	g.OfferBatch(groupSeries(1, 100))
 	cmp := g.Snapshot()

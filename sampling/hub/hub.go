@@ -50,7 +50,6 @@ var (
 type Hub struct {
 	streams   space[*sampling.Engine]
 	groups    space[*sampling.Group]
-	stripes   int
 	clock     func() time.Time
 	ttl       time.Duration
 	evictHook func(Eviction)
@@ -59,23 +58,6 @@ type Hub struct {
 
 // Option configures a Hub at construction; see New.
 type Option func(*Hub)
-
-// WithShards sets the number of lock stripes, rounded up to a power of
-// two and clamped to [1, 65536]. The default of 64 keeps contention
-// negligible for thousands of streams; raise it only if profiles show
-// shard-lock waits.
-func WithShards(n int) Option {
-	return func(h *Hub) {
-		if n > 1<<16 {
-			n = 1 << 16
-		}
-		p := 1
-		for p < n {
-			p <<= 1
-		}
-		h.stripes = p
-	}
-}
 
 // WithIdleTTL sets the idle threshold used by Sweep: streams that have
 // not received ticks (or been created) for longer than ttl are evicted.
@@ -95,12 +77,11 @@ func WithClock(now func() time.Time) Option {
 // New builds an empty hub.
 func New(opts ...Option) *Hub {
 	h := &Hub{clock: time.Now}
-	WithShards(64)(h)
 	for _, opt := range opts {
 		opt(h)
 	}
-	h.streams.init("stream", h.stripes, h.clock, sampling.RestoreEngine)
-	h.groups.init("group", h.stripes, h.clock, sampling.RestoreGroup)
+	h.streams.init("stream", h.clock, sampling.RestoreEngine)
+	h.groups.init("group", h.clock, sampling.RestoreGroup)
 	h.start = h.clock()
 	return h
 }
@@ -114,7 +95,7 @@ func (h *Hub) withClock(opts []sampling.Option) []sampling.Option {
 }
 
 // Create builds a fresh engine from the spec (plus engine options, e.g.
-// sampling.WithSeed or WithBudget) and registers it under id. The id
+// sampling.WithBudget or WithEstimator) and registers it under id. The id
 // must be non-empty and not yet live; engine construction failures pass
 // through with their types intact (sampling.ErrUnknownTechnique,
 // *sampling.ParamError), so a service can map them to client errors.

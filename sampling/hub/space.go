@@ -47,8 +47,7 @@ type stripe[M member] struct {
 // make neither rate meaningful.
 type space[M member] struct {
 	kind    string // "stream" or "group", as error texts name it
-	stripes []stripe[M]
-	mask    uint64
+	stripes [stripeCount]stripe[M]
 	clock   func() time.Time
 	rebuild func([]byte, ...sampling.Option) (M, error) // RestoreEngine or RestoreGroup
 	created atomic.Int64
@@ -67,14 +66,18 @@ type tally struct {
 	created, evicted, ticks, kept int64
 }
 
-// init sizes the table to n stripes (a power of two).
-func (s *space[M]) init(kind string, n int, clock func() time.Time, rebuild func([]byte, ...sampling.Option) (M, error)) {
+// stripeCount is the number of lock stripes per namespace, a power of
+// two: enough that unrelated streams almost never share a lock at
+// thousands of streams, and few enough that totals and Sweep, which
+// visit every stripe, stay cheap.
+const stripeCount = 64
+
+// init makes the stripes' id tables.
+func (s *space[M]) init(kind string, clock func() time.Time, rebuild func([]byte, ...sampling.Option) (M, error)) {
 	s.kind, s.clock, s.rebuild = kind, clock, rebuild
-	s.stripes = make([]stripe[M], n)
 	for i := range s.stripes {
 		s.stripes[i].live = make(map[string]*entry[M])
 	}
-	s.mask = uint64(n - 1)
 }
 
 // stripeOf hashes an id onto its stripe (FNV-1a).
@@ -88,7 +91,7 @@ func (s *space[M]) stripeOf(id string) *stripe[M] {
 		hash ^= uint64(id[i])
 		hash *= prime64
 	}
-	return &s.stripes[hash&s.mask]
+	return &s.stripes[hash&(stripeCount-1)]
 }
 
 func (s *space[M]) notFound(id string) error {

@@ -11,21 +11,9 @@ import (
 type Option func(*config) error
 
 type config struct {
-	seed      *uint64
 	budget    int
 	clock     func() time.Time
 	estimator estimate.Method
-}
-
-// WithSeed sets the random seed of a randomized technique, overriding
-// any seed parameter already in the spec. Using it with a technique that
-// takes no seed (e.g. systematic) is a *ParamError, so a typo'd option
-// fails loudly instead of silently doing nothing.
-func WithSeed(seed uint64) Option {
-	return func(c *config) error {
-		c.seed = &seed
-		return nil
-	}
 }
 
 // WithBudget caps the number of samples the engine keeps at n >= 1.

@@ -30,8 +30,8 @@ var specCases = map[string][]string{
 	},
 	"bss": {
 		"bss:rate=1e-3,L=10,eps=1.0",
-		"bss:interval=1000,offset=3,L=5,eps=1.2,pre=20",
-		"bss:interval=100,L=5,ath=2.5,placement=chase",
+		"bss:interval=1000,offset=3,L=5,eps=1.2",
+		"bss:interval=100,L=5,ath=2.5",
 	},
 }
 

@@ -104,8 +104,8 @@ func openState(data []byte, magic uint32, kind string) (*binenc.Reader, error) {
 }
 
 // restoreConfig validates the option set a Restore* call may carry:
-// only the clock is injectable — seed, budget and estimator are part of
-// the serialized state, and overriding them would break the
+// only the clock is injectable — budget and estimator are part of the
+// serialized state, and overriding them would break the
 // byte-identical-continuation invariant.
 func restoreConfig(opts []Option) (config, error) {
 	cfg := config{clock: time.Now}
@@ -117,8 +117,8 @@ func restoreConfig(opts []Option) (config, error) {
 			return config{}, err
 		}
 	}
-	if cfg.seed != nil || cfg.budget != 0 || cfg.estimator != "" {
-		return config{}, fmt.Errorf("sampling: restore accepts only WithClock; seed, budget and estimator are carried by the state blob")
+	if cfg.budget != 0 || cfg.estimator != "" {
+		return config{}, fmt.Errorf("sampling: restore accepts only WithClock; budget and estimator are carried by the state blob")
 	}
 	return cfg, nil
 }
@@ -206,6 +206,8 @@ func (e *Engine) validate(in, kept estimate.Method) error {
 		bad = "more kept than its budget"
 	case e.acc.N() != e.kept:
 		bad = fmt.Sprintf("%d values in its kept accumulator", e.acc.N())
+	case e.finishErr != nil && !e.finished:
+		bad = "a finish error but no finish"
 	case methodOf(e.estIn) != in || methodOf(e.estKept) != kept:
 		bad = fmt.Sprintf("input estimator %q and kept estimator %q where %q and %q belong",
 			methodOf(e.estIn), methodOf(e.estKept), in, kept)
@@ -389,7 +391,8 @@ func RestoreGroup(data []byte, opts ...Option) (*Group, error) {
 // side and for each member: the input accumulator and estimator have
 // consumed exactly the group's ticks with the group's method, and each
 // member has seen those same ticks — its fidelity is scored against
-// them — and estimates only its kept side, with the group's method.
+// them — is finished exactly when the group is, and estimates only its
+// kept side, with the group's method.
 func (g *Group) validate() error {
 	var bad string
 	switch {
@@ -401,10 +404,15 @@ func (g *Group) validate() error {
 		bad = fmt.Sprintf("input estimator %q for method %q", methodOf(g.estIn), g.method)
 	case g.estIn != nil && g.estIn.Ticks() != int64(g.seen):
 		bad = fmt.Sprintf("an input estimator of %d ticks", g.estIn.Ticks())
+	case g.finishErr != nil && !g.finished:
+		bad = "a finish error but no finish"
 	default:
 		for i, eng := range g.members {
 			if eng.seen != g.seen {
 				return fmt.Errorf("sampling: group state member %d has seen %d ticks, the group %d: %w", i, eng.seen, g.seen, ErrBadState)
+			}
+			if eng.finished != g.finished {
+				return fmt.Errorf("sampling: group state member %d has finished=%t, the group %t: %w", i, eng.finished, g.finished, ErrBadState)
 			}
 			if err := eng.validate("", g.method); err != nil {
 				return fmt.Errorf("sampling: group state member %d: %w", i, err)

@@ -43,7 +43,7 @@ var restoreSpecs = []struct {
 	{name: "simple-random-n", spec: "simple:n=64,seed=7"},
 	{name: "simple-random-rate", spec: "simple:rate=0.02,seed=9"},
 	{name: "bernoulli", spec: "bernoulli:rate=0.03,seed=13"},
-	{name: "bss", spec: "bss:interval=50,L=4,eps=1.0,pre=5"},
+	{name: "bss", spec: "bss:interval=50,L=4,eps=1.0"},
 	{name: "bernoulli-budgeted", spec: "bernoulli:rate=0.05,seed=3", budget: 40},
 }
 
@@ -239,7 +239,7 @@ func TestRestoreEngineRejectsCorruption(t *testing.T) {
 	}
 }
 
-// TestRestoreRejectsStateOptions: seed, budget and estimator belong to
+// TestRestoreRejectsStateOptions: budget and estimator belong to
 // the blob; only the clock is injectable at restore time.
 func TestRestoreRejectsStateOptions(t *testing.T) {
 	eng, err := New(MustParse("systematic:interval=5"))
@@ -249,9 +249,6 @@ func TestRestoreRejectsStateOptions(t *testing.T) {
 	blob, err := eng.MarshalState()
 	if err != nil {
 		t.Fatal(err)
-	}
-	if _, err := RestoreEngine(blob, WithSeed(9)); err == nil {
-		t.Error("WithSeed accepted on restore")
 	}
 	if _, err := RestoreEngine(blob, WithBudget(10)); err == nil {
 		t.Error("WithBudget accepted on restore")
@@ -747,6 +744,7 @@ func TestRestoreRefusesImpossibleCounters(t *testing.T) {
 		"accumulator short of kept":  func(e *Engine) { e.acc = stats.Accumulator{} },
 		"accumulator past kept":      func(e *Engine) { e.acc.Add(1) },
 		"negative qualified counter": func(e *Engine) { e.qualified = -1 },
+		"finish error but no finish": func(e *Engine) { e.finishErr = errors.New("stale") },
 	}
 	for name, tamper := range cases {
 		eng := stateEngine(t, "bss:interval=10,L=3,ath=1", 0, "")
@@ -766,8 +764,10 @@ func TestRestoreRefusesImpossibleCounters(t *testing.T) {
 // seen the group's ticks, and its fidelity is scored against them. A
 // group blob carrying, as its second member, the state of a 5000-tick
 // engine in a group that has seen 100 ticks was accepted; it is
-// refused. So is a group whose input accumulator disagrees with its
-// tick count.
+// refused. So are a group whose input accumulator disagrees with its
+// tick count, a finished member in a live group (it would ignore every
+// later batch the group counts, so the group's next state would not
+// restore) and a finish error on a group that is not finished.
 func TestRestoreGroupRefusesForeignMember(t *testing.T) {
 	specs := []Spec{MustParse("systematic:interval=10"), MustParse("bernoulli:rate=0.1,seed=4")}
 	newGroup := func() *Group {
@@ -794,13 +794,19 @@ func TestRestoreGroupRefusesForeignMember(t *testing.T) {
 		t.Errorf("5000-tick member in a 100-tick group: restore returned %v, want ErrBadState", err)
 	}
 
-	g = newGroup()
-	g.inputAcc.Add(1)
-	if blob, err = g.MarshalState(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := RestoreGroup(blob); !errors.Is(err, ErrBadState) {
-		t.Errorf("input accumulator past seen: restore returned %v, want ErrBadState", err)
+	for name, tamper := range map[string]func(g *Group){
+		"input accumulator past seen": func(g *Group) { g.inputAcc.Add(1) },
+		"finished member, live group": func(g *Group) { g.members[0].finished = true },
+		"finish error but no finish":  func(g *Group) { g.finishErr = errors.New("stale") },
+	} {
+		g := newGroup()
+		tamper(g)
+		if blob, err = g.MarshalState(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := RestoreGroup(blob); !errors.Is(err, ErrBadState) {
+			t.Errorf("%s: restore returned %v, want ErrBadState", name, err)
+		}
 	}
 
 	if blob, err = newGroup().MarshalState(); err != nil {

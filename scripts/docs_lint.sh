@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # docs_lint.sh — keep the prose honest.
 #
-# Two checks over the repo's markdown:
+# Three checks over the repo's markdown:
 #
 #   1. Every fenced ```go block in README.md and ARCHITECTURE.md must
 #      parse. Full files (starting with "package") are fed to gofmt
@@ -15,6 +15,15 @@
 #      that creeps in when a flag is renamed but the README keeps the
 #      old spelling.
 #
+#   3. Every inline code span that starts with -name (`-ttl`,
+#      `-log-level {debug,...}`) must name a flag some command
+#      registers, or a `go test` flag from a short allowlist — the same
+#      drift in prose, where no command is named.
+#
+# A flag counts as registered only through a flag-set call in a
+# command's non-test sources — fs.X("name", ...) or fs.XVar(&v,
+# "name", ...) — not through any string literal that happens to match.
+#
 # Run from the repo root: ./scripts/docs_lint.sh
 set -euo pipefail
 
@@ -24,6 +33,16 @@ docs=(README.md ARCHITECTURE.md)
 fail=0
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
+
+# registered_flags DIR... prints the flags the commands in DIR...
+# register, one per line.
+registered_flags() {
+	local dir
+	for dir in "$@"; do
+		find "$dir" -maxdepth 1 -name '*.go' ! -name '*_test.go' -print0 |
+			xargs -0 -r grep -hoE 'fs\.[A-Z][A-Za-z0-9]*\((&[^,]+, *)?"[^"]+"'
+	done | sed -E 's/.*"([^"]+)"$/\1/' | sort -u
+}
 
 # --- 1. go snippets must parse -------------------------------------------
 
@@ -64,18 +83,34 @@ done
 # --- 2. README flags must exist in the named command ---------------------
 
 # Lines like `go run ./cmd/sampled -addr :8080 -ttl 10m` — each -flag
-# must appear as a registration ("flagname" string literal) in cmd/NAME.
+# must be registered by cmd/NAME.
 while read -r line; do
 	cmd=$(sed -E 's|.*go run \./cmd/([a-z]+).*|\1|' <<<"$line")
 	[ -d "cmd/$cmd" ] || continue
+	flags=$(registered_flags "cmd/$cmd")
 	# Strip flag values so "-d '{...}'" payloads are not mistaken for flags.
 	for flag in $(grep -oE ' -[a-zA-Z][a-zA-Z-]*' <<<"$line" | sed 's/^ -//' | sort -u); do
-		if ! grep -qr "\"$flag\"" "cmd/$cmd"/*.go; then
+		if ! grep -qx -- "$flag" <<<"$flags"; then
 			echo "docs_lint: flag -$flag not registered by cmd/$cmd (line: $line)"
 			fail=1
 		fi
 	done
 done < <(grep -h 'go run \./cmd/' "${docs[@]}" | grep ' -' | grep -v '^//')
+
+# --- 3. flags named in prose must exist ----------------------------------
+
+all_flags=$(registered_flags cmd/*/)
+go_test_flags="benchtime"
+for doc in "${docs[@]}"; do
+	# Inline spans outside fenced blocks, paired left to right per line.
+	for flag in $(awk '/^```/ { fence = !fence; next } !fence' "$doc" |
+		grep -oE '`[^`]*`' | sed -nE 's/^`-([a-zA-Z][a-zA-Z0-9-]*).*/\1/p' | sort -u); do
+		if ! grep -qx -- "$flag" <<<"$all_flags" && ! grep -qw -- "$flag" <<<"$go_test_flags"; then
+			echo "docs_lint: $doc names -$flag, which no command registers"
+			fail=1
+		fi
+	done
+done
 
 if [ "$fail" -ne 0 ]; then
 	exit 1
