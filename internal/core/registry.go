@@ -203,6 +203,20 @@ func Names() []string {
 	return out
 }
 
+// SpecInterval resolves the base sampling interval of a technique's raw
+// parameters by the rule the technique table applies — the entry point
+// for callers outside the table, such as instance factories that spread
+// offsets across the interval. A rejected parameter is a *ParamError
+// naming the technique.
+func SpecInterval(name string, kv map[string]string) (int, error) {
+	interval, err := specInterval(NewParams(kv))
+	var pe *ParamError
+	if errors.As(err, &pe) {
+		pe.Technique = name
+	}
+	return interval, err
+}
+
 // specInterval resolves the shared interval/rate parameter pair: an
 // explicit interval wins; otherwise a rate r in (0,1] maps to the base
 // interval round(1/r).

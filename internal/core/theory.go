@@ -50,16 +50,6 @@ func (d BSSDesign) epsilonOf(c float64) float64 {
 	return c * (d.Alpha - 1) / d.Alpha
 }
 
-// TriggerProb returns the probability that one base sample exceeds a_th,
-// Pr(X > a_th) = c^-alpha.
-func (d BSSDesign) TriggerProb(eps float64) float64 {
-	c := d.ThresholdRatio(eps)
-	if c <= 1 {
-		return 1
-	}
-	return math.Pow(c, -d.Alpha)
-}
-
 // QualifiedFraction returns L'/N = L * c^-2alpha, the expected number of
 // qualified samples per base sample — the overhead surface of Figure 15.
 func (d BSSDesign) QualifiedFraction(l, eps float64) float64 {
@@ -214,28 +204,6 @@ func bisect(g func(float64) float64, a, b, tol float64) (float64, error) {
 	return (a + b) / 2, nil
 }
 
-// BurstPersistence is the paper's Eq. (20): given the 1-burst length B is
-// Pareto with index alpha, the probability that the process stays above
-// the threshold one more tick after tau consecutive exceedances is
-// (tau/(tau+1))^alpha, which tends to 1 — the theoretical licence for
-// taking extra samples after a trigger.
-func BurstPersistence(tau float64, alpha float64) float64 {
-	if tau <= 0 {
-		return math.NaN()
-	}
-	return math.Pow(tau/(tau+1), alpha)
-}
-
-// BurstPersistenceLight is the paper's Eq. (19): with an exponential-tailed
-// B the same conditional probability is the constant exp(-c2) — no matter
-// how long the burst has lasted, so extra samples would buy nothing.
-func BurstPersistenceLight(c2 float64) float64 {
-	if c2 <= 0 {
-		return math.NaN()
-	}
-	return math.Exp(-c2)
-}
-
 // EtaFromRate is the paper's Eq. (35): the alpha-stable central limit
 // theorem for heavy-tailed summands gives |Xs - Xr| ~ N^(1/alpha - 1), so
 // with N = rate * Nt the expected relative bias of plain systematic
@@ -251,53 +219,6 @@ func EtaFromRate(rate, alpha, cs float64) float64 {
 		eta = 0.99
 	}
 	return eta
-}
-
-// OptimalDesign is the paper's stated future work ("how to optimally set
-// these parameters so as to strike a balance between the sampling
-// overhead and the accuracy"): among all (L, eps) pairs on the unbiased
-// contour xi = 1 for a given eta, minimize the qualified-sample overhead.
-//
-// On the contour, L(eps) = eta*c^(2 alpha)/(c-1) (Eq. 23) gives overhead
-// L*c^(-2 alpha) = eta/(c-1) — strictly decreasing in the threshold. The
-// optimum therefore pushes eps as high as the L budget allows: the
-// binding constraint is L <= maxL (one cannot probe more finely than the
-// base interval permits), and the solution is the eps at which L(eps)
-// first hits maxL.
-func (d BSSDesign) OptimalDesign(eta float64, maxL int) (l int, eps, overhead float64, err error) {
-	if eta <= 0 || eta >= 1 {
-		return 0, 0, 0, fmt.Errorf("core: eta %g outside (0,1)", eta)
-	}
-	if maxL < 1 {
-		return 0, 0, 0, fmt.Errorf("core: maxL %d must be >= 1", maxL)
-	}
-	// L(eps) is increasing for c >= c* = 2alpha/(2alpha-1); search the
-	// upper branch for L(eps) = maxL.
-	cStar := 2 * d.Alpha / (2*d.Alpha - 1)
-	lOf := func(c float64) float64 { return eta * math.Pow(c, 2*d.Alpha) / (c - 1) }
-	lo := cStar
-	if lOf(lo) > float64(maxL) {
-		// Even the cheapest point of the branch needs more than maxL
-		// probes: fall back to the smallest-L point of the contour.
-		eps = d.epsilonOf(cStar)
-		lv := lOf(cStar)
-		l = int(math.Ceil(lv))
-		if l > maxL {
-			return 0, 0, 0, fmt.Errorf("core: bias eta=%.3g needs L=%.1f > maxL=%d at the cheapest threshold; raise maxL", eta, lv, maxL)
-		}
-		return l, eps, d.QualifiedFraction(float64(l), eps), nil
-	}
-	hi := cStar
-	for lOf(hi) < float64(maxL) && hi < 1e9 {
-		hi *= 2
-	}
-	c, err := bisect(func(c float64) float64 { return lOf(c) - float64(maxL) }, lo, hi, 1e-10)
-	if err != nil {
-		return 0, 0, 0, fmt.Errorf("core: optimal design: %w", err)
-	}
-	eps = d.epsilonOf(c)
-	l = maxL
-	return l, eps, eta / (c - 1), nil
 }
 
 // DesignForRate assembles the paper's online parameter rule (Section V-C,
@@ -326,28 +247,4 @@ func (d BSSDesign) DesignForRate(rate, eps, cs float64, maxL int) (l int, eta fl
 		l = maxL
 	}
 	return l, eta, nil
-}
-
-// DesignEpsForRate is the dual online rule (the paper's Figure 16(a) /
-// 17(a) mode): fix L, estimate eta from the rate, and solve for the
-// economical (upper-branch) epsilon. As the estimated bias vanishes the
-// returned epsilon grows without bound and BSS smoothly degenerates to
-// plain systematic sampling, which makes this the better-behaved mode at
-// high sampling rates.
-func (d BSSDesign) DesignEpsForRate(rate float64, l int, cs float64) (eps, eta float64, err error) {
-	if l < 1 {
-		return 0, 0, fmt.Errorf("core: epsilon design needs L >= 1, got %d", l)
-	}
-	eta = EtaFromRate(rate, d.Alpha, cs)
-	if math.IsNaN(eta) {
-		return 0, 0, fmt.Errorf("core: invalid rate %g / cs %g for the eta law", rate, cs)
-	}
-	if eta < 1e-4 {
-		eta = 1e-4 // degenerate: essentially unbiased already
-	}
-	eps, err = d.EpsForTarget(float64(l), eta, 1)
-	if err != nil {
-		return 0, 0, fmt.Errorf("core: designing epsilon for rate %g: %w", rate, err)
-	}
-	return eps, eta, nil
 }

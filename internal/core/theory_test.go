@@ -23,16 +23,13 @@ func TestNewBSSDesign(t *testing.T) {
 
 func TestThresholdRatioAndTrigger(t *testing.T) {
 	d := BSSDesign{Alpha: 1.5}
-	// eps = floor => c = 1 => every sample "triggers".
+	// eps = floor => c = 1 => a_th sits at the minimum ell.
 	if c := d.ThresholdRatio(d.EpsilonFloor()); math.Abs(c-1) > 1e-12 {
 		t.Errorf("c at floor = %g, want 1", c)
 	}
-	if p := d.TriggerProb(d.EpsilonFloor()); p != 1 {
-		t.Errorf("trigger prob at floor = %g, want 1", p)
-	}
-	// eps = 1 => c = 3 => trigger prob 3^-1.5.
-	if p := d.TriggerProb(1); math.Abs(p-math.Pow(3, -1.5)) > 1e-12 {
-		t.Errorf("trigger prob = %g", p)
+	// eps = 1 => c = alpha/(alpha-1) = 3.
+	if c := d.ThresholdRatio(1); math.Abs(c-3) > 1e-12 {
+		t.Errorf("c at eps=1 = %g, want 3", c)
 	}
 }
 
@@ -193,32 +190,6 @@ func TestEpsRoots(t *testing.T) {
 	}
 	if math.Abs(got-eps2) > 1e-9 {
 		t.Errorf("EpsForTarget = %g, want upper root %g", got, eps2)
-	}
-}
-
-func TestBurstPersistence(t *testing.T) {
-	// Eq. (20): monotone increasing to 1 for heavy tails.
-	prev := 0.0
-	for tau := 1.0; tau <= 1000; tau *= 2 {
-		p := BurstPersistence(tau, 1.3)
-		if p <= prev || p >= 1 {
-			t.Errorf("persistence at tau=%g is %g (prev %g)", tau, p, prev)
-		}
-		prev = p
-	}
-	if p := BurstPersistence(1e9, 1.3); p < 0.999 {
-		t.Errorf("persistence should approach 1, got %g", p)
-	}
-	if !math.IsNaN(BurstPersistence(0, 1.3)) {
-		t.Error("tau = 0 should give NaN")
-	}
-	// Eq. (19): constant for light tails, independent of tau by
-	// construction.
-	if p := BurstPersistenceLight(0.5); math.Abs(p-math.Exp(-0.5)) > 1e-12 {
-		t.Errorf("light persistence = %g", p)
-	}
-	if !math.IsNaN(BurstPersistenceLight(0)) {
-		t.Error("c2 = 0 should give NaN")
 	}
 }
 

@@ -99,10 +99,6 @@ func (t *table) addRow(cells ...string) {
 	t.rows = append(t.rows, cells)
 }
 
-func (t *table) addRowf(format string, args ...any) {
-	t.rows = append(t.rows, strings.Split(fmt.Sprintf(format, args...), "\t"))
-}
-
 func (t *table) String() string {
 	widths := make([]int, len(t.header))
 	for i, h := range t.header {

@@ -42,9 +42,9 @@ type meanSweepConfig struct {
 func meanSweep(f []float64, mean float64, rates []float64, cfg meanSweepConfig) ([]MeanRow, error) {
 	rows := make([]MeanRow, 0, len(rates))
 	for ri, rate := range rates {
-		interval := int(1/rate + 0.5)
-		if interval < 1 {
-			interval = 1
+		interval, err := core.IntervalForRate(rate)
+		if err != nil {
+			return nil, err
 		}
 		n := len(f) / interval
 		if n < 2 {
@@ -147,14 +147,7 @@ func (r *Fig06Result) Render() string {
 // (L, epsilon) parameter pairs compared against systematic and simple
 // random sampling.
 func staticBSSFigure(s Scale, useReal bool, pairs [2][2]float64) (*Fig12Result, error) {
-	var f []float64
-	var info TraceInfo
-	var err error
-	if useReal {
-		f, info, err = RealTrace(s)
-	} else {
-		f, info, err = SyntheticTrace(s)
-	}
+	f, info, err := traceFor(s, useReal)
 	if err != nil {
 		return nil, err
 	}
@@ -221,14 +214,7 @@ type Fig16Result struct {
 
 // biasedBSSFigure is shared by Figures 16 and 17.
 func biasedBSSFigure(s Scale, useReal bool, fixedL int) (*Fig16Result, error) {
-	var f []float64
-	var info TraceInfo
-	var err error
-	if useReal {
-		f, info, err = RealTrace(s)
-	} else {
-		f, info, err = SyntheticTrace(s)
-	}
+	f, info, err := traceFor(s, useReal)
 	if err != nil {
 		return nil, err
 	}

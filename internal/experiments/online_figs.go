@@ -23,14 +23,7 @@ type Fig18Result struct {
 
 // onlineBSSFigure is shared by Figures 18 and 19.
 func onlineBSSFigure(s Scale, useReal bool) (*Fig18Result, error) {
-	var f []float64
-	var info TraceInfo
-	var err error
-	if useReal {
-		f, info, err = RealTrace(s)
-	} else {
-		f, info, err = SyntheticTrace(s)
-	}
+	f, info, err := traceFor(s, useReal)
 	if err != nil {
 		return nil, err
 	}
@@ -116,7 +109,10 @@ func Fig20(s Scale) (*Fig20Result, error) {
 	}
 	res := &Fig20Result{Instances: instancesFor(s)}
 	for ri, rate := range ratesFor(len(f), minSamplesFor(s)) {
-		interval := int(1/rate + 0.5)
+		interval, err := core.IntervalForRate(rate)
+		if err != nil {
+			return nil, err
+		}
 		n := len(f) / interval
 		if n < 2 {
 			continue

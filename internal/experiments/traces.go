@@ -119,6 +119,16 @@ func SyntheticTrace(s Scale) ([]float64, TraceInfo, error) {
 	})
 }
 
+// traceFor returns the real trace when useReal is set and the synthetic
+// one otherwise — the choice the figure pairs (12/13, 16/17, 18/19)
+// differ by.
+func traceFor(s Scale, useReal bool) ([]float64, TraceInfo, error) {
+	if useReal {
+		return RealTrace(s)
+	}
+	return SyntheticTrace(s)
+}
+
 // RealTrace returns the cached Bell-Labs-substitute workload: an OD-flow
 // packet trace binned at 10 ms into a bytes/second process.
 func RealTrace(s Scale) ([]float64, TraceInfo, error) {

@@ -33,16 +33,15 @@ type Fig05Result struct {
 func varianceSweep(f []float64, mean float64, rates []float64, design *core.BSSDesign, cs float64) ([]VarianceRow, error) {
 	rows := make([]VarianceRow, 0, len(rates))
 	for _, rate := range rates {
-		interval := int(1/rate + 0.5)
-		if interval < 1 {
-			interval = 1
+		interval, err := core.IntervalForRate(rate)
+		if err != nil {
+			return nil, err
 		}
 		n := len(f) / interval
 		if n < 2 {
 			continue
 		}
 		row := VarianceRow{Rate: rate}
-		var err error
 		row.Systematic, err = core.ExactSystematicVariance(f, interval, mean)
 		if err != nil {
 			return nil, fmt.Errorf("systematic at rate %g: %w", rate, err)

@@ -1,10 +1,13 @@
 package lint_test
 
 import (
+	"go/ast"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"io/fs"
 	"os"
+	"path"
 	"path/filepath"
 	"sort"
 	"strconv"
@@ -12,6 +15,7 @@ import (
 	"testing"
 
 	"repro/internal/lint"
+	"repro/internal/lint/loader"
 )
 
 // The meta-tests hold the suite's configuration against the repo
@@ -264,6 +268,132 @@ func moduleImports(t *testing.T) map[string][]string {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+	return out
+}
+
+// exportKeep lists exported identifiers under internal/ that no
+// non-test code calls but a test other than their own needs as a
+// reference or harness, each with the test that needs it.
+// TestInternalExportsHaveCallers requires every other exported
+// identifier there to have a non-test caller, so keeping one alive for
+// tests is always an explicit, documented decision.
+var exportKeep = map[string]string{
+	"repro/internal/core.CheckSNCDirect":      "TestCheckSNCDirectMatchesFFT: the direct-convolution reference for CheckSNC's FFT path",
+	"repro/internal/core.Lookup":              "TestEngineMatchesCoreBatch (sampling): builds the bare kernel the public engine is held to",
+	"repro/internal/core.StratifiedInstances": "TestTheorem2OrderingOnLRDTraffic: the per-instance seeding of the Theorem 2 ordering check",
+	"repro/internal/dsp.DFTNaive":             "TestFFTMatchesNaiveDFT: the O(n^2) reference for FFT",
+	"repro/internal/dsp.Haar":                 "TestStreamWaveletMatchesBatchHaar (lrd): the batch wavelet the streaming estimator is held to",
+	"repro/internal/dsp.IFFT":                 "TestFFTRoundTrip: the inverse that checks FFT",
+	"repro/internal/lint.ObsExempt":           "TestObsImportersScoped: the documented exemptions from its import-graph rule",
+	"repro/internal/lint.ReadAllExempt":       "TestScopesCoverIngestGraph: the documented exemptions from its import-graph rule",
+	"repro/internal/lrd.CompareFoldedStates":  "FuzzEstimatorTick (sampling/estimate): the state comparison for batch-vs-tick folds",
+	"repro/internal/stats.Autocovariance":     "TestFGNMatchesTheoreticalAutocov (lrd): the empirical side of the fGn check",
+	"repro/internal/stats.MinMax":             "TestOnOffMeanMatchesTheory (traffic): bounds the generated series",
+	"repro/internal/trace.ReadPackets":        "TestRunPackets (cmd/tracegen): reads back what the command wrote",
+	"repro/internal/trace.ReadPacketsCSV":     "TestPacketsCSVRoundTrip: reads back what WritePacketsCSV wrote",
+}
+
+// TestInternalExportsHaveCallers keeps internal/ to code that runs: a
+// package-level exported func, type, var or const under repro/internal/
+// must be referenced by non-test code — in the module or in _perfbench
+// — or be listed in exportKeep. The test-support package analysistest
+// is skipped: its only callers are tests by design.
+func TestInternalExportsHaveCallers(t *testing.T) {
+	const internalPrefix = "repro/internal/"
+	ld, err := loader.New()
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkgs, err := ld.Load("./...")
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// used holds every internal object non-test code refers to; perf
+	// holds "path.Name" selectors from _perfbench, a separate module the
+	// loader does not walk.
+	used := make(map[types.Object]bool)
+	for _, p := range pkgs {
+		for _, obj := range p.Info.Uses {
+			if obj.Pkg() == nil || !strings.HasPrefix(obj.Pkg().Path(), internalPrefix) {
+				continue
+			}
+			used[obj] = true
+		}
+	}
+	perf := perfbenchSelectors(t, filepath.Join(moduleRoot(t), "_perfbench"))
+
+	live := func(key string, obj types.Object) bool {
+		return used[obj] || perf[key]
+	}
+	seen := make(map[string]bool)
+	for _, p := range pkgs {
+		if !strings.HasPrefix(p.Path, internalPrefix) || p.Path == "repro/internal/lint/analysistest" {
+			continue
+		}
+		scope := p.Types.Scope()
+		for _, name := range scope.Names() {
+			obj := scope.Lookup(name)
+			if !obj.Exported() {
+				continue
+			}
+			key := p.Path + "." + name
+			seen[key] = true
+			_, kept := exportKeep[key]
+			switch {
+			case live(key, obj) && kept:
+				t.Errorf("exportKeep lists %s, which non-test code now calls — stale entry", key)
+			case !live(key, obj) && !kept:
+				t.Errorf("%s (%s) has no non-test caller — delete it, or list the test that needs it in exportKeep", key, p.Fset.Position(obj.Pos()))
+			}
+		}
+	}
+	for key := range exportKeep {
+		if !seen[key] {
+			t.Errorf("exportKeep lists %s, which is not declared — stale entry", key)
+		}
+	}
+}
+
+// perfbenchSelectors returns "importpath.Name" for every selector in
+// dir's Go files whose operand is an imported package name.
+func perfbenchSelectors(t *testing.T, dir string) map[string]bool {
+	t.Helper()
+	files, err := filepath.Glob(filepath.Join(dir, "*.go"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(files) == 0 {
+		t.Fatalf("no Go files in %s", dir)
+	}
+	out := make(map[string]bool)
+	fset := token.NewFileSet()
+	for _, f := range files {
+		file, err := parser.ParseFile(fset, f, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		names := make(map[string]string)
+		for _, imp := range file.Imports {
+			p, err := strconv.Unquote(imp.Path.Value)
+			if err != nil {
+				t.Fatal(err)
+			}
+			name := path.Base(p)
+			if imp.Name != nil {
+				name = imp.Name.Name
+			}
+			names[name] = p
+		}
+		ast.Inspect(file, func(n ast.Node) bool {
+			if sel, ok := n.(*ast.SelectorExpr); ok {
+				if x, ok := sel.X.(*ast.Ident); ok && names[x.Name] != "" {
+					out[names[x.Name]+"."+sel.Sel.Name] = true
+				}
+			}
+			return true
+		})
 	}
 	return out
 }

@@ -12,17 +12,6 @@ type PowerLawACF struct {
 	Beta  float64
 }
 
-// NewPowerLawACF validates the LRD regime 0 < beta < 1.
-func NewPowerLawACF(c, beta float64) (PowerLawACF, error) {
-	if beta <= 0 || beta >= 1 {
-		return PowerLawACF{}, fmt.Errorf("lrd: beta=%g outside the LRD range (0,1)", beta)
-	}
-	if c <= 0 {
-		return PowerLawACF{}, fmt.Errorf("lrd: ACF constant %g must be positive", c)
-	}
-	return PowerLawACF{Const: c, Beta: beta}, nil
-}
-
 // At returns R(tau); R(0) is defined as Const (the tau -> 0 limit is
 // irrelevant for the asymptotic analyses that use this model).
 func (r PowerLawACF) At(tau float64) float64 {
@@ -101,30 +90,4 @@ func (r FGNACF) DeltaSeries(maxTau int) []float64 {
 		out[tau-1] = r.Delta(tau)
 	}
 	return out
-}
-
-// Aggregate returns the m-aggregated series of the paper's Eq. (1):
-//
-//	f^(m)(tau) = (1/m) * sum_{i=(tau-1)m+1}^{tau*m} f(i)
-//
-// i.e. block means over non-overlapping windows of length m. The trailing
-// partial block, if any, is dropped.
-func Aggregate(x []float64, m int) ([]float64, error) {
-	if m < 1 {
-		return nil, fmt.Errorf("lrd: aggregation level m=%d must be >= 1", m)
-	}
-	n := len(x) / m
-	if n == 0 {
-		return nil, fmt.Errorf("lrd: series of length %d too short for aggregation level %d", len(x), m)
-	}
-	out := make([]float64, n)
-	for b := 0; b < n; b++ {
-		var s float64
-		base := b * m
-		for i := 0; i < m; i++ {
-			s += x[base+i]
-		}
-		out[b] = s / float64(m)
-	}
-	return out, nil
 }

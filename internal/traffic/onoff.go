@@ -1,9 +1,9 @@
 // Package traffic implements the traffic-model substrate of the
 // reproduction: the superposed heavy-tailed ON/OFF aggregate the paper
-// generates with ns-2, an M/G/infinity generator, an OD-flow packet-trace
-// synthesizer standing in for the proprietary Bell Labs traces, and the
-// binning that turns packet traces into the rate process f(t) the sampling
-// techniques operate on.
+// generates with ns-2, an OD-flow packet-trace synthesizer standing in
+// for the proprietary Bell Labs traces, and the binning that turns
+// packet traces into the rate process f(t) the sampling techniques
+// operate on.
 package traffic
 
 import (
@@ -148,100 +148,4 @@ func GenerateOnOff(cfg OnOffConfig, rng *rand.Rand) ([]float64, error) {
 		}
 	}
 	return out, nil
-}
-
-// MGInfinityConfig describes an M/G/infinity input process: sessions arrive
-// as a Poisson process and each contributes one unit of load for a
-// heavy-tailed (Pareto) holding time. Session counts sampled per tick form
-// an LRD series with H = (3 - alpha)/2, an alternative construction used in
-// ablation studies.
-type MGInfinityConfig struct {
-	ArrivalRate float64 // sessions per tick (> 0)
-	Alpha       float64 // Pareto shape of holding times, in (1, 2)
-	MeanHold    float64 // mean holding time in ticks (> 0)
-	Ticks       int
-	Warmup      int
-}
-
-// Validate checks the configuration.
-func (c MGInfinityConfig) Validate() error {
-	switch {
-	case !(c.ArrivalRate > 0):
-		return fmt.Errorf("traffic: ArrivalRate=%g must be positive", c.ArrivalRate)
-	case !(c.Alpha > 1) || c.Alpha >= 2:
-		return fmt.Errorf("traffic: Alpha=%g must lie in (1,2)", c.Alpha)
-	case !(c.MeanHold > 0):
-		return fmt.Errorf("traffic: MeanHold=%g must be positive", c.MeanHold)
-	case c.Ticks < 1:
-		return fmt.Errorf("traffic: Ticks=%d must be >= 1", c.Ticks)
-	case c.Warmup < 0:
-		return fmt.Errorf("traffic: Warmup=%d must be >= 0", c.Warmup)
-	}
-	return nil
-}
-
-// GenerateMGInfinity simulates the process and returns the per-tick number
-// of sessions in the system.
-func GenerateMGInfinity(cfg MGInfinityConfig, rng *rand.Rand) ([]float64, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	warmup := cfg.Warmup
-	if warmup == 0 {
-		warmup = cfg.Ticks / 8
-	}
-	hold, err := dist.NewPareto(cfg.Alpha, cfg.MeanHold*(cfg.Alpha-1)/cfg.Alpha)
-	if err != nil {
-		return nil, fmt.Errorf("traffic: holding distribution: %w", err)
-	}
-	total := warmup + cfg.Ticks
-	// Difference array: +1 at arrival, -1 after departure.
-	diff := make([]float64, total+1)
-	for t := 0; t < total; t++ {
-		n := poisson(rng, cfg.ArrivalRate)
-		for i := 0; i < n; i++ {
-			d := int(math.Ceil(hold.Sample(rng)))
-			if d < 1 {
-				d = 1
-			}
-			diff[t]++
-			if t+d < len(diff) {
-				diff[t+d]--
-			}
-		}
-	}
-	out := make([]float64, cfg.Ticks)
-	var active float64
-	for t := 0; t < total; t++ {
-		active += diff[t]
-		if t >= warmup {
-			out[t-warmup] = active
-		}
-	}
-	return out, nil
-}
-
-// poisson draws a Poisson variate (Knuth for small means, normal
-// approximation above 30 where Knuth's loop grows costly).
-func poisson(rng *rand.Rand, mean float64) int {
-	if mean <= 0 {
-		return 0
-	}
-	if mean > 30 {
-		v := mean + math.Sqrt(mean)*rng.NormFloat64()
-		if v < 0 {
-			return 0
-		}
-		return int(v + 0.5)
-	}
-	l := math.Exp(-mean)
-	k := 0
-	p := 1.0
-	for {
-		p *= rng.Float64()
-		if p <= l {
-			return k
-		}
-		k++
-	}
 }

@@ -182,15 +182,3 @@ func SynthesizeTrace(cfg SynthConfig, rng *rand.Rand) ([]Packet, error) {
 	}
 	return pkts, nil
 }
-
-// FilterOD returns only the packets of one origin-destination flow, the
-// "specified OD flows" use case the paper motivates sampling with.
-func FilterOD(pkts []Packet, src, dst uint16) []Packet {
-	out := make([]Packet, 0, len(pkts)/8)
-	for _, p := range pkts {
-		if p.Src == src && p.Dst == dst {
-			out = append(out, p)
-		}
-	}
-	return out
-}

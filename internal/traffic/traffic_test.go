@@ -114,47 +114,6 @@ func TestOnOffDeterministicGivenSeed(t *testing.T) {
 	}
 }
 
-func TestMGInfinity(t *testing.T) {
-	cfg := MGInfinityConfig{ArrivalRate: 2, Alpha: 1.5, MeanHold: 5, Ticks: 1 << 14}
-	x, err := GenerateMGInfinity(cfg, dist.NewRand(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Stationary mean of M/G/inf is lambda * E[hold] = 10.
-	if m := stats.Mean(x); math.Abs(m-10)/10 > 0.3 {
-		t.Errorf("mean sessions %g, want ~10", m)
-	}
-	bad := cfg
-	bad.Alpha = 2.5
-	if _, err := GenerateMGInfinity(bad, dist.NewRand(3)); err == nil {
-		t.Error("expected validation error for alpha outside (1,2)")
-	}
-	bad = cfg
-	bad.ArrivalRate = 0
-	if _, err := GenerateMGInfinity(bad, dist.NewRand(3)); err == nil {
-		t.Error("expected validation error for zero arrival rate")
-	}
-}
-
-func TestPoissonMoments(t *testing.T) {
-	rng := dist.NewRand(17)
-	for _, mean := range []float64{0.5, 4, 50} {
-		var acc stats.Accumulator
-		for i := 0; i < 40000; i++ {
-			acc.Add(float64(poisson(rng, mean)))
-		}
-		if math.Abs(acc.Mean()-mean)/mean > 0.05 {
-			t.Errorf("mean=%g: empirical %g", mean, acc.Mean())
-		}
-		if math.Abs(acc.Variance()-mean)/mean > 0.12 {
-			t.Errorf("mean=%g: variance %g, want ~mean", mean, acc.Variance())
-		}
-	}
-	if poisson(rng, 0) != 0 {
-		t.Error("poisson(0) should be 0")
-	}
-}
-
 func defaultSynth() SynthConfig {
 	return SynthConfig{
 		Pairs:     50,
@@ -234,18 +193,6 @@ func TestStatsEmpty(t *testing.T) {
 	st := Stats(nil)
 	if st.Packets != 0 || st.Bytes != 0 || st.MeanRate != 0 {
 		t.Errorf("empty stats = %+v, want zero value", st)
-	}
-}
-
-func TestFilterOD(t *testing.T) {
-	pkts := []Packet{
-		{Time: 0, Src: 0, Dst: 1, Size: 100},
-		{Time: 1, Src: 2, Dst: 3, Size: 100},
-		{Time: 2, Src: 0, Dst: 1, Size: 50},
-	}
-	od := FilterOD(pkts, 0, 1)
-	if len(od) != 2 || od[1].Size != 50 {
-		t.Errorf("FilterOD = %v", od)
 	}
 }
 

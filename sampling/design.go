@@ -6,7 +6,7 @@ import "repro/internal/core"
 // relationships between the tail index alpha, the threshold multiplier
 // epsilon, the extra-sample count L, the bias ratio xi and the overhead,
 // with solvers for each direction (LUnbiased, EpsForTarget,
-// OptimalDesign, DesignForRate, ...).
+// DesignForRate, ...).
 type BSSDesign = core.BSSDesign
 
 // NewBSSDesign validates the traffic tail index alpha and returns the

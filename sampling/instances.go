@@ -65,7 +65,7 @@ func SimpleRandomInstances(n int, baseSeed uint64) func(int) (Spec, error) {
 // carry interval=N or rate=R.
 func BSSInstances(base Spec) func(int) (Spec, error) {
 	return func(i int) (Spec, error) {
-		interval, err := specInterval(base)
+		interval, err := core.SpecInterval(base.Technique, base.Params)
 		if err != nil {
 			return Spec{}, err
 		}
@@ -77,28 +77,4 @@ func BSSInstances(base Spec) func(int) (Spec, error) {
 // instance factories use, so spec-built instances reproduce them exactly.
 func instanceSeed(baseSeed uint64, i int) uint64 {
 	return baseSeed + uint64(i)*0x9e3779b9
-}
-
-// specInterval resolves a spec's base sampling interval from its
-// interval or rate parameter.
-func specInterval(s Spec) (int, error) {
-	if v, ok := s.Param("interval"); ok {
-		iv, err := strconv.Atoi(v)
-		if err != nil {
-			return 0, &ParamError{Technique: s.Technique, Param: "interval", Value: v, Reason: "not an integer"}
-		}
-		return iv, nil
-	}
-	if v, ok := s.Param("rate"); ok {
-		r, err := strconv.ParseFloat(v, 64)
-		if err != nil {
-			return 0, &ParamError{Technique: s.Technique, Param: "rate", Value: v, Reason: "not a number"}
-		}
-		iv, err := core.IntervalForRate(r)
-		if err != nil {
-			return 0, &ParamError{Technique: s.Technique, Param: "rate", Value: v, Reason: "outside (0,1]"}
-		}
-		return iv, nil
-	}
-	return 0, &ParamError{Technique: s.Technique, Param: "interval", Reason: "spec needs interval=N or rate=R"}
 }

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # docs_lint.sh — keep the prose honest.
 #
-# Three checks over the repo's markdown:
+# Four checks over the repo's markdown:
 #
 #   1. Every fenced ```go block in README.md and ARCHITECTURE.md must
 #      parse. Full files (starting with "package") are fed to gofmt
@@ -19,6 +19,12 @@
 #      `-log-level {debug,...}`) must name a flag some command
 #      registers, or a `go test` flag from a short allowlist — the same
 #      drift in prose, where no command is named.
+#
+#   4. Every inline code span of the form `pkg.Ident` (`core.Collect`,
+#      `hub.OfferBatch(id, values)`), where pkg is one of the repo's
+#      package names and Ident is exported, must name a function,
+#      method, type, var or const that non-test Go of a package by that
+#      name declares — so prose cannot go on citing deleted code.
 #
 # A flag counts as registered only through a flag-set call in a
 # command's non-test sources — fs.X("name", ...) or fs.XVar(&v,
@@ -107,6 +113,42 @@ for doc in "${docs[@]}"; do
 		grep -oE '`[^`]*`' | sed -nE 's/^`-([a-zA-Z][a-zA-Z0-9-]*).*/\1/p' | sort -u); do
 		if ! grep -qx -- "$flag" <<<"$all_flags" && ! grep -qw -- "$flag" <<<"$go_test_flags"; then
 			echo "docs_lint: $doc names -$flag, which no command registers"
+			fail=1
+		fi
+	done
+done
+
+# --- 4. package identifiers named in prose must exist --------------------
+
+pkg_names='core|lrd|stats|sampling|hub|wire|persist|cluster|estimate|obs|dsp|traffic|trace|dist|binenc|experiments'
+
+# declared_idents PKG prints the package-level identifiers and method
+# names that the non-test sources of every package named PKG declare,
+# one per line.
+declared_idents() {
+	grep -rlE --include='*.go' --exclude='*_test.go' "^package $1\$" . |
+		grep -vE '^\./[._]|/testdata/' |
+		xargs -r awk '
+			/^(const|var|type) \($/ { block = 1; next }
+			block && /^\)/ { block = 0; next }
+			block {
+				if (match($0, /^\t[A-Za-z_][A-Za-z0-9_]*/)) print substr($0, 2, RLENGTH - 1)
+				next
+			}
+			match($0, /^(func( \([^)]*\))?|type|var|const) [A-Za-z_][A-Za-z0-9_]*/) {
+				n = split(substr($0, 1, RLENGTH), w, " ")
+				print w[n]
+			}
+		' | sort -u
+}
+
+for doc in "${docs[@]}"; do
+	for ref in $(awk '/^```/ { fence = !fence; next } !fence' "$doc" |
+		grep -oE '`[^`]*`' | sed -nE "s/^\`($pkg_names)\.([A-Z][A-Za-z0-9_]*).*/\1.\2/p" | sort -u); do
+		pkg=${ref%%.*}
+		[ -f "$tmp/idents.$pkg" ] || declared_idents "$pkg" >"$tmp/idents.$pkg"
+		if ! grep -qx -- "${ref#*.}" "$tmp/idents.$pkg"; then
+			echo "docs_lint: $doc names \`$ref\`, which no non-test Go source of package $pkg declares"
 			fail=1
 		fi
 	done
