@@ -104,10 +104,8 @@ func run(args []string) error {
 			}
 			samplerSpec = fmt.Sprintf("bss:interval=%d,offset=%d,L=%d,eps=%g", interval, *offset%interval, bssL, *eps)
 		default:
-			// The flags above only map onto the built-in techniques; a
-			// registered extension needs its parameters spelled out rather
-			// than silently dropped.
-			return fmt.Errorf("unknown technique %q: use -spec for registered samplers (%s)",
+			// Every technique in the fixed table has a case above.
+			return fmt.Errorf("unknown technique %q (one of %s)",
 				*technique, strings.Join(sampling.Techniques(), ", "))
 		}
 	}

@@ -172,19 +172,3 @@ func (s *StreamBSS) qualifies(value float64) bool {
 // the stream are dropped, matching the batch rule that probes never land
 // outside the series.
 func (s *StreamBSS) Finish() ([]Sample, error) { return nil, nil }
-
-// Mean returns the running mean over all kept samples, the estimator the
-// adaptive threshold is built on.
-func (s *StreamBSS) Mean() float64 { return s.running.Mean() }
-
-// Kept returns how many samples have been recorded so far.
-func (s *StreamBSS) Kept() int { return s.running.N() }
-
-// Threshold returns the current a_th (0 until the warm-up completes in
-// adaptive mode).
-func (s *StreamBSS) Threshold() float64 {
-	if !s.armed {
-		return 0
-	}
-	return s.ath
-}

@@ -154,7 +154,7 @@ func TestBSSQualifiedFractionMatchesTheory(t *testing.T) {
 		f[i] = p.Sample(rng)
 	}
 	eps := 1.2
-	mean := p.Mean()
+	mean := alpha / (alpha - 1) // Pareto mean alpha*xm/(alpha-1), xm = 1
 	b := BSS{Interval: 100, L: 10, Threshold: eps * mean}
 	got, err := collect(b, f)
 	if err != nil {
@@ -208,11 +208,11 @@ func TestStreamBSSMatchesBatch(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if stream.Kept() != len(batch) {
-			t.Errorf("Kept() = %d, want %d", stream.Kept(), len(batch))
+		if kept := stream.running.N(); kept != len(batch) {
+			t.Errorf("running count = %d, want %d", kept, len(batch))
 		}
-		if math.Abs(stream.Mean()-MeanOf(batch)) > 1e-9 {
-			t.Errorf("stream mean %g vs batch %g", stream.Mean(), MeanOf(batch))
+		if mean := stream.running.Mean(); math.Abs(mean-MeanOf(batch)) > 1e-9 {
+			t.Errorf("stream mean %g vs batch %g", mean, MeanOf(batch))
 		}
 	}
 }
@@ -225,8 +225,8 @@ func TestStreamBSSValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Threshold() != 0 {
-		t.Error("threshold should be 0 before warm-up")
+	if s.armed {
+		t.Error("adaptive threshold armed before warm-up")
 	}
 }
 

@@ -45,15 +45,6 @@ func (p IntervalPMF) Validate() error {
 	return nil
 }
 
-// Mean returns E[T], the average sampling interval (1/rate).
-func (p IntervalPMF) Mean() float64 {
-	var m float64
-	for k, v := range p.P {
-		m += float64(k) * v
-	}
-	return m
-}
-
 // SystematicPMF is the degenerate gap law of systematic sampling:
 // Pr(T = C) = 1.
 func SystematicPMF(c int) (IntervalPMF, error) {

@@ -51,22 +51,6 @@ func (p Pareto) Quantile(q float64) float64 {
 	return p.Xm * math.Pow(1-q, -1/p.Alpha)
 }
 
-// CCDF returns Pr(X > x).
-func (p Pareto) CCDF(x float64) float64 {
-	if x <= p.Xm {
-		return 1
-	}
-	return math.Pow(p.Xm/x, p.Alpha)
-}
-
-// Mean returns alpha*xm/(alpha-1), or +Inf when alpha <= 1.
-func (p Pareto) Mean() float64 {
-	if p.Alpha <= 1 {
-		return math.Inf(1)
-	}
-	return p.Alpha * p.Xm / (p.Alpha - 1)
-}
-
 // ParetoTailFit is the result of fitting a Pareto tail to a sample.
 type ParetoTailFit struct {
 	Alpha float64       // estimated tail index (negated CCDF slope)

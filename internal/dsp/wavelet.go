@@ -108,44 +108,6 @@ func (w Wavelet) analyzeStep(a []float64) (approx, detail []float64) {
 	return approx, detail
 }
 
-// Reconstruct inverts a Decomposition exactly (up to rounding), verifying
-// the transform is orthonormal. It exists chiefly for testing and for
-// downstream users who denoise.
-func (w Wavelet) Reconstruct(dec Decomposition) ([]float64, error) {
-	if len(dec.Details) == 0 {
-		return nil, fmt.Errorf("dsp: cannot reconstruct empty decomposition")
-	}
-	approx := make([]float64, len(dec.Approx))
-	copy(approx, dec.Approx)
-	for level := len(dec.Details) - 1; level >= 0; level-- {
-		detail := dec.Details[level]
-		if len(detail) != len(approx) {
-			return nil, fmt.Errorf("dsp: decomposition level %d has %d coefficients, expected %d", level, len(detail), len(approx))
-		}
-		approx = w.synthesizeStep(approx, detail)
-	}
-	return approx, nil
-}
-
-// synthesizeStep is the adjoint of analyzeStep (upsample + filter + sum).
-func (w Wavelet) synthesizeStep(approx, detail []float64) []float64 {
-	half := len(approx)
-	n := 2 * half
-	out := make([]float64, n)
-	for k := 0; k < half; k++ {
-		av, dv := approx[k], detail[k]
-		base := 2 * k
-		for i := range w.h {
-			idx := base + i
-			if idx >= n {
-				idx -= n
-			}
-			out[idx] += w.h[i]*av + w.g[i]*dv
-		}
-	}
-	return out
-}
-
 // OctaveEnergies returns mu_j = mean of squared detail coefficients per
 // octave j (1-based scale 2^j), together with the number of coefficients in
 // each octave. These are the inputs of the Abry-Veitch logscale diagram.

@@ -104,9 +104,6 @@ func NewAt(root string) (*Loader, error) {
 	}, nil
 }
 
-// Fset returns the loader's shared file set.
-func (l *Loader) Fset() *token.FileSet { return l.fset }
-
 // Import resolves one import path for the type checker: module
 // packages recurse into the loader, everything else (the standard
 // library) goes to the source importer.

@@ -272,33 +272,51 @@ func moduleImports(t *testing.T) map[string][]string {
 	return out
 }
 
-// exportKeep lists exported identifiers under internal/ that no
+// exportKeep lists exported identifiers under internal/ — package-level
+// names as "path.Name", methods as "path.Type.Method" — that no
 // non-test code calls but a test other than their own needs as a
 // reference or harness, each with the test that needs it.
 // TestInternalExportsHaveCallers requires every other exported
 // identifier there to have a non-test caller, so keeping one alive for
 // tests is always an explicit, documented decision.
 var exportKeep = map[string]string{
-	"repro/internal/core.CheckSNCDirect":      "TestCheckSNCDirectMatchesFFT: the direct-convolution reference for CheckSNC's FFT path",
-	"repro/internal/core.Lookup":              "TestEngineMatchesCoreBatch (sampling): builds the bare kernel the public engine is held to",
-	"repro/internal/core.StratifiedInstances": "TestTheorem2OrderingOnLRDTraffic: the per-instance seeding of the Theorem 2 ordering check",
-	"repro/internal/dsp.DFTNaive":             "TestFFTMatchesNaiveDFT: the O(n^2) reference for FFT",
-	"repro/internal/dsp.Haar":                 "TestStreamWaveletMatchesBatchHaar (lrd): the batch wavelet the streaming estimator is held to",
-	"repro/internal/dsp.IFFT":                 "TestFFTRoundTrip: the inverse that checks FFT",
-	"repro/internal/lint.ObsExempt":           "TestObsImportersScoped: the documented exemptions from its import-graph rule",
-	"repro/internal/lint.ReadAllExempt":       "TestScopesCoverIngestGraph: the documented exemptions from its import-graph rule",
-	"repro/internal/lrd.CompareFoldedStates":  "FuzzEstimatorTick (sampling/estimate): the state comparison for batch-vs-tick folds",
-	"repro/internal/stats.Autocovariance":     "TestFGNMatchesTheoreticalAutocov (lrd): the empirical side of the fGn check",
-	"repro/internal/stats.MinMax":             "TestOnOffMeanMatchesTheory (traffic): bounds the generated series",
-	"repro/internal/trace.ReadPackets":        "TestRunPackets (cmd/tracegen): reads back what the command wrote",
-	"repro/internal/trace.ReadPacketsCSV":     "TestPacketsCSVRoundTrip: reads back what WritePacketsCSV wrote",
+	"repro/internal/core.CheckSNCDirect":                 "TestCheckSNCDirectMatchesFFT: the direct-convolution reference for CheckSNC's FFT path",
+	"repro/internal/core.Lookup":                         "TestEngineMatchesCoreBatch (sampling): builds the bare kernel the public engine is held to",
+	"repro/internal/core.StratifiedInstances":            "TestTheorem2OrderingOnLRDTraffic: the per-instance seeding of the Theorem 2 ordering check",
+	"repro/internal/dsp.DFTNaive":                        "TestFFTMatchesNaiveDFT: the O(n^2) reference for FFT",
+	"repro/internal/dsp.Haar":                            "TestStreamWaveletMatchesBatchHaar (lrd): the batch wavelet the streaming estimator is held to",
+	"repro/internal/dsp.IFFT":                            "TestFFTRoundTrip: the inverse that checks FFT",
+	"repro/internal/lint.ObsExempt":                      "TestObsImportersScoped: the documented exemptions from its import-graph rule",
+	"repro/internal/lint.ReadAllExempt":                  "TestScopesCoverIngestGraph: the documented exemptions from its import-graph rule",
+	"repro/internal/lrd.CompareFoldedStates":             "FuzzEstimatorTick (sampling/estimate): the state comparison for batch-vs-tick folds",
+	"repro/internal/lrd.FGNACF.DeltaSeries":              "TestDeltaNonnegativeForAllBeta: the delta_tau >= 0 check of Theorem 2's premise",
+	"repro/internal/obs.HTTPObserver.SetClock":           "obs_test.go: injects the fake clock the latency assertions read",
+	"repro/internal/stats.Autocovariance":                "TestFGNMatchesTheoreticalAutocov (lrd): the empirical side of the fGn check",
+	"repro/internal/stats.MinMax":                        "TestOnOffMeanMatchesTheory (traffic): bounds the generated series",
+	"repro/internal/trace.ReadPackets":                   "TestRunPackets (cmd/tracegen): reads back what the command wrote",
+	"repro/internal/trace.ReadPacketsCSV":                "TestPacketsCSVRoundTrip: reads back what WritePacketsCSV wrote",
+	"repro/internal/traffic.OnOffConfig.TheoreticalMean": "TestOnOffMeanMatchesTheory: the theory side the generated mean is held to",
+}
+
+// protocolMethods are called by the standard library through an
+// interface the module never names (fmt, errors, encoding/json), so
+// they count as live wherever they are declared. Error is not listed:
+// module code names the error interface, so the interface rule keeps
+// every Error method.
+var protocolMethods = map[string]bool{
+	"String": true, "Unwrap": true, "MarshalJSON": true, "UnmarshalJSON": true,
 }
 
 // TestInternalExportsHaveCallers keeps internal/ to code that runs: a
-// package-level exported func, type, var or const under repro/internal/
-// must be referenced by non-test code — in the module or in _perfbench
-// — or be listed in exportKeep. The test-support package analysistest
-// is skipped: its only callers are tests by design.
+// package-level exported func, type, var or const under repro/internal/,
+// and every exported method of a named type there, must be referenced
+// by non-test code — in the module or in _perfbench — or be listed in
+// exportKeep. A method also counts as referenced when non-test code
+// uses a non-empty interface that its receiver (or a type embedding
+// it) implements and the method is in that interface (error types'
+// Error methods live this way), or when it is a protocol method. The
+// test-support package analysistest is skipped: its only callers are
+// tests by design.
 func TestInternalExportsHaveCallers(t *testing.T) {
 	const internalPrefix = "repro/internal/"
 	ld, err := loader.New()
@@ -310,24 +328,96 @@ func TestInternalExportsHaveCallers(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// used holds every internal object non-test code refers to; perf
-	// holds "path.Name" selectors from _perfbench, a separate module the
-	// loader does not walk.
+	// used holds every internal object non-test code refers to, methods
+	// mapped to their generic origin; ifaces holds every non-empty
+	// interface type of a non-test expression, the parameter and result
+	// types of the functions it calls included.
 	used := make(map[types.Object]bool)
-	for _, p := range pkgs {
-		for _, obj := range p.Info.Uses {
-			if obj.Pkg() == nil || !strings.HasPrefix(obj.Pkg().Path(), internalPrefix) {
-				continue
-			}
+	use := func(obj types.Object) {
+		if fn, ok := obj.(*types.Func); ok {
+			obj = fn.Origin()
+		}
+		if obj.Pkg() != nil && strings.HasPrefix(obj.Pkg().Path(), internalPrefix) {
 			used[obj] = true
 		}
 	}
-	perf := perfbenchSelectors(t, filepath.Join(moduleRoot(t), "_perfbench"))
-
-	live := func(key string, obj types.Object) bool {
-		return used[obj] || perf[key]
+	var ifaces []*types.Interface
+	seenType := make(map[types.Type]bool)
+	var collect func(types.Type)
+	collect = func(typ types.Type) {
+		if typ == nil || seenType[typ] {
+			return
+		}
+		seenType[typ] = true
+		switch u := typ.(type) {
+		case *types.Named, *types.Alias:
+			if it, ok := u.Underlying().(*types.Interface); ok && it.NumMethods() > 0 {
+				ifaces = append(ifaces, it)
+			}
+		case *types.Interface:
+			if u.NumMethods() > 0 {
+				ifaces = append(ifaces, u)
+			}
+		case *types.Signature:
+			for _, tup := range []*types.Tuple{u.Params(), u.Results()} {
+				for i := 0; i < tup.Len(); i++ {
+					collect(tup.At(i).Type())
+				}
+			}
+		}
 	}
+	// concrete holds every non-generic, non-interface named type that
+	// non-test code declares, the candidates for the interface rule.
+	var concrete []*types.Named
+	for _, p := range pkgs {
+		for _, obj := range p.Info.Uses {
+			use(obj)
+		}
+		for _, sel := range p.Info.Selections {
+			use(sel.Obj())
+		}
+		for _, tv := range p.Info.Types {
+			collect(tv.Type)
+		}
+		for _, obj := range p.Info.Defs {
+			if tn, ok := obj.(*types.TypeName); ok && !tn.IsAlias() {
+				if n, ok := tn.Type().(*types.Named); ok && n.TypeParams().Len() == 0 && !types.IsInterface(n) {
+					concrete = append(concrete, n)
+				}
+			}
+		}
+	}
+	for _, n := range concrete {
+		ptr := types.NewPointer(n)
+		var mset *types.MethodSet
+		for _, it := range ifaces {
+			if !types.Implements(ptr, it) {
+				continue
+			}
+			if mset == nil {
+				mset = types.NewMethodSet(ptr)
+			}
+			for i := 0; i < it.NumMethods(); i++ {
+				m := it.Method(i)
+				if sel := mset.Lookup(m.Pkg(), m.Name()); sel != nil {
+					use(sel.Obj())
+				}
+			}
+		}
+	}
+	perf, perfImports, perfNames := perfbenchSelectors(t, filepath.Join(moduleRoot(t), "_perfbench"))
+
 	seen := make(map[string]bool)
+	check := func(key string, obj types.Object, live bool) {
+		seen[key] = true
+		_, kept := exportKeep[key]
+		switch {
+		case live && kept:
+			t.Errorf("exportKeep lists %s, which non-test code now calls — stale entry", key)
+		case !live && !kept:
+			t.Errorf("%s (%s) has no non-test caller — delete it, or list the test that needs it in exportKeep", key, pkgs[0].Fset.Position(obj.Pos()))
+		}
+	}
 	for _, p := range pkgs {
 		if !strings.HasPrefix(p.Path, internalPrefix) || p.Path == "repro/internal/lint/analysistest" {
 			continue
@@ -335,17 +425,25 @@ func TestInternalExportsHaveCallers(t *testing.T) {
 		scope := p.Types.Scope()
 		for _, name := range scope.Names() {
 			obj := scope.Lookup(name)
-			if !obj.Exported() {
+			if obj.Exported() {
+				key := p.Path + "." + name
+				check(key, obj, used[obj] || perf[key])
+			}
+			tn, ok := obj.(*types.TypeName)
+			if !ok || tn.IsAlias() {
 				continue
 			}
-			key := p.Path + "." + name
-			seen[key] = true
-			_, kept := exportKeep[key]
-			switch {
-			case live(key, obj) && kept:
-				t.Errorf("exportKeep lists %s, which non-test code now calls — stale entry", key)
-			case !live(key, obj) && !kept:
-				t.Errorf("%s (%s) has no non-test caller — delete it, or list the test that needs it in exportKeep", key, p.Fset.Position(obj.Pos()))
+			named, ok := tn.Type().(*types.Named)
+			if !ok {
+				continue
+			}
+			for i := 0; i < named.NumMethods(); i++ {
+				m := named.Method(i)
+				if !m.Exported() {
+					continue
+				}
+				key := p.Path + "." + name + "." + m.Name()
+				check(key, m, used[m] || protocolMethods[m.Name()] || perfImports[p.Path] && perfNames[m.Name()])
 			}
 		}
 	}
@@ -356,9 +454,12 @@ func TestInternalExportsHaveCallers(t *testing.T) {
 	}
 }
 
-// perfbenchSelectors returns "importpath.Name" for every selector in
-// dir's Go files whose operand is an imported package name.
-func perfbenchSelectors(t *testing.T, dir string) map[string]bool {
+// perfbenchSelectors parses dir's Go files, a module the loader does
+// not type-check. It returns "importpath.Name" for every selector
+// whose operand is an imported package name, the import paths, and
+// the names of every other selector: a method called there is matched
+// by name alone.
+func perfbenchSelectors(t *testing.T, dir string) (pkgSel, imported, names map[string]bool) {
 	t.Helper()
 	files, err := filepath.Glob(filepath.Join(dir, "*.go"))
 	if err != nil {
@@ -367,14 +468,14 @@ func perfbenchSelectors(t *testing.T, dir string) map[string]bool {
 	if len(files) == 0 {
 		t.Fatalf("no Go files in %s", dir)
 	}
-	out := make(map[string]bool)
+	pkgSel, imported, names = make(map[string]bool), make(map[string]bool), make(map[string]bool)
 	fset := token.NewFileSet()
 	for _, f := range files {
 		file, err := parser.ParseFile(fset, f, nil, parser.SkipObjectResolution)
 		if err != nil {
 			t.Fatal(err)
 		}
-		names := make(map[string]string)
+		imports := make(map[string]string)
 		for _, imp := range file.Imports {
 			p, err := strconv.Unquote(imp.Path.Value)
 			if err != nil {
@@ -384,16 +485,19 @@ func perfbenchSelectors(t *testing.T, dir string) map[string]bool {
 			if imp.Name != nil {
 				name = imp.Name.Name
 			}
-			names[name] = p
+			imports[name] = p
+			imported[p] = true
 		}
 		ast.Inspect(file, func(n ast.Node) bool {
 			if sel, ok := n.(*ast.SelectorExpr); ok {
-				if x, ok := sel.X.(*ast.Ident); ok && names[x.Name] != "" {
-					out[names[x.Name]+"."+sel.Sel.Name] = true
+				if x, ok := sel.X.(*ast.Ident); ok && imports[x.Name] != "" {
+					pkgSel[imports[x.Name]+"."+sel.Sel.Name] = true
+				} else {
+					names[sel.Sel.Name] = true
 				}
 			}
 			return true
 		})
 	}
-	return out
+	return pkgSel, imported, names
 }

@@ -24,18 +24,6 @@ func (r PowerLawACF) At(tau float64) float64 {
 // Hurst returns the Hurst parameter 1 - beta/2 implied by the decay.
 func (r PowerLawACF) Hurst() float64 { return HFromBeta(r.Beta) }
 
-// Delta returns delta_tau = R(tau+1) + R(tau-1) - 2R(tau), the discrete
-// convexity of the ACF. The pure power law is an *asymptotic* model, valid
-// for tau >= 2 where all three lags sit in its range; Delta returns NaN
-// below that. For the exact short-lag behaviour (including tau = 1, which
-// needs R(0) = 1) use FGNACF.Delta.
-func (r PowerLawACF) Delta(tau int) float64 {
-	if tau < 2 {
-		return math.NaN()
-	}
-	return r.At(float64(tau+1)) + r.At(float64(tau-1)) - 2*r.At(float64(tau))
-}
-
 // FGNACF is the exact autocorrelation of fractional Gaussian noise with
 // Hurst parameter H = 1 - beta/2:
 //
@@ -56,7 +44,13 @@ func NewFGNACF(h float64) (FGNACF, error) {
 	return FGNACF{H: h}, nil
 }
 
-// At returns rho(k) for k >= 0.
+// At returns rho(|k|), computed as k^2H/2 * (expm1(2H log1p(1/k)) +
+// expm1(2H log1p(-1/k))). The textbook form subtracts three numbers of
+// size k^2H, a cancellation that costs a factor of k^2 in relative
+// error (5e-4 at lag 2^20, enough for the circulant FFT of NewFGN to
+// see negative eigenvalues); this form adds two terms of size 2H/k to
+// get one of size 1/k^2, which costs a factor of k (relative error
+// about eps*k, 2e-9 at lag 2^23).
 func (r FGNACF) At(k int) float64 {
 	if k < 0 {
 		k = -k
@@ -64,13 +58,9 @@ func (r FGNACF) At(k int) float64 {
 	if k == 0 {
 		return 1
 	}
-	fk := float64(k)
-	twoH := 2 * r.H
-	return 0.5 * (math.Pow(fk+1, twoH) - 2*math.Pow(fk, twoH) + math.Pow(fk-1, twoH))
+	fk, twoH := float64(k), 2*r.H
+	return 0.5 * math.Pow(fk, twoH) * (math.Expm1(twoH*math.Log1p(1/fk)) + math.Expm1(twoH*math.Log1p(-1/fk)))
 }
-
-// Beta returns the implied asymptotic decay exponent 2 - 2H.
-func (r FGNACF) Beta() float64 { return BetaFromH(r.H) }
 
 // Delta returns delta_tau = rho(tau+1) + rho(tau-1) - 2*rho(tau) for
 // tau >= 1. Theorem 2 (Cochran) orders the sampling variances

@@ -30,12 +30,13 @@ func AlphaFromH(h float64) float64 { return 3 - 2*h }
 // fractional Gaussian noise with Hurst parameter h:
 //
 //	gamma(k) = ( |k+1|^2H - 2|k|^2H + |k-1|^2H ) / 2.
+//
+// It is FGNACF.At at each lag.
 func FGNAutocov(h float64, n int) []float64 {
 	out := make([]float64, n+1)
-	twoH := 2 * h
-	for k := 0; k <= n; k++ {
-		fk := float64(k)
-		out[k] = 0.5 * (math.Pow(fk+1, twoH) - 2*math.Pow(fk, twoH) + math.Pow(math.Abs(fk-1), twoH))
+	r := FGNACF{H: h}
+	for k := range out {
+		out[k] = r.At(k)
 	}
 	return out
 }
@@ -45,7 +46,6 @@ func FGNAutocov(h float64, n int) []float64 {
 // eigenvalue decomposition is cached, so repeated Generate calls cost one
 // FFT each.
 type FGN struct {
-	h          float64
 	n          int
 	sqrtEigen  []float64 // sqrt(lambda_k / (2m)) for m = 2n
 	mean, sdev float64
@@ -89,14 +89,8 @@ func NewFGN(h float64, n int, mean, sdev float64) (*FGN, error) {
 		}
 		sqrtEigen[k] = math.Sqrt(lam / float64(m))
 	}
-	return &FGN{h: h, n: n, sqrtEigen: sqrtEigen, mean: mean, sdev: sdev}, nil
+	return &FGN{n: n, sqrtEigen: sqrtEigen, mean: mean, sdev: sdev}, nil
 }
-
-// H returns the generator's Hurst parameter.
-func (g *FGN) H() float64 { return g.h }
-
-// N returns the length of the generated series.
-func (g *FGN) N() int { return g.n }
 
 // Generate draws one fGn sample path of length n.
 func (g *FGN) Generate(rng *rand.Rand) []float64 {

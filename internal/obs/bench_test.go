@@ -17,7 +17,7 @@ func BenchmarkObsCounterAdd(b *testing.B) {
 
 func BenchmarkObsObserve(b *testing.B) {
 	r := NewRegistry()
-	h := r.NewHistogram("bench_seconds", "x", DurationBuckets())
+	h := r.NewHistogramVec("bench_seconds", "x", DurationBuckets()).With()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		h.Observe(0.003)

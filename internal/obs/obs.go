@@ -160,12 +160,6 @@ func (r *Registry) NewGaugeFunc(name, help string, fn func() float64) {
 	r.register(name, help, "gauge", nil, nil).addChild(nil).fn = fn
 }
 
-// NewHistogram registers an unlabeled histogram over the given bucket
-// upper bounds (ascending; +Inf is implicit).
-func (r *Registry) NewHistogram(name, help string, buckets []float64) *Histogram {
-	return r.register(name, help, "histogram", nil, buckets).addChild(nil).hist
-}
-
 // CounterVec is a labeled counter family; mint children once at
 // startup with With and hold the returned handles on the hot path.
 type CounterVec struct{ fam *family }
@@ -307,9 +301,6 @@ func (h *Histogram) Count() uint64 {
 	}
 	return total
 }
-
-// Sum returns the sum of observed values so far.
-func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sum.Load()) }
 
 // Quantile estimates the q-quantile (0 <= q <= 1) from the bucket
 // counts by linear interpolation inside the target bucket — the same

@@ -192,7 +192,7 @@ func TestWriteTextOrderingAndTypes(t *testing.T) {
 	// Registered deliberately out of name order.
 	r.NewGauge("zz_last", "Last by name.").Set(3)
 	r.NewCounter("aa_first_total", "First by name.").Add(7)
-	r.NewHistogram("mm_mid_seconds", "Middle.", []float64{1, 2})
+	r.NewHistogramVec("mm_mid_seconds", "Middle.", []float64{1, 2}).With()
 	fams := parseExposition(t, func() string {
 		var buf bytes.Buffer
 		r.WriteText(&buf)
@@ -322,7 +322,7 @@ func TestRegisterPanics(t *testing.T) {
 	mustPanic("duplicate", func() { r.NewGauge("dup_total", "y") })
 	mustPanic("bad name", func() { r.NewCounter("has space", "x") })
 	mustPanic("bad label", func() { r.NewCounterVec("v_total", "x", "l=l") })
-	mustPanic("bad bounds", func() { r.NewHistogram("h_seconds", "x", []float64{1, 1}) })
+	mustPanic("bad bounds", func() { r.NewHistogramVec("h_seconds", "x", []float64{1, 1}).With() })
 	mustPanic("label arity", func() { r.NewCounterVec("arity_total", "x", "a", "b").With("only-one") })
 }
 
@@ -332,7 +332,7 @@ func TestHotPathZeroAlloc(t *testing.T) {
 	r := NewRegistry()
 	c := r.NewCounter("alloc_total", "x")
 	g := r.NewGauge("alloc_gauge", "x")
-	h := r.NewHistogram("alloc_seconds", "x", DurationBuckets())
+	h := r.NewHistogramVec("alloc_seconds", "x", DurationBuckets()).With()
 	if n := testing.AllocsPerRun(1000, func() { c.Add(3) }); n != 0 {
 		t.Errorf("Counter.Add allocates %v/op", n)
 	}

@@ -192,9 +192,6 @@ func (a *Accumulator) Mean() float64 {
 	return a.mean
 }
 
-// Sum returns the running sum.
-func (a *Accumulator) Sum() float64 { return a.sum }
-
 // Variance returns the running population variance (NaN before any
 // observation).
 func (a *Accumulator) Variance() float64 {
@@ -211,22 +208,6 @@ func (a *Accumulator) SampleVariance() float64 {
 		return math.NaN()
 	}
 	return a.m2 / float64(a.n-1)
-}
-
-// Min returns the smallest observation seen (NaN before any observation).
-func (a *Accumulator) Min() float64 {
-	if a.n == 0 {
-		return math.NaN()
-	}
-	return a.min
-}
-
-// Max returns the largest observation seen (NaN before any observation).
-func (a *Accumulator) Max() float64 {
-	if a.n == 0 {
-		return math.NaN()
-	}
-	return a.max
 }
 
 // AccumulatorState is the exported form of an Accumulator's internal

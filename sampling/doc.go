@@ -16,7 +16,7 @@
 //	spec.String() // "bss:L=10,eps=1.0,rate=1e-3" (canonical key order)
 //
 // Failures are typed: errors.Is(err, sampling.ErrUnknownTechnique) for
-// unregistered names, errors.Is(err, sampling.ErrBadSpec) for syntax
+// unknown technique names, errors.Is(err, sampling.ErrBadSpec) for syntax
 // errors, and errors.As(err, &pe) with pe a *sampling.ParamError for
 // rejected parameters.
 //

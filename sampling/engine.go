@@ -59,9 +59,9 @@ type Engine struct {
 var scratch = sync.Pool{New: func() any { return new([]Sample) }}
 
 // New builds an engine from a typed spec. The spec's technique must be
-// registered and every parameter must be accepted: unknown names wrap
-// ErrUnknownTechnique and rejected parameters surface as a *ParamError,
-// so callers can branch on the failure mode.
+// one of Techniques() and every parameter must be accepted: unknown
+// names wrap ErrUnknownTechnique and rejected parameters surface as a
+// *ParamError, so callers can branch on the failure mode.
 func New(spec Spec, opts ...Option) (*Engine, error) {
 	cfg := config{clock: time.Now}
 	for _, opt := range opts {

@@ -7,8 +7,8 @@ import (
 	"repro/internal/core"
 )
 
-// Spec is the typed description of a sampler: a registered technique
-// name plus its key=value parameters. The zero value is invalid; build
+// Spec is the typed description of a sampler: a technique name (one
+// of Techniques()) plus its key=value parameters. The zero value is invalid; build
 // specs with Parse, MustParse, or a literal:
 //
 //	Spec{Technique: "systematic", Params: map[string]string{"interval": "1000"}}
@@ -24,7 +24,7 @@ type Spec struct {
 // Parse parses a spec string like "bss:rate=1e-3,L=10,eps=1.0" into a
 // typed Spec. It validates only the syntax, not the technique name or
 // parameter values — New performs those checks, so a Spec can be parsed
-// and inspected before the technique is registered. Syntax errors wrap
+// and inspected before any engine is built. Syntax errors wrap
 // ErrBadSpec.
 func Parse(s string) (Spec, error) {
 	name, p, err := core.ParseSpec(s)
@@ -105,6 +105,5 @@ func (s Spec) Equal(o Spec) bool {
 	return true
 }
 
-// Techniques returns the sorted names of every registered sampling
-// technique.
+// Techniques returns the sorted names of every sampling technique.
 func Techniques() []string { return core.Names() }

@@ -132,10 +132,6 @@ type Encoder struct {
 // NewEncoder builds an encoder writing to w.
 func NewEncoder(w io.Writer) *Encoder { return &Encoder{w: w} }
 
-// Reset points the encoder at a new destination, keeping its buffer —
-// the pooling hook.
-func (e *Encoder) Reset(w io.Writer) { e.w = w }
-
 // Encode writes one frame. The ticks slice is not retained.
 //
 //samplelint:hotpath

@@ -24,7 +24,9 @@
 #      `hub.OfferBatch(id, values)`), where pkg is one of the repo's
 #      package names and Ident is exported, must name a function,
 #      method, type, var or const that non-test Go of a package by that
-#      name declares — so prose cannot go on citing deleted code.
+#      name declares — so prose cannot go on citing deleted code. A span
+#      `pkg.Type.Method` (`stats.Run.FoldPairs`) must name a method that
+#      such a package declares on Type, or lists in interface Type.
 #
 # A flag counts as registered only through a flag-set call in a
 # command's non-test sources — fs.X("name", ...) or fs.XVar(&v,
@@ -124,7 +126,8 @@ pkg_names='core|lrd|stats|sampling|hub|wire|persist|cluster|estimate|obs|dsp|tra
 
 # declared_idents PKG prints the package-level identifiers and method
 # names that the non-test sources of every package named PKG declare,
-# one per line.
+# one per line, and each method as Type.Method: methods with a
+# receiver, and the methods an interface type lists.
 declared_idents() {
 	grep -rlE --include='*.go' --exclude='*_test.go' "^package $1\$" . |
 		grep -vE '^\./[._]|/testdata/' |
@@ -135,16 +138,29 @@ declared_idents() {
 				if (match($0, /^\t[A-Za-z_][A-Za-z0-9_]*/)) print substr($0, 2, RLENGTH - 1)
 				next
 			}
+			iface && /^}/ { iface = ""; next }
+			iface {
+				if (match($0, /^\t[A-Za-z_][A-Za-z0-9_]*\(/)) print iface "." substr($0, 2, RLENGTH - 2)
+				next
+			}
+			/^type [A-Za-z_][A-Za-z0-9_]* interface {$/ { iface = $2 }
 			match($0, /^(func( \([^)]*\))?|type|var|const) [A-Za-z_][A-Za-z0-9_]*/) {
 				n = split(substr($0, 1, RLENGTH), w, " ")
 				print w[n]
+				if (n > 2 && w[1] == "func") {
+					recv = w[n - 1]
+					sub(/\).*/, "", recv)
+					sub(/^[(*]+/, "", recv)
+					sub(/\[.*/, "", recv)
+					print recv "." w[n]
+				}
 			}
 		' | sort -u
 }
 
 for doc in "${docs[@]}"; do
 	for ref in $(awk '/^```/ { fence = !fence; next } !fence' "$doc" |
-		grep -oE '`[^`]*`' | sed -nE "s/^\`($pkg_names)\.([A-Z][A-Za-z0-9_]*).*/\1.\2/p" | sort -u); do
+		grep -oE '`[^`]*`' | sed -nE "s/^\`($pkg_names)\.([A-Z][A-Za-z0-9_]*)(\.[A-Za-z_][A-Za-z0-9_]*)?.*/\1.\2\3/p" | sort -u); do
 		pkg=${ref%%.*}
 		[ -f "$tmp/idents.$pkg" ] || declared_idents "$pkg" >"$tmp/idents.$pkg"
 		if ! grep -qx -- "${ref#*.}" "$tmp/idents.$pkg"; then
