@@ -246,43 +246,14 @@ func BenchmarkRegistryLookup(b *testing.B) {
 
 // --- Public sampling API ------------------------------------------------
 //
-// The public engine adds per-tick locking (for concurrent Snapshot) on
-// top of the raw core Kernel; these benchmarks track that tax and the
-// cost of live observation itself.
+// The public engine adds a lock (for concurrent Snapshot), the budget
+// and the record layer on top of the raw core Kernel; these benchmarks
+// track that tax and the cost of live observation itself.
 
-// BenchmarkPublicEngineStream is the public-API counterpart of
-// BenchmarkSamplerStream: the per-tick cost an Engine.Offer caller
-// pays.
-func BenchmarkPublicEngineStream(b *testing.B) {
-	f := samplerBenchTrace()
-	for _, tc := range samplerBenchSpecs {
-		b.Run(tc.name, func(b *testing.B) {
-			spec := sampling.MustParse(tc.spec)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				eng, err := sampling.New(spec)
-				if err != nil {
-					b.Fatal(err)
-				}
-				for _, v := range f {
-					eng.Offer(v)
-				}
-				if _, err := eng.Finish(); err != nil {
-					b.Fatal(err)
-				}
-				if eng.Snapshot().Kept == 0 {
-					b.Fatal("kept no samples")
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkPublicEngineOfferBatch is the batch-ingest counterpart of
-// BenchmarkPublicEngineStream: the same per-technique work fed in
-// 512-tick batches, paying one engine-lock acquisition per batch
-// instead of one per tick — the shape every hot ingest path (hub,
-// sampled, sampleload) now drives.
+// BenchmarkPublicEngineOfferBatch is the public-API counterpart of
+// BenchmarkSamplerStream: the same per-technique work fed in 512-tick
+// batches, paying one engine-lock acquisition per batch — the shape
+// every hot ingest path (hub, sampled, sampleload) drives.
 func BenchmarkPublicEngineOfferBatch(b *testing.B) {
 	f := samplerBenchTrace()
 	const batch = 512
@@ -383,9 +354,7 @@ func BenchmarkPublicSnapshot(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, v := range f[:1<<16] {
-		eng.Offer(v)
-	}
+	eng.OfferBatch(f[:1<<16])
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if sum := eng.Snapshot(); sum.Seen == 0 {

@@ -1,16 +1,31 @@
 package main
 
 import (
+	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/dist"
 	"repro/internal/trace"
 	"repro/internal/traffic"
+	"repro/sampling"
 )
 
-func writeSeries(t *testing.T) string {
+// techniqueSpecs names one sampler per technique.
+var techniqueSpecs = []string{
+	"systematic:rate=1e-2,offset=3",
+	"stratified:rate=1e-2,seed=1",
+	"simple:rate=1e-2,seed=1",
+	"bernoulli:rate=1e-2,seed=1",
+	"bss:rate=1e-2,L=10,eps=1",
+}
+
+// writeSeries stores an on/off series in a temporary file and returns
+// the path and the series.
+func writeSeries(t *testing.T) (string, []float64) {
 	t.Helper()
 	cfg := traffic.OnOffConfig{
 		Sources: 8, AlphaOn: 1.4, AlphaOff: 1.4,
@@ -29,59 +44,60 @@ func writeSeries(t *testing.T) string {
 	if err := trace.WriteSeries(file, 1, f); err != nil {
 		t.Fatal(err)
 	}
-	return path
+	return path, f
 }
 
+// TestRunEveryTechnique: the report's sample counts are what the public
+// engine keeps from the same series under the same spec.
 func TestRunEveryTechnique(t *testing.T) {
-	path := writeSeries(t)
-	for _, technique := range []string{"systematic", "stratified", "simple", "bernoulli", "bss"} {
-		if err := run([]string{"-technique", technique, "-rate", "1e-2", path}); err != nil {
-			t.Errorf("%s: %v", technique, err)
+	path, f := writeSeries(t)
+	for _, spec := range techniqueSpecs {
+		var out strings.Builder
+		if err := run([]string{"-spec", spec, path}, &out); err != nil {
+			t.Errorf("%s: %v", spec, err)
+			continue
+		}
+		eng, err := sampling.New(sampling.MustParse(spec))
+		if err != nil {
+			t.Fatal(err)
+		}
+		samples, err := eng.Sample(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		base, qualified := sampling.CountKinds(samples)
+		want := fmt.Sprintf("samples:       %d (base %d, qualified %d)\n", len(samples), base, qualified)
+		if !strings.Contains(out.String(), want) {
+			t.Errorf("%s: report lacks %q:\n%s", spec, want, out.String())
 		}
 	}
 }
 
-func TestRunAutoBSS(t *testing.T) {
-	if err := run([]string{"-technique", "bss", "-rate", "1e-2", "-auto", "-alpha", "1.5", "-cs", "0.02", writeSeries(t)}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestRunErrors(t *testing.T) {
-	path := writeSeries(t)
-	if err := run(nil); err == nil {
-		t.Error("expected usage error")
-	}
-	if err := run([]string{"-technique", "nope", path}); err == nil {
-		t.Error("expected unknown-technique error")
-	}
-	if err := run([]string{"-rate", "2", path}); err == nil {
-		t.Error("expected rate range error")
-	}
-	if err := run([]string{"/nonexistent"}); err == nil {
-		t.Error("expected open error")
-	}
-}
-
-func TestRunWithLiveSnapshots(t *testing.T) {
-	path := writeSeries(t)
-	if err := run([]string{"-spec", "bss:rate=1e-2,L=5,eps=1.1", "-snapshots", "1000", path}); err != nil {
-		t.Fatal(err)
-	}
-	if err := run([]string{"-technique", "simple", "-rate", "1e-2", "-snapshots", "4096", path}); err != nil {
-		t.Fatal(err)
+	path, _ := writeSeries(t)
+	for _, args := range [][]string{
+		nil,
+		{path},                            // no -spec
+		{"-spec", "systematic:rate=1e-2"}, // no series
+		{"-spec", "nope:rate=1e-2", path}, // unknown technique
+		{"-spec", "systematic:rate=2", path},
+		{"-spec", "systematic:rate=1e-2", "/nonexistent"},
+	} {
+		if err := run(args, io.Discard); err == nil {
+			t.Errorf("run(%q) succeeded, want an error", args)
+		}
 	}
 }
 
 func TestRunSpec(t *testing.T) {
-	path := writeSeries(t)
-	if err := run([]string{"-spec", "bss:rate=1e-2,L=5,eps=1.1", path}); err != nil {
+	path, _ := writeSeries(t)
+	if err := run([]string{"-spec", "bss:rate=1e-2,L=5,eps=1.1", path}, io.Discard); err != nil {
 		t.Fatal(err)
 	}
-	if err := run([]string{"-spec", "bss:rate=1e-2,bogus=1", path}); err == nil {
+	if err := run([]string{"-spec", "bss:rate=1e-2,bogus=1", path}, io.Discard); err == nil {
 		t.Error("expected unknown-parameter error")
 	}
-	if err := run([]string{"-spec", "stratified:interval=50,seed=4", path}); err != nil {
+	if err := run([]string{"-spec", "stratified:interval=50,seed=4", path}, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 }

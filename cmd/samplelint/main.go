@@ -1,9 +1,9 @@
 // Command samplelint runs the repo's static-analysis suite: the
 // type-resolved checks in internal/lint that enforce the hot-path and
-// determinism invariants the compiler cannot see — batch-only ingest,
-// no body slurping on the serving wire, seeded randomness and
-// injected clocks in the sampling core, the zero-allocation hot-path
-// annotation, and the null-for-NaN JSON wire form.
+// determinism invariants the compiler cannot see — no body slurping on
+// the serving wire, seeded randomness and injected clocks in the
+// sampling core, the zero-allocation hot-path annotation, and the
+// null-for-NaN JSON wire form.
 //
 // Usage:
 //
@@ -15,8 +15,8 @@
 // diagnostics print as path:line:col: message (analyzer) and any
 // finding exits non-zero, which is how the CI lint job gates on it.
 // Test files are exempt, exactly as they were under the retired
-// hotpath_test.go: equivalence tests drive the per-tick path as the
-// reference and benchmarks drain response bodies.
+// hotpath_test.go: benchmarks drain response bodies and tests read
+// whole responses.
 package main
 
 import (

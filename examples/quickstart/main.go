@@ -104,5 +104,14 @@ func main() {
 	m := sampling.MeanOf(samples)
 	fmt.Printf("%-14s  %10.4f  %8.4f  %8d   (L=%d, overhead %.3f)\n",
 		"bss", m, sampling.Eta(m, realMean), len(samples), l, sampling.Overhead(samples))
+
+	// The paper's online rule needs no instance runs: Eq. (35) estimates
+	// the typical bias from the rate alone (cs = 0.02), then Eq. (23)
+	// gives L as above.
+	onlineL, onlineEta, err := design.DesignForRate(1.0/interval, 1.0, 0.02, 100)
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("online design (Eq. 35): eta(r)=%.3f -> L=%d\n", onlineEta, onlineL)
 	fmt.Println("\nBSS recovers the mass that plain sampling misses in the bursts.")
 }

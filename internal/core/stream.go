@@ -283,12 +283,6 @@ func (p *streamSimpleRandom) bufferBatch(startIndex int, values []float64) {
 		p.base = startIndex
 	}
 	p.seen += len(values)
-	if len(values) == 1 {
-		// Engine.Offer's one-tick batch: a plain append skips the
-		// memmove call the slice form pays.
-		p.buf = append(p.buf, values[0])
-		return
-	}
 	p.buf = append(p.buf, values...)
 }
 

@@ -1,17 +1,12 @@
 // Package lint holds the samplelint analyzers: type-resolved static
 // checks for the invariants the serving path's throughput depends on
 // but the compiler cannot see. They replace the retired name-match
-// AST test (hotpath_test.go), which flagged any method spelled .Offer
-// and keyed io.ReadAll detection on the literal import name, so an
-// aliased import could smuggle a slurp past it.
+// AST test (hotpath_test.go), which keyed io.ReadAll detection on the
+// literal import name, so an aliased import could smuggle a slurp past
+// it. Batch-only ingest needs no analyzer: the public Engine has no
+// per-tick entry point, so the compiler enforces it.
 //
 // The suite:
-//
-//   - batchoffer: the ingest layers (hub, sampled, sampleload) must
-//     stay on Engine.OfferBatch — one lock acquisition per batch, never
-//     one per tick. Resolved against the (*sampling.Engine).Offer
-//     method object, so unrelated Offer methods pass and method-value
-//     escapes (f := e.Offer) are caught. Group has no per-tick form.
 //
 //   - noreadall: the serving side of the wire (sampling/wire,
 //     cmd/sampled) must not reference io.ReadAll — bodies decode
@@ -47,5 +42,5 @@
 // Run the suite with `go run ./cmd/samplelint ./...`; it is a hard
 // gate in the CI lint job. Each analyzer has analysistest-style
 // fixtures under testdata/src, including seeded regressions for the
-// two false-resolution classes the old string guard got wrong.
+// false resolutions the old string guard made.
 package lint

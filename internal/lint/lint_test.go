@@ -9,15 +9,11 @@ import (
 
 // Each analyzer runs over its fixture package: every flagged line
 // carries a // want expectation, every allowed shape has none, and
-// the seeded regressions (the aliased io import, the unrelated Offer
-// method) pin the two false-resolution classes the retired
-// hotpath_test.go string guard got wrong. Dropping an analyzer from
+// the seeded regressions (an aliased io import, a local value named io
+// with its own ReadAll) pin the false resolutions the retired
+// hotpath_test.go string guard made. Dropping an analyzer from
 // the suite fails TestSuiteComplete in suite_test.go; weakening one
 // fails its fixture here.
-
-func TestBatchOffer(t *testing.T) {
-	analysistest.Run(t, "testdata", lint.BatchOffer, "batchoffer")
-}
 
 func TestNoReadAll(t *testing.T) {
 	analysistest.Run(t, "testdata", lint.NoReadAll, "noreadall")

@@ -4,13 +4,13 @@ import (
 	"repro/internal/lint/analysis"
 )
 
-// samplingPath is the package whose Engine/Group types anchor the
-// batch-ingest and NaN-wire invariants.
+// samplingPath is the public engine package: deterministic
+// (detsource), and the home of the NaN-wire invariant.
 const samplingPath = "repro/sampling"
 
 // Analyzers returns the full samplelint suite in reporting order.
 func Analyzers() []*analysis.Analyzer {
-	return []*analysis.Analyzer{BatchOffer, NoReadAll, DetSource, HotAlloc, NanWire}
+	return []*analysis.Analyzer{NoReadAll, DetSource, HotAlloc, NanWire}
 }
 
 // Scopes maps each analyzer to the package paths it gates when the
@@ -20,11 +20,10 @@ func Analyzers() []*analysis.Analyzer {
 // suite_test.go holds these lists against the repo's actual import
 // graph so they cannot silently go stale.
 var Scopes = map[string][]string{
-	"batchoffer": {"repro/sampling/hub", "repro/cmd/sampled", "repro/cmd/sampleload"},
-	"noreadall":  {"repro/sampling/wire", "repro/cmd/sampled", "repro/sampling/cluster"},
-	"detsource":  {samplingPath, "repro/internal/core", "repro/sampling/estimate", obsPath, "repro/sampling/persist", "repro/sampling/cluster"},
-	"hotalloc":   nil,
-	"nanwire":    {samplingPath},
+	"noreadall": {"repro/sampling/wire", "repro/cmd/sampled", "repro/sampling/cluster"},
+	"detsource": {samplingPath, "repro/internal/core", "repro/sampling/estimate", obsPath, "repro/sampling/persist", "repro/sampling/cluster"},
+	"hotalloc":  nil,
+	"nanwire":   {samplingPath},
 }
 
 // obsPath is the observability package: its instruments sit on the
@@ -32,14 +31,6 @@ var Scopes = map[string][]string{
 // injection rather than calling time.Now (detsource), so a test can
 // pin every duration it observes.
 const obsPath = "repro/internal/obs"
-
-// ObsExempt lists importers of internal/obs that are deliberately
-// outside the batch-ingest scope, each with the reason. The meta-test
-// requires every importer of obs to be scoped under batchoffer or
-// exempted here: a package that instruments the serving path is on
-// the serving path, and skipping the ingest invariants there must be
-// an explicit, documented decision.
-var ObsExempt = map[string]string{}
 
 // ReadAllExempt lists packages on the wire that are deliberately
 // outside noreadall's scope, each with the reason — the meta-test

@@ -9,6 +9,7 @@ import (
 	"os"
 	"path"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -24,10 +25,10 @@ import (
 // hand-maintained directory list was one refactor away from.
 
 // TestSuiteComplete pins the analyzer set: retiring hotpath_test.go
-// is only sound while all five checks exist and every one has a
+// is only sound while all four checks exist and every one has a
 // scope entry the driver can apply.
 func TestSuiteComplete(t *testing.T) {
-	want := []string{"batchoffer", "detsource", "hotalloc", "nanwire", "noreadall"}
+	want := []string{"detsource", "hotalloc", "nanwire", "noreadall"}
 	var got []string
 	for _, a := range lint.Analyzers() {
 		got = append(got, a.Name)
@@ -52,11 +53,10 @@ func TestSuiteComplete(t *testing.T) {
 	}
 }
 
-// TestScopesCoverIngestGraph derives the ingest surface from the
-// import graph instead of trusting the config: every package that
-// imports the hub is feeding it ticks and must be under batchoffer;
-// every importer of the binary wire must be under noreadall or carry
-// an explicit, documented exemption.
+// TestScopesCoverIngestGraph derives the wire's ingest surface from
+// the import graph instead of trusting the config: every importer of
+// the binary wire must be under noreadall or carry an explicit,
+// documented exemption.
 func TestScopesCoverIngestGraph(t *testing.T) {
 	imports := moduleImports(t)
 
@@ -68,15 +68,6 @@ func TestScopesCoverIngestGraph(t *testing.T) {
 			}
 		}
 		t.Errorf("%s is missing from Scopes[%q] — the config has gone stale", pkg, analyzer)
-	}
-
-	mustScope("batchoffer", "repro/sampling/hub")
-	for pkg, imps := range imports {
-		for _, imp := range imps {
-			if imp == "repro/sampling/hub" {
-				mustScope("batchoffer", pkg)
-			}
-		}
 	}
 
 	mustScope("noreadall", "repro/sampling/wire")
@@ -104,61 +95,13 @@ func TestScopesCoverIngestGraph(t *testing.T) {
 	}
 }
 
-// TestObsImportersScoped holds the observability package to the same
-// derive-from-the-import-graph discipline: obs itself must sit under
-// detsource (its instruments take injected clocks), and every package
-// that wires obs into a serving path must already be under batchoffer
-// — instrumentation goes where ingest happens — or carry a documented
-// exemption in ObsExempt.
-func TestObsImportersScoped(t *testing.T) {
-	const obsPath = "repro/internal/obs"
-	imports := moduleImports(t)
-	if _, ok := imports[obsPath]; !ok {
-		t.Fatalf("%s holds no non-test Go sources", obsPath)
-	}
-
-	inScope := func(analyzer, pkg string) bool {
-		for _, p := range lint.Scopes[analyzer] {
-			if p == pkg {
-				return true
-			}
-		}
-		return false
-	}
-	if !inScope("detsource", obsPath) {
-		t.Errorf("%s is missing from Scopes[%q] — its clocks must stay injected", obsPath, "detsource")
-	}
-	for pkg, imps := range imports {
-		for _, imp := range imps {
-			if imp != obsPath {
-				continue
-			}
-			if _, exempt := lint.ObsExempt[pkg]; exempt {
-				continue
-			}
-			if !inScope("batchoffer", pkg) {
-				t.Errorf("%s imports %s but is neither under Scopes[%q] nor exempted in ObsExempt — instrumented serving paths keep the ingest invariants", pkg, obsPath, "batchoffer")
-			}
-		}
-	}
-	for pkg := range lint.ObsExempt {
-		uses := false
-		for _, imp := range imports[pkg] {
-			if imp == obsPath {
-				uses = true
-			}
-		}
-		if !uses {
-			t.Errorf("ObsExempt lists %s, which no longer imports %s — stale exemption", pkg, obsPath)
-		}
-	}
-}
-
 // TestScopedPackagesExist is the sawSource guard carried over from
 // hotpath_test.go: every scoped path must hold non-test sources, so a
 // renamed or deleted package fails the gate instead of silently
-// shrinking it.
+// shrinking it. The observability package must stay under detsource:
+// its instruments take injected clocks.
 func TestScopedPackagesExist(t *testing.T) {
+	const obsPath = "repro/internal/obs"
 	imports := moduleImports(t)
 	for analyzer, scope := range lint.Scopes {
 		for _, pkg := range scope {
@@ -166,6 +109,9 @@ func TestScopedPackagesExist(t *testing.T) {
 				t.Errorf("Scopes[%q] names %s, which holds no non-test Go sources — scope list stale", analyzer, pkg)
 			}
 		}
+	}
+	if !slices.Contains(lint.Scopes["detsource"], obsPath) {
+		t.Errorf("%s is missing from Scopes[%q] — its clocks must stay injected", obsPath, "detsource")
 	}
 }
 
@@ -272,13 +218,13 @@ func moduleImports(t *testing.T) map[string][]string {
 	return out
 }
 
-// exportKeep lists exported identifiers under internal/ — package-level
-// names as "path.Name", methods as "path.Type.Method" — that no
-// non-test code calls but a test other than their own needs as a
-// reference or harness, each with the test that needs it.
-// TestInternalExportsHaveCallers requires every other exported
-// identifier there to have a non-test caller, so keeping one alive for
-// tests is always an explicit, documented decision.
+// exportKeep lists exported identifiers in the checked packages —
+// package-level names as "path.Name", methods as "path.Type.Method" —
+// that no non-test code calls but a test other than their own needs as
+// a reference or harness, each with the test that needs it.
+// TestExportsHaveCallers requires every other exported identifier
+// there to have a non-test caller, so keeping one alive for tests is
+// always an explicit, documented decision.
 var exportKeep = map[string]string{
 	"repro/internal/core.CheckSNCDirect":                 "TestCheckSNCDirectMatchesFFT: the direct-convolution reference for CheckSNC's FFT path",
 	"repro/internal/core.Lookup":                         "TestEngineMatchesCoreBatch (sampling): builds the bare kernel the public engine is held to",
@@ -286,7 +232,6 @@ var exportKeep = map[string]string{
 	"repro/internal/dsp.DFTNaive":                        "TestFFTMatchesNaiveDFT: the O(n^2) reference for FFT",
 	"repro/internal/dsp.Haar":                            "TestStreamWaveletMatchesBatchHaar (lrd): the batch wavelet the streaming estimator is held to",
 	"repro/internal/dsp.IFFT":                            "TestFFTRoundTrip: the inverse that checks FFT",
-	"repro/internal/lint.ObsExempt":                      "TestObsImportersScoped: the documented exemptions from its import-graph rule",
 	"repro/internal/lint.ReadAllExempt":                  "TestScopesCoverIngestGraph: the documented exemptions from its import-graph rule",
 	"repro/internal/lrd.CompareFoldedStates":             "FuzzEstimatorTick (sampling/estimate): the state comparison for batch-vs-tick folds",
 	"repro/internal/lrd.FGNACF.DeltaSeries":              "TestDeltaNonnegativeForAllBeta: the delta_tau >= 0 check of Theorem 2's premise",
@@ -296,6 +241,7 @@ var exportKeep = map[string]string{
 	"repro/internal/trace.ReadPackets":                   "TestRunPackets (cmd/tracegen): reads back what the command wrote",
 	"repro/internal/trace.ReadPacketsCSV":                "TestPacketsCSVRoundTrip: reads back what WritePacketsCSV wrote",
 	"repro/internal/traffic.OnOffConfig.TheoreticalMean": "TestOnOffMeanMatchesTheory: the theory side the generated mean is held to",
+	"repro/sampling/hub.WithClock":                       "TestHubSweep, TestHubGroupSweep, TestEvictHook (hub): the fake clock that drives idle eviction",
 }
 
 // protocolMethods are called by the standard library through an
@@ -307,18 +253,29 @@ var protocolMethods = map[string]bool{
 	"String": true, "Unwrap": true, "MarshalJSON": true, "UnmarshalJSON": true,
 }
 
-// TestInternalExportsHaveCallers keeps internal/ to code that runs: a
-// package-level exported func, type, var or const under repro/internal/,
-// and every exported method of a named type there, must be referenced
-// by non-test code — in the module or in _perfbench — or be listed in
-// exportKeep. A method also counts as referenced when non-test code
-// uses a non-empty interface that its receiver (or a type embedding
-// it) implements and the method is in that interface (error types'
-// Error methods live this way), or when it is a protocol method. The
-// test-support package analysistest is skipped: its only callers are
-// tests by design.
-func TestInternalExportsHaveCallers(t *testing.T) {
-	const internalPrefix = "repro/internal/"
+// checkedPkg reports whether TestExportsHaveCallers holds path's
+// exported identifiers to having callers: the internal packages and the
+// public sampling tree.
+func checkedPkg(path string) bool {
+	for _, root := range []string{"repro/internal", "repro/sampling"} {
+		if path == root || strings.HasPrefix(path, root+"/") {
+			return true
+		}
+	}
+	return false
+}
+
+// TestExportsHaveCallers keeps internal/ and sampling/ to code that
+// runs: a package-level exported func, type, var or const in a checked
+// package, and every exported method of a named type there, must be
+// referenced by non-test code — in the module or in _perfbench — or be
+// listed in exportKeep. A method also counts as referenced when
+// non-test code uses a non-empty interface that its receiver (or a
+// type embedding it) implements and the method is in that interface
+// (error types' Error methods live this way), or when it is a protocol
+// method. The test-support package analysistest is skipped: its only
+// callers are tests by design.
+func TestExportsHaveCallers(t *testing.T) {
 	ld, err := loader.New()
 	if err != nil {
 		t.Fatal(err)
@@ -328,7 +285,7 @@ func TestInternalExportsHaveCallers(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// used holds every internal object non-test code refers to, methods
+	// used holds every checked object non-test code refers to, methods
 	// mapped to their generic origin; ifaces holds every non-empty
 	// interface type of a non-test expression, the parameter and result
 	// types of the functions it calls included.
@@ -337,7 +294,7 @@ func TestInternalExportsHaveCallers(t *testing.T) {
 		if fn, ok := obj.(*types.Func); ok {
 			obj = fn.Origin()
 		}
-		if obj.Pkg() != nil && strings.HasPrefix(obj.Pkg().Path(), internalPrefix) {
+		if obj.Pkg() != nil && checkedPkg(obj.Pkg().Path()) {
 			used[obj] = true
 		}
 	}
@@ -419,7 +376,7 @@ func TestInternalExportsHaveCallers(t *testing.T) {
 		}
 	}
 	for _, p := range pkgs {
-		if !strings.HasPrefix(p.Path, internalPrefix) || p.Path == "repro/internal/lint/analysistest" {
+		if !checkedPkg(p.Path) || p.Path == "repro/internal/lint/analysistest" {
 			continue
 		}
 		scope := p.Types.Scope()

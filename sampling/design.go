@@ -12,8 +12,3 @@ type BSSDesign = core.BSSDesign
 // NewBSSDesign validates the traffic tail index alpha and returns the
 // design calculator for it.
 func NewBSSDesign(alpha float64) (BSSDesign, error) { return core.NewBSSDesign(alpha) }
-
-// EtaFromRate is the paper's eta(r) convergence law (Eq. 35): the
-// typical systematic-sampling bias at rate r for tail index alpha and
-// fitted constant cs.
-func EtaFromRate(rate, alpha, cs float64) float64 { return core.EtaFromRate(rate, alpha, cs) }

@@ -24,13 +24,12 @@
 //
 // New builds a live streaming engine from a spec, configured with
 // functional options (a randomized technique's seed is a parameter of
-// the spec itself, e.g. "bernoulli:rate=1e-3,seed=7"):
+// the spec itself, e.g. "bernoulli:rate=1e-3,seed=7"). Ticks go in as
+// batches:
 //
 //	eng, err := sampling.New(spec, sampling.WithBudget(10_000))
-//	for _, v := range ticks {
-//	    if s, kept := eng.Offer(v); kept {
-//	        // s.Index, s.Value, s.Qualified
-//	    }
+//	for batch := range batches {
+//	    kept := eng.OfferBatch(batch) // atomic w.r.t. Snapshot and Finish
 //	}
 //	tail, err := eng.Finish() // samples only decidable at end of stream
 //
@@ -48,22 +47,18 @@
 //	}()
 //
 // The batch form of the paper's figures, Engine.Sample, drives the same
-// engine over a whole series, so streaming and batch output are
-// identical by construction.
+// engine over a whole series and returns every kept sample with its
+// index, so streaming and batch output are identical by construction.
 //
-// Ingest is batch-first: Engine.OfferBatch feeds a slice of ticks
-// under one lock acquisition and returns how many samples the batch
-// finalized. It dispatches to the technique's skip-based batch kernel
-// (internal/core's Kernel.OfferBatch) that jumps from kept tick to kept
-// tick instead of visiting each element, so batch ingest costs
-// O(samples kept), not O(ticks seen). The kernel has no other entry
-// point, and its output under a seed does not depend on how the stream
-// is split into batches. Offer is the single-tick convenience form —
-// the same kernel on a one-tick batch, but paying one lock per tick —
-// so hot loops (the hub, the sampled daemon, sampleload) stay on the
-// batch form:
-//
-//	kept := eng.OfferBatch(ticks) // atomic w.r.t. Snapshot and Finish
+// OfferBatch and Sample are the only ways ticks enter an engine.
+// OfferBatch feeds a slice of ticks under one lock acquisition and
+// returns how many samples the batch finalized. It dispatches to the
+// technique's skip-based batch kernel (internal/core's
+// Kernel.OfferBatch) that jumps from kept tick to kept tick instead of
+// visiting each element, so batch ingest costs O(samples kept), not
+// O(ticks seen). The kernel has no other entry point, and its output
+// under a seed does not depend on how the stream is split into
+// batches.
 //
 // Across processes the batch has a binary wire form: the sampling/wire
 // subpackage frames a stream id plus a []float64 payload as a

@@ -14,15 +14,15 @@ import (
 // Sample is one selected observation of the parent process.
 type Sample = core.Sample
 
-// Engine is a live instance of a sampling technique: ticks of the
-// observed process go in through Offer, selected samples come out, and
-// Snapshot exposes the running estimate at any moment without disturbing
-// the stream. An engine consumes exactly one stream; build a fresh one
-// per run.
+// Engine is a live instance of a sampling technique: batches of ticks
+// of the observed process go in through OfferBatch (or a whole series
+// through Sample), selected samples come out, and Snapshot exposes the
+// running estimate at any moment without disturbing the stream. An
+// engine consumes exactly one stream; build a fresh one per run.
 //
 // All methods are safe for concurrent use. The intended split is one
-// goroutine driving Offer/Finish (ticks must arrive in order) while any
-// number of observers call Snapshot.
+// goroutine driving OfferBatch/Finish (ticks must arrive in order)
+// while any number of observers call Snapshot.
 type Engine struct {
 	mu         sync.Mutex
 	spec       Spec
@@ -45,11 +45,6 @@ type Engine struct {
 
 	finished  bool
 	finishErr error
-
-	// Offer's one-tick batch and its output, kept here so the
-	// single-tick form allocates nothing.
-	one    [1]float64
-	oneOut [1]Sample
 }
 
 // scratch pools the per-batch sample buffers of every engine. A batch's
@@ -59,9 +54,10 @@ type Engine struct {
 var scratch = sync.Pool{New: func() any { return new([]Sample) }}
 
 // New builds an engine from a typed spec. The spec's technique must be
-// one of Techniques() and every parameter must be accepted: unknown
-// names wrap ErrUnknownTechnique and rejected parameters surface as a
-// *ParamError, so callers can branch on the failure mode.
+// one of the paper's techniques and every parameter must be accepted:
+// unknown names wrap ErrUnknownTechnique (the error lists the known
+// names) and rejected parameters surface as a *ParamError, so callers
+// can branch on the failure mode.
 func New(spec Spec, opts ...Option) (*Engine, error) {
 	cfg := config{clock: time.Now}
 	for _, opt := range opts {
@@ -113,38 +109,13 @@ func (e *Engine) Spec() Spec {
 	return out
 }
 
-// Offer presents the next tick of the observed process, in stream order,
-// and returns the sample this tick finalized, if any — possibly carrying
-// an earlier index when the technique defers its decision (stratified
-// picks). After Finish, Offer is a no-op returning false.
-//
-// Offer is OfferBatch of one tick — the same offerBatch on a
-// one-element batch, minus the scratch buffer — and pays one mutex
-// acquisition per tick, so ingest loops that already hold their ticks
-// in a slice should call OfferBatch instead (the hub, the sampled
-// daemon and sampleload all do).
-func (e *Engine) Offer(value float64) (Sample, bool) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.finished {
-		return Sample{}, false
-	}
-	e.one[0] = value
-	// A kernel emits at most one sample per tick.
-	out := e.offerBatch(e.one[:], e.oneOut[:0])
-	if len(out) == 0 {
-		return Sample{}, false
-	}
-	return out[0], true
-}
-
 // OfferBatch presents a batch of ticks in stream order and returns how
 // many samples the batch finalized. It is the ingest hot path: the
 // engine mutex is acquired once for the whole batch, the input-side
 // estimator takes the batch in one TickBatch call, and the technique's
 // kernel (core.Kernel.OfferBatch) jumps from kept tick to kept tick
-// instead of visiting every one. Batches of any shape produce exactly the
-// samples a run of single-tick Offers would (asserted in
+// instead of visiting every one. Batches of any shape, one-tick batches
+// included, produce exactly the same samples (asserted in
 // TestOfferBatchMatchesOffer; internal/core checks each kernel against
 // a per-tick oracle).
 //
@@ -296,17 +267,19 @@ func ci95(acc *stats.Accumulator) (lo, hi float64) {
 // Sample runs the engine over a complete series and returns every
 // selected observation in index order — the paper's batch formulation
 // f -> []Sample, driven through the same streaming state machine so
-// batch and tick-by-tick use produce identical output. It must be the
-// engine's only use: Sample offers every element and then finalizes.
+// whole-series and batch-by-batch use produce identical output. It
+// must be the engine's last use: Sample offers every element and then
+// finalizes, and on an engine already finished it returns an error.
 func (e *Engine) Sample(f []float64) ([]Sample, error) {
 	if len(f) == 0 {
 		return nil, fmt.Errorf("sampling: cannot sample an empty series")
 	}
 	e.mu.Lock()
-	var out []Sample
-	if !e.finished {
-		out = e.offerBatch(f, make([]Sample, 0, 16))
+	if e.finished {
+		e.mu.Unlock()
+		return nil, fmt.Errorf("sampling: engine already finished")
 	}
+	out := e.offerBatch(f, make([]Sample, 0, 16))
 	e.mu.Unlock()
 	tail, err := e.Finish()
 	if err != nil {

@@ -62,47 +62,44 @@ func TestEngineMatchesCoreBatch(t *testing.T) {
 	}
 }
 
-// TestSnapshotDoesNotDisturbTheStream interleaves snapshots with ticks
-// and asserts the final output is identical to an unobserved run — the
-// non-destructive observation guarantee.
+// TestSnapshotDoesNotDisturbTheStream interleaves snapshots with
+// batches and asserts the rest of the run is identical to an unobserved
+// one — the non-destructive observation guarantee. Both engines take
+// the first half in the same 37-tick batches; Sample over the second
+// half returns every sample kept from then on, deferred picks included.
 func TestSnapshotDoesNotDisturbTheStream(t *testing.T) {
 	f := heavyTrace(1 << 12)
+	half := len(f) / 2
 	for _, spec := range equalitySpecs {
-		quiet, err := New(MustParse(spec))
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := quiet.Sample(f)
-		if err != nil {
-			t.Fatal(err)
-		}
-
-		observed, err := New(MustParse(spec))
-		if err != nil {
-			t.Fatal(err)
-		}
-		var got []Sample
-		for i, v := range f {
-			if s, ok := observed.Offer(v); ok {
-				got = append(got, s)
+		run := func(observe bool) ([]Sample, Summary) {
+			eng, err := New(MustParse(spec))
+			if err != nil {
+				t.Fatal(err)
 			}
-			if i%37 == 0 {
-				observed.Snapshot()
+			for off := 0; off < half; off += 37 {
+				eng.OfferBatch(f[off:min(off+37, half)])
+				if observe {
+					eng.Snapshot()
+				}
 			}
+			rest, err := eng.Sample(f[half:])
+			if err != nil {
+				t.Fatal(err)
+			}
+			return rest, eng.Snapshot()
 		}
-		observed.Snapshot()
-		tail, err := observed.Finish()
-		if err != nil {
-			t.Fatal(err)
-		}
-		got = append(got, tail...)
+		want, wantSum := run(false)
+		got, gotSum := run(true)
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("%s: snapshots disturbed the stream (%d vs %d samples)", spec, len(got), len(want))
+		}
+		if gotSum.Kept != wantSum.Kept || gotSum.Mean != wantSum.Mean || gotSum.Variance != wantSum.Variance {
+			t.Errorf("%s: snapshots disturbed the summary:\n got %+v\nwant %+v", spec, gotSum, wantSum)
 		}
 	}
 }
 
-// TestSnapshotConcurrentWithTicks drives Offer from one goroutine and
+// TestSnapshotConcurrentWithTicks drives OfferBatch from one goroutine and
 // Snapshot from another (run under -race), checking that successive
 // snapshots are monotonically consistent.
 func TestSnapshotConcurrentWithTicks(t *testing.T) {
@@ -114,8 +111,8 @@ func TestSnapshotConcurrentWithTicks(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		for _, v := range f {
-			eng.Offer(v)
+		for off := 0; off < len(f); off += 64 {
+			eng.OfferBatch(f[off : off+64])
 		}
 	}()
 	var prev Summary
@@ -152,9 +149,7 @@ func TestFinishIdempotentAndOfferAfterFinish(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, v := range f {
-		eng.Offer(v)
-	}
+	eng.OfferBatch(f)
 	tail, err := eng.Finish()
 	if err != nil {
 		t.Fatal(err)
@@ -166,8 +161,8 @@ func TestFinishIdempotentAndOfferAfterFinish(t *testing.T) {
 	if err != nil || len(again) != 0 {
 		t.Errorf("second Finish = (%d samples, %v), want (0, nil)", len(again), err)
 	}
-	if _, ok := eng.Offer(1.0); ok {
-		t.Error("Offer after Finish emitted a sample")
+	if kept := eng.OfferBatch([]float64{1}); kept != 0 {
+		t.Errorf("OfferBatch after Finish kept %d samples", kept)
 	}
 	sum := eng.Snapshot()
 	if sum.Seen != len(f) || sum.Kept != 20 || !sum.Finished {
@@ -183,10 +178,8 @@ func TestBudgetCapsKeptSamples(t *testing.T) {
 		t.Fatal(err)
 	}
 	kept := 0
-	for _, v := range f {
-		if _, ok := eng.Offer(v); ok {
-			kept++
-		}
+	for off := 0; off < len(f); off += 64 {
+		kept += eng.OfferBatch(f[off : off+64])
 	}
 	if _, err := eng.Finish(); err != nil {
 		t.Fatal(err)
@@ -195,8 +188,8 @@ func TestBudgetCapsKeptSamples(t *testing.T) {
 	if kept != 10 || sum.Kept != 10 {
 		t.Errorf("kept %d (snapshot %d), want exactly the budget 10", kept, sum.Kept)
 	}
-	if !sum.Exhausted() {
-		t.Error("summary should report the budget exhausted")
+	if sum.Budget != 10 {
+		t.Errorf("summary budget %d, want 10", sum.Budget)
 	}
 	if sum.Seen != len(f) {
 		t.Errorf("budget must not stop the engine from consuming: seen %d, want %d", sum.Seen, len(f))
@@ -207,9 +200,7 @@ func TestBudgetCapsKeptSamples(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, v := range f {
-		off.Offer(v)
-	}
+	off.OfferBatch(f)
 	tail, err := off.Finish()
 	if err != nil {
 		t.Fatal(err)
@@ -245,9 +236,7 @@ func TestSummaryStatistics(t *testing.T) {
 	if !math.IsNaN(empty.Mean) || !math.IsNaN(empty.CILow) {
 		t.Errorf("empty-engine summary should be NaN, got mean %g CI %g", empty.Mean, empty.CILow)
 	}
-	for _, v := range []float64{2, 4, 6, 8} {
-		eng.Offer(v)
-	}
+	eng.OfferBatch([]float64{2, 4, 6, 8})
 	sum := eng.Snapshot()
 	if sum.Mean != 5 {
 		t.Errorf("mean %g, want 5", sum.Mean)
@@ -267,6 +256,25 @@ func TestEngineSampleEmptySeries(t *testing.T) {
 	}
 	if _, err := eng.Sample(nil); err == nil {
 		t.Error("expected error for empty series")
+	}
+}
+
+// TestSampleAfterFinish: a finished engine refuses Sample with an
+// error, as a finished group does, rather than reporting a run that kept
+// nothing.
+func TestSampleAfterFinish(t *testing.T) {
+	eng, err := New(MustParse("systematic:interval=2"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := eng.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	if out, err := eng.Sample([]float64{1, 2, 3, 4}); err == nil {
+		t.Errorf("Sample after Finish = (%v, nil), want an error", out)
+	}
+	if sum := eng.Snapshot(); sum.Seen != 0 {
+		t.Errorf("Sample after Finish advanced seen to %d", sum.Seen)
 	}
 }
 
@@ -295,8 +303,8 @@ func TestManyConcurrentObservers(t *testing.T) {
 			}
 		}()
 	}
-	for _, v := range f {
-		eng.Offer(v)
+	for off := 0; off < len(f); off += 64 {
+		eng.OfferBatch(f[off : off+64])
 	}
 	if _, err := eng.Finish(); err != nil {
 		t.Fatal(err)
@@ -316,7 +324,7 @@ func TestEngineFinished(t *testing.T) {
 	if eng.Finished() {
 		t.Error("fresh engine reports finished")
 	}
-	eng.Offer(1)
+	eng.OfferBatch([]float64{1})
 	if _, err := eng.Finish(); err != nil {
 		t.Fatal(err)
 	}
@@ -327,7 +335,7 @@ func TestEngineFinished(t *testing.T) {
 
 // TestOfferBatchMatchesOffer is the batch-ingest half of the
 // equivalence story: for every technique, OfferBatch over ragged chunks
-// must leave the engine in exactly the state tick-by-tick Offer does —
+// must leave the engine in exactly the state one-tick batches do —
 // same counters, same moments, same end-of-stream tail — and its kept
 // counts must sum to the snapshot's. OfferBatch is what the hub, the
 // daemon and the load generator drive, so this is the wire path's
@@ -344,22 +352,15 @@ func TestOfferBatchMatchesOffer(t *testing.T) {
 			t.Fatal(err)
 		}
 		kept := 0
-		for off := 0; off < len(f); {
-			end := off + 129 // deliberately not a divisor of the length
-			if end > len(f) {
-				end = len(f)
-			}
-			kept += batched.OfferBatch(f[off:end])
-			off = end
+		for off := 0; off < len(f); off += 129 { // deliberately not a divisor of the length
+			kept += batched.OfferBatch(f[off:min(off+129, len(f))])
 		}
 		tickKept := 0
-		for _, v := range f {
-			if _, ok := ticked.Offer(v); ok {
-				tickKept++
-			}
+		for i := range f {
+			tickKept += ticked.OfferBatch(f[i : i+1])
 		}
 		if kept != tickKept {
-			t.Errorf("%s: OfferBatch kept %d, Offer kept %d", spec, kept, tickKept)
+			t.Errorf("%s: ragged batches kept %d, one-tick batches kept %d", spec, kept, tickKept)
 		}
 		batchTail, err := batched.Finish()
 		if err != nil {

@@ -48,9 +48,7 @@ func TestEngineReportsHurstPreservation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, v := range f {
-		eng.Offer(v)
-	}
+	eng.OfferBatch(f)
 	sum := eng.Snapshot()
 	if sum.Hurst == nil {
 		t.Fatal("Hurst block missing")
@@ -86,9 +84,11 @@ func TestHurstSummaryBeforeWarmupAndJSON(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 20; i++ {
-		eng.Offer(float64(i))
+	ramp := make([]float64, 20)
+	for i := range ramp {
+		ramp[i] = float64(i)
 	}
+	eng.OfferBatch(ramp)
 	sum := eng.Snapshot()
 	if sum.Hurst == nil {
 		t.Fatal("Hurst block missing")
@@ -117,9 +117,7 @@ func TestSummaryJSONHurstRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, v := range f {
-		eng.Offer(v)
-	}
+	eng.OfferBatch(f)
 	want := eng.Snapshot()
 	data, err := json.Marshal(want)
 	if err != nil {

@@ -34,50 +34,45 @@ func ExampleParse() {
 	// bss:L=10,eps=1.0,rate=1e-3
 }
 
-// A fresh engine consumes one stream tick by tick; Finish returns the
-// samples only decidable at end of stream.
+// A fresh engine consumes one stream; Sample runs it over a whole
+// series and returns every kept sample with its index.
 func ExampleNew() {
 	eng, err := sampling.New(sampling.MustParse("systematic:interval=4,offset=1"))
 	if err != nil {
 		panic(err)
 	}
-	for _, v := range []float64{10, 11, 12, 13, 14, 15, 16, 17, 18} {
-		if s, kept := eng.Offer(v); kept {
-			fmt.Printf("kept index %d value %g\n", s.Index, s.Value)
-		}
-	}
-	tail, err := eng.Finish()
+	samples, err := eng.Sample([]float64{10, 11, 12, 13, 14, 15, 16, 17, 18})
 	if err != nil {
 		panic(err)
 	}
-	fmt.Printf("tail %d samples, snapshot kept %d of %d\n",
-		len(tail), eng.Snapshot().Kept, eng.Snapshot().Seen)
+	for _, s := range samples {
+		fmt.Printf("kept index %d value %g\n", s.Index, s.Value)
+	}
+	fmt.Printf("snapshot kept %d of %d\n", eng.Snapshot().Kept, eng.Snapshot().Seen)
 	// Output:
 	// kept index 1 value 11
 	// kept index 5 value 15
-	// tail 0 samples, snapshot kept 2 of 9
+	// snapshot kept 2 of 9
 }
 
 // OfferBatch is the ingest hot path: one lock acquisition per batch,
 // and the whole batch handed to the technique's skip-based kernel. Any
-// batching yields exactly the per-tick sample sequence.
+// batching keeps exactly the samples of a whole-series run.
 func ExampleEngine_OfferBatch() {
 	f := exampleTrace(10_000)
 	batched, _ := sampling.New(sampling.MustParse("bernoulli:rate=0.01,seed=7"))
-	perTick, _ := sampling.New(sampling.MustParse("bernoulli:rate=0.01,seed=7"))
+	whole, _ := sampling.New(sampling.MustParse("bernoulli:rate=0.01,seed=7"))
 
 	var kept int
 	for off := 0; off < len(f); off += 512 {
 		end := min(off+512, len(f))
 		kept += batched.OfferBatch(f[off:end])
 	}
-	for _, v := range f {
-		perTick.Offer(v)
-	}
-	fmt.Printf("batched kept %d, per-tick kept %d\n", kept, perTick.Snapshot().Kept)
-	fmt.Println("same:", kept == perTick.Snapshot().Kept)
+	all, _ := whole.Sample(f)
+	fmt.Printf("batched kept %d, whole series kept %d\n", kept, len(all))
+	fmt.Println("same:", kept == len(all))
 	// Output:
-	// batched kept 99, per-tick kept 99
+	// batched kept 99, whole series kept 99
 	// same: true
 }
 

@@ -108,18 +108,6 @@ func NewGroup(specs []Spec, opts ...Option) (*Group, error) {
 	return g, nil
 }
 
-// Len returns the number of member engines.
-func (g *Group) Len() int { return len(g.members) }
-
-// Specs returns a copy of each member's spec, in member order.
-func (g *Group) Specs() []Spec {
-	out := make([]Spec, len(g.members))
-	for i, eng := range g.members {
-		out[i] = eng.Spec()
-	}
-	return out
-}
-
 // OfferBatch presents a batch of ticks, in stream order, to every
 // member and returns how many samples the batch finalized across all of
 // them. The input-side accumulator and estimator consume each tick
@@ -240,8 +228,8 @@ func (g *Group) Snapshot() Comparison {
 // Sample runs the whole group over a complete series and returns every
 // member's selected observations, in member then index order — the
 // paper's batch comparison, f -> one []Sample per technique, driven
-// through the same engines so batch and tick-by-tick kept samples are
-// identical. Like Engine.Sample it must be the group's only use: it
+// through the same engines so whole-series and batch-by-batch kept
+// samples are identical. Like Engine.Sample it must be the group's only use: it
 // offers every element and then finalizes. Member finalization errors
 // are joined; the returned slices are valid for the members that
 // finished cleanly.

@@ -86,8 +86,9 @@ func TestGroupMatchesStandaloneEngines(t *testing.T) {
 	})
 
 	t.Run("streaming", func(t *testing.T) {
-		// The tick-path reference: standalone engines fed one tick at a
-		// time, so this subtest is also a batch-vs-tick equivalence check.
+		// The reference: standalone engines fed the whole series as one
+		// batch, while the group takes 37-tick batches, so this subtest is
+		// also a batch-shape equivalence check.
 		refSums := make([]sampling.Summary, len(specs))
 		refTails := make([][]sampling.Sample, len(specs))
 		for i, spec := range specs {
@@ -95,9 +96,7 @@ func TestGroupMatchesStandaloneEngines(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, v := range series {
-				eng.Offer(v)
-			}
+			eng.OfferBatch(series)
 			if refTails[i], err = eng.Finish(); err != nil {
 				t.Fatal(err)
 			}
@@ -128,7 +127,7 @@ func TestGroupMatchesStandaloneEngines(t *testing.T) {
 			sum, want := cmp.Members[i].Summary, refSums[i]
 			if sum.Kept != want.Kept || sum.Seen != want.Seen || sum.Qualified != want.Qualified ||
 				!sameOrBothNaN(sum.Mean, want.Mean) || !sameOrBothNaN(sum.Variance, want.Variance) {
-				t.Errorf("%s diverged from tick-by-tick engine:\n got kept=%d seen=%d qual=%d mean=%g var=%g\nwant kept=%d seen=%d qual=%d mean=%g var=%g",
+				t.Errorf("%s diverged from the standalone engine:\n got kept=%d seen=%d qual=%d mean=%g var=%g\nwant kept=%d seen=%d qual=%d mean=%g var=%g",
 					specs[i], sum.Kept, sum.Seen, sum.Qualified, sum.Mean, sum.Variance,
 					want.Kept, want.Seen, want.Qualified, want.Mean, want.Variance)
 			}
@@ -340,7 +339,7 @@ func TestGroupConcurrentSnapshot(t *testing.T) {
 }
 
 // TestGroupClockAndSpecs: the group clock stamps the comparison and
-// Specs returns each member's spec.
+// each member's summary carries its spec.
 func TestGroupClockAndSpecs(t *testing.T) {
 	at := time.Date(2026, 7, 27, 9, 0, 0, 0, time.UTC)
 	g, err := sampling.NewGroup(
@@ -351,11 +350,11 @@ func TestGroupClockAndSpecs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if specs := g.Specs(); specs[0].Params["seed"] != "21" {
-		t.Errorf("spec seed not visible in Specs(): %v", specs[0])
-	}
 	g.OfferBatch(groupSeries(1, 100))
 	cmp := g.Snapshot()
+	if spec := cmp.Members[0].Summary.Spec; spec != "bernoulli:rate=0.5,seed=21" {
+		t.Errorf("member spec %q, want the group's spec", spec)
+	}
 	if !cmp.At.Equal(at) || cmp.Uptime != 0 {
 		t.Errorf("clock not honored: at=%v uptime=%v", cmp.At, cmp.Uptime)
 	}

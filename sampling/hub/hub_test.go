@@ -117,9 +117,7 @@ func TestHubHammer(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, v := range testSeries(i, nTicks) {
-			ref.Offer(v)
-		}
+		ref.OfferBatch(testSeries(i, nTicks))
 		want := ref.Snapshot()
 		if got.Seen != want.Seen || got.Kept != want.Kept || got.Qualified != want.Qualified ||
 			!sameFloat(got.Mean, want.Mean) || !sameFloat(got.Variance, want.Variance) {
@@ -430,11 +428,11 @@ func TestHubHurstEmpty(t *testing.T) {
 	}
 }
 
-// TestHubBatchVsTickEquivalence: the hub's batch ingest (now one
-// engine-lock acquisition per batch) must leave a stream in exactly the
-// state a tick-by-tick standalone engine reaches — identical kept
-// samples, observed through the end-of-stream tail and the full
-// snapshot counters/moments — for every registered technique.
+// TestHubBatchVsTickEquivalence: the hub's batch ingest (one
+// engine-lock acquisition per 97-tick batch) must leave a stream in
+// exactly the state a standalone engine's Sample over the whole series
+// reaches — identical kept counts, end-of-stream tail and snapshot
+// counters/moments — for every technique.
 func TestHubBatchVsTickEquivalence(t *testing.T) {
 	const nTicks = 2000
 	h := hub.New()
@@ -461,36 +459,29 @@ func TestHubBatchVsTickEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		refKept := 0
-		for _, v := range series {
-			if _, ok := ref.Offer(v); ok {
-				refKept++
-			}
-		}
-		if kept != refKept {
-			t.Errorf("stream %d (%s): hub batches kept %d, tick engine kept %d", i, testSpec(i), kept, refKept)
+		refAll, err := ref.Sample(series)
+		if err != nil {
+			t.Fatal(err)
 		}
 		tail, sum, err := h.Finish(id)
 		if err != nil {
 			t.Fatal(err)
 		}
-		refTail, err := ref.Finish()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(tail) != len(refTail) {
-			t.Fatalf("stream %d: tail %d vs %d samples", i, len(tail), len(refTail))
+		// Sample returns the in-stream samples, then the Finish tail.
+		if kept+len(tail) != len(refAll) {
+			t.Fatalf("stream %d (%s): hub kept %d + tail %d, reference engine kept %d",
+				i, testSpec(i), kept, len(tail), len(refAll))
 		}
 		for j := range tail {
-			if tail[j] != refTail[j] {
-				t.Errorf("stream %d: tail sample %d = %+v, want %+v", i, j, tail[j], refTail[j])
+			if tail[j] != refAll[kept+j] {
+				t.Errorf("stream %d: tail sample %d = %+v, want %+v", i, j, tail[j], refAll[kept+j])
 				break
 			}
 		}
 		want := ref.Snapshot()
 		if sum.Seen != want.Seen || sum.Kept != want.Kept || sum.Qualified != want.Qualified ||
 			!sameFloat(sum.Mean, want.Mean) || !sameFloat(sum.Variance, want.Variance) {
-			t.Errorf("stream %d (%s) diverged from tick engine:\n got seen=%d kept=%d mean=%g var=%g\nwant seen=%d kept=%d mean=%g var=%g",
+			t.Errorf("stream %d (%s) diverged from the reference engine:\n got seen=%d kept=%d mean=%g var=%g\nwant seen=%d kept=%d mean=%g var=%g",
 				i, testSpec(i), sum.Seen, sum.Kept, sum.Mean, sum.Variance,
 				want.Seen, want.Kept, want.Mean, want.Variance)
 		}

@@ -15,7 +15,7 @@ type InstanceStats = core.InstanceStats
 // the specs the factory yields and reduces them against the known real
 // mean. The factory receives the instance number (0..n-1) and typically
 // varies the systematic offset or the random seed; see
-// SystematicInstances and friends for the standard variations.
+// SystematicInstances and BSSInstances for the standard variations.
 func RunInstances(f []float64, realMean float64, n int, factory func(instance int) (Spec, error)) (InstanceStats, error) {
 	return core.RunInstances(f, realMean, n, func(i int) (core.Kernel, error) {
 		spec, err := factory(i)
@@ -38,28 +38,6 @@ func SystematicInstances(interval int) func(int) (Spec, error) {
 	}
 }
 
-// StratifiedInstances yields stratified specs with one derived seed per
-// instance.
-func StratifiedInstances(interval int, baseSeed uint64) func(int) (Spec, error) {
-	return func(i int) (Spec, error) {
-		return Spec{Technique: "stratified", Params: map[string]string{
-			"interval": strconv.Itoa(interval),
-			"seed":     strconv.FormatUint(instanceSeed(baseSeed, i), 10),
-		}}, nil
-	}
-}
-
-// SimpleRandomInstances yields n-sample simple random specs with one
-// derived seed per instance.
-func SimpleRandomInstances(n int, baseSeed uint64) func(int) (Spec, error) {
-	return func(i int) (Spec, error) {
-		return Spec{Technique: "simple-random", Params: map[string]string{
-			"n":    strconv.Itoa(n),
-			"seed": strconv.FormatUint(instanceSeed(baseSeed, i), 10),
-		}}, nil
-	}
-}
-
 // BSSInstances spreads the offset of a base BSS spec across its sampling
 // interval, holding every other parameter fixed. The base spec must
 // carry interval=N or rate=R.
@@ -71,10 +49,4 @@ func BSSInstances(base Spec) func(int) (Spec, error) {
 		}
 		return base.With("offset", strconv.Itoa(core.SpreadOffset(i, interval))), nil
 	}
-}
-
-// instanceSeed mirrors the per-instance seed derivation the internal
-// instance factories use, so spec-built instances reproduce them exactly.
-func instanceSeed(baseSeed uint64, i int) uint64 {
-	return baseSeed + uint64(i)*0x9e3779b9
 }

@@ -25,7 +25,7 @@ func TestSpecJSONRoundTrip(t *testing.T) {
 		if err := json.Unmarshal(data, &got); err != nil {
 			t.Fatalf("unmarshal %s: %v", data, err)
 		}
-		if !got.Equal(want) {
+		if !sameSpec(got, want) {
 			t.Errorf("round trip changed the spec: %v -> %s -> %v", want, data, got)
 		}
 	}
@@ -47,7 +47,7 @@ func TestSpecJSONAcceptsStringForm(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := MustParse("bss:rate=1e-3,L=10")
-	if !got.Equal(want) {
+	if !sameSpec(got, want) {
 		t.Errorf("string form parsed to %v, want %v", got, want)
 	}
 	if err := json.Unmarshal([]byte(`":broken"`), &got); err == nil {
@@ -128,9 +128,7 @@ func TestSummaryJSONError(t *testing.T) {
 	}
 	// A 3-tick stream cannot yield 5 simple random samples: Finish errors
 	// and the snapshot carries the deferred error.
-	eng.Offer(1)
-	eng.Offer(2)
-	eng.Offer(3)
+	eng.OfferBatch([]float64{1, 2, 3})
 	if _, err := eng.Finish(); err == nil {
 		t.Fatal("expected a finish error")
 	}

@@ -26,12 +26,3 @@ func Efficiency(eta float64, totalSamples int) float64 { return core.Efficiency(
 // process" g(t) whose Hurst parameter the paper's Sections III and VI
 // estimate.
 func SampledSeries(samples []Sample) []float64 { return core.SampledSeries(samples) }
-
-// IntervalForRate maps a sampling rate r in (0,1] to the base
-// interval: 1/r rounded to the nearest integer — halves round up (away
-// from zero), so r = 0.4 gives interval 3, not 2 — and never below 1,
-// so any r above 2/3 keeps every tick. It is the conversion rule
-// shared by the technique table and the CLIs; the achieved rate is
-// 1/interval, which differs from r whenever 1/r is not an integer.
-// Rates outside (0,1] (including NaN) are an error.
-func IntervalForRate(rate float64) (int, error) { return core.IntervalForRate(rate) }

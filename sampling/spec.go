@@ -7,9 +7,10 @@ import (
 	"repro/internal/core"
 )
 
-// Spec is the typed description of a sampler: a technique name (one
-// of Techniques()) plus its key=value parameters. The zero value is invalid; build
-// specs with Parse, MustParse, or a literal:
+// Spec is the typed description of a sampler: a technique name
+// (systematic, stratified, simple or simple-random, bernoulli, bss)
+// plus its key=value parameters. The zero value is invalid; build specs
+// with Parse, MustParse, or a literal:
 //
 //	Spec{Technique: "systematic", Params: map[string]string{"interval": "1000"}}
 //
@@ -83,27 +84,3 @@ func (s Spec) With(key, value string) Spec {
 	out.Params[key] = value
 	return out
 }
-
-// Param returns the raw value of a parameter and whether it is present.
-func (s Spec) Param(key string) (string, bool) {
-	v, ok := s.Params[key]
-	return v, ok
-}
-
-// Equal reports whether two specs describe the same sampler: identical
-// technique and parameters. A nil and an empty parameter map compare
-// equal.
-func (s Spec) Equal(o Spec) bool {
-	if s.Technique != o.Technique || len(s.Params) != len(o.Params) {
-		return false
-	}
-	for k, v := range s.Params {
-		if ov, ok := o.Params[k]; !ok || ov != v {
-			return false
-		}
-	}
-	return true
-}
-
-// Techniques returns the sorted names of every sampling technique.
-func Techniques() []string { return core.Names() }

@@ -68,9 +68,9 @@ func offerChunks(e *Engine, values []float64) int {
 // checkpointed mid-stream and restored must emit the byte-identical
 // kept-sample sequence — and Hurst points — of one that never stopped,
 // for every technique. The uninterrupted engine and the restored one
-// consume the identical suffix; equality is asserted tick by tick on
-// emitted samples, on snapshots, on Finish tails, and finally on the
-// complete marshaled end states.
+// consume the identical suffix; equality is asserted sample by sample
+// on what Sample returns for it (Finish tail included), on snapshots,
+// and finally on the complete marshaled end states.
 func TestRestoreDeterminism(t *testing.T) {
 	trace := stateTrace(20000, 42)
 	cut := 11213 // off any stratum/interval boundary
@@ -97,13 +97,20 @@ func TestRestoreDeterminism(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			// The suffix goes through per-tick Offer on both engines so the
-			// emitted kept-sample sequences can be compared sample by sample.
-			for i, v := range trace[cut:] {
-				sa, oka := live.Offer(v)
-				sb, okb := restored.Offer(v)
-				if oka != okb || sa != sb {
-					t.Fatalf("tick %d: live emitted (%+v,%v), restored (%+v,%v)", cut+i, sa, oka, sb, okb)
+			// Sample over the suffix returns every sample each engine
+			// keeps from the cut on, its Finish tail included, so the two
+			// runs compare sample by sample.
+			outA, errA := live.Sample(trace[cut:])
+			outB, errB := restored.Sample(trace[cut:])
+			if (errA == nil) != (errB == nil) {
+				t.Fatalf("sample errors diverge: %v vs %v", errA, errB)
+			}
+			if len(outA) != len(outB) {
+				t.Fatalf("kept suffixes diverge: %d vs %d samples", len(outA), len(outB))
+			}
+			for i := range outA {
+				if outA[i] != outB[i] {
+					t.Fatalf("kept sample %d diverges: live %+v, restored %+v", i, outA[i], outB[i])
 				}
 			}
 
@@ -121,20 +128,6 @@ func TestRestoreDeterminism(t *testing.T) {
 			if la.Hurst != nil {
 				if got, want := fmt.Sprintf("%+v", *lb.Hurst), fmt.Sprintf("%+v", *la.Hurst); got != want {
 					t.Fatalf("hurst points diverge:\nlive     %s\nrestored %s", want, got)
-				}
-			}
-
-			tailA, errA := live.Finish()
-			tailB, errB := restored.Finish()
-			if (errA == nil) != (errB == nil) {
-				t.Fatalf("finish errors diverge: %v vs %v", errA, errB)
-			}
-			if len(tailA) != len(tailB) {
-				t.Fatalf("finish tails diverge: %d vs %d samples", len(tailA), len(tailB))
-			}
-			for i := range tailA {
-				if tailA[i] != tailB[i] {
-					t.Fatalf("finish tail sample %d diverges: %+v vs %+v", i, tailA[i], tailB[i])
 				}
 			}
 
@@ -178,10 +171,8 @@ func TestRestoreDeterminismAcrossBatchShapes(t *testing.T) {
 		}
 		keptLive := live.OfferBatch(trace[cut:]) // one giant batch
 		keptRestored := 0
-		for _, v := range trace[cut:] { // vs. tick by tick
-			if _, ok := restored.Offer(v); ok {
-				keptRestored++
-			}
+		for i := cut; i < len(trace); i++ { // vs. one-tick batches
+			keptRestored += restored.OfferBatch(trace[i : i+1])
 		}
 		if keptLive != keptRestored {
 			t.Fatalf("%s: kept %d via one batch, %d restored tick-by-tick", spec, keptLive, keptRestored)
@@ -288,8 +279,8 @@ func TestGroupRestoreDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if restored.Len() != live.Len() {
-		t.Fatalf("restored %d members, want %d", restored.Len(), live.Len())
+	if len(restored.members) != len(live.members) {
+		t.Fatalf("restored %d members, want %d", len(restored.members), len(live.members))
 	}
 
 	ka := live.OfferBatch(trace[cut:])

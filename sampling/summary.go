@@ -35,9 +35,6 @@ type Summary struct {
 	Uptime time.Duration // time since the engine was built
 }
 
-// Exhausted reports whether a kept-sample budget is set and used up.
-func (s Summary) Exhausted() bool { return s.Budget > 0 && s.Kept >= s.Budget }
-
 // HurstPoint is one side of the preservation comparison: the online H
 // estimate of a single stream (the engine's input or its kept samples),
 // exactly the estimator's reading. Its method is carried beside it, by

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # docs_lint.sh — keep the prose honest.
 #
-# Four checks over the repo's markdown:
+# Five checks over the repo's markdown:
 #
 #   1. Every fenced ```go block in README.md and ARCHITECTURE.md must
 #      parse. Full files (starting with "package") are fed to gofmt
@@ -27,6 +27,12 @@
 #      name declares — so prose cannot go on citing deleted code. A span
 #      `pkg.Type.Method` (`stats.Run.FoldPairs`) must name a method that
 #      such a package declares on Type, or lists in interface Type.
+#
+#   5. Every inline code span of the form `Type.Member`
+#      (`Engine.OfferBatch`, `Gauge.Set`), where some non-test Go in
+#      the module declares the exported type Type, must name a method
+#      or field that some type of that name declares — the check-4 rule
+#      for prose that leaves the package implicit.
 #
 # A flag counts as registered only through a flag-set call in a
 # command's non-test sources — fs.X("name", ...) or fs.XVar(&v,
@@ -125,17 +131,22 @@ done
 pkg_names='core|lrd|stats|sampling|hub|wire|persist|cluster|estimate|obs|dsp|traffic|trace|dist|binenc|experiments'
 
 # declared_idents PKG prints the package-level identifiers and method
-# names that the non-test sources of every package named PKG declare,
-# one per line, and each method as Type.Method: methods with a
-# receiver, and the methods an interface type lists.
+# names that the non-test sources of every package whose name matches
+# PKG declare, one per line, and each method and field as Type.Member:
+# methods with a receiver, the methods an interface type lists, and the
+# fields of a struct type (an embedded one under its type's name). A
+# type also prints as "type Name".
 declared_idents() {
 	grep -rlE --include='*.go' --exclude='*_test.go' "^package $1\$" . |
 		grep -vE '^\./[._]|/testdata/' |
 		xargs -r awk '
-			/^(const|var|type) \($/ { block = 1; next }
-			block && /^\)/ { block = 0; next }
+			/^(const|var|type) \($/ { block = $1; next }
+			block && /^\)/ { block = ""; next }
 			block {
-				if (match($0, /^\t[A-Za-z_][A-Za-z0-9_]*/)) print substr($0, 2, RLENGTH - 1)
+				if (match($0, /^\t[A-Za-z_][A-Za-z0-9_]*/)) {
+					print substr($0, 2, RLENGTH - 1)
+					if (block == "type") print "type " substr($0, 2, RLENGTH - 1)
+				}
 				next
 			}
 			iface && /^}/ { iface = ""; next }
@@ -143,10 +154,24 @@ declared_idents() {
 				if (match($0, /^\t[A-Za-z_][A-Za-z0-9_]*\(/)) print iface "." substr($0, 2, RLENGTH - 2)
 				next
 			}
+			strct && /^}/ { strct = ""; next }
+			strct {
+				if (match($0, /^\t[A-Za-z_][A-Za-z0-9_]*(, [A-Za-z_][A-Za-z0-9_]*)* /)) {
+					n = split(substr($0, 2, RLENGTH - 2), w, ", ")
+					for (i = 1; i <= n; i++) print strct "." w[i]
+				} else if (match($0, /^\t\*?[A-Za-z_][A-Za-z0-9_.]*$/)) {
+					n = split($1, w, ".")
+					sub(/^\*/, "", w[n])
+					print strct "." w[n]
+				}
+				next
+			}
 			/^type [A-Za-z_][A-Za-z0-9_]* interface {$/ { iface = $2 }
+			/^type [A-Za-z_][A-Za-z0-9_]* struct {$/ { strct = $2 }
 			match($0, /^(func( \([^)]*\))?|type|var|const) [A-Za-z_][A-Za-z0-9_]*/) {
 				n = split(substr($0, 1, RLENGTH), w, " ")
 				print w[n]
+				if (w[1] == "type") print "type " w[n]
 				if (n > 2 && w[1] == "func") {
 					recv = w[n - 1]
 					sub(/\).*/, "", recv)
@@ -165,6 +190,20 @@ for doc in "${docs[@]}"; do
 		[ -f "$tmp/idents.$pkg" ] || declared_idents "$pkg" >"$tmp/idents.$pkg"
 		if ! grep -qx -- "${ref#*.}" "$tmp/idents.$pkg"; then
 			echo "docs_lint: $doc names \`$ref\`, which no non-test Go source of package $pkg declares"
+			fail=1
+		fi
+	done
+done
+
+# --- 5. Type.Member spans must name a member of a declared type ---------
+
+declared_idents '[a-z0-9_]+' >"$tmp/idents.all"
+for doc in "${docs[@]}"; do
+	for ref in $(awk '/^```/ { fence = !fence; next } !fence' "$doc" |
+		grep -oE '`[^`]*`' | sed -nE 's/^`([A-Z][A-Za-z0-9_]*\.[A-Za-z_][A-Za-z0-9_]*).*/\1/p' | sort -u); do
+		grep -qx -- "type ${ref%%.*}" "$tmp/idents.all" || continue
+		if ! grep -qx -- "$ref" "$tmp/idents.all"; then
+			echo "docs_lint: $doc names \`$ref\`, but no type ${ref%%.*} in the module's non-test Go has a method or field ${ref#*.}"
 			fail=1
 		fi
 	done
