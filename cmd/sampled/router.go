@@ -193,11 +193,11 @@ func (rt *router) session(w http.ResponseWriter, r *http.Request) {
 	dec := rt.decoders.get(r.Body)
 	defer rt.decoders.put(dec)
 	upstreams := make(map[string]*cluster.Session)
-	total, err := readFrames(dec, func(f frame) (int, error) {
-		if f.id == "" {
+	total, err := readFrames(dec, nil, func(id string, values []float64) (int, error) {
+		if id == "" {
 			return 0, errAnonymousFrame
 		}
-		owner := rt.ring.Load().Lookup(f.id)
+		owner := rt.ring.Load().Lookup(id)
 		if owner == "" {
 			return 0, refuse(http.StatusServiceUnavailable, "no healthy backends")
 		}
@@ -210,7 +210,7 @@ func (rt *router) session(w http.ResponseWriter, r *http.Request) {
 			upstreams[owner] = up
 			rt.requests.With(owner).Inc()
 		}
-		if err := up.Encode(f.id, f.values); err != nil {
+		if err := up.Encode(id, values); err != nil {
 			return 0, backendError(owner, err)
 		}
 		return 0, nil // the backends report kept samples when they close

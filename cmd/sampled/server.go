@@ -8,6 +8,7 @@ import (
 	"io"
 	"log/slog"
 	"math"
+	"math/rand/v2"
 	"net/http"
 	"net/http/pprof"
 	"strconv"
@@ -42,13 +43,14 @@ type server struct {
 
 	// The observability layer: every /metrics series renders from reg,
 	// rec is the flight recorder behind /debug/events, and the ingest
-	// instruments histogram each batch by wire.
-	reg          *obs.Registry
-	rec          *obs.Recorder
-	logger       *slog.Logger
-	ingestFrames *obs.Counter
-	ingestBytes  *obs.Counter
-	ingest       map[string]*wireInstruments
+	// instruments histogram each JSON or text batch and a sample of the
+	// binary frames, by wire.
+	reg           *obs.Registry
+	rec           *obs.Recorder
+	logger        *slog.Logger
+	ingest        map[string]*wireInstruments
+	binaryFrames  *frameMeter
+	sessionFrames *frameMeter
 
 	// statsCache is refreshed once per scrape by the registry's
 	// OnScrape hook and read by the func-backed series, all under the
@@ -81,6 +83,46 @@ type wireInstruments struct {
 	decode *obs.Histogram
 	bytes  *obs.Histogram
 	ticks  *obs.Histogram
+}
+
+// observe records one decoded batch. bytes < 0 (an unknown content
+// length) skips the size observation.
+func (wi *wireInstruments) observe(decode time.Duration, bytes int64, ticks int) {
+	wi.decode.Observe(decode.Seconds())
+	if bytes >= 0 {
+		wi.bytes.Observe(float64(bytes))
+	}
+	wi.ticks.Observe(float64(ticks))
+}
+
+// frameMeter instruments one binary wire (single-stream POSTs or
+// sessions). The frame and byte counters are exact: readFrames sums
+// them locally and adds them on every sampled frame and at the end of
+// each body. The histograms see only the sampled frames, which gap
+// picks.
+type frameMeter struct {
+	frames, bytes *obs.Counter
+	hist          *wireInstruments
+	gap           func() int // frames from one sampled frame to the next
+}
+
+// frameSample is the mean gap between sampled binary frames: one frame
+// in 64 is timed and histogrammed. The paper's premise applies to the
+// daemon's own instrumentation: a random sample of the frames gives
+// their distributions at a fraction of the cost of timing every one.
+const frameSample = 64
+
+// logFrameSkip is log(1 - 1/frameSample), the log ratio of the
+// geometric gap law.
+var logFrameSkip = math.Log1p(-1.0 / frameSample)
+
+// frameGap draws the distance to the next sampled frame: one plus a
+// geometric skip, so each frame is sampled independently with
+// probability 1/frameSample. Unlike a fixed stride, such a sample
+// cannot alias with a periodic input — a session that rotates through
+// a fixed list of ids would otherwise time the same few streams only.
+func frameGap() int {
+	return 1 + int(math.Log(1-rand.Float64())/logFrameSkip)
 }
 
 // serverConfig carries the optional observability knobs; the zero
@@ -252,9 +294,9 @@ func (s *server) registerMetrics() {
 	gauge("sampled_hurst_drift_mean", "Mean kept-minus-input Hurst drift over resolved streams.",
 		func() float64 { return s.hurstStats.MeanDrift })
 
-	s.ingestFrames = r.NewCounter("sampled_ingest_frames_total",
+	frames := r.NewCounter("sampled_ingest_frames_total",
 		"Binary tick-batch frames decoded (single-shot POSTs and streaming sessions).")
-	s.ingestBytes = r.NewCounter("sampled_ingest_bytes_total",
+	bytes := r.NewCounter("sampled_ingest_bytes_total",
 		"Bytes of binary tick-batch frames decoded.")
 	decode := r.NewHistogramVec("sampled_ingest_decode_seconds",
 		"Time to decode one ingest batch, by wire.", obs.ExpBuckets(1e-6, 4, 10), "wire")
@@ -270,22 +312,13 @@ func (s *server) registerMetrics() {
 			ticks:  batchTicks.With(w),
 		}
 	}
+	s.binaryFrames = &frameMeter{frames: frames, bytes: bytes, hist: s.ingest["binary"], gap: frameGap}
+	s.sessionFrames = &frameMeter{frames: frames, bytes: bytes, hist: s.ingest["session"], gap: frameGap}
 
 	version, goVersion := obs.BuildInfo()
 	r.NewGaugeVec("sampled_build_info", "Build metadata; the value is always 1.",
 		"version", "go_version").With(version, goVersion).Set(1)
 	obs.RegisterRuntime(r, "sampled")
-}
-
-// observeIngest records one decoded batch into the wire's histograms.
-// bytes < 0 (an unknown content length) skips the size observation.
-func (s *server) observeIngest(wire string, decode time.Duration, bytes int64, ticks int) {
-	wi := s.ingest[wire]
-	wi.decode.Observe(decode.Seconds())
-	if bytes >= 0 {
-		wi.bytes.Observe(float64(bytes))
-	}
-	wi.ticks.Observe(float64(ticks))
 }
 
 // notFound is the instrumented catch-all: unmatched paths surface as
@@ -545,7 +578,7 @@ func (s *server) offerTicks(offer func(string, []float64) (int, error)) http.Han
 		if !ok {
 			return
 		}
-		s.observeIngest(wireName, time.Since(start), r.ContentLength, len(values))
+		s.ingest[wireName].observe(time.Since(start), r.ContentLength, len(values))
 		kept, err := offer(r.PathValue("id"), values)
 		if err != nil {
 			writeError(w, err)
@@ -602,43 +635,71 @@ func writeIngest(w http.ResponseWriter, resp ingestResponse, err error) {
 	writeJSON(w, status, resp)
 }
 
-// frame is one decoded tick-batch frame: its embedded id ("" for
-// none), its ticks (valid until the next read), its encoded size and
-// the time decoding it took.
-type frame struct {
-	id     string
-	values []float64
-	bytes  int64
-	decode time.Duration
-}
-
 // errAnonymousFrame refuses a session frame that names no stream.
 var errAnonymousFrame = refuse(http.StatusBadRequest, "session frame carries no stream id")
 
-// readFrames reads frames from dec until the body ends, handing each to
-// offer, which returns the samples the frame kept. It returns the
-// totals of the frames offer took and the first error: a read failure,
-// wrapped in a statusError under ingestStatus, or offer's own.
-func readFrames(dec *wire.Decoder, offer func(frame) (int, error)) (ingestResponse, error) {
-	var resp ingestResponse
+// readFrames reads frames from dec until the body ends, handing each
+// frame's embedded id ("" for none) and ticks (valid until the next
+// read) to offer, which returns the samples the frame kept. It returns
+// the totals of the frames offer took and the first error: a read
+// failure, wrapped in a statusError under ingestStatus, or offer's own.
+//
+// With a meter, the frames offer took go into its counters, and the
+// frames its gap picks into its histograms. Only a picked frame reads
+// the clock: it is buffered whole first, untimed, so its decode time
+// leaves out the wait for the sender. A nil meter records nothing.
+func readFrames(dec *wire.Decoder, m *frameMeter, offer func(id string, values []float64) (int, error)) (resp ingestResponse, err error) {
+	var frames, bytes int64 // taken since the last add to m's counters
+	gap := 0                // frames to the next sampled one; only falls without a meter
+	if m != nil {
+		gap = m.gap()
+	}
 	for {
-		start := time.Now()
-		id, values, err := dec.ReadFrame()
-		decode := time.Since(start)
-		if err == io.EOF {
-			return resp, nil
+		gap--
+		timed := gap == 0 && dec.Buffer() == nil // else ReadFrame returns Buffer's error
+		var start time.Time
+		if timed {
+			start = time.Now()
 		}
-		if err != nil {
-			return resp, &statusError{ingestStatus(err), fmt.Errorf("frame: %w", err)}
+		id, values, rerr := dec.ReadFrame()
+		var decode time.Duration
+		if timed {
+			decode = time.Since(start)
 		}
-		kept, err := offer(frame{id, values, dec.FrameBytes(), decode})
-		if err != nil {
-			return resp, err
+		if rerr != nil {
+			if rerr != io.EOF {
+				err = &statusError{ingestStatus(rerr), fmt.Errorf("frame: %w", rerr)}
+			}
+			break
+		}
+		kept, oerr := offer(id, values)
+		if oerr != nil {
+			err = oerr
+			break
 		}
 		resp.Frames++
 		resp.Accepted += int64(len(values))
 		resp.Kept += int64(kept)
+		frames++
+		bytes += dec.FrameBytes()
+		if timed {
+			m.hist.observe(decode, dec.FrameBytes(), len(values))
+			m.add(&frames, &bytes)
+			gap = m.gap()
+		}
 	}
+	if m != nil {
+		m.add(&frames, &bytes)
+	}
+	return resp, err
+}
+
+// add moves a body's unrecorded frame and byte counts into the
+// counters.
+func (m *frameMeter) add(frames, bytes *int64) {
+	m.frames.Add(uint64(*frames))
+	m.bytes.Add(uint64(*bytes))
+	*frames, *bytes = 0, 0
 }
 
 // requireTickBatch refuses, with a 415, a session body that is not
@@ -662,11 +723,11 @@ func (s *server) offerFrames(w http.ResponseWriter, r *http.Request, offer func(
 	id := r.PathValue("id")
 	dec := s.decoders.get(http.MaxBytesReader(w, r.Body, s.maxBody))
 	defer s.decoders.put(dec)
-	resp, err := readFrames(dec, func(f frame) (int, error) {
-		if f.id != "" && f.id != id {
-			return 0, refuse(http.StatusBadRequest, "frame names stream %q but the URL names %q", f.id, id)
+	resp, err := readFrames(dec, s.binaryFrames, func(fid string, values []float64) (int, error) {
+		if fid != "" && fid != id {
+			return 0, refuse(http.StatusBadRequest, "frame names stream %q but the URL names %q", fid, id)
 		}
-		return s.offerFrame("binary", id, f, offer)
+		return offer(id, values)
 	})
 	if err == nil && resp.Frames == 0 {
 		// An empty body still names a stream; surface a 404 for a ghost
@@ -693,26 +754,17 @@ func (s *server) session(w http.ResponseWriter, r *http.Request) {
 	}
 	dec := s.decoders.get(r.Body)
 	defer s.decoders.put(dec)
-	resp, err := readFrames(dec, func(f frame) (int, error) {
-		if f.id == "" {
-			return 0, errAnonymousFrame
-		}
-		return s.offerFrame("session", f.id, f, s.hub.OfferBatch)
-	})
+	resp, err := readFrames(dec, s.sessionFrames, s.offerSession)
 	writeIngest(w, resp, err)
 }
 
-// offerFrame offers one decoded frame to id and, once it is taken,
-// counts it into the ingest counters and the wire's histograms.
-func (s *server) offerFrame(wireName, id string, f frame, offer func(string, []float64) (int, error)) (int, error) {
-	kept, err := offer(id, f.values)
-	if err != nil {
-		return 0, err
+// offerSession offers one session frame to the stream its embedded id
+// names.
+func (s *server) offerSession(id string, values []float64) (int, error) {
+	if id == "" {
+		return 0, errAnonymousFrame
 	}
-	s.ingestFrames.Inc()
-	s.ingestBytes.Add(uint64(f.bytes))
-	s.observeIngest(wireName, f.decode, f.bytes, len(f.values))
-	return kept, nil
+	return s.hub.OfferBatch(id, values)
 }
 
 // snapshot builds the live-document handler of a stream (its summary)

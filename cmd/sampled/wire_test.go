@@ -9,6 +9,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"regexp"
 	"strconv"
 	"strings"
 	"sync"
@@ -18,6 +19,7 @@ import (
 	"repro/internal/dist"
 	"repro/internal/lrd"
 	"repro/internal/obs"
+	"repro/sampling"
 	"repro/sampling/cluster"
 	"repro/sampling/hub"
 	"repro/sampling/wire"
@@ -298,6 +300,90 @@ func TestSessionIngest(t *testing.T) {
 	fail("corrupt frame", corrupt, http.StatusBadRequest)
 	fail("truncated frame", mustFrame(t, "a", []float64{1, 2})[:20], http.StatusBadRequest)
 	fail("nan tick", mustFrame(t, "a", []float64{1, math.NaN()}), http.StatusBadRequest)
+}
+
+// newMeteredServer builds the daemon's server state without its HTTP
+// routes, so a test can drive readFrames with the daemon's own meters.
+func newMeteredServer(h *hub.Hub) *server {
+	s := &server{hub: h, reg: obs.NewRegistry()}
+	s.registerMetrics()
+	return s
+}
+
+// TestDecodeTimeExcludesSenderStall: a session whose client stalls for
+// 100 ms inside a frame records the frame's decode, not the stall.
+// Every frame is sampled here, so each one's decode time is observed.
+func TestDecodeTimeExcludesSenderStall(t *testing.T) {
+	h := hub.New()
+	if err := h.Create("a", sampling.MustParse("systematic:interval=2")); err != nil {
+		t.Fatal(err)
+	}
+	s := newMeteredServer(h)
+	m := *s.sessionFrames
+	m.gap = func() int { return 1 }
+	f := mustFrame(t, "a", make([]float64, 64))
+	pr, pw := io.Pipe()
+	go func() {
+		pw.Write(f)
+		pw.Write(f[:len(f)/2])
+		time.Sleep(100 * time.Millisecond)
+		pw.Write(f[len(f)/2:])
+		pw.Write(f)
+		pw.Close()
+	}()
+	resp, err := readFrames(wire.NewDecoder(pr, 0), &m, s.offerSession)
+	if err != nil || resp.Frames != 3 {
+		t.Fatalf("session: %+v, %v; want 3 frames", resp, err)
+	}
+	if n := m.hist.decode.Count(); n != 3 {
+		t.Fatalf("%d decode observations, want 3", n)
+	}
+	// Quantile(1) is the upper edge of the slowest observation's bucket.
+	if worst := m.hist.decode.Quantile(1); worst >= 0.1 {
+		t.Errorf("slowest decode observed in a bucket reaching %g s: the sender's stall was timed", worst)
+	}
+}
+
+// TestSessionHistogramsSampled: on the binary wires the frame and byte
+// counters are exact at the end of a body, while the ingest histograms
+// see about one frame in frameSample.
+func TestSessionHistogramsSampled(t *testing.T) {
+	srv := httptest.NewServer(newServer(hub.New(), 0))
+	defer srv.Close()
+	client := srv.Client()
+	if code, _ := doJSON(t, client, http.MethodPut, srv.URL+"/v1/streams/a",
+		map[string]any{"spec": "systematic:interval=2"}); code != http.StatusCreated {
+		t.Fatal("create failed")
+	}
+	const frames = 2048 // a sample of about 32; none at all has odds e^-32
+	f := mustFrame(t, "a", []float64{1})
+	body := bytes.Repeat(f, frames)
+	if code, data := postRaw(t, client, srv.URL+"/v1/session", wire.ContentType, body); code != http.StatusOK {
+		t.Fatalf("session: %d %s", code, data)
+	}
+	_, metrics := doJSON(t, client, http.MethodGet, srv.URL+"/metrics", nil)
+	for _, want := range []string{
+		fmt.Sprintf("sampled_ingest_frames_total %d\n", frames),
+		fmt.Sprintf("sampled_ingest_bytes_total %d\n", len(body)),
+	} {
+		if !strings.Contains(string(metrics), want) {
+			t.Errorf("metrics missing %q", want)
+		}
+	}
+	var counts []int
+	for _, name := range []string{"decode_seconds", "frame_bytes", "batch_ticks"} {
+		re := regexp.MustCompile(`sampled_ingest_` + name + `_count\{wire="session"\} (\d+)\n`)
+		m := re.FindSubmatch(metrics)
+		if m == nil {
+			t.Fatalf("metrics missing the session %s count", name)
+		}
+		n, _ := strconv.Atoi(string(m[1]))
+		counts = append(counts, n)
+	}
+	if n := counts[0]; n == 0 || n >= frames/8 || counts[1] != n || counts[2] != n {
+		t.Errorf("session histogram counts %v over %d frames, want one sample of about %d",
+			counts, frames, frames/frameSample)
+	}
 }
 
 // TestWireEquivalence is the cross-wire contract: the same tick series

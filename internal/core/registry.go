@@ -176,7 +176,7 @@ func NewParams(kv map[string]string) *Params {
 func build(name string, p *Params) (Kernel, error) {
 	f := factories[name]
 	if f == nil {
-		return nil, fmt.Errorf("core: unknown sampler %q (registered: %s): %w",
+		return nil, fmt.Errorf("core: unknown sampler %q (known: %s): %w",
 			name, strings.Join(Names(), ", "), ErrUnknownTechnique)
 	}
 	k, err := f(p)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"slices"
 	"strings"
 	"testing"
@@ -78,10 +79,12 @@ func TestLookupErrors(t *testing.T) {
 			t.Errorf("Lookup(%q): expected error", bad)
 		}
 	}
-	// The unknown-name error should list the technique table.
+	// The unknown-name error lists the fixed technique table, which has
+	// no registration step.
 	_, err := Lookup("warp-drive")
-	if err == nil || !strings.Contains(err.Error(), "bss") {
-		t.Errorf("unknown-name error should list the technique names, got %v", err)
+	want := `core: unknown sampler "warp-drive" (known: ` + strings.Join(Names(), ", ") + `): unknown sampling technique`
+	if err == nil || err.Error() != want || !errors.Is(err, ErrUnknownTechnique) {
+		t.Errorf("unknown-name error = %v, want %q wrapping ErrUnknownTechnique", err, want)
 	}
 }
 

@@ -29,7 +29,10 @@
 //
 //	eng, err := sampling.New(spec, sampling.WithBudget(10_000))
 //	for batch := range batches {
-//	    kept := eng.OfferBatch(batch) // atomic w.r.t. Snapshot and Finish
+//	    // Atomic w.r.t. Snapshot and Finish; ErrFinished after Finish.
+//	    if _, err := eng.OfferBatch(batch); err != nil {
+//	        return err
+//	    }
 //	}
 //	tail, err := eng.Finish() // samples only decidable at end of stream
 //
@@ -52,11 +55,12 @@
 //
 // OfferBatch and Sample are the only ways ticks enter an engine.
 // OfferBatch feeds a slice of ticks under one lock acquisition and
-// returns how many samples the batch finalized. It dispatches to the
-// technique's skip-based batch kernel (internal/core's
-// Kernel.OfferBatch) that jumps from kept tick to kept tick instead of
-// visiting each element, so batch ingest costs O(samples kept), not
-// O(ticks seen). The kernel has no other entry point, and its output
+// returns how many samples the batch finalized, or ErrFinished from
+// that same acquisition when the engine is already finished. It
+// dispatches to the technique's skip-based batch kernel
+// (internal/core's Kernel.OfferBatch) that jumps from kept tick to
+// kept tick instead of visiting each element, so batch ingest costs
+// O(samples kept), not O(ticks seen). The kernel has no other entry point, and its output
 // under a seed does not depend on how the stream is split into
 // batches.
 //
@@ -81,8 +85,8 @@
 //	    sampling.MustParse("systematic:interval=100"),
 //	    sampling.MustParse("bss:interval=100,L=10,eps=1.0"),
 //	}, sampling.WithEstimator(estimate.AggVar))
-//	g.OfferBatch(ticks)
-//	cmp := g.Snapshot() // a Comparison
+//	kept, err := g.OfferBatch(ticks) // kept across members; ErrFinished after Finish
+//	cmp := g.Snapshot()              // a Comparison
 //
 // A Comparison carries the input reference (Seen, Mean, Variance, the
 // shared Hurst point) plus one TechniqueReport per member: its Summary

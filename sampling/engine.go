@@ -120,21 +120,23 @@ func (e *Engine) Spec() Spec {
 // a per-tick oracle).
 //
 // The batch is atomic with respect to Finish and Snapshot — an
-// observer sees either none or all of it. After Finish, OfferBatch is
-// a no-op returning 0.
+// observer sees either none or all of it. After Finish, OfferBatch
+// takes nothing and fails with ErrFinished, so a caller racing a
+// finish learns it from the same lock acquisition that would have
+// taken the batch.
 //
 //samplelint:hotpath
-func (e *Engine) OfferBatch(values []float64) (kept int) {
+func (e *Engine) OfferBatch(values []float64) (kept int, err error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.finished {
-		return 0
+		return 0, ErrFinished
 	}
 	buf := scratch.Get().(*[]Sample)
 	*buf = e.offerBatch(values, (*buf)[:0])
 	kept = len(*buf)
 	scratch.Put(buf)
-	return kept
+	return kept, nil
 }
 
 // offerBatch advances the stream by a batch and returns dst extended by
@@ -203,14 +205,6 @@ func (e *Engine) Finish() ([]Sample, error) {
 	return tail, nil
 }
 
-// Finished reports whether Finish has been called — the cheap form of
-// Snapshot().Finished for callers that only need the lifecycle state.
-func (e *Engine) Finished() bool {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.finished
-}
-
 // Snapshot returns the engine's running summary: kept/seen counts, the
 // mean of the kept values and its 95% confidence interval. It never
 // finalizes anything and is safe to call concurrently while ticks flow;
@@ -269,7 +263,8 @@ func ci95(acc *stats.Accumulator) (lo, hi float64) {
 // f -> []Sample, driven through the same streaming state machine so
 // whole-series and batch-by-batch use produce identical output. It
 // must be the engine's last use: Sample offers every element and then
-// finalizes, and on an engine already finished it returns an error.
+// finalizes, and on an engine already finished it fails with
+// ErrFinished.
 func (e *Engine) Sample(f []float64) ([]Sample, error) {
 	if len(f) == 0 {
 		return nil, fmt.Errorf("sampling: cannot sample an empty series")
@@ -277,7 +272,7 @@ func (e *Engine) Sample(f []float64) ([]Sample, error) {
 	e.mu.Lock()
 	if e.finished {
 		e.mu.Unlock()
-		return nil, fmt.Errorf("sampling: engine already finished")
+		return nil, fmt.Errorf("sampling: engine: %w", ErrFinished)
 	}
 	out := e.offerBatch(f, make([]Sample, 0, 16))
 	e.mu.Unlock()

@@ -1,6 +1,7 @@
 package sampling
 
 import (
+	"errors"
 	"math"
 	"reflect"
 	"sync"
@@ -29,6 +30,15 @@ var equalitySpecs = []string{
 	"simple:rate=0.05,seed=22",
 	"bernoulli:rate=0.05,seed=23",
 	"bss:interval=16,L=4,eps=1.1",
+}
+
+// keptOf is the kept count of an OfferBatch on a live engine or group,
+// which must succeed.
+func keptOf(kept int, err error) int {
+	if err != nil {
+		panic(err)
+	}
+	return kept
 }
 
 // TestEngineMatchesCoreBatch: Engine.Sample must produce byte-identical
@@ -161,8 +171,8 @@ func TestFinishIdempotentAndOfferAfterFinish(t *testing.T) {
 	if err != nil || len(again) != 0 {
 		t.Errorf("second Finish = (%d samples, %v), want (0, nil)", len(again), err)
 	}
-	if kept := eng.OfferBatch([]float64{1}); kept != 0 {
-		t.Errorf("OfferBatch after Finish kept %d samples", kept)
+	if kept, err := eng.OfferBatch([]float64{1}); kept != 0 || !errors.Is(err, ErrFinished) {
+		t.Errorf("OfferBatch after Finish = (%d, %v), want (0, ErrFinished)", kept, err)
 	}
 	sum := eng.Snapshot()
 	if sum.Seen != len(f) || sum.Kept != 20 || !sum.Finished {
@@ -179,7 +189,7 @@ func TestBudgetCapsKeptSamples(t *testing.T) {
 	}
 	kept := 0
 	for off := 0; off < len(f); off += 64 {
-		kept += eng.OfferBatch(f[off : off+64])
+		kept += keptOf(eng.OfferBatch(f[off : off+64]))
 	}
 	if _, err := eng.Finish(); err != nil {
 		t.Fatal(err)
@@ -316,20 +326,27 @@ func TestManyConcurrentObservers(t *testing.T) {
 	}
 }
 
+// TestEngineFinished: the lifecycle state shows in Snapshot, and a
+// batch offered after Finish fails with ErrFinished.
 func TestEngineFinished(t *testing.T) {
 	eng, err := New(MustParse("systematic:interval=2"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if eng.Finished() {
+	if eng.Snapshot().Finished {
 		t.Error("fresh engine reports finished")
 	}
-	eng.OfferBatch([]float64{1})
+	if _, err := eng.OfferBatch([]float64{1}); err != nil {
+		t.Errorf("live engine refused a batch: %v", err)
+	}
 	if _, err := eng.Finish(); err != nil {
 		t.Fatal(err)
 	}
-	if !eng.Finished() {
+	if !eng.Snapshot().Finished {
 		t.Error("finished engine reports live")
+	}
+	if _, err := eng.OfferBatch([]float64{2}); !errors.Is(err, ErrFinished) {
+		t.Errorf("finished engine took a batch: %v, want ErrFinished", err)
 	}
 }
 
@@ -353,11 +370,11 @@ func TestOfferBatchMatchesOffer(t *testing.T) {
 		}
 		kept := 0
 		for off := 0; off < len(f); off += 129 { // deliberately not a divisor of the length
-			kept += batched.OfferBatch(f[off:min(off+129, len(f))])
+			kept += keptOf(batched.OfferBatch(f[off:min(off+129, len(f))]))
 		}
 		tickKept := 0
 		for i := range f {
-			tickKept += ticked.OfferBatch(f[i : i+1])
+			tickKept += keptOf(ticked.OfferBatch(f[i : i+1]))
 		}
 		if kept != tickKept {
 			t.Errorf("%s: ragged batches kept %d, one-tick batches kept %d", spec, kept, tickKept)
@@ -385,21 +402,24 @@ func TestOfferBatchMatchesOffer(t *testing.T) {
 	}
 }
 
-// TestOfferBatchAfterFinish: a finished engine ignores batches without
-// advancing any counter.
+// TestOfferBatchAfterFinish: a finished engine refuses batches with
+// ErrFinished, without advancing any counter.
 func TestOfferBatchAfterFinish(t *testing.T) {
 	eng, err := New(MustParse("systematic:interval=2"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if kept := eng.OfferBatch([]float64{1, 2, 3, 4}); kept != 2 {
+	if kept := keptOf(eng.OfferBatch([]float64{1, 2, 3, 4})); kept != 2 {
 		t.Fatalf("kept %d of the warmup batch, want 2", kept)
 	}
 	if _, err := eng.Finish(); err != nil {
 		t.Fatal(err)
 	}
-	if kept := eng.OfferBatch([]float64{5, 6}); kept != 0 {
-		t.Errorf("post-finish OfferBatch kept %d", kept)
+	if kept, err := eng.OfferBatch([]float64{5, 6}); kept != 0 || !errors.Is(err, ErrFinished) {
+		t.Errorf("post-finish OfferBatch = (%d, %v), want (0, ErrFinished)", kept, err)
+	}
+	if _, err := eng.Sample([]float64{7}); !errors.Is(err, ErrFinished) {
+		t.Errorf("post-finish Sample: %v, want ErrFinished", err)
 	}
 	if sum := eng.Snapshot(); sum.Seen != 4 {
 		t.Errorf("post-finish OfferBatch advanced seen to %d", sum.Seen)

@@ -22,14 +22,14 @@ func TestParseSyntaxErrorsWrapErrBadSpec(t *testing.T) {
 func TestNewUnknownTechnique(t *testing.T) {
 	_, err := New(MustParse("warp-drive:rate=0.5"))
 	if err == nil {
-		t.Fatal("expected error for unregistered technique")
+		t.Fatal("expected error for an unknown technique")
 	}
 	if !errors.Is(err, ErrUnknownTechnique) {
 		t.Errorf("error %v does not wrap ErrUnknownTechnique", err)
 	}
-	// The message should still list what is registered.
+	// The message should still list the known techniques.
 	if !strings.Contains(err.Error(), "bss") {
-		t.Errorf("unknown-technique error should list registered names, got %v", err)
+		t.Errorf("unknown-technique error should list the known names, got %v", err)
 	}
 }
 

@@ -66,7 +66,12 @@ func ExampleEngine_OfferBatch() {
 	var kept int
 	for off := 0; off < len(f); off += 512 {
 		end := min(off+512, len(f))
-		kept += batched.OfferBatch(f[off:end])
+		k, err := batched.OfferBatch(f[off:end]) // ErrFinished once finished
+		if err != nil {
+			fmt.Println(err)
+			return
+		}
+		kept += k
 	}
 	all, _ := whole.Sample(f)
 	fmt.Printf("batched kept %d, whole series kept %d\n", kept, len(all))

@@ -112,20 +112,23 @@ func NewGroup(specs []Spec, opts ...Option) (*Group, error) {
 // member and returns how many samples the batch finalized across all of
 // them. The input-side accumulator and estimator consume each tick
 // exactly once regardless of the member count. After Finish, OfferBatch
-// is a no-op returning 0.
+// takes nothing and fails with ErrFinished.
 //
 //samplelint:hotpath
-func (g *Group) OfferBatch(values []float64) (kept int) {
+func (g *Group) OfferBatch(values []float64) (kept int, err error) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	if g.finished {
-		return 0
+		return 0, ErrFinished
 	}
 	g.offerInput(values)
 	for _, eng := range g.members {
-		kept += eng.OfferBatch(values)
+		// Members finish only with the group, under g.mu, so none can
+		// have finished here.
+		k, _ := eng.OfferBatch(values)
+		kept += k
 	}
-	return kept
+	return kept, nil
 }
 
 // inputMoments is implemented by estimators whose state includes the
@@ -183,13 +186,6 @@ func (g *Group) Finish() ([][]Sample, error) {
 	return tails, g.finishErr
 }
 
-// Finished reports whether Finish has been called.
-func (g *Group) Finished() bool {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.finished
-}
-
 // Snapshot returns the group's running Comparison without disturbing
 // the stream: the unsampled input reference (count, moments and, with
 // an estimator, the shared input-side Hurst point) plus each member's
@@ -240,7 +236,7 @@ func (g *Group) Sample(f []float64) ([][]Sample, error) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	if g.finished {
-		return nil, fmt.Errorf("sampling: group already finished")
+		return nil, fmt.Errorf("sampling: group: %w", ErrFinished)
 	}
 	g.offerInput(f)
 	g.finished = true

@@ -112,7 +112,11 @@ func TestGroupMatchesStandaloneEngines(t *testing.T) {
 			if end > len(series) {
 				end = len(series)
 			}
-			kept += g.OfferBatch(series[off:end])
+			k, err := g.OfferBatch(series[off:end])
+			if err != nil {
+				t.Fatal(err)
+			}
+			kept += k
 			off = end
 		}
 		tails, err := g.Finish()
@@ -283,8 +287,8 @@ func TestGroupErrors(t *testing.T) {
 	if _, err2 := g.Finish(); err2 == nil {
 		t.Error("second Finish lost the error")
 	}
-	if kept := g.OfferBatch([]float64{9}); kept != 0 {
-		t.Errorf("post-finish OfferBatch kept %d", kept)
+	if kept, err := g.OfferBatch([]float64{9}); kept != 0 || !errors.Is(err, sampling.ErrFinished) {
+		t.Errorf("post-finish OfferBatch = (%d, %v), want (0, ErrFinished)", kept, err)
 	}
 	if cmp := g.Snapshot(); cmp.Seen != 3 {
 		t.Errorf("post-finish offer advanced seen to %d", cmp.Seen)

@@ -13,12 +13,11 @@ import (
 )
 
 // member is what a namespace table needs of the values it holds: batch
-// ingest, the finished-while-offering check and the state codec.
-// *sampling.Engine (streams) and *sampling.Group (comparison groups)
-// both satisfy it.
+// ingest, which fails with sampling.ErrFinished once the member is
+// finished, and the state codec. *sampling.Engine (streams) and
+// *sampling.Group (comparison groups) both satisfy it.
 type member interface {
-	OfferBatch(values []float64) int
-	Finished() bool
+	OfferBatch(values []float64) (int, error)
 	AppendState(dst []byte) ([]byte, error)
 }
 
@@ -166,12 +165,12 @@ func (s *space[M]) offer(id string, values []float64) (kept int, err error) {
 	if e == nil {
 		return 0, s.notFound(id)
 	}
-	kept = e.m.OfferBatch(values)
-	// A finish or Sweep eviction racing the batch makes OfferBatch a
-	// silent no-op: fail rather than count ticks nothing saw. The batch
-	// is atomic under the member's lock, so no finish lands mid-batch.
-	if e.m.Finished() {
-		return kept, fmt.Errorf("hub: %s %q: finished while offering: %w", s.kind, id, ErrStreamNotFound)
+	// A finish or Sweep eviction that took the member's lock first makes
+	// OfferBatch refuse the batch: fail rather than count ticks nothing
+	// saw. The batch is atomic under that lock, so no finish lands
+	// mid-batch.
+	if kept, err = e.m.OfferBatch(values); err != nil {
+		return 0, fmt.Errorf("hub: %s %q: finished while offering: %w", s.kind, id, ErrStreamNotFound)
 	}
 	e.lastActive.Store(s.clock().UnixNano())
 	st.ticks.Add(int64(len(values)))

@@ -58,7 +58,7 @@ func offerChunks(e *Engine, values []float64) int {
 		if i+n > len(values) {
 			n = len(values) - i
 		}
-		kept += e.OfferBatch(values[i : i+n])
+		kept += keptOf(e.OfferBatch(values[i : i+n]))
 		i += n
 	}
 	return kept
@@ -169,10 +169,10 @@ func TestRestoreDeterminismAcrossBatchShapes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		keptLive := live.OfferBatch(trace[cut:]) // one giant batch
+		keptLive := keptOf(live.OfferBatch(trace[cut:])) // one giant batch
 		keptRestored := 0
 		for i := cut; i < len(trace); i++ { // vs. one-tick batches
-			keptRestored += restored.OfferBatch(trace[i : i+1])
+			keptRestored += keptOf(restored.OfferBatch(trace[i : i+1]))
 		}
 		if keptLive != keptRestored {
 			t.Fatalf("%s: kept %d via one batch, %d restored tick-by-tick", spec, keptLive, keptRestored)
@@ -283,8 +283,8 @@ func TestGroupRestoreDeterminism(t *testing.T) {
 		t.Fatalf("restored %d members, want %d", len(restored.members), len(live.members))
 	}
 
-	ka := live.OfferBatch(trace[cut:])
-	kb := restored.OfferBatch(trace[cut:])
+	ka := keptOf(live.OfferBatch(trace[cut:]))
+	kb := keptOf(restored.OfferBatch(trace[cut:]))
 	if ka != kb {
 		t.Fatalf("suffix kept %d live, %d restored", ka, kb)
 	}
@@ -335,15 +335,15 @@ func TestRestoreFinishedEngine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !restored.Finished() {
+	if !restored.Snapshot().Finished {
 		t.Error("restored engine lost its finished state")
 	}
 	snap := restored.Snapshot()
 	if snap.Err == nil || snap.Err.Error() != eng.Snapshot().Err.Error() {
 		t.Errorf("finish error message lost: %v", snap.Err)
 	}
-	if kept := restored.OfferBatch([]float64{1, 2, 3}); kept != 0 {
-		t.Errorf("finished restored engine kept %d samples", kept)
+	if kept, err := restored.OfferBatch([]float64{1, 2, 3}); kept != 0 || !errors.Is(err, ErrFinished) {
+		t.Errorf("finished restored engine took a batch: (%d, %v), want (0, ErrFinished)", kept, err)
 	}
 }
 
@@ -559,7 +559,7 @@ func TestRestoreDoesNotAliasBlob(t *testing.T) {
 		clobber(blob)
 		for from := cut; from < len(trace); from += 512 {
 			batch := trace[from:min(from+512, len(trace))]
-			if a, b := moved.OfferBatch(batch), twin.OfferBatch(batch); a != b {
+			if a, b := keptOf(moved.OfferBatch(batch)), keptOf(twin.OfferBatch(batch)); a != b {
 				t.Fatalf("batch at %d: moved group kept %d, twin %d", from, a, b)
 			}
 		}

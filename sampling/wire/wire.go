@@ -42,7 +42,9 @@
 // frame in hand, so a live session gets each frame as it arrives; it
 // checks the CRC over the frame in place and decodes the payload in
 // one pass into the decoder's tick buffer. The ticks slice it returns
-// is valid only until the next call. Both are single-goroutine objects
+// is valid only until the next call. Embedded ids are interned in a
+// bounded table, so a session rotating through its streams' ids
+// decodes them without allocating. Both are single-goroutine objects
 // — pool them (sync.Pool plus Reset) rather than sharing one across
 // connections; Reset discards whatever the previous source left in the
 // window.
@@ -153,13 +155,12 @@ func (e *Encoder) Encode(id string, ticks []float64) error {
 type Decoder struct {
 	r        io.Reader
 	maxTicks int
-	buf      []byte    // read-ahead window; buf[off:end] is read but not yet decoded
-	off, end int       // unread bytes of buf
-	win      int       // size the window takes when it next has to move or grow
-	rerr     error     // sticky read error, surfaced only when a frame needs bytes past end
-	ticks    []float64 // decoded payload, reused across frames
-	lastID   string    // interned copy of the previous frame's id
-	lastIDB  []byte
+	buf      []byte            // read-ahead window; buf[off:end] is read but not yet decoded
+	off, end int               // unread bytes of buf
+	win      int               // size the window takes when it next has to move or grow
+	rerr     error             // sticky read error, surfaced only when a frame needs bytes past end
+	ticks    []float64         // decoded payload, reused across frames
+	ids      map[string]string // interned ids, cleared when it reaches maxIDs
 	frameLen int64
 }
 
@@ -174,6 +175,10 @@ const (
 	// expBits is the float64 exponent field: all ones exactly for NaN
 	// and ±Inf.
 	expBits = 0x7ff0000000000000
+	// maxIDs bounds a decoder's id table. A session rotating through
+	// up to this many ids decodes them without allocating; one that
+	// rotates through more starts the table over each time it fills.
+	maxIDs = 1024
 )
 
 // NewDecoder builds a decoder over r. maxTicks caps the frame-declared
@@ -182,12 +187,12 @@ func NewDecoder(r io.Reader, maxTicks int) *Decoder {
 	if maxTicks <= 0 {
 		maxTicks = DefaultMaxTicks
 	}
-	return &Decoder{r: r, maxTicks: maxTicks, win: minWindow}
+	return &Decoder{r: r, maxTicks: maxTicks, win: minWindow, ids: make(map[string]string)}
 }
 
-// Reset points the decoder at a new source, keeping its buffers and
-// cap — the pooling hook. Bytes or an error the previous source left
-// in the window are discarded.
+// Reset points the decoder at a new source, keeping its buffers, id
+// table and cap — the pooling hook. Bytes or an error the previous
+// source left in the window are discarded.
 func (d *Decoder) Reset(r io.Reader) {
 	d.r = r
 	d.off, d.end = 0, 0
@@ -231,6 +236,54 @@ func (d *Decoder) fill(n int) error {
 	return nil
 }
 
+// Buffer reads until the next whole frame is in the decoder's window,
+// checking its header on the way, and returns the error ReadFrame would
+// return for a frame that cannot be buffered: io.EOF at a clean end of
+// input, ErrTruncated, ErrBadMagic, ErrBadVersion or ErrFrameTooLarge.
+// After a nil Buffer the next ReadFrame only decodes, without reading
+// from the source, so a caller can time the decode apart from the wait
+// for the sender. Calling Buffer is optional; ReadFrame buffers for
+// itself.
+func (d *Decoder) Buffer() error {
+	_, _, err := d.buffer()
+	return err
+}
+
+// buffer makes the next whole frame available at buf[off:] and returns
+// its id length and tick count. The declared count gates every
+// allocation: an adversarial length prefix is refused before the
+// window grows to hold it.
+func (d *Decoder) buffer() (idLen, count int, err error) {
+	if err := d.fill(headerSize); err != nil {
+		if err == io.EOF {
+			if d.off == d.end {
+				return 0, 0, io.EOF
+			}
+			err = io.ErrUnexpectedEOF
+		}
+		return 0, 0, fmt.Errorf("wire: header: %w (%w)", err, ErrTruncated)
+	}
+	hdr := d.buf[d.off : d.off+headerSize]
+	if m := binary.LittleEndian.Uint32(hdr[0:4]); m != Magic {
+		return 0, 0, fmt.Errorf("wire: magic %#x: %w", m, ErrBadMagic)
+	}
+	if v := hdr[4]; v != Version {
+		return 0, 0, fmt.Errorf("wire: version %d (want %d): %w", v, Version, ErrBadVersion)
+	}
+	idLen = int(hdr[5])
+	count = int(binary.LittleEndian.Uint32(hdr[6:10]))
+	if count > d.maxTicks {
+		return 0, 0, fmt.Errorf("wire: frame declares %d ticks (cap %d): %w", count, d.maxTicks, ErrFrameTooLarge)
+	}
+	if err := d.fill(headerSize + idLen + count*8 + trailerSize); err != nil {
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF
+		}
+		return 0, 0, fmt.Errorf("wire: body: %w (%w)", err, ErrTruncated)
+	}
+	return idLen, count, nil
+}
+
 // ReadFrame decodes the next frame: the embedded stream id (empty when
 // the frame carries none) and the tick payload. The ticks slice is
 // owned by the decoder and valid only until the next call — hand it to
@@ -240,37 +293,12 @@ func (d *Decoder) fill(n int) error {
 //
 //samplelint:hotpath
 func (d *Decoder) ReadFrame() (id string, ticks []float64, err error) {
-	if err := d.fill(headerSize); err != nil {
-		if err == io.EOF {
-			if d.off == d.end {
-				return "", nil, io.EOF
-			}
-			err = io.ErrUnexpectedEOF
-		}
-		return "", nil, fmt.Errorf("wire: header: %w (%w)", err, ErrTruncated)
-	}
-	hdr := d.buf[d.off : d.off+headerSize]
-	if m := binary.LittleEndian.Uint32(hdr[0:4]); m != Magic {
-		return "", nil, fmt.Errorf("wire: magic %#x: %w", m, ErrBadMagic)
-	}
-	if v := hdr[4]; v != Version {
-		return "", nil, fmt.Errorf("wire: version %d (want %d): %w", v, Version, ErrBadVersion)
-	}
-	idLen := int(hdr[5])
-	count := int(binary.LittleEndian.Uint32(hdr[6:10]))
-	// The declared count gates every allocation below: an adversarial
-	// length prefix is refused before the window grows to hold it.
-	if count > d.maxTicks {
-		return "", nil, fmt.Errorf("wire: frame declares %d ticks (cap %d): %w", count, d.maxTicks, ErrFrameTooLarge)
+	idLen, count, err := d.buffer()
+	if err != nil {
+		return "", nil, err
 	}
 	body := headerSize + idLen + count*8
 	n := body + trailerSize
-	if err := d.fill(n); err != nil {
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF
-		}
-		return "", nil, fmt.Errorf("wire: body: %w (%w)", err, ErrTruncated)
-	}
 	frame := d.buf[d.off : d.off+n]
 	d.off += n
 	crc := crc32.ChecksumIEEE(frame[:body])
@@ -285,15 +313,23 @@ func (d *Decoder) ReadFrame() (id string, ticks []float64, err error) {
 		v := math.Float64frombits(binary.LittleEndian.Uint64(frame[headerSize+idLen+8*i:]))
 		return "", nil, fmt.Errorf("wire: tick %d is %v: %w", i, v, ErrNonFinite)
 	}
-	// Sessions repeat one hot stream's id frame after frame; interning
-	// against the previous id keeps the steady state allocation-free.
-	idb := frame[headerSize : headerSize+idLen]
-	if string(d.lastIDB) != string(idb) { // comparison does not allocate
-		d.lastID = string(idb)
-		d.lastIDB = append(d.lastIDB[:0], idb...)
-	}
 	d.frameLen = int64(n)
-	return d.lastID, ticks, nil
+	return d.intern(frame[headerSize : headerSize+idLen]), ticks, nil
+}
+
+// intern returns b as a string, allocating only for an id the table
+// does not hold yet: a session rotates through the same few ids frame
+// after frame, and m[string(b)] looks them up without a copy.
+func (d *Decoder) intern(b []byte) string {
+	if id, ok := d.ids[string(b)]; ok {
+		return id
+	}
+	if len(d.ids) >= maxIDs {
+		clear(d.ids)
+	}
+	id := string(b)
+	d.ids[id] = id
+	return id
 }
 
 // decodeTicks decodes len(dst) little-endian float64s from src into dst

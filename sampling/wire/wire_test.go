@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"hash/crc32"
 	"io"
 	"math"
 	"strings"
 	"testing"
+	"testing/iotest"
 )
 
 // frame builds one valid encoded frame, via the API under test's own
@@ -148,20 +150,96 @@ func TestDecoderReset(t *testing.T) {
 // TestDecodeZeroAlloc is the acceptance gate for the decode hot path:
 // once the decoder's buffers are warm, ReadFrame allocates nothing per
 // frame — the frame staging buffer, the ticks slice and the interned
-// stream id are all reused.
+// stream ids are all reused, also while a session rotates through
+// several streams' ids.
 func TestDecodeZeroAlloc(t *testing.T) {
-	payload := frame(t, "hot-stream", make([]float64, 512))
+	payload := append(frame(t, "hot-a", make([]float64, 512)), frame(t, "hot-b", make([]float64, 512))...)
 	var stream bytes.Buffer
 	dec := NewDecoder(&stream, 0)
 	warm := func() {
 		stream.Write(payload)
-		if _, _, err := dec.ReadFrame(); err != nil {
-			t.Fatal(err)
+		for _, want := range []string{"hot-a", "hot-b"} {
+			if id, _, err := dec.ReadFrame(); err != nil || id != want {
+				t.Fatalf("ReadFrame = %q, %v; want %q", id, err, want)
+			}
 		}
 	}
 	warm()
 	if allocs := testing.AllocsPerRun(100, warm); allocs != 0 {
-		t.Errorf("warm ReadFrame allocates %.1f times per frame, want 0", allocs)
+		t.Errorf("warm ReadFrame allocates %.1f times per two frames, want 0", allocs)
+	}
+}
+
+// TestDecoderInternBounded: a session rotating through more ids than
+// the intern table holds still gets every id right, and the table
+// never grows past its bound.
+func TestDecoderInternBounded(t *testing.T) {
+	var body []byte
+	ids := make([]string, maxIDs+maxIDs/2)
+	for i := range ids {
+		ids[i] = fmt.Sprintf("s%d", i)
+		body = append(body, frame(t, ids[i], []float64{float64(i)})...)
+	}
+	dec := NewDecoder(bytes.NewReader(append(body, body...)), 0)
+	for round := 0; round < 2; round++ {
+		for _, want := range ids {
+			id, _, err := dec.ReadFrame()
+			if err != nil || id != want {
+				t.Fatalf("round %d: ReadFrame = %q, %v; want %q", round, id, err, want)
+			}
+			if len(dec.ids) > maxIDs {
+				t.Fatalf("intern table holds %d ids, bound %d", len(dec.ids), maxIDs)
+			}
+		}
+	}
+}
+
+// readCounter counts the Reads that reach its source.
+type readCounter struct {
+	r     io.Reader
+	reads int
+}
+
+func (c *readCounter) Read(p []byte) (int, error) {
+	c.reads++
+	return c.r.Read(p)
+}
+
+// TestBufferThenDecode: Buffer reads the whole next frame, the
+// ReadFrame after it reads nothing more from the source, and Buffer
+// reports the errors ReadFrame would.
+func TestBufferThenDecode(t *testing.T) {
+	f := frame(t, "a", []float64{1, 2, 3})
+	src := &readCounter{r: iotest.OneByteReader(bytes.NewReader(f))}
+	dec := NewDecoder(src, 0)
+	if err := dec.Buffer(); err != nil {
+		t.Fatal(err)
+	}
+	if err := dec.Buffer(); err != nil { // idempotent while the frame waits
+		t.Fatal(err)
+	}
+	reads := src.reads
+	if reads < len(f) {
+		t.Fatalf("Buffer returned after %d one-byte reads of a %d-byte frame", reads, len(f))
+	}
+	id, ticks, err := dec.ReadFrame()
+	if err != nil || id != "a" || len(ticks) != 3 || ticks[2] != 3 {
+		t.Fatalf("ReadFrame = %q %v %v", id, ticks, err)
+	}
+	if src.reads != reads {
+		t.Errorf("ReadFrame after Buffer read the source %d more times", src.reads-reads)
+	}
+	if err := dec.Buffer(); err != io.EOF {
+		t.Errorf("Buffer at a clean end = %v, want io.EOF", err)
+	}
+	dec.Reset(bytes.NewReader(f[:len(f)-1]))
+	if err := dec.Buffer(); !errors.Is(err, ErrTruncated) {
+		t.Errorf("Buffer of a truncated frame = %v, want ErrTruncated", err)
+	}
+	dec.Reset(bytes.NewReader(frame(t, "a", make([]float64, 8))))
+	dec.maxTicks = 4
+	if err := dec.Buffer(); !errors.Is(err, ErrFrameTooLarge) {
+		t.Errorf("Buffer of an oversized frame = %v, want ErrFrameTooLarge", err)
 	}
 }
 

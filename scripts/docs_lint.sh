@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # docs_lint.sh — keep the prose honest.
 #
-# Five checks over the repo's markdown:
+# Six checks over the repo's markdown:
 #
 #   1. Every fenced ```go block in README.md and ARCHITECTURE.md must
 #      parse. Full files (starting with "package") are fed to gofmt
@@ -33,6 +33,15 @@
 #      the module declares the exported type Type, must name a method
 #      or field that some type of that name declares — the check-4 rule
 #      for prose that leaves the package implicit.
+#
+#   6. Every sampled_* metric name in an inline code span
+#      (`sampled_ingest_frames_total`, `sampled_ingest_decode_seconds{wire}`)
+#      must be a family that non-test Go registers, read with a
+#      histogram's _bucket, _count or _sum suffix removed; a name ending
+#      in * (`sampled_hurst_*`) must prefix at least one registered
+#      family. A family is registered by a "sampled_name" string
+#      literal, or built as prefix+"_name" by an internal/obs helper to
+#      which a non-test caller passes the literal prefix "sampled".
 #
 # A flag counts as registered only through a flag-set call in a
 # command's non-test sources — fs.X("name", ...) or fs.XVar(&v,
@@ -207,6 +216,40 @@ for doc in "${docs[@]}"; do
 			fail=1
 		fi
 	done
+done
+
+# --- 6. metric names named in prose must be registered -------------------
+
+# registered_metrics prints every sampled_* family that non-test Go
+# registers, one per line.
+registered_metrics() {
+	local helper
+	find . -name '*.go' ! -name '*_test.go' ! -path './[._]*' ! -path '*/testdata/*' -print0 >"$tmp/gofiles"
+	xargs -0 grep -hoE '"sampled_[a-z0-9_]+"' <"$tmp/gofiles" | tr -d '"'
+	# The obs helpers called with the prefix "sampled", then the
+	# prefix+"_name" literals in each helper's own body.
+	for helper in $(xargs -0 grep -hoE 'obs\.[A-Za-z]+\([^,()]+, "sampled"' <"$tmp/gofiles" |
+		sed -E 's/^obs\.([A-Za-z]+)\(.*/\1/' | sort -u); do
+		find internal/obs -maxdepth 1 -name '*.go' ! -name '*_test.go' -print0 |
+			xargs -0 awk -v fn="$helper" '$0 ~ "^func " fn "\\(" { body = 1 } body { print } body && /^}/ { body = 0 }' |
+			grep -oE 'prefix *\+ *"_[a-z0-9_]+"' | sed -E 's/.*"_([a-z0-9_]+)"$/sampled_\1/'
+	done
+}
+
+registered_metrics | sort -u >"$tmp/metrics"
+for doc in "${docs[@]}"; do
+	# Read line by line: a name ending in * must not glob.
+	while read -r name; do
+		if [[ $name == *'*' ]]; then
+			grep -q -- "^${name%'*'}" "$tmp/metrics" && continue
+		elif grep -qx -- "$name" "$tmp/metrics" ||
+			grep -qx -- "$(sed -E 's/_(bucket|count|sum)$//' <<<"$name")" "$tmp/metrics"; then
+			continue
+		fi
+		echo "docs_lint: $doc names metric \`$name\`, which no non-test Go registers"
+		fail=1
+	done < <(awk '/^```/ { fence = !fence; next } !fence' "$doc" |
+		grep -oE '`[^`]*`' | grep -oE '[A-Za-z0-9_]*sampled_[a-z0-9_]*\*?' | { grep '^sampled_' || true; } | sort -u)
 done
 
 if [ "$fail" -ne 0 ]; then
