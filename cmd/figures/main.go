@@ -1,8 +1,7 @@
 // Command figures regenerates the paper's evaluation artefacts
 // (Figures 2-22). Without flags it runs every figure at full scale and
-// prints the tables; -fig selects specific figures, -small switches to
-// the reduced test scale and -parallel bounds how many figures run
-// concurrently (default: GOMAXPROCS).
+// prints the tables; -fig selects specific figures and -small switches
+// to the reduced test scale. Up to GOMAXPROCS figures run at once.
 //
 // Figure tables go to stdout in figure-id order regardless of
 // completion order, so the output is byte-identical between serial and
@@ -10,9 +9,9 @@
 //
 // Examples:
 //
-//	figures                 # all figures, paper scale, parallel
-//	figures -parallel 1     # the serial run (same stdout bytes)
-//	figures -fig fig06      # one figure
+//	figures                        # all figures, paper scale, parallel
+//	GOMAXPROCS=1 figures           # the serial run (same stdout bytes)
+//	figures -fig fig06             # one figure
 //	figures -fig fig05,fig22 -small
 package main
 
@@ -45,10 +44,9 @@ type figResult struct {
 func run(args []string) error {
 	fs := flag.NewFlagSet("figures", flag.ContinueOnError)
 	var (
-		figs     = fs.String("fig", "", "comma-separated figure ids (default: all); e.g. fig06,fig18")
-		small    = fs.Bool("small", false, "run at the reduced test scale instead of paper scale")
-		list     = fs.Bool("list", false, "list available figure ids and exit")
-		parallel = fs.Int("parallel", runtime.GOMAXPROCS(0), "max figures running concurrently (1 = serial)")
+		figs  = fs.String("fig", "", "comma-separated figure ids (default: all); e.g. fig06,fig18")
+		small = fs.Bool("small", false, "run at the reduced test scale instead of paper scale")
+		list  = fs.Bool("list", false, "list available figure ids and exit")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -78,15 +76,11 @@ func run(args []string) error {
 		}
 		runners[i] = runner
 	}
-	workers := *parallel
-	if workers < 1 {
-		workers = 1
-	}
-
-	// Worker pool: each figure runs independently under a semaphore; the
-	// main goroutine commits results strictly in figure order.
+	// Worker pool: each figure runs independently under a semaphore of
+	// GOMAXPROCS slots; the main goroutine commits results strictly in
+	// figure order.
 	results := make([]chan figResult, len(ids))
-	sem := make(chan struct{}, workers)
+	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
 	for i := range ids {
 		results[i] = make(chan figResult, 1)
 		go func(i int) {

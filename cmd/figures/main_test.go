@@ -30,9 +30,6 @@ func TestRunErrors(t *testing.T) {
 	if err := run([]string{"-bogus"}); err == nil {
 		t.Error("expected flag parse error")
 	}
-	if err := run([]string{"-fig", "fig04", "-parallel", "0"}); err != nil {
-		t.Errorf("parallel < 1 should clamp to serial, got %v", err)
-	}
 }
 
 // capture runs fn with stdout redirected and returns what it printed.
@@ -62,14 +59,18 @@ func capture(t *testing.T, fn func() error) []byte {
 
 // TestParallelOutputMatchesSerial is the acceptance check for the worker
 // pool: figure tables on stdout must be byte-identical no matter how many
-// workers run. The chosen figures exercise deterministic analytics and
-// trace-backed experiments.
+// workers GOMAXPROCS allows. The chosen figures exercise deterministic
+// analytics and trace-backed experiments.
 func TestParallelOutputMatchesSerial(t *testing.T) {
-	args := func(parallel string) []string {
-		return []string{"-small", "-parallel", parallel, "-fig", "fig04,fig09,fig05,fig02"}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	withProcs := func(n int) func() error {
+		return func() error {
+			runtime.GOMAXPROCS(n)
+			return run([]string{"-small", "-fig", "fig04,fig09,fig05,fig02"})
+		}
 	}
-	serial := capture(t, func() error { return run(args("1")) })
-	parallel := capture(t, func() error { return run(args("4")) })
+	serial := capture(t, withProcs(1))
+	parallel := capture(t, withProcs(4))
 	if len(serial) == 0 {
 		t.Fatal("serial run printed nothing")
 	}

@@ -19,6 +19,7 @@ import (
 
 	"repro/internal/obs"
 	"repro/sampling"
+	"repro/sampling/cluster"
 	"repro/sampling/estimate"
 	"repro/sampling/hub"
 	"repro/sampling/wire"
@@ -584,7 +585,7 @@ func (s *server) offerTicks(offer func(string, []float64) (int, error)) http.Han
 			writeError(w, err)
 			return
 		}
-		writeIngest(w, ingestResponse{Frames: 1, Accepted: int64(len(values)), Kept: int64(kept)}, nil)
+		writeIngest(w, ingestResponse{SessionTotals: cluster.SessionTotals{Frames: 1, Accepted: int64(len(values)), Kept: int64(kept)}}, nil)
 	}
 }
 
@@ -619,10 +620,8 @@ func (p *decoderPool) put(d *wire.Decoder) { p.pool.Put(d) }
 // beside its error: ingest is not transactional, and the batches
 // before the failure stay ingested.
 type ingestResponse struct {
-	Error    string `json:"error,omitempty"`
-	Frames   int64  `json:"frames"`
-	Accepted int64  `json:"accepted"` // ticks offered
-	Kept     int64  `json:"kept"`     // samples the batches finalized
+	Error string `json:"error,omitempty"`
+	cluster.SessionTotals
 }
 
 // writeIngest answers an ingest: 200 with its totals, or err's status
@@ -800,18 +799,11 @@ func (s *server) hurst(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, sum.Hurst)
 }
 
-// sampleJSON is the wire form of one kept sample.
-type sampleJSON struct {
-	Index     int     `json:"index"`
-	Value     float64 `json:"value"`
-	Qualified bool    `json:"qualified,omitempty"`
-}
-
 // finishResponse is the body of DELETE /v1/streams/{id}: the final
 // summary plus the samples only decidable at end of stream.
 type finishResponse struct {
-	Summary sampling.Summary `json:"summary"`
-	Tail    []sampleJSON     `json:"tail"`
+	Summary sampling.Summary  `json:"summary"`
+	Tail    []sampling.Sample `json:"tail"`
 }
 
 // finish builds the finish handler of a stream or group (DELETE
@@ -833,16 +825,15 @@ func finish[T any](end func(string) (T, error)) http.HandlerFunc {
 
 func (s *server) finishStream(id string) (finishResponse, error) {
 	tail, sum, err := s.hub.Finish(id)
-	return finishResponse{Summary: sum, Tail: samplesJSON(tail)}, err
+	return finishResponse{Summary: sum, Tail: orEmpty(tail)}, err
 }
 
-// samplesJSON converts an end-of-stream tail to its wire form.
-func samplesJSON(tail []sampling.Sample) []sampleJSON {
-	out := make([]sampleJSON, len(tail))
-	for i, smp := range tail {
-		out[i] = sampleJSON{Index: smp.Index, Value: smp.Value, Qualified: smp.Qualified}
+// orEmpty serves an empty tail as [], not null.
+func orEmpty(tail []sampling.Sample) []sampling.Sample {
+	if tail == nil {
+		return []sampling.Sample{}
 	}
-	return out
+	return tail
 }
 
 // listIDs builds a collection handler (GET /v1/streams, /v1/groups):
@@ -861,15 +852,15 @@ func listIDs(key string, list func() []string) http.HandlerFunc {
 // comparison plus each member's end-of-stream samples, in member order.
 type finishGroupResponse struct {
 	Comparison sampling.Comparison `json:"comparison"`
-	Tails      [][]sampleJSON      `json:"tails"`
+	Tails      [][]sampling.Sample `json:"tails"`
 }
 
 // finishGroup ends a group, with each member's tail in member order.
 func (s *server) finishGroup(id string) (finishGroupResponse, error) {
 	tails, cmp, err := s.hub.FinishGroup(id)
-	resp := finishGroupResponse{Comparison: cmp, Tails: make([][]sampleJSON, len(tails))}
+	resp := finishGroupResponse{Comparison: cmp, Tails: make([][]sampling.Sample, len(tails))}
 	for i, tail := range tails {
-		resp.Tails[i] = samplesJSON(tail)
+		resp.Tails[i] = orEmpty(tail)
 	}
 	return resp, err
 }

@@ -402,13 +402,17 @@ func TestFinishErrorStillRemoves(t *testing.T) {
 		map[string]any{"spec": "simple:n=5"}); code != http.StatusCreated {
 		t.Fatal("create failed")
 	}
-	if code, _ := doJSON(t, client, http.MethodPost, srv.URL+"/v1/streams/s/ticks",
-		[]float64{1, 2, 3}); code != http.StatusOK {
-		t.Fatal("ingest failed")
+	code, body := doJSON(t, client, http.MethodPost, srv.URL+"/v1/streams/s/ticks", []float64{1, 2, 3})
+	if want := "{\"frames\":1,\"accepted\":3,\"kept\":0}\n"; code != http.StatusOK || string(body) != want {
+		t.Fatalf("ingest: %d %q, want 200 %q", code, body, want)
 	}
-	code, body := doJSON(t, client, http.MethodDelete, srv.URL+"/v1/streams/s", nil)
+	code, body = doJSON(t, client, http.MethodDelete, srv.URL+"/v1/streams/s", nil)
 	if code != http.StatusOK {
 		t.Fatalf("DELETE: %d %s", code, body)
+	}
+	// The failed draw kept nothing: the tail is served empty, never null.
+	if !bytes.Contains(body, []byte(`"tail":[]`)) {
+		t.Errorf("empty tail not served as []: %s", body)
 	}
 	var fin finishResponse
 	if err := json.Unmarshal(body, &fin); err != nil {

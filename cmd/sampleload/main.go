@@ -440,11 +440,9 @@ func (d *httpDriver) offer(id string, batch []float64) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	var resp struct {
-		Kept int `json:"kept"`
-	}
+	var resp cluster.SessionTotals
 	err = json.Unmarshal(data, &resp)
-	return resp.Kept, err
+	return int(resp.Kept), err
 }
 
 // session returns the live session for id, opening it on first use.

@@ -1,12 +1,11 @@
-// Command tracegen generates synthetic self-similar traffic traces: a
-// superposed ON/OFF aggregate series, an fGn series, or an OD-flow packet
-// trace, written in the repository's binary or CSV formats.
+// Command tracegen generates synthetic self-similar traffic series — a
+// superposed ON/OFF aggregate or an fGn series — written in the
+// repository's binary series format, which hurst and samplectl read.
 //
 // Examples:
 //
 //	tracegen -kind onoff -ticks 1048576 -hurst 0.85 -out onoff.series
 //	tracegen -kind fgn -ticks 65536 -hurst 0.8 -mean 10 -sdev 2 -out fgn.series
-//	tracegen -kind packets -duration 600 -pairs 200 -out bell.pkts -csv
 package main
 
 import (
@@ -30,19 +29,16 @@ func main() {
 func run(args []string) error {
 	fs := flag.NewFlagSet("tracegen", flag.ContinueOnError)
 	var (
-		kind     = fs.String("kind", "onoff", "trace kind: onoff | fgn | packets")
-		out      = fs.String("out", "", "output file (required)")
-		seed     = fs.Uint64("seed", 1, "random seed")
-		csv      = fs.Bool("csv", false, "write CSV instead of binary (packets only)")
-		ticks    = fs.Int("ticks", 1<<18, "series length in ticks (onoff, fgn)")
-		hurst    = fs.Float64("hurst", 0.8, "target Hurst parameter")
-		mean     = fs.Float64("mean", 0, "fgn mean (fgn only)")
-		sdev     = fs.Float64("sdev", 1, "fgn standard deviation (fgn only)")
-		sources  = fs.Int("sources", 12, "ON/OFF sources (onoff only)")
-		rateA    = fs.Float64("ratealpha", 1.5, "per-burst rate tail index, 0 = constant")
-		gran     = fs.Float64("granularity", 1, "seconds per bin recorded in series files")
-		pairs    = fs.Int("pairs", 200, "OD pairs (packets only)")
-		duration = fs.Float64("duration", 600, "trace duration in seconds (packets only)")
+		kind    = fs.String("kind", "onoff", "series kind: onoff | fgn")
+		out     = fs.String("out", "", "output file (required)")
+		seed    = fs.Uint64("seed", 1, "random seed")
+		ticks   = fs.Int("ticks", 1<<18, "series length in ticks")
+		hurst   = fs.Float64("hurst", 0.8, "target Hurst parameter")
+		mean    = fs.Float64("mean", 0, "fgn mean (fgn only)")
+		sdev    = fs.Float64("sdev", 1, "fgn standard deviation (fgn only)")
+		sources = fs.Int("sources", 12, "ON/OFF sources (onoff only)")
+		rateA   = fs.Float64("ratealpha", 1.5, "per-burst rate tail index, 0 = constant (onoff only)")
+		gran    = fs.Float64("granularity", 1, "seconds per bin recorded in the series file")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -82,29 +78,8 @@ func run(args []string) error {
 			return err
 		}
 		fmt.Printf("wrote %d-tick fGn series (H=%.2f) to %s\n", len(f), *hurst, *out)
-	case "packets":
-		cfg := traffic.SynthConfig{
-			Pairs: *pairs, Duration: *duration,
-			AlphaOn: 3 - 2**hurst, MeanOn: 0.5, MeanOff: 120,
-			MeanRate: 5e5, RateAlpha: *rateA,
-		}
-		pkts, err := traffic.SynthesizeTrace(cfg, rng)
-		if err != nil {
-			return err
-		}
-		if *csv {
-			err = trace.WritePacketsCSV(file, pkts)
-		} else {
-			err = trace.WritePackets(file, pkts)
-		}
-		if err != nil {
-			return err
-		}
-		st := traffic.Stats(pkts)
-		fmt.Printf("wrote %d packets (%.3g bytes/s over %.0fs, %d pairs) to %s\n",
-			st.Packets, st.MeanRate, st.Duration, st.HostPairs, *out)
 	default:
-		return fmt.Errorf("unknown kind %q (want onoff, fgn or packets)", *kind)
+		return fmt.Errorf("unknown kind %q (want onoff or fgn)", *kind)
 	}
 	return nil
 }

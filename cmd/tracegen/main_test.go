@@ -34,25 +34,6 @@ func TestRunFGN(t *testing.T) {
 	}
 }
 
-func TestRunPackets(t *testing.T) {
-	out := filepath.Join(t.TempDir(), "p.pkts")
-	if err := run([]string{"-kind", "packets", "-duration", "20", "-pairs", "5", "-out", out}); err != nil {
-		t.Fatal(err)
-	}
-	file, err := os.Open(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer file.Close()
-	pkts, err := trace.ReadPackets(file)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pkts) == 0 {
-		t.Error("no packets written")
-	}
-}
-
 func TestRunErrors(t *testing.T) {
 	if err := run([]string{"-kind", "onoff"}); err == nil {
 		t.Error("expected error for missing -out")

@@ -25,9 +25,9 @@ import (
 
 // Sample is one selected observation of the parent process.
 type Sample struct {
-	Index     int     // position in the parent series
-	Value     float64 // f(Index)
-	Qualified bool    // true when taken as a BSS extra ("qualified") sample
+	Index     int     `json:"index"`               // position in the parent series
+	Value     float64 `json:"value"`               // f(Index)
+	Qualified bool    `json:"qualified,omitempty"` // true when taken as a BSS extra ("qualified") sample
 }
 
 // Systematic is static systematic sampling: every Interval-th element is

@@ -32,12 +32,13 @@
 //     idiom), into a reslice (buf[:0]) or into a slice made locally
 //     with explicit capacity stay legal.
 //
-//   - nanwire: an exported struct in the sampling package with a
-//     json-tagged plain float64 field must define MarshalJSON — the
-//     null-for-NaN wire path — because encoding/json fails on NaN and
-//     the engine's moments are legitimately NaN before enough samples
-//     arrive. The sanctioned wire form is an unexported shadow struct
-//     with *float64 fields filled via jsonNumber.
+//   - nanwire: an exported struct in the sampling or sampling/estimate
+//     package with a json-tagged plain float64 field must define
+//     MarshalJSON — the null-for-NaN wire path — because encoding/json
+//     fails on NaN and the engine's moments are legitimately NaN before
+//     enough samples arrive. The sanctioned wire form is the tags on
+//     the public type plus a one-line MarshalJSON through
+//     internal/nanjson.
 //
 // Run the suite with `go run ./cmd/samplelint ./...`; it is a hard
 // gate in the CI lint job. Each analyzer has analysistest-style

@@ -29,4 +29,5 @@ func TestHotAlloc(t *testing.T) {
 
 func TestNanWire(t *testing.T) {
 	analysistest.Run(t, "testdata", lint.NanWire, "nanwire")
+	analysistest.Run(t, "testdata", lint.NanWire, "nanwire/estimate")
 }

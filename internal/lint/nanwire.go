@@ -12,11 +12,12 @@ import (
 // struct with a json-tagged plain float64 field must define
 // MarshalJSON, because encoding/json fails outright on NaN and the
 // engine's moments (mean before the first sample, variance below two)
-// are legitimately NaN on a live stream. The sanctioned shape is an
-// unexported shadow struct with *float64 fields filled via jsonNumber
-// — see Summary/HurstSummary/Comparison in sampling/json.go. Fields
-// whose own type implements json.Marshaler, pointer fields (nil
-// already encodes as null) and fields tagged json:"-" pass.
+// are legitimately NaN on a live stream. The sanctioned shape is the
+// tags on the public type itself plus a one-line MarshalJSON through
+// internal/nanjson, which writes NaN as null — see sampling/json.go
+// and estimate.Estimate. Fields whose own type implements
+// json.Marshaler, pointer fields (nil already encodes as null) and
+// fields tagged json:"-" pass.
 var NanWire = &analysis.Analyzer{
 	Name: "nanwire",
 	Doc:  "exported structs with json-tagged float64 fields must marshal through the null-for-NaN path (define MarshalJSON)",
@@ -58,7 +59,7 @@ func runNanWire(pass *analysis.Pass) (any, error) {
 		}
 		if len(bare) > 0 {
 			pass.Reportf(tn.Pos(),
-				"exported struct %s has json-tagged float64 field(s) %s but no MarshalJSON — encoding/json fails on NaN; marshal through an unexported wire struct with *float64 fields (the jsonNumber null-for-NaN path)",
+				"exported struct %s has json-tagged float64 field(s) %s but no MarshalJSON — encoding/json fails on NaN; add a MarshalJSON through internal/nanjson (the null-for-NaN path)",
 				tn.Name(), strings.Join(bare, ", "))
 		}
 	}

@@ -5,7 +5,8 @@ import (
 )
 
 // samplingPath is the public engine package: deterministic
-// (detsource), and the home of the NaN-wire invariant.
+// (detsource), and the home of the NaN-wire invariant with its
+// estimate package.
 const samplingPath = "repro/sampling"
 
 // Analyzers returns the full samplelint suite in reporting order.
@@ -23,7 +24,7 @@ var Scopes = map[string][]string{
 	"noreadall": {"repro/sampling/wire", "repro/cmd/sampled", "repro/sampling/cluster"},
 	"detsource": {samplingPath, "repro/internal/core", "repro/sampling/estimate", obsPath, "repro/sampling/persist", "repro/sampling/cluster"},
 	"hotalloc":  nil,
-	"nanwire":   {samplingPath},
+	"nanwire":   {samplingPath, "repro/sampling/estimate"},
 }
 
 // obsPath is the observability package: its instruments sit on the

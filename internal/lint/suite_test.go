@@ -238,8 +238,6 @@ var exportKeep = map[string]string{
 	"repro/internal/obs.HTTPObserver.SetClock":           "obs_test.go: injects the fake clock the latency assertions read",
 	"repro/internal/stats.Autocovariance":                "TestFGNMatchesTheoreticalAutocov (lrd): the empirical side of the fGn check",
 	"repro/internal/stats.MinMax":                        "TestOnOffMeanMatchesTheory (traffic): bounds the generated series",
-	"repro/internal/trace.ReadPackets":                   "TestRunPackets (cmd/tracegen): reads back what the command wrote",
-	"repro/internal/trace.ReadPacketsCSV":                "TestPacketsCSVRoundTrip: reads back what WritePacketsCSV wrote",
 	"repro/internal/traffic.OnOffConfig.TheoreticalMean": "TestOnOffMeanMatchesTheory: the theory side the generated mean is held to",
 	"repro/sampling/hub.WithClock":                       "TestHubSweep, TestHubGroupSweep, TestEvictHook (hub): the fake clock that drives idle eviction",
 }

@@ -24,7 +24,7 @@
 //     sorted families, HELP before TYPE before samples, escaped label
 //     values, cumulative histogram buckets ending in le="+Inf".
 //   - Recorder: a fixed-size, lock-cheap ring of recent Events
-//     (requests, errors, ingest milestones) in the style of
+//     (requests served and error answers) in the style of
 //     x/net/trace, served as JSON — the "what just happened" surface a
 //     lifetime counter cannot provide.
 //   - HTTPObserver: per-route duration/size histograms plus a

@@ -9,15 +9,15 @@ import (
 	"time"
 )
 
-// Event is one flight-recorder entry: a request served, an error
-// returned, an ingest milestone. Fields beyond At and Kind are
-// optional and omitted from the JSON form when zero.
+// Event is one flight-recorder entry: a request served (Kind
+// "request") or answered with an error status (Kind "error"). Fields
+// beyond At and Kind are optional and omitted from the JSON form when
+// zero.
 type Event struct {
 	At     time.Time     `json:"at"`
 	Kind   string        `json:"kind"`
 	Route  string        `json:"route,omitempty"`
 	ID     string        `json:"id,omitempty"` // stream or group id
-	Wire   string        `json:"wire,omitempty"`
 	Status int           `json:"status,omitempty"`
 	Dur    time.Duration `json:"duration_ns,omitempty"`
 	Detail string        `json:"detail,omitempty"`

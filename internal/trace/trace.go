@@ -1,8 +1,7 @@
-// Package trace provides the on-disk formats of the reproduction: a
-// compact binary format (checksummed header + fixed-width records) and a
-// human-readable CSV format, for both packet traces and binned rate
-// series. Readers validate headers and fail loudly on corruption rather
-// than returning truncated data.
+// Package trace provides the on-disk format of the reproduction's
+// binned rate series: a checksummed header, the granularity, then one
+// fixed-width record per bin. The reader validates the header and fails
+// loudly on corruption rather than returning truncated data.
 package trace
 
 import (
@@ -12,70 +11,13 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
-	"strconv"
-	"strings"
-
-	"repro/internal/traffic"
 )
 
-// Magic numbers identifying the two binary formats.
+// The magic number identifying a series file, and its format version.
 const (
-	packetMagic = 0x50545243 // "PTRC"
 	seriesMagic = 0x53545243 // "STRC"
 	version     = 1
 )
-
-// WritePackets serializes a packet trace: header (magic, version, count,
-// header CRC) followed by fixed 16-byte records.
-func WritePackets(w io.Writer, pkts []traffic.Packet) error {
-	bw := bufio.NewWriter(w)
-	if err := writeHeader(bw, packetMagic, uint64(len(pkts))); err != nil {
-		return err
-	}
-	var rec [16]byte
-	for i := range pkts {
-		binary.LittleEndian.PutUint64(rec[0:8], math.Float64bits(pkts[i].Time))
-		binary.LittleEndian.PutUint16(rec[8:10], pkts[i].Src)
-		binary.LittleEndian.PutUint16(rec[10:12], pkts[i].Dst)
-		binary.LittleEndian.PutUint32(rec[12:16], pkts[i].Size)
-		if _, err := bw.Write(rec[:]); err != nil {
-			return fmt.Errorf("trace: writing packet %d: %w", i, err)
-		}
-	}
-	if err := bw.Flush(); err != nil {
-		return fmt.Errorf("trace: flushing packet trace: %w", err)
-	}
-	return nil
-}
-
-// ReadPackets deserializes a packet trace written by WritePackets.
-func ReadPackets(r io.Reader) ([]traffic.Packet, error) {
-	br := bufio.NewReader(r)
-	count, err := readHeader(br, packetMagic)
-	if err != nil {
-		return nil, err
-	}
-	if count > 1<<31 {
-		return nil, fmt.Errorf("trace: implausible packet count %d", count)
-	}
-	// Capacity is capped rather than trusted: a header can carry any
-	// CRC-consistent count, and allocating gigabytes before the first
-	// record is read would let a 20-byte input exhaust memory.
-	pkts := make([]traffic.Packet, 0, min(count, 1<<16))
-	var rec [16]byte
-	for i := uint64(0); i < count; i++ {
-		if _, err := io.ReadFull(br, rec[:]); err != nil {
-			return nil, fmt.Errorf("trace: reading packet %d of %d: %w", i, count, err)
-		}
-		pkts = append(pkts, traffic.Packet{
-			Time: math.Float64frombits(binary.LittleEndian.Uint64(rec[0:8])),
-			Src:  binary.LittleEndian.Uint16(rec[8:10]),
-			Dst:  binary.LittleEndian.Uint16(rec[10:12]),
-			Size: binary.LittleEndian.Uint32(rec[12:16]),
-		})
-	}
-	return pkts, nil
-}
 
 // WriteSeries serializes a rate series with its granularity (seconds per
 // bin).
@@ -122,8 +64,9 @@ func ReadSeries(r io.Reader) (granularity float64, f []float64, err error) {
 	if granularity <= 0 || math.IsNaN(granularity) || math.IsInf(granularity, 1) {
 		return 0, nil, fmt.Errorf("trace: invalid granularity %g in header", granularity)
 	}
-	// Same allocation cap as ReadPackets: never size a buffer off an
-	// unverified header count.
+	// Capacity is capped rather than trusted: a header can carry any
+	// CRC-consistent count, and allocating gigabytes before the first
+	// record is read would let a 20-byte input exhaust memory.
 	f = make([]float64, 0, min(count, 1<<16))
 	for i := uint64(0); i < count; i++ {
 		if _, err := io.ReadFull(br, buf[:]); err != nil {
@@ -163,71 +106,4 @@ func readHeader(r io.Reader, wantMagic uint32) (uint64, error) {
 		return 0, fmt.Errorf("trace: unsupported format version %d", v)
 	}
 	return binary.LittleEndian.Uint64(hdr[8:16]), nil
-}
-
-// WritePacketsCSV emits "time,src,dst,size" rows with a header line.
-func WritePacketsCSV(w io.Writer, pkts []traffic.Packet) error {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString("time,src,dst,size\n"); err != nil {
-		return fmt.Errorf("trace: writing CSV header: %w", err)
-	}
-	for i := range pkts {
-		line := strconv.FormatFloat(pkts[i].Time, 'g', -1, 64) + "," +
-			strconv.FormatUint(uint64(pkts[i].Src), 10) + "," +
-			strconv.FormatUint(uint64(pkts[i].Dst), 10) + "," +
-			strconv.FormatUint(uint64(pkts[i].Size), 10) + "\n"
-		if _, err := bw.WriteString(line); err != nil {
-			return fmt.Errorf("trace: writing CSV row %d: %w", i, err)
-		}
-	}
-	if err := bw.Flush(); err != nil {
-		return fmt.Errorf("trace: flushing CSV: %w", err)
-	}
-	return nil
-}
-
-// ReadPacketsCSV parses the format emitted by WritePacketsCSV.
-func ReadPacketsCSV(r io.Reader) ([]traffic.Packet, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
-	if !sc.Scan() {
-		return nil, fmt.Errorf("trace: empty CSV input")
-	}
-	if got := strings.TrimSpace(sc.Text()); got != "time,src,dst,size" {
-		return nil, fmt.Errorf("trace: unexpected CSV header %q", got)
-	}
-	var pkts []traffic.Packet
-	lineNo := 1
-	for sc.Scan() {
-		lineNo++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" {
-			continue
-		}
-		fields := strings.Split(line, ",")
-		if len(fields) != 4 {
-			return nil, fmt.Errorf("trace: line %d has %d fields, want 4", lineNo, len(fields))
-		}
-		t, err := strconv.ParseFloat(fields[0], 64)
-		if err != nil {
-			return nil, fmt.Errorf("trace: line %d time: %w", lineNo, err)
-		}
-		src, err := strconv.ParseUint(fields[1], 10, 16)
-		if err != nil {
-			return nil, fmt.Errorf("trace: line %d src: %w", lineNo, err)
-		}
-		dst, err := strconv.ParseUint(fields[2], 10, 16)
-		if err != nil {
-			return nil, fmt.Errorf("trace: line %d dst: %w", lineNo, err)
-		}
-		size, err := strconv.ParseUint(fields[3], 10, 32)
-		if err != nil {
-			return nil, fmt.Errorf("trace: line %d size: %w", lineNo, err)
-		}
-		pkts = append(pkts, traffic.Packet{Time: t, Src: uint16(src), Dst: uint16(dst), Size: uint32(size)})
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("trace: scanning CSV: %w", err)
-	}
-	return pkts, nil
 }

@@ -2,74 +2,15 @@ package trace
 
 import (
 	"bytes"
-	"strings"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/dist"
-	"repro/internal/traffic"
 )
 
-func randomPackets(seed uint64, n int) []traffic.Packet {
-	rng := dist.NewRand(seed)
-	pkts := make([]traffic.Packet, n)
-	t := 0.0
-	for i := range pkts {
-		t += rng.ExpFloat64() * 0.01
-		pkts[i] = traffic.Packet{
-			Time: t,
-			Src:  uint16(rng.IntN(100)),
-			Dst:  uint16(rng.IntN(100)),
-			Size: uint32(rng.IntN(1500) + 1),
-		}
-	}
-	return pkts
-}
-
-func TestPacketsBinaryRoundTrip(t *testing.T) {
-	prop := func(seed uint64, nRaw uint8) bool {
-		pkts := randomPackets(seed, int(nRaw))
-		var buf bytes.Buffer
-		if err := WritePackets(&buf, pkts); err != nil {
-			return false
-		}
-		got, err := ReadPackets(&buf)
-		if err != nil {
-			return false
-		}
-		if len(got) != len(pkts) {
-			return false
-		}
-		for i := range pkts {
-			if got[i] != pkts[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 30}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestPacketsBinaryEmpty(t *testing.T) {
+func TestReadSeriesCorruption(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WritePackets(&buf, nil); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadPackets(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 0 {
-		t.Errorf("got %d packets, want 0", len(got))
-	}
-}
-
-func TestReadPacketsCorruption(t *testing.T) {
-	pkts := randomPackets(1, 10)
-	var buf bytes.Buffer
-	if err := WritePackets(&buf, pkts); err != nil {
+	if err := WriteSeries(&buf, 0.1, []float64{1, 2, 3, 4}); err != nil {
 		t.Fatal(err)
 	}
 	data := buf.Bytes()
@@ -77,23 +18,23 @@ func TestReadPacketsCorruption(t *testing.T) {
 	// Corrupt the magic: CRC must catch it.
 	bad := append([]byte(nil), data...)
 	bad[0] ^= 0xff
-	if _, err := ReadPackets(bytes.NewReader(bad)); err == nil {
+	if _, _, err := ReadSeries(bytes.NewReader(bad)); err == nil {
 		t.Error("expected error for corrupted header")
 	}
 	// Truncated body.
-	if _, err := ReadPackets(bytes.NewReader(data[:len(data)-5])); err == nil {
+	if _, _, err := ReadSeries(bytes.NewReader(data[:len(data)-5])); err == nil {
 		t.Error("expected error for truncated body")
 	}
-	// Wrong magic but valid CRC (a series file read as packets).
-	var sbuf bytes.Buffer
-	if err := WriteSeries(&sbuf, 0.1, []float64{1, 2}); err != nil {
+	// Wrong magic but valid CRC (some other file).
+	var other bytes.Buffer
+	if err := writeHeader(&other, seriesMagic+1, 0); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ReadPackets(&sbuf); err == nil {
-		t.Error("expected error reading series file as packets")
+	if _, _, err := ReadSeries(&other); err == nil {
+		t.Error("expected error for a foreign magic")
 	}
 	// Empty input.
-	if _, err := ReadPackets(bytes.NewReader(nil)); err == nil {
+	if _, _, err := ReadSeries(bytes.NewReader(nil)); err == nil {
 		t.Error("expected error for empty input")
 	}
 }
@@ -135,50 +76,5 @@ func TestSeriesErrors(t *testing.T) {
 	}
 	if _, _, err := ReadSeries(bytes.NewReader(nil)); err == nil {
 		t.Error("expected error for empty input")
-	}
-}
-
-func TestPacketsCSVRoundTrip(t *testing.T) {
-	pkts := randomPackets(5, 64)
-	var buf bytes.Buffer
-	if err := WritePacketsCSV(&buf, pkts); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadPacketsCSV(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(pkts) {
-		t.Fatalf("got %d packets, want %d", len(got), len(pkts))
-	}
-	for i := range pkts {
-		if got[i] != pkts[i] {
-			t.Errorf("packet %d: %+v != %+v", i, got[i], pkts[i])
-		}
-	}
-}
-
-func TestReadPacketsCSVErrors(t *testing.T) {
-	cases := []struct {
-		name, in string
-	}{
-		{"empty", ""},
-		{"bad header", "a,b,c\n"},
-		{"short row", "time,src,dst,size\n1,2,3\n"},
-		{"bad time", "time,src,dst,size\nx,2,3,4\n"},
-		{"bad src", "time,src,dst,size\n1,x,3,4\n"},
-		{"bad dst", "time,src,dst,size\n1,2,x,4\n"},
-		{"bad size", "time,src,dst,size\n1,2,3,x\n"},
-		{"src overflow", "time,src,dst,size\n1,70000,3,4\n"},
-	}
-	for _, c := range cases {
-		if _, err := ReadPacketsCSV(strings.NewReader(c.in)); err == nil {
-			t.Errorf("%s: expected error", c.name)
-		}
-	}
-	// Blank lines are tolerated.
-	got, err := ReadPacketsCSV(strings.NewReader("time,src,dst,size\n1,2,3,4\n\n"))
-	if err != nil || len(got) != 1 {
-		t.Errorf("blank line handling: %v, %d packets", err, len(got))
 	}
 }

@@ -17,39 +17,6 @@ type Packet struct {
 	Size uint32  // bytes on the wire
 }
 
-// TraceStats summarizes a packet trace.
-type TraceStats struct {
-	Packets    int
-	Bytes      uint64
-	Duration   float64 // seconds, last timestamp
-	MeanRate   float64 // bytes per second
-	HostPairs  int
-	MeanPktLen float64
-}
-
-// Stats computes summary statistics for a packet trace.
-func Stats(pkts []Packet) TraceStats {
-	var st TraceStats
-	st.Packets = len(pkts)
-	if len(pkts) == 0 {
-		return st
-	}
-	pairs := make(map[uint32]struct{})
-	for _, p := range pkts {
-		st.Bytes += uint64(p.Size)
-		pairs[uint32(p.Src)<<16|uint32(p.Dst)] = struct{}{}
-		if p.Time > st.Duration {
-			st.Duration = p.Time
-		}
-	}
-	st.HostPairs = len(pairs)
-	if st.Duration > 0 {
-		st.MeanRate = float64(st.Bytes) / st.Duration
-	}
-	st.MeanPktLen = float64(st.Bytes) / float64(st.Packets)
-	return st
-}
-
 // SynthConfig drives the OD-flow packet-trace synthesizer that substitutes
 // for the proprietary Bell Labs traces: hundreds of origin-destination
 // pairs, each an ON/OFF flow with Pareto-tailed burst durations (inducing
@@ -164,10 +131,10 @@ func SynthesizeTrace(cfg SynthConfig, rng *rand.Rand) ([]Packet, error) {
 		}
 	}
 	sort.Slice(pkts, func(i, j int) bool { return pkts[i].Time < pkts[j].Time })
+	// The trace is time-sorted, so its last packet closes the span.
 	if cfg.TargetMeanRate > 0 && len(pkts) > 0 {
-		st := Stats(pkts)
-		if st.MeanRate > 0 {
-			scale := cfg.TargetMeanRate / st.MeanRate
+		if span := pkts[len(pkts)-1].Time; span > 0 {
+			scale := cfg.TargetMeanRate / (float64(totalBytes(pkts)) / span)
 			for i := range pkts {
 				s := float64(pkts[i].Size) * scale
 				if s < 1 {
@@ -181,4 +148,13 @@ func SynthesizeTrace(cfg SynthConfig, rng *rand.Rand) ([]Packet, error) {
 		return nil, fmt.Errorf("traffic: synthesis produced no packets (duration %g too short?)", cfg.Duration)
 	}
 	return pkts, nil
+}
+
+// totalBytes sums a trace's packet sizes.
+func totalBytes(pkts []Packet) uint64 {
+	var n uint64
+	for _, p := range pkts {
+		n += uint64(p.Size)
+	}
+	return n
 }

@@ -17,11 +17,12 @@ import (
 const maxSessionReply = 1 << 20
 
 // SessionTotals is what a persistent session's frames added up to, as
-// the peer reports when the session ends.
+// the peer reports when the session ends. It is the body of every tick
+// ingest the sampled daemon answers, a session or not.
 type SessionTotals struct {
 	Frames   int64 `json:"frames"`
-	Accepted int64 `json:"accepted"`
-	Kept     int64 `json:"kept"`
+	Accepted int64 `json:"accepted"` // ticks offered
+	Kept     int64 `json:"kept"`     // samples the batches finalized
 }
 
 // Session is one persistent ingest session on a peer: a POST

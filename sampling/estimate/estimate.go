@@ -30,6 +30,7 @@ import (
 	"math"
 
 	"repro/internal/lrd"
+	"repro/internal/nanjson"
 	"repro/internal/stats"
 )
 
@@ -54,12 +55,19 @@ func Methods() []Method { return []Method{AggVar, Wavelet, RS} }
 // does not name its method: the Estimator that produced it does
 // (Method), and so does every summary that carries it.
 type Estimate struct {
-	H      float64 // estimated Hurst parameter; NaN until determined
-	Beta   float64 // implied ACF decay exponent 2 - 2H; NaN with H
-	Levels int     // regression points (aggregation levels / octaves / block sizes)
-	Ticks  int64   // ticks consumed when the estimate was taken
-	OK     bool    // the stream was long enough to regress
+	H      float64 `json:"h"`      // estimated Hurst parameter; NaN until determined
+	Beta   float64 `json:"beta"`   // implied ACF decay exponent 2 - 2H; NaN with H
+	Levels int     `json:"levels"` // regression points (aggregation levels / octaves / block sizes)
+	Ticks  int64   `json:"ticks"`  // ticks consumed when the estimate was taken
+	OK     bool    `json:"ok"`     // the stream was long enough to regress
 }
+
+// MarshalJSON renders the estimate with an undetermined H and Beta as
+// null, never NaN.
+func (e Estimate) MarshalJSON() ([]byte, error) { return nanjson.Marshal(&e) }
+
+// UnmarshalJSON is the inverse of MarshalJSON: null comes back as NaN.
+func (e *Estimate) UnmarshalJSON(data []byte) error { return nanjson.Unmarshal(data, e, false) }
 
 // Estimator consumes a stream and produces Hurst estimates on demand.
 // Tick must be O(log n) worst case and may allocate only when the

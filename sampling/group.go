@@ -257,10 +257,10 @@ func (g *Group) Sample(f []float64) ([][]Sample, error) {
 // unsampled input stream it was offered — the group's per-technique
 // verdict. All fields are NaN until both sides carry enough data.
 type Fidelity struct {
-	KeptRatio    float64 // kept samples / input ticks — the achieved sampling rate
-	MeanBias     float64 // eta = 1 - keptMean/inputMean (Eq. 21 against the live input)
-	VarianceBias float64 // 1 - keptVariance/inputVariance, same convention as MeanBias
-	HurstDrift   float64 // kept H - input H; NaN until both sides resolve (needs WithEstimator)
+	KeptRatio    float64 `json:"kept_ratio"`    // kept samples / input ticks — the achieved sampling rate
+	MeanBias     float64 `json:"mean_bias"`     // eta = 1 - keptMean/inputMean (Eq. 21 against the live input)
+	VarianceBias float64 `json:"variance_bias"` // 1 - keptVariance/inputVariance, same convention as MeanBias
+	HurstDrift   float64 `json:"hurst_drift"`   // kept H - input H; NaN until both sides resolve (needs WithEstimator)
 }
 
 // newFidelity scores one member summary against the comparison's input
@@ -286,8 +286,8 @@ func newFidelity(c *Comparison, sum Summary) Fidelity {
 // Summary (with the Hurst block's input side filled from the group's
 // shared estimator) plus its Fidelity against the unsampled input.
 type TechniqueReport struct {
-	Summary  Summary
-	Fidelity Fidelity
+	Summary  Summary  `json:"summary"`
+	Fidelity Fidelity `json:"fidelity"`
 }
 
 // Comparison is a point-in-time view of a live Group, returned by
@@ -296,18 +296,18 @@ type TechniqueReport struct {
 // counters are monotonically non-decreasing across successive
 // snapshots, and every member is observed at the same Seen.
 type Comparison struct {
-	Seen     int     // ticks offered to the group so far
-	Mean     float64 // running mean of the unsampled input (NaN before the first tick)
-	Variance float64 // running unbiased variance of the unsampled input (NaN below 2)
+	Seen     int     `json:"seen"`     // ticks offered to the group so far
+	Mean     float64 `json:"mean"`     // running mean of the unsampled input (NaN before the first tick)
+	Variance float64 `json:"variance"` // running unbiased variance of the unsampled input (NaN below 2)
 
 	// Method and Hurst carry the shared input-side estimate when the
 	// group was built with WithEstimator; "" and nil otherwise.
-	Method estimate.Method
-	Hurst  *HurstPoint
+	Method estimate.Method `json:"method,omitempty"`
+	Hurst  *HurstPoint     `json:"hurst,omitempty"`
 
-	Members []TechniqueReport
+	Members []TechniqueReport `json:"members"`
 
-	Finished bool          // Finish (or Sample) has been called
-	At       time.Time     // when the snapshot was taken (per the group's clock)
-	Uptime   time.Duration // time since the group was built
+	Finished bool          `json:"finished"`  // Finish (or Sample) has been called
+	At       time.Time     `json:"at"`        // when the snapshot was taken (per the group's clock)
+	Uptime   time.Duration `json:"uptime_ns"` // time since the group was built
 }

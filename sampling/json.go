@@ -3,12 +3,9 @@ package sampling
 import (
 	"bytes"
 	"encoding/json"
-	"errors"
 	"fmt"
-	"math"
-	"time"
 
-	"repro/sampling/estimate"
+	"repro/internal/nanjson"
 )
 
 // specJSON is the wire form of a Spec: the technique name plus its raw
@@ -60,277 +57,46 @@ func (s *Spec) UnmarshalJSON(data []byte) error {
 	return nil
 }
 
-// summaryJSON is the wire form of a Summary. The running moments are
-// pointers so the NaN states a live engine legitimately passes through
-// (mean before the first sample, variance and CI below two) become JSON
-// null instead of poisoning the document — encoding/json rejects NaN.
-type summaryJSON struct {
-	Technique string        `json:"technique"`
-	Spec      string        `json:"spec"`
-	Seen      int           `json:"seen"`
-	Kept      int           `json:"kept"`
-	Qualified int           `json:"qualified"`
-	Budget    int           `json:"budget"`
-	Mean      *float64      `json:"mean"`
-	Variance  *float64      `json:"variance"`
-	CILow     *float64      `json:"ci_low"`
-	CIHigh    *float64      `json:"ci_high"`
-	Finished  bool          `json:"finished"`
-	Err       string        `json:"error,omitempty"`
-	Hurst     *HurstSummary `json:"hurst,omitempty"`
-	At        string        `json:"at"`
-	UptimeNS  int64         `json:"uptime_ns"`
-}
+// The documents below are written by internal/nanjson from their own
+// json tags: NaN and ±Inf (a mean before the first sample, a variance
+// below two, an unresolved Hurst estimate) become null, null comes back
+// as NaN, the deferred engine error travels as its message, and At is
+// RFC 3339 with nanoseconds.
 
-// jsonNumber maps a possibly-NaN float to its wire form: nil for NaN
-// (serialized as null), the value otherwise. Infinities have no JSON
-// encoding either and no Summary field can legitimately produce one, but
-// they are mapped to null rather than failing the whole document.
-func jsonNumber(v float64) *float64 {
-	if math.IsNaN(v) || math.IsInf(v, 0) {
-		return nil
-	}
-	return &v
-}
+// MarshalJSON renders the summary: the document the sampled daemon
+// serves from GET /v1/streams/{id}/snapshot.
+func (s Summary) MarshalJSON() ([]byte, error) { return nanjson.Marshal(&s) }
 
-// MarshalJSON renders the summary with NaN moments as null, the deferred
-// engine error as its message string, and At in RFC 3339 with nanosecond
-// precision. This is the document the sampled daemon serves from
-// GET /v1/streams/{id}/snapshot.
-func (s Summary) MarshalJSON() ([]byte, error) {
-	w := summaryJSON{
-		Technique: s.Technique,
-		Spec:      s.Spec,
-		Seen:      s.Seen,
-		Kept:      s.Kept,
-		Qualified: s.Qualified,
-		Budget:    s.Budget,
-		Mean:      jsonNumber(s.Mean),
-		Variance:  jsonNumber(s.Variance),
-		CILow:     jsonNumber(s.CILow),
-		CIHigh:    jsonNumber(s.CIHigh),
-		Finished:  s.Finished,
-		Hurst:     s.Hurst,
-		At:        s.At.Format(time.RFC3339Nano),
-		UptimeNS:  int64(s.Uptime),
-	}
-	if s.Err != nil {
-		w.Err = s.Err.Error()
-	}
-	return json.Marshal(w)
-}
+// UnmarshalJSON is the inverse of MarshalJSON. The concrete error type
+// does not survive the wire, only its text — compare messages, not
+// errors.Is, across a round trip.
+func (s *Summary) UnmarshalJSON(data []byte) error { return nanjson.Unmarshal(data, s, false) }
 
-// hurstPointJSON is the wire form of one HurstPoint: h and beta are
-// pointers so the NaN of a not-yet-determined estimate becomes JSON
-// null, matching the summary's moment fields.
-type hurstPointJSON struct {
-	H      *float64 `json:"h"`
-	Beta   *float64 `json:"beta"`
-	Levels int      `json:"levels"`
-	Ticks  int64    `json:"ticks"`
-	OK     bool     `json:"ok"`
-}
+// MarshalJSON renders the Hurst block: the document served whole by
+// GET /v1/streams/{id}/hurst and nested under "hurst" in a snapshot.
+func (h HurstSummary) MarshalJSON() ([]byte, error) { return nanjson.Marshal(&h) }
 
-// hurstJSON is the wire form of a HurstSummary — the document served
-// whole by GET /v1/streams/{id}/hurst and nested under "hurst" in a
-// snapshot.
-type hurstJSON struct {
-	Method string         `json:"method"`
-	Input  hurstPointJSON `json:"input"`
-	Kept   hurstPointJSON `json:"kept"`
-	Drift  *float64       `json:"drift"`
-}
+// UnmarshalJSON is the inverse of MarshalJSON.
+func (h *HurstSummary) UnmarshalJSON(data []byte) error { return nanjson.Unmarshal(data, h, false) }
 
-// MarshalJSON renders the Hurst block with undetermined estimates (and
-// the drift before both sides resolve) as null, never NaN.
-func (h HurstSummary) MarshalJSON() ([]byte, error) {
-	return json.Marshal(hurstJSON{
-		Method: string(h.Method),
-		Input:  hurstPointWire(h.Input),
-		Kept:   hurstPointWire(h.Kept),
-		Drift:  jsonNumber(h.Drift),
-	})
-}
+// MarshalJSON renders one member's scores.
+func (f Fidelity) MarshalJSON() ([]byte, error) { return nanjson.Marshal(&f) }
 
-// UnmarshalJSON is the inverse of MarshalJSON: nulls come back as NaN.
-func (h *HurstSummary) UnmarshalJSON(data []byte) error {
-	var w hurstJSON
-	if err := json.Unmarshal(data, &w); err != nil {
-		return fmt.Errorf("sampling: hurst summary: %w", err)
-	}
-	*h = HurstSummary{
-		Method: estimate.Method(w.Method),
-		Input:  hurstPointBack(w.Input),
-		Kept:   hurstPointBack(w.Kept),
-		Drift:  backNumber(w.Drift),
-	}
-	return nil
-}
+// UnmarshalJSON is the inverse of MarshalJSON; unknown keys are refused.
+func (f *Fidelity) UnmarshalJSON(data []byte) error { return nanjson.Unmarshal(data, f, true) }
 
-// backNumber is the inverse of jsonNumber: nil (wire null) becomes NaN.
-func backNumber(p *float64) float64 {
-	if p == nil {
-		return math.NaN()
-	}
-	return *p
-}
+// MarshalJSON renders one member of a comparison.
+func (r TechniqueReport) MarshalJSON() ([]byte, error) { return nanjson.Marshal(&r) }
 
-// fidelityJSON is the wire form of a Fidelity: every score is a pointer
-// so its legitimate NaN states (nothing kept yet, unresolved Hurst)
-// become JSON null, matching the summary's moment fields.
-type fidelityJSON struct {
-	KeptRatio    *float64 `json:"kept_ratio"`
-	MeanBias     *float64 `json:"mean_bias"`
-	VarianceBias *float64 `json:"variance_bias"`
-	HurstDrift   *float64 `json:"hurst_drift"`
-}
+// UnmarshalJSON is the inverse of MarshalJSON; unknown keys are refused.
+func (r *TechniqueReport) UnmarshalJSON(data []byte) error { return nanjson.Unmarshal(data, r, true) }
 
-// techniqueReportJSON is the wire form of one member of a comparison.
-type techniqueReportJSON struct {
-	Summary  Summary      `json:"summary"`
-	Fidelity fidelityJSON `json:"fidelity"`
-}
+// MarshalJSON renders the comparison: the document the sampled daemon
+// serves from GET /v1/groups/{id}.
+func (c Comparison) MarshalJSON() ([]byte, error) { return nanjson.Marshal(&c) }
 
-// comparisonJSON is the wire form of a Comparison — the document the
-// sampled daemon serves from GET /v1/groups/{id}. Input moments and the
-// shared Hurst point follow the null-for-NaN convention of Summary.
-type comparisonJSON struct {
-	Seen     int                   `json:"seen"`
-	Mean     *float64              `json:"mean"`
-	Variance *float64              `json:"variance"`
-	Method   string                `json:"method,omitempty"`
-	Hurst    *hurstPointJSON       `json:"hurst,omitempty"`
-	Members  []techniqueReportJSON `json:"members"`
-	Finished bool                  `json:"finished"`
-	At       string                `json:"at"`
-	UptimeNS int64                 `json:"uptime_ns"`
-}
-
-// MarshalJSON renders the comparison with NaN scores and moments as
-// null and At in RFC 3339 with nanosecond precision.
-func (c Comparison) MarshalJSON() ([]byte, error) {
-	w := comparisonJSON{
-		Seen:     c.Seen,
-		Mean:     jsonNumber(c.Mean),
-		Variance: jsonNumber(c.Variance),
-		Method:   string(c.Method),
-		Members:  make([]techniqueReportJSON, len(c.Members)),
-		Finished: c.Finished,
-		At:       c.At.Format(time.RFC3339Nano),
-		UptimeNS: int64(c.Uptime),
-	}
-	if c.Hurst != nil {
-		p := hurstPointWire(*c.Hurst)
-		w.Hurst = &p
-	}
-	for i, m := range c.Members {
-		w.Members[i] = techniqueReportJSON{
-			Summary: m.Summary,
-			Fidelity: fidelityJSON{
-				KeptRatio:    jsonNumber(m.Fidelity.KeptRatio),
-				MeanBias:     jsonNumber(m.Fidelity.MeanBias),
-				VarianceBias: jsonNumber(m.Fidelity.VarianceBias),
-				HurstDrift:   jsonNumber(m.Fidelity.HurstDrift),
-			},
-		}
-	}
-	return json.Marshal(w)
-}
-
-// UnmarshalJSON is the inverse of MarshalJSON: nulls come back as NaN.
-// Unknown top-level fields are rejected, exactly as the sampled daemon
-// rejects them in requests — a misspelled key in a hand-built document
-// must fail loudly, not silently read as the zero comparison.
-func (c *Comparison) UnmarshalJSON(data []byte) error {
-	var w comparisonJSON
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&w); err != nil {
-		return fmt.Errorf("sampling: comparison: %w", err)
-	}
-	out := Comparison{
-		Seen:     w.Seen,
-		Mean:     backNumber(w.Mean),
-		Variance: backNumber(w.Variance),
-		Method:   estimate.Method(w.Method),
-		Members:  make([]TechniqueReport, len(w.Members)),
-		Finished: w.Finished,
-		Uptime:   time.Duration(w.UptimeNS),
-	}
-	if w.Hurst != nil {
-		p := hurstPointBack(*w.Hurst)
-		out.Hurst = &p
-	}
-	for i, m := range w.Members {
-		out.Members[i] = TechniqueReport{
-			Summary: m.Summary,
-			Fidelity: Fidelity{
-				KeptRatio:    backNumber(m.Fidelity.KeptRatio),
-				MeanBias:     backNumber(m.Fidelity.MeanBias),
-				VarianceBias: backNumber(m.Fidelity.VarianceBias),
-				HurstDrift:   backNumber(m.Fidelity.HurstDrift),
-			},
-		}
-	}
-	if w.At != "" {
-		at, err := time.Parse(time.RFC3339Nano, w.At)
-		if err != nil {
-			return fmt.Errorf("sampling: comparison timestamp: %w", err)
-		}
-		out.At = at
-	}
-	*c = out
-	return nil
-}
-
-// hurstPointWire / hurstPointBack map a HurstPoint to and from its wire
-// form, shared by the Hurst summary block and the comparison's input
-// point.
-func hurstPointWire(p HurstPoint) hurstPointJSON {
-	return hurstPointJSON{H: jsonNumber(p.H), Beta: jsonNumber(p.Beta),
-		Levels: p.Levels, Ticks: p.Ticks, OK: p.OK}
-}
-
-func hurstPointBack(p hurstPointJSON) HurstPoint {
-	return HurstPoint{H: backNumber(p.H), Beta: backNumber(p.Beta),
-		Levels: p.Levels, Ticks: p.Ticks, OK: p.OK}
-}
-
-// UnmarshalJSON is the inverse of MarshalJSON: null moments come back as
-// NaN and a non-empty error string comes back as a plain error with the
-// same message (the concrete error type does not survive the wire, only
-// its text — compare messages, not errors.Is, across a round trip).
-func (s *Summary) UnmarshalJSON(data []byte) error {
-	var w summaryJSON
-	if err := json.Unmarshal(data, &w); err != nil {
-		return fmt.Errorf("sampling: summary: %w", err)
-	}
-	back := backNumber
-	out := Summary{
-		Technique: w.Technique,
-		Spec:      w.Spec,
-		Seen:      w.Seen,
-		Kept:      w.Kept,
-		Qualified: w.Qualified,
-		Budget:    w.Budget,
-		Mean:      back(w.Mean),
-		Variance:  back(w.Variance),
-		CILow:     back(w.CILow),
-		CIHigh:    back(w.CIHigh),
-		Finished:  w.Finished,
-		Hurst:     w.Hurst,
-		Uptime:    time.Duration(w.UptimeNS),
-	}
-	if w.Err != "" {
-		out.Err = errors.New(w.Err)
-	}
-	if w.At != "" {
-		at, err := time.Parse(time.RFC3339Nano, w.At)
-		if err != nil {
-			return fmt.Errorf("sampling: summary timestamp: %w", err)
-		}
-		out.At = at
-	}
-	*s = out
-	return nil
-}
+// UnmarshalJSON is the inverse of MarshalJSON. Unknown keys are
+// rejected, exactly as the sampled daemon rejects them in requests — a
+// misspelled key in a hand-built document must fail loudly, not
+// silently read as the zero comparison.
+func (c *Comparison) UnmarshalJSON(data []byte) error { return nanjson.Unmarshal(data, c, true) }

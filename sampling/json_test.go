@@ -1,6 +1,7 @@
 package sampling
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"math"
 	"strings"
@@ -260,5 +261,119 @@ func TestComparisonJSONRejectsUnknownFields(t *testing.T) {
 	var got Comparison
 	if err := json.Unmarshal([]byte(bad), &got); err == nil {
 		t.Error("comparison with unknown field unmarshaled without error")
+	}
+}
+
+// summaryFloats lists every float field of a summary with a Hurst
+// block, in document order.
+func summaryFloats(s *Summary) []*float64 {
+	h := s.Hurst
+	return []*float64{&s.Mean, &s.Variance, &s.CILow, &s.CIHigh,
+		&h.Input.H, &h.Input.Beta, &h.Kept.H, &h.Kept.Beta, &h.Drift}
+}
+
+// comparisonFloats lists every float field of a comparison with an
+// input Hurst point, in document order.
+func comparisonFloats(c *Comparison) []*float64 {
+	out := []*float64{&c.Mean, &c.Variance, &c.Hurst.H, &c.Hurst.Beta}
+	for i := range c.Members {
+		m := &c.Members[i]
+		out = append(out, summaryFloats(&m.Summary)...)
+		out = append(out, &m.Fidelity.KeptRatio, &m.Fidelity.MeanBias, &m.Fidelity.VarianceBias, &m.Fidelity.HurstDrift)
+	}
+	return out
+}
+
+// FuzzDocumentJSON fills every float field of a summary with a Hurst
+// block and of a two-member comparison with raw bits: NaN payloads,
+// infinities, signed zeros, subnormals, the extremes. Marshal must
+// never fail and must give valid JSON, and decoding it must give back
+// every finite value bit for bit, and NaN for NaN or ±Inf.
+func FuzzDocumentJSON(f *testing.F) {
+	special := []uint64{
+		0x7ff8000000000001, 0xfff4000000000000, // NaN payloads, quiet and signalling
+		math.Float64bits(math.Inf(1)), math.Float64bits(math.Inf(-1)),
+		0, 1 << 63, // ±0
+		1, 0x000fffffffffffff, 1<<63 | 1, // subnormals
+		math.Float64bits(math.MaxFloat64), math.Float64bits(-math.MaxFloat64),
+		math.Float64bits(1e-7), math.Float64bits(1e21), math.Float64bits(0.5),
+	}
+	for i := range special {
+		var seed []byte
+		for j := range special {
+			seed = binary.LittleEndian.AppendUint64(seed, special[(i+j)%len(special)])
+		}
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		// Each float takes the next 8 bytes of raw, cycling.
+		next := 0
+		fill := func(fields []*float64) {
+			for _, p := range fields {
+				var b [8]byte
+				for i := range b {
+					if len(raw) > 0 {
+						b[i] = raw[(next+i)%len(raw)]
+					}
+				}
+				next += 8
+				*p = math.Float64frombits(binary.LittleEndian.Uint64(b[:]))
+			}
+		}
+		at := time.Date(2026, 7, 27, 12, 0, 0, 1, time.UTC)
+		summary := func() Summary {
+			return Summary{Technique: "bss", At: at, Hurst: &HurstSummary{Method: "aggvar"}}
+		}
+		sum := summary()
+		fill(summaryFloats(&sum))
+		var sumBack Summary
+		roundTrip(t, &sum, &sumBack)
+		if sumBack.Hurst == nil {
+			t.Fatal("summary lost its Hurst block")
+		}
+		sameFloats(t, summaryFloats(&sum), summaryFloats(&sumBack))
+
+		cmp := Comparison{Seen: 3, Method: "aggvar", Hurst: &HurstPoint{}, At: at,
+			Members: []TechniqueReport{{Summary: summary()}, {Summary: summary()}}}
+		fill(comparisonFloats(&cmp))
+		var cmpBack Comparison
+		roundTrip(t, &cmp, &cmpBack)
+		if cmpBack.Hurst == nil || len(cmpBack.Members) != 2 ||
+			cmpBack.Members[0].Summary.Hurst == nil || cmpBack.Members[1].Summary.Hurst == nil {
+			t.Fatalf("comparison changed shape: %+v", cmpBack)
+		}
+		sameFloats(t, comparisonFloats(&cmp), comparisonFloats(&cmpBack))
+	})
+}
+
+// roundTrip marshals in, which must give valid JSON, and decodes it
+// into out.
+func roundTrip(t *testing.T, in, out any) {
+	t.Helper()
+	data, err := json.Marshal(in)
+	if err != nil {
+		t.Fatalf("marshal: %v", err)
+	}
+	if !json.Valid(data) {
+		t.Fatalf("invalid JSON: %s", data)
+	}
+	if err := json.Unmarshal(data, out); err != nil {
+		t.Fatalf("decode %s: %v", data, err)
+	}
+}
+
+// sameFloats holds each decoded float to its source: bit for bit when
+// finite, NaN when NaN or ±Inf.
+func sameFloats(t *testing.T, want, got []*float64) {
+	t.Helper()
+	for i := range want {
+		w, g := *want[i], *got[i]
+		if math.IsNaN(w) || math.IsInf(w, 0) {
+			if !math.IsNaN(g) {
+				t.Errorf("field %d: %v came back as %v, want NaN", i, w, g)
+			}
+		} else if math.Float64bits(g) != math.Float64bits(w) {
+			t.Errorf("field %d: %v (%#x) came back as %v (%#x)", i, w, math.Float64bits(w), g, math.Float64bits(g))
+		}
 	}
 }
