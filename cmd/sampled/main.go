@@ -147,25 +147,14 @@ func run(ctx context.Context, args []string, ready chan<- net.Addr) error {
 	}
 
 	hubOpts := []hub.Option{hub.WithIdleTTL(*ttl)}
-	var ckpt *checkpointer
 	if *ckptDir != "" {
 		if err := os.MkdirAll(*ckptDir, 0o755); err != nil {
 			return fmt.Errorf("checkpoint dir: %w", err)
 		}
-	}
-	// The hub needs the evict hook at construction, and the
-	// checkpointer needs the hub: build the hub with a hook that
-	// forwards to the checkpointer assigned just below (Sweep cannot
-	// fire before run finishes wiring — the sweep goroutine starts
-	// later in this function).
-	if *ckptDir != "" {
-		hubOpts = append(hubOpts, hub.WithEvictHook(func(ev hub.Eviction) {
-			if ckpt != nil {
-				ckpt.evictHook(ev)
-			}
-		}))
+		hubOpts = append(hubOpts, hub.WithEvictHook(archiveEvicted(*ckptDir, logger)))
 	}
 	h := hub.New(hubOpts...)
+	var ckpt *checkpointer
 	if *ckptDir != "" {
 		ckpt = newCheckpointer(h, *ckptDir, logger)
 	}

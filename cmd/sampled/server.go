@@ -48,7 +48,6 @@ type server struct {
 	// binary frames, by wire.
 	reg           *obs.Registry
 	rec           *obs.Recorder
-	logger        *slog.Logger
 	ingest        map[string]*wireInstruments
 	binaryFrames  *frameMeter
 	sessionFrames *frameMeter
@@ -165,7 +164,7 @@ func newServer(h *hub.Hub, maxBody int64, opts ...serverOption) http.Handler {
 	for _, o := range opts {
 		o(&cfg)
 	}
-	s := &server{hub: h, maxBody: maxBody, logger: cfg.logger, ready: cfg.ready}
+	s := &server{hub: h, maxBody: maxBody, ready: cfg.ready}
 	s.decoders.maxTicks = max(int(maxBody/8), 1)
 	s.reg = obs.NewRegistry()
 	s.rec = obs.NewRecorder(recorderEvents)
@@ -392,9 +391,18 @@ func writeBodyError(w http.ResponseWriter, err error) {
 	writeJSON(w, ingestStatus(err), map[string]string{"error": "body: " + err.Error()})
 }
 
+// writeJSON writes v as one line of JSON. The public documents marshal
+// themselves compact and escaped, so their MarshalJSON bytes go out as
+// they are; an Encoder would only re-scan them to the same result.
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
+	if m, ok := v.(json.Marshaler); ok {
+		if b, err := m.MarshalJSON(); err == nil {
+			w.Write(append(b, '\n'))
+		}
+		return
+	}
 	json.NewEncoder(w).Encode(v)
 }
 

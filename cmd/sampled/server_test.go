@@ -730,3 +730,67 @@ func TestGroupGoldenSnapshot(t *testing.T) {
 		}
 	}
 }
+
+// TestServedDocumentsAreMarshalJSON pins writeJSON's direct path: the
+// bytes of every live document — a stream of each technique, a fresh
+// stream whose moments are still NaN, its Hurst block, and a group of
+// every technique — are the document's own MarshalJSON output plus a
+// newline.
+func TestServedDocumentsAreMarshalJSON(t *testing.T) {
+	at := time.Date(2026, 7, 27, 12, 0, 0, 0, time.UTC)
+	h := hub.New(hub.WithClock(func() time.Time { return at }))
+	srv := httptest.NewServer(newServer(h, 0))
+	defer srv.Close()
+	client := srv.Client()
+
+	specs := []string{
+		"systematic:interval=50,offset=7",
+		"stratified:interval=50,seed=11",
+		"simple:n=100,seed=5",
+		"bernoulli:rate=0.02,seed=13",
+		"bss:interval=50,L=5,eps=1.0",
+	}
+	series := heavyTailedSeries(42, 5000)
+	check := func(path string, doc json.Marshaler) {
+		t.Helper()
+		want, err := doc.MarshalJSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		code, got := doJSON(t, client, http.MethodGet, srv.URL+path, nil)
+		if code != http.StatusOK || string(got) != string(want)+"\n" {
+			t.Errorf("GET %s: %d\n got %q\nwant %q + newline", path, code, got, want)
+		}
+	}
+	for i, spec := range specs {
+		id := "s" + strings.SplitN(spec, ":", 2)[0]
+		code, body := doJSON(t, client, http.MethodPut, srv.URL+"/v1/streams/"+id,
+			map[string]any{"spec": spec, "estimator": "aggvar"})
+		if code != http.StatusCreated {
+			t.Fatalf("PUT %s: %d %s", id, code, body)
+		}
+		if i > 0 {
+			if code, body := doJSON(t, client, http.MethodPost, srv.URL+"/v1/streams/"+id+"/ticks", series); code != http.StatusOK {
+				t.Fatalf("POST %s: %d %s", id, code, body)
+			}
+		}
+		sum, err := h.Snapshot(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check("/v1/streams/"+id+"/snapshot", sum)
+		check("/v1/streams/"+id+"/hurst", sum.Hurst)
+	}
+	if code, body := doJSON(t, client, http.MethodPut, srv.URL+"/v1/groups/cmp",
+		map[string]any{"specs": specs, "estimator": "aggvar"}); code != http.StatusCreated {
+		t.Fatalf("PUT group: %d %s", code, body)
+	}
+	if code, body := doJSON(t, client, http.MethodPost, srv.URL+"/v1/groups/cmp/ticks", series); code != http.StatusOK {
+		t.Fatalf("POST group: %d %s", code, body)
+	}
+	cmp, err := h.GroupSnapshot("cmp")
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("/v1/groups/cmp", cmp)
+}

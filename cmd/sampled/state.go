@@ -19,7 +19,6 @@ import (
 	"slices"
 	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/sampling/hub"
@@ -166,7 +165,6 @@ type checkpointer struct {
 	hub    *hub.Hub
 	dir    string
 	logger *slog.Logger
-	saves  atomic.Int64 // successful checkpoint writes, for tests/metrics
 }
 
 func newCheckpointer(h *hub.Hub, dir string, logger *slog.Logger) *checkpointer {
@@ -202,11 +200,7 @@ func (c *checkpointer) save() error {
 	if err != nil {
 		return err
 	}
-	if err := persist.WriteFile(filepath.Join(c.dir, checkpointFile), ck); err != nil {
-		return err
-	}
-	c.saves.Add(1)
-	return nil
+	return persist.WriteFile(filepath.Join(c.dir, checkpointFile), ck)
 }
 
 // periodic writes one of the periodic checkpoints, logging rather
@@ -221,34 +215,36 @@ func (c *checkpointer) periodic() {
 	}
 }
 
-// evictHook archives an idle stream's final state under
-// <dir>/evicted/ as Sweep retires it — the stream will never tick
-// again, so this blob is its complete history. Archive failures are
-// logged, never fatal: eviction must proceed regardless.
-func (c *checkpointer) evictHook(ev hub.Eviction) {
-	var blob []byte
-	var err error
-	suffix := ".engine"
-	switch {
-	case ev.Engine != nil:
-		blob, err = ev.Engine.MarshalState()
-	case ev.Group != nil:
-		blob, err = ev.Group.MarshalState()
-		suffix = ".group"
+// archiveEvicted returns the hub's evict hook for checkpoint directory
+// dir: it archives an idle stream's final state under <dir>/evicted/
+// as Sweep retires it — the stream will never tick again, so this blob
+// is its complete history. The blob is published atomically, like the
+// checkpoint, so a reader never sees a partial archive. Archive
+// failures are logged, never fatal: eviction must proceed regardless.
+func archiveEvicted(dir string, logger *slog.Logger) func(hub.Eviction) {
+	dir = filepath.Join(dir, evictedDir)
+	return func(ev hub.Eviction) {
+		var blob []byte
+		var err error
+		suffix := ".engine"
+		switch {
+		case ev.Engine != nil:
+			blob, err = ev.Engine.MarshalState()
+		case ev.Group != nil:
+			blob, err = ev.Group.MarshalState()
+			suffix = ".group"
+		}
+		path := filepath.Join(dir, url.PathEscape(ev.ID)+suffix)
+		if err == nil {
+			err = os.MkdirAll(dir, 0o755)
+		}
+		if err == nil {
+			err = persist.WriteAtomic(path, blob)
+		}
+		if err != nil {
+			logger.Error("archiving evicted stream failed", "id", ev.ID, "err", err)
+			return
+		}
+		logger.Info("archived evicted stream", "id", ev.ID, "path", path)
 	}
-	if err != nil {
-		c.logger.Error("archiving evicted stream failed", "id", ev.ID, "err", err)
-		return
-	}
-	dir := filepath.Join(c.dir, evictedDir)
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		c.logger.Error("archiving evicted stream failed", "id", ev.ID, "err", err)
-		return
-	}
-	path := filepath.Join(dir, url.PathEscape(ev.ID)+suffix)
-	if err := os.WriteFile(path, blob, 0o644); err != nil {
-		c.logger.Error("archiving evicted stream failed", "id", ev.ID, "err", err)
-		return
-	}
-	c.logger.Info("archived evicted stream", "id", ev.ID, "path", path)
 }

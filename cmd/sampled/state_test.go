@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"log/slog"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -13,11 +14,13 @@ import (
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/obs"
 	"repro/sampling"
+	"repro/sampling/hub"
 	"repro/sampling/wire"
 )
 
@@ -326,6 +329,90 @@ func TestEvictArchive(t *testing.T) {
 	}
 	if got := eng.Snapshot().Seen; got != 500 {
 		t.Fatalf("archived engine saw %d ticks, want 500", got)
+	}
+}
+
+// TestEvictArchiveAtomic: a poller reading evicted/ while Sweep
+// archives a batch of idle streams only ever sees whole blobs, and no
+// temp file outlives the sweep.
+func TestEvictArchiveAtomic(t *testing.T) {
+	dir := t.TempDir()
+	var now atomic.Int64
+	clock := func() time.Time { return time.Unix(0, now.Load()) }
+	logger := slog.New(slog.NewTextHandler(io.Discard, nil))
+	h := hub.New(hub.WithClock(clock), hub.WithIdleTTL(time.Minute),
+		hub.WithEvictHook(archiveEvicted(dir, logger)))
+	const streams, ticks = 32, 20000
+	series := heavyTailedSeries(3, ticks)
+	for i := 0; i < streams; i++ {
+		id := fmt.Sprintf("idle-%02d", i)
+		if err := h.Create(id, sampling.MustParse("simple:rate=0.5,seed=1")); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := h.OfferBatch(id, series); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	archive := filepath.Join(dir, "evicted")
+	done := make(chan struct{})
+	refused := make(chan error, 1)
+	go func() {
+		defer close(refused)
+		for {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			entries, _ := os.ReadDir(archive)
+			for _, e := range entries {
+				if !strings.HasSuffix(e.Name(), ".engine") {
+					continue
+				}
+				blob, err := os.ReadFile(filepath.Join(archive, e.Name()))
+				if err != nil {
+					continue // not yet renamed into place
+				}
+				if _, err := sampling.RestoreEngine(blob); err != nil {
+					refused <- fmt.Errorf("%s: %w", e.Name(), err)
+					return
+				}
+			}
+		}
+	}()
+	now.Add(int64(2 * time.Minute))
+	if n := h.Sweep(); n != streams {
+		t.Errorf("swept %d streams, want %d", n, streams)
+	}
+	close(done)
+	if err := <-refused; err != nil {
+		t.Fatalf("poller saw a partial archive: %v", err)
+	}
+
+	entries, err := os.ReadDir(archive)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != streams {
+		t.Errorf("evicted/ holds %d files, want %d", len(entries), streams)
+	}
+	for _, e := range entries {
+		if !strings.HasSuffix(e.Name(), ".engine") {
+			t.Errorf("stray file %s left in evicted/", e.Name())
+			continue
+		}
+		blob, err := os.ReadFile(filepath.Join(archive, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng, err := sampling.RestoreEngine(blob)
+		if err != nil {
+			t.Fatalf("%s does not restore: %v", e.Name(), err)
+		}
+		if got := eng.Snapshot().Seen; got != ticks {
+			t.Errorf("%s saw %d ticks, want %d", e.Name(), got, ticks)
+		}
 	}
 }
 

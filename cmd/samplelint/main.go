@@ -71,8 +71,6 @@ func run(patterns []string) error {
 				continue
 			}
 			pass := &analysis.Pass{
-				Analyzer:  a,
-				Fset:      p.Fset,
 				Files:     p.Files,
 				Pkg:       p.Types,
 				TypesInfo: p.Info,

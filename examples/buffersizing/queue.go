@@ -20,8 +20,6 @@ import (
 
 // Result summarizes one finite-buffer fluid-queue simulation.
 type Result struct {
-	ServiceRate  float64
-	Buffer       float64 // capacity; +Inf for infinite
 	MeanOccupied float64
 	MaxOccupied  float64
 	LossFraction float64 // lost work / offered work
@@ -40,10 +38,7 @@ func Simulate(arrivals []float64, serviceRate, buffer float64) (Result, error) {
 		return Result{}, fmt.Errorf("queue: service rate %g must be positive", serviceRate)
 	}
 	infinite := buffer <= 0
-	res := Result{ServiceRate: serviceRate, Buffer: buffer, Occupancy: make([]float64, len(arrivals))}
-	if infinite {
-		res.Buffer = math.Inf(1)
-	}
+	res := Result{Occupancy: make([]float64, len(arrivals))}
 	var q, offered, lost float64
 	for t, a := range arrivals {
 		if a < 0 {

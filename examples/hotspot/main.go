@@ -40,10 +40,7 @@ func main() {
 	// Inject a hot spot: one pair floods for 5 seconds starting at t=60.
 	const burstStart, burstEnd = 60.0, 65.0
 	for t := burstStart; t < burstEnd; t += 0.0005 {
-		pkts = append(pkts, traffic.Packet{
-			Time: t, Src: 999, Dst: 1000,
-			Size: 1500, // full-size flood packets
-		})
+		pkts = append(pkts, traffic.Packet{Time: t, Size: 1500}) // full-size flood packets
 	}
 	sort.Slice(pkts, func(i, j int) bool { return pkts[i].Time < pkts[j].Time })
 

@@ -3,8 +3,6 @@ package core
 import (
 	"fmt"
 	"math"
-
-	"repro/internal/stats"
 )
 
 // MeanOf returns the plain average of the sampled values — the estimator
@@ -68,9 +66,7 @@ func Efficiency(eta float64, totalSamples int) float64 {
 // random draws at the same rate).
 type InstanceStats struct {
 	Means       []float64 // per-instance sampled means
-	GrandMean   float64   // average of the sampled means
 	AvgVariance float64   // E[(Xi - realMean)^2], the paper's E(V)
-	AvgEta      float64   // Eta(GrandMean, realMean)
 	AvgSamples  float64   // average kept samples per instance
 	AvgOverhead float64   // average qualified/base ratio (NaN if no base)
 }
@@ -108,9 +104,7 @@ func RunInstances(f []float64, realMean float64, n int, factory func(instance in
 			overheadN++
 		}
 	}
-	st.GrandMean = stats.Mean(st.Means)
 	st.AvgVariance = sqErr / float64(n)
-	st.AvgEta = Eta(st.GrandMean, realMean)
 	st.AvgSamples = samples / float64(n)
 	if overheadN > 0 {
 		st.AvgOverhead = overheadSum / float64(overheadN)

@@ -79,8 +79,8 @@ func TestRunInstancesSystematic(t *testing.T) {
 		wantGrand += (realMean + o - 4.5) / n
 		wantVar += (o - 4.5) * (o - 4.5) / n
 	}
-	if math.Abs(st.GrandMean-wantGrand) > 1e-9 {
-		t.Errorf("grand mean %g, want %g", st.GrandMean, wantGrand)
+	if grand := stats.Mean(st.Means); math.Abs(grand-wantGrand) > 1e-9 {
+		t.Errorf("grand mean %g, want %g", grand, wantGrand)
 	}
 	if math.Abs(st.AvgVariance-wantVar) > 1e-9 {
 		t.Errorf("avg variance %g, want %g", st.AvgVariance, wantVar)

@@ -134,11 +134,9 @@ func GapPMF(k Kernel, seriesLen int) (IntervalPMF, error) {
 // the thinned process computed through the tau-fold convolution of the gap
 // law, and the power-law exponent recovered from it.
 type SNCResult struct {
-	Taus    []int     // lags of the sampled process
 	Rg      []float64 // Rg(tau) = sum_u Rf(u) k(u, tau)
 	BetaHat float64   // fitted decay exponent of Rg
 	Beta    float64   // the original process' exponent
-	Fit     stats.LineFit
 }
 
 // Preserved reports whether the fitted exponent matches the original
@@ -155,18 +153,34 @@ func (r SNCResult) Preserved(tol float64) bool {
 // and fits log Rg against log tau. The technique preserves second-order
 // statistics iff the fitted slope is -beta.
 func CheckSNC(p IntervalPMF, acf lrd.PowerLawACF, taus []int) (SNCResult, error) {
+	return checkSNC(p, acf, taus, dsp.SelfConvolvePower)
+}
+
+// CheckSNCDirect is CheckSNC with the convolution powers computed by
+// repeated direct convolution instead of the FFT. It exists as the
+// baseline of the FFT-vs-direct ablation; results are identical up to
+// rounding.
+func CheckSNCDirect(p IntervalPMF, acf lrd.PowerLawACF, taus []int) (SNCResult, error) {
+	return checkSNC(p, acf, taus, dsp.SelfConvolvePowerDirect)
+}
+
+// checkSNC is the body of CheckSNC and CheckSNCDirect; power computes
+// the tau-fold self-convolution of the gap law.
+func checkSNC(p IntervalPMF, acf lrd.PowerLawACF, taus []int, power func([]float64, int) ([]float64, error)) (SNCResult, error) {
 	if err := p.Validate(); err != nil {
 		return SNCResult{}, err
 	}
 	if len(taus) < 3 {
 		return SNCResult{}, fmt.Errorf("core: need at least 3 lags for the SNC fit, got %d", len(taus))
 	}
-	res := SNCResult{Taus: taus, Rg: make([]float64, len(taus)), Beta: acf.Beta}
+	res := SNCResult{Rg: make([]float64, len(taus)), Beta: acf.Beta}
+	lx := make([]float64, len(taus))
+	ly := make([]float64, len(taus))
 	for i, tau := range taus {
 		if tau < 1 {
 			return SNCResult{}, fmt.Errorf("core: SNC lag %d must be >= 1", tau)
 		}
-		k, err := dsp.SelfConvolvePower(p.P, tau)
+		k, err := power(p.P, tau)
 		if err != nil {
 			return SNCResult{}, fmt.Errorf("core: convolving gap pmf to order %d: %w", tau, err)
 		}
@@ -176,69 +190,18 @@ func CheckSNC(p IntervalPMF, acf lrd.PowerLawACF, taus []int) (SNCResult, error)
 				rg += acf.At(float64(u)) * mass
 			}
 		}
-		res.Rg[i] = rg
-	}
-	lx := make([]float64, len(taus))
-	ly := make([]float64, len(taus))
-	for i, tau := range taus {
-		lx[i] = math.Log(float64(tau))
-		if res.Rg[i] <= 0 {
-			return SNCResult{}, fmt.Errorf("core: nonpositive Rg(%d) = %g", tau, res.Rg[i])
+		if rg <= 0 {
+			return SNCResult{}, fmt.Errorf("core: nonpositive Rg(%d) = %g", tau, rg)
 		}
-		ly[i] = math.Log(res.Rg[i])
+		res.Rg[i] = rg
+		lx[i] = math.Log(float64(tau))
+		ly[i] = math.Log(rg)
 	}
 	fit, err := stats.FitLine(lx, ly)
 	if err != nil {
 		return SNCResult{}, fmt.Errorf("core: fitting SNC slope: %w", err)
 	}
 	res.BetaHat = -fit.Slope
-	res.Fit = fit
-	return res, nil
-}
-
-// CheckSNCDirect is CheckSNC with the convolution powers computed by
-// repeated direct convolution instead of the FFT. It exists as the
-// baseline of the FFT-vs-direct ablation; results are identical up to
-// rounding.
-func CheckSNCDirect(p IntervalPMF, acf lrd.PowerLawACF, taus []int) (SNCResult, error) {
-	if err := p.Validate(); err != nil {
-		return SNCResult{}, err
-	}
-	if len(taus) < 3 {
-		return SNCResult{}, fmt.Errorf("core: need at least 3 lags for the SNC fit, got %d", len(taus))
-	}
-	res := SNCResult{Taus: taus, Rg: make([]float64, len(taus)), Beta: acf.Beta}
-	for i, tau := range taus {
-		if tau < 1 {
-			return SNCResult{}, fmt.Errorf("core: SNC lag %d must be >= 1", tau)
-		}
-		k, err := dsp.SelfConvolvePowerDirect(p.P, tau)
-		if err != nil {
-			return SNCResult{}, err
-		}
-		var rg float64
-		for u, mass := range k {
-			if mass > 0 && u > 0 {
-				rg += acf.At(float64(u)) * mass
-			}
-		}
-		res.Rg[i] = rg
-	}
-	lx := make([]float64, len(taus))
-	ly := make([]float64, len(taus))
-	for i, tau := range taus {
-		lx[i] = math.Log(float64(tau))
-		if res.Rg[i] <= 0 {
-			return SNCResult{}, fmt.Errorf("core: nonpositive Rg(%d) = %g", tau, res.Rg[i])
-		}
-		ly[i] = math.Log(res.Rg[i])
-	}
-	fit, err := stats.FitLine(lx, ly)
-	if err != nil {
-		return SNCResult{}, err
-	}
-	res.BetaHat = -fit.Slope
-	res.Fit = fit
 	return res, nil
 }
 

@@ -54,7 +54,6 @@ func (p Pareto) Quantile(q float64) float64 {
 // ParetoTailFit is the result of fitting a Pareto tail to a sample.
 type ParetoTailFit struct {
 	Alpha float64       // estimated tail index (negated CCDF slope)
-	Xm    float64       // smallest value included in the fitted tail
 	Fit   stats.LineFit // the underlying log-log CCDF regression
 }
 
@@ -101,5 +100,5 @@ func FitParetoTail(sample []float64, frac float64) (ParetoTailFit, error) {
 	if err != nil {
 		return ParetoTailFit{}, fmt.Errorf("dist: tail regression: %w", err)
 	}
-	return ParetoTailFit{Alpha: -fit.Slope, Xm: sorted[n-k], Fit: fit}, nil
+	return ParetoTailFit{Alpha: -fit.Slope, Fit: fit}, nil
 }

@@ -50,7 +50,6 @@ func Daubechies4() Wavelet {
 // coefficients at octave j+1 (scale 2^(j+1)), and Approx is the remaining
 // coarse approximation.
 type Decomposition struct {
-	Wavelet Wavelet
 	Details [][]float64
 	Approx  []float64
 }
@@ -68,7 +67,7 @@ func (w Wavelet) Decompose(x []float64, maxLevels int) (Decomposition, error) {
 	}
 	approx := make([]float64, len(x))
 	copy(approx, x)
-	dec := Decomposition{Wavelet: w}
+	var dec Decomposition
 	for level := 0; level < maxLevels; level++ {
 		if len(approx) < 2*len(w.h) || len(approx)%2 != 0 {
 			break

@@ -32,8 +32,8 @@ func TestTraces(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(syn) != synInfo.Len || synInfo.Len == 0 {
-		t.Fatalf("synthetic length mismatch: %d vs %d", len(syn), synInfo.Len)
+	if len(syn) != 1<<17 {
+		t.Fatalf("synthetic length %d, want %d", len(syn), 1<<17)
 	}
 	// Rank-transformed toward the paper's 5.68 kB/s mean; the realized
 	// mean deviates by the finite-sample fluctuation of the Pareto top
@@ -295,7 +295,7 @@ func TestFig12Fig13Run(t *testing.T) {
 			t.Fatalf("%s: no rows", name)
 		}
 		for _, row := range r.Rows {
-			if math.IsNaN(row.BSS) || math.IsNaN(row.BSS2) || math.IsNaN(row.BSSMed) {
+			if math.IsNaN(row.BSSMed) || math.IsNaN(row.BSS2Med) {
 				t.Errorf("%s rate %g: missing BSS series", name, row.Rate)
 			}
 			// Unbiased BSS lifts the estimate (or leaves it) relative to

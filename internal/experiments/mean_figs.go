@@ -12,17 +12,13 @@ import (
 // Grand means over instances are unbiased but dominated by whether an
 // instance caught one of the rare giant bursts, so the *median* instance —
 // what a single deployed monitor typically reports — is the statistic the
-// figures print. Both are retained.
+// figures print.
 type MeanRow struct {
 	Rate          float64
-	Systematic    float64 // grand mean over instances
 	SystematicMed float64 // median instance mean
-	Simple        float64
 	SimpleMed     float64
-	BSS           float64 // NaN when the figure has no BSS series
-	BSSMed        float64
-	BSS2          float64 // second parameter set (Figures 12/13)
-	BSS2Med       float64
+	BSSMed        float64 // NaN when the figure has no BSS series
+	BSS2Med       float64 // second parameter set (Figures 12/13)
 	Overhead      float64 // BSS qualified/base ratio (Figures 18/19)
 	EtaUsed       float64 // the eta the BSS design assumed
 	LUsed         int
@@ -37,7 +33,7 @@ type meanSweepConfig struct {
 	bssFor func(rate float64, interval int, sysEta float64) (*core.BSS, *core.BSS, MeanRow)
 }
 
-// meanSweep measures grand-mean estimates per rate for systematic, simple
+// meanSweep measures median-instance mean estimates per rate for systematic, simple
 // random and optional BSS configurations.
 func meanSweep(f []float64, mean float64, rates []float64, cfg meanSweepConfig) ([]MeanRow, error) {
 	rows := make([]MeanRow, 0, len(rates))
@@ -58,8 +54,7 @@ func meanSweep(f []float64, mean float64, rates []float64, cfg meanSweepConfig) 
 		if err != nil {
 			return nil, fmt.Errorf("simple random at rate %g: %w", rate, err)
 		}
-		row := MeanRow{Rate: rate, Systematic: sy.GrandMean, Simple: ran.GrandMean,
-			BSS: math.NaN(), BSSMed: math.NaN(), BSS2: math.NaN(), BSS2Med: math.NaN(), Overhead: math.NaN()}
+		row := MeanRow{Rate: rate, BSSMed: math.NaN(), BSS2Med: math.NaN(), Overhead: math.NaN()}
 		row.SystematicMed, _ = stats.Median(sy.Means)
 		row.SimpleMed, _ = stats.Median(ran.Means)
 		if cfg.bssFor != nil {
@@ -73,7 +68,6 @@ func meanSweep(f []float64, mean float64, rates []float64, cfg meanSweepConfig) 
 				if err != nil {
 					return nil, fmt.Errorf("BSS at rate %g: %w", rate, err)
 				}
-				row.BSS = st.GrandMean
 				row.BSSMed, _ = stats.Median(st.Means)
 				row.Overhead = st.AvgOverhead
 			}
@@ -82,7 +76,6 @@ func meanSweep(f []float64, mean float64, rates []float64, cfg meanSweepConfig) 
 				if err != nil {
 					return nil, fmt.Errorf("BSS(2) at rate %g: %w", rate, err)
 				}
-				row.BSS2 = st.GrandMean
 				row.BSS2Med, _ = stats.Median(st.Means)
 			}
 		}

@@ -17,9 +17,7 @@ type TraceInfo struct {
 	Name        string
 	Mean        float64 // exact mean of the series (the "real mean")
 	MarginAlpha float64 // design tail index of the marginal f(t)
-	HurstDesign float64 // target Hurst parameter
 	Cs          float64 // calibrated constant of the eta(r) law (Eq. 35)
-	Len         int
 }
 
 // syntheticSeed and realSeed pin the workloads; every figure sees the same
@@ -111,8 +109,6 @@ func SyntheticTrace(s Scale) ([]float64, TraceInfo, error) {
 			Name:        "synthetic",
 			Mean:        stats.Mean(f),
 			MarginAlpha: alpha,
-			HurstDesign: cfg.Hurst(),
-			Len:         len(f),
 		}
 		info.Cs = calibrateCs(f, info.Mean, info.MarginAlpha)
 		return f, info, nil
@@ -154,8 +150,6 @@ func RealTrace(s Scale) ([]float64, TraceInfo, error) {
 			Name:        "real",
 			Mean:        stats.Mean(f),
 			MarginAlpha: alpha,
-			HurstDesign: cfg.Hurst(),
-			Len:         len(f),
 		}
 		info.Cs = calibrateCs(f, info.Mean, info.MarginAlpha)
 		return f, info, nil

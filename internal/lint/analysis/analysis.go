@@ -1,10 +1,10 @@
-// Package analysis is a minimal, dependency-free mirror of the
-// golang.org/x/tools/go/analysis API surface the samplelint suite
-// uses. This repo builds hermetically (no module proxy), so the real
-// x/tools cannot be pulled in; the shapes here — Analyzer{Name, Doc,
-// Run}, a Pass carrying Fset/Files/Pkg/TypesInfo and a Report hook —
-// are kept call-compatible with that subset, so migrating onto
-// x/tools if a vendored copy ever lands is a mechanical import swap.
+// Package analysis is a minimal, dependency-free mirror of the part of
+// the golang.org/x/tools/go/analysis API the samplelint suite uses.
+// This repo builds hermetically (no module proxy), so the real x/tools
+// cannot be pulled in. The shapes here are a subset of that API: an
+// Analyzer is a Name and a Run function, and a Pass carries
+// Files/Pkg/TypesInfo and a Report hook. Each analyzer's invariant is
+// documented on its variable, not in a Doc string.
 package analysis
 
 import (
@@ -15,11 +15,10 @@ import (
 )
 
 // An Analyzer is one static check: a name for diagnostics and
-// configuration, a doc string explaining the invariant it enforces,
-// and a Run function applied to one type-checked package at a time.
+// configuration, and a Run function applied to one type-checked
+// package at a time.
 type Analyzer struct {
 	Name string
-	Doc  string
 	Run  func(*Pass) (any, error)
 }
 
@@ -35,8 +34,6 @@ type Diagnostic struct {
 // lets the analyzers see through aliased imports and unrelated
 // same-named methods.
 type Pass struct {
-	Analyzer  *Analyzer
-	Fset      *token.FileSet
 	Files     []*ast.File
 	Pkg       *types.Package
 	TypesInfo *types.Info

@@ -36,7 +36,10 @@ var (
 	loaderErr  error
 )
 
-func getLoader() (*loader.Loader, error) {
+// Loader returns the loader the fixtures are type-checked with, one per
+// process; a test that loads the module through it reuses every
+// package the fixtures already checked, the standard library included.
+func Loader() (*loader.Loader, error) {
 	loaderOnce.Do(func() {
 		sharedLd, loaderErr = loader.New()
 	})
@@ -55,7 +58,7 @@ type expectation struct {
 // diagnostics against the fixture's // want comments.
 func Run(t *testing.T, testdata string, a *analysis.Analyzer, pkg string) {
 	t.Helper()
-	ld, err := getLoader()
+	ld, err := Loader()
 	if err != nil {
 		t.Fatalf("loader: %v", err)
 	}
@@ -102,8 +105,6 @@ func Run(t *testing.T, testdata string, a *analysis.Analyzer, pkg string) {
 
 	var diags []analysis.Diagnostic
 	pass := &analysis.Pass{
-		Analyzer:  a,
-		Fset:      p.Fset,
 		Files:     p.Files,
 		Pkg:       p.Types,
 		TypesInfo: p.Info,

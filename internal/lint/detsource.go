@@ -20,7 +20,6 @@ import (
 // time.Now} — that WithClock overrides in tests.
 var DetSource = &analysis.Analyzer{
 	Name: "detsource",
-	Doc:  "sampling core must not use global math/rand draws or call time.Now; use the seeded *rand.Rand and the WithClock clock",
 	Run:  runDetSource,
 }
 

@@ -44,4 +44,14 @@
 // gate in the CI lint job. Each analyzer has analysistest-style
 // fixtures under testdata/src, including seeded regressions for the
 // false resolutions the old string guard made.
+//
+// Two meta-tests in suite_test.go keep the module to live code, on one
+// shared load of it. TestExportsHaveCallers fails on an exported name
+// or method under internal/ or sampling/ that no non-test code uses.
+// TestFieldsLive fails on a struct field, in any module package, that
+// no non-test code reads, and on an exported field of an exported type
+// that no non-test code sets. Each has a keep list (exportKeep,
+// fieldKeep) naming the test that needs an otherwise dead name, and
+// the field rule's read/set classification has its own fixture,
+// testdata/src/fieldlive.
 package lint

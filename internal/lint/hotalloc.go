@@ -34,7 +34,6 @@ const Directive = "//samplelint:hotpath"
 // S-family is already banned outright.
 var HotAlloc = &analysis.Analyzer{
 	Name: "hotalloc",
-	Doc:  "//samplelint:hotpath functions may not format, concatenate strings, box float64s, or grow slices with uncapped append",
 	Run:  runHotAlloc,
 }
 

@@ -25,11 +25,10 @@ import (
 	"strings"
 )
 
-// A Package is one type-checked package: its syntax, its resolved
-// types, and the directory it was read from.
+// A Package is one type-checked package: its syntax and its resolved
+// types.
 type Package struct {
 	Path  string // import path ("repro/sampling/hub")
-	Dir   string // absolute directory
 	Fset  *token.FileSet
 	Files []*ast.File
 	Types *types.Package
@@ -292,7 +291,7 @@ func (l *Loader) load(path, dir string) (*Package, error) {
 	if err != nil {
 		return nil, fmt.Errorf("loader: type-checking %s: %w", path, err)
 	}
-	p := &Package{Path: path, Dir: dir, Fset: l.fset, Files: syntax, Types: tpkg, Info: info}
+	p := &Package{Path: path, Fset: l.fset, Files: syntax, Types: tpkg, Info: info}
 	l.pkgs[path] = p
 	return p, nil
 }

@@ -20,7 +20,6 @@ import (
 // fields tagged json:"-" pass.
 var NanWire = &analysis.Analyzer{
 	Name: "nanwire",
-	Doc:  "exported structs with json-tagged float64 fields must marshal through the null-for-NaN path (define MarshalJSON)",
 	Run:  runNanWire,
 }
 

@@ -17,7 +17,6 @@ import (
 // had — while a local type's own ReadAll method passes.
 var NoReadAll = &analysis.Analyzer{
 	Name: "noreadall",
-	Doc:  "serving-side wire packages must not reference io.ReadAll; decode incrementally through pooled buffers",
 	Run:  runNoReadAll,
 }
 

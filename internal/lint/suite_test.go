@@ -9,13 +9,17 @@ import (
 	"os"
 	"path"
 	"path/filepath"
+	"reflect"
 	"slices"
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/lint"
+	"repro/internal/lint/analysis"
+	"repro/internal/lint/analysistest"
 	"repro/internal/lint/loader"
 )
 
@@ -274,14 +278,7 @@ func checkedPkg(path string) bool {
 // method. The test-support package analysistest is skipped: its only
 // callers are tests by design.
 func TestExportsHaveCallers(t *testing.T) {
-	ld, err := loader.New()
-	if err != nil {
-		t.Fatal(err)
-	}
-	pkgs, err := ld.Load("./...")
-	if err != nil {
-		t.Fatal(err)
-	}
+	pkgs := modulePackages(t)
 
 	// used holds every checked object non-test code refers to, methods
 	// mapped to their generic origin; ifaces holds every non-empty
@@ -408,6 +405,270 @@ func TestExportsHaveCallers(t *testing.T) {
 		}
 	}
 }
+
+// fieldKeep lists struct fields — keyed "path.Type.Field" — that
+// TestFieldsLive would flag, as unread or as an exported setting no
+// non-test code sets, but that a test needs, each with the test that
+// needs it.
+var fieldKeep = map[string]string{
+	"repro/examples/buffersizing.Result.Occupancy":  "TestSimulateWorkConservation, TestNorrosAgainstSimulationOnFGN: the occupancy series the final backlog and the empirical overflow are read from",
+	"repro/internal/core.InstanceStats.AvgVariance": "TestTheorem2OrderingOnLRDTraffic: the E(V) values Theorem 2 orders",
+	"repro/internal/core.SNCResult.Rg":              "TestCheckSNCDirectMatchesFFT, TestNegBinomialRgMatchesSNC: the Rg(tau) values the FFT path is held to",
+	"repro/internal/dsp.Decomposition.Approx":       "TestWaveletEnergyConservation, TestWaveletHaarKnown: the coarse approximation energy conservation and the Haar values need",
+	"repro/internal/lrd.WaveletOptions.Wavelet":     "TestStreamWaveletMatchesBatchHaar: selects the batch Haar reference the streaming estimator is held to",
+}
+
+// TestFieldsLive keeps the module to fields that carry something: a
+// field of a struct type declared in non-test code must be read by
+// non-test code, and an exported field of an exported type must also
+// be set by it, unless fieldKeep names the test that needs it. The
+// test-support package analysistest is skipped, as in
+// TestExportsHaveCallers, and _perfbench's selectors count by name
+// in the packages it imports.
+func TestFieldsLive(t *testing.T) {
+	pkgs := modulePackages(t)
+	u := newFieldUse()
+	for _, p := range pkgs {
+		u.classify(p.Info, p.Files)
+	}
+	_, perfImports, perfNames := perfbenchSelectors(t, filepath.Join(moduleRoot(t), "_perfbench"))
+
+	seen := make(map[string]bool)
+	for _, p := range pkgs {
+		if p.Path == "repro/internal/lint/analysistest" {
+			continue
+		}
+		owner := fieldOwners(p.Types)
+		var fields []*types.Var
+		for _, obj := range p.Info.Defs {
+			if v, ok := obj.(*types.Var); ok && v.IsField() && !v.Embedded() {
+				fields = append(fields, v)
+			}
+		}
+		slices.SortFunc(fields, func(a, b *types.Var) int { return int(a.Pos() - b.Pos()) })
+		for _, v := range fields {
+			tn := owner[v]
+			key := p.Path + ".struct{}." + v.Name()
+			if tn != nil {
+				key = p.Path + "." + tn.Name() + "." + v.Name()
+			}
+			seen[key] = true
+			perf := perfImports[p.Path] && perfNames[v.Name()]
+			var faults []string
+			if !u.read[v] && !perf {
+				faults = append(faults, "no non-test code reads it")
+			}
+			if v.Exported() && tn != nil && tn.Exported() && tn.Parent() == p.Types.Scope() && !u.set[v] && !perf {
+				faults = append(faults, "no non-test code sets it")
+			}
+			_, kept := fieldKeep[key]
+			switch {
+			case len(faults) == 0 && kept:
+				t.Errorf("fieldKeep lists %s, which non-test code now reads and sets — stale entry", key)
+			case len(faults) > 0 && !kept:
+				t.Errorf("%s (%s): %s — delete it, or list the test that needs it in fieldKeep", key, p.Fset.Position(v.Pos()), strings.Join(faults, " and "))
+			}
+		}
+	}
+	for key := range fieldKeep {
+		if !seen[key] {
+			t.Errorf("fieldKeep lists %s, which is not declared — stale entry", key)
+		}
+	}
+}
+
+// fieldOwners maps each field of a named struct type declared in pkg,
+// at package level or inside a function, to that type's name.
+func fieldOwners(pkg *types.Package) map[*types.Var]*types.TypeName {
+	owner := make(map[*types.Var]*types.TypeName)
+	var walk func(*types.Scope)
+	walk = func(s *types.Scope) {
+		for _, name := range s.Names() {
+			if tn, ok := s.Lookup(name).(*types.TypeName); ok && !tn.IsAlias() {
+				if st, ok := tn.Type().Underlying().(*types.Struct); ok {
+					for i := 0; i < st.NumFields(); i++ {
+						owner[st.Field(i)] = tn
+					}
+				}
+			}
+		}
+		for i := 0; i < s.NumChildren(); i++ {
+			walk(s.Child(i))
+		}
+	}
+	walk(pkg.Scope())
+	return owner
+}
+
+// fieldUse records how code touches struct fields, each keyed by its
+// generic origin; embedded fields are not tracked.
+type fieldUse struct{ read, set map[*types.Var]bool }
+
+func newFieldUse() fieldUse {
+	return fieldUse{read: make(map[*types.Var]bool), set: make(map[*types.Var]bool)}
+}
+
+func (u fieldUse) add(v *types.Var, read, set bool) {
+	v = v.Origin()
+	if !v.IsField() || v.Embedded() {
+		return
+	}
+	if read {
+		u.read[v] = true
+	}
+	if set {
+		u.set[v] = true
+	}
+}
+
+// classify adds every field use in files, type-checked into info, to
+// u. A field is set when it is an assignment target — directly, through
+// an index or under a nested selector — a composite-literal key or
+// position, the operand of &, or the operand of a method selection; it
+// is read by any other use. Compound assignment, ++ and --, & and a
+// method selection count as both. A field with a json tag counts as
+// both: encoding/json and internal/nanjson reach it by reflection.
+func (u fieldUse) classify(info *types.Info, files []*ast.File) {
+	// target holds the selectors a set already accounted for.
+	target := make(map[*ast.SelectorExpr]bool)
+	chain := func(e ast.Expr, read bool) {
+		for e != nil {
+			switch x := e.(type) {
+			case *ast.ParenExpr:
+				e = x.X
+			case *ast.IndexExpr:
+				e = x.X
+			case *ast.SelectorExpr:
+				sel := info.Selections[x]
+				if sel == nil || sel.Kind() != types.FieldVal {
+					return
+				}
+				u.add(sel.Obj().(*types.Var), read, true)
+				target[x] = true
+				e = x.X
+			default:
+				return
+			}
+		}
+	}
+	for _, f := range files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.StructType:
+				for _, fld := range n.Fields.List {
+					if fld.Tag == nil {
+						continue
+					}
+					tag, _ := strconv.Unquote(fld.Tag.Value)
+					if name, ok := reflect.StructTag(tag).Lookup("json"); ok && name != "-" {
+						for _, id := range fld.Names {
+							u.add(info.Defs[id].(*types.Var), true, true)
+						}
+					}
+				}
+			case *ast.AssignStmt:
+				for _, lhs := range n.Lhs {
+					chain(lhs, n.Tok != token.ASSIGN && n.Tok != token.DEFINE)
+				}
+			case *ast.IncDecStmt:
+				chain(n.X, true)
+			case *ast.UnaryExpr:
+				if n.Op == token.AND {
+					chain(n.X, true)
+				}
+			case *ast.SelectorExpr:
+				sel := info.Selections[n]
+				switch {
+				case sel == nil:
+				case sel.Kind() == types.MethodVal:
+					chain(n.X, true)
+				case sel.Kind() == types.FieldVal && !target[n]:
+					u.add(sel.Obj().(*types.Var), true, false)
+				}
+			case *ast.CompositeLit:
+				typ := info.TypeOf(n)
+				if typ == nil {
+					break
+				}
+				if p, ok := typ.Underlying().(*types.Pointer); ok {
+					typ = p.Elem()
+				}
+				st, ok := typ.Underlying().(*types.Struct)
+				if !ok {
+					break
+				}
+				for i, elt := range n.Elts {
+					if kv, ok := elt.(*ast.KeyValueExpr); ok {
+						if v, ok := info.Uses[kv.Key.(*ast.Ident)].(*types.Var); ok {
+							u.add(v, false, true)
+						}
+					} else {
+						u.add(st.Field(i), false, true)
+					}
+				}
+			}
+			return true
+		})
+	}
+}
+
+// fieldUseAnalyzer reports, at each field declared in a package, how
+// classify sees the package's own code use it — the fixture hook that
+// pins every case of the rule, whether or not the module still holds
+// an example of it.
+var fieldUseAnalyzer = &analysis.Analyzer{
+	Name: "fielduse",
+	Run: func(pass *analysis.Pass) (any, error) {
+		u := newFieldUse()
+		u.classify(pass.TypesInfo, pass.Files)
+		for _, obj := range pass.TypesInfo.Defs {
+			v, ok := obj.(*types.Var)
+			if !ok || !v.IsField() || !u.read[v] && !u.set[v] {
+				continue
+			}
+			var uses []string
+			if u.read[v] {
+				uses = append(uses, "read")
+			}
+			if u.set[v] {
+				uses = append(uses, "set")
+			}
+			pass.Reportf(v.Pos(), "%s: %s", v.Name(), strings.Join(uses, " "))
+		}
+		return nil, nil
+	},
+}
+
+// TestFieldUseFixture holds classify to testdata/src/fieldlive: sets
+// through an index and a nested selector, &x.f, a method on a field,
+// +=, ++, keyed and positional literals, a json-tagged field, a generic
+// struct's field and an embedded field.
+func TestFieldUseFixture(t *testing.T) {
+	analysistest.Run(t, "testdata", fieldUseAnalyzer, "fieldlive")
+}
+
+// modulePackages loads and type-checks the module once per test
+// binary; TestExportsHaveCallers and TestFieldsLive share the pass, and
+// the fixture tests share its loader.
+func modulePackages(t *testing.T) []*loader.Package {
+	t.Helper()
+	moduleOnce.Do(func() {
+		var ld *loader.Loader
+		if ld, moduleErr = analysistest.Loader(); moduleErr == nil {
+			modulePkgs, moduleErr = ld.Load("./...")
+		}
+	})
+	if moduleErr != nil {
+		t.Fatal(moduleErr)
+	}
+	return modulePkgs
+}
+
+var (
+	moduleOnce sync.Once
+	modulePkgs []*loader.Package
+	moduleErr  error
+)
 
 // perfbenchSelectors parses dir's Go files, a module the loader does
 // not type-check. It returns "importpath.Name" for every selector

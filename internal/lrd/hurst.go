@@ -152,13 +152,12 @@ func HurstPeriodogram(x []float64, lowFrac float64) (HurstEstimate, error) {
 type WaveletOptions struct {
 	Wavelet dsp.Wavelet // zero value selects Daubechies4
 	JMin    int         // first octave used in the regression (1-based); default 3
-	JMax    int         // last octave; default: as deep as >= 8 coefficients remain
 }
 
 // HurstWavelet is the Abry-Veitch wavelet estimator (the tool the paper
 // cites as [22]): regress the debiased logscale diagram
-// y_j = log2 mu_j - g(n_j) on octave j with weights 1/Var(y_j); for an LRD
-// process the slope is 2H - 1.
+// y_j = log2 mu_j - g(n_j) on octave j >= JMin with weights 1/Var(y_j);
+// for an LRD process the slope is 2H - 1.
 func HurstWavelet(x []float64, opts WaveletOptions) (HurstEstimate, error) {
 	w := opts.Wavelet
 	if w.Name() == "" {
@@ -178,24 +177,18 @@ func HurstWavelet(x []float64, opts WaveletOptions) (HurstEstimate, error) {
 	if jMin < 1 {
 		jMin = 3
 	}
-	jMax := opts.JMax
-	if jMax <= 0 || jMax > len(mu) {
-		jMax = len(mu)
-	}
-	return fitLogscale(mu, counts, jMin, jMax)
+	return fitLogscale(mu, counts, jMin)
 }
 
 // fitLogscale is the Abry-Veitch regression core shared by the batch
 // pyramid estimator and the streaming Haar cascade: debias each octave's
 // log2 energy, weight by the inverse logscale variance, and fit
-// y_j = log2 mu_j - g(n_j) against j; the slope is 2H - 1. Octaves need
-// at least 8 coefficients and positive energy to enter.
-func fitLogscale(mu []float64, counts []int, jMin, jMax int) (HurstEstimate, error) {
-	if jMax > len(mu) {
-		jMax = len(mu)
-	}
+// y_j = log2 mu_j - g(n_j) against j from octave jMin on; the slope is
+// 2H - 1. Octaves need at least 8 coefficients and positive energy to
+// enter.
+func fitLogscale(mu []float64, counts []int, jMin int) (HurstEstimate, error) {
 	var xs, ys, ws []float64
-	for j := jMin; j <= jMax; j++ {
+	for j := jMin; j <= len(mu); j++ {
 		n := counts[j-1]
 		// Octaves whose energy is nonpositive (no logarithm) or infinite
 		// (overflow on pathological input) cannot enter the fit.

@@ -352,7 +352,7 @@ func (s *StreamWavelet) Estimate() (HurstEstimate, error) {
 		mu = append(mu, l.energy/float64(l.count))
 		counts = append(counts, int(l.count))
 	}
-	return fitLogscale(mu, counts, 3, len(mu))
+	return fitLogscale(mu, counts, 3)
 }
 
 // rsWindow is the ring size of StreamRS: the last 4096 ticks.

@@ -10,7 +10,6 @@ type LineFit struct {
 	Slope     float64 // b
 	Intercept float64 // a
 	R2        float64 // coefficient of determination
-	SlopeSE   float64 // standard error of the slope (unweighted fits only)
 	N         int     // points used
 }
 
@@ -24,25 +23,7 @@ func FitLine(x, y []float64) (LineFit, error) {
 	for i := range w {
 		w[i] = 1
 	}
-	fit, err := FitLineWeighted(x, y, w)
-	if err != nil {
-		return LineFit{}, err
-	}
-	// Standard error of the slope for the unweighted fit.
-	if fit.N > 2 {
-		mx := Mean(x)
-		var sxx, sse float64
-		for i := range x {
-			dx := x[i] - mx
-			sxx += dx * dx
-			r := y[i] - fit.Eval(x[i])
-			sse += r * r
-		}
-		if sxx > 0 {
-			fit.SlopeSE = math.Sqrt(sse / float64(fit.N-2) / sxx)
-		}
-	}
-	return fit, nil
+	return FitLineWeighted(x, y, w)
 }
 
 // FitLineWeighted computes the weighted least-squares line minimizing

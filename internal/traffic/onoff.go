@@ -26,8 +26,7 @@ type OnOffConfig struct {
 	MeanOn   float64 // mean ON duration in ticks (> 0)
 	MeanOff  float64 // mean OFF duration in ticks (> 0)
 	Rate     float64 // mean emission per source per tick while ON (> 0)
-	Ticks    int     // length of the generated series
-	Warmup   int     // ticks simulated and discarded before recording (default Ticks/8)
+	Ticks    int     // length of the generated series; Ticks/8 more are simulated first and discarded
 
 	// RateAlpha, when nonzero, draws an independent Pareto(RateAlpha)
 	// emission rate (mean Rate) for every ON burst instead of the constant
@@ -54,8 +53,6 @@ func (c OnOffConfig) Validate() error {
 		return fmt.Errorf("traffic: Rate=%g must be positive", c.Rate)
 	case c.Ticks < 1:
 		return fmt.Errorf("traffic: Ticks=%d must be >= 1", c.Ticks)
-	case c.Warmup < 0:
-		return fmt.Errorf("traffic: Warmup=%d must be >= 0", c.Warmup)
 	case c.RateAlpha != 0 && (!(c.RateAlpha > 1) || c.RateAlpha > 2):
 		return fmt.Errorf("traffic: RateAlpha=%g must be 0 or in (1,2]", c.RateAlpha)
 	}
@@ -84,10 +81,7 @@ func GenerateOnOff(cfg OnOffConfig, rng *rand.Rand) ([]float64, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	warmup := cfg.Warmup
-	if warmup == 0 {
-		warmup = cfg.Ticks / 8
-	}
+	warmup := cfg.Ticks / 8
 	onDist, err := dist.NewPareto(cfg.AlphaOn, cfg.MeanOn*(cfg.AlphaOn-1)/cfg.AlphaOn)
 	if err != nil {
 		return nil, fmt.Errorf("traffic: ON distribution: %w", err)

@@ -12,8 +12,6 @@ import (
 // tcpdump traces provide.
 type Packet struct {
 	Time float64 // seconds since trace start
-	Src  uint16  // origin host id
-	Dst  uint16  // destination host id
 	Size uint32  // bytes on the wire
 }
 
@@ -26,14 +24,13 @@ type Packet struct {
 // the classic trimodal Internet size mix are emitted at exponential gaps
 // matching the burst's byte rate.
 type SynthConfig struct {
-	Pairs          int     // OD host pairs (e.g. 200)
-	Duration       float64 // trace length in seconds (e.g. 2400 = 40 min)
-	AlphaOn        float64 // Pareto shape of burst durations, in (1, 2)
-	MeanOn         float64 // mean burst duration in seconds
-	MeanOff        float64 // mean idle time between bursts in seconds
-	MeanRate       float64 // mean bytes/second while bursting
-	RateAlpha      float64 // 0 = constant rate, else Pareto shape in (1, 2]
-	TargetMeanRate float64 // if > 0, rescale so aggregate bytes/s matches
+	Pairs     int     // OD host pairs (e.g. 200)
+	Duration  float64 // trace length in seconds (e.g. 2400 = 40 min)
+	AlphaOn   float64 // Pareto shape of burst durations, in (1, 2)
+	MeanOn    float64 // mean burst duration in seconds
+	MeanOff   float64 // mean idle time between bursts in seconds
+	MeanRate  float64 // mean bytes/second while bursting
+	RateAlpha float64 // 0 = constant rate, else Pareto shape in (1, 2]
 }
 
 // Validate checks the configuration.
@@ -56,10 +53,6 @@ func (c SynthConfig) Validate() error {
 	}
 	return nil
 }
-
-// Hurst returns the asymptotic Hurst parameter (3 - AlphaOn)/2 induced by
-// the heavy-tailed burst durations.
-func (c SynthConfig) Hurst() float64 { return (3 - c.AlphaOn) / 2 }
 
 // packetSizes is the classic trimodal Internet packet-length mix.
 var packetSizes = [...]uint32{40, 576, 1500}
@@ -110,8 +103,6 @@ func SynthesizeTrace(cfg SynthConfig, rng *rand.Rand) ([]Packet, error) {
 	estPackets := int(float64(cfg.Pairs)*duty*cfg.Duration*cfg.MeanRate/meanPkt) + 16
 	pkts := make([]Packet, 0, estPackets)
 	for pair := 0; pair < cfg.Pairs; pair++ {
-		src := uint16(pair * 2)
-		dst := uint16(pair*2 + 1)
 		// Random initial phase, like the ON/OFF aggregate generator.
 		t := -rng.Float64() * (cfg.MeanOn + cfg.MeanOff)
 		for t < cfg.Duration {
@@ -124,37 +115,15 @@ func SynthesizeTrace(cfg SynthConfig, rng *rand.Rand) ([]Packet, error) {
 			pktGap := meanPkt / rate // mean seconds between packets
 			for pt := t + rng.ExpFloat64()*pktGap; pt < end && pt < cfg.Duration; pt += rng.ExpFloat64() * pktGap {
 				if pt >= 0 {
-					pkts = append(pkts, Packet{Time: pt, Src: src, Dst: dst, Size: samplePacketSize(rng)})
+					pkts = append(pkts, Packet{Time: pt, Size: samplePacketSize(rng)})
 				}
 			}
 			t = end
 		}
 	}
 	sort.Slice(pkts, func(i, j int) bool { return pkts[i].Time < pkts[j].Time })
-	// The trace is time-sorted, so its last packet closes the span.
-	if cfg.TargetMeanRate > 0 && len(pkts) > 0 {
-		if span := pkts[len(pkts)-1].Time; span > 0 {
-			scale := cfg.TargetMeanRate / (float64(totalBytes(pkts)) / span)
-			for i := range pkts {
-				s := float64(pkts[i].Size) * scale
-				if s < 1 {
-					s = 1
-				}
-				pkts[i].Size = uint32(s + 0.5)
-			}
-		}
-	}
 	if len(pkts) == 0 {
 		return nil, fmt.Errorf("traffic: synthesis produced no packets (duration %g too short?)", cfg.Duration)
 	}
 	return pkts, nil
-}
-
-// totalBytes sums a trace's packet sizes.
-func totalBytes(pkts []Packet) uint64 {
-	var n uint64
-	for _, p := range pkts {
-		n += uint64(p.Size)
-	}
-	return n
 }

@@ -34,7 +34,6 @@ func TestOnOffValidation(t *testing.T) {
 		func(c *OnOffConfig) { c.MeanOff = -1 },
 		func(c *OnOffConfig) { c.Rate = 0 },
 		func(c *OnOffConfig) { c.Ticks = 0 },
-		func(c *OnOffConfig) { c.Warmup = -1 },
 	}
 	for i, mut := range mutations {
 		c := base
@@ -53,10 +52,6 @@ func TestOnOffHurstFormula(t *testing.T) {
 	c.AlphaOn, c.AlphaOff = 1.4, 1.8
 	if got := c.Hurst(); math.Abs(got-0.8) > 1e-12 {
 		t.Errorf("Hurst = %g, want 0.8 (driven by the heavier tail)", got)
-	}
-	s := defaultSynth()
-	if got := s.Hurst(); math.Abs(got-(3-s.AlphaOn)/2) > 1e-12 {
-		t.Errorf("SynthConfig.Hurst = %g", got)
 	}
 }
 
@@ -167,29 +162,12 @@ func TestSynthesizeTraceBasics(t *testing.T) {
 			t.Fatalf("packet %d has zero size", i)
 		}
 	}
-	pairs := make(map[[2]uint16]bool)
+	var bytes uint64
 	for _, p := range pkts {
-		pairs[[2]uint16{p.Src, p.Dst}] = true
+		bytes += uint64(p.Size)
 	}
-	if len(pairs) > cfg.Pairs {
-		t.Errorf("host pairs = %d, want at most %d", len(pairs), cfg.Pairs)
-	}
-	if mean := float64(totalBytes(pkts)) / float64(len(pkts)); mean < 40 || mean > 1500 {
+	if mean := float64(bytes) / float64(len(pkts)); mean < 40 || mean > 1500 {
 		t.Errorf("mean packet length %g outside [40, 1500]", mean)
-	}
-}
-
-func TestSynthesizeTargetRate(t *testing.T) {
-	cfg := defaultSynth()
-	cfg.TargetMeanRate = 1.21e4
-	pkts, err := SynthesizeTrace(cfg, dist.NewRand(43))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The trace is time-sorted: its last packet closes the span.
-	rate := float64(totalBytes(pkts)) / pkts[len(pkts)-1].Time
-	if math.Abs(rate-1.21e4)/1.21e4 > 0.1 {
-		t.Errorf("mean rate %g, want ~1.21e4", rate)
 	}
 }
 

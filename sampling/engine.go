@@ -59,14 +59,9 @@ var scratch = sync.Pool{New: func() any { return new([]Sample) }}
 // names) and rejected parameters surface as a *ParamError, so callers
 // can branch on the failure mode.
 func New(spec Spec, opts ...Option) (*Engine, error) {
-	cfg := config{clock: time.Now}
-	for _, opt := range opts {
-		if opt == nil {
-			return nil, fmt.Errorf("sampling: nil option")
-		}
-		if err := opt(&cfg); err != nil {
-			return nil, err
-		}
+	cfg, err := newConfig(opts)
+	if err != nil {
+		return nil, err
 	}
 	// The typed build path: parameters go to the technique's factory as
 	// the map they already are, never round-tripped through the string

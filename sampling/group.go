@@ -68,14 +68,9 @@ func NewGroup(specs []Spec, opts ...Option) (*Group, error) {
 		// daemon's statusFor turns ErrBadSpec into a 400).
 		return nil, fmt.Errorf("sampling: a group needs at least one spec: %w", ErrBadSpec)
 	}
-	cfg := config{clock: time.Now}
-	for _, opt := range opts {
-		if opt == nil {
-			return nil, fmt.Errorf("sampling: nil option")
-		}
-		if err := opt(&cfg); err != nil {
-			return nil, err
-		}
+	cfg, err := newConfig(opts)
+	if err != nil {
+		return nil, err
 	}
 	g := &Group{clock: cfg.clock, method: cfg.estimator, start: cfg.clock()}
 	if cfg.estimator != "" {

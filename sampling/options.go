@@ -16,6 +16,21 @@ type config struct {
 	estimator estimate.Method
 }
 
+// newConfig applies opts over the defaults (the wall clock, no budget,
+// no estimator).
+func newConfig(opts []Option) (config, error) {
+	cfg := config{clock: time.Now}
+	for _, opt := range opts {
+		if opt == nil {
+			return config{}, fmt.Errorf("sampling: nil option")
+		}
+		if err := opt(&cfg); err != nil {
+			return config{}, err
+		}
+	}
+	return cfg, nil
+}
+
 // WithBudget caps the number of samples the engine keeps at n >= 1.
 // Once the budget is exhausted the engine keeps consuming ticks (so the
 // technique's internal state stays faithful to the stream) but emits no

@@ -209,31 +209,35 @@ func readRecords(r *binenc.Reader, kind string) ([]Record, error) {
 	return out, nil
 }
 
-// WriteFile encodes the checkpoint and writes it to path atomically:
-// the bytes land in a temp file in the same directory, are synced,
-// and replace path in a single rename, so a reader (or a crash) never
-// observes a half-written checkpoint.
+// WriteFile encodes the checkpoint and publishes it at path with
+// WriteAtomic.
 func WriteFile(path string, c *Checkpoint) error {
-	data := c.Encode()
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp-*")
+	return WriteAtomic(path, c.Encode())
+}
+
+// WriteAtomic publishes data at path: the bytes land in a temp file in
+// the same directory, are synced, and replace path in a single rename,
+// so a reader (or a crash) never observes a half-written file. A failed
+// write leaves no temp file behind.
+func WriteAtomic(path string, data []byte) error {
+	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp-*")
 	if err != nil {
-		return fmt.Errorf("persist: creating temp checkpoint: %w", err)
+		return fmt.Errorf("persist: creating temp file: %w", err)
 	}
 	defer os.Remove(tmp.Name()) // no-op after a successful rename
 	if _, err := tmp.Write(data); err != nil {
 		tmp.Close()
-		return fmt.Errorf("persist: writing checkpoint: %w", err)
+		return fmt.Errorf("persist: writing %s: %w", path, err)
 	}
 	if err := tmp.Sync(); err != nil {
 		tmp.Close()
-		return fmt.Errorf("persist: syncing checkpoint: %w", err)
+		return fmt.Errorf("persist: syncing %s: %w", path, err)
 	}
 	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("persist: closing checkpoint: %w", err)
+		return fmt.Errorf("persist: closing %s: %w", path, err)
 	}
 	if err := os.Rename(tmp.Name(), path); err != nil {
-		return fmt.Errorf("persist: publishing checkpoint: %w", err)
+		return fmt.Errorf("persist: publishing %s: %w", path, err)
 	}
 	return nil
 }

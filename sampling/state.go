@@ -108,14 +108,9 @@ func openState(data []byte, magic uint32, kind string) (*binenc.Reader, error) {
 // serialized state, and overriding them would break the
 // byte-identical-continuation invariant.
 func restoreConfig(opts []Option) (config, error) {
-	cfg := config{clock: time.Now}
-	for _, opt := range opts {
-		if opt == nil {
-			return config{}, fmt.Errorf("sampling: nil option")
-		}
-		if err := opt(&cfg); err != nil {
-			return config{}, err
-		}
+	cfg, err := newConfig(opts)
+	if err != nil {
+		return config{}, err
 	}
 	if cfg.budget != 0 || cfg.estimator != "" {
 		return config{}, fmt.Errorf("sampling: restore accepts only WithClock; budget and estimator are carried by the state blob")
